@@ -1,8 +1,8 @@
 //! Ablations for the design choices DESIGN.md calls out: the KL
 //! threshold, event-fetch lookahead, buffer-pool size and policy, Markov
-//! prefetch depth, adaptive indexing (cracking), adaptive QIF
-//! throttling, and session reuse. Each prints its sweep table, then a
-//! few representative configurations are timed.
+//! prefetch depth, adaptive QIF throttling, and session reuse. Each
+//! prints its sweep table, then a few representative configurations
+//! are timed.
 
 use criterion::Criterion;
 use ids_devices::DeviceKind;
@@ -112,36 +112,6 @@ fn markov_depth_sweep() {
     println!();
 }
 
-fn cracking_demo() {
-    use ids_engine::adaptive::CrackedColumn;
-    use ids_simclock::rng::SimRng;
-    println!("Ablation: adaptive indexing (cracking) under a crossfilter session");
-    let road = datasets::road_network_sized(7, 200_000);
-    let column = road.column("x").expect("x");
-    let mut cracked = CrackedColumn::new(column).expect("numeric");
-    let mut rng = SimRng::seed(9);
-    println!(
-        "{:>8} {:>16} {:>12}",
-        "queries", "work this block", "cracks"
-    );
-    let mut last_work = 0u64;
-    for block in 0..5 {
-        for _ in 0..100 {
-            let lo = rng.uniform(8.2, 10.8);
-            cracked.range(lo, lo + 0.3);
-        }
-        let w = cracked.total_work();
-        println!(
-            "{:>8} {:>16} {:>12}",
-            (block + 1) * 100,
-            w - last_work,
-            cracked.crack_count()
-        );
-        last_work = w;
-    }
-    println!();
-}
-
 fn throttle_demo() {
     use ids_opt::throttle::AdaptiveThrottle;
     println!("Ablation: adaptive QIF throttling (Fig 3 'overwhelmed backend')");
@@ -225,7 +195,6 @@ fn main() {
     lookahead_sweep();
     pool_sweep();
     markov_depth_sweep();
-    cracking_demo();
     throttle_demo();
     reuse_demo();
     let mut criterion = Criterion::default().configure_from_args();

@@ -161,7 +161,7 @@ fn run_bench(
     reps: usize,
     quick: bool,
 ) -> BenchReport {
-    let (rs, fp) = exec::run_histogram(table, bins, filter).expect("bench query is valid");
+    let (rs, fp) = exec::run_histogram(table, bins, filter, 1).expect("bench query is valid");
     let hist = rs.histogram().expect("histogram result");
     let rowwise = rowwise_histogram(table, bins, filter);
     assert_eq!(
@@ -184,7 +184,7 @@ fn run_bench(
             std::hint::black_box(rowwise_histogram(table, bins, filter));
         }));
         report.vectorized_wall_ns = Some(median_wall_ns(reps, || {
-            std::hint::black_box(exec::run_histogram(table, bins, filter).unwrap());
+            std::hint::black_box(exec::run_histogram(table, bins, filter, 1).unwrap());
         }));
     }
     report

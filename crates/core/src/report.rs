@@ -10,10 +10,6 @@ pub struct Table {
     rows: Vec<Vec<String>>,
 }
 
-/// Former name of [`Table`], kept so downstream code and examples keep
-/// compiling.
-pub type TextTable = Table;
-
 impl Table {
     /// Starts a table with the given column headers.
     pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Table {
@@ -210,7 +206,7 @@ mod tests {
 
     #[test]
     fn short_rows_are_padded() {
-        let mut t = TextTable::new(["a", "b", "c"]); // alias still works
+        let mut t = Table::new(["a", "b", "c"]);
         t.row(["only"]);
         assert!(t.render().contains("only"));
         assert_eq!(t.len(), 1);

@@ -13,8 +13,8 @@
 //! which is what guarantees a row lands on the same shard no matter
 //! which layer asked.
 //!
-//! Determinism discipline (the same one `parallel_histogram` proved for
-//! threads): shard assignment is a pure function of `(key, shards)`,
+//! Determinism discipline (the same one `exec::run_histogram`'s chunked bin
+//! phase follows for threads): shard assignment is a pure function of `(key, shards)`,
 //! partials are merged in fixed shard order, and only *mergeable*
 //! aggregates (COUNT sums, histogram bin-wise sums) are distributable —
 //! so the merged answer is byte-identical at 1/4/16 shards and any

@@ -6,21 +6,43 @@
 //! kernel — no `Vec<usize>` of row ids is ever materialized. Virtual
 //! costs (the [`QueryFootprint`] row counters) are byte-identical to
 //! the row-at-a-time engine; only wall-clock time changes.
+//!
+//! Tables larger than one [`PAR_CHUNK_ROWS`] chunk may bin on several
+//! threads. Chunks are a fixed multiple of the zone block size,
+//! whatever the thread count, so every chunk covers whole blocks and
+//! the per-chunk histograms and [`KernelStats`], summed in chunk order,
+//! equal the serial walk counter for counter.
 
+use crossbeam::channel;
+
+use crate::column::{Column, ZoneMap, ZONE_BLOCK_ROWS};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
-use crate::kernels::{self, KernelOptions, KernelStats};
+use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
-use crate::result::ResultSet;
+use crate::result::{Histogram, ResultSet};
 use crate::table::Table;
+
+/// Rows per parallel histogram work unit. A fixed multiple of the
+/// zone-map block size, *independent of the thread count*: the chunk
+/// boundaries (and therefore each partial histogram) are the same
+/// whether 1 or 8 workers drain the queue, so the merged result is
+/// byte-identical at any parallelism.
+pub const PAR_CHUNK_ROWS: usize = 64 * ZONE_BLOCK_ROWS;
 
 /// Executes the crossfiltering histogram:
 /// `SELECT ROUND((col - min) / width), COUNT(*) FROM t WHERE f GROUP BY 1 ORDER BY 1`.
+///
+/// The filter always runs on the calling thread; the bin phase uses up
+/// to `threads` workers when the table is larger than
+/// [`PAR_CHUNK_ROWS`]. Result and footprint are identical at every
+/// thread count.
 pub fn run_histogram(
     table: &Table,
     bins: &BinSpec,
     filter: &Predicate,
+    threads: usize,
 ) -> EngineResult<(ResultSet, QueryFootprint)> {
     if bins.bins == 0 {
         return Err(EngineError::InvalidBinSpec("zero bins".into()));
@@ -46,14 +68,12 @@ pub fn run_histogram(
     let opts = KernelOptions::default();
     let mut stats = KernelStats::default();
     let selected = kernels::select_vector_with(table, filter, &opts, &mut stats)?;
-    let hist = kernels::fused_filter_bin(
-        col,
-        table.zone_map_at(bin_idx),
-        &selected,
-        bins,
-        &opts,
-        &mut stats,
-    );
+    let zone = table.zone_map_at(bin_idx);
+    let hist = if threads > 1 && table.rows() > PAR_CHUNK_ROWS {
+        bin_chunks(col, zone, &selected, bins, threads, &mut stats)?
+    } else {
+        kernels::fused_filter_bin(col, zone, &selected, bins, &opts, &mut stats)
+    };
 
     let footprint = QueryFootprint {
         rows_scanned: table.rows() as u64,
@@ -67,6 +87,75 @@ pub fn run_histogram(
         ..QueryFootprint::default()
     };
     Ok((ResultSet::Histogram(hist), footprint))
+}
+
+/// Bins [`PAR_CHUNK_ROWS`]-row chunks of `col` on `threads` workers and
+/// sums the per-chunk histograms and block counters in chunk order.
+fn bin_chunks(
+    col: &Column,
+    zone: Option<&ZoneMap>,
+    sel: &SelectionVector,
+    bins: &BinSpec,
+    threads: usize,
+    stats: &mut KernelStats,
+) -> EngineResult<Histogram> {
+    let rows = col.len();
+    let n_chunks = rows.div_ceil(PAR_CHUNK_ROWS);
+    let (task_tx, task_rx) = channel::unbounded::<usize>();
+    let (result_tx, result_rx) = channel::unbounded::<(usize, Histogram, KernelStats)>();
+    for c in 0..n_chunks {
+        if task_tx.send(c).is_err() {
+            return Err(EngineError::SchedulerClosed);
+        }
+    }
+    drop(task_tx);
+
+    crossbeam::scope(|scope| {
+        for _ in 0..threads.min(n_chunks) {
+            let task_rx = task_rx.clone();
+            let result_tx = result_tx.clone();
+            scope.spawn(move |_| {
+                let opts = KernelOptions::default();
+                while let Ok(c) = task_rx.recv() {
+                    let start = c * PAR_CHUNK_ROWS;
+                    let end = (start + PAR_CHUNK_ROWS).min(rows);
+                    let mut partial = Histogram::zeros(bins.bucket_count());
+                    let mut chunk_stats = KernelStats::default();
+                    kernels::fused_filter_bin_range(
+                        col,
+                        zone,
+                        sel,
+                        bins,
+                        &opts,
+                        &mut chunk_stats,
+                        start,
+                        end,
+                        &mut partial,
+                    );
+                    if result_tx.send((c, partial, chunk_stats)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    })
+    .map_err(|_| EngineError::SchedulerClosed)?;
+    drop(result_tx);
+
+    let mut slots: Vec<Option<(Histogram, KernelStats)>> = (0..n_chunks).map(|_| None).collect();
+    while let Ok((c, partial, chunk_stats)) = result_rx.recv() {
+        slots[c] = Some((partial, chunk_stats));
+    }
+    let mut counts = vec![0u64; bins.bucket_count()];
+    for slot in slots {
+        let (partial, chunk_stats) = slot.ok_or(EngineError::SchedulerClosed)?;
+        for (acc, c) in counts.iter_mut().zip(partial.counts()) {
+            *acc += c;
+        }
+        stats.blocks_pruned += chunk_stats.blocks_pruned;
+        stats.blocks_scanned += chunk_stats.blocks_scanned;
+    }
+    Ok(Histogram::from_counts(counts))
 }
 
 /// Executes `SELECT COUNT(*) FROM t WHERE f` — fused filter+count: the
@@ -111,7 +200,7 @@ mod tests {
         let t = road();
         let bins = BinSpec::new("y", 0.0, 20.0, 20);
         let filter = Predicate::between("x", 0.0, 4.95);
-        let (rs, fp) = run_histogram(&t, &bins, &filter).unwrap();
+        let (rs, fp) = run_histogram(&t, &bins, &filter, 1).unwrap();
         let h = rs.histogram().unwrap();
         assert_eq!(h.bins(), 21);
         // 50 rows match (x 0.0..=4.9); all land in bins for y 0..=9.8.
@@ -126,7 +215,7 @@ mod tests {
         let t = road();
         // Domain covers only half of y's actual range.
         let bins = BinSpec::new("y", 0.0, 9.0, 9);
-        let (rs, _) = run_histogram(&t, &bins, &Predicate::True).unwrap();
+        let (rs, _) = run_histogram(&t, &bins, &Predicate::True, 1).unwrap();
         let h = rs.histogram().unwrap();
         assert!(h.total() < 100, "values above max must be dropped");
     }
@@ -135,7 +224,7 @@ mod tests {
     fn histogram_matches_manual_binning() {
         let t = road();
         let bins = BinSpec::new("x", 0.0, 10.0, 10);
-        let (rs, _) = run_histogram(&t, &bins, &Predicate::True).unwrap();
+        let (rs, _) = run_histogram(&t, &bins, &Predicate::True, 1).unwrap();
         let h = rs.histogram().unwrap();
         let mut manual = [0u64; 11];
         for i in 0..100 {
@@ -150,11 +239,11 @@ mod tests {
     fn invalid_bin_specs_error() {
         let t = road();
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("y", 0.0, 20.0, 0), &Predicate::True),
+            run_histogram(&t, &BinSpec::new("y", 0.0, 20.0, 0), &Predicate::True, 1),
             Err(EngineError::InvalidBinSpec(_))
         ));
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("y", 5.0, 5.0, 10), &Predicate::True),
+            run_histogram(&t, &BinSpec::new("y", 5.0, 5.0, 10), &Predicate::True, 1),
             Err(EngineError::InvalidBinSpec(_))
         ));
     }
@@ -166,7 +255,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True),
+            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True, 1),
             Err(EngineError::TypeMismatch { .. })
         ));
     }
@@ -182,7 +271,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True),
+            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True, 1),
             Err(EngineError::TypeMismatch { .. })
         ));
     }

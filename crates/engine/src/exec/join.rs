@@ -105,7 +105,7 @@ pub fn run_join(
     Ok((ResultSet::Rows(rows), footprint))
 }
 
-pub(crate) fn int_key_column<'t>(table: &'t Table, key: &str) -> EngineResult<&'t [i64]> {
+fn int_key_column<'t>(table: &'t Table, key: &str) -> EngineResult<&'t [i64]> {
     match table.column(key)? {
         Column::Int(v) => Ok(v),
         _ => Err(EngineError::TypeMismatch {
@@ -118,7 +118,7 @@ pub(crate) fn int_key_column<'t>(table: &'t Table, key: &str) -> EngineResult<&'
 /// Projects a joined row; column references resolve against the left
 /// table first, then the right (matching the unqualified names in the
 /// paper's SQL, where projected columns come from the `movie` side).
-pub(crate) fn project_joined(
+fn project_joined(
     left: &Table,
     right: &Table,
     l_row: usize,
@@ -266,6 +266,52 @@ mod tests {
         };
         let (rs, _) = run_join(&l, &r, &spec).unwrap();
         assert_eq!(rs.rows().unwrap().len(), 6);
+    }
+
+    /// Right table smaller than the left page, duplicate keys on both
+    /// sides, neither side sorted: output pairs must come out in the
+    /// row-at-a-time nested-loop order, `(left asc, right asc)`.
+    #[test]
+    fn small_right_table_keeps_left_then_right_order() {
+        let left_rows = 5000usize;
+        let right_rows = 100usize;
+        let l_keys: Vec<i64> = (0..left_rows).map(|i| (i as i64 * 37) % 61).collect();
+        let r_keys: Vec<i64> = (0..right_rows).map(|i| (i as i64 * 13) % 41).collect();
+        let l = TableBuilder::new("l")
+            .column("id", ColumnBuilder::int(l_keys.iter().copied()))
+            .column("lrow", ColumnBuilder::int(0..left_rows as i64))
+            .build()
+            .unwrap();
+        let r = TableBuilder::new("r")
+            .column("id", ColumnBuilder::int(r_keys.iter().copied()))
+            .column("rrow", ColumnBuilder::int(0..right_rows as i64))
+            .build()
+            .unwrap();
+        for (limit, offset) in [(None, 0usize), (Some(3000usize), 1500)] {
+            let spec = JoinSpec {
+                left: "l".into(),
+                right: "r".into(),
+                left_key: "id".into(),
+                right_key: "id".into(),
+                projection: vec![Projection::column("lrow"), Projection::column("rrow")],
+                limit,
+                offset,
+            };
+            let end = limit.map_or(left_rows, |l| (offset + l).min(left_rows));
+            let mut expected = Vec::new();
+            for (li, lk) in l_keys.iter().enumerate().take(end).skip(offset) {
+                for (ri, rk) in r_keys.iter().enumerate() {
+                    if lk == rk {
+                        expected.push(vec![Value::Int(li as i64), Value::Int(ri as i64)]);
+                    }
+                }
+            }
+            assert!(right_rows < end - offset && !expected.is_empty());
+            let (rs, fp) = run_join(&l, &r, &spec).unwrap();
+            assert_eq!(rs.rows().unwrap(), &expected[..], "limit {limit:?}");
+            assert_eq!(fp.build_rows, (end - offset) as u64);
+            assert_eq!(fp.probe_rows, right_rows as u64);
+        }
     }
 
     #[test]

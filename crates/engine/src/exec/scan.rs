@@ -57,7 +57,7 @@ pub fn run_select(table: &Table, spec: &SelectSpec) -> EngineResult<(ResultSet, 
 }
 
 /// Materializes projected rows for the given row indices.
-pub(crate) fn project_rows(
+fn project_rows(
     table: &Table,
     rows: &[usize],
     projection: &[Projection],

@@ -563,7 +563,7 @@ pub fn fused_filter_bin(
 }
 
 /// Range-restricted fused filter+bin+count over rows `start..end`,
-/// accumulating into `hist`. The block-wise [`crate::parallel`] path
+/// accumulating into `hist`. [`crate::exec::run_histogram`]
 /// hands disjoint ranges to worker threads and merges the partials in
 /// deterministic order, so results are identical at any thread count.
 #[allow(clippy::too_many_arguments)]

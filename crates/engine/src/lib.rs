@@ -51,7 +51,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 mod backend;
 mod buffer;
 mod column;
@@ -83,7 +82,7 @@ pub use cost::{CostModel, CostParams, LinearCostModel, QueryFootprint};
 pub use error::{EngineError, EngineResult};
 pub use kernels::{KernelOptions, KernelStats, SelectionVector};
 pub use page::{Page, PageId, Pager, PAGE_SIZE};
-pub use planner::{plan, BuildSide, HistogramPath, Plan, PlanNode, PlannedExecution};
+pub use planner::{plan, Plan, PlanNode, PlannedExecution};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{BinSpec, JoinSpec, Projection, Query, SelectSpec};
 pub use result::{Histogram, ResultSet, Row};

@@ -9,13 +9,8 @@
 use crossbeam::channel;
 
 use crate::backend::{Backend, QueryOutcome};
-use crate::column::ZONE_BLOCK_ROWS;
 use crate::error::{EngineError, EngineResult};
-use crate::kernels::{self, KernelOptions, KernelStats};
-use crate::predicate::Predicate;
-use crate::query::{BinSpec, Query};
-use crate::result::Histogram;
-use crate::table::Table;
+use crate::query::Query;
 
 /// Executes `queries` across `threads` OS threads, returning outcomes in
 /// submission order.
@@ -66,119 +61,12 @@ pub fn execute_batch(
         .collect()
 }
 
-/// Rows per parallel histogram work unit. A fixed multiple of the
-/// zone-map block size, *independent of the thread count*: the chunk
-/// boundaries (and therefore each partial histogram) are the same
-/// whether 1 or 8 workers drain the queue, so the merged result is
-/// byte-identical at any parallelism.
-pub const PAR_CHUNK_ROWS: usize = 64 * ZONE_BLOCK_ROWS;
-
-/// Block-wise parallel crossfilter histogram.
-///
-/// The filter is evaluated once (single-threaded) into a
-/// [`kernels::SelectionVector`]; fixed-size chunks of the bin column are
-/// then binned concurrently with the fused filter+bin kernel
-/// ([`kernels::fused_filter_bin_range`]) and the partial histograms are
-/// summed in chunk order. Chunking is by [`PAR_CHUNK_ROWS`], never by
-/// thread count, so 1/2/4/8-thread runs produce identical histograms.
-pub fn parallel_histogram(
-    table: &Table,
-    bins: &BinSpec,
-    filter: &Predicate,
-    threads: usize,
-) -> EngineResult<Histogram> {
-    if bins.bins == 0 || bins.width() <= 0.0 || bins.width().is_nan() {
-        return Err(EngineError::InvalidBinSpec(format!(
-            "bad bin spec over [{}, {}]",
-            bins.min, bins.max
-        )));
-    }
-    let bin_idx = table.column_index(&bins.column)?;
-    let col = table.column_at(bin_idx);
-    if !col.data_type().is_numeric() {
-        return Err(EngineError::TypeMismatch {
-            column: bins.column.to_string(),
-            expected: "numeric column for binning",
-        });
-    }
-
-    let opts = KernelOptions::default();
-    let mut stats = KernelStats::default();
-    let sel = kernels::select_vector_with(table, filter, &opts, &mut stats)?;
-    let zone = table.zone_map_at(bin_idx);
-    let rows = table.rows();
-    let threads = threads.max(1);
-    if threads == 1 || rows <= PAR_CHUNK_ROWS {
-        return Ok(kernels::fused_filter_bin(
-            col, zone, &sel, bins, &opts, &mut stats,
-        ));
-    }
-
-    let n_chunks = rows.div_ceil(PAR_CHUNK_ROWS);
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, Histogram)>();
-    for c in 0..n_chunks {
-        if task_tx.send(c).is_err() {
-            return Err(EngineError::SchedulerClosed);
-        }
-    }
-    drop(task_tx);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            let sel = &sel;
-            scope.spawn(move |_| {
-                let opts = KernelOptions::default();
-                let mut stats = KernelStats::default();
-                while let Ok(c) = task_rx.recv() {
-                    let start = c * PAR_CHUNK_ROWS;
-                    let end = (start + PAR_CHUNK_ROWS).min(rows);
-                    let mut partial = Histogram::zeros(bins.bucket_count());
-                    kernels::fused_filter_bin_range(
-                        col,
-                        zone,
-                        sel,
-                        bins,
-                        &opts,
-                        &mut stats,
-                        start,
-                        end,
-                        &mut partial,
-                    );
-                    if result_tx.send((c, partial)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    })
-    .map_err(|_| EngineError::SchedulerClosed)?;
-    drop(result_tx);
-
-    // Merge partials in chunk-index order. (u64 addition is commutative,
-    // so any order gives the same counts — fixed order keeps the merge
-    // auditable.)
-    let mut slots: Vec<Option<Histogram>> = (0..n_chunks).map(|_| None).collect();
-    while let Ok((c, partial)) = result_rx.recv() {
-        slots[c] = Some(partial);
-    }
-    let mut counts = vec![0u64; bins.bucket_count()];
-    for slot in slots {
-        let partial = slot.ok_or(EngineError::SchedulerClosed)?;
-        for (acc, c) in counts.iter_mut().zip(partial.counts()) {
-            *acc += c;
-        }
-    }
-    Ok(Histogram::from_counts(counts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
     use crate::column::ColumnBuilder;
+    use crate::predicate::Predicate;
     use crate::table::TableBuilder;
 
     fn backend(rows: usize) -> MemBackend {
@@ -231,43 +119,5 @@ mod tests {
     fn empty_batch_is_fine() {
         let b = backend(1);
         assert!(execute_batch(&b, &[], 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn parallel_histogram_is_thread_count_invariant() {
-        // Enough rows that the chunked parallel path actually engages,
-        // with a size that is not a multiple of the chunk width.
-        let rows = PAR_CHUNK_ROWS + 1234;
-        let t = TableBuilder::new("t")
-            .column(
-                "x",
-                ColumnBuilder::float((0..rows).map(|i| (i % 977) as f64)),
-            )
-            .build()
-            .unwrap();
-        let bins = BinSpec::new("x", 0.0, 1000.0, 25);
-        let filter = Predicate::between("x", 100.0, 800.0);
-        let base = parallel_histogram(&t, &bins, &filter, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let h = parallel_histogram(&t, &bins, &filter, threads).unwrap();
-            assert_eq!(h.counts(), base.counts(), "{threads} threads diverged");
-        }
-        // The parallel merge must agree with the sequential operator.
-        let (rs, _) = crate::exec::run_histogram(&t, &bins, &filter).unwrap();
-        assert_eq!(base.counts(), rs.histogram().unwrap().counts());
-    }
-
-    #[test]
-    fn parallel_histogram_rejects_bad_inputs() {
-        let t = TableBuilder::new("t")
-            .column("s", ColumnBuilder::str(["a", "b"]))
-            .build()
-            .unwrap();
-        assert!(
-            parallel_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True, 4).is_err()
-        );
-        assert!(
-            parallel_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 0), &Predicate::True, 4).is_err()
-        );
     }
 }

@@ -10,6 +10,10 @@
 //! pre-assigned slot — so the merged result, the virtual costs, and the
 //! recorded telemetry are byte-identical at any thread count.
 //!
+//! Every shard fragment runs through [`ids_engine::exec::run_query`],
+//! the engine's only executor. [`ScatterGather::explain`] renders each
+//! shard's planner estimates; they inform, they do not steer.
+//!
 //! Virtual time: each shard's compute cost is priced by the engine's
 //! [`LinearCostModel`] on that shard's real footprint; plan latency is
 //! the *slowest* shard plus the coordination term
@@ -27,8 +31,6 @@ use ids_simclock::SimDuration;
 
 /// One shard-local execution: a partial result plus its footprint.
 type ShardPartial = EngineResult<(ResultSet, QueryFootprint)>;
-/// The per-shard runner [`ScatterGather::scatter_with`] fans out.
-type ShardRunner<'a> = &'a (dyn Fn(&Database, &Query) -> ShardPartial + Sync);
 
 /// One shard's contribution to a scatter-gather plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,23 +122,16 @@ impl ScatterGather {
     /// error before any shard runs.
     pub fn execute(&self, query: &Query) -> EngineResult<ShardOutcome> {
         require_mergeable(query)?;
-        let partials = self.scatter_with(query, &|db, q| run_query(db, q))?;
+        let partials = self.scatter(query)?;
         self.gather(query, partials)
     }
 
-    /// Like [`ScatterGather::execute`], but each shard's fragment goes
-    /// through the engine's cost-based planner (predicate reordering,
-    /// fused/unfused and parallel bin paths) instead of the fixed
-    /// kernel path. The planner's footprint-identity guarantee makes
-    /// the merged result, virtual costs, and telemetry byte-identical
-    /// to `execute` — planning only changes *how* partials compute.
+    /// [`ScatterGather::execute`] under its old second name. The engine
+    /// has one executor, so there is no planned variant to dispatch to;
+    /// the name stays only because the frozen `benchmark/` crate calls
+    /// it, and goes when that benchmark is next re-baselined.
     pub fn execute_planned(&self, query: &Query) -> EngineResult<ShardOutcome> {
-        require_mergeable(query)?;
-        let partials = self.scatter_with(query, &|db, q| {
-            let out = ids_engine::plan(db, q)?.execute(db)?;
-            Ok((out.result, out.footprint))
-        })?;
-        self.gather(query, partials)
+        self.execute(query)
     }
 
     /// Renders every shard's plan as one stable text tree, in fixed
@@ -156,20 +151,15 @@ impl ScatterGather {
         Ok(out)
     }
 
-    /// Runs `query` on every shard via `run`, returning
-    /// `(partial, footprint)` per shard in shard order. Slot-indexed:
-    /// worker threads pull shards off a shared cursor but each writes
-    /// only its own slot.
-    fn scatter_with(
-        &self,
-        query: &Query,
-        run: ShardRunner<'_>,
-    ) -> EngineResult<Vec<(ResultSet, QueryFootprint)>> {
+    /// Runs `query` on every shard, returning `(partial, footprint)`
+    /// per shard in shard order. Slot-indexed: worker threads pull
+    /// shards off a shared cursor but each writes only its own slot.
+    fn scatter(&self, query: &Query) -> EngineResult<Vec<(ResultSet, QueryFootprint)>> {
         let mut slots: Vec<Option<ShardPartial>> = (0..self.shards.len()).map(|_| None).collect();
         let workers = self.threads.min(self.shards.len()).max(1);
         if workers == 1 {
             for (shard, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(run(&self.shards[shard], query));
+                *slot = Some(run_query(&self.shards[shard], query));
             }
         } else {
             let cursor = std::sync::atomic::AtomicUsize::new(0);
@@ -183,7 +173,7 @@ impl ScatterGather {
                             if shard >= self.shards.len() {
                                 break;
                             }
-                            local.push((shard, run(&self.shards[shard], query)));
+                            local.push((shard, run_query(&self.shards[shard], query)));
                         }
                         results.lock().unwrap().extend(local);
                     });
@@ -343,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_dispatch_matches_unplanned_and_explains_stably() {
+    fn explain_is_stable_across_thread_counts() {
         let source = db(30_000);
         for query in [
             hist(),
@@ -356,28 +346,14 @@ mod tests {
             ),
         ] {
             let parts = partition_database(&source, &PartitionScheme::range("x"), 0, 4).unwrap();
-            let sg = ScatterGather::over(parts);
-            let plain = sg.execute(&query).unwrap();
-            let explain = sg.explain(&query).unwrap();
+            let explain = ScatterGather::over(parts.clone()).explain(&query).unwrap();
             for threads in [1usize, 4] {
-                let sg = sg_clone(&sg, threads);
-                let planned = sg.execute_planned(&query).unwrap();
-                assert_eq!(planned.result, plain.result);
-                assert_eq!(
-                    planned.elapsed, plain.elapsed,
-                    "virtual cost must not drift"
-                );
-                assert_eq!(planned.total_work, plain.total_work);
-                assert_eq!(planned.per_shard, plain.per_shard);
+                let sg = ScatterGather::over(parts.clone()).with_threads(threads);
                 assert_eq!(sg.explain(&query).unwrap(), explain);
             }
             assert!(explain.starts_with("shard 0:\n"));
             assert!(explain.contains("shard 3:\n"));
         }
-    }
-
-    fn sg_clone(sg: &ScatterGather, threads: usize) -> ScatterGather {
-        ScatterGather::over(sg.partitions().to_vec()).with_threads(threads)
     }
 
     #[test]

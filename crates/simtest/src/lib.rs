@@ -32,8 +32,9 @@
 //!   the truth at the configured coverage, and never widens its bound;
 //! - **shard-invariance** — scatter-gather over 1/4/16 partitions merges
 //!   to the reference answer with byte-stable costs;
-//! - **planner-equivalence** — planned execution equals the unplanned
-//!   kernel path bit-for-bit, with replay- and thread-stable plan text;
+//! - **planner-equivalence** — plan text is replay- and thread-stable,
+//!   and `Plan::execute_with_threads` keeps result and footprint at
+//!   every thread count;
 //! - **adaptive-determinism** — the closed feedback loop (behavior model
 //!   reacting to answers, admission shedding, deadline-bounded partials)
 //!   replays byte-identically and is invariant to gather threads and

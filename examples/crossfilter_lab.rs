@@ -10,7 +10,7 @@
 //! ```
 
 use ids::experiments::case2::{run, Case2Config, DEVICES, OPTS};
-use ids::report::TextTable;
+use ids::report::Table;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -34,7 +34,7 @@ fn main() {
 
     println!("{}", report.render_fig11());
 
-    let mut t = TextTable::new([
+    let mut t = Table::new([
         "device",
         "opt",
         "disk median (ms)",

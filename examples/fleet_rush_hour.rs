@@ -12,7 +12,7 @@
 
 use ids::chaos::FaultPlan;
 use ids::engine::{Backend, CostParams, DiskBackend, EvictionPolicy};
-use ids::report::TextTable;
+use ids::report::Table;
 use ids::serve::{
     measure_costs, simulate_service, synthesize_fleet, AdmissionPolicy, ArrivalProcess,
     FleetOutcome, FleetSpec, ServeParams,
@@ -89,7 +89,7 @@ fn main() {
         &serve,
     );
 
-    let mut t = TextTable::new([
+    let mut t = Table::new([
         "condition",
         "admitted",
         "shed",

@@ -11,7 +11,7 @@
 
 use ids::engine::{Backend, DiskBackend, Predicate, Projection, Query};
 use ids::opt::loading::{event_fetch, lazy_loading, timer_fetch, LoadingConfig};
-use ids::report::TextTable;
+use ids::report::Table;
 use ids::simclock::SimDuration;
 use ids::workload::datasets;
 use ids::workload::scrolling::{demand_curve, simulate_study, speed_stats};
@@ -25,7 +25,7 @@ fn main() {
     let sessions = simulate_study(2026, users, tuples);
 
     // Behavior analysis (Fig 8 / Fig 9 style).
-    let mut behavior = TextTable::new([
+    let mut behavior = Table::new([
         "user",
         "max speed (tuples/s)",
         "avg speed (tuples/s)",
@@ -64,7 +64,7 @@ fn main() {
     };
 
     // Strategy comparison across the Fig 10 fetch sizes.
-    let mut table = TextTable::new([
+    let mut table = Table::new([
         "fetch size",
         "lazy: avg wait",
         "event: avg wait",

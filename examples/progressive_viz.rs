@@ -13,7 +13,7 @@
 use ids::engine::progressive::{refinement_error, ProgressiveExecutor};
 use ids::engine::{Backend, BinSpec, Database, MemBackend, Predicate, Query};
 use ids::metrics::accuracy::scored_accuracy;
-use ids::report::{sparkline, TextTable};
+use ids::report::{sparkline, Table};
 use ids::simclock::SimDuration;
 use ids::workload::datasets;
 
@@ -43,7 +43,7 @@ fn main() {
     let refinements = ProgressiveExecutor::new(db)
         .run(&query)
         .expect("progressive");
-    let mut t = TextTable::new([
+    let mut t = Table::new([
         "sample",
         "elapsed",
         "rmse/bin",

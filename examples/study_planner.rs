@@ -11,7 +11,7 @@
 //! ```
 
 use ids::metrics::selection::{recommend, validate_plan, when_to_use, SystemTraits};
-use ids::report::TextTable;
+use ids::report::Table;
 use ids::simclock::rng::SimRng;
 use ids::study::assignment::{balanced_latin_square, latin_square_orders};
 use ids::study::bias::{mitigation_checklist, BiasSide};
@@ -36,7 +36,7 @@ fn main() {
 
     // 1. Metric selection (Table 3).
     let metrics = recommend(&traits);
-    let mut t = TextTable::new(["metric", "why (when to use)"]);
+    let mut t = Table::new(["metric", "why (when to use)"]);
     for m in &metrics {
         t.row([m.name(), when_to_use(*m)]);
     }
@@ -52,7 +52,7 @@ fn main() {
     println!("Setting (Fig 4): {setting:?} — device-dependent comparison\n");
 
     // 3. Design per metric (Fig 5).
-    let mut d = TextTable::new(["metric", "design"]);
+    let mut d = Table::new(["metric", "design"]);
     for m in &metrics {
         d.row([
             m.name().to_string(),
@@ -64,7 +64,7 @@ fn main() {
     // 4. Counterbalancing: 12 participants across 4 task orders.
     let mut rng = SimRng::seed(99);
     let orders = latin_square_orders(12, 4, &mut rng);
-    let mut o = TextTable::new(["participant", "task order"]);
+    let mut o = Table::new(["participant", "task order"]);
     for (p, order) in orders.iter().enumerate() {
         let pretty: Vec<String> = order.iter().map(|c| format!("T{c}")).collect();
         o.row([p.to_string(), pretty.join(" -> ")]);

@@ -13,7 +13,7 @@
 use ids::engine::{Backend, MemBackend, Predicate, Query};
 use ids::opt::prefetch::{evaluate_tile_strategy, zoom_budget, MarkovPrefetcher, TileStrategy};
 use ids::opt::reuse::SessionCache;
-use ids::report::{pct, TextTable};
+use ids::report::{pct, Table};
 use ids::simclock::SimDuration;
 use ids::workload::composite::{
     filter_counts, phase_times, simulate_study, widget_percentages, CompositeConfig,
@@ -33,7 +33,7 @@ fn main() {
     let sessions = simulate_study(7, users, &config);
 
     // Widget mix (Table 9).
-    let mut t = TextTable::new(["widget", "share"]);
+    let mut t = Table::new(["widget", "share"]);
     for (w, p) in widget_percentages(&sessions) {
         t.row([w.label(), &format!("{p:.1}%")]);
     }
@@ -64,7 +64,7 @@ fn main() {
         pct(demand.hit_rate()),
         pct(markov.hit_rate())
     );
-    let mut budget = TextTable::new(["zoom", "precompute budget"]);
+    let mut budget = Table::new(["zoom", "precompute budget"]);
     for (z, share) in zoom_budget(&sessions) {
         budget.row([z.to_string(), pct(share)]);
     }

@@ -262,7 +262,7 @@ fn histograms_match_rowwise_bucket_for_bucket_on_adversarial_tables() {
         let t = adversarial_table(rows);
         let bins = BinSpec::new("x", -30.0, 120.0, 25);
         for pred in predicate_battery() {
-            let (rs, _) = exec::run_histogram(&t, &bins, &pred)
+            let (rs, _) = exec::run_histogram(&t, &bins, &pred, 1)
                 .unwrap_or_else(|e| panic!("{rows} rows, {pred:?}: {e}"));
             let hist = rs.histogram().expect("histogram result");
             let col = t.column("x").expect("x exists");
@@ -313,7 +313,7 @@ fn empty_and_single_row_tables_bin_correctly() {
         .build()
         .expect("empty table");
     let bins = BinSpec::new("x", 0.0, 10.0, 5);
-    let (rs, fp) = exec::run_histogram(&empty, &bins, &Predicate::True).expect("empty ok");
+    let (rs, fp) = exec::run_histogram(&empty, &bins, &Predicate::True, 1).expect("empty ok");
     assert_eq!(rs.histogram().expect("histogram").total(), 0);
     assert_eq!(fp.rows_matched, 0);
 
@@ -321,7 +321,7 @@ fn empty_and_single_row_tables_bin_correctly() {
         .column("x", ColumnBuilder::float([7.0]))
         .build()
         .expect("single row");
-    let (rs, _) = exec::run_histogram(&single, &bins, &Predicate::True).expect("single ok");
+    let (rs, _) = exec::run_histogram(&single, &bins, &Predicate::True, 1).expect("single ok");
     let h = rs.histogram().expect("histogram");
     assert_eq!(h.total(), 1);
     // 7.0 over [0, 10] with 5 bins of width 2 rounds to bucket 4.

@@ -1,13 +1,10 @@
-//! Planner-differential tests: generated `(table, SQL)` pairs where the
-//! cost-based planner's execution must match both the unplanned kernel
-//! path (`exec::run_query`) — results *and* every footprint counter —
-//! and an independent row-at-a-time reference interpreter, including
-//! empty, all-NaN, and 1023/1024/1025-row block-boundary tables.
+//! SQL-to-answer differential tests: generated `(table, SQL)` pairs
+//! parsed, planned and executed, where the answer must match an
+//! independent row-at-a-time reference interpreter and the plan text
+//! must be replay-stable — including empty, all-NaN, and
+//! 1023/1024/1025-row block-boundary tables.
 
-use ids::engine::exec::run_query;
-use ids::engine::{
-    plan, sql, BinSpec, ColumnBuilder, Database, Predicate, Query, ResultSet, TableBuilder,
-};
+use ids::engine::{plan, sql, ColumnBuilder, Database, ResultSet, TableBuilder};
 use proptest::prelude::*;
 
 const WORDS: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -114,8 +111,8 @@ fn reference_histogram(raw: &Raw, keep: &[usize], lo: f64, hi: f64, bins: usize)
     counts
 }
 
-/// Runs one SQL statement three ways — planned, unplanned, and against
-/// a supplied reference result — and demands exact agreement plus plan
+/// Parses, plans and executes one SQL statement and demands exact
+/// agreement with a supplied reference result, plus plan
 /// replay-stability.
 fn check(raw: &Raw, statement: &str, reference: ResultSet) -> Result<(), TestCaseError> {
     let db = Database::new();
@@ -126,21 +123,7 @@ fn check(raw: &Raw, statement: &str, reference: ResultSet) -> Result<(), TestCas
         .map_err(|e| TestCaseError::fail(format!("`{statement}` failed to plan: {e}")))?;
     let planned = p
         .execute(&db)
-        .map_err(|e| TestCaseError::fail(format!("`{statement}` failed planned: {e}")))?;
-    let (result, footprint) = run_query(&db, &query)
-        .map_err(|e| TestCaseError::fail(format!("`{statement}` failed unplanned: {e}")))?;
-    prop_assert_eq!(
-        &planned.result,
-        &result,
-        "planned != unplanned: {}",
-        statement
-    );
-    prop_assert_eq!(
-        &planned.footprint,
-        &footprint,
-        "footprint drift: {}",
-        statement
-    );
+        .map_err(|e| TestCaseError::fail(format!("`{statement}` failed to execute: {e}")))?;
     prop_assert_eq!(
         &planned.result,
         &reference,
@@ -219,8 +202,8 @@ fn build_conjuncts(samples: &[ConjTuple]) -> Vec<Conjunct> {
 }
 
 proptest! {
-    /// COUNT(*) with a generated WHERE: planned == unplanned ==
-    /// row-at-a-time reference.
+    /// COUNT(*) with a generated WHERE: planned == row-at-a-time
+    /// reference.
     #[test]
     fn planned_count_matches_reference(
         raw_rows in raw_strategy(600),
@@ -283,7 +266,8 @@ proptest! {
 }
 
 /// Deterministic block-boundary battery: 0, 1, 1023, 1024, 1025 rows and
-/// an all-NaN table, across every query shape the planner handles.
+/// an all-NaN table, across every query shape the SQL dialect spells,
+/// each against the row-at-a-time reference.
 #[test]
 fn block_boundary_and_all_nan_tables() {
     for rows in [0usize, 1, 1023, 1024, 1025] {
@@ -295,31 +279,50 @@ fn block_boundary_and_all_nan_tables() {
                 k: (0..rows).map(|i| (i % 9) as i64).collect(),
                 s: (0..rows).map(|i| i % WORDS.len()).collect(),
             };
-            let db = Database::new();
-            register(&db, &raw);
-            let queries = [
-                Query::count("t", Predicate::between("x", 100.0, 500.0)),
-                Query::count("t", Predicate::True),
-                Query::select("t", vec![], Predicate::ge("x", 650.0), Some(7), 3),
-                Query::histogram(
-                    "t",
-                    BinSpec::new("x", 0.0, 700.0, 14),
-                    Predicate::and([Predicate::le("k", 5.0), Predicate::ge("x", 50.0)]),
+            let run = |statement: &str, expected: ResultSet| {
+                check(&raw, statement, expected)
+                    .unwrap_or_else(|e| panic!("rows={rows} nan={nan}: {e}"));
+            };
+
+            let between = [Conjunct::XBetween(100.0, 500.0)];
+            run(
+                &format!("SELECT COUNT(*) FROM t{}", where_clause(&between)),
+                ResultSet::Count(matching(&raw, &between).len() as u64),
+            );
+            run("SELECT COUNT(*) FROM t", ResultSet::Count(rows as u64));
+
+            let tail = [Conjunct::XCmp(0, 650.0)];
+            let page = matching(&raw, &tail)
+                .into_iter()
+                .skip(3)
+                .take(7)
+                .map(|i| vec![ids::engine::Value::Int(raw.k[i])])
+                .collect();
+            run(
+                &format!("SELECT k FROM t{} LIMIT 7 OFFSET 3", where_clause(&tail)),
+                ResultSet::Rows(page),
+            );
+
+            let both = [Conjunct::KCmp(1, 5), Conjunct::XCmp(0, 50.0)];
+            run(
+                &format!(
+                    "SELECT HISTOGRAM(x, 0, 700, 14), COUNT(*) FROM t{} GROUP BY 1 ORDER BY 1",
+                    where_clause(&both)
                 ),
-            ];
-            for q in &queries {
-                let planned = plan(&db, q).unwrap().execute(&db).unwrap();
-                let (result, footprint) = run_query(&db, q).unwrap();
-                assert_eq!(planned.result, result, "rows={rows} nan={nan} {q}");
-                assert_eq!(planned.footprint, footprint, "rows={rows} nan={nan} {q}");
-            }
+                ResultSet::Histogram(ids::engine::Histogram::from_counts(reference_histogram(
+                    &raw,
+                    &matching(&raw, &both),
+                    0.0,
+                    700.0,
+                    14,
+                ))),
+            );
         }
     }
 }
 
-/// The paper's case-study SQL plans identically and executes
-/// byte-identically at 1, 2, 4, and 8 threads, with thread-invariant
-/// EXPLAIN text.
+/// The paper's case-study SQL executes byte-identically at 1, 2, 4, and
+/// 8 threads, with thread-invariant EXPLAIN text.
 #[test]
 fn case_study_sql_is_thread_stable() {
     use ids::workload::datasets;
@@ -342,7 +345,4 @@ fn case_study_sql_is_thread_stable() {
         assert_eq!(out.footprint, base.footprint, "{threads} threads");
         assert_eq!(p.explain(), text, "plan text after {threads}-thread run");
     }
-    let (result, footprint) = run_query(&db, &q).expect("unplanned");
-    assert_eq!(base.result, result);
-    assert_eq!(base.footprint, footprint);
 }

@@ -431,7 +431,7 @@ proptest! {
                 unfused[b] += 1;
             }
         }
-        let (rs, _) = ids::engine::exec::run_histogram(&table, &spec, &pred).expect("valid");
+        let (rs, _) = ids::engine::exec::run_histogram(&table, &spec, &pred, 1).expect("valid");
         prop_assert_eq!(rs.histogram().expect("histogram").counts(), &unfused[..]);
     }
 
