@@ -1,8 +1,7 @@
 //! Ablations for the design choices DESIGN.md calls out: the KL
 //! threshold, event-fetch lookahead, buffer-pool size and policy, Markov
-//! prefetch depth, adaptive QIF throttling, and session reuse. Each
-//! prints its sweep table, then a few representative configurations
-//! are timed.
+//! prefetch depth, and adaptive QIF throttling. Each prints its sweep
+//! table, then a few representative configurations are timed.
 
 use criterion::Criterion;
 use ids_devices::DeviceKind;
@@ -10,7 +9,6 @@ use ids_engine::{Backend, CostParams, DiskBackend, EvictionPolicy, MemBackend, P
 use ids_opt::klfilter::{replay_kl, HistogramSketch};
 use ids_opt::loading::{event_fetch, LoadingConfig};
 use ids_opt::prefetch::{evaluate_tile_strategy, MarkovPrefetcher, TileStrategy};
-use ids_opt::reuse::SessionCache;
 use ids_simclock::SimDuration;
 use ids_workload::composite::{simulate_study, CompositeConfig};
 use ids_workload::crossfilter::{compile_query_groups, simulate_session, CrossfilterUi};
@@ -146,27 +144,6 @@ fn throttle_demo() {
     let _ = admitted;
 }
 
-fn reuse_demo() {
-    println!("Ablation: session result reuse (Sesame-style)");
-    let mem = MemBackend::new();
-    mem.database()
-        .register(datasets::road_network_sized(7, 60_000));
-    let cache = SessionCache::new(&mem);
-    // An oscillating session: 8 distinct ranges revisited 10 times each.
-    for i in 0..80 {
-        let lo = 8.2 + (i % 8) as f64 * 0.3;
-        let q = Query::count("dataroad", Predicate::between("x", lo, lo + 0.5));
-        cache.execute(&q).expect("query");
-    }
-    let stats = cache.stats();
-    println!(
-        "hits {} / misses {}; speedup {:.1}x\n",
-        stats.hits,
-        stats.misses,
-        stats.speedup()
-    );
-}
-
 fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations");
     group.sample_size(10);
@@ -196,7 +173,6 @@ fn main() {
     pool_sweep();
     markov_depth_sweep();
     throttle_demo();
-    reuse_demo();
     let mut criterion = Criterion::default().configure_from_args();
     benches(&mut criterion);
     criterion.final_summary();

@@ -3,11 +3,12 @@
 //!
 //! [`ChaosBackend`] sits between a scheduler (or any other executor) and
 //! the real backend. On each `execute` it reads the current *virtual*
-//! time — published by the replay loops via [`ids_obs::set_vnow`] — and
-//! applies whatever the plan says is active at that instant: transient
-//! failures surface as [`EngineError::TransientFailure`], latency spikes
-//! multiply the outcome's cost, stalls pin completion to the window end,
-//! and buffer-pressure windows evict an attached disk backend's pool.
+//! time — published on the calling thread by the replay loops via
+//! [`ids_obs::set_vnow`] — and applies whatever the plan says is active
+//! at that instant: transient failures surface as
+//! [`EngineError::TransientFailure`], latency spikes multiply the
+//! outcome's cost, stalls pin completion to the window end, and
+//! buffer-pressure windows evict an attached disk backend's pool.
 //! Every injection is counted in the metrics registry and, when the
 //! recorder is on, marked as a trace instant on a `chaos` track.
 
@@ -157,14 +158,6 @@ mod tests {
     use ids_engine::{ColumnBuilder, CostParams, MemBackend, Predicate, TableBuilder};
     use ids_simclock::{SimDuration, SimTime};
 
-    /// `ids_obs::set_vnow` is process-global; these tests pin it, so they
-    /// must not interleave.
-    static VNOW_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        VNOW_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn backend(rows: usize) -> MemBackend {
         let b = MemBackend::with_params(CostParams {
             startup_ns: 10_000_000, // 10 ms per query
@@ -192,7 +185,6 @@ mod tests {
 
     #[test]
     fn calm_plan_is_transparent() {
-        let _g = lock();
         let inner = backend(100);
         let chaos = ChaosBackend::new(&inner, FaultPlan::calm(1));
         ids_obs::set_vnow(SimTime::from_millis(5));
@@ -206,7 +198,6 @@ mod tests {
 
     #[test]
     fn spike_multiplies_cost_inside_window_only() {
-        let _g = lock();
         let inner = backend(100);
         let plan = FaultPlan::builder(2)
             .latency_spike(SimTime::from_millis(100), SimDuration::from_millis(50), 3.0)
@@ -225,7 +216,6 @@ mod tests {
 
     #[test]
     fn stall_pins_completion_to_window_end() {
-        let _g = lock();
         let inner = backend(100);
         let plan = FaultPlan::builder(3)
             .stall(SimTime::from_millis(100), SimDuration::from_millis(200))
@@ -239,7 +229,6 @@ mod tests {
 
     #[test]
     fn transient_failures_fire_then_clear_on_retry() {
-        let _g = lock();
         let inner = backend(100);
         // Rate 1.0 on attempt parity via hash is not controllable, so use
         // rate 1.0: every attempt fails.
@@ -262,7 +251,6 @@ mod tests {
 
     #[test]
     fn buffer_pressure_evicts_attached_pool_once_per_window() {
-        let _g = lock();
         let db = Database::new();
         db.register(
             TableBuilder::new("t")
@@ -291,7 +279,6 @@ mod tests {
 
     #[test]
     fn retrying_backend_rides_through_injected_failures() {
-        let _g = lock();
         use ids_engine::{ResultQuality, RetryPolicy, RetryingBackend};
         let inner = backend(100);
         let chaos = ChaosBackend::new(

@@ -212,9 +212,8 @@ impl FleetTelemetry {
         sessions: usize,
         lcv_window: SimDuration,
     ) -> FleetTelemetry {
-        // Keep only serve spans: the recorder is process-global, so the
-        // capture window may also contain engine spans (or, under a
-        // parallel test harness, spans from unrelated runs).
+        // Keep only serve spans: the capture window may also contain
+        // engine spans.
         let serve_spans: Vec<TraceEvent> = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Span { cat, .. } if *cat == "serve"))
@@ -508,16 +507,10 @@ mod tests {
 
     #[test]
     fn telemetry_is_empty_and_says_so_when_recorder_is_dark() {
-        // The shared `report()` runs with the recorder in whatever state
-        // the harness leaves it; run a dedicated dark sweep instead.
+        // A test thread starts with the recorder off.
         let mut config = FleetConfig::smoke_test();
         config.session_counts = vec![4];
         config.max_groups = 4;
-        if ids_obs::enabled() {
-            // Another test enabled the global recorder; nothing to
-            // assert about the dark path here.
-            return;
-        }
         let report = run(&config);
         assert_eq!(report.telemetry.span_rows, 0);
         assert!(report

@@ -56,10 +56,10 @@ struct PoolInner {
     order: VecDeque<PageId>,
 }
 
-/// Per-pool counters, owned by the pool but *attached* to the global
-/// `ids-obs` registry so global snapshots (`engine.buffer.hits` etc.)
-/// sum every live pool while `BufferPool::stats()` keeps returning this
-/// pool's own numbers.
+/// Per-pool counters, owned by the pool but *attached* to the creating
+/// thread's `ids-obs` registry so its snapshots (`engine.buffer.hits`
+/// etc.) sum every live pool while `BufferPool::stats()` keeps returning
+/// this pool's own numbers.
 #[derive(Debug)]
 struct PoolCounters {
     hits: Arc<Counter>,
@@ -107,9 +107,12 @@ pub struct BufferPool {
 
 impl Drop for BufferPool {
     /// Folds this pool's counts into the registry's owned counters so
-    /// global totals survive the pool itself (the attached instances die
-    /// with the `Arc`s; without this, a dropped pool's traffic would
-    /// vanish from end-of-run snapshots).
+    /// totals survive the pool itself (the attached instances die with
+    /// the `Arc`s; without this, a dropped pool's traffic would vanish
+    /// from end-of-run snapshots). The registry is the *dropping*
+    /// thread's: a pool built, driven and dropped by one driver keeps
+    /// its counts there; one dropped on another thread leaves them on
+    /// that thread.
     fn drop(&mut self) {
         let reg = metrics();
         reg.counter("engine.buffer.hits")
@@ -195,8 +198,8 @@ impl BufferPool {
         self.inner.lock().frames.len()
     }
 
-    /// Cumulative statistics for *this* pool (the global
-    /// `engine.buffer.*` metrics sum all pools).
+    /// Cumulative statistics for *this* pool (the registry's
+    /// `engine.buffer.*` metrics sum all pools attached to it).
     pub fn stats(&self) -> BufferPoolStats {
         BufferPoolStats {
             hits: self.counters.hits.get(),

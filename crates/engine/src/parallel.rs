@@ -33,11 +33,16 @@ pub fn execute_batch(
     }
     drop(task_tx);
 
+    // Observability state is per thread; the one thing a worker needs of
+    // the caller's is the virtual clock, which `ChaosBackend::execute`
+    // keys its fault windows on.
+    let vnow = ids_obs::vnow();
     crossbeam::scope(|scope| {
         for _ in 0..threads {
             let task_rx = task_rx.clone();
             let result_tx = result_tx.clone();
             scope.spawn(move |_| {
+                ids_obs::set_vnow(vnow);
                 while let Ok((i, q)) = task_rx.recv() {
                     let out = backend.execute(q);
                     if result_tx.send((i, out)).is_err() {

@@ -3,7 +3,7 @@
 //! Three layers, all keyed to **virtual time** ([`ids_simclock::SimTime`]):
 //!
 //! 1. [`recorder`] — a span/event recorder with a zero-cost disabled
-//!    path (one relaxed atomic load). Spans cover query execution,
+//!    path (one thread-local load). Spans cover query execution,
 //!    queueing, and prefetch decisions; instants mark filter drops and
 //!    throttle actions; counter samples plot buffer-pool behavior over
 //!    the run.
@@ -16,6 +16,10 @@
 //!    boundaries, so they can render in parallel and write to disk
 //!    without holding the whole trace in one `String` — at identical
 //!    output bytes for any thread count.
+//!
+//! Recorder and registry state is owned by the thread that drives a run;
+//! no thread sees another's (the contract is in [`recorder`]'s module
+//! docs).
 //!
 //! Telemetry is observation-only: enabling or disabling the recorder
 //! must never change a `QueryOutcome` or a report number (asserted by
@@ -51,8 +55,9 @@ pub fn enabled() -> bool {
     recorder().is_enabled()
 }
 
-/// Clears all recorded events, phases, and registered metrics — call
-/// between independent runs to start from a clean slate.
+/// Clears the calling thread's recorded events, phases, and registered
+/// metrics — call between independent runs on one thread to start from
+/// a clean slate.
 pub fn reset_all() {
     recorder().clear();
     metrics().clear();

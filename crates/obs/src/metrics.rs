@@ -1,19 +1,28 @@
 //! Hot-path metrics: counters, gauges, and log-linear histograms, all
 //! lock-free to update and mergeable across threads, collected in a
-//! process-wide registry keyed by dotted names
+//! per-thread registry keyed by dotted names
 //! (`subsystem.component.metric`, e.g. `engine.buffer.hits`).
 //!
 //! Components that already own per-instance statistics (the buffer pool's
 //! `BufferPoolStats`) keep their own `Arc<Counter>`s and *attach* them to
 //! the registry: a snapshot sums the owned value plus every live attached
-//! instance, so per-instance accessors and global totals stay consistent
+//! instance, so per-instance accessors and registry totals stay consistent
 //! without double bookkeeping.
+//!
+//! # Ownership
+//!
+//! The registry — which names exist and which instances are attached —
+//! belongs to the thread that drives a run, like the recorder (see
+//! [`crate::recorder`]); a spawned thread starts with an empty one and
+//! inherits nothing. The metrics themselves are atomics behind `Arc`s:
+//! a handle looked up on the driving thread may be updated from any
+//! worker and still lands in the driver's snapshot.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -321,151 +330,163 @@ struct HistogramSlot {
     attached: Vec<Weak<Histogram>>,
 }
 
-#[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, CounterSlot>,
     gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, HistogramSlot>,
 }
 
-/// The process-wide metrics registry. Obtain it with [`metrics()`].
-pub struct Registry {
-    inner: Mutex<RegistryInner>,
+thread_local! {
+    static REGISTRY: RefCell<RegistryInner> = const {
+        RefCell::new(RegistryInner {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        })
+    };
 }
 
-static REGISTRY: Registry = Registry {
-    inner: Mutex::new(RegistryInner {
-        counters: BTreeMap::new(),
-        gauges: BTreeMap::new(),
-        histograms: BTreeMap::new(),
-    }),
-};
+/// A handle to the calling thread's metrics registry. Obtain it with
+/// [`metrics()`]. It is not `Send`: it names the state of the thread
+/// that asked for it.
+#[derive(Clone, Copy)]
+pub struct Registry {
+    _thread_owned: PhantomData<*const ()>,
+}
 
-/// The process-wide registry.
+/// The calling thread's registry.
 #[inline]
-pub fn metrics() -> &'static Registry {
-    &REGISTRY
+pub fn metrics() -> Registry {
+    Registry {
+        _thread_owned: PhantomData,
+    }
 }
 
 impl Registry {
     /// The counter registered under `name`, created on first use. Clone
     /// the `Arc` once at setup and update through it on hot paths — the
-    /// lookup takes the registry lock.
+    /// lookup allocates the name and walks the map.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = self.inner.lock();
-        inner
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| CounterSlot {
-                owned: Arc::new(Counter::new()),
-                attached: Vec::new(),
-            })
-            .owned
-            .clone()
+        REGISTRY.with_borrow_mut(|inner| {
+            inner
+                .counters
+                .entry(name.to_string())
+                .or_insert_with(|| CounterSlot {
+                    owned: Arc::new(Counter::new()),
+                    attached: Vec::new(),
+                })
+                .owned
+                .clone()
+        })
     }
 
     /// The gauge registered under `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock();
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
+        REGISTRY.with_borrow_mut(|inner| {
+            inner
+                .gauges
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(Gauge::new()))
+                .clone()
+        })
     }
 
     /// The histogram registered under `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut inner = self.inner.lock();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramSlot {
-                owned: Arc::new(Histogram::new()),
-                attached: Vec::new(),
-            })
-            .owned
-            .clone()
+        REGISTRY.with_borrow_mut(|inner| {
+            inner
+                .histograms
+                .entry(name.to_string())
+                .or_insert_with(|| HistogramSlot {
+                    owned: Arc::new(Histogram::new()),
+                    attached: Vec::new(),
+                })
+                .owned
+                .clone()
+        })
     }
 
     /// Attaches an externally-owned counter under `name`: snapshots sum
     /// it with the owned counter while the `Arc` stays alive. This is
     /// how per-instance stats (one buffer pool among several) feed the
-    /// global totals without giving up their own accessors.
+    /// registry totals without giving up their own accessors.
     pub fn attach_counter(&self, name: &str, counter: &Arc<Counter>) {
-        let mut inner = self.inner.lock();
-        let slot = inner
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| CounterSlot {
-                owned: Arc::new(Counter::new()),
-                attached: Vec::new(),
-            });
-        slot.attached.retain(|w| w.strong_count() > 0);
-        slot.attached.push(Arc::downgrade(counter));
+        REGISTRY.with_borrow_mut(|inner| {
+            let slot = inner
+                .counters
+                .entry(name.to_string())
+                .or_insert_with(|| CounterSlot {
+                    owned: Arc::new(Counter::new()),
+                    attached: Vec::new(),
+                });
+            slot.attached.retain(|w| w.strong_count() > 0);
+            slot.attached.push(Arc::downgrade(counter));
+        });
     }
 
     /// Attaches an externally-owned histogram under `name`; snapshots
     /// merge it with the owned histogram while the `Arc` stays alive.
     pub fn attach_histogram(&self, name: &str, histogram: &Arc<Histogram>) {
-        let mut inner = self.inner.lock();
-        let slot = inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramSlot {
-                owned: Arc::new(Histogram::new()),
-                attached: Vec::new(),
-            });
-        slot.attached.retain(|w| w.strong_count() > 0);
-        slot.attached.push(Arc::downgrade(histogram));
+        REGISTRY.with_borrow_mut(|inner| {
+            let slot = inner
+                .histograms
+                .entry(name.to_string())
+                .or_insert_with(|| HistogramSlot {
+                    owned: Arc::new(Histogram::new()),
+                    attached: Vec::new(),
+                });
+            slot.attached.retain(|w| w.strong_count() > 0);
+            slot.attached.push(Arc::downgrade(histogram));
+        });
     }
 
     /// A name-sorted snapshot of every metric. Counter totals include
     /// attached instances; histogram summaries merge attached instances.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
-        let counters = inner
-            .counters
-            .iter()
-            .map(|(name, slot)| {
-                let total: u64 = slot.owned.get()
-                    + slot
-                        .attached
-                        .iter()
-                        .filter_map(|w| w.upgrade())
-                        .map(|c| c.get())
-                        .sum::<u64>();
-                (name.clone(), total)
-            })
-            .collect();
-        let gauges = inner
-            .gauges
-            .iter()
-            .map(|(name, g)| (name.clone(), g.get(), g.high_watermark()))
-            .collect();
-        let histograms = inner
-            .histograms
-            .iter()
-            .map(|(name, slot)| {
-                let live: Vec<_> = slot.attached.iter().filter_map(|w| w.upgrade()).collect();
-                let summary = if live.is_empty() {
-                    summarize(&slot.owned)
-                } else {
-                    let merged = Histogram::new();
-                    merged.merge(&slot.owned);
-                    for h in &live {
-                        merged.merge(h);
-                    }
-                    summarize(&merged)
-                };
-                (name.clone(), summary)
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+        REGISTRY.with_borrow(|inner| {
+            let counters = inner
+                .counters
+                .iter()
+                .map(|(name, slot)| {
+                    let total: u64 = slot.owned.get()
+                        + slot
+                            .attached
+                            .iter()
+                            .filter_map(|w| w.upgrade())
+                            .map(|c| c.get())
+                            .sum::<u64>();
+                    (name.clone(), total)
+                })
+                .collect();
+            let gauges = inner
+                .gauges
+                .iter()
+                .map(|(name, g)| (name.clone(), g.get(), g.high_watermark()))
+                .collect();
+            let histograms = inner
+                .histograms
+                .iter()
+                .map(|(name, slot)| {
+                    let live: Vec<_> = slot.attached.iter().filter_map(|w| w.upgrade()).collect();
+                    let summary = if live.is_empty() {
+                        summarize(&slot.owned)
+                    } else {
+                        let merged = Histogram::new();
+                        merged.merge(&slot.owned);
+                        for h in &live {
+                            merged.merge(h);
+                        }
+                        summarize(&merged)
+                    };
+                    (name.clone(), summary)
+                })
+                .collect();
+            MetricsSnapshot {
+                counters,
+                gauges,
+                histograms,
+            }
+        })
     }
 
     /// The non-empty buckets of every registered histogram, name-sorted:
@@ -474,34 +495,36 @@ impl Registry {
     /// This is the raw-bucket feed for the telemetry lakehouse, which
     /// wants rows rather than pre-digested quantiles.
     pub fn histogram_buckets(&self) -> Vec<(String, Vec<(u64, u64)>)> {
-        let inner = self.inner.lock();
-        inner
-            .histograms
-            .iter()
-            .map(|(name, slot)| {
-                let live: Vec<_> = slot.attached.iter().filter_map(|w| w.upgrade()).collect();
-                let buckets = if live.is_empty() {
-                    slot.owned.nonzero_buckets()
-                } else {
-                    let merged = Histogram::new();
-                    merged.merge(&slot.owned);
-                    for h in &live {
-                        merged.merge(h);
-                    }
-                    merged.nonzero_buckets()
-                };
-                (name.clone(), buckets)
-            })
-            .collect()
+        REGISTRY.with_borrow(|inner| {
+            inner
+                .histograms
+                .iter()
+                .map(|(name, slot)| {
+                    let live: Vec<_> = slot.attached.iter().filter_map(|w| w.upgrade()).collect();
+                    let buckets = if live.is_empty() {
+                        slot.owned.nonzero_buckets()
+                    } else {
+                        let merged = Histogram::new();
+                        merged.merge(&slot.owned);
+                        for h in &live {
+                            merged.merge(h);
+                        }
+                        merged.nonzero_buckets()
+                    };
+                    (name.clone(), buckets)
+                })
+                .collect()
+        })
     }
 
     /// Removes every metric and attachment. Components re-create their
     /// metrics on next use, so this is safe between runs.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.counters.clear();
-        inner.gauges.clear();
-        inner.histograms.clear();
+        REGISTRY.with_borrow_mut(|inner| {
+            inner.counters.clear();
+            inner.gauges.clear();
+            inner.histograms.clear();
+        });
     }
 }
 
@@ -634,9 +657,7 @@ mod tests {
 
     #[test]
     fn registry_interns_and_snapshots() {
-        let reg = Registry {
-            inner: Mutex::new(RegistryInner::default()),
-        };
+        let reg = metrics();
         let c1 = reg.counter("x.hits");
         let c2 = reg.counter("x.hits");
         c1.add(3);
@@ -657,9 +678,7 @@ mod tests {
 
     #[test]
     fn registry_snapshot_is_name_sorted() {
-        let reg = Registry {
-            inner: Mutex::new(RegistryInner::default()),
-        };
+        let reg = metrics();
         reg.counter("z.last");
         reg.counter("a.first");
         reg.gauge("m.mid").set(7);
@@ -692,9 +711,7 @@ mod tests {
 
     #[test]
     fn registry_histogram_buckets_merge_attached() {
-        let reg = Registry {
-            inner: Mutex::new(RegistryInner::default()),
-        };
+        let reg = metrics();
         let owned = reg.histogram("lat");
         owned.record(5);
         let ext = Arc::new(Histogram::new());
@@ -709,9 +726,7 @@ mod tests {
 
     #[test]
     fn attached_histograms_merge_into_snapshot() {
-        let reg = Registry {
-            inner: Mutex::new(RegistryInner::default()),
-        };
+        let reg = metrics();
         let owned = reg.histogram("lat");
         owned.record(10);
         let ext = Arc::new(Histogram::new());

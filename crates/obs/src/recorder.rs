@@ -3,18 +3,30 @@
 //! Every timestamp is a [`SimTime`] — microseconds of *virtual* time, not
 //! wall clock — so same-seed simulation runs produce byte-identical
 //! traces. Recording is off by default; the hot-path cost of the disabled
-//! recorder is one relaxed atomic load and a branch (asserted by
+//! recorder is one thread-local load and a branch (asserted by
 //! `disabled_recorder_is_nearly_free` in the workspace tests).
 //!
 //! Wall-clock data exists in exactly one place: [`PhaseRecord`]s, which
 //! feed the end-of-run phase summary table and are deliberately **not**
 //! part of the exported trace, keeping exports deterministic.
+//!
+//! # Ownership
+//!
+//! Recorder state — the enabled flag, the published virtual clock, the
+//! events, tracks and phases — belongs to the thread that drives a run.
+//! Nothing is shared between threads: a spawned thread starts with a
+//! disabled recorder, `vnow` 0 and no events, and what it records stays
+//! on it. To capture telemetry from a run, enable, drive and read back
+//! on one thread. The single inheritance is the clock:
+//! `engine::parallel::execute_batch` publishes the spawner's `vnow` on
+//! each worker before it executes, because fault injection keys its
+//! windows on it; workers inherit nothing else.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use ids_simclock::{SimDuration, SimTime};
-use parking_lot::Mutex;
 
 /// Identifies one horizontal track (a "thread" row in Perfetto).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,7 +123,6 @@ pub struct PhaseRecord {
     pub events: usize,
 }
 
-#[derive(Default)]
 struct RecorderInner {
     events: Vec<TraceEvent>,
     /// Track names in id order.
@@ -119,30 +130,41 @@ struct RecorderInner {
     phases: Vec<PhaseRecord>,
 }
 
-/// The global trace recorder. Obtain it with [`recorder()`].
-pub struct Recorder {
-    enabled: AtomicBool,
+thread_local! {
+    // Const-initialised and destructor-free, so the disabled path of
+    // every `record_*` call is one load and a branch.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
     /// Current virtual time, published by whoever drives the simulation
     /// (the scheduler) so deeper layers (buffer pool) can timestamp
     /// events without threading a clock through every call.
-    vnow: AtomicU64,
-    inner: Mutex<RecorderInner>,
+    static VNOW: Cell<u64> = const { Cell::new(0) };
+    static INNER: RefCell<RecorderInner> = const {
+        RefCell::new(RecorderInner {
+            events: Vec::new(),
+            tracks: Vec::new(),
+            phases: Vec::new(),
+        })
+    };
 }
 
-static RECORDER: Recorder = Recorder {
-    enabled: AtomicBool::new(false),
-    vnow: AtomicU64::new(0),
-    inner: Mutex::new(RecorderInner {
-        events: Vec::new(),
-        tracks: Vec::new(),
-        phases: Vec::new(),
-    }),
-};
+/// A handle to the calling thread's trace recorder. Obtain it with
+/// [`recorder()`]. It is not `Send`: it names the state of the thread
+/// that asked for it.
+#[derive(Clone, Copy)]
+pub struct Recorder {
+    _thread_owned: PhantomData<*const ()>,
+}
 
-/// The process-wide recorder.
+/// The calling thread's recorder.
 #[inline]
-pub fn recorder() -> &'static Recorder {
-    &RECORDER
+pub fn recorder() -> Recorder {
+    Recorder {
+        _thread_owned: PhantomData,
+    }
+}
+
+fn push(event: TraceEvent) {
+    INNER.with_borrow_mut(|inner| inner.events.push(event));
 }
 
 impl Recorder {
@@ -150,26 +172,27 @@ impl Recorder {
     /// every `record_*` call is this load plus a branch.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        ENABLED.get()
     }
 
     /// Starts capturing events.
     pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
+        ENABLED.set(true);
     }
 
     /// Stops capturing events (already-captured events are kept).
     pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
+        ENABLED.set(false);
     }
 
     /// Drops all captured events, tracks, and phases.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.events.clear();
-        inner.tracks.clear();
-        inner.phases.clear();
-        self.vnow.store(0, Ordering::Relaxed);
+        INNER.with_borrow_mut(|inner| {
+            inner.events.clear();
+            inner.tracks.clear();
+            inner.phases.clear();
+        });
+        VNOW.set(0);
     }
 
     /// Publishes the current virtual time (the scheduler calls this as
@@ -181,24 +204,25 @@ impl Recorder {
     /// not change with observability on or off.
     #[inline]
     pub fn set_vnow(&self, t: SimTime) {
-        self.vnow.store(t.as_micros(), Ordering::Relaxed);
+        VNOW.set(t.as_micros());
     }
 
     /// The most recently published virtual time.
     #[inline]
     pub fn vnow(&self) -> SimTime {
-        SimTime::from_micros(self.vnow.load(Ordering::Relaxed))
+        SimTime::from_micros(VNOW.get())
     }
 
     /// Interns a track by name, returning a stable id. Repeated calls
     /// with the same name return the same id.
     pub fn track(&self, name: &str) -> TrackId {
-        let mut inner = self.inner.lock();
-        if let Some(pos) = inner.tracks.iter().position(|t| t == name) {
-            return TrackId(pos as u32);
-        }
-        inner.tracks.push(name.to_string());
-        TrackId((inner.tracks.len() - 1) as u32)
+        INNER.with_borrow_mut(|inner| {
+            if let Some(pos) = inner.tracks.iter().position(|t| t == name) {
+                return TrackId(pos as u32);
+            }
+            inner.tracks.push(name.to_string());
+            TrackId((inner.tracks.len() - 1) as u32)
+        })
     }
 
     /// Records a complete span; no-op while disabled.
@@ -215,7 +239,7 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
-        self.inner.lock().events.push(TraceEvent::Span {
+        push(TraceEvent::Span {
             cat,
             name: name.into(),
             track,
@@ -238,7 +262,7 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
-        self.inner.lock().events.push(TraceEvent::Instant {
+        push(TraceEvent::Instant {
             cat,
             name: name.into(),
             track,
@@ -253,20 +277,17 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
-        self.inner
-            .lock()
-            .events
-            .push(TraceEvent::Counter { name, ts, value });
+        push(TraceEvent::Counter { name, ts, value });
     }
 
     /// A snapshot of all captured events.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.clone()
+        INNER.with_borrow(|inner| inner.events.clone())
     }
 
     /// Number of captured events.
     pub fn event_count(&self) -> usize {
-        self.inner.lock().events.len()
+        INNER.with_borrow(|inner| inner.events.len())
     }
 
     /// The events captured after the first `mark` (a prior
@@ -274,73 +295,69 @@ impl Recorder {
     /// capture: mark, run a section, then collect just that section's
     /// events. Returns an empty vec if the mark is past the end.
     pub fn events_since(&self, mark: usize) -> Vec<TraceEvent> {
-        let inner = self.inner.lock();
-        inner
-            .events
-            .get(mark.min(inner.events.len())..)
-            .map(<[TraceEvent]>::to_vec)
-            .unwrap_or_default()
+        INNER.with_borrow(|inner| inner.events[mark.min(inner.events.len())..].to_vec())
     }
 
     /// Track names in id order.
     pub fn tracks(&self) -> Vec<String> {
-        self.inner.lock().tracks.clone()
+        INNER.with_borrow(|inner| inner.tracks.clone())
     }
 
     /// All completed phase records, in completion order.
     pub fn phases(&self) -> Vec<PhaseRecord> {
-        self.inner.lock().phases.clone()
+        INNER.with_borrow(|inner| inner.phases.clone())
     }
 
     /// Starts a named phase; the returned guard completes it on drop.
     /// Phases time wall clock unconditionally and attribute whatever
     /// trace events fire while they are open, so the phase table works
     /// with the recorder on or off.
-    pub fn phase(&'static self, name: impl Into<String>) -> PhaseGuard {
-        let events_at_start = self.inner.lock().events.len();
+    pub fn phase(&self, name: impl Into<String>) -> PhaseGuard {
         PhaseGuard {
-            recorder: self,
             name: name.into(),
             started: Instant::now(),
-            events_at_start,
+            events_at_start: self.event_count(),
+            _thread_owned: PhantomData,
         }
     }
 }
 
-/// Completes a phase on drop. Created by [`Recorder::phase`].
+/// Completes a phase on drop, on the thread that opened it. Created by
+/// [`Recorder::phase`].
 pub struct PhaseGuard {
-    recorder: &'static Recorder,
     name: String,
     started: Instant,
     events_at_start: usize,
+    _thread_owned: PhantomData<*const ()>,
 }
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         let wall = self.started.elapsed();
-        let mut inner = self.recorder.inner.lock();
-        let new_events = &inner.events[self.events_at_start.min(inner.events.len())..];
-        let mut lo = SimTime::MAX;
-        let mut hi = SimTime::ZERO;
-        for e in new_events {
-            let (start, end) = match e {
-                TraceEvent::Span { start, dur, .. } => (*start, *start + *dur),
-                TraceEvent::Instant { ts, .. } | TraceEvent::Counter { ts, .. } => (*ts, *ts),
+        INNER.with_borrow_mut(|inner| {
+            let new_events = &inner.events[self.events_at_start.min(inner.events.len())..];
+            let mut lo = SimTime::MAX;
+            let mut hi = SimTime::ZERO;
+            for e in new_events {
+                let (start, end) = match e {
+                    TraceEvent::Span { start, dur, .. } => (*start, *start + *dur),
+                    TraceEvent::Instant { ts, .. } | TraceEvent::Counter { ts, .. } => (*ts, *ts),
+                };
+                lo = lo.min(start);
+                hi = hi.max(end);
+            }
+            let virtual_span = if lo > hi {
+                SimDuration::ZERO
+            } else {
+                hi.saturating_since(lo)
             };
-            lo = lo.min(start);
-            hi = hi.max(end);
-        }
-        let virtual_span = if lo > hi {
-            SimDuration::ZERO
-        } else {
-            hi.saturating_since(lo)
-        };
-        let events = new_events.len();
-        inner.phases.push(PhaseRecord {
-            name: std::mem::take(&mut self.name),
-            wall,
-            virtual_span,
-            events,
+            let events = new_events.len();
+            inner.phases.push(PhaseRecord {
+                name: std::mem::take(&mut self.name),
+                wall,
+                virtual_span,
+                events,
+            });
         });
     }
 }
@@ -349,20 +366,13 @@ impl Drop for PhaseGuard {
 mod tests {
     use super::*;
 
-    // The recorder is process-global; tests that mutate it run under one
-    // lock so `cargo test`'s thread pool cannot interleave them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     fn us(n: u64) -> SimTime {
         SimTime::from_micros(n)
     }
 
     #[test]
     fn disabled_recorder_captures_nothing() {
-        let _guard = TEST_LOCK.lock();
         let r = recorder();
-        r.disable();
-        r.clear();
         let t = r.track("t");
         r.record_span("cat", "s", t, us(0), SimDuration::from_micros(5), vec![]);
         r.record_instant("cat", "i", t, us(1), vec![]);
@@ -372,9 +382,7 @@ mod tests {
 
     #[test]
     fn enabled_recorder_captures_in_order() {
-        let _guard = TEST_LOCK.lock();
         let r = recorder();
-        r.clear();
         r.enable();
         let t = r.track("worker/0");
         r.record_span(
@@ -387,8 +395,6 @@ mod tests {
         );
         r.record_counter("hits", us(15), 3.0);
         let events = r.events();
-        r.disable();
-        r.clear();
         assert_eq!(events.len(), 2);
         assert!(matches!(&events[0], TraceEvent::Span { name, .. } if name == "count"));
         assert!(matches!(&events[1], TraceEvent::Counter { value, .. } if *value == 3.0));
@@ -396,35 +402,50 @@ mod tests {
 
     #[test]
     fn tracks_are_interned() {
-        let _guard = TEST_LOCK.lock();
         let r = recorder();
-        r.clear();
         let a = r.track("alpha");
         let b = r.track("beta");
         let a2 = r.track("alpha");
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(r.tracks(), vec!["alpha".to_string(), "beta".to_string()]);
-        r.clear();
     }
 
     #[test]
     fn vnow_round_trips_when_enabled() {
-        let _guard = TEST_LOCK.lock();
         let r = recorder();
-        r.clear();
         r.enable();
         r.set_vnow(us(1234));
         assert_eq!(r.vnow(), us(1234));
-        r.disable();
-        r.clear();
+    }
+
+    #[test]
+    fn spawned_thread_starts_disabled_at_time_zero_and_empty() {
+        let r = recorder();
+        r.enable();
+        r.set_vnow(us(77));
+        r.record_counter("c", us(77), 1.0);
+        crate::metrics().counter("spawner.only").inc();
+        std::thread::spawn(|| {
+            let r = recorder();
+            assert!(!r.is_enabled());
+            assert_eq!(r.vnow(), SimTime::ZERO);
+            assert_eq!(r.event_count(), 0);
+            assert!(r.tracks().is_empty() && r.phases().is_empty());
+            assert!(crate::metrics().snapshot().counters.is_empty());
+            r.enable();
+            r.set_vnow(us(5));
+            r.record_counter("c", us(5), 2.0);
+        })
+        .join()
+        .expect("fresh thread");
+        // What the spawned thread did stayed on it.
+        assert_eq!((r.vnow(), r.event_count()), (us(77), 1));
     }
 
     #[test]
     fn phase_guard_attributes_events_and_virtual_span() {
-        let _guard = TEST_LOCK.lock();
         let r = recorder();
-        r.clear();
         r.enable();
         {
             let _p = r.phase("execute");
@@ -440,8 +461,6 @@ mod tests {
             r.record_instant("exec", "m", t, us(400), vec![]);
         }
         let phases = r.phases();
-        r.disable();
-        r.clear();
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].name, "execute");
         assert_eq!(phases[0].events, 2);
@@ -451,15 +470,11 @@ mod tests {
 
     #[test]
     fn phase_guard_with_recorder_disabled_still_times_wall() {
-        let _guard = TEST_LOCK.lock();
         let r = recorder();
-        r.disable();
-        r.clear();
         {
             let _p = r.phase("setup");
         }
         let phases = r.phases();
-        r.clear();
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].virtual_span, SimDuration::ZERO);
         assert_eq!(phases[0].events, 0);

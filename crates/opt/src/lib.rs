@@ -17,8 +17,6 @@
 //!   result barely differs from the last one shown.
 //! - [`prefetch`] — Markov-chain action prefetching for composite
 //!   interfaces, with the zoom-hotspot budget split of Section 8.
-//! - [`reuse`] — Sesame-style session result reuse: cache results within
-//!   a session keyed by query identity.
 //! - [`throttle`] — QIF throttling (the Fig 3 "overwhelmed backend"
 //!   remedy): fixed-rate and adaptive closed-loop variants.
 
@@ -27,6 +25,5 @@
 pub mod klfilter;
 pub mod loading;
 pub mod prefetch;
-pub mod reuse;
 pub mod skip;
 pub mod throttle;

@@ -537,13 +537,9 @@ mod tests {
 
     #[test]
     fn interactive_spans_carry_tenant_and_violation_args() {
-        // The recorder is process-global and other tests may be running
-        // concurrently, so mark distinctive sessions and filter for them
-        // instead of asserting on the whole event stream.
-        const SESSION_BASE: u64 = 424_200;
         let offered: Vec<OfferedQuery> = (0..40)
             .map(|i| OfferedQuery {
-                session: SESSION_BASE as usize + i,
+                session: i,
                 tenant: i % 2,
                 seq: i,
                 at: SimTime::from_millis(i as u64),
@@ -556,9 +552,7 @@ mod tests {
             })
             .collect();
         let costs = flat_costs(40, 30);
-        let was_enabled = ids_obs::enabled();
         ids_obs::enable();
-        let mark = ids_obs::recorder().event_count();
         let out = simulate_service(
             &offered,
             &costs,
@@ -566,20 +560,11 @@ mod tests {
             &FaultPlan::calm(1),
             &params(),
         );
-        let events = ids_obs::recorder().events_since(mark);
-        if !was_enabled {
-            ids_obs::disable();
-        }
+        let events = ids_obs::recorder().events();
         let mine: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                ids_obs::TraceEvent::Span { cat, args, .. } if *cat == "serve" => args
-                    .iter()
-                    .any(|(k, v)| {
-                        *k == "session"
-                            && matches!(v, ids_obs::ArgValue::U64(s) if *s >= SESSION_BASE)
-                    })
-                    .then_some(args),
+                ids_obs::TraceEvent::Span { cat, args, .. } if *cat == "serve" => Some(args),
                 _ => None,
             })
             .collect();

@@ -57,7 +57,7 @@ pub mod scenario;
 pub mod shrink;
 pub mod toml;
 
-pub use oracle::{check_scenario, gate, OracleReport, Verdict};
+pub use oracle::{check_scenario, OracleReport, Verdict};
 pub use pipeline::{adaptive_run, behavior_config, closed_loop_params, run_pipeline, RunArtifacts};
 pub use reference::{differential_check, reference_execute};
 pub use scenario::{derive_seed, QuerySpec, Scenario, SessionShape, TableSpec};
@@ -154,7 +154,6 @@ fn repro_file(
 /// (never mid-check), so a time-boxed run is a prefix of the unlimited
 /// one.
 pub fn explore(master_seed: u64, count: usize, deadline: Option<Instant>) -> ExploreReport {
-    let _g = gate();
     let mut report = ExploreReport {
         master_seed,
         requested: count,
@@ -173,7 +172,7 @@ pub fn explore(master_seed: u64, count: usize, deadline: Option<Instant>) -> Exp
         }
         let seed = derive_seed(master_seed, index as u64);
         let scenario = Scenario::generate(seed);
-        let verdict = oracle::check_scenario_unlocked(&scenario);
+        let verdict = check_scenario(&scenario);
         report.completed += 1;
         match verdict.first_failure() {
             None => {
@@ -190,10 +189,7 @@ pub fn explore(master_seed: u64, count: usize, deadline: Option<Instant>) -> Exp
                     verdict.summary()
                 ));
                 let outcome = shrink(&scenario, &mut |cand: &Scenario| {
-                    oracle::check_scenario_unlocked(cand)
-                        .first_failure()
-                        .map(|g| g.name)
-                        == Some(oracle_name)
+                    check_scenario(cand).first_failure().map(|g| g.name) == Some(oracle_name)
                 });
                 report.lines.push(format!(
                     "scenario {index}: shrunk in {} checks to {} queries / {} fact rows",

@@ -8,13 +8,10 @@
 //! fails — so a minimized repro reproduces the original failure, not
 //! some other one it stumbled into while shrinking.
 //!
-//! Scenario execution mutates process-global observability state (the
-//! virtual-time cursor, the metrics registry), so all pipeline-running
-//! entry points serialize on one process-wide gate. The gate is
-//! poisoning-tolerant: a panicking test must not wedge every later
-//! oracle run in the same process.
-
-use std::sync::{Mutex, MutexGuard};
+//! Scenario execution reads and writes observability state (the
+//! virtual-time cursor, the metrics registry), which belongs to the
+//! calling thread: checks on different threads cannot see each other,
+//! and a check leaves nothing behind that its own next run depends on.
 
 use ids_engine::progressive::{
     degrade_result, interval_coverage, is_anytime_consistent, ProgressiveExecutor,
@@ -76,23 +73,8 @@ impl Verdict {
     }
 }
 
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Serializes scenario execution against the process-global obs state.
-pub fn gate() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs every oracle against a scenario. Acquires the global gate; use
-/// [`check_scenario_unlocked`] from contexts that already hold it.
+/// Runs every oracle against a scenario.
 pub fn check_scenario(s: &Scenario) -> Verdict {
-    let _g = gate();
-    check_scenario_unlocked(s)
-}
-
-/// [`check_scenario`] without gate acquisition — for the explore loop
-/// and the shrinker, which hold the gate across many checks.
-pub fn check_scenario_unlocked(s: &Scenario) -> Verdict {
     let mut v = Verdict::default();
     let base = run_pipeline(s, s.threads);
 

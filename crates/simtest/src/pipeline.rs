@@ -502,7 +502,6 @@ pub fn adaptive_run(s: &Scenario, threads: usize, shards: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::gate;
     use crate::scenario::derive_seed;
 
     #[test]
@@ -528,7 +527,6 @@ mod tests {
 
     #[test]
     fn adaptive_run_digest_is_stable() {
-        let _g = gate();
         let mut s = Scenario::generate(derive_seed(43, 0));
         s.shape = crate::scenario::SessionShape::Adaptive;
         assert_eq!(adaptive_run(&s, 2, 4), adaptive_run(&s, 2, 4));
@@ -536,7 +534,6 @@ mod tests {
 
     #[test]
     fn pipeline_digest_is_reproducible() {
-        let _g = gate();
         let s = Scenario::generate(derive_seed(37, 1));
         let a = run_pipeline(&s, s.threads);
         let b = run_pipeline(&s, s.threads);

@@ -3,22 +3,18 @@
 //! Simulates users exploring an accommodation site through map, slider,
 //! checkbox and text-box widgets; analyzes their behavior (widget mix,
 //! zoom dwell, filter accretion, request vs exploration time); and shows
-//! how the analysis feeds a Markov tile prefetcher and a session-reuse
-//! cache over the listings table.
+//! how the analysis feeds a Markov tile prefetcher.
 //!
 //! ```sh
 //! cargo run --release --example travel_explorer [users]
 //! ```
 
-use ids::engine::{Backend, MemBackend, Predicate, Query};
 use ids::opt::prefetch::{evaluate_tile_strategy, zoom_budget, MarkovPrefetcher, TileStrategy};
-use ids::opt::reuse::SessionCache;
 use ids::report::{pct, Table};
 use ids::simclock::SimDuration;
 use ids::workload::composite::{
     filter_counts, phase_times, simulate_study, widget_percentages, CompositeConfig,
 };
-use ids::workload::datasets;
 
 fn main() {
     let users: usize = std::env::args()
@@ -69,31 +65,4 @@ fn main() {
         budget.row([z.to_string(), pct(share)]);
     }
     println!("{}", budget.render());
-
-    // Session reuse against an actual listings table: repeated filter
-    // states become constant-time lookups.
-    let mem = MemBackend::new();
-    mem.database().register(datasets::listings(7, 50_000));
-    let cache = SessionCache::new(&mem);
-    for step in sessions[0].steps.iter().take(60) {
-        // Translate the step's price filter (if any) into a count query.
-        let price = step
-            .state
-            .filters
-            .iter()
-            .find(|f| f.field == "price")
-            .and_then(|f| {
-                let (lo, hi) = f.value.split_once('_')?;
-                Some((lo.parse::<f64>().ok()?, hi.parse::<f64>().ok()?))
-            })
-            .unwrap_or((10.0, 2_000.0));
-        let q = Query::count("listings", Predicate::between("price", price.0, price.1));
-        cache.execute(&q).expect("query");
-    }
-    let stats = cache.stats();
-    println!(
-        "session reuse over listings: hit rate {}, speedup {:.1}x",
-        pct(stats.hit_rate()),
-        stats.speedup()
-    );
 }

@@ -22,7 +22,7 @@
 //! - [`study`] — user-study design: settings, counterbalancing, biases,
 //!   validity, and the survey tables;
 //! - [`opt`] — behavior-driven optimizations (loading strategies, skip,
-//!   KL filtering, Markov prefetching, session reuse);
+//!   KL filtering, Markov prefetching);
 //! - [`chaos`] — deterministic fault injection: seeded fault plans
 //!   (latency spikes, stalls, transient failures, buffer pressure, node
 //!   loss) applied on the virtual clock;

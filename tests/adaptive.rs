@@ -18,7 +18,7 @@ use ids::devices::DeviceKind;
 use ids::engine::{Backend, MemBackend};
 use ids::serve::{drive_session, ClosedLoopParams};
 use ids::simclock::SimDuration;
-use ids::simtest::{adaptive_run, check_scenario, derive_seed, gate, Scenario, SessionShape};
+use ids::simtest::{adaptive_run, check_scenario, derive_seed, Scenario, SessionShape};
 use ids::workload::adaptive::BehaviorPolicy;
 use ids::workload::trace::Trace;
 use ids::workload::{crossfilter, datasets};
@@ -30,7 +30,6 @@ use ids::workload::{crossfilter, datasets};
 /// session's own request trace.
 #[test]
 fn closed_loop_fleet_is_byte_deterministic() {
-    let _g = gate();
     for i in 0..4u64 {
         let mut s = Scenario::generate(derive_seed(0xADA7, i));
         s.shape = SessionShape::Adaptive;

@@ -7,10 +7,15 @@
 //! - **thread-count invariance** — `execute_batch` over a fault-injected
 //!   backend returns identical outcome vectors at 1/2/4/8 threads (the
 //!   plan decides faults from `(virtual time, query fingerprint,
-//!   attempt)`, never from scheduling order);
+//!   attempt)`, never from scheduling order, and batch workers inherit
+//!   the driving thread's virtual clock);
 //! - **bit determinism** — a seeded robustness sweep replays
 //!   byte-identically: same rendered table, same metrics snapshot, same
 //!   exported trace.
+//!
+//! The chaos clock (`ids::obs::set_vnow`), the recorder and the metrics
+//! registry are owned by the thread that drives a run — here, each
+//! `#[test]`'s own thread — so the tests need no serialisation.
 
 use ids::chaos::{ChaosBackend, FaultPlan};
 use ids::engine::distributed::Cluster;
@@ -22,15 +27,6 @@ use ids::engine::{
 };
 use ids::experiments::robustness::{self, RobustnessConfig};
 use ids::simclock::{SimDuration, SimTime};
-
-/// The chaos clock (`ids::obs::set_vnow`) and the metrics/trace
-/// registries are process-global; tests touching them must not
-/// interleave.
-static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn backend(rows: usize) -> MemBackend {
     let b = MemBackend::new();
@@ -53,7 +49,6 @@ fn distinct_queries(n: usize) -> Vec<Query> {
 
 #[test]
 fn batch_outcomes_identical_across_thread_counts_under_faults() {
-    let _g = obs_lock();
     let inner = backend(2_000);
     let queries = distinct_queries(40);
     // A storm with spikes, stalls, and transient failures all active;
@@ -93,7 +88,6 @@ fn batch_outcomes_identical_across_thread_counts_under_faults() {
 
 #[test]
 fn resilient_replay_is_reproducible() {
-    let _g = obs_lock();
     let inner = backend(5_000);
     let stream: Vec<IssuedQuery> = distinct_queries(60)
         .into_iter()
@@ -124,7 +118,7 @@ fn resilient_replay_is_reproducible() {
 
 #[test]
 fn node_loss_routes_to_replicas_and_stays_exact() {
-    // No obs lock needed: the cluster layer never reads the chaos clock.
+    // The cluster layer never reads the chaos clock: no `set_vnow` here.
     let db = Database::new();
     db.register(
         TableBuilder::new("t")
@@ -166,7 +160,6 @@ fn node_loss_routes_to_replicas_and_stays_exact() {
 
 #[test]
 fn robustness_sweep_is_bit_deterministic() {
-    let _g = obs_lock();
     let config = RobustnessConfig {
         seed: 83,
         rows: 2_000,
@@ -176,15 +169,13 @@ fn robustness_sweep_is_bit_deterministic() {
         workers: 2,
     };
 
+    ids::obs::enable();
     let capture = || {
         ids::obs::reset_all();
-        ids::obs::enable();
         let report = robustness::run(&config);
         let rec = ids::obs::recorder();
         let trace = ids::obs::chrome_trace_json(&rec.events(), &rec.tracks());
         let metrics = ids::obs::metrics_tsv(&ids::obs::metrics().snapshot());
-        ids::obs::disable();
-        ids::obs::reset_all();
         (report.render(), metrics, trace)
     };
 

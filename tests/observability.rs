@@ -1,44 +1,40 @@
 //! Integration tests for the `ids-obs` observability layer, through the
 //! public facade: same-seed trace exports are byte-identical, telemetry
 //! never changes query outcomes or timings, the disabled recorder is
-//! nearly free, and buffer-pool stats feed the global registry without
-//! losing their per-pool accessors.
+//! nearly free, buffer-pool stats feed the registry without losing their
+//! per-pool accessors, and concurrent drivers never see each other's
+//! telemetry or clock. Recorder and registry state is per thread and each
+//! `#[test]` runs on its own, so every test starts clean.
 
-use std::sync::Mutex;
-
+use ids::chaos::{ChaosBackend, FaultPlan};
 use ids::engine::scheduler::{IssuedQuery, QueryTiming, ReplayScheduler};
 use ids::engine::{
-    Backend, BinSpec, BufferPool, ColumnBuilder, DiskBackend, EvictionPolicy, PageId, Predicate,
-    Query, QueryOutcome, TableBuilder,
+    Backend, BinSpec, BufferPool, ColumnBuilder, DiskBackend, EvictionPolicy, MemBackend, PageId,
+    Predicate, Query, QueryOutcome, Table, TableBuilder,
 };
 use ids::obs;
-use ids::simclock::SimTime;
+use ids::shard::{partition_database, PartitionScheme, ScatterGather};
+use ids::simclock::{SimDuration, SimTime};
 
-/// The recorder and registry are process-global; every test here takes
-/// this lock and starts from `reset_all()` so they cannot interleave.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+fn table() -> Table {
+    TableBuilder::new("t")
+        .column(
+            "x",
+            ColumnBuilder::float((0..30_000).map(|i| (i % 997) as f64)),
+        )
+        .column(
+            "y",
+            ColumnBuilder::float((0..30_000).map(|i| (i % 101) as f64)),
+        )
+        .build()
+        .unwrap()
 }
 
 /// A small but non-trivial replay: a disk backend (buffer-pool traffic)
 /// driven by a bursty stream of mixed query shapes on two workers.
 fn run_replay() -> Vec<(QueryTiming, QueryOutcome)> {
     let backend = DiskBackend::new();
-    backend.database().register(
-        TableBuilder::new("t")
-            .column(
-                "x",
-                ColumnBuilder::float((0..30_000).map(|i| (i % 997) as f64)),
-            )
-            .column(
-                "y",
-                ColumnBuilder::float((0..30_000).map(|i| (i % 101) as f64)),
-            )
-            .build()
-            .unwrap(),
-    );
+    backend.database().register(table());
     let stream: Vec<IssuedQuery> = (0..12)
         .map(|i| {
             let q = match i % 3 {
@@ -65,17 +61,12 @@ fn export_trace() -> String {
 
 #[test]
 fn same_seed_trace_exports_are_byte_identical() {
-    let _guard = lock();
-    obs::reset_all();
     obs::enable();
     run_replay();
     let first = export_trace();
     obs::reset_all();
-    obs::enable();
     run_replay();
     let second = export_trace();
-    obs::disable();
-    obs::reset_all();
 
     assert!(!first.is_empty());
     assert_eq!(first, second, "same-seed traces must be byte-identical");
@@ -92,15 +83,10 @@ fn same_seed_trace_exports_are_byte_identical() {
 
 #[test]
 fn telemetry_is_observation_only() {
-    let _guard = lock();
-    obs::reset_all();
-    obs::disable();
     let dark = run_replay();
     obs::reset_all();
     obs::enable();
     let lit = run_replay();
-    obs::disable();
-    obs::reset_all();
 
     assert_eq!(dark.len(), lit.len());
     for ((t0, o0), (t1, o1)) in dark.iter().zip(lit.iter()) {
@@ -117,9 +103,6 @@ fn telemetry_is_observation_only() {
 
 #[test]
 fn disabled_recorder_is_nearly_free() {
-    let _guard = lock();
-    obs::reset_all();
-    obs::disable();
     const N: u64 = 300_000;
 
     let start = std::time::Instant::now();
@@ -139,12 +122,11 @@ fn disabled_recorder_is_nearly_free() {
         obs::recorder().record_counter("bench.enabled", SimTime::from_micros(i), i as f64);
     }
     let enabled = start.elapsed();
-    obs::disable();
-    obs::reset_all();
 
-    // The disabled path is one relaxed load + branch; the enabled path
-    // locks and pushes. The former must not cost more than the latter —
-    // a generous bound that holds under any scheduler noise.
+    // The disabled path is one thread-local load + branch; the enabled
+    // path borrows the thread's event vector and pushes. The former must
+    // not cost more than the latter — a generous bound that holds under
+    // any scheduler noise.
     assert!(
         disabled <= enabled,
         "disabled path ({disabled:?}) should be cheaper than enabled ({enabled:?})"
@@ -153,9 +135,6 @@ fn disabled_recorder_is_nearly_free() {
 
 #[test]
 fn buffer_pools_feed_the_registry_and_keep_their_own_stats() {
-    let _guard = lock();
-    obs::reset_all();
-
     let a = BufferPool::new(4, EvictionPolicy::Lru);
     let b = BufferPool::new(2, EvictionPolicy::Fifo);
     for n in 0..6 {
@@ -183,7 +162,7 @@ fn buffer_pools_feed_the_registry_and_keep_their_own_stats() {
     assert_eq!(b.stats().hits, 1);
     assert_eq!(b.stats().misses, 1);
 
-    // Global totals sum the live pools.
+    // Registry totals sum the live pools.
     let snap = obs::metrics().snapshot();
     let get = |name: &str| {
         snap.counters
@@ -211,12 +190,10 @@ fn buffer_pools_feed_the_registry_and_keep_their_own_stats() {
         .map(|&(_, v)| v)
         .unwrap();
     assert_eq!(hits, 2);
-    obs::reset_all();
 }
 
 #[test]
 fn histograms_bucket_merge_and_quantile_through_facade() {
-    // Pure data-structure test: no global state, no lock needed.
     let h = obs::Histogram::new();
     let g = obs::Histogram::new();
     for v in 0..1000u64 {
@@ -247,15 +224,11 @@ fn histograms_bucket_merge_and_quantile_through_facade() {
 /// `String` sink and an I/O sink.
 #[test]
 fn chunked_trace_export_is_byte_identical_at_any_thread_count() {
-    let _guard = lock();
-    obs::reset_all();
     obs::enable();
     run_replay();
     let rec = obs::recorder();
     let events = rec.events();
     let tracks = rec.tracks();
-    obs::disable();
-    obs::reset_all();
 
     let monolithic = obs::chrome_trace_json(&events, &tracks);
     assert!(!monolithic.is_empty());
@@ -308,19 +281,15 @@ fn chunked_trace_golden_edges() {
 /// byte-identical across runs of the same config.
 #[test]
 fn fleet_telemetry_tables_are_deterministic_across_runs() {
-    let _guard = lock();
     let config = ids::experiments::fleet::FleetConfig {
         seed: 9,
         session_counts: vec![4, 8],
         ..ids::experiments::fleet::FleetConfig::smoke_test()
     };
+    obs::enable();
     let capture = || {
         obs::reset_all();
-        obs::enable();
-        let report = ids::experiments::fleet::run(&config);
-        obs::disable();
-        obs::reset_all();
-        report
+        ids::experiments::fleet::run(&config)
     };
     let a = capture();
     let b = capture();
@@ -340,8 +309,6 @@ fn fleet_telemetry_tables_are_deterministic_across_runs() {
 
 #[test]
 fn metrics_summary_and_phase_table_render_from_a_run() {
-    let _guard = lock();
-    obs::reset_all();
     obs::enable();
     {
         let _p = obs::phase("test.replay");
@@ -349,8 +316,6 @@ fn metrics_summary_and_phase_table_render_from_a_run() {
     }
     let phases = obs::recorder().phases();
     let snap = obs::metrics().snapshot();
-    obs::disable();
-    obs::reset_all();
 
     let phase_table = ids::report::phase_summary(&phases);
     assert!(phase_table.contains("test.replay"));
@@ -359,4 +324,72 @@ fn metrics_summary_and_phase_table_render_from_a_run() {
     assert!(summary.contains("sched.latency_us"));
     let tsv = obs::metrics_tsv(&snap);
     assert!(tsv.contains("sched.queries\t12"));
+}
+
+/// Recorder, clock and registry belong to the thread that drives a run:
+/// four drivers started together each read back exactly their own shard
+/// spans, their own clock, and their own fault decision.
+#[test]
+fn concurrent_drivers_see_only_their_own_telemetry_and_clock() {
+    let barrier = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for i in 0..4u64 {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                barrier.wait();
+                obs::enable();
+                // Even drivers stand inside the 100–150 ms spike window,
+                // odd ones before it.
+                let spiked = i % 2 == 0;
+                let now = SimTime::from_millis(if spiked { 110 + i } else { 10 + i });
+                obs::set_vnow(now);
+
+                let inner = MemBackend::new();
+                inner.database().register(table());
+                let query = Query::count("t", Predicate::between("x", 0.0, 500.0));
+                let parts =
+                    partition_database(&inner.database(), &PartitionScheme::range("x"), 11, 4)
+                        .expect("partition");
+                ScatterGather::over(parts)
+                    .execute(&query)
+                    .expect("scatter-gather");
+                let plan = FaultPlan::builder(2)
+                    .latency_spike(SimTime::from_millis(100), SimDuration::from_millis(50), 3.0)
+                    .build();
+                ChaosBackend::new(&inner, plan)
+                    .execute(&query)
+                    .expect("chaos query");
+
+                let rec = obs::recorder();
+                let shard_span_starts: Vec<SimTime> = rec
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e {
+                        obs::TraceEvent::Span { cat, start, .. } if *cat == "shard" => Some(*start),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    shard_span_starts,
+                    vec![now; 4],
+                    "driver {i}: own spans only"
+                );
+                assert_eq!(obs::vnow(), now, "driver {i}: own clock");
+                let tracks = rec.tracks();
+                let shard_tracks = tracks.iter().filter(|t| t.starts_with("shard/")).count();
+                assert_eq!(shard_tracks, 4, "driver {i}: own tracks");
+                let snap = obs::metrics().snapshot();
+                let spiked_queries = snap
+                    .counters
+                    .iter()
+                    .find(|(n, _)| n == "chaos.spiked_queries")
+                    .map(|&(_, v)| v);
+                assert_eq!(
+                    spiked_queries,
+                    Some(spiked as u64),
+                    "driver {i}: own faults"
+                );
+            });
+        }
+    });
 }

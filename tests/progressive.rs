@@ -5,9 +5,10 @@
 //!
 //! - **bit determinism** — the `repro --progressive` tradeoff table
 //!   renders byte-identically across runs, and across concurrent runs
-//!   from 1/2/4/8 threads (no process-global state leaks into the
-//!   numbers; the golden snapshot itself lives with the other fixtures
-//!   in `crates/bench/tests/golden/`, regenerable via `IDS_BLESS=1`);
+//!   from 1/2/4/8 threads (each thread owns its observability state,
+//!   and none of it leaks into the numbers; the golden snapshot itself
+//!   lives with the other fixtures in `crates/bench/tests/golden/`,
+//!   regenerable via `IDS_BLESS=1`);
 //! - **zero cost when disabled** — a replay under a non-deadline policy
 //!   never touches the progressive machinery: the rigid resilient
 //!   replay is byte-identical to the plain replay, timing for timing
@@ -32,10 +33,11 @@ fn tradeoff_table_is_byte_deterministic_across_runs() {
 
 #[test]
 fn tradeoff_table_is_identical_across_thread_counts() {
-    // The sweep itself is sequential; what concurrency could perturb is
-    // the process-global state it leans on (metrics registry, phase
-    // tracking). Render the table from 1/2/4/8 threads racing each
-    // other and require every copy to match the sequential reference.
+    // The sweep itself is sequential and the state it leans on (chaos
+    // clock, metrics registry, phase tracking) is owned by the thread
+    // that runs it. Render the table from 1/2/4/8 threads racing each
+    // other — each starting from a fresh clock and registry — and
+    // require every copy to match the sequential reference.
     let small = ProgressiveConfig {
         max_groups: 60,
         ..config()

@@ -4,8 +4,6 @@
 //! replica routing degrades to a typed error (never an estimate), and
 //! per-shard spans flow into the telemetry lakehouse's canned queries.
 
-use std::sync::Mutex;
-
 use ids::engine::exec::run_query;
 use ids::engine::{
     BinSpec, ColumnBuilder, CostParams, Database, EngineError, Predicate, Query, TableBuilder,
@@ -13,15 +11,6 @@ use ids::engine::{
 use ids::lakehouse::{Lakehouse, TimeWindow};
 use ids::obs;
 use ids::shard::{partition_database, PartitionScheme, ScatterGather, ShardedCluster};
-
-/// The obs recorder is process-global; the telemetry test takes this
-/// lock and starts from `reset_all()` so parallel tests cannot
-/// interleave spans into its capture.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A session-log-shaped dataset: a clustered virtual-time axis `t`, a
 /// uniform measure `v`, and a low-cardinality key `k` with duplicates.
@@ -155,8 +144,6 @@ fn losing_every_replica_is_a_typed_error_not_an_estimate() {
 /// `p99_by_tenant` query answers "p99 by shard" directly.
 #[test]
 fn shard_spans_feed_the_lakehouse_p99_by_shard() {
-    let _guard = lock();
-    obs::reset_all();
     obs::enable();
 
     let db = dataset(4_000);
@@ -172,8 +159,6 @@ fn shard_spans_feed_the_lakehouse_p99_by_shard() {
         .cloned()
         .collect();
     let tracks = rec.tracks();
-    obs::disable();
-    obs::reset_all();
 
     assert_eq!(events.len(), 4, "one shard span per shard");
     let mut lake = Lakehouse::new();

@@ -131,7 +131,7 @@ fn planner_corpus_scenarios_cover_their_plan_shapes() {
 /// transitions from firing fails here, not silently.)
 #[test]
 fn adaptive_corpus_scenarios_cover_their_transitions() {
-    use ids::simtest::{adaptive_run, gate};
+    use ids::simtest::adaptive_run;
     use ids::workload::crossfilter::{self, CrossfilterUi};
     use ids::workload::mining;
 
@@ -140,36 +140,33 @@ fn adaptive_corpus_scenarios_cover_their_transitions() {
         from_toml(&body).unwrap_or_else(|e| panic!("{name}: parse error: {e}"))
     };
 
-    {
-        let _g = gate();
-        let zoom = load("adaptive-zoom-loop.toml");
-        let digest = adaptive_run(&zoom, zoom.threads, 4);
-        assert!(
-            digest.contains("\tzoom\t"),
-            "the patient user must hit the zoom transition"
-        );
-        assert!(
-            digest.contains("abandoned\tfalse"),
-            "a calm backend never loses the patient user"
-        );
-        let actions = digest.lines().filter(|l| l.starts_with("action\t")).count();
-        assert_eq!(
-            actions, zoom.adaptive_steps,
-            "the un-abandoned loop runs to its action bound"
-        );
+    let zoom = load("adaptive-zoom-loop.toml");
+    let digest = adaptive_run(&zoom, zoom.threads, 4);
+    assert!(
+        digest.contains("\tzoom\t"),
+        "the patient user must hit the zoom transition"
+    );
+    assert!(
+        digest.contains("abandoned\tfalse"),
+        "a calm backend never loses the patient user"
+    );
+    let actions = digest.lines().filter(|l| l.starts_with("action\t")).count();
+    assert_eq!(
+        actions, zoom.adaptive_steps,
+        "the un-abandoned loop runs to its action bound"
+    );
 
-        let storm = load("adaptive-abandon-under-chaos.toml");
-        let digest = adaptive_run(&storm, storm.threads, 4);
-        assert!(
-            digest.contains("abandoned\ttrue"),
-            "the hair-trigger user must abandon under the storm"
-        );
-        let actions = digest.lines().filter(|l| l.starts_with("action\t")).count();
-        assert!(
-            actions < storm.adaptive_steps,
-            "abandonment must end the session early ({actions} actions)"
-        );
-    }
+    let storm = load("adaptive-abandon-under-chaos.toml");
+    let digest = adaptive_run(&storm, storm.threads, 4);
+    assert!(
+        digest.contains("abandoned\ttrue"),
+        "the hair-trigger user must abandon under the storm"
+    );
+    let actions = digest.lines().filter(|l| l.starts_with("action\t")).count();
+    assert!(
+        actions < storm.adaptive_steps,
+        "abandonment must end the session early ({actions} actions)"
+    );
 
     // The mined scenario replays the composite interface the pipeline
     // synthesizes from its open-loop trace: it must mine back at least
