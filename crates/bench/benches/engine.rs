@@ -144,9 +144,9 @@ fn benches(c: &mut Criterion) {
 }
 
 fn distributed_benches(c: &mut Criterion) {
-    use ids_engine::distributed::Cluster;
     use ids_engine::progressive::ProgressiveExecutor;
     use ids_engine::Database;
+    use ids_shard::{PartitionScheme, ShardedCluster};
 
     let db = Database::new();
     db.register(datasets::listings(7, 100_000));
@@ -161,7 +161,8 @@ fn distributed_benches(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_secs(1));
     for nodes in [1usize, 4, 16] {
-        let cluster = Cluster::partition(&db, nodes).expect("partition");
+        let cluster =
+            ShardedCluster::partition(&db, PartitionScheme::HashRows, 0, nodes).expect("partition");
         group.bench_with_input(BenchmarkId::new("histogram", nodes), &cluster, |b, cl| {
             b.iter(|| cl.execute(&probe).expect("mergeable"));
         });

@@ -1,7 +1,8 @@
 //! Scalability and throughput: the Section 3.1.1 backend metrics,
 //! demonstrated the way the paper demonstrates them.
 //!
-//! Two sweeps over the simulated cluster ([`ids_engine::distributed`]):
+//! Three sweeps over the simulated cluster ([`ids_shard::ShardedCluster`]
+//! under round-robin row partitioning):
 //!
 //! - **node sweep** (the DICE Fig 7 discussion): execution time vs
 //!   server count — near-linear speedup to a knee, diminishing returns
@@ -14,9 +15,9 @@
 //! - **throughput sweep** (the Atlas measurement): queries per second vs
 //!   server count.
 
-use ids_engine::distributed::{cluster_throughput, Cluster};
 use ids_engine::{Database, Predicate, Query};
 use ids_metrics::throughput::{ScalabilityCurve, ScalePoint};
+use ids_shard::{PartitionScheme, ShardedCluster};
 use ids_simclock::SimDuration;
 use ids_workload::datasets;
 
@@ -96,19 +97,26 @@ pub fn run(config: &ScalabilityConfig) -> ScalabilityReport {
     // Node sweep + throughput sweep share clusters.
     let mut node_sweep = Vec::new();
     let mut throughput_sweep = Vec::new();
-    let mix: Vec<Query> = (0..8).map(|_| probe.clone()).collect();
+    let cluster_of = |nodes| {
+        ShardedCluster::partition(&db, PartitionScheme::HashRows, 0, nodes)
+            .expect("partitionable tables")
+    };
+    const MIX: usize = 8;
     for &nodes in &config.node_counts {
-        let cluster = Cluster::partition(&db, nodes).expect("partitionable tables");
+        let cluster = cluster_of(nodes);
         let out = cluster.execute(&probe).expect("mergeable probe");
         node_sweep.push((nodes, out.elapsed));
-        throughput_sweep.push((
-            nodes,
-            cluster_throughput(&cluster, &mix).expect("mergeable mix"),
-        ));
+        // The Atlas measurement: queries per second of virtual time,
+        // the mix executed back to back.
+        let mut elapsed = SimDuration::ZERO;
+        for _ in 0..MIX {
+            elapsed += cluster.execute(&probe).expect("mergeable mix").elapsed;
+        }
+        throughput_sweep.push((nodes, MIX as f64 / elapsed.as_secs_f64().max(1e-12)));
     }
 
     // Dimension sweep on a single node: add one predicate at a time.
-    let single = Cluster::partition(&db, 1).expect("partitionable tables");
+    let single = cluster_of(1);
     let predicates = dim_predicates();
     let mut dim_sweep = Vec::new();
     for dims in 1..=config.max_dims.min(predicates.len()) {

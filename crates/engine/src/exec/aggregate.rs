@@ -13,12 +13,11 @@
 //! the per-chunk histograms and [`KernelStats`], summed in chunk order,
 //! equal the serial walk counter for counter.
 
-use crossbeam::channel;
-
 use crate::column::{Column, ZoneMap, ZONE_BLOCK_ROWS};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
 use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
+use crate::parallel::ordered_map;
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
 use crate::result::{Histogram, ResultSet};
@@ -100,55 +99,27 @@ fn bin_chunks(
     stats: &mut KernelStats,
 ) -> EngineResult<Histogram> {
     let rows = col.len();
-    let n_chunks = rows.div_ceil(PAR_CHUNK_ROWS);
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, Histogram, KernelStats)>();
-    for c in 0..n_chunks {
-        if task_tx.send(c).is_err() {
-            return Err(EngineError::SchedulerClosed);
-        }
-    }
-    drop(task_tx);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move |_| {
-                let opts = KernelOptions::default();
-                while let Ok(c) = task_rx.recv() {
-                    let start = c * PAR_CHUNK_ROWS;
-                    let end = (start + PAR_CHUNK_ROWS).min(rows);
-                    let mut partial = Histogram::zeros(bins.bucket_count());
-                    let mut chunk_stats = KernelStats::default();
-                    kernels::fused_filter_bin_range(
-                        col,
-                        zone,
-                        sel,
-                        bins,
-                        &opts,
-                        &mut chunk_stats,
-                        start,
-                        end,
-                        &mut partial,
-                    );
-                    if result_tx.send((c, partial, chunk_stats)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    })
-    .map_err(|_| EngineError::SchedulerClosed)?;
-    drop(result_tx);
-
-    let mut slots: Vec<Option<(Histogram, KernelStats)>> = (0..n_chunks).map(|_| None).collect();
-    while let Ok((c, partial, chunk_stats)) = result_rx.recv() {
-        slots[c] = Some((partial, chunk_stats));
-    }
+    let opts = KernelOptions::default();
+    let chunks = ordered_map(rows.div_ceil(PAR_CHUNK_ROWS), threads, |c| {
+        let start = c * PAR_CHUNK_ROWS;
+        let end = (start + PAR_CHUNK_ROWS).min(rows);
+        let mut partial = Histogram::zeros(bins.bucket_count());
+        let mut chunk_stats = KernelStats::default();
+        kernels::fused_filter_bin_range(
+            col,
+            zone,
+            sel,
+            bins,
+            &opts,
+            &mut chunk_stats,
+            start,
+            end,
+            &mut partial,
+        );
+        (partial, chunk_stats)
+    })?;
     let mut counts = vec![0u64; bins.bucket_count()];
-    for slot in slots {
-        let (partial, chunk_stats) = slot.ok_or(EngineError::SchedulerClosed)?;
+    for (partial, chunk_stats) in chunks {
         for (acc, c) in counts.iter_mut().zip(partial.counts()) {
             *acc += c;
         }

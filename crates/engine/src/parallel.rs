@@ -1,78 +1,159 @@
-//! Wall-clock parallel batch execution.
+//! Wall-clock parallelism: the one ordered fan-out, and batch execution
+//! on top of it.
 //!
 //! The virtual-time [`scheduler`](crate::scheduler) answers "what latency
 //! would the user perceive"; this module answers "how fast does the engine
-//! actually chew through a workload on real hardware", which is what the
-//! Criterion throughput benches measure. Queries are distributed over a
-//! crossbeam-scoped worker pool; results come back in submission order.
+//! actually chew through a workload on real hardware". Every threaded path
+//! in the engine, `ids-shard` and `ids-serve` is a call to [`ordered_map`];
+//! a long-lived worker pool would replace its body.
 
-use crossbeam::channel;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::backend::{Backend, QueryOutcome};
 use crate::error::{EngineError, EngineResult};
 use crate::query::Query;
 
+/// Runs `task(0)`, …, `task(n - 1)` on up to `threads` OS threads and
+/// returns the results in index order, whichever worker ran which task.
+///
+/// With `threads <= 1` or `n <= 1` every task runs inline on the calling
+/// thread and nothing is spawned, so what the tasks record lands in the
+/// caller's thread-owned observability state. Otherwise scoped workers
+/// pull indices off a shared cursor; each starts with fresh observability
+/// state except the spawner's virtual clock ([`ids_obs::vnow`]), published
+/// on every worker here because `ChaosBackend` keys its fault windows on
+/// it — the one value a worker inherits.
+///
+/// A panicking task takes its worker down; the other workers finish and
+/// the whole call returns [`EngineError::SchedulerClosed`] — never a
+/// partial vector.
+pub fn ordered_map<R, F>(n: usize, threads: usize, task: F) -> EngineResult<Vec<R>>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = threads.min(n);
+    if workers <= 1 {
+        return Ok((0..n).map(task).collect());
+    }
+    let vnow = ids_obs::vnow();
+    // Hands out task indices only; the data tasks read is borrowed.
+    let cursor = AtomicUsize::new(0);
+    let done = Mutex::new(Vec::with_capacity(n));
+    let worker = || {
+        ids_obs::set_vnow(vnow);
+        let mine: Vec<(usize, R)> = std::iter::from_fn(|| {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            (i < n).then(|| (i, task(i)))
+        })
+        .collect();
+        // Taken once per worker and never across a task, so a panicking
+        // task cannot poison it.
+        done.lock().expect("no task runs under it").extend(mine);
+    };
+    // The scope's own wait, not `ScopedJoinHandle::join`: that is a
+    // `pthread_join`, which also waits out the OS thread's teardown —
+    // 10 % of an 8-shard scatter on `sharded_scatter`. A worker's panic
+    // therefore resurfaces from the scope and is caught here; nothing the
+    // workers wrote is read afterwards.
+    catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        })
+    }))
+    .map_err(|_| EngineError::SchedulerClosed)?;
+    // Every index was handed out once and every worker returned.
+    let mut done = done
+        .into_inner()
+        .map_err(|_| EngineError::SchedulerClosed)?;
+    done.sort_unstable_by_key(|&(i, _)| i);
+    Ok(done.into_iter().map(|(_, result)| result).collect())
+}
+
 /// Executes `queries` across `threads` OS threads, returning outcomes in
-/// submission order.
+/// submission order (the first failing query's error, if any).
 pub fn execute_batch(
     backend: &(dyn Backend + Sync),
     queries: &[Query],
     threads: usize,
 ) -> EngineResult<Vec<QueryOutcome>> {
-    let threads = threads.max(1).min(queries.len().max(1));
-    if threads == 1 {
-        return queries.iter().map(|q| backend.execute(q)).collect();
-    }
-
-    let (task_tx, task_rx) = channel::unbounded::<(usize, &Query)>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, EngineResult<QueryOutcome>)>();
-    for (i, q) in queries.iter().enumerate() {
-        if task_tx.send((i, q)).is_err() {
-            return Err(EngineError::SchedulerClosed);
-        }
-    }
-    drop(task_tx);
-
-    // Observability state is per thread; the one thing a worker needs of
-    // the caller's is the virtual clock, which `ChaosBackend::execute`
-    // keys its fault windows on.
-    let vnow = ids_obs::vnow();
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move |_| {
-                ids_obs::set_vnow(vnow);
-                while let Ok((i, q)) = task_rx.recv() {
-                    let out = backend.execute(q);
-                    if result_tx.send((i, out)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    })
-    .map_err(|_| EngineError::SchedulerClosed)?;
-    drop(result_tx);
-
-    let mut slots: Vec<Option<EngineResult<QueryOutcome>>> =
-        (0..queries.len()).map(|_| None).collect();
-    while let Ok((i, out)) = result_rx.recv() {
-        slots[i] = Some(out);
-    }
-    slots
+    ordered_map(queries.len(), threads, |i| backend.execute(&queries[i]))?
         .into_iter()
-        .map(|s| s.ok_or(EngineError::SchedulerClosed)?)
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
+    use ids_simclock::SimTime;
+
     use super::*;
     use crate::backend::MemBackend;
     use crate::column::ColumnBuilder;
     use crate::predicate::Predicate;
     use crate::table::TableBuilder;
+
+    #[test]
+    fn results_are_in_index_order_whatever_order_tasks_finish_in() {
+        // One worker per task, and task `i` may not finish before task
+        // `i + 1` has: completion order is forced to be the reverse of
+        // index order.
+        const N: usize = 4;
+        let finished: Vec<AtomicBool> = (0..N).map(|_| AtomicBool::new(false)).collect();
+        let finish_order = Mutex::new(Vec::new());
+        let out = ordered_map(N, N, |i| {
+            while i + 1 < N && !finished[i + 1].load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            finish_order.lock().unwrap().push(i);
+            finished[i].store(true, Ordering::SeqCst);
+            i * 10
+        })
+        .unwrap();
+        assert_eq!(out, vec![0, 10, 20, 30]);
+        assert_eq!(finish_order.into_inner().unwrap(), vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn more_threads_than_tasks_and_no_tasks_at_all() {
+        assert_eq!(ordered_map(3, 16, |i| i * 2).unwrap(), vec![0, 2, 4]);
+        for threads in [0, 1, 4] {
+            assert!(ordered_map(0, threads, |i| i).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn one_thread_runs_on_the_caller_and_workers_inherit_only_the_clock() {
+        ids_obs::enable();
+        ids_obs::set_vnow(SimTime::from_micros(4_242));
+        let task = |_| {
+            ids_obs::recorder().record_counter("fanout.task", ids_obs::vnow(), 1.0);
+            ids_obs::vnow()
+        };
+        // Inline: the caller owns what the tasks recorded.
+        let inline = ordered_map(3, 1, task).unwrap();
+        assert_eq!(ids_obs::recorder().event_count(), 3);
+        // Spawned: each worker sees the spawner's clock and nothing
+        // else — its recorder is its own (and disabled).
+        let spawned = ordered_map(3, 3, task).unwrap();
+        assert_eq!(ids_obs::recorder().event_count(), 3);
+        assert_eq!(inline, spawned);
+        assert_eq!(spawned, vec![SimTime::from_micros(4_242); 3]);
+    }
+
+    #[test]
+    fn a_panicking_task_is_a_typed_error_not_a_partial_vector() {
+        let out = ordered_map(8, 2, |i| {
+            assert_ne!(i, 5, "task 5 fails");
+            i
+        });
+        assert_eq!(out, Err(EngineError::SchedulerClosed));
+    }
 
     fn backend(rows: usize) -> MemBackend {
         let b = MemBackend::new();
@@ -86,27 +167,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_results_in_submission_order() {
+    fn batch_outcomes_are_in_submission_order_at_any_thread_count() {
         let b = backend(1000);
         let queries: Vec<Query> = (0..32)
             .map(|i| Query::count("t", Predicate::between("x", 0.0, i as f64)))
             .collect();
-        let outs = execute_batch(&b, &queries, 4).unwrap();
-        for (i, out) in outs.iter().enumerate() {
-            assert_eq!(out.scalar_count(), Some(i as u64 + 1));
-        }
-    }
-
-    #[test]
-    fn single_thread_path_matches_parallel() {
-        let b = backend(500);
-        let queries: Vec<Query> = (0..8)
-            .map(|i| Query::count("t", Predicate::between("x", i as f64, 400.0)))
-            .collect();
-        let seq = execute_batch(&b, &queries, 1).unwrap();
-        let par = execute_batch(&b, &queries, 8).unwrap();
-        for (a, z) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.result, z.result);
+        for threads in [1, 4, 8] {
+            let outs = execute_batch(&b, &queries, threads).unwrap();
+            assert_eq!(outs.len(), queries.len());
+            for (i, out) in outs.iter().enumerate() {
+                assert_eq!(out.scalar_count(), Some(i as u64 + 1), "{threads} threads");
+            }
+            assert!(execute_batch(&b, &[], threads).unwrap().is_empty());
         }
     }
 
@@ -118,11 +190,5 @@ mod tests {
             Query::count("missing", Predicate::True),
         ];
         assert!(execute_batch(&b, &queries, 2).is_err());
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let b = backend(1);
-        assert!(execute_batch(&b, &[], 4).unwrap().is_empty());
     }
 }

@@ -283,6 +283,11 @@ pub fn chrome_trace_chunked(
 /// chunk-index order. Out-of-order completions are buffered (bounded by
 /// the scheduling skew between workers), then released as soon as the
 /// next-in-order chunk lands — the whole trace is never resident.
+///
+/// Not a caller of `ids_engine::parallel::ordered_map`, the fan-out
+/// every other threaded path uses: that one *collects* all results
+/// before returning, this one streams them to the sink as they become
+/// contiguous; and `ids-obs` sits below `ids-engine` in the crate DAG.
 fn parallel_chunks(
     chunks: &[&[TraceEvent]],
     workers: usize,

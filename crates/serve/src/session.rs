@@ -10,6 +10,7 @@
 //! makes the serving experiments bit-identical across 1/2/4/8 threads.
 
 use ids_devices::DeviceKind;
+use ids_engine::parallel::ordered_map;
 use ids_engine::Query;
 use ids_simclock::rng::SimRng;
 use ids_simclock::{SimDuration, SimTime};
@@ -207,40 +208,25 @@ fn synthesize_session(spec: &FleetSpec, s: &SessionSpec) -> Vec<OfferedQuery> {
 /// `(at, session, seq)` — the canonical global serving order.
 ///
 /// `threads` controls host-thread parallelism only: sessions are
-/// chunked across `threads` workers, and because each session is an
-/// independent function of `(seed, id)`, the merged result is
-/// byte-identical for any thread count. The sort key is total (ties
-/// broken by session then seq), so the order is unambiguous too.
+/// synthesized through the engine's ordered fan-out, and because each
+/// session is an independent function of `(seed, id)`, the merged
+/// result is byte-identical for any thread count. The sort key is total
+/// (ties broken by session then seq), so the order is unambiguous too.
+///
+/// # Panics
+///
+/// If a session's synthesis panics on a worker thread: the signature
+/// has no error channel, so the fan-out's typed error is re-raised here.
 pub fn synthesize_fleet(spec: &FleetSpec, threads: usize) -> Vec<OfferedQuery> {
     let _p = ids_obs::phase("serve.synthesize");
     let specs = spec.resolve();
-    let threads = threads.clamp(1, specs.len().max(1));
-    let chunk = specs.len().div_ceil(threads);
-    let mut offered: Vec<OfferedQuery> = if threads == 1 || chunk == 0 {
-        specs
-            .iter()
-            .flat_map(|s| synthesize_session(spec, s))
-            .collect()
-    } else {
-        let mut parts: Vec<Vec<OfferedQuery>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        slice
-                            .iter()
-                            .flat_map(|s| synthesize_session(spec, s))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("synthesis thread panicked"));
-            }
-        });
-        parts.into_iter().flatten().collect()
-    };
+    let mut offered: Vec<OfferedQuery> = ordered_map(specs.len(), threads, |i| {
+        synthesize_session(spec, &specs[i])
+    })
+    .unwrap_or_else(|e| panic!("synthesizing sessions 0..{}: {e}", specs.len()))
+    .into_iter()
+    .flatten()
+    .collect();
     offered.sort_by_key(|a| (a.at, a.session, a.seq));
     offered
 }

@@ -11,9 +11,10 @@
 //!   partitioning of columnar tables, each shard with its own rebuilt
 //!   stats and zone maps ([`PartitionScheme`], [`partition_database`]).
 //! - [`plan`] — the scatter-gather executor ([`ScatterGather`]): fused
-//!   kernels run per shard on a bounded worker pool, partials merge in
-//!   fixed shard order, per-shard obs spans feed the telemetry
-//!   lakehouse ("p99 by shard").
+//!   kernels run per shard through the engine's ordered fan-out
+//!   (`ids_engine::parallel::ordered_map`), partials merge in fixed
+//!   shard order, per-shard obs spans feed the telemetry lakehouse
+//!   ("p99 by shard").
 //! - [`cluster`] — replicated routing ([`ShardedCluster`]): exact
 //!   answers while every shard keeps one surviving replica, typed
 //!   `ShardUnavailable` when one does not.

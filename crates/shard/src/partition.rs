@@ -4,9 +4,10 @@
 //! row index, shard count)` — never of thread count, table registration
 //! order, or dictionary encoding:
 //!
-//! - [`PartitionScheme::HashRows`] — round-robin on the row index (the
-//!   synthetic-key hash partition the engine's `Cluster` facade uses);
-//!   exactly balanced, the default when no key column is natural.
+//! - [`PartitionScheme::HashRows`] — round-robin on the row index (a
+//!   hash partition on a synthetic key, what the scalability
+//!   experiment sweeps); exactly balanced, the default when no key
+//!   column is natural.
 //! - [`PartitionScheme::HashKey`] — SplitMix64 over the canonical
 //!   [`cell_key`] of one column; co-locates equal keys, so per-key
 //!   aggregates shard cleanly. String keys hash their *bytes* — the

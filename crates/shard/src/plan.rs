@@ -3,11 +3,11 @@
 //!
 //! The executor scatters one mergeable query (COUNT or histogram — the
 //! shapes the engine's fused filter+bin / filter+probe kernels serve)
-//! to every shard, runs the shards on a bounded worker pool, and
-//! gathers the partials **in fixed shard order**. Worker threads only
-//! decide *when* a shard runs, never *what* it contributes or *where*
-//! its partial sits in the merge — each shard writes into its own
-//! pre-assigned slot — so the merged result, the virtual costs, and the
+//! to every shard, runs the shard fragments through the engine's one
+//! ordered fan-out ([`ordered_map`]), and gathers the partials **in
+//! fixed shard order**. Worker threads only decide *when* a shard
+//! runs, never *what* it contributes or *where* its partial sits in
+//! the merge, so the merged result, the virtual costs, and the
 //! recorded telemetry are byte-identical at any thread count.
 //!
 //! Every shard fragment runs through [`ids_engine::exec::run_query`],
@@ -23,14 +23,12 @@
 
 use ids_engine::distributed::{merge_partials, require_mergeable, ClusterParams};
 use ids_engine::exec::run_query;
+use ids_engine::parallel::ordered_map;
 use ids_engine::{
     CostModel, CostParams, Database, EngineError, EngineResult, LinearCostModel, Query,
     QueryFootprint, ResultSet,
 };
 use ids_simclock::SimDuration;
-
-/// One shard-local execution: a partial result plus its footprint.
-type ShardPartial = EngineResult<(ResultSet, QueryFootprint)>;
 
 /// One shard's contribution to a scatter-gather plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,10 +117,16 @@ impl ScatterGather {
 
     /// Executes `query` on every shard and merges the partials in shard
     /// order. Non-mergeable shapes are rejected with the engine's typed
-    /// error before any shard runs.
+    /// error before any shard runs; a failing shard fails the plan with
+    /// its error (the lowest-numbered shard's, if several), a panicking
+    /// fragment with `SchedulerClosed`.
     pub fn execute(&self, query: &Query) -> EngineResult<ShardOutcome> {
         require_mergeable(query)?;
-        let partials = self.scatter(query)?;
+        let partials = ordered_map(self.shards.len(), self.threads, |shard| {
+            run_query(&self.shards[shard], query)
+        })?
+        .into_iter()
+        .collect::<EngineResult<Vec<_>>>()?;
         self.gather(query, partials)
     }
 
@@ -149,44 +153,6 @@ impl ScatterGather {
             }
         }
         Ok(out)
-    }
-
-    /// Runs `query` on every shard, returning `(partial, footprint)`
-    /// per shard in shard order. Slot-indexed: worker threads pull
-    /// shards off a shared cursor but each writes only its own slot.
-    fn scatter(&self, query: &Query) -> EngineResult<Vec<(ResultSet, QueryFootprint)>> {
-        let mut slots: Vec<Option<ShardPartial>> = (0..self.shards.len()).map(|_| None).collect();
-        let workers = self.threads.min(self.shards.len()).max(1);
-        if workers == 1 {
-            for (shard, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(run_query(&self.shards[shard], query));
-            }
-        } else {
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let results = std::sync::Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let shard = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if shard >= self.shards.len() {
-                                break;
-                            }
-                            local.push((shard, run_query(&self.shards[shard], query)));
-                        }
-                        results.lock().unwrap().extend(local);
-                    });
-                }
-            });
-            for (shard, result) in results.into_inner().unwrap() {
-                slots[shard] = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every shard slot is filled"))
-            .collect()
     }
 
     /// Merges shard partials in fixed shard order, prices each shard's

@@ -13,7 +13,8 @@ use ids::obs;
 use ids::shard::{partition_database, PartitionScheme, ScatterGather, ShardedCluster};
 
 /// A session-log-shaped dataset: a clustered virtual-time axis `t`, a
-/// uniform measure `v`, and a low-cardinality key `k` with duplicates.
+/// uniform measure `v`, a low-cardinality key `k` with duplicates, and
+/// a dictionary-encoded string `parity` (each shard re-encodes it).
 fn dataset(rows: usize) -> Database {
     let db = Database::new();
     db.register(
@@ -24,6 +25,10 @@ fn dataset(rows: usize) -> Database {
                 ColumnBuilder::float((0..rows).map(|i| (i * 37 % 101) as f64)),
             )
             .column("k", ColumnBuilder::int((0..rows).map(|i| (i % 13) as i64)))
+            .column(
+                "parity",
+                ColumnBuilder::str((0..rows).map(|i| if i % 2 == 0 { "even" } else { "odd" })),
+            )
             .build()
             .expect("dataset table"),
     );
@@ -39,7 +44,7 @@ fn schemes() -> Vec<PartitionScheme> {
 }
 
 /// Mergeable query shapes covering brushes on the clustered axis, full
-/// scans, and a count over the uniform measure.
+/// scans, a count over the uniform measure, and a string-equality count.
 fn mergeable_queries() -> Vec<Query> {
     vec![
         Query::count("sessions", Predicate::between("v", 10.0, 90.0)),
@@ -53,12 +58,13 @@ fn mergeable_queries() -> Vec<Query> {
             BinSpec::new("v", 0.0, 101.0, 8),
             Predicate::True,
         ),
+        Query::count("sessions", Predicate::eq("parity", "even")),
     ]
 }
 
 #[test]
 fn every_scheme_matches_single_node_execution() {
-    let db = dataset(2_000);
+    let db = dataset(10_001); // odd: uneven partitions at 3 and 8 shards
     for scheme in schemes() {
         for shards in [1usize, 3, 8] {
             let parts = partition_database(&db, &scheme, 11, shards).expect("partition");
