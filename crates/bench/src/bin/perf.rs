@@ -1,21 +1,21 @@
 //! `perf`: deterministic micro-bench harness for the vectorized kernels.
 //!
 //! Thin CLI wrapper over [`ids_bench::perf`] (the machinery lives in the
-//! library so `trend` can fold a fresh quick run into the committed
-//! `BENCH_*.json` history).
+//! library so `tests/golden.rs` can byte-compare a fresh quick run with
+//! the committed `BENCH_perf_quick.json`).
 //!
 //! ```text
 //! perf                   # full run → BENCH_perf.json (wall times + speedups)
-//! perf --quick           # small rows, deterministic fields only (CI gate:
-//!                        # two runs must produce byte-identical output)
+//! perf --quick           # small rows, deterministic fields only (the perf
+//!                        # golden: must equal BENCH_perf_quick.json)
 //! perf --out FILE        # write the report somewhere else
 //! IDS_PERF_ROWS=1000000  # override the table size
 //! IDS_PERF_REPS=9        # override median-of-k repetitions
 //! ```
 //!
-//! The `--quick` report intentionally omits every wall-clock field so CI
-//! can diff two runs for byte-identity: same seed, same rows, same
-//! checksums, same virtual costs, same pruning counters — always.
+//! The `--quick` report intentionally omits every wall-clock field so it
+//! is byte-identical on every run: same seed, same rows, same checksums,
+//! same virtual costs, same pruning counters — always.
 
 use ids_bench::perf::{default_reps, default_rows, env_usize, render_json, run_all};
 

@@ -139,23 +139,14 @@ fn finish_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) {
     }
     if let Some(path) = trace_out {
         println!("{}", report::metrics_summary(&snap));
-        // Stream the trace to disk in chunks (possibly rendered in
-        // parallel — set IDS_EXPORT_THREADS) instead of materializing
-        // one monolithic string; the bytes are identical either way.
-        let write_chunked = |path: &str| -> Result<(), ids_obs::ExportError> {
-            let file = std::fs::File::create(path)?;
-            let mut sink = ids_obs::IoSink::new(std::io::BufWriter::new(file));
-            ids_obs::chrome_trace_chunked(
-                &rec.events(),
-                &rec.tracks(),
-                ids_obs::export_threads(),
-                &mut sink,
-            )?;
+        // Stream the trace to disk instead of materializing one string.
+        let write_trace = |path: &str| -> std::io::Result<()> {
             use std::io::Write as _;
-            sink.into_inner().flush()?;
-            Ok(())
+            let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+            ids_obs::chrome_trace_write(&rec.events(), &rec.tracks(), &mut file)?;
+            file.flush()
         };
-        if let Err(e) = write_chunked(path) {
+        if let Err(e) = write_trace(path) {
             eprintln!("error: writing trace to {path}: {e}");
             std::process::exit(1);
         }

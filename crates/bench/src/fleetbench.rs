@@ -14,9 +14,9 @@
 //! over a seeded table whose per-tuple charges are rescaled so each
 //! physical shard prices like its 10⁸⁄16-row virtual slice, and the
 //! serving simulation replays a seeded session fleet sampled at a fixed
-//! sessions-per-shard ratio. Two runs are byte-identical, so the trend
-//! gate can hold the curve to a >20% regression bound like any other
-//! committed bench.
+//! sessions-per-shard ratio. Two runs are byte-identical, so the
+//! `golden_perf_quick_report` test holds the curve to the committed
+//! `BENCH_perf_quick.json` exactly, like any other committed bench.
 
 use ids_chaos::FaultPlan;
 use ids_engine::{BinSpec, ColumnBuilder, CostParams, Database, Predicate, Query, TableBuilder};
@@ -81,7 +81,7 @@ pub struct ShardPoint {
     /// microseconds.
     pub p99_us: u64,
     /// FNV-1a digest of the merged histogram counts (the byte-identity
-    /// gate: sharded answers changing is a CI failure, not a trend).
+    /// gate: sharded answers changing is a test failure).
     pub checksum: u64,
 }
 
@@ -230,8 +230,8 @@ fn shard_point(shards: usize) -> ShardPoint {
 
 /// Wraps the curve as perf-harness reports (`fleet_p99_shard_N`):
 /// `virtual_cost_us` is the point's p99, the checksum is the merged
-/// histogram digest, and wall fields stay `None` — the trend gate then
-/// holds the committed curve to its regression bound.
+/// histogram digest, and wall fields stay `None` — the perf golden then
+/// holds the committed curve byte for byte.
 pub fn to_reports(points: &[ShardPoint]) -> Vec<BenchReport> {
     points
         .iter()
@@ -285,7 +285,6 @@ pub fn render(points: &[ShardPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trend;
 
     fn curve() -> &'static [ShardPoint] {
         use std::sync::OnceLock;
@@ -336,16 +335,6 @@ mod tests {
                 p.query_cost_us
             );
         }
-    }
-
-    #[test]
-    fn reports_feed_the_trend_gate() {
-        let reports = to_reports(curve());
-        assert_eq!(reports.len(), SHARD_COUNTS.len());
-        let history = vec![trend::PerfReport::from_run("committed", true, 0, &reports)];
-        let fresh = trend::PerfReport::from_run("fresh", true, 0, &reports);
-        let t = trend::evaluate(&history, &fresh, 0.20).expect("trend evaluates");
-        assert!(t.passed(), "identical curves must pass: {:?}", t.failures);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 pub mod fleetbench;
 pub mod perf;
 pub mod sqlrepro;
-pub mod trend;
 
 use ids_core::experiments::{adaptive, case1, case2, case3, fleet, robustness, scalability};
 use ids_simclock::SimDuration;

@@ -1,6 +1,6 @@
 //! The deterministic kernel micro-bench harness behind the `perf`
-//! binary, exposed as a library so `trend` can fold a fresh quick run
-//! into the committed `BENCH_*.json` history.
+//! binary, exposed as a library so the `golden_perf_quick_report` test
+//! can byte-compare a fresh quick run with `BENCH_perf_quick.json`.
 //!
 //! Measures the vectorized engine (selection-vector kernels, zone-map
 //! pruning, fused filter+bin) against the row-at-a-time baseline
@@ -254,8 +254,7 @@ pub fn fnv1a(counts: &[u64]) -> u64 {
 }
 
 /// Serializes a run in the committed `BENCH_*.json` shape (hand-rolled:
-/// the workspace has no JSON dependency, and `trend` parses exactly this
-/// format back).
+/// the workspace has no JSON dependency).
 pub fn render_json(quick: bool, rows: usize, reps: usize, reports: &[BenchReport]) -> String {
     let mut s = String::new();
     s.push_str("{\n");

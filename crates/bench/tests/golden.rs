@@ -116,3 +116,15 @@ fn golden_explain_case_studies() {
         check_golden(&format!("explain_{}.txt", case.name), &text);
     }
 }
+
+/// The perf gate: a fresh `perf --quick` report — every kernel and fleet
+/// checksum, virtual cost and pruning counter — equals the committed
+/// `BENCH_perf_quick.json` byte for byte. `IDS_BLESS` rewrites that file
+/// (the fixture name climbs from `tests/golden/` to the repo root).
+#[test]
+fn golden_perf_quick_report() {
+    use ids_bench::perf::{default_reps, default_rows, render_json, run_all};
+    let (rows, reps) = (default_rows(true), default_reps(true));
+    let json = render_json(true, rows, reps, &run_all(true, rows, reps));
+    check_golden("../../../../BENCH_perf_quick.json", &json);
+}

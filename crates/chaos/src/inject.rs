@@ -13,10 +13,9 @@
 //! recorder is on, marked as a trace instant on a `chaos` track.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ids_engine::{Backend, Database, DiskBackend, EngineError, EngineResult, Query, QueryOutcome};
-use parking_lot::Mutex;
 
 use crate::plan::{query_fingerprint, FaultPlan};
 
@@ -110,7 +109,10 @@ impl Backend for ChaosBackend<'_> {
         if let (Some(window), Some(disk)) =
             (self.plan.pressure_window_at(now), self.pressure_target)
         {
-            let mut triggered = self.triggered_pressure.lock();
+            let mut triggered = self
+                .triggered_pressure
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             if !triggered.contains(&window) {
                 triggered.push(window);
                 disk.flush_pool();
@@ -120,7 +122,7 @@ impl Backend for ChaosBackend<'_> {
         }
 
         let attempt = {
-            let mut attempts = self.attempts.lock();
+            let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
             let slot = attempts.entry(fp).or_insert(0);
             let attempt = *slot;
             *slot += 1;

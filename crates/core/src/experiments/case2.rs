@@ -5,6 +5,7 @@
 //! histograms), Fig 15 (latency-constraint-violation percentages).
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ids_devices::pointer::{path_wobble, Point, PointerSimulator};
 use ids_devices::{DeviceKind, DeviceProfile};
@@ -20,7 +21,6 @@ use ids_workload::crossfilter::{
     compile_query_groups, simulate_session, CrossfilterUi, QueryGroup,
 };
 use ids_workload::datasets;
-use parking_lot::Mutex;
 
 use crate::report::{downsample, pct, sparkline, Table};
 
@@ -147,6 +147,12 @@ impl<'a> MemoBackend<'a> {
             cache: Mutex::new(HashMap::new()),
         }
     }
+
+    /// The cache is a plain map of finished outcomes, valid whatever a
+    /// panicking holder was doing: recover a poisoned lock.
+    fn cache(&self) -> MutexGuard<'_, HashMap<String, QueryOutcome>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl Backend for MemoBackend<'_> {
@@ -160,11 +166,11 @@ impl Backend for MemoBackend<'_> {
 
     fn execute(&self, query: &Query) -> EngineResult<QueryOutcome> {
         let key = query.to_string();
-        if let Some(hit) = self.cache.lock().get(&key).cloned() {
+        if let Some(hit) = self.cache().get(&key).cloned() {
             return Ok(hit);
         }
         let outcome = self.inner.execute(query)?;
-        self.cache.lock().insert(key, outcome.clone());
+        self.cache().insert(key, outcome.clone());
         Ok(outcome)
     }
 }

@@ -1,10 +1,9 @@
 //! Execution backends: one logical query layer, two latency regimes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use ids_simclock::SimDuration;
-use parking_lot::RwLock;
 
 use crate::buffer::{BufferPool, BufferPoolStats, EvictionPolicy};
 use crate::cost::{CostModel, CostParams, LinearCostModel, QueryFootprint};
@@ -12,7 +11,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::exec::run_query;
 use crate::page::Pager;
 use crate::predicate::Predicate;
-use crate::query::Query;
+use crate::query::{page_window, Query};
 use crate::result::ResultSet;
 use crate::table::Table;
 
@@ -35,10 +34,16 @@ impl Database {
         Database::default()
     }
 
+    /// `register` leaves the map valid at every step, so a lock poisoned
+    /// by a panicking holder is recovered rather than propagated.
+    fn read(&self) -> RwLockReadGuard<'_, DbInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers (or replaces) a table under its own name and returns its
     /// stable numeric id.
     pub fn register(&self, table: Table) -> u32 {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let name: Arc<str> = Arc::from(table.name());
         if let Some(existing_id) = inner.tables.get(&name).map(|(id, _)| *id) {
             inner.tables.insert(name, (existing_id, table));
@@ -52,8 +57,7 @@ impl Database {
 
     /// Fetches a table by name (cheap clone of column handles).
     pub fn table(&self, name: &str) -> EngineResult<Table> {
-        self.inner
-            .read()
+        self.read()
             .tables
             .get(name)
             .map(|(_, t)| t.clone())
@@ -62,8 +66,7 @@ impl Database {
 
     /// The numeric id assigned to a table.
     pub fn table_id(&self, name: &str) -> EngineResult<u32> {
-        self.inner
-            .read()
+        self.read()
             .tables
             .get(name)
             .map(|(id, _)| *id)
@@ -72,12 +75,7 @@ impl Database {
 
     /// Names of all registered tables.
     pub fn table_names(&self) -> Vec<String> {
-        self.inner
-            .read()
-            .tables
-            .keys()
-            .map(|k| k.to_string())
-            .collect()
+        self.read().tables.keys().map(|k| k.to_string()).collect()
     }
 }
 
@@ -321,15 +319,12 @@ impl Backend for DiskBackend {
                 let right = self.db.table(&spec.right)?;
                 // The paginated left side touches its slice's pages; the
                 // probe side is a full scan.
-                let end = match spec.limit {
-                    Some(l) => (spec.offset + l).min(left.rows()),
-                    None => left.rows(),
-                };
+                let page = page_window(spec.limit, spec.offset, left.rows());
                 let id = self.db.table_id(left.name())?;
                 let pager = Pager::new(left.rows(), left.row_disk_width());
                 let (h, m) = self
                     .pool
-                    .touch_range(id, pager.pages_for_range(spec.offset.min(end), end));
+                    .touch_range(id, pager.pages_for_range(page.start, page.end));
                 hits += h;
                 misses += m;
                 let (h, m) = self.charge_scan(&right, right.rows())?;

@@ -8,13 +8,12 @@
 //! eviction policies so `ids-opt`'s predictive prefetchers have a baseline
 //! to beat.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashSet, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ids_obs::metrics::{metrics, Counter};
-use parking_lot::Mutex;
 
-use crate::page::{Page, PageId};
+use crate::page::PageId;
 
 /// Eviction policy for the buffer pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +50,7 @@ impl BufferPoolStats {
 #[derive(Debug)]
 struct PoolInner {
     /// Resident pages.
-    frames: HashMap<PageId, Page>,
+    frames: HashSet<PageId>,
     /// Recency / insertion order, front = next eviction victim.
     order: VecDeque<PageId>,
 }
@@ -131,11 +130,17 @@ impl BufferPool {
             capacity: capacity.max(1),
             policy,
             inner: Mutex::new(PoolInner {
-                frames: HashMap::with_capacity(capacity),
+                frames: HashSet::with_capacity(capacity),
                 order: VecDeque::with_capacity(capacity),
             }),
             counters: PoolCounters::new(),
         }
+    }
+
+    /// No update of `frames`/`order` can panic half-way, so a lock
+    /// poisoned by a panicking holder still guards valid data: recover it.
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Page capacity.
@@ -146,8 +151,8 @@ impl BufferPool {
     /// Touches a page: returns `true` on a hit, `false` on a miss (the
     /// page is then loaded, evicting if necessary).
     pub fn touch(&self, id: PageId) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.frames.contains_key(&id) {
+        let mut inner = self.lock();
+        if inner.frames.contains(&id) {
             self.counters.hits.inc();
             if self.policy == EvictionPolicy::Lru {
                 // Move to the back of the recency queue.
@@ -165,7 +170,7 @@ impl BufferPool {
                 self.counters.evictions.inc();
             }
         }
-        inner.frames.insert(id, Page::materialize(id));
+        inner.frames.insert(id);
         inner.order.push_back(id);
         false
     }
@@ -190,12 +195,12 @@ impl BufferPool {
 
     /// `true` if the page is currently resident (does not count as a touch).
     pub fn contains(&self, id: PageId) -> bool {
-        self.inner.lock().frames.contains_key(&id)
+        self.lock().frames.contains(&id)
     }
 
     /// Number of resident pages.
     pub fn resident(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.lock().frames.len()
     }
 
     /// Cumulative statistics for *this* pool (the registry's
@@ -210,7 +215,7 @@ impl BufferPool {
 
     /// Drops all pages and zeroes the statistics.
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.frames.clear();
         inner.order.clear();
         self.counters.hits.reset();

@@ -43,15 +43,7 @@ pub fn run_histogram(
     filter: &Predicate,
     threads: usize,
 ) -> EngineResult<(ResultSet, QueryFootprint)> {
-    if bins.bins == 0 {
-        return Err(EngineError::InvalidBinSpec("zero bins".into()));
-    }
-    if bins.width() <= 0.0 || bins.width().is_nan() {
-        return Err(EngineError::InvalidBinSpec(format!(
-            "non-positive width over [{}, {}]",
-            bins.min, bins.max
-        )));
-    }
+    bins.validate()?;
     filter.validate(table)?;
     let bin_idx = table.column_index(&bins.column)?;
     let col = table.column_at(bin_idx);

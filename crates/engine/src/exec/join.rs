@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use crate::column::{Column, ZONE_BLOCK_ROWS};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
-use crate::query::{JoinSpec, Projection};
+use crate::query::{page_window, JoinSpec, Projection};
 use crate::result::{ResultSet, Row};
 use crate::table::Table;
 use crate::value::Value;
@@ -32,15 +32,11 @@ pub fn run_join(
     let right_key = int_key_column(right, &spec.right_key)?;
 
     // Page the left side: rows offset..offset+limit.
-    let end = match spec.limit {
-        Some(l) => (spec.offset + l).min(left.rows()),
-        None => left.rows(),
-    };
-    let start = spec.offset.min(end);
+    let page = page_window(spec.limit, spec.offset, left.rows());
 
     // Build phase over the paginated slice.
-    let mut build: HashMap<i64, Vec<usize>> = HashMap::with_capacity(end - start);
-    for (row, key) in left_key.iter().enumerate().take(end).skip(start) {
+    let mut build: HashMap<i64, Vec<usize>> = HashMap::with_capacity(page.len());
+    for (row, key) in left_key.iter().enumerate().take(page.end).skip(page.start) {
         build.entry(*key).or_default().push(row);
     }
 
@@ -93,9 +89,9 @@ pub fn run_join(
     }
 
     let footprint = QueryFootprint {
-        rows_scanned: (end - start) as u64 + right.rows() as u64,
+        rows_scanned: page.len() as u64 + right.rows() as u64,
         rows_matched: rows.len() as u64,
-        build_rows: (end - start) as u64,
+        build_rows: page.len() as u64,
         probe_rows: right.rows() as u64,
         rows_output: rows.len() as u64,
         blocks_pruned,
@@ -297,7 +293,7 @@ mod tests {
                 limit,
                 offset,
             };
-            let end = limit.map_or(left_rows, |l| (offset + l).min(left_rows));
+            let end = limit.map_or(left_rows, |l| offset.saturating_add(l).min(left_rows));
             let mut expected = Vec::new();
             for (li, lk) in l_keys.iter().enumerate().take(end).skip(offset) {
                 for (ri, rk) in r_keys.iter().enumerate() {

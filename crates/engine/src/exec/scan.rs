@@ -6,7 +6,7 @@ use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
 use crate::kernels::{self, KernelOptions, KernelStats};
 use crate::predicate::Predicate;
-use crate::query::{ConcatPart, Projection, SelectSpec};
+use crate::query::{page_window, ConcatPart, Projection, SelectSpec};
 use crate::result::{ResultSet, Row};
 use crate::table::Table;
 use crate::value::Value;
@@ -23,13 +23,10 @@ pub fn run_select(table: &Table, spec: &SelectSpec) -> EngineResult<(ResultSet, 
 
     let selected: Vec<usize> = match &spec.filter {
         Predicate::True => {
-            let end = match spec.limit {
-                Some(l) => (spec.offset + l).min(table.rows()),
-                None => table.rows(),
-            };
-            footprint.rows_scanned = end as u64;
-            footprint.rows_matched = end as u64;
-            (spec.offset.min(end)..end).collect()
+            let window = page_window(spec.limit, spec.offset, table.rows());
+            footprint.rows_scanned = window.end as u64;
+            footprint.rows_matched = window.end as u64;
+            window.collect()
         }
         filter => {
             // Vectorized path: evaluate the filter into a selection

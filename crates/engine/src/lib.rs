@@ -6,14 +6,14 @@
 //! (in-memory). This crate plays both roles: one logical query layer, two
 //! execution backends behind the [`Backend`] trait, each with a calibrated
 //! [`CostModel`] that charges *virtual* time (per page read, per tuple
-//! scanned, per group aggregated) on the shared [`ids_simclock`] clock, so
-//! the latency regimes of the paper reproduce deterministically.
+//! scanned, per group aggregated) as [`ids_simclock`] durations, so the
+//! latency regimes of the paper reproduce deterministically.
 //!
 //! # Layers
 //!
 //! - **Storage** — [`Table`] of typed [`Column`]s (`i64`, `f64`,
 //!   dictionary-encoded strings); the disk backend additionally pages rows
-//!   through a [`BufferPool`] over [`bytes`]-backed [`Page`]s.
+//!   through a [`BufferPool`] of resident [`PageId`]s.
 //! - **Logical queries** — the [`Query`] AST covers the SQL shapes the
 //!   paper's workloads issue: projected + filtered scans with
 //!   `LIMIT`/`OFFSET` (inertial scrolling), an inner join over a paginated
@@ -81,7 +81,7 @@ pub use column::{Column, ColumnBuilder, Zone, ZoneMap, ZONE_BLOCK_ROWS};
 pub use cost::{CostModel, CostParams, LinearCostModel, QueryFootprint};
 pub use error::{EngineError, EngineResult};
 pub use kernels::{KernelOptions, KernelStats, SelectionVector};
-pub use page::{Page, PageId, Pager, PAGE_SIZE};
+pub use page::{PageId, Pager, PAGE_SIZE};
 pub use planner::{plan, Plan, PlanNode, PlannedExecution};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{BinSpec, JoinSpec, Projection, Query, SelectSpec};

@@ -2,12 +2,9 @@
 //!
 //! The disk backend charges I/O per *page*, so it needs a mapping from
 //! tables and row ranges to page identifiers. [`Pager`] computes that
-//! mapping from each table's estimated row width; [`Page`] carries a
-//! [`bytes::Bytes`] payload standing in for the on-disk image (the actual
-//! query answers come from the columnar tables — the page bytes exist so
-//! the buffer pool manages real memory with realistic footprints).
-
-use bytes::Bytes;
+//! mapping from each table's estimated row width. Pages are identities
+//! only: query answers come from the columnar tables, and the buffer
+//! pool tracks which [`PageId`]s are resident, not page images.
 
 /// Fixed page size, 8 KiB — the PostgreSQL default.
 pub const PAGE_SIZE: usize = 8_192;
@@ -19,27 +16,6 @@ pub struct PageId {
     pub table: u32,
     /// Zero-based page number within the table.
     pub page_no: u32,
-}
-
-/// An in-memory image of a disk page.
-#[derive(Debug, Clone)]
-pub struct Page {
-    /// Identity of the page.
-    pub id: PageId,
-    /// Raw page bytes (zero-filled stand-in for the row data).
-    pub data: Bytes,
-}
-
-impl Page {
-    /// Materializes a page image for `id`.
-    pub fn materialize(id: PageId) -> Page {
-        // A shared zeroed buffer would defeat the purpose of modelling
-        // memory pressure; allocate per page like a real pool frame.
-        Page {
-            id,
-            data: Bytes::from(vec![0u8; PAGE_SIZE]),
-        }
-    }
 }
 
 /// Maps row ranges of a table to page numbers.
@@ -129,15 +105,5 @@ mod tests {
     fn empty_table_has_one_page() {
         let p = Pager::new(0, 64);
         assert_eq!(p.page_count(), 1);
-    }
-
-    #[test]
-    fn page_materializes_full_size() {
-        let page = Page::materialize(PageId {
-            table: 0,
-            page_no: 3,
-        });
-        assert_eq!(page.data.len(), PAGE_SIZE);
-        assert_eq!(page.id.page_no, 3);
     }
 }

@@ -36,7 +36,7 @@ use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
 use crate::exec::{self, PAR_CHUNK_ROWS};
 use crate::predicate::{CmpOp, Predicate};
-use crate::query::Query;
+use crate::query::{page_window, Query};
 use crate::result::ResultSet;
 use crate::stats::TableStats;
 
@@ -138,12 +138,8 @@ pub fn plan(db: &Database, query: &Query) -> EngineResult<Plan> {
         Query::Join(spec) => {
             let left = db.table(&spec.left)?;
             let right = db.table(&spec.right)?;
-            let end = match spec.limit {
-                Some(l) => (spec.offset + l).min(left.rows()),
-                None => left.rows(),
-            };
             let node = PlanNode::Join {
-                page_rows: (end - spec.offset.min(end)) as u64,
+                page_rows: page_window(spec.limit, spec.offset, left.rows()).len() as u64,
                 right_rows: right.rows() as u64,
             };
             (right.rows(), 1.0, node)

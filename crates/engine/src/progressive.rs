@@ -239,15 +239,7 @@ impl ProgressiveExecutor {
         let table = self.db.table(table_name)?;
         let mut binned = None;
         if let Some(b) = bins {
-            if b.bins == 0 {
-                return Err(EngineError::InvalidBinSpec("zero bins".into()));
-            }
-            if b.width() <= 0.0 || b.width().is_nan() {
-                return Err(EngineError::InvalidBinSpec(format!(
-                    "non-positive width over [{}, {}]",
-                    b.min, b.max
-                )));
-            }
+            b.validate()?;
             let idx = table.column_index(&b.column)?;
             if !table.column_at(idx).data_type().is_numeric() {
                 return Err(EngineError::TypeMismatch {

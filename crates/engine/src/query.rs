@@ -14,6 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::error::{EngineError, EngineResult};
 use crate::predicate::Predicate;
 
 /// One projected output expression.
@@ -102,6 +103,18 @@ pub struct JoinSpec {
     pub offset: usize,
 }
 
+/// The rows `LIMIT`/`OFFSET` keep out of the first `rows`:
+/// `offset..offset + limit` clamped to the table. The sum saturates, so a
+/// `LIMIT` near `usize::MAX` means "the rest" rather than wrapping.
+pub(crate) fn page_window(
+    limit: Option<usize>,
+    offset: usize,
+    rows: usize,
+) -> std::ops::Range<usize> {
+    let end = limit.map_or(rows, |l| offset.saturating_add(l).min(rows));
+    offset.min(end)..end
+}
+
 /// Equi-width binning for histogram queries:
 /// `ROUND((col - min) / width)` with `bins` buckets.
 #[derive(Debug, Clone)]
@@ -125,6 +138,35 @@ impl BinSpec {
             max,
             bins,
         }
+    }
+
+    /// Most bins a histogram may ask for. Its counts are allocated
+    /// before a row is read, so without a ceiling one SQL string picks
+    /// the size of that allocation; 2²⁰ is four orders of magnitude above
+    /// the largest count any workload or generator here uses (40).
+    pub const MAX_BINS: usize = 1 << 20;
+
+    /// The one bin-spec check every executor runs first: rejects zero
+    /// bins, more than [`BinSpec::MAX_BINS`], and a non-positive or NaN
+    /// width.
+    pub fn validate(&self) -> EngineResult<()> {
+        if self.bins == 0 {
+            return Err(EngineError::InvalidBinSpec("zero bins".into()));
+        }
+        if self.bins > Self::MAX_BINS {
+            return Err(EngineError::InvalidBinSpec(format!(
+                "{} bins exceeds the limit of {}",
+                self.bins,
+                Self::MAX_BINS
+            )));
+        }
+        if self.width() <= 0.0 || self.width().is_nan() {
+            return Err(EngineError::InvalidBinSpec(format!(
+                "non-positive width over [{}, {}]",
+                self.min, self.max
+            )));
+        }
+        Ok(())
     }
 
     /// Bin width.

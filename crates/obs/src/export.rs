@@ -6,24 +6,13 @@
 //! identical output (asserted by `trace_export_is_deterministic` in the
 //! workspace tests). Nothing wall-clock-derived is allowed in here.
 //!
-//! ## Streaming chunked emission
-//!
-//! The exporters are structured around a [`ChunkSink`]: output is
-//! produced as a sequence of independently-rendered chunks handed to the
-//! sink in a fixed order, so a trace never has to be resident as one
-//! `String` — an [`IoSink`] streams it straight to a file. Event chunks
-//! cover fixed ranges of [`EXPORT_CHUNK_EVENTS`] events (the same
-//! fixed-boundary discipline as the engine's `PAR_CHUNK_ROWS` parallel
-//! kernels), so chunk contents are independent of the thread count used
-//! to render them; [`chrome_trace_chunked`] renders chunks on worker
-//! threads and emits them in chunk-index order, making the bytes
-//! identical at any thread count — and identical to the former
-//! monolithic builder (asserted by the parity tests in
-//! `tests/observability.rs`).
+//! Each exporter is one rendering body; the trace exporter hands its
+//! output piecewise to an `emit` closure, so the `String` form and the
+//! [`std::io::Write`] form (what `repro --trace-out` streams to a file)
+//! cannot drift apart.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::io;
 
 use crate::metrics::MetricsSnapshot;
 use crate::recorder::{ArgValue, TraceEvent};
@@ -32,86 +21,6 @@ use crate::recorder::{ArgValue, TraceEvent};
 const PID: u32 = 1;
 /// Counter samples and process metadata live on tid 0; span tracks start at 1.
 const COUNTER_TID: u32 = 0;
-
-/// Events rendered per chunk. Fixed — never derived from the thread
-/// count — so chunk boundaries (and therefore output bytes) are
-/// invariant across 1/2/4/8 export threads, mirroring the engine's
-/// `PAR_CHUNK_ROWS` discipline.
-pub const EXPORT_CHUNK_EVENTS: usize = 4096;
-
-/// Error from a chunked export: the only failure source is the sink
-/// (in-memory sinks are infallible; IO sinks surface their error here).
-#[derive(Debug)]
-pub enum ExportError {
-    /// The sink failed to accept a chunk.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for ExportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExportError::Io(e) => write!(f, "export sink error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ExportError {}
-
-impl From<std::io::Error> for ExportError {
-    fn from(e: std::io::Error) -> ExportError {
-        ExportError::Io(e)
-    }
-}
-
-/// Receives rendered chunks in emission order.
-pub trait ChunkSink {
-    /// Accepts the next chunk. Chunks arrive in fixed (deterministic)
-    /// order regardless of how many threads rendered them.
-    fn emit(&mut self, chunk: &str) -> Result<(), ExportError>;
-}
-
-/// In-memory sink: concatenates chunks. Infallible.
-impl ChunkSink for String {
-    fn emit(&mut self, chunk: &str) -> Result<(), ExportError> {
-        self.push_str(chunk);
-        Ok(())
-    }
-}
-
-/// Streams chunks to any [`std::io::Write`] — the path `repro
-/// --trace-out` uses, so a large trace is never resident as one string.
-pub struct IoSink<W: std::io::Write> {
-    writer: W,
-}
-
-impl<W: std::io::Write> IoSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> IoSink<W> {
-        IoSink { writer }
-    }
-
-    /// Unwraps the inner writer (e.g. to flush or sync it).
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: std::io::Write> ChunkSink for IoSink<W> {
-    fn emit(&mut self, chunk: &str) -> Result<(), ExportError> {
-        self.writer.write_all(chunk.as_bytes())?;
-        Ok(())
-    }
-}
-
-/// Export thread count from `IDS_EXPORT_THREADS`, default 1, clamped to
-/// `[1, 64]`. Output bytes are identical at any setting.
-pub fn export_threads() -> usize {
-    std::env::var("IDS_EXPORT_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .clamp(1, 64)
-}
 
 /// Escapes a string for embedding in a JSON string literal.
 fn escape_json(s: &str) -> String {
@@ -162,8 +71,8 @@ fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
     out.push('}');
 }
 
-/// Renders one event as `",\n{...}"` — the exact bytes the monolithic
-/// builder used, so chunk concatenation reproduces it.
+/// Renders one event as `",\n{...}"`: every event follows a metadata
+/// record, so the separator always leads.
 fn write_event(out: &mut String, e: &TraceEvent) {
     out.push_str(",\n");
     match e {
@@ -219,8 +128,7 @@ fn write_event(out: &mut String, e: &TraceEvent) {
 
 /// The fixed trace header: opening brace plus the process/thread
 /// metadata records (one per track).
-fn render_trace_header(tracks: &[String]) -> String {
-    let mut out = String::with_capacity(128 + tracks.len() * 64);
+fn write_trace_header(out: &mut String, tracks: &[String]) {
     out.push_str("{\"traceEvents\":[\n");
     let _ = write!(
         out,
@@ -238,92 +146,27 @@ fn render_trace_header(tracks: &[String]) -> String {
             escape_json(name)
         );
     }
-    out
 }
 
 /// The fixed trace trailer.
 const TRACE_TRAILER: &str = "\n],\"displayTimeUnit\":\"ms\"}\n";
 
-/// Renders one fixed-range chunk of events.
-fn render_event_chunk(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        write_event(&mut out, e);
-    }
-    out
-}
-
-/// Streaming chunked Chrome-trace export: the header, each
-/// [`EXPORT_CHUNK_EVENTS`]-event chunk, and the trailer are handed to
-/// `sink` in fixed order. With `threads > 1` the event chunks are
-/// rendered in parallel (a shared atomic cursor hands out chunk
-/// indices) and re-sequenced before emission, so the bytes are
-/// identical to a single-threaded run — and to [`chrome_trace_json`].
-pub fn chrome_trace_chunked(
+/// The one trace-rendering body: header, each event, trailer, handed to
+/// `emit` in order through one reused buffer.
+fn render_trace(
     events: &[TraceEvent],
     tracks: &[String],
-    threads: usize,
-    sink: &mut dyn ChunkSink,
-) -> Result<(), ExportError> {
-    sink.emit(&render_trace_header(tracks))?;
-    let chunks: Vec<&[TraceEvent]> = events.chunks(EXPORT_CHUNK_EVENTS).collect();
-    let workers = threads.clamp(1, 64).min(chunks.len().max(1));
-    if workers <= 1 || chunks.len() <= 1 {
-        // Truly streaming: one chunk resident at a time.
-        for chunk in &chunks {
-            sink.emit(&render_event_chunk(chunk))?;
-        }
-    } else {
-        parallel_chunks(&chunks, workers, sink)?;
+    mut emit: impl FnMut(&str) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = String::with_capacity(128 + tracks.len() * 64);
+    write_trace_header(&mut buf, tracks);
+    emit(&buf)?;
+    for e in events {
+        buf.clear();
+        write_event(&mut buf, e);
+        emit(&buf)?;
     }
-    sink.emit(TRACE_TRAILER)
-}
-
-/// Renders `chunks` on `workers` threads and emits them to `sink` in
-/// chunk-index order. Out-of-order completions are buffered (bounded by
-/// the scheduling skew between workers), then released as soon as the
-/// next-in-order chunk lands — the whole trace is never resident.
-///
-/// Not a caller of `ids_engine::parallel::ordered_map`, the fan-out
-/// every other threaded path uses: that one *collects* all results
-/// before returning, this one streams them to the sink as they become
-/// contiguous; and `ids-obs` sits below `ids-engine` in the crate DAG.
-fn parallel_chunks(
-    chunks: &[&[TraceEvent]],
-    workers: usize,
-    sink: &mut dyn ChunkSink,
-) -> Result<(), ExportError> {
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, String)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
-                // A send failure means the receiver bailed on a sink
-                // error; stop rendering.
-                if tx.send((i, render_event_chunk(chunks[i]))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut pending: std::collections::BTreeMap<usize, String> = Default::default();
-        let mut want = 0usize;
-        for (i, rendered) in rx {
-            pending.insert(i, rendered);
-            while let Some(ready) = pending.remove(&want) {
-                sink.emit(&ready)?;
-                want += 1;
-            }
-        }
-        debug_assert!(pending.is_empty(), "all chunks emitted in order");
-        Ok(())
-    })
+    emit(TRACE_TRAILER)
 }
 
 /// Serializes recorded events as Chrome `trace_event` JSON (the format
@@ -332,102 +175,76 @@ fn parallel_chunks(
 /// `i + 1` of process 1, with counters on thread 0. Timestamps are
 /// **virtual** microseconds, which the trace viewer happily treats as
 /// wall micros — the timeline shape is what matters.
-///
-/// Thin wrapper over [`chrome_trace_chunked`] with a `String` sink.
 pub fn chrome_trace_json(events: &[TraceEvent], tracks: &[String]) -> String {
     let mut out = String::with_capacity(256 + events.len() * 96);
-    // The String sink is infallible, so the Result is vacuous here.
-    let _ = chrome_trace_chunked(events, tracks, 1, &mut out);
+    render_trace(events, tracks, |piece| {
+        out.push_str(piece);
+        Ok(())
+    })
+    .expect("appending to a String cannot fail");
     out
 }
 
-/// Streaming chunked TSV export of a metrics snapshot: one chunk per
-/// section header, then row chunks of at most [`EXPORT_CHUNK_EVENTS`]
-/// rows. Byte-identical to [`metrics_tsv`].
-pub fn metrics_tsv_chunked(
-    snap: &MetricsSnapshot,
-    sink: &mut dyn ChunkSink,
-) -> Result<(), ExportError> {
-    sink.emit("# counters\nname\tvalue\n")?;
-    for rows in snap.counters.chunks(EXPORT_CHUNK_EVENTS) {
-        let mut chunk = String::new();
-        for (name, v) in rows {
-            let _ = writeln!(chunk, "{name}\t{v}");
-        }
-        sink.emit(&chunk)?;
-    }
-    sink.emit("# gauges\nname\tvalue\thigh_watermark\n")?;
-    for rows in snap.gauges.chunks(EXPORT_CHUNK_EVENTS) {
-        let mut chunk = String::new();
-        for (name, v, hwm) in rows {
-            let _ = writeln!(chunk, "{name}\t{v}\t{hwm}");
-        }
-        sink.emit(&chunk)?;
-    }
-    sink.emit("# histograms\nname\tcount\tsum\tmin\tmax\tmean\tp50\tp90\tp99\n")?;
-    for rows in snap.histograms.chunks(EXPORT_CHUNK_EVENTS) {
-        let mut chunk = String::new();
-        for (name, h) in rows {
-            let _ = writeln!(
-                chunk,
-                "{name}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{}\t{}",
-                h.count, h.sum, h.min, h.max, h.mean, h.p50, h.p90, h.p99
-            );
-        }
-        sink.emit(&chunk)?;
-    }
-    Ok(())
+/// Writes the bytes of [`chrome_trace_json`] to `writer` one event at a
+/// time, so a large trace is never resident as one string. Returns the
+/// writer's first error; flushing is the caller's job.
+pub fn chrome_trace_write(
+    events: &[TraceEvent],
+    tracks: &[String],
+    writer: &mut impl io::Write,
+) -> io::Result<()> {
+    render_trace(events, tracks, |piece| writer.write_all(piece.as_bytes()))
 }
 
 /// Serializes a metrics snapshot as tab-separated text: one section per
 /// metric kind, `#`-prefixed headers, rows sorted by metric name.
-///
-/// Thin wrapper over [`metrics_tsv_chunked`] with a `String` sink.
 pub fn metrics_tsv(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let _ = metrics_tsv_chunked(snap, &mut out);
+    let mut out = String::from("# counters\nname\tvalue\n");
+    for (name, v) in &snap.counters {
+        let _ = writeln!(out, "{name}\t{v}");
+    }
+    out.push_str("# gauges\nname\tvalue\thigh_watermark\n");
+    for (name, v, hwm) in &snap.gauges {
+        let _ = writeln!(out, "{name}\t{v}\t{hwm}");
+    }
+    out.push_str("# histograms\nname\tcount\tsum\tmin\tmax\tmean\tp50\tp90\tp99\n");
+    for (name, h) in &snap.histograms {
+        let _ = writeln!(
+            out,
+            "{name}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{}\t{}",
+            h.count, h.sum, h.min, h.max, h.mean, h.p50, h.p90, h.p99
+        );
+    }
     out
 }
 
-/// Streaming chunked JSON export of a metrics snapshot. Byte-identical
-/// to [`metrics_json`].
-pub fn metrics_json_chunked(
-    snap: &MetricsSnapshot,
-    sink: &mut dyn ChunkSink,
-) -> Result<(), ExportError> {
-    let mut chunk = String::from("{\"counters\":{");
+/// Serializes a metrics snapshot as JSON.
+pub fn metrics_json(snap: &MetricsSnapshot) -> String {
+    let mut out = String::from("{\"counters\":{");
     for (i, (name, v)) in snap.counters.iter().enumerate() {
         if i > 0 {
-            chunk.push(',');
+            out.push(',');
         }
-        let _ = write!(chunk, "\"{}\":{v}", escape_json(name));
-        if chunk.len() >= 64 * 1024 {
-            sink.emit(&chunk)?;
-            chunk.clear();
-        }
+        let _ = write!(out, "\"{}\":{v}", escape_json(name));
     }
-    chunk.push_str("},\"gauges\":{");
+    out.push_str("},\"gauges\":{");
     for (i, (name, v, hwm)) in snap.gauges.iter().enumerate() {
         if i > 0 {
-            chunk.push(',');
+            out.push(',');
         }
         let _ = write!(
-            chunk,
+            out,
             "\"{}\":{{\"value\":{v},\"high_watermark\":{hwm}}}",
             escape_json(name)
         );
-        if chunk.len() >= 64 * 1024 {
-            sink.emit(&chunk)?;
-            chunk.clear();
-        }
     }
-    chunk.push_str("},\"histograms\":{");
+    out.push_str("},\"histograms\":{");
     for (i, (name, h)) in snap.histograms.iter().enumerate() {
         if i > 0 {
-            chunk.push(',');
+            out.push(',');
         }
         let _ = write!(
-            chunk,
+            out,
             "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
             escape_json(name),
             h.count,
@@ -439,21 +256,8 @@ pub fn metrics_json_chunked(
             h.p90,
             h.p99
         );
-        if chunk.len() >= 64 * 1024 {
-            sink.emit(&chunk)?;
-            chunk.clear();
-        }
     }
-    chunk.push_str("}}\n");
-    sink.emit(&chunk)
-}
-
-/// Serializes a metrics snapshot as JSON.
-///
-/// Thin wrapper over [`metrics_json_chunked`] with a `String` sink.
-pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let _ = metrics_json_chunked(snap, &mut out);
+    out.push_str("}}\n");
     out
 }
 
@@ -491,36 +295,6 @@ mod tests {
             },
         ];
         (events, vec!["worker/0".to_string(), "opt".to_string()])
-    }
-
-    /// A synthetic trace long enough to span several export chunks.
-    fn long_events(n: usize) -> (Vec<TraceEvent>, Vec<String>) {
-        let events = (0..n)
-            .map(|i| match i % 3 {
-                0 => TraceEvent::Span {
-                    cat: "exec",
-                    name: format!("q{i}"),
-                    track: TrackId((i % 4) as u32),
-                    start: SimTime::from_micros(i as u64 * 10),
-                    dur: SimDuration::from_micros(7),
-                    args: vec![("i", ArgValue::U64(i as u64))],
-                },
-                1 => TraceEvent::Instant {
-                    cat: "opt",
-                    name: format!("m{i}"),
-                    track: TrackId((i % 4) as u32),
-                    ts: SimTime::from_micros(i as u64 * 10 + 1),
-                    args: vec![],
-                },
-                _ => TraceEvent::Counter {
-                    name: "c",
-                    ts: SimTime::from_micros(i as u64 * 10 + 2),
-                    value: i as f64 * 0.5,
-                },
-            })
-            .collect();
-        let tracks = (0..4).map(|t| format!("w/{t}")).collect();
-        (events, tracks)
     }
 
     /// Minimal structural JSON check: balanced delimiters outside strings.
@@ -579,64 +353,52 @@ mod tests {
     }
 
     #[test]
-    fn chunked_trace_matches_monolithic_at_any_thread_count() {
-        let (events, tracks) = long_events(3 * EXPORT_CHUNK_EVENTS + 17);
-        let reference = chrome_trace_json(&events, &tracks);
-        assert_balanced_json(&reference);
-        for threads in [1usize, 2, 4, 8] {
-            let mut out = String::new();
-            chrome_trace_chunked(&events, &tracks, threads, &mut out).expect("string sink");
-            assert_eq!(out, reference, "thread count {threads} changed the bytes");
-        }
-    }
-
-    #[test]
-    fn chunked_trace_handles_empty_and_single_event() {
+    fn trace_handles_empty_and_single_event() {
         let empty = chrome_trace_json(&[], &[]);
         assert_balanced_json(&empty);
         assert!(empty.starts_with("{\"traceEvents\":[\n"));
         assert!(empty.ends_with(TRACE_TRAILER));
 
         let (events, tracks) = sample_events();
-        let one = chrome_trace_json(&events[..1], &tracks);
-        assert_balanced_json(&one);
-        let mut chunked = String::new();
-        chrome_trace_chunked(&events[..1], &tracks, 8, &mut chunked).expect("string sink");
-        assert_eq!(one, chunked);
+        assert_balanced_json(&chrome_trace_json(&events[..1], &tracks));
     }
 
     #[test]
-    fn io_sink_streams_the_same_bytes() {
-        let (events, tracks) = long_events(EXPORT_CHUNK_EVENTS + 5);
-        let reference = chrome_trace_json(&events, &tracks);
-        let mut sink = IoSink::new(Vec::<u8>::new());
-        chrome_trace_chunked(&events, &tracks, 4, &mut sink).expect("vec sink");
-        assert_eq!(sink.into_inner(), reference.as_bytes());
+    fn writer_gets_the_same_bytes() {
+        let (events, tracks) = sample_events();
+        let mut written = Vec::<u8>::new();
+        chrome_trace_write(&events, &tracks, &mut written).expect("vec writer");
+        assert_eq!(written, chrome_trace_json(&events, &tracks).as_bytes());
     }
 
-    /// A sink that fails after N chunks — the export must surface the
-    /// error instead of panicking, on both serial and parallel paths.
-    struct FailingSink {
+    /// A writer that accepts `remaining` writes and then fails.
+    struct FailingWriter {
         remaining: usize,
     }
 
-    impl ChunkSink for FailingSink {
-        fn emit(&mut self, _chunk: &str) -> Result<(), ExportError> {
+    impl io::Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             if self.remaining == 0 {
-                return Err(ExportError::Io(std::io::Error::other("sink full")));
+                return Err(io::Error::other("disk full"));
             }
             self.remaining -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
 
+    /// Wherever the writer fails — header, an event, the trailer — the
+    /// export returns that error instead of panicking or dropping it.
     #[test]
-    fn sink_errors_propagate() {
-        let (events, tracks) = long_events(2 * EXPORT_CHUNK_EVENTS);
-        for threads in [1usize, 4] {
-            let mut sink = FailingSink { remaining: 1 };
-            let err = chrome_trace_chunked(&events, &tracks, threads, &mut sink);
-            assert!(err.is_err(), "threads={threads}");
+    fn writer_errors_propagate() {
+        let (events, tracks) = sample_events();
+        for remaining in 0..events.len() + 2 {
+            let err = chrome_trace_write(&events, &tracks, &mut FailingWriter { remaining })
+                .expect_err("writer failed");
+            assert_eq!(err.to_string(), "disk full", "after {remaining} writes");
         }
     }
 
@@ -673,23 +435,6 @@ mod tests {
         assert!(tsv.contains("a.hits\t12\n"));
         assert!(tsv.contains("q.depth\t2\t9\n"));
         assert!(tsv.contains("lat_us\t3\t60\t10\t30\t20.000\t20\t30\t30\n"));
-    }
-
-    #[test]
-    fn chunked_tsv_and_json_match_monolithic() {
-        let snap = sample_snapshot();
-        let mut tsv = String::new();
-        metrics_tsv_chunked(&snap, &mut tsv).expect("string sink");
-        assert_eq!(tsv, metrics_tsv(&snap));
-        let mut json = String::new();
-        metrics_json_chunked(&snap, &mut json).expect("string sink");
-        assert_eq!(json, metrics_json(&snap));
-
-        // Empty-snapshot edge.
-        let empty = MetricsSnapshot::default();
-        let mut tsv = String::new();
-        metrics_tsv_chunked(&empty, &mut tsv).expect("string sink");
-        assert_eq!(tsv, metrics_tsv(&empty));
     }
 
     #[test]

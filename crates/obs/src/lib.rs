@@ -11,11 +11,9 @@
 //!    histograms fed by hot paths, mergeable across threads and
 //!    attachable from per-instance stats holders.
 //! 3. [`export`] — Chrome/Perfetto `trace_event` JSON plus TSV/JSON
-//!    metrics snapshots, byte-identical for same-seed runs. Exports are
-//!    streamed chunk-at-a-time through a [`ChunkSink`] with fixed chunk
-//!    boundaries, so they can render in parallel and write to disk
-//!    without holding the whole trace in one `String` — at identical
-//!    output bytes for any thread count.
+//!    metrics snapshots, byte-identical for same-seed runs; the trace
+//!    also streams to any [`std::io::Write`] without being resident as
+//!    one `String`.
 //!
 //! Recorder and registry state is owned by the thread that drives a run;
 //! no thread sees another's (the contract is in [`recorder`]'s module
@@ -29,10 +27,7 @@ pub mod export;
 pub mod metrics;
 pub mod recorder;
 
-pub use export::{
-    chrome_trace_chunked, chrome_trace_json, export_threads, metrics_json, metrics_json_chunked,
-    metrics_tsv, metrics_tsv_chunked, ChunkSink, ExportError, IoSink, EXPORT_CHUNK_EVENTS,
-};
+pub use export::{chrome_trace_json, chrome_trace_write, metrics_json, metrics_tsv};
 pub use metrics::{
     metrics, Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
 };

@@ -18,10 +18,10 @@
 //! disabled recorder, `vnow` 0 and no events, and what it records stays
 //! on it. To capture telemetry from a run, enable, drive and read back
 //! on one thread. The single inheritance is the clock:
-//! `engine::parallel::ordered_map` — the one fan-out every threaded
-//! path in engine, shard and serve calls — publishes the spawner's
-//! `vnow` on each worker before it runs a task, because fault injection
-//! keys its windows on it; workers inherit nothing else.
+//! `engine::parallel::ordered_map` — the only thread spawn in the
+//! workspace — publishes the spawner's `vnow` on each worker before it
+//! runs a task, because fault injection keys its windows on it; workers
+//! inherit nothing else.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;

@@ -1,16 +1,14 @@
-//! Discrete-event simulation substrate for the `ids` workspace.
+//! Virtual time and seeded randomness for the `ids` workspace.
 //!
 //! Every component of the evaluation framework runs on *virtual* time so
 //! that experiments are deterministic and independent of the host machine.
-//! This crate provides:
+//! A replay is an analytic pass over time *values* — costs priced from
+//! footprints and added to timestamps — not an event loop; the clock
+//! deeper layers read is the one `ids-obs` publishes (`ids_obs::vnow`).
+//! This crate provides the values:
 //!
 //! - [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual
 //!   timestamps and durations with saturating arithmetic.
-//! - [`SimClock`] — a shareable, monotonically advancing virtual clock.
-//! - [`EventQueue`] — a priority queue of timestamped events with stable
-//!   FIFO ordering among simultaneous events.
-//! - [`Simulation`] — a driver that pops events in time order and advances
-//!   the clock, the core loop behind every case-study replay.
 //! - [`rng`] — seeded random-number utilities (splittable streams and the
 //!   distributions used by the behavior models: normal, log-normal,
 //!   exponential, Zipf-like categorical draws).
@@ -18,27 +16,20 @@
 //! # Example
 //!
 //! ```
-//! use ids_simclock::{EventQueue, SimDuration, SimTime};
+//! use ids_simclock::rng::SimRng;
+//! use ids_simclock::{SimDuration, SimTime};
 //!
-//! let mut q = EventQueue::new();
-//! q.push(SimTime::from_millis(5), "later");
-//! q.push(SimTime::ZERO, "first");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!((t, ev), (SimTime::ZERO, "first"));
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(t.as_millis(), 5);
-//! assert_eq!(ev, "later");
+//! let issued = SimTime::from_millis(5);
+//! let finished = issued + SimDuration::from_micros(250);
+//! assert_eq!(finished.saturating_since(issued).as_micros(), 250);
+//!
+//! let (mut a, mut b) = (SimRng::seed(7).split("user/0"), SimRng::seed(7).split("user/0"));
+//! assert_eq!(a.unit().to_bits(), b.unit().to_bits());
 //! ```
 
 #![warn(missing_docs)]
 
-mod clock;
-mod events;
 pub mod rng;
-mod sim;
 mod time;
 
-pub use clock::SimClock;
-pub use events::{EventQueue, QueuedEvent};
-pub use sim::{SimError, Simulation, Stepper};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,7 @@
-//! Property tests for the simulation substrate.
+//! Property tests for virtual-time arithmetic and the seeded RNG.
 
 use ids_simclock::rng::SimRng;
-use ids_simclock::{EventQueue, SimDuration, SimTime, Simulation};
+use ids_simclock::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -37,24 +37,6 @@ proptest! {
         let back = SimDuration::from_secs_f64(d.as_secs_f64());
         let delta = back.as_micros().abs_diff(us);
         prop_assert!(delta <= 1, "lost {delta} microseconds");
-    }
-
-    /// A simulation drains exactly the scheduled events, in time order.
-    #[test]
-    fn simulation_processes_every_event(times in prop::collection::vec(0u64..100_000, 1..100)) {
-        let mut sim = Simulation::new();
-        for (i, &t) in times.iter().enumerate() {
-            sim.schedule(SimTime::from_micros(t), i);
-        }
-        let mut seen = Vec::new();
-        sim.run(|at: SimTime, id: usize, _q: &mut EventQueue<usize>| {
-            seen.push((at, id));
-        })
-        .expect("no regressions scheduled");
-        prop_assert_eq!(seen.len(), times.len());
-        prop_assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Clock ends at the latest event.
-        prop_assert_eq!(sim.now().as_micros(), *times.iter().max().unwrap());
     }
 
     /// Split streams never collide for distinct labels.

@@ -145,7 +145,7 @@ fn page(n: usize, limit: usize, offset: usize) -> std::ops::Range<usize> {
     let end = if limit == 0 {
         n
     } else {
-        (offset + limit).min(n)
+        offset.saturating_add(limit).min(n)
     };
     offset.min(end)..end
 }

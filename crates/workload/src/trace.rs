@@ -15,8 +15,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A record type that serializes to one line of a trace file.
 pub trait TraceRecord: Sized {
     /// Stable header naming the fields, for self-describing files.
@@ -63,7 +61,7 @@ fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, TraceParseE
 }
 
 /// One scroll/wheel event from the inertial-scrolling study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScrollRecord {
     /// Milliseconds since session start.
     pub timestamp_ms: u64,
@@ -103,7 +101,7 @@ impl TraceRecord for ScrollRecord {
 }
 
 /// One slider event from the crossfiltering study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SliderRecord {
     /// Milliseconds since session start.
     pub timestamp_ms: u64,
@@ -143,7 +141,7 @@ impl TraceRecord for SliderRecord {
 }
 
 /// Resource classes collected by the composite-interface extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceType {
     /// XMLHttpRequest-style data fetch.
     Data,
@@ -173,7 +171,7 @@ impl ResourceType {
 }
 
 /// Event classes on composite-interface records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestEvent {
     /// The tab URL changed — a new query state.
     UrlUpdate,
@@ -207,7 +205,7 @@ impl RequestEvent {
 }
 
 /// One HTTP/browser event from the composite-interface study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Milliseconds since session start.
     pub timestamp_ms: u64,

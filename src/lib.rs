@@ -5,7 +5,7 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! - [`simclock`] — virtual time, event queues, deterministic RNG;
+//! - [`simclock`] — virtual time values and a deterministic RNG;
 //! - [`engine`] — a columnar query engine with disk- and memory-regime
 //!   backends and calibrated virtual-time cost models;
 //! - [`devices`] — input-device models (sensing rates, jitter, inertial
@@ -15,7 +15,7 @@
 //! - [`metrics`] — the metric taxonomy, including the paper's novel
 //!   Latency Constraint Violation and Query Issuing Frequency metrics;
 //! - [`obs`] — observability: a virtual-time span recorder, hot-path
-//!   metric counters, and streaming chunked Chrome/Perfetto trace export;
+//!   metric counters, and Chrome/Perfetto trace export;
 //! - [`lakehouse`] — the telemetry lakehouse: obs events folded into the
 //!   engine's own columnar tables and queried with its vectorized
 //!   kernels (p99 by tenant, LCV over time, slowest spans);

@@ -219,62 +219,49 @@ fn histograms_bucket_merge_and_quantile_through_facade() {
     );
 }
 
-/// Chunked parity on a real capture: the streaming exporter must emit
-/// exactly the monolithic bytes at every worker count, through both a
-/// `String` sink and an I/O sink.
+/// Writer parity on a real capture: the `io::Write` exporter must emit
+/// exactly the bytes of the `String` one.
 #[test]
-fn chunked_trace_export_is_byte_identical_at_any_thread_count() {
+fn trace_writer_and_string_export_are_byte_identical() {
     obs::enable();
     run_replay();
     let rec = obs::recorder();
     let events = rec.events();
     let tracks = rec.tracks();
 
-    let monolithic = obs::chrome_trace_json(&events, &tracks);
-    assert!(!monolithic.is_empty());
-    for threads in [1usize, 2, 4, 8] {
-        let mut chunked = String::new();
-        obs::chrome_trace_chunked(&events, &tracks, threads, &mut chunked)
-            .expect("string sink cannot fail");
-        assert_eq!(
-            monolithic, chunked,
-            "chunked export at {threads} threads must reproduce the monolithic bytes"
-        );
-        let mut sink = obs::IoSink::new(Vec::new());
-        obs::chrome_trace_chunked(&events, &tracks, threads, &mut sink)
-            .expect("vec sink cannot fail");
-        assert_eq!(
-            monolithic.as_bytes(),
-            &sink.into_inner()[..],
-            "io-sink export at {threads} threads must reproduce the monolithic bytes"
-        );
-    }
+    let string = obs::chrome_trace_json(&events, &tracks);
+    assert!(!events.is_empty());
+    let mut written = Vec::new();
+    obs::chrome_trace_write(&events, &tracks, &mut written).expect("vec writer cannot fail");
+    assert_eq!(string.as_bytes(), &written[..]);
 }
 
-/// Golden edges: the chunked exporter reproduces the exact framing for
-/// an empty capture and a single event (no stray separators).
+/// Golden edges: the exact framing for an empty capture and a single
+/// event (no stray separators).
 #[test]
-fn chunked_trace_golden_edges() {
+fn trace_golden_edges() {
     let empty_golden = "{\"traceEvents\":[\n\
         {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
         \"args\":{\"name\":\"ids-sim\"}},\n\
         {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\
         \"args\":{\"name\":\"counters\"}}\n\
         ],\"displayTimeUnit\":\"ms\"}\n";
-    let mut out = String::new();
-    obs::chrome_trace_chunked(&[], &[], 4, &mut out).expect("string sink");
-    assert_eq!(out, empty_golden, "empty trace framing drifted");
-    assert_eq!(out, obs::chrome_trace_json(&[], &[]));
+    assert_eq!(
+        obs::chrome_trace_json(&[], &[]),
+        empty_golden,
+        "empty trace framing drifted"
+    );
 
     let one = vec![ids::obs::TraceEvent::Counter {
         name: "c",
         ts: SimTime::from_micros(7),
         value: 1.5,
     }];
-    let mut chunked = String::new();
-    obs::chrome_trace_chunked(&one, &[], 4, &mut chunked).expect("string sink");
-    assert_eq!(chunked, obs::chrome_trace_json(&one, &[]));
-    assert!(chunked.contains("\"ts\":7"));
+    let one_golden = empty_golden.replace(
+        "\n],",
+        ",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":7,\"name\":\"c\",\"args\":{\"value\":1.5}}\n],",
+    );
+    assert_eq!(obs::chrome_trace_json(&one, &[]), one_golden);
 }
 
 /// Fleet telemetry is served out of the lakehouse and must be

@@ -10,7 +10,7 @@ use ids::metrics::qif::qif_windows;
 use ids::metrics::stats::{Cdf, Summary};
 use ids::opt::klfilter::kl_divergence;
 use ids::simclock::rng::SimRng;
-use ids::simclock::{EventQueue, SimDuration, SimTime};
+use ids::simclock::{SimDuration, SimTime};
 use ids::study::assignment::{balanced_latin_square, is_latin_square, latin_square};
 use ids::workload::adaptive::{BehaviorConfig, BehaviorPolicy, Feedback};
 use ids::workload::crossfilter::CrossfilterUi;
@@ -111,26 +111,6 @@ proptest! {
             let d = kl_divergence(&a, &c);
             prop_assert!(d >= 0.0);
         }
-    }
-
-    /// The event queue dequeues in non-decreasing time order with FIFO
-    /// ties, for any insertion order.
-    #[test]
-    fn event_queue_is_temporally_ordered(
-        times in prop::collection::vec(0u64..1000, 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_millis(t), i);
-        }
-        let drained = q.drain_ordered();
-        for w in drained.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO among ties");
-            }
-        }
-        prop_assert_eq!(drained.len(), times.len());
     }
 
     /// Cascade LCV is monotone in execution time: slower backends can

@@ -100,3 +100,63 @@ fn sql_counts_match_listing_filters() {
         .expect("count");
     assert!(entire > all / 3, "entire_home is the majority class");
 }
+
+/// A bin count no histogram can need is a typed error before anything is
+/// allocated for it — on the exact path and the progressive one.
+#[test]
+fn absurd_bin_count_is_rejected_not_allocated() {
+    use ids::engine::progressive::ProgressiveExecutor;
+    use ids::engine::{exec, EngineError};
+    let mem = MemBackend::new();
+    let db = mem.database();
+    db.register(datasets::road_network_sized(1, 100));
+
+    let stmt = sql::parse_statement(
+        "SELECT HISTOGRAM(y, 0, 100, 1000000000000000), COUNT(*) FROM dataroad \
+         GROUP BY 1 ORDER BY 1",
+    )
+    .expect("parses");
+    let query = sql::bind(&db, &stmt).expect("binds");
+    assert!(matches!(
+        exec::run_query(&db, &query),
+        Err(EngineError::InvalidBinSpec(_))
+    ));
+    assert!(matches!(
+        ProgressiveExecutor::new(db).run(&query),
+        Err(EngineError::InvalidBinSpec(_))
+    ));
+}
+
+/// `LIMIT` at `usize::MAX` with a non-zero `OFFSET` means "the rest",
+/// not an overflowed window — for the scan (through SQL) and for the
+/// paginated join (which the dialect cannot spell) on both backends.
+#[test]
+fn limit_near_usize_max_saturates() {
+    use ids::engine::{exec, JoinSpec, Query};
+    let sql_text = format!("SELECT y FROM dataroad LIMIT {} OFFSET 5", usize::MAX);
+    let mem = MemBackend::new();
+    let db = mem.database();
+    db.register(datasets::road_network_sized(1, 100));
+    let query = sql::bind(&db, &sql::parse_statement(&sql_text).expect("parses")).expect("binds");
+    let (result, _) = exec::run_query(&db, &query).expect("scan runs");
+    assert_eq!(result.rows().expect("rows").len(), 95);
+
+    let (ratings, movie) = datasets::movie_join_tables(1, 100);
+    let join = Query::Join(JoinSpec {
+        left: ratings.name().into(),
+        right: movie.name().into(),
+        left_key: "id".into(),
+        right_key: "id".into(),
+        projection: vec![],
+        limit: Some(usize::MAX),
+        offset: 5,
+    });
+    let disk = DiskBackend::new();
+    for backend in [&mem as &dyn Backend, &disk] {
+        backend.database().register(ratings.clone());
+        backend.database().register(movie.clone());
+        let out = backend.execute(&join).expect("join runs");
+        assert_eq!(out.result.rows().expect("rows").len(), 95);
+        ids::engine::plan(&backend.database(), &join).expect("join plans");
+    }
+}
