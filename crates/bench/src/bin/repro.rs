@@ -10,6 +10,7 @@
 //! repro --progressive            # deadline-mode LCV/error tradeoff table
 //! repro --adaptive               # open-loop vs closed-loop workload table
 //! repro --fleet                  # multi-tenant fleet-serving table
+//! repro --ablations              # the five design-choice sweeps
 //! repro --sql                    # case-study SQL through the planner
 //! repro --trace-out trace.json --figure 13
 //!                                # also export a Chrome/Perfetto trace
@@ -21,7 +22,7 @@ use std::collections::BTreeSet;
 
 use ids_bench::Scale;
 use ids_core::experiments::{
-    adaptive, case1, case2, case3, fleet, methodology, robustness, scalability,
+    ablations, adaptive, case1, case2, case3, fleet, methodology, robustness, scalability,
 };
 use ids_core::registry;
 use ids_core::report;
@@ -88,6 +89,7 @@ fn main() {
                 ids_bench::fleetbench::render(&ids_bench::fleetbench::shard_curve())
             );
         }
+        Command::Ablations => print!("{}", ablations::render()),
         Command::Sql => {
             println!("{}", ids_bench::sqlrepro::render_all());
         }
@@ -98,7 +100,7 @@ fn main() {
             eprintln!(
                 "usage: repro [--all | --index | --table N | --figure N\n\
                  \x20            | --scalability | --robustness | --progressive\n\
-                 \x20            | --adaptive | --fleet | --sql]\n\
+                 \x20            | --adaptive | --fleet | --ablations | --sql]\n\
                  \x20      [--trace-out FILE] [--metrics-out FILE]\n\
                  scale: set IDS_SCALE=paper for full study sizes"
             );
@@ -167,6 +169,7 @@ enum Command {
     Progressive,
     Adaptive,
     Fleet,
+    Ablations,
     Sql,
     Help(Option<String>),
 }
@@ -186,6 +189,7 @@ fn parse(args: &[String]) -> Command {
         [a] if a == "--progressive" => Command::Progressive,
         [a] if a == "--adaptive" => Command::Adaptive,
         [a] if a == "--fleet" => Command::Fleet,
+        [a] if a == "--ablations" => Command::Ablations,
         [a] if a == "--sql" => Command::Sql,
         [a, n] if a == "--table" => Command::Table(n.clone()),
         [a, n] if a == "--figure" => Command::Figure(n.clone()),

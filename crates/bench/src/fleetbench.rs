@@ -85,19 +85,6 @@ pub struct ShardPoint {
     pub checksum: u64,
 }
 
-/// Per-tuple charges rescaled so `phys` physical rows price like
-/// `virtual_rows` virtual ones (same trick as the core experiments).
-fn scale_params(mut p: CostParams, virtual_rows: u64, phys: usize) -> CostParams {
-    let k = virtual_rows as f64 / phys.max(1) as f64;
-    let mul = |ns: u64| ((ns as f64) * k).round() as u64;
-    p.tuple_scan_ns = mul(p.tuple_scan_ns);
-    p.tuple_agg_ns = mul(p.tuple_agg_ns);
-    p.join_build_ns = mul(p.join_build_ns);
-    p.join_probe_ns = mul(p.join_probe_ns);
-    p.predicate_eval_ns = mul(p.predicate_eval_ns);
-    p
-}
-
 /// The seeded fleet table at `shards × PHYS_ROWS_PER_SHARD` rows: a
 /// clustered time axis `t` (range partitioning keeps it clustered, so
 /// per-shard zone maps prune the brush) and a uniform measure `v`.
@@ -156,11 +143,10 @@ fn shard_point(shards: usize) -> ShardPoint {
     let db = fleet_table(shards);
     let parts = partition_database(&db, &PartitionScheme::range("t"), SEED, shards)
         .expect("numeric range column");
-    let costs = scale_params(
-        CostParams::mem_default(),
-        ROWS_PER_SHARD,
-        PHYS_ROWS_PER_SHARD,
-    );
+    // Each physical row prices like `ROWS_PER_SHARD / PHYS_ROWS_PER_SHARD`
+    // virtual ones (same trick as the core experiments).
+    let costs =
+        CostParams::mem_default().scaled(ROWS_PER_SHARD as f64 / PHYS_ROWS_PER_SHARD as f64);
     let sg = ScatterGather::over(parts).with_costs(costs);
     let out = sg
         .execute(&representative_query())

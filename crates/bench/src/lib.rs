@@ -1,4 +1,4 @@
-//! Shared helpers for the `repro` binary and the Criterion benches.
+//! Shared helpers for the `repro`, `perf` and `simtest` binaries.
 //!
 //! The experiment scale is selected by the `IDS_SCALE` environment
 //! variable: `paper` runs the full study sizes (434,874-row road network,
@@ -109,13 +109,11 @@ impl Scale {
 
     /// Fleet-serving sweep configuration at this scale.
     ///
-    /// Three environment knobs adjust the sweep without changing code:
+    /// Two environment knobs adjust the sweep without changing code:
     /// `IDS_FLEET_SESSIONS` overrides the top concurrency level (the
-    /// sweep keeps its 8×/4×/2× down-steps), `IDS_SHARDS` splits the
-    /// fleet's data and workers into shard groups (per-query costs take
-    /// their scatter-gather image), and `IDS_CHAOS_INTENSITY` — the
-    /// same toggle the CI fault matrix uses elsewhere — storms the
-    /// serving run, adding node-loss windows on top.
+    /// sweep keeps its 8×/4×/2× down-steps), and `IDS_CHAOS_INTENSITY`
+    /// — the same toggle the CI fault matrix uses elsewhere — storms
+    /// the serving run, adding node-loss windows on top.
     pub fn fleet(self) -> fleet::FleetConfig {
         let mut config = match self {
             Scale::Paper => fleet::FleetConfig::paper(),
@@ -128,12 +126,6 @@ impl Scale {
             let top = top.max(1);
             config.session_counts = vec![(top / 8).max(1), (top / 4).max(1), (top / 2).max(1), top];
             config.session_counts.dedup();
-        }
-        if let Some(shards) = std::env::var("IDS_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            config.shards = shards.max(1);
         }
         if let Some(intensity) = std::env::var("IDS_CHAOS_INTENSITY")
             .ok()

@@ -13,12 +13,14 @@
 //! git diff crates/bench/tests/golden/   # review before committing
 //! ```
 //!
-//! Wall-clock output (the per-phase timing table, Criterion numbers) is
-//! deliberately NOT snapshotted — only virtual-time tables are stable.
+//! Wall-clock output (the per-phase timing table) is deliberately NOT
+//! snapshotted — only virtual-time tables are stable.
 
 use std::path::PathBuf;
 
-use ids_core::experiments::{adaptive, case1, fleet, methodology, robustness, scalability};
+use ids_core::experiments::{
+    ablations, adaptive, case1, case2, case3, fleet, methodology, robustness, scalability,
+};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -69,6 +71,18 @@ fn golden_case1_report() {
 }
 
 #[test]
+fn golden_case2_report() {
+    let report = case2::run(&case2::Case2Config::smoke_test());
+    check_golden("case2_report.txt", &report.render());
+}
+
+#[test]
+fn golden_case3_report() {
+    let report = case3::run(&case3::Case3Config::smoke_test());
+    check_golden("case3_report.txt", &report.render());
+}
+
+#[test]
 fn golden_scalability_table() {
     let report = scalability::run(&scalability::ScalabilityConfig::smoke_test());
     check_golden("scalability_table.txt", &report.render());
@@ -96,6 +110,11 @@ fn golden_adaptive_table() {
 fn golden_fleet_table() {
     let report = fleet::run(&fleet::FleetConfig::smoke_test());
     check_golden("fleet_table.txt", &report.render());
+}
+
+#[test]
+fn golden_ablations_table() {
+    check_golden("ablations_table.txt", &ablations::render());
 }
 
 /// One `EXPLAIN` fixture per case-study query. The rendered case (plan

@@ -85,17 +85,6 @@ impl AdaptiveConfig {
     }
 }
 
-/// Scales the per-tuple charges of a cost calibration.
-fn scale_params(mut p: ids_engine::CostParams, k: f64) -> ids_engine::CostParams {
-    let mul = |ns: u64| ((ns as f64) * k).round() as u64;
-    p.tuple_scan_ns = mul(p.tuple_scan_ns);
-    p.tuple_agg_ns = mul(p.tuple_agg_ns);
-    p.join_build_ns = mul(p.join_build_ns);
-    p.join_probe_ns = mul(p.join_probe_ns);
-    p.predicate_eval_ns = mul(p.predicate_eval_ns);
-    p
-}
-
 /// The four service policies, in table order.
 fn policies(config: &AdaptiveConfig) -> Vec<(&'static str, ClosedLoopParams)> {
     let base = ClosedLoopParams {
@@ -211,7 +200,7 @@ pub fn run(config: &AdaptiveConfig) -> AdaptiveReport {
     db.register(datasets::road_network_sized(config.seed, config.rows));
     let mem = MemBackend::over_with(
         db,
-        scale_params(ids_engine::CostParams::mem_default(), config.cost_scale()),
+        ids_engine::CostParams::mem_default().scaled(config.cost_scale()),
     );
     let ui = CrossfilterUi::for_road();
     let behavior = BehaviorConfig {

@@ -18,7 +18,7 @@ use ids_opt::skip::{replay_raw, replay_skip, ReplayOutcome};
 use ids_simclock::rng::SimRng;
 use ids_simclock::SimTime;
 use ids_workload::crossfilter::{
-    compile_query_groups, simulate_session, CrossfilterUi, QueryGroup,
+    compile_leading_groups, simulate_session, CrossfilterUi, QueryGroup,
 };
 use ids_workload::datasets;
 
@@ -71,17 +71,6 @@ impl Case2Config {
     pub fn cost_scale(&self) -> f64 {
         datasets::road_domain::ROWS as f64 / self.rows.max(1) as f64
     }
-}
-
-/// Scales the per-tuple charges of a cost calibration.
-fn scale_params(mut p: ids_engine::CostParams, k: f64) -> ids_engine::CostParams {
-    let mul = |ns: u64| ((ns as f64) * k).round() as u64;
-    p.tuple_scan_ns = mul(p.tuple_scan_ns);
-    p.tuple_agg_ns = mul(p.tuple_agg_ns);
-    p.join_build_ns = mul(p.join_build_ns);
-    p.join_probe_ns = mul(p.join_probe_ns);
-    p.predicate_eval_ns = mul(p.predicate_eval_ns);
-    p
 }
 
 /// One `(backend, optimization, device)` condition's results.
@@ -186,11 +175,8 @@ pub fn run(config: &Case2Config) -> Case2Report {
     let k = config.cost_scale();
     let db = Database::new();
     db.register(road.clone());
-    let disk = DiskBackend::over_with(
-        db.clone(),
-        scale_params(ids_engine::CostParams::disk_default(), k),
-    );
-    let mem = MemBackend::over_with(db, scale_params(ids_engine::CostParams::mem_default(), k));
+    let disk = DiskBackend::over_with(db.clone(), ids_engine::CostParams::disk_default().scaled(k));
+    let mem = MemBackend::over_with(db, ids_engine::CostParams::mem_default().scaled(k));
     // Pre-warm the disk buffer pool (steady-state measurements).
     disk.execute(&Query::count("dataroad", Predicate::True))
         .expect("warmup query");
@@ -206,8 +192,7 @@ pub fn run(config: &Case2Config) -> Case2Report {
     let mut qif = Vec::new();
     for device in DEVICES {
         let session = simulate_session(device, 0, config.seed, &ui);
-        let mut groups = compile_query_groups(&ui, &session.trace);
-        groups.truncate(config.max_groups);
+        let groups = compile_leading_groups(&ui, &session.trace, config.max_groups);
         events_per_device.push((device, groups.len()));
 
         for (backend_name, backend) in [

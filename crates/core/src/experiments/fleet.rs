@@ -21,7 +21,6 @@
 //! drain, fatter tail) without wedging it.
 
 use ids_chaos::FaultPlan;
-use ids_engine::distributed::ClusterParams;
 use ids_engine::{Backend, CostParams, DiskBackend, EvictionPolicy};
 use ids_lakehouse::{Lakehouse, LcvPoint, SlowSpan, TenantLatency, TimeWindow};
 use ids_obs::TraceEvent;
@@ -69,12 +68,6 @@ pub struct FleetConfig {
     pub queue_limit: usize,
     /// Shared buffer-pool size, pages.
     pub pool_pages: usize,
-    /// Shard groups the fleet's data and workers split into. `1` serves
-    /// the classic single-engine path byte-identically; above that,
-    /// per-query costs take their scatter-gather image (scan time over
-    /// `shards`, plus the coordination term) and tenants queue on
-    /// per-shard worker groups.
-    pub shards: usize,
 }
 
 impl FleetConfig {
@@ -96,7 +89,6 @@ impl FleetConfig {
             tenant_burst: 60.0,
             queue_limit: 16,
             pool_pages: DiskBackend::DEFAULT_POOL_PAGES,
-            shards: 1,
         }
     }
 
@@ -118,7 +110,6 @@ impl FleetConfig {
             tenant_burst: 20.0,
             queue_limit: 8,
             pool_pages: 512,
-            shards: 1,
         }
     }
 
@@ -128,36 +119,6 @@ impl FleetConfig {
     fn cost_scale(&self) -> f64 {
         datasets::road_domain::ROWS as f64 / self.rows.max(1) as f64
     }
-}
-
-/// Scales the per-tuple charges of a cost calibration.
-fn scale_params(mut p: CostParams, k: f64) -> CostParams {
-    let mul = |ns: u64| ((ns as f64) * k).round() as u64;
-    p.tuple_scan_ns = mul(p.tuple_scan_ns);
-    p.tuple_agg_ns = mul(p.tuple_agg_ns);
-    p.join_build_ns = mul(p.join_build_ns);
-    p.join_probe_ns = mul(p.join_probe_ns);
-    p.predicate_eval_ns = mul(p.predicate_eval_ns);
-    p
-}
-
-/// Nominal partial-aggregate groups each shard contributes to a merge —
-/// one histogram's worth, matching the fleet's crossfilter queries.
-const NOMINAL_MERGE_GROUPS: u64 = 32;
-
-/// The scatter-gather image of one measured single-engine cost: the
-/// scan parallelizes across `shards` while the coordination term
-/// (coordinator startup, per-shard overhead, merging each shard's
-/// partial groups — [`ClusterParams::coordination`]) does not. With
-/// `shards == 1` the cost passes through untouched, keeping the classic
-/// path byte-identical.
-fn shard_cost(cost: SimDuration, shards: usize) -> SimDuration {
-    if shards <= 1 {
-        return cost;
-    }
-    let coordination =
-        ClusterParams::default_cluster().coordination(shards, NOMINAL_MERGE_GROUPS * shards as u64);
-    cost.mul_f64(1.0 / shards as f64) + coordination
 }
 
 /// One concurrency level's measurements.
@@ -267,7 +228,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         workers: config.workers,
         latency_budget: config.latency_budget,
         deadline: false,
-        shards: config.shards.max(1),
+        shards: 1,
     };
     let admission_policy = AdmissionPolicy {
         tenant_rate: config.tenant_rate,
@@ -295,7 +256,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         // the same buffer pool, so concurrency genuinely widens the
         // working set.
         let disk = DiskBackend::with_config(
-            scale_params(CostParams::disk_default(), config.cost_scale()),
+            CostParams::disk_default().scaled(config.cost_scale()),
             config.pool_pages,
             EvictionPolicy::Lru,
         );
@@ -323,11 +284,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
             FaultPlan::calm(config.seed)
         };
 
-        let costs: Vec<SimDuration> =
-            measure_costs(&disk, Some(&disk), &offered, &plan, config.latency_budget)
-                .into_iter()
-                .map(|c| shard_cost(c, config.shards))
-                .collect();
+        let costs = measure_costs(&disk, Some(&disk), &offered, &plan, config.latency_budget);
         // Delta-capture the admission condition's serve spans at the top
         // concurrency level: everything the recorder picks up between
         // these two marks is this `simulate_service` call (plus any

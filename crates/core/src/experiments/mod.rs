@@ -4,8 +4,10 @@
 //! Each module exposes a `Config` (with a `smoke_test()` scale for tests
 //! and a `paper()` scale matching the study), a `run` function producing
 //! a typed report, and `render` methods that print the paper's tables
-//! and figure series.
+//! and figure series. [`ablations`] is the exception: five fixed-size
+//! sweeps with no config, rendered by one function.
 
+pub mod ablations;
 pub mod adaptive;
 pub mod case1;
 pub mod case2;

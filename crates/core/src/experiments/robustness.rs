@@ -34,7 +34,7 @@ use ids_metrics::qif::QifReport;
 use ids_opt::throttle::AdaptiveThrottle;
 use ids_simclock::{SimDuration, SimTime};
 use ids_workload::crossfilter::{
-    compile_query_groups, simulate_session, CrossfilterUi, QueryGroup,
+    compile_leading_groups, simulate_session, CrossfilterUi, QueryGroup,
 };
 use ids_workload::datasets;
 
@@ -88,17 +88,6 @@ impl RobustnessConfig {
     fn cost_scale(&self) -> f64 {
         datasets::road_domain::ROWS as f64 / self.rows.max(1) as f64
     }
-}
-
-/// Scales the per-tuple charges of a cost calibration.
-fn scale_params(mut p: ids_engine::CostParams, k: f64) -> ids_engine::CostParams {
-    let mul = |ns: u64| ((ns as f64) * k).round() as u64;
-    p.tuple_scan_ns = mul(p.tuple_scan_ns);
-    p.tuple_agg_ns = mul(p.tuple_agg_ns);
-    p.join_build_ns = mul(p.join_build_ns);
-    p.join_probe_ns = mul(p.join_probe_ns);
-    p.predicate_eval_ns = mul(p.predicate_eval_ns);
-    p
 }
 
 /// One intensity's measurements.
@@ -165,8 +154,7 @@ pub fn run(config: &RobustnessConfig) -> RobustnessReport {
     let setup = ids_obs::phase("robustness.setup");
     let ui = CrossfilterUi::for_road();
     let session = simulate_session(DeviceKind::Mouse, 0, config.seed, &ui);
-    let mut groups = compile_query_groups(&ui, &session.trace);
-    groups.truncate(config.max_groups);
+    let groups = compile_leading_groups(&ui, &session.trace, config.max_groups);
     let stream = issue_stream(&groups);
     let horizon = groups
         .last()
@@ -180,7 +168,7 @@ pub fn run(config: &RobustnessConfig) -> RobustnessReport {
     db.register(datasets::road_network_sized(config.seed, config.rows));
     let mem = MemBackend::over_with(
         db,
-        scale_params(ids_engine::CostParams::mem_default(), config.cost_scale()),
+        ids_engine::CostParams::mem_default().scaled(config.cost_scale()),
     );
     // Calm-probe the first group so the throttle's initial estimate is
     // honest: a cold-start underestimate would read the very first real
@@ -465,15 +453,14 @@ pub fn run_progressive(config: &ProgressiveConfig) -> ProgressiveReport {
     let setup = ids_obs::phase("progressive.setup");
     let ui = CrossfilterUi::for_road();
     let session = simulate_session(DeviceKind::Mouse, 0, config.seed, &ui);
-    let mut groups = compile_query_groups(&ui, &session.trace);
-    groups.truncate(config.max_groups);
+    let groups = compile_leading_groups(&ui, &session.trace, config.max_groups);
     let stream = issue_stream(&groups);
 
     let db = Database::new();
     db.register(datasets::road_network_sized(config.seed, config.rows));
     let mem = MemBackend::over_with(
         db,
-        scale_params(ids_engine::CostParams::mem_default(), config.cost_scale()),
+        ids_engine::CostParams::mem_default().scaled(config.cost_scale()),
     );
     let sched = ReplayScheduler::new(config.workers);
     // The untruncated replay: exact answers every deadline estimate is

@@ -1,5 +1,5 @@
 //! The reproduction registry: every table and figure of the paper mapped
-//! to the module that implements it and the bench/binary target that
+//! to the module that implements it and the `repro` flag that
 //! regenerates it. Also renders the paper's own Tables 5 and 6 (the
 //! case-study summaries), which are registry content themselves.
 
@@ -25,8 +25,8 @@ pub struct Artifact {
     pub title: &'static str,
     /// Implementing module(s).
     pub modules: &'static str,
-    /// How to regenerate (repro binary flag / bench name), empty for
-    /// illustrations with no data series.
+    /// How to regenerate (`repro` flag), empty for illustrations with no
+    /// data series.
     pub regenerate: &'static str,
 }
 

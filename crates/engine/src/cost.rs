@@ -128,6 +128,21 @@ impl CostParams {
             predicate_eval_ns: 4,
         }
     }
+
+    /// This calibration with its five per-tuple charges multiplied by
+    /// `k` (rounded to the nearest ns). A table scaled down by `k` then
+    /// prices like the full one, so reduced-scale experiments keep the
+    /// paper's latency regimes; startup, page and per-output-row
+    /// charges do not depend on cardinality and stay as they are.
+    pub fn scaled(mut self, k: f64) -> CostParams {
+        let mul = |ns: u64| ((ns as f64) * k).round() as u64;
+        self.tuple_scan_ns = mul(self.tuple_scan_ns);
+        self.tuple_agg_ns = mul(self.tuple_agg_ns);
+        self.join_build_ns = mul(self.join_build_ns);
+        self.join_probe_ns = mul(self.join_probe_ns);
+        self.predicate_eval_ns = mul(self.predicate_eval_ns);
+        self
+    }
 }
 
 /// Prices a query footprint into virtual time.
@@ -232,6 +247,27 @@ mod tests {
         assert_eq!(m.rows_scanned, 15);
         assert_eq!(m.pages_cold, 1);
         assert_eq!(m.pages_hot, 2);
+    }
+
+    #[test]
+    fn scaled_touches_only_the_per_tuple_charges() {
+        let base = CostParams::disk_default();
+        let s = base.scaled(2.5);
+        assert_eq!(
+            (s.startup_ns, s.page_cold_ns, s.page_hot_ns, s.row_output_ns),
+            (
+                base.startup_ns,
+                base.page_cold_ns,
+                base.page_hot_ns,
+                base.row_output_ns
+            )
+        );
+        assert_eq!(s.tuple_scan_ns, 1_125);
+        assert_eq!(s.tuple_agg_ns, 375);
+        assert_eq!(s.join_build_ns, 750);
+        assert_eq!(s.join_probe_ns, 500);
+        assert_eq!(s.predicate_eval_ns, 125);
+        assert_eq!(base.scaled(1.0), base);
     }
 
     #[test]

@@ -432,41 +432,12 @@ fn block_popcount(sel: &SelectionVector, block: usize) -> u64 {
         .sum()
 }
 
-/// The aggregate a scaled value represents. Only row-proportional
-/// aggregates (counts, sums) may be extrapolated linearly from a
-/// sample; a sample mean already estimates the population mean, and
-/// extrema over a sample are simply the observed extrema — scaling
-/// any of them would manufacture data that was never seen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateKind {
-    /// `COUNT(*)` — scales linearly with the sampled fraction.
-    Count,
-    /// `SUM(col)` — scales linearly with the sampled fraction.
-    Sum,
-    /// `AVG(col)` — the sample mean is already the estimate.
-    Mean,
-    /// `MIN(col)` — never extrapolated.
-    Min,
-    /// `MAX(col)` — never extrapolated.
-    Max,
-}
-
-/// Scales one aggregate value from a sample to a full-population
-/// estimate, respecting the aggregate's semantics: counts and sums
-/// scale linearly, means and extrema pass through unchanged.
-pub fn scale_aggregate(kind: AggregateKind, value: f64, scale: f64) -> f64 {
-    match kind {
-        AggregateKind::Count | AggregateKind::Sum => value * scale,
-        AggregateKind::Mean | AggregateKind::Min | AggregateKind::Max => value,
-    }
-}
-
 /// Scales a count or histogram result by `scale`, rounding each value.
 /// This is how a partial aggregate over `fraction` of the rows becomes
 /// a full-population estimate (`scale = 1 / fraction`). Row results
 /// are *truncated* when scaling down (a cut-off scan saw a prefix) and
 /// never inflated when scaling up — rows, unlike counts, cannot be
-/// extrapolated (see [`scale_aggregate`]).
+/// extrapolated.
 pub fn scale_result(partial: ResultSet, scale: f64) -> ResultSet {
     if scale == 1.0 {
         return partial;
@@ -840,17 +811,5 @@ mod tests {
         // The degrade round trip therefore net-truncates.
         let degraded = degrade_result(ResultSet::Rows(rows), 0.4);
         assert_eq!(degraded.rows().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn scale_aggregate_is_aggregate_aware() {
-        // Counts and sums extrapolate linearly.
-        assert_eq!(scale_aggregate(AggregateKind::Count, 10.0, 4.0), 40.0);
-        assert_eq!(scale_aggregate(AggregateKind::Sum, 2.5, 4.0), 10.0);
-        // A sample mean is already the population estimate, and extrema
-        // must never be extrapolated.
-        assert_eq!(scale_aggregate(AggregateKind::Mean, 3.5, 4.0), 3.5);
-        assert_eq!(scale_aggregate(AggregateKind::Min, -7.0, 4.0), -7.0);
-        assert_eq!(scale_aggregate(AggregateKind::Max, 9.0, 4.0), 9.0);
     }
 }

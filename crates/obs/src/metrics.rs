@@ -325,15 +325,10 @@ struct CounterSlot {
     attached: Vec<Weak<Counter>>,
 }
 
-struct HistogramSlot {
-    owned: Arc<Histogram>,
-    attached: Vec<Weak<Histogram>>,
-}
-
 struct RegistryInner {
     counters: BTreeMap<String, CounterSlot>,
     gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, HistogramSlot>,
+    histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
 thread_local! {
@@ -397,11 +392,7 @@ impl Registry {
             inner
                 .histograms
                 .entry(name.to_string())
-                .or_insert_with(|| HistogramSlot {
-                    owned: Arc::new(Histogram::new()),
-                    attached: Vec::new(),
-                })
-                .owned
+                .or_insert_with(|| Arc::new(Histogram::new()))
                 .clone()
         })
     }
@@ -424,24 +415,8 @@ impl Registry {
         });
     }
 
-    /// Attaches an externally-owned histogram under `name`; snapshots
-    /// merge it with the owned histogram while the `Arc` stays alive.
-    pub fn attach_histogram(&self, name: &str, histogram: &Arc<Histogram>) {
-        REGISTRY.with_borrow_mut(|inner| {
-            let slot = inner
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| HistogramSlot {
-                    owned: Arc::new(Histogram::new()),
-                    attached: Vec::new(),
-                });
-            slot.attached.retain(|w| w.strong_count() > 0);
-            slot.attached.push(Arc::downgrade(histogram));
-        });
-    }
-
     /// A name-sorted snapshot of every metric. Counter totals include
-    /// attached instances; histogram summaries merge attached instances.
+    /// attached instances.
     pub fn snapshot(&self) -> MetricsSnapshot {
         REGISTRY.with_borrow(|inner| {
             let counters = inner
@@ -466,20 +441,7 @@ impl Registry {
             let histograms = inner
                 .histograms
                 .iter()
-                .map(|(name, slot)| {
-                    let live: Vec<_> = slot.attached.iter().filter_map(|w| w.upgrade()).collect();
-                    let summary = if live.is_empty() {
-                        summarize(&slot.owned)
-                    } else {
-                        let merged = Histogram::new();
-                        merged.merge(&slot.owned);
-                        for h in &live {
-                            merged.merge(h);
-                        }
-                        summarize(&merged)
-                    };
-                    (name.clone(), summary)
-                })
+                .map(|(name, h)| (name.clone(), summarize(h)))
                 .collect();
             MetricsSnapshot {
                 counters,
@@ -490,29 +452,15 @@ impl Registry {
     }
 
     /// The non-empty buckets of every registered histogram, name-sorted:
-    /// `(name, [(bucket_lower, count), …])`. Attached instances are
-    /// merged the same way [`snapshot`](Registry::snapshot) merges them.
-    /// This is the raw-bucket feed for the telemetry lakehouse, which
-    /// wants rows rather than pre-digested quantiles.
+    /// `(name, [(bucket_lower, count), …])`. This is the raw-bucket feed
+    /// for the telemetry lakehouse, which wants rows rather than
+    /// pre-digested quantiles.
     pub fn histogram_buckets(&self) -> Vec<(String, Vec<(u64, u64)>)> {
         REGISTRY.with_borrow(|inner| {
             inner
                 .histograms
                 .iter()
-                .map(|(name, slot)| {
-                    let live: Vec<_> = slot.attached.iter().filter_map(|w| w.upgrade()).collect();
-                    let buckets = if live.is_empty() {
-                        slot.owned.nonzero_buckets()
-                    } else {
-                        let merged = Histogram::new();
-                        merged.merge(&slot.owned);
-                        for h in &live {
-                            merged.merge(h);
-                        }
-                        merged.nonzero_buckets()
-                    };
-                    (name.clone(), buckets)
-                })
+                .map(|(name, h)| (name.clone(), h.nonzero_buckets()))
                 .collect()
         })
     }
@@ -710,31 +658,21 @@ mod tests {
     }
 
     #[test]
-    fn registry_histogram_buckets_merge_attached() {
+    fn registry_histograms_reach_snapshot_and_buckets() {
         let reg = metrics();
-        let owned = reg.histogram("lat");
-        owned.record(5);
-        let ext = Arc::new(Histogram::new());
-        ext.record(5);
-        ext.record(9);
-        reg.attach_histogram("lat", &ext);
-        let buckets = reg.histogram_buckets();
-        assert_eq!(buckets.len(), 1);
-        assert_eq!(buckets[0].0, "lat");
-        assert_eq!(buckets[0].1, vec![(5, 2), (9, 1)]);
-    }
-
-    #[test]
-    fn attached_histograms_merge_into_snapshot() {
-        let reg = metrics();
-        let owned = reg.histogram("lat");
-        owned.record(10);
-        let ext = Arc::new(Histogram::new());
-        ext.record(30);
-        reg.attach_histogram("lat", &ext);
+        let h = reg.histogram("lat");
+        for v in [5, 5, 9] {
+            h.record(v);
+        }
+        assert_eq!(
+            reg.histogram_buckets(),
+            vec![("lat".to_string(), vec![(5, 2), (9, 1)])]
+        );
         let snap = reg.snapshot();
         assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].1.count, 2);
-        assert_eq!(snap.histograms[0].1.sum, 40);
+        assert_eq!(
+            (snap.histograms[0].1.count, snap.histograms[0].1.sum),
+            (3, 19)
+        );
     }
 }

@@ -17,8 +17,8 @@
 //!   result barely differs from the last one shown.
 //! - [`prefetch`] — Markov-chain action prefetching for composite
 //!   interfaces, with the zoom-hotspot budget split of Section 8.
-//! - [`throttle`] — QIF throttling (the Fig 3 "overwhelmed backend"
-//!   remedy): fixed-rate and adaptive closed-loop variants.
+//! - [`throttle`] — adaptive closed-loop QIF throttling (the Fig 3
+//!   "overwhelmed backend" remedy).
 
 #![warn(missing_docs)]
 

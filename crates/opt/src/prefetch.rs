@@ -10,14 +10,14 @@
 //!   (Fig 18), precomputation budget is split proportionally to observed
 //!   zoom dwell.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ids_workload::composite::{CompositeSession, MapState, Widget};
 
 use ids_metrics::cache::{CacheLocation, HitRateCounter};
 
 /// Discrete map actions for the Markov model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MapAction {
     /// Zoom one level in.
     ZoomIn,
@@ -100,9 +100,11 @@ pub fn actions_of(session: &CompositeSession) -> Vec<(MapState, MapAction)> {
 /// Order-1 Markov model over map actions.
 #[derive(Debug, Clone, Default)]
 pub struct MarkovPrefetcher {
-    transitions: HashMap<MapAction, HashMap<MapAction, u64>>,
+    // Ordered maps: `predict` ranks by iterating them, and equally
+    // probable actions must rank the same way on every run.
+    transitions: BTreeMap<MapAction, BTreeMap<MapAction, u64>>,
     /// Unconditional action counts, the fallback for unseen contexts.
-    marginals: HashMap<MapAction, u64>,
+    marginals: BTreeMap<MapAction, u64>,
 }
 
 impl MarkovPrefetcher {
@@ -134,7 +136,8 @@ impl MarkovPrefetcher {
         }
     }
 
-    /// Predicted next actions after `prev`, most probable first.
+    /// Predicted next actions after `prev`, most probable first; equally
+    /// probable actions in [`MapAction::ALL`] order.
     pub fn predict(&self, prev: MapAction) -> Vec<(MapAction, f64)> {
         let counts = self.transitions.get(&prev).unwrap_or(&self.marginals);
         let total: u64 = counts.values().sum();
@@ -267,88 +270,6 @@ pub fn evaluate_tile_strategy(
         }
     }
     counter
-}
-
-/// Gates speculative prefetch work on backend health.
-///
-/// Prefetching is the first thing to shed when the backend degrades:
-/// speculative tile loads compete with the user's real queries for a
-/// backend that is already missing its budget. The governor watches
-/// observed service times (same EMA as [`crate::throttle::AdaptiveThrottle`])
-/// and suppresses the prefetch budget while a stall is in effect,
-/// restoring it only after `cooldown` consecutive healthy observations.
-#[derive(Debug, Clone)]
-pub struct PrefetchGovernor {
-    alpha: f64,
-    estimate: ids_simclock::SimDuration,
-    /// Service times beyond `stress_factor ×` the estimate count as
-    /// stress.
-    stress_factor: f64,
-    /// Healthy observations required before prefetch resumes.
-    cooldown: u32,
-    healthy_streak: u32,
-    stressed: bool,
-    suppressed: usize,
-}
-
-impl PrefetchGovernor {
-    /// Creates a governor with an initial service-time guess. Stress is
-    /// declared at `stress_factor ×` the running estimate and cleared
-    /// after `cooldown` healthy observations.
-    pub fn new(
-        initial_estimate: ids_simclock::SimDuration,
-        stress_factor: f64,
-        cooldown: u32,
-    ) -> PrefetchGovernor {
-        PrefetchGovernor {
-            alpha: 0.3,
-            estimate: initial_estimate,
-            stress_factor: stress_factor.max(1.0),
-            cooldown: cooldown.max(1),
-            healthy_streak: 0,
-            stressed: false,
-            suppressed: 0,
-        }
-    }
-
-    /// Feeds back one observed service time.
-    pub fn observe(&mut self, service: ids_simclock::SimDuration) {
-        let est = self.estimate.as_secs_f64();
-        let obs = service.as_secs_f64();
-        if obs > est * self.stress_factor {
-            self.stressed = true;
-            self.healthy_streak = 0;
-        } else if self.stressed {
-            self.healthy_streak += 1;
-            if self.healthy_streak >= self.cooldown {
-                self.stressed = false;
-                self.healthy_streak = 0;
-            }
-        }
-        self.estimate = ids_simclock::SimDuration::from_secs_f64(est + self.alpha * (obs - est));
-    }
-
-    /// Whether the governor currently considers the backend stressed.
-    pub fn is_stressed(&self) -> bool {
-        self.stressed
-    }
-
-    /// The prefetch budget to use right now: `base` when healthy, `0`
-    /// while stressed (each suppression is counted).
-    pub fn budget(&mut self, base: usize) -> usize {
-        if self.stressed {
-            self.suppressed += 1;
-            ids_obs::metrics().counter("opt.prefetch.suppressed").inc();
-            0
-        } else {
-            base
-        }
-    }
-
-    /// How many prefetch opportunities were suppressed so far.
-    pub fn suppressed(&self) -> usize {
-        self.suppressed
-    }
 }
 
 /// Splits a precomputation budget across zoom levels proportionally to
@@ -488,6 +409,14 @@ mod tests {
     }
 
     #[test]
+    fn equally_probable_predictions_rank_in_declaration_order() {
+        use MapAction::{PanNorth, PanWest, ZoomIn};
+        let mut m = MarkovPrefetcher::new();
+        m.train(&[ZoomIn, PanWest, ZoomIn, PanNorth]);
+        assert_eq!(m.predict(ZoomIn), vec![(PanNorth, 0.5), (PanWest, 0.5)]);
+    }
+
+    #[test]
     fn apply_is_consistent() {
         let s = MapState {
             zoom: 12,
@@ -512,31 +441,6 @@ mod tests {
         let xs: std::collections::HashSet<i64> = tiles.iter().map(|t| t.x).collect();
         assert_eq!(xs.len(), 3);
         assert!(tiles.iter().all(|t| t.zoom == 12));
-    }
-
-    #[test]
-    fn governor_suppresses_prefetch_during_stalls_then_recovers() {
-        let mut gov = PrefetchGovernor::new(SimDuration::from_millis(10), 3.0, 3);
-        // Healthy steady state: full budget.
-        for _ in 0..5 {
-            gov.observe(SimDuration::from_millis(10));
-        }
-        assert!(!gov.is_stressed());
-        assert_eq!(gov.budget(4), 4);
-        // A stall spike: prefetch goes to zero.
-        gov.observe(SimDuration::from_millis(200));
-        assert!(gov.is_stressed());
-        assert_eq!(gov.budget(4), 0);
-        assert_eq!(gov.suppressed(), 1);
-        // Two healthy observations are not enough to clear the cooldown…
-        gov.observe(SimDuration::from_millis(10));
-        gov.observe(SimDuration::from_millis(10));
-        assert_eq!(gov.budget(4), 0);
-        // …the third is.
-        gov.observe(SimDuration::from_millis(10));
-        assert!(!gov.is_stressed());
-        assert_eq!(gov.budget(4), 4);
-        assert_eq!(gov.suppressed(), 2);
     }
 
     #[test]

@@ -4,51 +4,16 @@
 //! slow backend — calls for throttling: "even if the user issues queries
 //! at a high rate, they are limited in the amount of information they can
 //! process, so progressively presenting them with results is adequate."
-//! This module implements two throttles over a query-group stream:
+//! [`AdaptiveThrottle`] measures the backend's recent service times and
+//! tracks its capacity — the closed-loop version of
+//! [`ids_metrics::qif::throttle_suggestion`].
 //!
-//! - [`throttle_fixed`] — enforce a minimum inter-issue interval
-//!   (classic debounce-to-rate);
-//! - [`AdaptiveThrottle`] — measure the backend's recent service times
-//!   and track its capacity, the closed-loop version of
-//!   [`ids_metrics::qif::throttle_suggestion`].
-//!
-//! Throttles *drop* intermediate groups (the slider's newest position
+//! The throttle *drops* intermediate groups (the slider's newest position
 //! supersedes older ones), so the surviving stream keeps the latest
 //! state, like the skip optimization but applied before the backend.
 
 use ids_simclock::{SimDuration, SimTime};
 use ids_workload::crossfilter::QueryGroup;
-
-/// Keeps at most one group per `min_interval`, always preferring the
-/// latest group within each window (and always keeping the final group).
-pub fn throttle_fixed(groups: &[QueryGroup], min_interval: SimDuration) -> Vec<QueryGroup> {
-    if groups.is_empty() {
-        return Vec::new();
-    }
-    let mut out: Vec<QueryGroup> = Vec::new();
-    let mut window_end = groups[0].at + min_interval;
-    let mut pending: Option<&QueryGroup> = None;
-    for g in groups {
-        if g.at >= window_end {
-            if let Some(p) = pending.take() {
-                out.push(p.clone());
-            }
-            // Advance the window to contain g.
-            while g.at >= window_end {
-                window_end += min_interval;
-            }
-        }
-        pending = Some(g);
-    }
-    if let Some(p) = pending {
-        out.push(p.clone());
-    }
-    let reg = ids_obs::metrics();
-    reg.counter("opt.throttle.fixed.kept").add(out.len() as u64);
-    reg.counter("opt.throttle.fixed.dropped")
-        .add((groups.len() - out.len()) as u64);
-    out
-}
 
 /// A closed-loop throttle: it observes each executed group's service
 /// time (exponential moving average) and only admits a group when the
@@ -219,30 +184,6 @@ mod tests {
                 queries: vec![Query::count("t", Predicate::True)],
             })
             .collect()
-    }
-
-    #[test]
-    fn fixed_throttle_caps_the_rate() {
-        // 50 q/s throttled to 10 q/s.
-        let input = groups(20, 100);
-        let out = throttle_fixed(&input, SimDuration::from_millis(100));
-        assert!(out.len() <= 22, "kept {} groups", out.len());
-        assert!(out.len() >= 18);
-        // Surviving stream is sorted and keeps the final group.
-        assert!(out.windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(out.last().unwrap().at, input.last().unwrap().at);
-    }
-
-    #[test]
-    fn fixed_throttle_is_identity_for_slow_streams() {
-        let input = groups(500, 10);
-        let out = throttle_fixed(&input, SimDuration::from_millis(100));
-        assert_eq!(out.len(), input.len());
-    }
-
-    #[test]
-    fn fixed_throttle_empty() {
-        assert!(throttle_fixed(&[], SimDuration::from_millis(100)).is_empty());
     }
 
     #[test]

@@ -96,19 +96,6 @@ fn arrival_process(shape: &ArrivalShape) -> ArrivalProcess {
     }
 }
 
-/// Scales the per-tuple charges of a cost calibration — same trick as
-/// the fleet experiment, keeping the latency regime stable when tables
-/// shrink.
-fn scale_params(mut p: CostParams, k: f64) -> CostParams {
-    let mul = |ns: u64| ((ns as f64) * k).round() as u64;
-    p.tuple_scan_ns = mul(p.tuple_scan_ns);
-    p.tuple_agg_ns = mul(p.tuple_agg_ns);
-    p.join_build_ns = mul(p.join_build_ns);
-    p.join_probe_ns = mul(p.join_probe_ns);
-    p.predicate_eval_ns = mul(p.predicate_eval_ns);
-    p
-}
-
 fn fleet_plan(s: &Scenario, horizon: SimDuration) -> FaultPlan {
     if s.chaos_intensity <= 0.0 {
         FaultPlan::calm(s.seed)
@@ -132,8 +119,8 @@ pub fn build_replay_env(s: &Scenario) -> (MemBackend, Vec<IssuedQuery>) {
             db.register(datasets::road_network_named(table, s.seed, s.rows.min(600)));
             let ui = crossfilter::CrossfilterUi::for_table(table);
             let session = crossfilter::simulate_session(s.device, 0, s.seed, &ui);
-            let mut groups = crossfilter::compile_query_groups(&ui, &session.trace);
-            groups.truncate(s.max_groups.max(1));
+            let groups =
+                crossfilter::compile_leading_groups(&ui, &session.trace, s.max_groups.max(1));
             for g in &groups {
                 for q in &g.queries {
                     stream.push(IssuedQuery::new(g.at, q.clone(), stream.len() as u64));
@@ -277,7 +264,7 @@ pub fn run_pipeline(s: &Scenario, threads: usize) -> RunArtifacts {
 
     let cost_scale = datasets::road_domain::ROWS as f64 / s.rows.max(1) as f64;
     let disk = DiskBackend::with_config(
-        scale_params(CostParams::disk_default(), cost_scale),
+        CostParams::disk_default().scaled(cost_scale),
         s.pool_pages.max(1),
         EvictionPolicy::Lru,
     );

@@ -110,9 +110,22 @@ pub struct QueryGroup {
 /// mirroring the paper's SQL: each group holds `n − 1` histogram queries
 /// filtered by the conjunction of all current ranges.
 pub fn compile_query_groups(ui: &CrossfilterUi, trace: &Trace<SliderRecord>) -> Vec<QueryGroup> {
+    compile_leading_groups(ui, trace, usize::MAX)
+}
+
+/// The first `max_groups` groups of [`compile_query_groups`], compiled
+/// from only the records that produce them: group *k* depends on
+/// records `0..=k` alone, so the prefix equals compiling the whole
+/// trace and truncating — without building the queries a capped
+/// replay throws away.
+pub fn compile_leading_groups(
+    ui: &CrossfilterUi,
+    trace: &Trace<SliderRecord>,
+    max_groups: usize,
+) -> Vec<QueryGroup> {
     let mut ranges = ui.initial_ranges();
-    let mut groups = Vec::with_capacity(trace.len());
-    for rec in trace.records() {
+    let mut groups = Vec::with_capacity(trace.len().min(max_groups));
+    for rec in trace.records().iter().take(max_groups) {
         let idx = rec.slider_idx as usize;
         if idx < ranges.len() {
             ranges[idx] = (rec.min_val, rec.max_val);
