@@ -9,9 +9,9 @@
 //!
 //! - **Conjunct ranking**: the conjuncts of an `AND` filter ranked
 //!   most-selective-first with a selectivity estimate each. The ranking
-//!   is informational: the filter kernels evaluate every conjunct over
-//!   all rows and intersect the masks, so evaluation order cannot
-//!   change a result, a footprint, or the time taken.
+//!   is informational: block counters are zone verdicts per (conjunct,
+//!   block), so order cannot change a result or a footprint, and can
+//!   change the time only on clustered data, which no workload has.
 //! - **Estimated rows and blocks** surviving the filter, next to the
 //!   actual counters in [`Plan::explain_analyzed`].
 //! - **Thread eligibility**: whether the table is larger than one

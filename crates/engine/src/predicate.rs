@@ -191,15 +191,11 @@ impl Predicate {
 
     /// Evaluates the predicate over all rows, returning selected row indices.
     ///
-    /// This is the row-id-materializing baseline the vectorized
+    /// This is the naive row-id-materializing baseline the vectorized
     /// [`select_vector`](Predicate::select_vector) path is
-    /// differential-tested against (the common fast path — a conjunction
-    /// of numeric `Between`s — is evaluated column-at-a-time over the raw
-    /// slices, but still materializes a `Vec<usize>`).
+    /// differential-tested against: [`matches`](Predicate::matches), one
+    /// row at a time, for every predicate shape.
     pub fn select(&self, table: &Table) -> EngineResult<Vec<usize>> {
-        if let Some(ranges) = self.as_range_conjunction() {
-            return select_ranges(table, &ranges);
-        }
         let mut out = Vec::new();
         for row in 0..table.rows() {
             if self.matches(table, row)? {
@@ -207,28 +203,6 @@ impl Predicate {
             }
         }
         Ok(out)
-    }
-
-    /// If this predicate is `True` or a conjunction of `Between`s, returns
-    /// the `(column, lo, hi)` triples; otherwise `None`.
-    fn as_range_conjunction(&self) -> Option<Vec<(&str, f64, f64)>> {
-        match self {
-            Predicate::True => Some(Vec::new()),
-            Predicate::Between { column, lo, hi } => Some(vec![(column.as_ref(), *lo, *hi)]),
-            Predicate::And(ps) => {
-                let mut out = Vec::with_capacity(ps.len());
-                for p in ps {
-                    match p {
-                        Predicate::Between { column, lo, hi } => {
-                            out.push((column.as_ref(), *lo, *hi));
-                        }
-                        _ => return None,
-                    }
-                }
-                Some(out)
-            }
-            _ => None,
-        }
     }
 
     /// Validates that all referenced columns exist in `table`.
@@ -268,44 +242,6 @@ fn cmp_matches(col: &Column, row: usize, op: CmpOp, value: &Value) -> bool {
         };
     }
     op == CmpOp::Ne
-}
-
-/// Column-at-a-time evaluation of a conjunction of numeric ranges.
-fn select_ranges(table: &Table, ranges: &[(&str, f64, f64)]) -> EngineResult<Vec<usize>> {
-    let rows = table.rows();
-    if ranges.is_empty() {
-        return Ok((0..rows).collect());
-    }
-    // Start with the first range, then intersect in place.
-    let mut sel: Vec<usize> = Vec::with_capacity(rows / 4);
-    {
-        let (name, lo, hi) = ranges[0];
-        let col = table.column(name)?;
-        match col {
-            Column::Float(v) => {
-                sel.extend(
-                    v.iter()
-                        .enumerate()
-                        .filter(|(_, &x)| x >= lo && x <= hi)
-                        .map(|(i, _)| i),
-                );
-            }
-            Column::Int(v) => {
-                sel.extend(
-                    v.iter()
-                        .enumerate()
-                        .filter(|(_, &x)| (x as f64) >= lo && (x as f64) <= hi)
-                        .map(|(i, _)| i),
-                );
-            }
-            Column::Str { .. } => {}
-        }
-    }
-    for &(name, lo, hi) in &ranges[1..] {
-        let col = table.column(name)?;
-        sel.retain(|&i| col.f64_at(i).is_some_and(|x| x >= lo && x <= hi));
-    }
-    Ok(sel)
 }
 
 impl fmt::Display for Predicate {
@@ -366,20 +302,6 @@ mod tests {
             Predicate::between("n", 1.0, 3.0),
         ]);
         assert_eq!(p.select(&t).unwrap(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn fast_path_matches_slow_path() {
-        let t = table();
-        let p = Predicate::and([
-            Predicate::between("x", 0.5, 3.5),
-            Predicate::between("n", 2.0, 5.0),
-        ]);
-        let fast = p.select(&t).unwrap();
-        let slow: Vec<usize> = (0..t.rows())
-            .filter(|&r| p.matches(&t, r).unwrap())
-            .collect();
-        assert_eq!(fast, slow);
     }
 
     #[test]

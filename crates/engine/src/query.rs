@@ -181,12 +181,29 @@ impl BinSpec {
     /// NaN compares false against both domain bounds, so without an
     /// explicit check it would slip past the guard and land in bin 0.
     pub fn bin_of(&self, x: f64) -> Option<usize> {
-        if x.is_nan() || x < self.min || x > self.max || self.width() <= 0.0 {
+        self.bin_with_width(x, self.width())
+    }
+
+    /// [`bin_of`](BinSpec::bin_of) with [`width`](BinSpec::width) passed
+    /// in, so a kernel divides once per call instead of once per row.
+    /// The engine's one definition of `ROUND`.
+    pub(crate) fn bin_with_width(&self, x: f64, width: f64) -> Option<usize> {
+        if x.is_nan() || x < self.min || x > self.max || width <= 0.0 {
             return None;
         }
-        let idx = ((x - self.min) / self.width()).round();
+        // Round half away from zero without `f64::round`, which baseline
+        // x86-64 compiles to a libm call per row. `t` is never negative
+        // here (`x >= min`, `width > 0`), so the cast truncates, and
+        // `t - trunc(t)` is exact below 2^52 and zero above: the
+        // comparison sees the true fraction. A NaN `t` (NaN or infinite
+        // bounds) casts to 0 and compares false — bin 0, as `.round()`
+        // gave. Through `i64`, not `usize`: SSE2 converts only signed
+        // integers in one instruction, and `t` is at most 1.5 × `bins`.
+        let t = (x - self.min) / width;
+        let i = t as i64;
+        let idx = i as usize + usize::from(t - i as f64 >= 0.5);
         // Guard against float edge effects at the top boundary.
-        Some((idx as usize).min(self.bins))
+        Some(idx.min(self.bins))
     }
 
     /// Total number of output bins (`bins + 1` because of `ROUND`).
@@ -337,6 +354,61 @@ mod tests {
         assert_eq!(b.bin_of(20.1), None);
         assert_eq!(b.bin_of(-0.1), None);
         assert_eq!(b.bucket_count(), 21);
+    }
+
+    /// The `f64::round` formula `bin_of` was defined by, kept verbatim as
+    /// the oracle for its libm-free replacement.
+    fn round_oracle(b: &BinSpec, x: f64) -> Option<usize> {
+        if x.is_nan() || x < b.min || x > b.max || b.width() <= 0.0 {
+            return None;
+        }
+        let idx = ((x - b.min) / b.width()).round();
+        Some((idx as usize).min(b.bins))
+    }
+
+    /// `x` moved `k` representable values up (or down, `k < 0`).
+    fn ulps(x: f64, k: i64) -> f64 {
+        // Sign-magnitude bits <-> an integer line where neighbours differ by 1.
+        let line = |b: i64| if b < 0 { i64::MIN - b } else { b };
+        f64::from_bits(line(line(x.to_bits() as i64) + k) as u64)
+    }
+
+    #[test]
+    fn bin_of_equals_the_round_formula() {
+        assert_eq!(ulps(1.0, 1), 1.0 + f64::EPSILON);
+        assert_eq!(ulps(0.0, -1), -f64::from_bits(1));
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let specs = [
+            (0.0, 1.0, 20),
+            (-3.5, 9.25, 7),
+            (56.582, 57.774, 20),
+            (0.0, 1e-300, 3),
+            (0.0, 1e300, BinSpec::MAX_BINS),
+            (-inf, inf, 4),
+            (0.0, inf, 4),
+            (-inf, 0.0, 4),
+            // Rejected by `validate`; `bin_of` keeps its old answers.
+            (1.0, 1.0, 4),
+            (nan, 1.0, 4),
+            (0.0, nan, 4),
+        ];
+        let mut rng = ids_simclock::rng::SimRng::seed(19);
+        for (min, max, bins) in specs {
+            let b = BinSpec::new("y", min, max, bins);
+            let check = |x: f64| assert_eq!(b.bin_of(x), round_oracle(&b, x), "{b:?} at {x:e}");
+            for x in [min, max, nan, inf, -inf, -0.0, 0.0, f64::MAX, f64::MIN] {
+                check(x);
+            }
+            // Every bin edge and midpoint (where ROUND flips), +- 2 ulp.
+            for half in 0..=2 * bins {
+                let x = min + half as f64 * (b.width() / 2.0);
+                (-2..=2).for_each(|k| check(ulps(x, k)));
+            }
+            // Seeded values reaching 5 % beyond either end of the domain.
+            (0..200_000).for_each(|_| check(min + rng.uniform(-0.05, 1.05) * (max - min)));
+        }
+        assert_eq!(BinSpec::new("y", 1.0, 1.0, 4).bin_of(1.0), None);
+        assert_eq!(BinSpec::new("y", 0.0, nan, 4).bin_of(0.5), Some(0));
     }
 
     #[test]

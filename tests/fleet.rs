@@ -91,7 +91,7 @@ proptest! {
         let mut now = SimTime::ZERO;
         let mut admitted = 0usize;
         for gap in &gaps_ms {
-            now = now + SimDuration::from_millis(*gap);
+            now += SimDuration::from_millis(*gap);
             if bucket.try_take(now) {
                 admitted += 1;
             }
@@ -120,7 +120,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, gap)| {
-                at = at + SimDuration::from_millis(*gap);
+                at += SimDuration::from_millis(*gap);
                 OfferedQuery {
                     session: i % 5,
                     tenant: i % 3,

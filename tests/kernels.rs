@@ -176,10 +176,20 @@ fn adversarial_table(rows: usize) -> Table {
     let strs = (0..rows).map(|i| ["alpha", "beta", "gamma"][i % 3]);
     TableBuilder::new("adv")
         .column("x", ColumnBuilder::float(xs))
+        // Clustered (the row id), so zone verdicts differ block to block.
+        .column("t", ColumnBuilder::float((0..rows).map(|i| i as f64)))
         .column("n", ColumnBuilder::int((0..rows).map(|i| (i % 5) as i64)))
         .column("s", ColumnBuilder::str(strs))
         .build()
         .expect("static schema")
+}
+
+fn cmp(column: &str, op: CmpOp, value: impl Into<Value>) -> Predicate {
+    Predicate::Cmp {
+        column: column.into(),
+        op,
+        value: value.into(),
+    }
 }
 
 fn predicate_battery() -> Vec<Predicate> {
@@ -203,16 +213,8 @@ fn predicate_battery() -> Vec<Predicate> {
         Predicate::Or(vec![Predicate::eq("s", "alpha"), Predicate::ge("x", 90.0)]),
         Predicate::Not(Box::new(Predicate::between("x", 0.0, 10.0))),
         // NaN literal: false for every row under every op but `!=`.
-        Predicate::Cmp {
-            column: "x".into(),
-            op: CmpOp::Lt,
-            value: Value::Float(f64::NAN),
-        },
-        Predicate::Cmp {
-            column: "x".into(),
-            op: CmpOp::Ne,
-            value: Value::Float(f64::NAN),
-        },
+        cmp("x", CmpOp::Lt, f64::NAN),
+        cmp("x", CmpOp::Ne, f64::NAN),
     ];
     for op in [
         CmpOp::Eq,
@@ -222,16 +224,8 @@ fn predicate_battery() -> Vec<Predicate> {
         CmpOp::Gt,
         CmpOp::Ge,
     ] {
-        preds.push(Predicate::Cmp {
-            column: "x".into(),
-            op,
-            value: Value::Float(0.0),
-        });
-        preds.push(Predicate::Cmp {
-            column: "n".into(),
-            op,
-            value: Value::Int(2),
-        });
+        preds.push(cmp("x", op, 0.0));
+        preds.push(cmp("n", op, 2i64));
     }
     preds
 }
@@ -243,9 +237,7 @@ fn selection_vector_matches_rowwise_on_adversarial_tables() {
         for pred in predicate_battery() {
             let sel = kernels::select_vector(&t, &pred)
                 .unwrap_or_else(|e| panic!("{rows} rows, {pred:?}: {e}"));
-            let expect: Vec<usize> = (0..rows)
-                .filter(|&r| pred.matches(&t, r).expect("valid predicate"))
-                .collect();
+            let expect = pred.select(&t).expect("valid predicate");
             assert_eq!(
                 sel.to_row_ids(),
                 expect,
@@ -292,16 +284,118 @@ fn zone_pruning_is_invisible_on_adversarial_tables() {
     for rows in [1, 1024, 1025, 3000] {
         let t = adversarial_table(rows);
         for pred in predicate_battery() {
-            let mut s1 = KernelStats::default();
-            let mut s2 = KernelStats::default();
-            let a = kernels::select_vector_with(&t, &pred, &on, &mut s1).expect("valid");
-            let b = kernels::select_vector_with(&t, &pred, &off, &mut s2).expect("valid");
+            let (a, _) = select_with_stats(&t, &pred, &on);
+            let (b, s2) = select_with_stats(&t, &pred, &off);
             assert_eq!(
                 a.to_row_ids(),
                 b.to_row_ids(),
                 "{rows} rows, {pred:?}: pruning changed the selection"
             );
             assert_eq!(s2.blocks_pruned, 0, "pruning disabled but blocks pruned");
+        }
+    }
+}
+
+/// Every ordering of `items`.
+fn permutations(items: &[Predicate]) -> Vec<Vec<Predicate>> {
+    let Some((head, rest)) = items.split_first() else {
+        return vec![Vec::new()];
+    };
+    let mut out = Vec::new();
+    for tail in permutations(rest) {
+        for i in 0..=tail.len() {
+            out.push([&tail[..i], std::slice::from_ref(head), &tail[i..]].concat());
+        }
+    }
+    out
+}
+
+fn select_with_stats(
+    t: &Table,
+    pred: &Predicate,
+    opts: &KernelOptions,
+) -> (kernels::SelectionVector, KernelStats) {
+    let mut stats = KernelStats::default();
+    let sel = kernels::select_vector_with(t, pred, opts, &mut stats).expect("valid predicate");
+    (sel, stats)
+}
+
+#[test]
+fn conjunctions_are_order_independent_in_mask_and_counters() {
+    // The one-pass conjunction skips a block's data once an earlier
+    // conjunct emptied it, so the order of conjuncts decides what is
+    // *read*. It must not decide anything else: the block counters are
+    // zone verdicts per (conjunct, block) — the sum of what each
+    // conjunct counts evaluated alone.
+    let conjunctions = [
+        // Constant-true leaves: a NaN literal and a cross-type `<>`.
+        vec![
+            Predicate::ge("t", 100.0),
+            cmp("x", CmpOp::Ne, f64::NAN),
+            cmp("n", CmpOp::Ne, "two"),
+            Predicate::le("n", 3.0),
+        ],
+        // Constant-false ones.
+        vec![
+            Predicate::between("t", 0.0, 2000.0),
+            cmp("x", CmpOp::Lt, f64::NAN),
+            Predicate::eq("s", 1i64),
+        ],
+        // A leaf every block's zone map refutes (`n` is 0..=4): the
+        // permutations put the dead block first, in the middle, last.
+        vec![
+            Predicate::between("n", 10.0, 20.0),
+            Predicate::between("x", 0.0, 50.0),
+            Predicate::eq("s", "alpha"),
+            Predicate::ge("t", 1.0),
+        ],
+        // Float, int and string leaves, two of them clustered: block 0 is
+        // dead for one, block 2 for the other, block 1 all-true for the
+        // first and scanned by the second.
+        vec![
+            Predicate::between("t", 1024.0, 2047.0),
+            Predicate::between("t", 500.0, 1500.0),
+            Predicate::between("n", 1.0, 3.0),
+            Predicate::eq("s", "beta"),
+        ],
+        // `Or` and `Not` conjuncts recurse beside the flat leaves.
+        vec![
+            Predicate::Or(vec![Predicate::eq("s", "alpha"), Predicate::ge("x", 90.0)]),
+            Predicate::between("t", 10.0, 1100.0),
+            Predicate::Not(Box::new(Predicate::eq("n", 2i64))),
+        ],
+    ];
+    // Bare, under `Or` (beside a constant-false arm, which counts
+    // nothing), under `Not`.
+    let wrappers: [fn(Vec<Predicate>) -> Predicate; 3] = [
+        Predicate::And,
+        |ps| Predicate::Or(vec![Predicate::eq("x", "no"), Predicate::And(ps)]),
+        |ps| Predicate::Not(Box::new(Predicate::And(ps))),
+    ];
+    for rows in [0, 1, 63, 64, 65, 1023, 1024, 1025, 2500] {
+        let t = adversarial_table(rows);
+        for opts in [true, false].map(|zone_prune| KernelOptions { zone_prune }) {
+            for (conjuncts, wrap) in conjunctions.iter().flat_map(|c| wrappers.map(|w| (c, w))) {
+                let mut alone = KernelStats::default();
+                for c in conjuncts {
+                    let (_, s) = select_with_stats(&t, c, &opts);
+                    alone.blocks_pruned += s.blocks_pruned;
+                    alone.blocks_scanned += s.blocks_scanned;
+                }
+                let written = wrap(conjuncts.clone());
+                let want = select_with_stats(&t, &written, &opts);
+                let ctx = format!("{rows} rows, {opts:?}, {written}");
+                assert_eq!(
+                    want.0.to_row_ids(),
+                    written.select(&t).expect("valid"),
+                    "{ctx}"
+                );
+                assert_eq!(want.1, alone, "{ctx}: counters are not per-conjunct sums");
+                for perm in permutations(conjuncts) {
+                    let got = select_with_stats(&t, &wrap(perm), &opts);
+                    assert_eq!(got, want, "{ctx}: order changed the mask or the counters");
+                }
+            }
         }
     }
 }
