@@ -108,32 +108,11 @@ impl Scale {
     }
 
     /// Fleet-serving sweep configuration at this scale.
-    ///
-    /// Two environment knobs adjust the sweep without changing code:
-    /// `IDS_FLEET_SESSIONS` overrides the top concurrency level (the
-    /// sweep keeps its 8×/4×/2× down-steps), and `IDS_CHAOS_INTENSITY`
-    /// — the same toggle the CI fault matrix uses elsewhere — storms
-    /// the serving run, adding node-loss windows on top.
     pub fn fleet(self) -> fleet::FleetConfig {
-        let mut config = match self {
+        match self {
             Scale::Paper => fleet::FleetConfig::paper(),
             Scale::Bench => fleet::FleetConfig::smoke_test(),
-        };
-        if let Some(top) = std::env::var("IDS_FLEET_SESSIONS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            let top = top.max(1);
-            config.session_counts = vec![(top / 8).max(1), (top / 4).max(1), (top / 2).max(1), top];
-            config.session_counts.dedup();
         }
-        if let Some(intensity) = std::env::var("IDS_CHAOS_INTENSITY")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-        {
-            config.chaos_intensity = intensity.clamp(0.0, 1.0);
-        }
-        config
     }
 
     /// Case-3 configuration at this scale.

@@ -8,6 +8,7 @@
 //! thread interleaving, which is what makes same-seed runs bit-identical
 //! even under parallel execution.
 
+use ids_engine::distributed::splitmix64;
 use ids_simclock::rng::SimRng;
 use ids_simclock::{SimDuration, SimTime};
 
@@ -178,18 +179,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Reads `IDS_CHAOS_INTENSITY` (a float in `[0, 1]`) and builds a
-    /// storm at that intensity, or at `default_intensity` when unset or
-    /// unparsable. This is the CI fault-matrix toggle: the same tests run
-    /// calm locally and stormy in the chaos job.
-    pub fn from_env(seed: u64, horizon: SimDuration, default_intensity: f64) -> FaultPlan {
-        let intensity = std::env::var("IDS_CHAOS_INTENSITY")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(default_intensity);
-        FaultPlan::storm(seed, intensity, horizon)
-    }
-
     /// The seed the plan (and its failure hash) is derived from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -279,7 +268,7 @@ impl FaultPlan {
         if self.failure_rate <= 0.0 {
             return false;
         }
-        let h = splitmix(self.seed ^ fingerprint ^ (u64::from(attempt) << 48));
+        let h = splitmix64(self.seed ^ fingerprint ^ (u64::from(attempt) << 48));
         (h as f64 / u64::MAX as f64) < self.failure_rate
     }
 
@@ -370,17 +359,12 @@ impl FaultPlanBuilder {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a fingerprint of a query's canonical rendering. Two structurally
+/// Fingerprint of a query's canonical rendering. Two structurally
 /// identical queries share a fingerprint; the `attempt` axis in
 /// [`FaultPlan::should_fail`] separates their retries.
+///
+/// FNV-1a-shaped fold; the multiplier is not the FNV prime and must not
+/// be corrected — every fault decision and golden depends on it.
 pub fn query_fingerprint(query: &ids_engine::Query) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in query.to_string().as_bytes() {

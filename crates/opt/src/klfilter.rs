@@ -11,7 +11,9 @@
 //! threshold, per the graphical-perception study the paper cites) drops
 //! imperceptible changes too.
 
-use ids_engine::{Backend, EngineError, EngineResult, Histogram, Predicate, Query, Table};
+use ids_engine::distributed::take_table;
+use ids_engine::exec::run_histogram;
+use ids_engine::{Backend, EngineError, EngineResult, Histogram, Query, ResultSet, Table};
 use ids_simclock::rng::SimRng;
 use ids_simclock::SimTime;
 use ids_workload::crossfilter::QueryGroup;
@@ -53,8 +55,8 @@ fn kl_of_dists(p: &[f64], q: &[f64]) -> f64 {
 /// results without touching the database.
 #[derive(Debug, Clone)]
 pub struct HistogramSketch {
-    table: Table,
-    rows: Vec<usize>,
+    /// The sampled rows, as a table of the same name and schema.
+    sample: Table,
 }
 
 impl HistogramSketch {
@@ -71,12 +73,13 @@ impl HistogramSketch {
             idx.swap(i, j);
         }
         idx.truncate(k);
-        HistogramSketch { table, rows: idx }
+        let sample = take_table(&table, &idx).expect("rows of a built table rebuild");
+        HistogramSketch { sample }
     }
 
     /// Number of sampled rows.
     pub fn sample_size(&self) -> usize {
-        self.rows.len()
+        self.sample.rows()
     }
 
     /// Approximates a histogram query's result over the sample. Only
@@ -92,18 +95,12 @@ impl HistogramSketch {
                 "sketch approximation only supports histogram queries".into(),
             ));
         };
-        if table.as_ref() != self.table.name() {
+        if table.as_ref() != self.sample.name() {
             return Err(EngineError::UnknownTable(table.to_string()));
         }
-        let col = self.table.column(&bins.column)?;
-        let mut hist = Histogram::zeros(bins.bucket_count());
-        for &row in &self.rows {
-            if filter_matches(filter, &self.table, row)? {
-                if let Some(b) = col.f64_at(row).and_then(|x| bins.bin_of(x)) {
-                    hist.bump(b);
-                }
-            }
-        }
+        let (ResultSet::Histogram(hist), _) = run_histogram(&self.sample, bins, filter, 1)? else {
+            unreachable!("run_histogram answers with a histogram");
+        };
         Ok(hist)
     }
 
@@ -116,10 +113,6 @@ impl HistogramSketch {
         }
         Ok(sig)
     }
-}
-
-fn filter_matches(filter: &Predicate, table: &Table, row: usize) -> EngineResult<bool> {
-    filter.matches(table, row)
 }
 
 /// Replays a query-group stream with the KL policy: a group executes only
@@ -203,7 +196,7 @@ pub fn replay_kl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ids_engine::{BinSpec, ColumnBuilder, MemBackend, TableBuilder};
+    use ids_engine::{BinSpec, ColumnBuilder, MemBackend, Predicate, TableBuilder};
 
     fn table(n: usize) -> Table {
         // y is correlated with x (y = x/2), so restricting x genuinely
@@ -272,6 +265,39 @@ mod tests {
         let approx = sketch.approx(&q).unwrap();
         let kl = kl_divergence(&approx, exact.result.histogram().unwrap());
         assert!(kl < 0.05, "sketch diverges from exact by {kl}");
+    }
+
+    /// The executor's answer over the sample against the arithmetic it
+    /// replaced here: one `matches` + `bin_of` per sampled row.
+    #[test]
+    fn approx_equals_the_per_row_count_over_the_sample() {
+        let t = table(5_000);
+        let bins = BinSpec::new("y", 0.0, 50.0, 20);
+        let three_ranges = Predicate::and(vec![
+            Predicate::between("x", 10.0, 60.0),
+            Predicate::between("y", 2.0, 40.0),
+            Predicate::between("x", 5.0, 90.0),
+        ]);
+        let nothing = Predicate::between("x", 200.0, 300.0);
+        for sample_size in [700, 5_000, 9_000] {
+            let sketch = HistogramSketch::new(t.clone(), sample_size, 11);
+            let sample = &sketch.sample;
+            assert_eq!(sample.rows(), sample_size.min(5_000));
+            let y = sample.column("y").unwrap();
+            for (filter, matches_any) in [(&three_ranges, true), (&nothing, false)] {
+                let mut expected = Histogram::zeros(bins.bucket_count());
+                for row in 0..sample.rows() {
+                    if filter.matches(sample, row).unwrap() {
+                        if let Some(b) = y.f64_at(row).and_then(|v| bins.bin_of(v)) {
+                            expected.bump(b);
+                        }
+                    }
+                }
+                assert_eq!(expected.total() > 0, matches_any);
+                let q = Query::histogram("dataroad", bins.clone(), filter.clone());
+                assert_eq!(sketch.approx(&q).unwrap(), expected);
+            }
+        }
     }
 
     #[test]

@@ -51,37 +51,36 @@ fn distinct_queries(n: usize) -> Vec<Query> {
 fn batch_outcomes_identical_across_thread_counts_under_faults() {
     let inner = backend(2_000);
     let queries = distinct_queries(40);
-    // A storm with spikes, stalls, and transient failures all active;
-    // CI sweeps the intensity via IDS_CHAOS_INTENSITY (full strength by
-    // default). Buffer-pressure windows are inert without a disk target —
-    // pool state is the one deliberately order-dependent fault.
-    let plan = FaultPlan::from_env(17, SimDuration::from_secs(60), 1.0);
-    assert!(plan.failure_rate() > 0.0, "failures must be in play");
-    // Pin the clock inside the storm so time-keyed windows are active.
-    let spike_at = plan.windows()[0].start;
-    ids::obs::set_vnow(spike_at);
+    // Storms with spikes, stalls, and transient failures all active, at
+    // three strengths. Buffer-pressure windows are inert without a disk
+    // target — pool state is the one deliberately order-dependent fault.
+    for intensity in [0.33, 0.67, 1.0] {
+        let plan = FaultPlan::storm(17, intensity, SimDuration::from_secs(60));
+        assert!(plan.failure_rate() > 0.0, "failures must be in play");
+        // Pin the clock inside the storm so time-keyed windows are active.
+        let spike_at = plan.windows()[0].start;
+        ids::obs::set_vnow(spike_at);
 
-    let run = |threads: usize| {
-        // Fresh injector per run: attempt counters restart, so every
-        // thread count sees the same injection decisions.
-        let chaos = ChaosBackend::new(&inner, plan.clone());
-        let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
-        execute_batch(&retrying, &queries, threads)
-            .expect("retries absorb this seed's transient failures")
-    };
+        let run = |threads: usize| {
+            // Fresh injector per run: attempt counters restart, so every
+            // thread count sees the same injection decisions.
+            let chaos = ChaosBackend::new(&inner, plan.clone());
+            let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+            execute_batch(&retrying, &queries, threads)
+                .expect("retries absorb this seed's transient failures")
+        };
 
-    let reference = run(1);
-    assert_eq!(reference.len(), queries.len());
-    for threads in [2, 4, 8] {
-        let outcomes = run(threads);
-        assert_eq!(outcomes.len(), reference.len());
-        for (i, (a, b)) in reference.iter().zip(&outcomes).enumerate() {
-            assert_eq!(a.result, b.result, "query {i} answer at {threads} threads");
-            assert_eq!(a.cost, b.cost, "query {i} cost at {threads} threads");
-            assert_eq!(
-                a.quality, b.quality,
-                "query {i} quality at {threads} threads"
-            );
+        let reference = run(1);
+        assert_eq!(reference.len(), queries.len());
+        for threads in [2, 4, 8] {
+            let outcomes = run(threads);
+            assert_eq!(outcomes.len(), reference.len());
+            for (i, (a, b)) in reference.iter().zip(&outcomes).enumerate() {
+                let at = format!("query {i} at {threads} threads, intensity {intensity}");
+                assert_eq!(a.result, b.result, "answer of {at}");
+                assert_eq!(a.cost, b.cost, "cost of {at}");
+                assert_eq!(a.quality, b.quality, "quality of {at}");
+            }
         }
     }
 }

@@ -42,9 +42,13 @@ fn fleet_table_is_invariant_across_worker_threads() {
 
 #[test]
 fn chaos_composed_fleet_terminates_and_degrades() {
-    let calm = run(&small_config());
-    let mut stormy_config = small_config();
-    stormy_config.chaos_intensity = 0.8;
+    // The two concurrency levels and the storm strength CI's fleet
+    // matrix used to set through the environment.
+    let mut calm_config = small_config();
+    calm_config.session_counts = vec![16, 64];
+    let calm = run(&calm_config);
+    let mut stormy_config = calm_config;
+    stormy_config.chaos_intensity = 0.6;
     // Node-loss windows mid-run shrink capacity; the run must still
     // complete with every offered query accounted for.
     let stormy = run(&stormy_config);
