@@ -226,10 +226,7 @@ pub fn to_reports(points: &[ShardPoint]) -> Vec<BenchReport> {
             rows_matched: p.admitted as u64,
             checksum: p.checksum,
             virtual_cost_us: p.p99_us,
-            blocks_pruned: 0,
-            blocks_scanned: 0,
-            baseline_wall_ns: None,
-            vectorized_wall_ns: None,
+            ..BenchReport::default()
         })
         .collect()
 }

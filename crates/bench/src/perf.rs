@@ -12,8 +12,8 @@
 use std::time::Instant;
 
 use ids_engine::{
-    exec, BinSpec, ColumnBuilder, CostModel, CostParams, LinearCostModel, Predicate, Table,
-    TableBuilder,
+    exec, kernels, BinSpec, ColumnBuilder, CostModel, CostParams, KernelOptions, KernelStats,
+    LinearCostModel, Predicate, QueryFootprint, ResultSet, Table, TableBuilder,
 };
 use ids_simclock::rng::SimRng;
 
@@ -22,7 +22,7 @@ use ids_simclock::rng::SimRng;
 pub const SEED: u64 = 7;
 
 /// One benchmark's measurements. Wall fields are `None` in quick mode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     /// Benchmark name.
     pub name: String,
@@ -73,47 +73,69 @@ pub fn perf_table(rows: usize) -> Table {
         .expect("static schema")
 }
 
+/// One statement of a bench shape: a histogram over `bins`, or a count
+/// when there are none, of the rows `filter` selects.
+type Statement = (Option<BinSpec>, Predicate);
+
 /// Runs the full bench suite over a fresh seeded table: the interactive
 /// crossfilter shapes (a clustered brush, an unclustered range, a
-/// full-table histogram, a 2-D crossfilter) plus a brushed count.
+/// full-table histogram, a 2-D crossfilter), a brushed count, and a
+/// brush event as the engine is actually handed one.
 pub fn run_all(quick: bool, rows: usize, reps: usize) -> Vec<BenchReport> {
     let table = perf_table(rows);
     let n = rows as f64;
-    let benches: Vec<(&str, BinSpec, Predicate)> = vec![
+    let bin_v = || Some(BinSpec::new("v", 0.0, 100.0, 20));
+    let brush_2d = |t: (f64, f64), v: (f64, f64)| {
+        Predicate::and([
+            Predicate::between("t", t.0 * n, t.1 * n),
+            Predicate::between("v", v.0, v.1),
+        ])
+    };
+    let benches: [(&str, Statement); 5] = [
         (
             "hist_brush_t_bin_v",
-            BinSpec::new("v", 0.0, 100.0, 20),
-            Predicate::between("t", 0.45 * n, 0.55 * n),
+            (bin_v(), Predicate::between("t", 0.45 * n, 0.55 * n)),
         ),
-        (
-            "hist_full_bin_v",
-            BinSpec::new("v", 0.0, 100.0, 20),
-            Predicate::True,
-        ),
+        ("hist_full_bin_v", (bin_v(), Predicate::True)),
         (
             "hist_range_v_bin_v",
-            BinSpec::new("v", 0.0, 100.0, 20),
-            Predicate::between("v", 5.0, 95.0),
+            (bin_v(), Predicate::between("v", 5.0, 95.0)),
         ),
         (
             "hist_crossfilter_2d",
-            BinSpec::new("v", 0.0, 100.0, 20),
-            Predicate::and([
-                Predicate::between("t", 0.25 * n, 0.75 * n),
-                Predicate::between("v", 10.0, 90.0),
-            ]),
+            (bin_v(), brush_2d((0.25, 0.75), (10.0, 90.0))),
+        ),
+        (
+            "count_brush_t",
+            (None, Predicate::between("t", 0.45 * n, 0.55 * n)),
         ),
     ];
 
     let model = LinearCostModel::new(CostParams::mem_default());
-    let mut reports = Vec::new();
-    for (name, bins, filter) in &benches {
-        reports.push(run_bench(name, &table, bins, filter, &model, reps, quick));
-    }
-    reports.push(run_count_bench(
-        "count_brush_t",
+    // These time the kernel pair, not `exec`: with one fixed filter every
+    // repetition after the warm-up would be a selection-memo hit.
+    let mut reports: Vec<BenchReport> = benches
+        .iter()
+        .map(|(name, s)| {
+            let pair = std::slice::from_ref(s);
+            run_bench(name, &table, pair, kernel_pair, &model, reps, quick)
+        })
+        .collect();
+    // The memo on purpose: two different brushes, each issued as its two
+    // histograms (bin `v`, bin `t`) through `exec` — per repetition two
+    // misses and two hits by construction.
+    let bin_t = || Some(BinSpec::new("t", 0.0, n, 20));
+    let event = |brush: Predicate| [(bin_v(), brush.clone()), (bin_t(), brush)];
+    let events = [
+        event(brush_2d((0.25, 0.75), (10.0, 90.0))),
+        event(brush_2d((0.30, 0.80), (20.0, 95.0))),
+    ]
+    .concat();
+    reports.push(run_bench(
+        "hist_pair_shared_filter",
         &table,
-        &Predicate::between("t", 0.45 * n, 0.55 * n),
+        &events,
+        |t, s| through_exec(t, s).0,
         &model,
         reps,
         quick,
@@ -130,98 +152,93 @@ pub fn run_all(quick: bool, rows: usize, reps: usize) -> Vec<BenchReport> {
 /// The row-at-a-time baseline: evaluate the predicate per row with
 /// [`Predicate::matches`] — the engine's ground-truth tuple-at-a-time
 /// path, same execution model as `ids_simtest::reference` — then bin
-/// matching rows through `f64_at` + `bin_of`. This is what the
-/// vectorized kernels replaced.
-fn rowwise_histogram(table: &Table, bins: &BinSpec, filter: &Predicate) -> Vec<u64> {
+/// matching rows through `f64_at` + `bin_of` (or count them). This is
+/// what the vectorized kernels replaced.
+fn rowwise(table: &Table, (bins, filter): &Statement) -> Vec<u64> {
+    let matches = |row: &usize| filter.matches(table, *row).expect("bench filter is valid");
+    let Some(bins) = bins else {
+        return vec![(0..table.rows()).filter(matches).count() as u64];
+    };
     let col = table.column(&bins.column).expect("bench column exists");
     let mut counts = vec![0u64; bins.bucket_count()];
-    for row in 0..table.rows() {
-        if filter.matches(table, row).expect("bench filter is valid") {
-            if let Some(b) = col.f64_at(row).and_then(|x| bins.bin_of(x)) {
-                counts[b] += 1;
-            }
+    for row in (0..table.rows()).filter(matches) {
+        if let Some(b) = col.f64_at(row).and_then(|x| bins.bin_of(x)) {
+            counts[b] += 1;
         }
     }
     counts
 }
 
-/// Row-at-a-time count baseline (see [`rowwise_histogram`]).
-fn rowwise_count(table: &Table, filter: &Predicate) -> u64 {
-    (0..table.rows())
-        .filter(|&row| filter.matches(table, row).expect("bench filter is valid"))
-        .count() as u64
+/// The kernel pair the speed-ups document, always evaluated:
+/// `select_vector_with`, then `fused_filter_bin` (or the popcount).
+fn kernel_pair(table: &Table, (bins, filter): &Statement) -> Vec<u64> {
+    let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
+    let sel = kernels::select_vector_with(table, filter, &opts, &mut stats)
+        .expect("bench filter is valid");
+    let Some(bins) = bins else {
+        return vec![sel.count() as u64];
+    };
+    let idx = table
+        .column_index(&bins.column)
+        .expect("bench column exists");
+    let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
+    kernels::fused_filter_bin(col, zone, &sel, bins, &opts, &mut stats)
+        .counts()
+        .to_vec()
 }
 
+/// The statement as a backend runs it (`exec`, selection memo included).
+fn through_exec(table: &Table, (bins, filter): &Statement) -> (Vec<u64>, QueryFootprint) {
+    let (rs, fp) = match bins {
+        Some(bins) => exec::run_histogram(table, bins, filter, 1),
+        None => exec::run_count(table, filter),
+    }
+    .expect("bench query is valid");
+    let counts = match &rs {
+        ResultSet::Histogram(h) => h.counts().to_vec(),
+        _ => vec![rs.scalar_count().expect("count result")],
+    };
+    (counts, fp)
+}
+
+/// Checks every statement of a shape three ways (`exec`, kernel pair,
+/// row-at-a-time), sums the `exec` footprints into the report, and in
+/// full mode times `timed` over the statements against [`rowwise`].
 fn run_bench(
     name: &str,
     table: &Table,
-    bins: &BinSpec,
-    filter: &Predicate,
+    statements: &[Statement],
+    timed: impl Fn(&Table, &Statement) -> Vec<u64>,
     model: &LinearCostModel,
     reps: usize,
     quick: bool,
 ) -> BenchReport {
-    let (rs, fp) = exec::run_histogram(table, bins, filter, 1).expect("bench query is valid");
-    let hist = rs.histogram().expect("histogram result");
-    let rowwise = rowwise_histogram(table, bins, filter);
-    assert_eq!(
-        hist.counts(),
-        &rowwise[..],
-        "{name}: vectorized and row-at-a-time histograms diverged"
-    );
     let mut report = BenchReport {
         name: name.to_string(),
-        rows_matched: fp.rows_matched,
-        checksum: fnv1a(hist.counts()),
-        virtual_cost_us: model.price(&fp).as_micros(),
-        blocks_pruned: fp.blocks_pruned,
-        blocks_scanned: fp.blocks_scanned,
-        baseline_wall_ns: None,
-        vectorized_wall_ns: None,
+        ..BenchReport::default()
     };
-    if !quick {
-        report.baseline_wall_ns = Some(median_wall_ns(reps, || {
-            std::hint::black_box(rowwise_histogram(table, bins, filter));
-        }));
-        report.vectorized_wall_ns = Some(median_wall_ns(reps, || {
-            std::hint::black_box(exec::run_histogram(table, bins, filter, 1).unwrap());
-        }));
+    let mut answers = Vec::new();
+    for s in statements {
+        let (counts, fp) = through_exec(table, s);
+        assert_eq!(counts, rowwise(table, s), "{name}: exec != row-at-a-time");
+        assert_eq!(counts, kernel_pair(table, s), "{name}: exec != kernels");
+        report.rows_matched += fp.rows_matched;
+        report.virtual_cost_us += model.price(&fp).as_micros();
+        report.blocks_pruned += fp.blocks_pruned;
+        report.blocks_scanned += fp.blocks_scanned;
+        answers.extend(counts);
     }
-    report
-}
-
-fn run_count_bench(
-    name: &str,
-    table: &Table,
-    filter: &Predicate,
-    model: &LinearCostModel,
-    reps: usize,
-    quick: bool,
-) -> BenchReport {
-    let (rs, fp) = exec::run_count(table, filter).expect("bench query is valid");
-    let count = rs.scalar_count().expect("count result");
-    let rowwise = rowwise_count(table, filter);
-    assert_eq!(
-        count, rowwise,
-        "{name}: vectorized and row-at-a-time counts diverged"
-    );
-    let mut report = BenchReport {
-        name: name.to_string(),
-        rows_matched: fp.rows_matched,
-        checksum: fnv1a(&[count]),
-        virtual_cost_us: model.price(&fp).as_micros(),
-        blocks_pruned: fp.blocks_pruned,
-        blocks_scanned: fp.blocks_scanned,
-        baseline_wall_ns: None,
-        vectorized_wall_ns: None,
-    };
+    report.checksum = fnv1a(&answers);
     if !quick {
-        report.baseline_wall_ns = Some(median_wall_ns(reps, || {
-            std::hint::black_box(rowwise_count(table, filter));
-        }));
-        report.vectorized_wall_ns = Some(median_wall_ns(reps, || {
-            std::hint::black_box(exec::run_count(table, filter).unwrap());
-        }));
+        let time = |f: &dyn Fn(&Table, &Statement) -> Vec<u64>| {
+            median_wall_ns(reps, || {
+                for s in statements {
+                    std::hint::black_box(f(table, s));
+                }
+            })
+        };
+        report.baseline_wall_ns = Some(time(&rowwise));
+        report.vectorized_wall_ns = Some(time(&timed));
     }
     report
 }
@@ -336,7 +353,7 @@ mod tests {
     fn quick_runs_are_deterministic() {
         let a = run_all(true, 4_000, 1);
         let b = run_all(true, 4_000, 1);
-        assert_eq!(a.len(), 8, "5 kernel benches + 3 fleet shard points");
+        assert_eq!(a.len(), 9, "6 kernel benches + 3 fleet shard points");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.checksum, y.checksum);

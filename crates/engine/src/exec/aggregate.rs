@@ -15,7 +15,7 @@
 
 use crate::column::{Column, ZoneMap, ZONE_BLOCK_ROWS};
 use crate::cost::QueryFootprint;
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
 use crate::parallel::ordered_map;
 use crate::predicate::Predicate;
@@ -44,21 +44,13 @@ pub fn run_histogram(
     threads: usize,
 ) -> EngineResult<(ResultSet, QueryFootprint)> {
     bins.validate()?;
-    filter.validate(table)?;
-    let bin_idx = table.column_index(&bins.column)?;
+    // Before the bin column's checks: a bad filter outranks a bad bin column.
+    let (selected, mut footprint) = super::filter_rows(table, filter)?;
+    let bin_idx = bins.column_in(table)?;
     let col = table.column_at(bin_idx);
-    // Probe via column type metadata, not a sample value: `f64_at(0)`
-    // can't see past the first row and says nothing on empty columns.
-    if !col.data_type().is_numeric() {
-        return Err(EngineError::TypeMismatch {
-            column: bins.column.to_string(),
-            expected: "numeric column for binning",
-        });
-    }
 
     let opts = KernelOptions::default();
     let mut stats = KernelStats::default();
-    let selected = kernels::select_vector_with(table, filter, &opts, &mut stats)?;
     let zone = table.zone_map_at(bin_idx);
     let hist = if threads > 1 && table.rows() > PAR_CHUNK_ROWS {
         bin_chunks(col, zone, &selected, bins, threads, &mut stats)?
@@ -66,17 +58,11 @@ pub fn run_histogram(
         kernels::fused_filter_bin(col, zone, &selected, bins, &opts, &mut stats)
     };
 
-    let footprint = QueryFootprint {
-        rows_scanned: table.rows() as u64,
-        rows_matched: selected.count() as u64,
-        rows_aggregated: selected.count() as u64,
-        groups: hist.bins() as u64,
-        rows_output: hist.bins() as u64,
-        predicate_evals: table.rows() as u64 * filter.condition_count() as u64,
-        blocks_pruned: stats.blocks_pruned,
-        blocks_scanned: stats.blocks_scanned,
-        ..QueryFootprint::default()
-    };
+    footprint.rows_aggregated = footprint.rows_matched;
+    footprint.groups = hist.bins() as u64;
+    footprint.rows_output = hist.bins() as u64;
+    footprint.blocks_pruned += stats.blocks_pruned;
+    footprint.blocks_scanned += stats.blocks_scanned;
     Ok((ResultSet::Histogram(hist), footprint))
 }
 
@@ -124,28 +110,18 @@ fn bin_chunks(
 /// Executes `SELECT COUNT(*) FROM t WHERE f` — fused filter+count: the
 /// answer is the selection mask's popcount.
 pub fn run_count(table: &Table, filter: &Predicate) -> EngineResult<(ResultSet, QueryFootprint)> {
-    filter.validate(table)?;
-    let opts = KernelOptions::default();
-    let mut stats = KernelStats::default();
-    let selected = kernels::select_vector_with(table, filter, &opts, &mut stats)?;
-    let footprint = QueryFootprint {
-        rows_scanned: table.rows() as u64,
-        rows_matched: selected.count() as u64,
-        rows_aggregated: selected.count() as u64,
-        groups: 1,
-        rows_output: 1,
-        predicate_evals: table.rows() as u64 * filter.condition_count() as u64,
-        blocks_pruned: stats.blocks_pruned,
-        blocks_scanned: stats.blocks_scanned,
-        ..QueryFootprint::default()
-    };
-    Ok((ResultSet::Count(selected.count() as u64), footprint))
+    let (_, mut footprint) = super::filter_rows(table, filter)?;
+    footprint.rows_aggregated = footprint.rows_matched;
+    footprint.groups = 1;
+    footprint.rows_output = 1;
+    Ok((ResultSet::Count(footprint.rows_matched), footprint))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::ColumnBuilder;
+    use crate::error::EngineError;
     use crate::table::TableBuilder;
 
     fn road() -> Table {

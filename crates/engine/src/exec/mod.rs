@@ -21,11 +21,57 @@ pub use aggregate::{run_count, run_histogram, PAR_CHUNK_ROWS};
 pub use join::run_join;
 pub use scan::run_select;
 
+use std::sync::Arc;
+
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
+use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
+use crate::predicate::Predicate;
 use crate::query::Query;
 use crate::result::ResultSet;
+use crate::table::Table;
 use crate::Database;
+
+/// The filter phase of every operator: validates `filter` and returns
+/// the rows it selects with the footprint fields the filter alone
+/// determines (`rows_scanned`, `rows_matched`, `predicate_evals`, its
+/// share of `blocks_pruned` / `blocks_scanned`).
+///
+/// A crossfilter event re-queries every other histogram under one
+/// `WHERE` clause, so the table remembers the last filter it answered
+/// (`Table::last_filter`) and a repeat gets that very answer back. The
+/// counters are stored with the selection: no footprint, and no virtual
+/// cost priced from one, can tell a remembered answer from an evaluated
+/// one, and nothing records which it was. `TRUE` (already O(words) to
+/// answer) and errors are never remembered.
+pub fn filter_rows(
+    table: &Table,
+    filter: &Predicate,
+) -> EngineResult<(Arc<SelectionVector>, QueryFootprint)> {
+    if let Some((key, selected, footprint)) = &*table.last_filter() {
+        if key.same_filter(filter) {
+            return Ok((Arc::clone(selected), *footprint));
+        }
+    }
+    // Evaluated with the lock released: two workers racing on one table
+    // both miss, compute the same answer, and the later one's stays.
+    let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
+    let selected = Arc::new(kernels::select_vector_with(
+        table, filter, &opts, &mut stats,
+    )?);
+    let footprint = QueryFootprint {
+        rows_scanned: table.rows() as u64,
+        rows_matched: selected.count() as u64,
+        predicate_evals: table.rows() as u64 * filter.condition_count() as u64,
+        blocks_pruned: stats.blocks_pruned,
+        blocks_scanned: stats.blocks_scanned,
+        ..QueryFootprint::default()
+    };
+    if !matches!(filter, Predicate::True) {
+        *table.last_filter() = Some((filter.clone(), Arc::clone(&selected), footprint));
+    }
+    Ok((selected, footprint))
+}
 
 /// Executes a logical query against the tables registered in `db`,
 /// single-threaded.

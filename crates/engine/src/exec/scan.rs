@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
-use crate::kernels::{self, KernelOptions, KernelStats};
 use crate::predicate::Predicate;
 use crate::query::{page_window, ConcatPart, Projection, SelectSpec};
 use crate::result::{ResultSet, Row};
@@ -18,7 +17,6 @@ use crate::value::Value;
 /// with a real filter every row must be tested, which the footprint
 /// reflects.
 pub fn run_select(table: &Table, spec: &SelectSpec) -> EngineResult<(ResultSet, QueryFootprint)> {
-    spec.filter.validate(table)?;
     let mut footprint = QueryFootprint::default();
 
     let selected: Vec<usize> = match &spec.filter {
@@ -32,14 +30,8 @@ pub fn run_select(table: &Table, spec: &SelectSpec) -> EngineResult<(ResultSet, 
             // Vectorized path: evaluate the filter into a selection
             // bitmask, then materialize row ids only for the requested
             // page instead of for every match.
-            let opts = KernelOptions::default();
-            let mut stats = KernelStats::default();
-            let sel = kernels::select_vector_with(table, filter, &opts, &mut stats)?;
-            footprint.rows_scanned = table.rows() as u64;
-            footprint.rows_matched = sel.count() as u64;
-            footprint.predicate_evals = footprint.rows_scanned * filter.condition_count() as u64;
-            footprint.blocks_pruned = stats.blocks_pruned;
-            footprint.blocks_scanned = stats.blocks_scanned;
+            let sel;
+            (sel, footprint) = super::filter_rows(table, filter)?;
             let take = match spec.limit {
                 Some(l) => l.min(sel.count().saturating_sub(spec.offset)),
                 None => sel.count().saturating_sub(spec.offset),

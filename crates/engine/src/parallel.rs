@@ -97,6 +97,7 @@ mod tests {
     use crate::backend::MemBackend;
     use crate::column::ColumnBuilder;
     use crate::predicate::Predicate;
+    use crate::query::BinSpec;
     use crate::table::TableBuilder;
 
     #[test]
@@ -180,6 +181,33 @@ mod tests {
                 assert_eq!(out.scalar_count(), Some(i as u64 + 1), "{threads} threads");
             }
             assert!(execute_batch(&b, &[], threads).unwrap().is_empty());
+        }
+        // Two filters alternating over one table, each as its histogram
+        // and its count. A worker may find the table remembering its
+        // filter, the other one, or race another worker to a double miss:
+        // every outcome must equal the serial one on a cold table.
+        let alternating: Vec<Query> = (0..32)
+            .map(|i| {
+                let filter = Predicate::between("x", 0.0, [300.0, 700.0][i / 2 % 2]);
+                match i % 2 {
+                    0 => Query::histogram("t", BinSpec::new("x", 0.0, 1000.0, 10), filter),
+                    _ => Query::count("t", filter),
+                }
+            })
+            .collect();
+        let cold: Vec<QueryOutcome> = alternating
+            .iter()
+            .map(|q| backend(1000).execute(q).unwrap())
+            .collect();
+        for threads in [1, 2, 4, 8] {
+            let outs = execute_batch(&b, &alternating, threads).unwrap();
+            for (i, (out, want)) in outs.iter().zip(&cold).enumerate() {
+                assert_eq!(
+                    (&out.result, out.footprint, out.cost, out.quality),
+                    (&want.result, want.footprint, want.cost, want.quality),
+                    "statement {i} at {threads} threads"
+                );
+            }
         }
     }
 

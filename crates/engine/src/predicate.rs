@@ -179,20 +179,10 @@ impl Predicate {
         })
     }
 
-    /// Evaluates the predicate over all rows, returning the selection as
-    /// a bitmask. This is the vectorized path the executor uses: each
-    /// condition is evaluated column-at-a-time with zone-map block
-    /// skipping (see [`crate::kernels`]), and boolean combinators become
-    /// word-wise AND/OR/NOT. Selects exactly the rows
-    /// [`select`](Predicate::select) does.
-    pub fn select_vector(&self, table: &Table) -> EngineResult<crate::kernels::SelectionVector> {
-        crate::kernels::select_vector(table, self)
-    }
-
     /// Evaluates the predicate over all rows, returning selected row indices.
     ///
     /// This is the naive row-id-materializing baseline the vectorized
-    /// [`select_vector`](Predicate::select_vector) path is
+    /// [`kernels::select_vector`](crate::kernels::select_vector) path is
     /// differential-tested against: [`matches`](Predicate::matches), one
     /// row at a time, for every predicate shape.
     pub fn select(&self, table: &Table) -> EngineResult<Vec<usize>> {
@@ -203,6 +193,49 @@ impl Predicate {
             }
         }
         Ok(out)
+    }
+
+    /// Whether `other` is the same filter, node for node: the key of the
+    /// table's selection memo ([`crate::exec::filter_rows`]). Stricter than
+    /// [`Value`]'s `==`, which equates `Int(3)` with `Float(3.0)` and NaN
+    /// with NaN although the kernels resolve those to different leaves —
+    /// floats compare by bit pattern and a NaN equals nothing. Missing a
+    /// repeat costs one scan; matching a different filter is a wrong answer.
+    pub(crate) fn same_filter(&self, other: &Predicate) -> bool {
+        let same_f64 = |a: f64, b: f64| a.to_bits() == b.to_bits() && !a.is_nan();
+        use Predicate::{And, Between, Cmp, Not, Or, True};
+        match (self, other) {
+            (True, True) => true,
+            (
+                Cmp {
+                    column: c,
+                    op: o,
+                    value: v,
+                },
+                Cmp { column, op, value },
+            ) => {
+                let same_value = match (v, value) {
+                    (Value::Int(a), Value::Int(b)) => a == b,
+                    (Value::Float(a), Value::Float(b)) => same_f64(*a, *b),
+                    (Value::Str(a), Value::Str(b)) => a == b,
+                    _ => false,
+                };
+                c == column && o == op && same_value
+            }
+            (
+                Between {
+                    column: c,
+                    lo: l,
+                    hi: h,
+                },
+                Between { column, lo, hi },
+            ) => c == column && same_f64(*l, *lo) && same_f64(*h, *hi),
+            (And(a), And(b)) | (Or(a), Or(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_filter(y))
+            }
+            (Not(a), Not(b)) => a.same_filter(b),
+            _ => false,
+        }
     }
 
     /// Validates that all referenced columns exist in `table`.

@@ -27,6 +27,8 @@
 //!   unseen mass), plus `0.5` for integer rounding of the estimate.
 //!   It is exactly `0.0` on the final refinement.
 
+use std::sync::Arc;
+
 use ids_simclock::rng::SimRng;
 use ids_simclock::SimDuration;
 
@@ -95,7 +97,7 @@ pub struct Refinement {
 /// block as the scan progresses), and the seeded block permutation.
 struct Prepared {
     table: Table,
-    selected: SelectionVector,
+    selected: Arc<SelectionVector>,
     /// Bin spec plus its column index, for histogram queries.
     binned: Option<(BinSpec, usize)>,
     condition_count: usize,
@@ -240,18 +242,10 @@ impl ProgressiveExecutor {
         let mut binned = None;
         if let Some(b) = bins {
             b.validate()?;
-            let idx = table.column_index(&b.column)?;
-            if !table.column_at(idx).data_type().is_numeric() {
-                return Err(EngineError::TypeMismatch {
-                    column: b.column.to_string(),
-                    expected: "numeric column for binning",
-                });
-            }
+            let idx = b.column_in(&table)?;
             binned = Some((b, idx));
         }
-        let opts = KernelOptions::default();
-        let mut stats = KernelStats::default();
-        let selected = kernels::select_vector_with(&table, filter, &opts, &mut stats)?;
+        let (selected, _) = crate::exec::filter_rows(&table, filter)?;
         let n = table.rows();
         let total_blocks = n.div_ceil(ZONE_BLOCK_ROWS);
         let mut blocks: Vec<usize> = (0..total_blocks).collect();

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use crate::error::{EngineError, EngineResult};
 use crate::predicate::Predicate;
+use crate::table::Table;
 
 /// One projected output expression.
 #[derive(Debug, Clone)]
@@ -167,6 +168,20 @@ impl BinSpec {
             )));
         }
         Ok(())
+    }
+
+    /// The position of the binned column in `table`, which must be
+    /// numeric — asked of the column's type, not a sample value, so an
+    /// empty string column is refused like a full one.
+    pub(crate) fn column_in(&self, table: &Table) -> EngineResult<usize> {
+        let idx = table.column_index(&self.column)?;
+        if !table.column_at(idx).data_type().is_numeric() {
+            return Err(EngineError::TypeMismatch {
+                column: self.column.to_string(),
+                expected: "numeric column for binning",
+            });
+        }
+        Ok(idx)
     }
 
     /// Bin width.

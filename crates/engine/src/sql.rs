@@ -73,13 +73,7 @@ pub fn bind(db: &Database, stmt: &Statement) -> EngineResult<Query> {
         }
         Query::Count { filter, .. } => filter.validate(&table)?,
         Query::Histogram { bins, filter, .. } => {
-            let col = table.column(&bins.column)?;
-            if !col.data_type().is_numeric() {
-                return Err(EngineError::TypeMismatch {
-                    column: bins.column.to_string(),
-                    expected: "numeric column for binning",
-                });
-            }
+            bins.column_in(&table)?;
             filter.validate(&table)?;
         }
         // The SQL surface never lowers to a join; nothing extra to bind.

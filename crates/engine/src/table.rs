@@ -1,10 +1,13 @@
 //! Tables: named collections of equal-length columns.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::column::{Column, ColumnBuilder, ZoneMap};
+use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
+use crate::kernels::SelectionVector;
+use crate::predicate::Predicate;
 use crate::stats::TableStats;
 use crate::value::{DataType, Value};
 
@@ -21,7 +24,13 @@ pub struct Table {
     // column). Shared across clones, so the first query to touch a
     // column pays the build and every later query reuses it.
     zones: Arc<[OnceLock<Option<ZoneMap>>]>,
+    // The last filter evaluated over this table and its answer, shared
+    // across clones like `zones` (see `exec::filter_rows`).
+    last_filter: Arc<Mutex<Option<FilterMemo>>>,
 }
+
+/// A filter, the rows it selects, and the footprint of selecting them.
+pub(crate) type FilterMemo = (Predicate, Arc<SelectionVector>, QueryFootprint);
 
 impl Table {
     /// The table name.
@@ -93,6 +102,16 @@ impl Table {
     /// The zone map of a column by name (see [`Table::zone_map_at`]).
     pub fn zone_map(&self, name: &str) -> EngineResult<Option<&ZoneMap>> {
         Ok(self.zone_map_at(self.column_index(name)?))
+    }
+
+    /// The one-entry selection memo, for [`crate::exec::filter_rows`] to
+    /// compare-and-clone or to store — never held across an evaluation.
+    /// The entry is a pure function of (table, filter), so a poisoned
+    /// lock still guards a usable one.
+    pub(crate) fn last_filter(&self) -> MutexGuard<'_, Option<FilterMemo>> {
+        self.last_filter
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Estimated width of one row on disk, in bytes (used by the pager).
@@ -185,6 +204,7 @@ impl TableBuilder {
             rows,
             stats: Arc::new(stats),
             zones: zones.into(),
+            last_filter: Arc::default(),
         })
     }
 }

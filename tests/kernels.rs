@@ -15,8 +15,14 @@
 //!   `Predicate::matches` loop on hand-built tables with infinities,
 //!   NaNs, and block-boundary values.
 
+use std::sync::Arc;
+
 use ids::engine::kernels::{self, KernelOptions, KernelStats};
-use ids::engine::{exec, BinSpec, CmpOp, ColumnBuilder, Predicate, Table, TableBuilder, Value};
+use ids::engine::{
+    exec, BinSpec, CmpOp, ColumnBuilder, Database, EngineError, Predicate, Projection, Query,
+    QueryFootprint, ResultSet, SelectSpec, Table, TableBuilder, Value,
+};
+use ids::simclock::rng::SimRng;
 use ids::simtest::reference::differential_check;
 use ids::simtest::scenario::{CmpToken, FilterSpec, QuerySpec, TableSpec};
 
@@ -420,4 +426,190 @@ fn empty_and_single_row_tables_bin_correctly() {
     assert_eq!(h.total(), 1);
     // 7.0 over [0, 10] with 5 bins of width 2 rounds to bucket 4.
     assert_eq!(h.counts()[4], 1);
+}
+
+// ---- the selection memo (`exec::filter_rows`) must be transparent ----
+
+/// The conjunction shapes a brush issues: three ranges (two clustered,
+/// so zone verdicts differ by block), the same nested, and mixed leaves.
+fn brush_conjunctions() -> Vec<Vec<Predicate>> {
+    vec![
+        vec![
+            Predicate::between("t", 100.0, 1900.0),
+            Predicate::between("x", -20.0, 100.0),
+            Predicate::between("n", 1.0, 3.0),
+        ],
+        vec![
+            Predicate::between("t", 500.0, 1500.0),
+            Predicate::And(vec![
+                Predicate::ge("x", 0.0),
+                Predicate::And(vec![Predicate::le("n", 3.0)]),
+            ]),
+            Predicate::eq("s", "beta"),
+        ],
+    ]
+}
+
+/// Count, two histograms (different bin columns) and a paginated select
+/// under `filter`, chosen by `kind`.
+fn statement(kind: usize, filter: Predicate) -> Query {
+    match kind % 4 {
+        0 => Query::count("adv", filter),
+        1 => Query::histogram("adv", BinSpec::new("x", -30.0, 120.0, 25), filter),
+        2 => Query::histogram("adv", BinSpec::new("t", 0.0, 2048.0, 16), filter),
+        _ => Query::Select(SelectSpec {
+            table: "adv".into(),
+            projection: vec![Projection::column("t"), Projection::column("s")],
+            filter,
+            limit: Some(7),
+            offset: 3,
+        }),
+    }
+}
+
+fn run_on(t: &Table, q: &Query) -> (ResultSet, QueryFootprint) {
+    let db = Database::new();
+    db.register(t.clone());
+    exec::run_query(&db, q).unwrap_or_else(|e| panic!("{q}: {e}"))
+}
+
+/// Mid-word, on a word edge (not a block edge), on a block edge.
+const MEMO_SIZES: [usize; 4] = [65, 1001, 1088, 2048];
+
+#[test]
+fn a_remembered_filter_answers_exactly_like_a_cold_table() {
+    // Kills "the stored counters are dropped on a hit": every repeat over
+    // a filter with a scanning leaf would report zero block verdicts.
+    // (It cannot see a `Value::eq` key: `resolve` builds one leaf for
+    // `Int(3)` and `Float(3.0)`, so that hit returns the right rows — the
+    // next test pins the key itself.)
+    let mut filters = predicate_battery();
+    for conjuncts in brush_conjunctions() {
+        filters.extend(permutations(&conjuncts).into_iter().map(Predicate::And));
+    }
+    for rows in MEMO_SIZES {
+        let warm = adversarial_table(rows);
+        let mut rng = SimRng::seed(21).split("memo/statements");
+        let mut filter = filters[0].clone();
+        let (mut repeats, mut total) = (0, 0);
+        // Every filter comes up as a miss; about half the statements
+        // repeat the previous one's filter under another statement kind.
+        let mut next = 0;
+        while next < filters.len() {
+            let repeat = total > 0 && rng.unit() < 0.5;
+            if !repeat {
+                filter = filters[next].clone();
+                next += 1;
+            }
+            let q = statement(rng.uniform_usize(0, 4), filter.clone());
+            let got = run_on(&warm, &q);
+            let cold = run_on(&adversarial_table(rows), &q);
+            assert_eq!(got, cold, "{rows} rows, statement {total}: {q}");
+            repeats += usize::from(repeat);
+            total += 1;
+        }
+        assert!(
+            repeats * 3 > total && repeats * 3 < total * 2,
+            "{repeats} repeats of {total}: not the ≈ 50 % share the test is about"
+        );
+    }
+}
+
+#[test]
+fn repeats_share_one_selection_and_near_misses_share_nothing() {
+    // Kills both mutants: a `Value::eq` key makes the `Int(3)` /
+    // `Float(3.0)` and NaN pairs below hit (`ptr_eq`), and dropped
+    // counters break `fb == fa` on the repeat.
+    let t = adversarial_table(2500);
+    let brush = Predicate::And(brush_conjunctions().remove(0));
+    let (a, fa) = exec::filter_rows(&t, &brush).expect("valid");
+    assert!(fa.blocks_scanned > 0 && fa.blocks_pruned > 0, "{fa:?}");
+    // The same filter written again, asked of a clone of the table.
+    let (b, fb) = exec::filter_rows(&t.clone(), &brush.clone()).expect("valid");
+    assert!(Arc::ptr_eq(&a, &b), "a repeat re-evaluated the filter");
+    assert_eq!(fb, fa);
+
+    let reordered = Predicate::And(brush_conjunctions().remove(0).into_iter().rev().collect());
+    let nan = || cmp("x", CmpOp::Ne, f64::NAN);
+    let near_misses = [
+        (Predicate::eq("n", 3i64), Predicate::eq("n", 3.0)),
+        (Predicate::eq("s", 3i64), Predicate::eq("s", 3.0)),
+        (Predicate::ge("x", 0.0), Predicate::ge("x", -0.0)),
+        (
+            Predicate::between("x", 0.0, 5.0),
+            Predicate::between("x", -0.0, 5.0),
+        ),
+        (brush.clone(), reordered),
+        (nan(), nan()),
+        (
+            Predicate::and([nan(), Predicate::ge("t", 9.0)]),
+            Predicate::and([nan(), Predicate::ge("t", 9.0)]),
+        ),
+    ];
+    for (p, q) in near_misses {
+        let (sp, _) = exec::filter_rows(&t, &p).expect("valid");
+        let (sq, _) = exec::filter_rows(&t, &q).expect("valid");
+        assert!(!Arc::ptr_eq(&sp, &sq), "{p:?} answered for {q:?}");
+        assert_eq!(sq.to_row_ids(), q.select(&t).expect("valid"), "{q:?}");
+    }
+
+    // A table re-registered under the same name with other data starts
+    // with an empty slot: the catalog hands out the new table's.
+    let db = Database::new();
+    db.register(adversarial_table(2500));
+    let q = Query::count("adv", brush.clone());
+    let before = exec::run_query(&db, &q).expect("valid");
+    db.register(adversarial_table(1500));
+    let after = exec::run_query(&db, &q).expect("valid");
+    assert_eq!(after, run_on(&adversarial_table(1500), &q));
+    assert_ne!(after, before);
+}
+
+#[test]
+fn true_and_failing_filters_leave_the_remembered_one_alone() {
+    let t = adversarial_table(1500);
+    let brush = Predicate::And(brush_conjunctions().remove(0));
+    let (a, _) = exec::filter_rows(&t, &brush).expect("valid");
+    exec::run_count(&t, &Predicate::True).expect("valid");
+    exec::run_histogram(&t, &BinSpec::new("x", 0.0, 9.0, 3), &Predicate::True, 1).expect("valid");
+    let unknown = Predicate::and([brush.clone(), Predicate::ge("nope", 1.0)]);
+    for _ in 0..2 {
+        assert!(matches!(
+            exec::filter_rows(&t, &unknown),
+            Err(EngineError::UnknownColumn { .. })
+        ));
+    }
+    let (b, _) = exec::filter_rows(&t, &brush).expect("valid");
+    assert!(Arc::ptr_eq(&a, &b), "TRUE or an error evicted the entry");
+}
+
+#[test]
+fn a_hit_does_not_excuse_the_rest_of_the_statement() {
+    // A remembered filter under a bad bin spec or bin column fails with
+    // the error a cold table gives, and keeps answering good statements.
+    let warm = adversarial_table(1500);
+    let brush = Predicate::And(brush_conjunctions().remove(1));
+    let good = BinSpec::new("x", -30.0, 120.0, 25);
+    let want = exec::run_histogram(&warm, &good, &brush, 1).expect("valid");
+    for bad in [
+        BinSpec::new("s", 0.0, 1.0, 2),
+        BinSpec::new("nope", 0.0, 1.0, 2),
+        BinSpec::new("x", 0.0, 1.0, 0),
+        BinSpec::new("x", 5.0, 5.0, 10),
+    ] {
+        let got = exec::run_histogram(&warm, &bad, &brush, 1).expect_err("bad bins");
+        let cold =
+            exec::run_histogram(&adversarial_table(1500), &bad, &brush, 1).expect_err("bad bins");
+        assert_eq!(format!("{got:?}"), format!("{cold:?}"));
+        assert!(matches!(
+            got,
+            EngineError::TypeMismatch { .. }
+                | EngineError::UnknownColumn { .. }
+                | EngineError::InvalidBinSpec(_)
+        ));
+        assert_eq!(
+            exec::run_histogram(&warm, &good, &brush, 1).expect("valid"),
+            want
+        );
+    }
 }

@@ -14,8 +14,9 @@
 //!   replay is byte-identical to the plain replay, timing for timing
 //!   and outcome for outcome.
 
+use ids::engine::progressive::ProgressiveExecutor;
 use ids::engine::scheduler::{IssuedQuery, ReplayScheduler, ResiliencePolicy};
-use ids::engine::{Backend, ColumnBuilder, MemBackend, Predicate, Query, TableBuilder};
+use ids::engine::{Backend, BinSpec, ColumnBuilder, MemBackend, Predicate, Query, TableBuilder};
 use ids::experiments::robustness::{self, ProgressiveConfig};
 use ids::simclock::SimTime;
 
@@ -111,4 +112,48 @@ fn progressive_machinery_costs_nothing_when_disabled() {
         assert_eq!(oa.cost, ob.cost, "virtual costs identical");
         assert_eq!(oa.quality, ob.quality, "qualities identical");
     }
+}
+
+#[test]
+fn a_refinement_after_the_exact_answer_under_the_same_filter_is_the_cold_one() {
+    // The deadline path prepares its selection through the same entry
+    // point as the exact executor, so a refinement that follows an exact
+    // histogram with the same filter starts from a remembered selection.
+    // It must be byte-identical to one prepared on a cold table.
+    let backend = || {
+        let b = MemBackend::new();
+        b.database().register(
+            TableBuilder::new("t")
+                .column(
+                    "x",
+                    ColumnBuilder::float((0..5_000).map(|i| (i % 173) as f64)),
+                )
+                .column("t", ColumnBuilder::float((0..5_000).map(|i| i as f64)))
+                .build()
+                .unwrap(),
+        );
+        b
+    };
+    let filter = Predicate::and([
+        Predicate::between("t", 700.0, 4_100.0),
+        Predicate::between("x", 10.0, 120.0),
+    ]);
+    let query = Query::histogram("t", BinSpec::new("x", 0.0, 173.0, 12), filter.clone());
+    let warm = backend();
+    let exact = warm.execute(&query).unwrap();
+    for other in [query.clone(), Query::count("t", filter)] {
+        for budget in [exact.cost.mul_f64(0.3), exact.cost] {
+            let refine = |b: &MemBackend| {
+                let r =
+                    ProgressiveExecutor::new(b.database()).run_bounded(&other, exact.cost, budget);
+                format!("{:?}", r.unwrap())
+            };
+            assert_eq!(
+                refine(&warm),
+                refine(&backend()),
+                "{other} within {budget:?}"
+            );
+        }
+    }
+    assert_eq!(warm.execute(&query).unwrap().footprint, exact.footprint);
 }

@@ -386,7 +386,7 @@ proptest! {
             Predicate::between("x", lo, lo + width),
             Predicate::le("y", 40.0),
         ]);
-        let sel = pred.select_vector(&table).expect("valid");
+        let sel = kernels::select_vector(&table, &pred).expect("valid");
         let naive = pred.select(&table).expect("valid");
         prop_assert_eq!(sel.count(), naive.len());
         prop_assert_eq!(sel.to_row_ids(), naive);

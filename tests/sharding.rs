@@ -10,7 +10,9 @@ use ids::engine::{
 };
 use ids::lakehouse::{Lakehouse, TimeWindow};
 use ids::obs;
-use ids::shard::{partition_database, PartitionScheme, ScatterGather, ShardedCluster};
+use ids::shard::{
+    partition_database, PartitionScheme, ScatterGather, ShardOutcome, ShardedCluster,
+};
 
 /// A session-log-shaped dataset: a clustered virtual-time axis `t`, a
 /// uniform measure `v`, a low-cardinality key `k` with duplicates, and
@@ -82,33 +84,61 @@ fn every_scheme_matches_single_node_execution() {
     }
 }
 
+/// Executes `query` and returns the outcome with the `shard` spans it recorded.
+fn traced(sg: &ScatterGather, query: &Query) -> (ShardOutcome, Vec<obs::TraceEvent>) {
+    let mark = obs::recorder().event_count();
+    let out = sg.execute(query).expect("scatter-gather");
+    let mut spans = obs::recorder().events_since(mark);
+    spans.retain(|e| matches!(e, obs::TraceEvent::Span { cat, .. } if *cat == "shard"));
+    (out, spans)
+}
+
 #[test]
 fn outcome_is_invariant_across_worker_threads() {
+    obs::enable();
     let db = dataset(3_000);
-    let query = &mergeable_queries()[1];
-    let parts = partition_database(&db, &PartitionScheme::range("t"), 11, 8).expect("partition");
-    let reference = ScatterGather::over(parts.clone())
-        .with_threads(1)
-        .execute(query)
-        .expect("reference");
-    for threads in [2usize, 4, 8, 16] {
-        let out = ScatterGather::over(parts.clone())
-            .with_threads(threads)
-            .execute(query)
-            .expect("threaded");
-        assert_eq!(
-            out.result, reference.result,
-            "result drifted at {threads} threads"
-        );
-        assert_eq!(
-            out.elapsed, reference.elapsed,
-            "cost drifted at {threads} threads"
-        );
-        assert_eq!(out.total_work, reference.total_work);
-        assert_eq!(
-            out.per_shard, reference.per_shard,
-            "telemetry drifted at {threads} threads"
-        );
+    // Each brush as the two histograms a crossfilter event issues: in
+    // every partition the second one finds the first one's selection
+    // remembered. Warm must equal cold — a fresh partitioning per
+    // statement, one thread — in merged result, cost, per-shard
+    // telemetry and `shard` spans.
+    let brushes = [
+        Predicate::between("t", 100.0, 900.0),
+        Predicate::and([
+            Predicate::between("t", 500.0, 2_500.0),
+            Predicate::between("v", 10.0, 90.0),
+        ]),
+    ];
+    let statements: Vec<Query> = brushes
+        .iter()
+        .flat_map(|f| {
+            [
+                BinSpec::new("v", 0.0, 101.0, 16),
+                BinSpec::new("t", 0.0, 3_000.0, 12),
+            ]
+            .map(|bins| Query::histogram("sessions", bins, f.clone()))
+        })
+        .collect();
+    let scheme = PartitionScheme::range("t");
+    for shards in [1usize, 4, 16] {
+        let fresh = || partition_database(&db, &scheme, 11, shards).expect("partition");
+        let cold: Vec<_> = statements
+            .iter()
+            .map(|q| traced(&ScatterGather::over(fresh()).with_threads(1), q))
+            .collect();
+        for threads in [1usize, 2, 4, 8] {
+            let sg = ScatterGather::over(fresh()).with_threads(threads);
+            for (query, (want, want_spans)) in statements.iter().zip(&cold) {
+                let (out, spans) = traced(&sg, query);
+                let at = format!("{query} on {shards} shards at {threads} threads");
+                assert_eq!(out.result, want.result, "result drifted: {at}");
+                assert_eq!(out.elapsed, want.elapsed, "cost drifted: {at}");
+                assert_eq!(out.total_work, want.total_work, "{at}");
+                assert_eq!(out.per_shard, want.per_shard, "telemetry drifted: {at}");
+                assert_eq!(&spans, want_spans, "spans drifted: {at}");
+                assert_eq!(spans.len(), shards, "{at}");
+            }
+        }
     }
 }
 
