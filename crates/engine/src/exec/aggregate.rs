@@ -13,6 +13,8 @@
 //! the per-chunk histograms and [`KernelStats`], summed in chunk order,
 //! equal the serial walk counter for counter.
 
+use std::sync::Arc;
+
 use crate::column::{Column, ZoneMap, ZONE_BLOCK_ROWS};
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
@@ -33,10 +35,19 @@ pub const PAR_CHUNK_ROWS: usize = 64 * ZONE_BLOCK_ROWS;
 /// Executes the crossfiltering histogram:
 /// `SELECT ROUND((col - min) / width), COUNT(*) FROM t WHERE f GROUP BY 1 ORDER BY 1`.
 ///
-/// The filter always runs on the calling thread; the bin phase uses up
-/// to `threads` workers when the table is larger than
+/// The filter always runs on the calling thread; a cold bin phase uses
+/// up to `threads` workers when the table is larger than
 /// [`PAR_CHUNK_ROWS`]. Result and footprint are identical at every
 /// thread count.
+///
+/// A drag re-issues each histogram with one range nudged, so each column
+/// remembers the last histogram counted over it (`Table::memo`), keyed
+/// by its spec's bits. Under the same selection (a repeated filter) that
+/// histogram is the answer; under a selection fewer rows away from it
+/// than it selects, its counts move by the rows that entered and left;
+/// otherwise the bin is cold. Counts are integers, so every path gives
+/// the same answer, and the stored block counters are the cold walk's
+/// over the same selection: nothing records which path ran.
 pub fn run_histogram(
     table: &Table,
     bins: &BinSpec,
@@ -47,16 +58,7 @@ pub fn run_histogram(
     // Before the bin column's checks: a bad filter outranks a bad bin column.
     let (selected, mut footprint) = super::filter_rows(table, filter)?;
     let bin_idx = bins.column_in(table)?;
-    let col = table.column_at(bin_idx);
-
-    let opts = KernelOptions::default();
-    let mut stats = KernelStats::default();
-    let zone = table.zone_map_at(bin_idx);
-    let hist = if threads > 1 && table.rows() > PAR_CHUNK_ROWS {
-        bin_chunks(col, zone, &selected, bins, threads, &mut stats)?
-    } else {
-        kernels::fused_filter_bin(col, zone, &selected, bins, &opts, &mut stats)
-    };
+    let (hist, stats) = bin_phase(table, bin_idx, bins, selected, threads)?;
 
     footprint.rows_aggregated = footprint.rows_matched;
     footprint.groups = hist.bins() as u64;
@@ -64,6 +66,41 @@ pub fn run_histogram(
     footprint.blocks_pruned += stats.blocks_pruned;
     footprint.blocks_scanned += stats.blocks_scanned;
     Ok((ResultSet::Histogram(hist), footprint))
+}
+
+/// The bin phase over the column at `idx`, by the rule [`run_histogram`]
+/// states; remembers what it counted.
+fn bin_phase(
+    table: &Table,
+    idx: usize,
+    bins: &BinSpec,
+    selected: Arc<SelectionVector>,
+    threads: usize,
+) -> EngineResult<(Histogram, KernelStats)> {
+    let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
+    let last = table.memo().hists[idx].clone();
+    let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
+    let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
+    let hist = match last.as_deref().filter(|(k, ..)| *k == key) {
+        Some((_, from, hist, stats)) if Arc::ptr_eq(from, &selected) => {
+            return Ok((hist.clone(), *stats));
+        }
+        // Fewer rows changed than are selected: moving is the cheaper pass.
+        Some((_, from, hist, _)) if from.diff_count(&selected) < selected.count() => {
+            let mut hist = hist.clone();
+            let (from, rows) = (Some(&**from), col.len());
+            kernels::fused_filter_bin_range(
+                col, zone, from, &selected, bins, &opts, &mut stats, 0, rows, &mut hist,
+            );
+            hist
+        }
+        _ if threads > 1 && table.rows() > PAR_CHUNK_ROWS => {
+            bin_chunks(col, zone, &selected, bins, threads, &mut stats)?
+        }
+        _ => kernels::fused_filter_bin(col, zone, &selected, bins, &opts, &mut stats),
+    };
+    table.memo().hists[idx] = Some(Arc::new((key, selected, hist.clone(), stats)));
+    Ok((hist, stats))
 }
 
 /// Bins [`PAR_CHUNK_ROWS`]-row chunks of `col` on `threads` workers and
@@ -86,6 +123,7 @@ fn bin_chunks(
         kernels::fused_filter_bin_range(
             col,
             zone,
+            None,
             sel,
             bins,
             &opts,
@@ -213,6 +251,51 @@ mod tests {
             run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True, 1),
             Err(EngineError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_histogram_starts_from_the_remembered_one_only_when_fewer_rows_changed() {
+        // Kills "the delta rule inverted", which no answer shows (every
+        // path is exact): a planted off-by-1000 bucket in the column's slot
+        // surfaces exactly when a statement started from it.
+        let t = road();
+        let bins = BinSpec::new("y", 0.0, 20.0, 20);
+        // x in [0, 7.95] selects 80 rows, [0, 7.45] 75 of them, [9, 9.95] 10 others.
+        let (wide, near, far) = ((0.0, 7.95), (0.0, 7.45), (9.0, 9.95));
+        let run = |t: &Table, (lo, hi): (f64, f64)| {
+            let (rs, _) = run_histogram(t, &bins, &Predicate::between("x", lo, hi), 1).unwrap();
+            rs.histogram().unwrap().counts().to_vec()
+        };
+        run(&t, wide);
+        let idx = t.column_index("y").unwrap();
+        let planted = {
+            let mut memo = t.memo();
+            let (key, sel, hist, stats) = &**memo.hists[idx].as_ref().unwrap();
+            let mut counts = hist.counts().to_vec();
+            counts[0] += 1000;
+            let entry = Arc::new((
+                *key,
+                Arc::clone(sel),
+                Histogram::from_counts(counts),
+                *stats,
+            ));
+            memo.hists[idx] = Some(Arc::clone(&entry));
+            entry
+        };
+        // Failing statements, a count and another column's histogram leave
+        // the slot as it was.
+        let brush = Predicate::between("x", wide.0, wide.1);
+        assert!(run_histogram(&t, &BinSpec::new("y", 1.0, 1.0, 4), &brush, 1).is_err());
+        assert!(run_histogram(&t, &bins, &Predicate::ge("nope", 1.0), 1).is_err());
+        run_count(&t, &Predicate::between("x", 1.0, 2.0)).unwrap();
+        run_histogram(&t, &BinSpec::new("x", 0.0, 10.0, 5), &brush, 1).unwrap();
+        assert!(Arc::ptr_eq(t.memo().hists[idx].as_ref().unwrap(), &planted));
+        // 5 rows changed, 75 selected: moved from the planted counts.
+        let mut want = run(&road(), near);
+        want[0] += 1000;
+        assert_eq!(run(&t, near), want);
+        // 85 rows changed, 10 selected: cold again.
+        assert_eq!(run(&t, far), run(&road(), far));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::Database;
 ///
 /// A crossfilter event re-queries every other histogram under one
 /// `WHERE` clause, so the table remembers the last filter it answered
-/// (`Table::last_filter`) and a repeat gets that very answer back. The
+/// (`Table::memo`) and a repeat gets that very answer back. The
 /// counters are stored with the selection: no footprint, and no virtual
 /// cost priced from one, can tell a remembered answer from an evaluated
 /// one, and nothing records which it was. `TRUE` (already O(words) to
@@ -48,7 +48,8 @@ pub fn filter_rows(
     table: &Table,
     filter: &Predicate,
 ) -> EngineResult<(Arc<SelectionVector>, QueryFootprint)> {
-    if let Some((key, selected, footprint)) = &*table.last_filter() {
+    let last = table.memo().filter.clone();
+    if let Some((key, selected, footprint)) = last.as_deref() {
         if key.same_filter(filter) {
             return Ok((Arc::clone(selected), *footprint));
         }
@@ -68,7 +69,8 @@ pub fn filter_rows(
         ..QueryFootprint::default()
     };
     if !matches!(filter, Predicate::True) {
-        *table.last_filter() = Some((filter.clone(), Arc::clone(&selected), footprint));
+        let entry = (filter.clone(), Arc::clone(&selected), footprint);
+        table.memo().filter = Some(Arc::new(entry));
     }
     Ok((selected, footprint))
 }

@@ -136,6 +136,14 @@ impl SelectionVector {
         &self.words
     }
 
+    /// Rows selected by exactly one of `self` and `other` (same table
+    /// length): the rows a count must move by to go from one to the other.
+    pub(crate) fn diff_count(&self, other: &SelectionVector) -> usize {
+        debug_assert_eq!(self.len, other.len);
+        let words = self.words.iter().zip(&other.words);
+        words.map(|(a, b)| (a ^ b).count_ones() as usize).sum()
+    }
+
     /// In-place intersection with `other` (same table length).
     pub fn intersect(&mut self, other: &SelectionVector) {
         debug_assert_eq!(self.len, other.len);
@@ -517,19 +525,25 @@ pub fn fused_filter_bin(
     opts: &KernelOptions,
     stats: &mut KernelStats,
 ) -> Histogram {
-    let mut hist = Histogram::zeros(bins.bucket_count());
-    fused_filter_bin_range(col, zone, sel, bins, opts, stats, 0, col.len(), &mut hist);
+    let (mut hist, n) = (Histogram::zeros(bins.bucket_count()), col.len());
+    fused_filter_bin_range(col, zone, None, sel, bins, opts, stats, 0, n, &mut hist);
     hist
 }
 
-/// Range-restricted fused filter+bin+count over rows `start..end`,
-/// accumulating into `hist`. [`crate::exec::run_histogram`]
-/// hands disjoint ranges to worker threads and merges the partials in
-/// deterministic order, so results are identical at any thread count.
+/// The fused filter+bin+count block walker over rows `start..end`: moves
+/// `hist` from counting the rows `from` selects (`None`: no rows, a cold
+/// bin) to counting those `sel` selects, in one pass over both masks
+/// that bins the rows that entered and un-bins the rows that left.
+/// [`crate::exec::run_histogram`] hands cold bins' disjoint ranges to
+/// worker threads and merges the partials in deterministic order, so
+/// results are identical at any thread count. `stats` counts `sel`'s
+/// blocks by the cold rule however `hist` got there: pruned when outside
+/// the bin domain or without a selected row, scanned otherwise.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_filter_bin_range(
     col: &Column,
     zone: Option<&ZoneMap>,
+    from: Option<&SelectionVector>,
     sel: &SelectionVector,
     bins: &BinSpec,
     opts: &KernelOptions,
@@ -541,27 +555,33 @@ pub fn fused_filter_bin_range(
     debug_assert_eq!(start % ZONE_BLOCK_ROWS, 0, "ranges start on block bounds");
     let len = col.len().min(end);
     let width = bins.width();
+    let counts = hist.counts_mut();
     for block in start / ZONE_BLOCK_ROWS..len.div_ceil(ZONE_BLOCK_ROWS) {
         let row = block * ZONE_BLOCK_ROWS;
         let block_end = (row + ZONE_BLOCK_ROWS).min(len);
         // Zone skip: a block entirely outside the bin domain contributes
-        // nothing (NaN and out-of-domain values bin to no bucket).
+        // nothing to either count (NaN and out-of-domain values bin to
+        // no bucket).
         let out_of_domain = opts.zone_prune
             && zone
                 .and_then(|z| z.block(block))
                 .is_some_and(|z| z.max < bins.min || z.min > bins.max);
         // Selection skip: nothing selected in this block.
-        let words = &sel.words()[row / 64..block_end.div_ceil(64)];
-        if out_of_domain || words.iter().all(|&w| w == 0) {
-            stats.blocks_pruned += 1;
+        let span = row / 64..block_end.div_ceil(64);
+        let words = &sel.words()[span.clone()];
+        let skip = out_of_domain || words.iter().all(|&w| w == 0);
+        stats.blocks_pruned += u64::from(skip);
+        stats.blocks_scanned += u64::from(!skip);
+        let old = from.map(|f| &f.words()[span]);
+        // From nothing, a skipped block has nothing to un-bin either.
+        if out_of_domain || (skip && old.is_none()) {
             continue;
         }
-        stats.blocks_scanned += 1;
         match col {
-            Column::Float(data) => bin_block(&data[row..block_end], words, hist, |x| {
+            Column::Float(data) => bin_block(&data[row..block_end], words, old, counts, |x| {
                 bins.bin_with_width(x, width)
             }),
-            Column::Int(data) => bin_block(&data[row..block_end], words, hist, |x| {
+            Column::Int(data) => bin_block(&data[row..block_end], words, old, counts, |x| {
                 bins.bin_with_width(x as f64, width)
             }),
             Column::Str { .. } => {}
@@ -569,26 +589,31 @@ pub fn fused_filter_bin_range(
     }
 }
 
-/// Bins the selected rows of one block: `words` is the block's slice of
-/// the mask, one word per 64 rows of `data`.
+/// Moves one block's `counts` from the rows `old` selects (none when
+/// cold) to the rows `words` selects, one word per 64 rows of `data`.
 fn bin_block<T: Copy>(
     data: &[T],
     words: &[u64],
-    hist: &mut Histogram,
+    old: Option<&[u64]>,
+    counts: &mut [u64],
     bin_of: impl Fn(T) -> Option<usize>,
 ) {
-    for (chunk, &w) in data.chunks(64).zip(words) {
-        if w == u64::MAX && chunk.len() == 64 {
-            // Dense word: no bit tests at all.
-            for &x in chunk {
-                if let Some(b) = bin_of(x) {
-                    hist.bump(b);
+    for (i, (chunk, &w)) in data.chunks(64).zip(words).enumerate() {
+        let was = old.map_or(0, |o| o[i]);
+        // One body for both: entering rows add 1, leaving rows add
+        // `u64::MAX`, which wraps to a subtraction.
+        for (rows, step) in [(w & !was, 1), (was & !w, u64::MAX)] {
+            let mut count = |x| {
+                if let Some(c) = bin_of(x).and_then(|b| counts.get_mut(b)) {
+                    *c = c.wrapping_add(step);
                 }
-            }
-        } else {
-            for j in (BitIter { word: w }).take_while(|&j| j < chunk.len()) {
-                if let Some(b) = bin_of(chunk[j]) {
-                    hist.bump(b);
+            };
+            if rows == u64::MAX && chunk.len() == 64 {
+                // Dense word: no bit tests at all.
+                chunk.iter().for_each(|&x| count(x));
+            } else {
+                for j in (BitIter { word: rows }).take_while(|&j| j < chunk.len()) {
+                    count(chunk[j]);
                 }
             }
         }
@@ -767,6 +792,15 @@ mod tests {
                 }
             }
             assert_eq!(fused, unfused, "n={n}");
+            // Moved from another selection's counts instead of from nothing.
+            let other = select_vector(&t, &Predicate::between("x", 500.0, 3000.0)).unwrap();
+            let opts = KernelOptions::default();
+            let mut moved = fused_filter_bin(col, None, &other, &bins, &opts, &mut stats);
+            let (from, mut s) = (Some(&other), KernelStats::default());
+            fused_filter_bin_range(
+                col, None, from, &sel, &bins, &opts, &mut s, 0, n, &mut moved,
+            );
+            assert_eq!(moved, unfused, "n={n}");
         }
     }
 

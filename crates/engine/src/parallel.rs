@@ -182,13 +182,15 @@ mod tests {
             }
             assert!(execute_batch(&b, &[], threads).unwrap().is_empty());
         }
-        // Two filters alternating over one table, each as its histogram
-        // and its count. A worker may find the table remembering its
-        // filter, the other one, or race another worker to a double miss:
+        // Two overlapping brushes alternating over one table, each as its
+        // histogram and its count. A worker may find the table remembering
+        // its filter and histogram, the other brush's (200 rows away, so
+        // the counts move), or race another worker to a double miss:
         // every outcome must equal the serial one on a cold table.
         let alternating: Vec<Query> = (0..32)
             .map(|i| {
-                let filter = Predicate::between("x", 0.0, [300.0, 700.0][i / 2 % 2]);
+                let filter = [(0.0, 600.0), (100.0, 700.0)][i / 2 % 2];
+                let filter = Predicate::between("x", filter.0, filter.1);
                 match i % 2 {
                     0 => Query::histogram("t", BinSpec::new("x", 0.0, 1000.0, 10), filter),
                     _ => Query::count("t", filter),

@@ -318,6 +318,7 @@ impl ProgressiveExecutor {
                     kernels::fused_filter_bin_range(
                         prep.table.column_at(*idx),
                         prep.table.zone_map_at(*idx),
+                        None,
                         &prep.selected,
                         bins,
                         &opts,

@@ -33,6 +33,11 @@ impl Histogram {
         &self.counts
     }
 
+    /// Per-bin counts, for a kernel that maintains them in place.
+    pub(crate) fn counts_mut(&mut self) -> &mut [u64] {
+        &mut self.counts
+    }
+
     /// Number of bins.
     pub fn bins(&self) -> usize {
         self.counts.len()

@@ -6,8 +6,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use crate::column::{Column, ColumnBuilder, ZoneMap};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
-use crate::kernels::SelectionVector;
+use crate::kernels::{KernelStats, SelectionVector};
 use crate::predicate::Predicate;
+use crate::result::Histogram;
 use crate::stats::TableStats;
 use crate::value::{DataType, Value};
 
@@ -24,13 +25,34 @@ pub struct Table {
     // column). Shared across clones, so the first query to touch a
     // column pays the build and every later query reuses it.
     zones: Arc<[OnceLock<Option<ZoneMap>>]>,
-    // The last filter evaluated over this table and its answer, shared
-    // across clones like `zones` (see `exec::filter_rows`).
-    last_filter: Arc<Mutex<Option<FilterMemo>>>,
+    // What the table remembers of the statements it answered, shared
+    // across clones like `zones`.
+    memo: Arc<Mutex<Memo>>,
+}
+
+/// What a table remembers between statements: the last filter it
+/// answered (`exec::filter_rows`) and, per column, the last histogram
+/// counted over it (`exec::run_histogram`). Entries sit behind `Arc`s,
+/// so a lookup clones a pointer and a store allocates once.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    pub(crate) filter: Option<Arc<FilterMemo>>,
+    /// Indexed by column position.
+    pub(crate) hists: Vec<Option<Arc<HistMemo>>>,
 }
 
 /// A filter, the rows it selects, and the footprint of selecting them.
 pub(crate) type FilterMemo = (Predicate, Arc<SelectionVector>, QueryFootprint);
+
+/// A histogram as counted: its spec's key (`min` and `max` by bit
+/// pattern, `bins`), the rows it counted, its counts, and the bin
+/// phase's block counters.
+pub(crate) type HistMemo = (
+    (u64, u64, usize),
+    Arc<SelectionVector>,
+    Histogram,
+    KernelStats,
+);
 
 impl Table {
     /// The table name.
@@ -104,14 +126,12 @@ impl Table {
         Ok(self.zone_map_at(self.column_index(name)?))
     }
 
-    /// The one-entry selection memo, for [`crate::exec::filter_rows`] to
-    /// compare-and-clone or to store — never held across an evaluation.
-    /// The entry is a pure function of (table, filter), so a poisoned
-    /// lock still guards a usable one.
-    pub(crate) fn last_filter(&self) -> MutexGuard<'_, Option<FilterMemo>> {
-        self.last_filter
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// The statement memo, for [`crate::exec`] to clone an entry out of
+    /// or store one into — never held across an evaluation or a bin
+    /// pass. Every entry is a pure function of (table, its key), so a
+    /// poisoned lock still guards usable ones and the last writer may win.
+    pub(crate) fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Estimated width of one row on disk, in bytes (used by the pager).
@@ -196,6 +216,10 @@ impl TableBuilder {
         let stats = TableStats::compute(&names, &cols);
         let zones: Vec<OnceLock<Option<ZoneMap>>> =
             (0..cols.len()).map(|_| OnceLock::new()).collect();
+        let memo = Memo {
+            filter: None,
+            hists: vec![None; cols.len()],
+        };
         Ok(Table {
             name: Arc::from(self.name.as_str()),
             column_names: names.into(),
@@ -204,7 +228,7 @@ impl TableBuilder {
             rows,
             stats: Arc::new(stats),
             zones: zones.into(),
-            last_filter: Arc::default(),
+            memo: Arc::new(Mutex::new(memo)),
         })
     }
 }

@@ -585,18 +585,23 @@ fn true_and_failing_filters_leave_the_remembered_one_alone() {
 
 #[test]
 fn a_hit_does_not_excuse_the_rest_of_the_statement() {
-    // A remembered filter under a bad bin spec or bin column fails with
-    // the error a cold table gives, and keeps answering good statements.
+    // A remembered filter and histogram under a bad bin spec or bin
+    // column fail with the error a cold table gives, and keep answering
+    // good statements: a repeat, and a nudged brush that moves the
+    // remembered counts.
     let warm = adversarial_table(1500);
     let brush = Predicate::And(brush_conjunctions().remove(1));
     let good = BinSpec::new("x", -30.0, 120.0, 25);
     let want = exec::run_histogram(&warm, &good, &brush, 1).expect("valid");
-    for bad in [
+    for (i, bad) in [
         BinSpec::new("s", 0.0, 1.0, 2),
         BinSpec::new("nope", 0.0, 1.0, 2),
         BinSpec::new("x", 0.0, 1.0, 0),
         BinSpec::new("x", 5.0, 5.0, 10),
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let got = exec::run_histogram(&warm, &bad, &brush, 1).expect_err("bad bins");
         let cold =
             exec::run_histogram(&adversarial_table(1500), &bad, &brush, 1).expect_err("bad bins");
@@ -611,5 +616,130 @@ fn a_hit_does_not_excuse_the_rest_of_the_statement() {
             exec::run_histogram(&warm, &good, &brush, 1).expect("valid"),
             want
         );
+        let nudged = Predicate::and([brush.clone(), Predicate::le("t", 1490.0 - i as f64)]);
+        assert_eq!(
+            exec::run_histogram(&warm, &good, &nudged, 1).expect("valid"),
+            exec::run_histogram(&adversarial_table(1500), &good, &nudged, 1).expect("valid"),
+        );
     }
+}
+
+// ---- the histogram memo (`exec::run_histogram`) must be transparent ----
+
+/// Bin specs over each column shape the bin phase meets: floats with NaN
+/// and infinities (`x`), an `Int` column (`n`), and a clustered column
+/// whose domain ends before a 2048-row table does, so its last block is
+/// out of domain (`t`).
+fn drag_specs() -> [BinSpec; 3] {
+    [
+        BinSpec::new("x", -30.0, 120.0, 25),
+        BinSpec::new("n", 0.0, 4.0, 4),
+        BinSpec::new("t", 0.0, 900.0, 12),
+    ]
+}
+
+/// The brush a drag moves: rows with `t` in `[lo, hi]` and `n >= 1`.
+fn drag_brush((lo, hi): (f64, f64)) -> Predicate {
+    Predicate::and([Predicate::between("t", lo, hi), Predicate::ge("n", 1.0)])
+}
+
+#[test]
+fn a_maintained_histogram_answers_exactly_like_a_cold_table() {
+    // Every statement's result and footprint equal a fresh table's. Kills
+    // "add and subtract swapped", "block counters taken from the rows that
+    // changed instead of the new selection", and "the subtraction skips
+    // the tail partial word" — the drag opens by pulling `hi` off the
+    // table's last rows one at a time. (Every path is exact, so no answer
+    // shows the delta rule; `exec::aggregate`'s tests pin it.)
+    for rows in MEMO_SIZES {
+        let warm = adversarial_table(rows);
+        let n = rows as f64;
+        let mut rng = SimRng::seed(26).split("hist-memo/drag");
+        let (mut brush, mut last) = ((0.0, n), None::<kernels::SelectionVector>);
+        // Statements by the path the slot must take, from the selections
+        // alone: [same selection, moved, cold].
+        let mut paths = [0usize; 3];
+        for step in 0..48 {
+            let repeat = step > 4 && rng.unit() < 0.2;
+            let u = rng.unit();
+            if step <= 4 {
+                brush.1 = n - 1.0 - step as f64;
+            } else if !repeat && u < 0.25 {
+                // Jump to the other half of the table.
+                let lo = n * if brush.0 < n / 2.0 { 0.6 } else { 0.05 };
+                brush = (lo, lo + rng.uniform(0.1, 0.35) * n);
+            } else if !repeat {
+                let d = rng.uniform(-n / 16.0, n / 16.0).round();
+                if rng.unit() < 0.5 {
+                    brush.0 += d;
+                } else {
+                    brush.1 += d;
+                }
+            }
+            let filter = drag_brush(brush);
+            let sel = kernels::select_vector(&warm, &filter).expect("valid");
+            let path = match &last {
+                _ if repeat => 0,
+                Some(old) => {
+                    let pairs = old.words().iter().zip(sel.words());
+                    let changed: u32 = pairs.map(|(a, b)| (a ^ b).count_ones()).sum();
+                    if (changed as usize) < sel.count() {
+                        1
+                    } else {
+                        2
+                    }
+                }
+                None => 2,
+            };
+            for spec in drag_specs() {
+                let got = exec::run_histogram(&warm, &spec, &filter, 1).expect("valid");
+                let cold = exec::run_histogram(&adversarial_table(rows), &spec, &filter, 1);
+                assert_eq!(
+                    got,
+                    cold.expect("valid"),
+                    "{rows} rows, step {step}: {spec:?}"
+                );
+                paths[path] += 1;
+            }
+            last = Some(sel);
+        }
+        assert!(paths.iter().all(|&p| p >= 6), "{rows} rows: {paths:?}");
+    }
+}
+
+#[test]
+fn another_spec_or_table_never_starts_from_a_columns_counts() {
+    // Kills "the spec key ignores `min`" (or `max`, or `bins`): each pair
+    // is binned under one brush and then a nudged one, so a loose key
+    // would hand the second spec the first one's counts, or move them.
+    let (brush, nudged) = (drag_brush((100.0, 1900.0)), drag_brush((100.0, 1890.0)));
+    let x = |min, max, bins| BinSpec::new("x", min, max, bins);
+    let pairs = [
+        (x(-30.0, 120.0, 25), x(-20.0, 120.0, 25)),
+        (x(-30.0, 120.0, 25), x(-30.0, 110.0, 25)),
+        (x(-30.0, 120.0, 25), x(-30.0, 120.0, 24)),
+        (x(-30.0, 120.0, 25), x(-30.0, 120.0, 26)),
+        // The same answer either way (`ROUND` cannot tell them apart), but
+        // two keys: bit patterns differ.
+        (x(0.0, 120.0, 25), x(-0.0, 120.0, 25)),
+    ];
+    for (first, second) in pairs {
+        let warm = adversarial_table(2048);
+        for filter in [&brush, &nudged] {
+            for spec in [&first, &second] {
+                let got = exec::run_histogram(&warm, spec, filter, 1).expect("valid");
+                let cold = exec::run_histogram(&adversarial_table(2048), spec, filter, 1);
+                assert_eq!(got, cold.expect("valid"), "{spec:?} under {filter}");
+            }
+        }
+    }
+    // A table re-registered under the same name starts with empty slots.
+    let db = Database::new();
+    db.register(adversarial_table(2500));
+    let q = Query::histogram("adv", drag_specs()[1].clone(), brush);
+    let before = exec::run_query(&db, &q).expect("valid");
+    db.register(adversarial_table(1500));
+    let after = exec::run_query(&db, &q).expect("valid");
+    assert_eq!(after, run_on(&adversarial_table(1500), &q));
+    assert_ne!(after, before);
 }

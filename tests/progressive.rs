@@ -118,8 +118,10 @@ fn progressive_machinery_costs_nothing_when_disabled() {
 fn a_refinement_after_the_exact_answer_under_the_same_filter_is_the_cold_one() {
     // The deadline path prepares its selection through the same entry
     // point as the exact executor, so a refinement that follows an exact
-    // histogram with the same filter starts from a remembered selection.
-    // It must be byte-identical to one prepared on a cold table.
+    // histogram with the same filter starts from a remembered selection —
+    // here one whose exact histogram moved the counts a neighbouring
+    // brush left on the column. It must be byte-identical to one prepared
+    // on a cold table.
     let backend = || {
         let b = MemBackend::new();
         b.database().register(
@@ -138,9 +140,21 @@ fn a_refinement_after_the_exact_answer_under_the_same_filter_is_the_cold_one() {
         Predicate::between("t", 700.0, 4_100.0),
         Predicate::between("x", 10.0, 120.0),
     ]);
-    let query = Query::histogram("t", BinSpec::new("x", 0.0, 173.0, 12), filter.clone());
+    let bins = BinSpec::new("x", 0.0, 173.0, 12);
+    let query = Query::histogram("t", bins.clone(), filter.clone());
     let warm = backend();
+    let neighbour = Predicate::and([
+        Predicate::between("t", 700.0, 4_000.0),
+        Predicate::between("x", 10.0, 120.0),
+    ]);
+    warm.execute(&Query::histogram("t", bins, neighbour))
+        .unwrap();
     let exact = warm.execute(&query).unwrap();
+    let cold = backend().execute(&query).unwrap();
+    assert_eq!(
+        (&exact.result, exact.footprint),
+        (&cold.result, cold.footprint)
+    );
     for other in [query.clone(), Query::count("t", filter)] {
         for budget in [exact.cost.mul_f64(0.3), exact.cost] {
             let refine = |b: &MemBackend| {

@@ -97,20 +97,25 @@ fn traced(sg: &ScatterGather, query: &Query) -> (ShardOutcome, Vec<obs::TraceEve
 fn outcome_is_invariant_across_worker_threads() {
     obs::enable();
     let db = dataset(3_000);
-    // Each brush as the two histograms a crossfilter event issues: in
-    // every partition the second one finds the first one's selection
-    // remembered. Warm must equal cold — a fresh partitioning per
-    // statement, one thread — in merged result, cost, per-shard
-    // telemetry and `shard` spans.
-    let brushes = [
-        Predicate::between("t", 100.0, 900.0),
-        Predicate::and([
-            Predicate::between("t", 500.0, 2_500.0),
-            Predicate::between("v", 10.0, 90.0),
-        ]),
+    // Each brush as a short drag, its `t` edge nudged 10 rows a step, and
+    // each step as the two histograms a crossfilter event issues: in every
+    // partition the second one finds the first one's selection
+    // remembered, and each step moves the counts the step before left.
+    // Warm must equal cold — a fresh partitioning per statement, one
+    // thread — in merged result, cost, per-shard telemetry and `shard`
+    // spans.
+    let drags: [fn(f64) -> Predicate; 2] = [
+        |d| Predicate::between("t", 100.0, 900.0 + d),
+        |d| {
+            Predicate::and([
+                Predicate::between("t", 500.0, 2_500.0 - d),
+                Predicate::between("v", 10.0, 90.0),
+            ])
+        },
     ];
-    let statements: Vec<Query> = brushes
+    let statements: Vec<Query> = drags
         .iter()
+        .flat_map(|drag| [0.0, 10.0, 20.0].map(drag))
         .flat_map(|f| {
             [
                 BinSpec::new("v", 0.0, 101.0, 16),
