@@ -466,7 +466,7 @@ pub fn run_progressive(config: &ProgressiveConfig) -> ProgressiveReport {
     // The untruncated replay: exact answers every deadline estimate is
     // measured against.
     let exact = sched
-        .replay_with_outcomes(&mem, &stream)
+        .replay_resilient(&mem, &stream, &ResiliencePolicy::rigid())
         .expect("replay over registered tables cannot fail");
     drop(setup);
 

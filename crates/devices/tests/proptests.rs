@@ -4,79 +4,101 @@ use ids_devices::hci::{index_of_difficulty, FittsParams};
 use ids_devices::pointer::{path_wobble, Point, PointerSimulator};
 use ids_devices::scroll::{plain_scroll, scroll_positions, Flick, ScrollPhysics};
 use ids_devices::{DeviceKind, DeviceProfile};
-use ids_simclock::rng::SimRng;
+use ids_simclock::rng::{check, SimRng};
 use ids_simclock::{SimDuration, SimTime};
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Fitts movement time is monotone in distance and anti-monotone in
-    /// target width, for every device parameterization.
-    #[test]
-    fn fitts_monotonicity(d1 in 1.0f64..2_000.0, extra in 1.0f64..2_000.0, w in 1.0f64..200.0) {
+/// Fitts movement time is monotone in distance and anti-monotone in
+/// target width, for every device parameterization.
+#[test]
+fn fitts_monotonicity() {
+    check("fitts_monotonicity", 0..64, |rng| {
+        let d1 = rng.uniform(1.0, 2_000.0);
+        let extra = rng.uniform(1.0, 2_000.0);
+        let w = rng.uniform(1.0, 200.0);
         for params in [FittsParams::MOUSE, FittsParams::TOUCH, FittsParams::GESTURE] {
             let near = params.movement_time(d1, w);
             let far = params.movement_time(d1 + extra, w);
-            prop_assert!(far >= near);
+            assert!(far >= near);
             let wide = params.movement_time(d1, w * 2.0);
-            prop_assert!(wide <= near);
+            assert!(wide <= near);
         }
-        prop_assert!(index_of_difficulty(d1, w) >= 0.0);
-    }
+        assert!(index_of_difficulty(d1, w) >= 0.0);
+    });
+}
 
-    /// A glide's total distance equals the sum of its deltas, and the
-    /// scroll position never goes negative.
-    #[test]
-    fn scroll_positions_accumulate(velocity in 500.0f64..40_000.0, flicks in 1usize..6) {
+/// A glide's total distance equals the sum of its deltas, and the
+/// scroll position never goes negative.
+#[test]
+fn scroll_positions_accumulate() {
+    check("scroll_positions_accumulate", 0..64, |rng| {
+        let velocity = rng.uniform(500.0, 40_000.0);
+        let flicks = rng.uniform_usize(1, 6);
         let phys = ScrollPhysics::inertial();
         let fs: Vec<Flick> = (0..flicks)
             .map(|i| Flick {
                 at: SimTime::from_millis(i as u64 * 700),
-                velocity: if i % 2 == 0 { velocity } else { -velocity / 2.0 },
+                velocity: if i % 2 == 0 {
+                    velocity
+                } else {
+                    -velocity / 2.0
+                },
             })
             .collect();
         let events = phys.roll(&fs, SimTime::from_secs(20));
         let positions = scroll_positions(&events);
-        prop_assert!(positions.iter().all(|&(_, p)| p >= 0.0));
-        prop_assert_eq!(positions.len(), events.len());
-    }
+        assert!(positions.iter().all(|&(_, p)| p >= 0.0));
+        assert_eq!(positions.len(), events.len());
+    });
+}
 
-    /// Glide deltas decay strictly within one flick's glide.
-    #[test]
-    fn glide_decays(velocity in 1_000.0f64..50_000.0) {
+/// Glide deltas decay strictly within one flick's glide.
+#[test]
+fn glide_decays() {
+    check("glide_decays", 0..64, |rng| {
+        let velocity = rng.uniform(1_000.0, 50_000.0);
         let phys = ScrollPhysics::inertial();
         let events = phys.roll(
-            &[Flick { at: SimTime::ZERO, velocity }],
+            &[Flick {
+                at: SimTime::ZERO,
+                velocity,
+            }],
             SimTime::from_secs(10),
         );
-        prop_assert!(!events.is_empty());
-        prop_assert!(events.windows(2).all(|w| w[1].delta.abs() < w[0].delta.abs() + 1e-9));
+        assert!(!events.is_empty());
+        assert!(events
+            .windows(2)
+            .all(|w| w[1].delta.abs() < w[0].delta.abs() + 1e-9));
         // Peak delta equals velocity × frame interval.
         let expected = velocity * phys.frame_interval.as_secs_f64();
-        prop_assert!((events[0].delta - expected).abs() < 1e-6);
-    }
+        assert!((events[0].delta - expected).abs() < 1e-6);
+    });
+}
 
-    /// Plain scroll emits exactly rate × duration notches of constant size.
-    #[test]
-    fn plain_scroll_count(rate in 1.0f64..30.0, secs in 1u64..20, px in 1.0f64..10.0) {
+/// Plain scroll emits exactly rate × duration notches of constant size.
+#[test]
+fn plain_scroll_count() {
+    check("plain_scroll_count", 0..64, |rng| {
+        let rate = rng.uniform(1.0, 30.0);
+        let secs = rng.uniform_u64(1, 20);
+        let px = rng.uniform(1.0, 10.0);
         let events = plain_scroll(SimTime::ZERO, SimDuration::from_secs(secs), rate, px);
         let expected = (secs as f64 * rate).floor() as usize;
-        prop_assert_eq!(events.len(), expected);
-        prop_assert!(events.iter().all(|e| e.delta == px));
-    }
+        assert_eq!(events.len(), expected);
+        assert!(events.iter().all(|e| e.delta == px));
+    });
+}
 
-    /// Pointer reaches land near the target for every friction device,
-    /// for arbitrary geometry.
-    #[test]
-    fn reaches_land_near_target(
-        seed in 0u64..5_000,
-        x0 in -500.0f64..500.0,
-        y0 in -500.0f64..500.0,
-        dx in -800.0f64..800.0,
-        dy in -800.0f64..800.0,
-    ) {
-        prop_assume!(dx.hypot(dy) > 20.0);
+/// Pointer reaches land near the target for every friction device,
+/// for arbitrary geometry.
+#[test]
+fn reaches_land_near_target() {
+    check("reaches_land_near_target", 0..64, |rng| {
+        let seed = rng.uniform_u64(0, 5_000);
+        let (x0, y0) = (rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0));
+        let (dx, dy) = (rng.uniform(-800.0, 800.0), rng.uniform(-800.0, 800.0));
+        if dx.hypot(dy) <= 20.0 {
+            return;
+        }
         for kind in [DeviceKind::Mouse, DeviceKind::Touch, DeviceKind::Trackpad] {
             let mut sim = PointerSimulator::new(
                 DeviceProfile::for_kind(kind),
@@ -86,17 +108,20 @@ proptest! {
             let to = Point::new(x0 + dx, y0 + dy);
             let trace = sim.reach(SimTime::ZERO, from, to, 24.0);
             let last = trace.last().expect("non-empty reach");
-            prop_assert!(
+            assert!(
                 Point::new(last.x, last.y).distance(to) < 15.0,
                 "{kind}: ended {:.1} px from target",
                 Point::new(last.x, last.y).distance(to)
             );
         }
-    }
+    });
+}
 
-    /// The jitter ordering (leap ≫ touch ≥ mouse-ish) holds across seeds.
-    #[test]
-    fn leap_always_noisier(seed in 0u64..2_000) {
+/// The jitter ordering (leap ≫ touch ≥ mouse-ish) holds across seeds.
+#[test]
+fn leap_always_noisier() {
+    check("leap_always_noisier", 0..64, |rng| {
+        let seed = rng.uniform_u64(0, 2_000);
         let from = Point::new(0.0, 0.0);
         let to = Point::new(400.0, 30.0);
         let wobble = |kind: DeviceKind| {
@@ -106,6 +131,6 @@ proptest! {
             );
             path_wobble(&sim.reach(SimTime::ZERO, from, to, 24.0))
         };
-        prop_assert!(wobble(DeviceKind::LeapMotion) > wobble(DeviceKind::Mouse) * 3.0);
-    }
+        assert!(wobble(DeviceKind::LeapMotion) > wobble(DeviceKind::Mouse) * 3.0);
+    });
 }

@@ -1,5 +1,4 @@
-//! Wall-clock parallelism: the one ordered fan-out, and batch execution
-//! on top of it.
+//! Wall-clock parallelism: the one ordered fan-out.
 //!
 //! The virtual-time [`scheduler`](crate::scheduler) answers "what latency
 //! would the user perceive"; this module answers "how fast does the engine
@@ -12,9 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::backend::{Backend, QueryOutcome};
 use crate::error::{EngineError, EngineResult};
-use crate::query::Query;
 
 /// Runs `task(0)`, …, `task(n - 1)` on up to `threads` OS threads and
 /// returns the results in index order, whichever worker ran which task.
@@ -75,18 +72,6 @@ where
     Ok(done.into_iter().map(|(_, result)| result).collect())
 }
 
-/// Executes `queries` across `threads` OS threads, returning outcomes in
-/// submission order (the first failing query's error, if any).
-pub fn execute_batch(
-    backend: &(dyn Backend + Sync),
-    queries: &[Query],
-    threads: usize,
-) -> EngineResult<Vec<QueryOutcome>> {
-    ordered_map(queries.len(), threads, |i| backend.execute(&queries[i]))?
-        .into_iter()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicBool;
@@ -94,10 +79,10 @@ mod tests {
     use ids_simclock::SimTime;
 
     use super::*;
-    use crate::backend::MemBackend;
+    use crate::backend::{Backend, MemBackend, QueryOutcome};
     use crate::column::ColumnBuilder;
     use crate::predicate::Predicate;
-    use crate::query::BinSpec;
+    use crate::query::{BinSpec, Query};
     use crate::table::TableBuilder;
 
     #[test]
@@ -175,12 +160,12 @@ mod tests {
             .map(|i| Query::count("t", Predicate::between("x", 0.0, i as f64)))
             .collect();
         for threads in [1, 4, 8] {
-            let outs = execute_batch(&b, &queries, threads).unwrap();
+            let outs =
+                ordered_map(queries.len(), threads, |i| b.execute(&queries[i]).unwrap()).unwrap();
             assert_eq!(outs.len(), queries.len());
             for (i, out) in outs.iter().enumerate() {
                 assert_eq!(out.scalar_count(), Some(i as u64 + 1), "{threads} threads");
             }
-            assert!(execute_batch(&b, &[], threads).unwrap().is_empty());
         }
         // Two overlapping brushes alternating over one table, each as its
         // histogram and its count. A worker may find the table remembering
@@ -202,7 +187,10 @@ mod tests {
             .map(|q| backend(1000).execute(q).unwrap())
             .collect();
         for threads in [1, 2, 4, 8] {
-            let outs = execute_batch(&b, &alternating, threads).unwrap();
+            let outs = ordered_map(alternating.len(), threads, |i| {
+                b.execute(&alternating[i]).unwrap()
+            })
+            .unwrap();
             for (i, (out, want)) in outs.iter().zip(&cold).enumerate() {
                 assert_eq!(
                     (&out.result, out.footprint, out.cost, out.quality),
@@ -216,10 +204,15 @@ mod tests {
     #[test]
     fn error_in_one_query_surfaces() {
         let b = backend(10);
-        let queries = vec![
+        let queries = [
             Query::count("t", Predicate::True),
             Query::count("missing", Predicate::True),
         ];
-        assert!(execute_batch(&b, &queries, 2).is_err());
+        let outs = ordered_map(queries.len(), 2, |i| b.execute(&queries[i])).unwrap();
+        assert!(outs[0].is_ok());
+        assert!(
+            outs[1].is_err(),
+            "the failing query's own slot holds its error"
+        );
     }
 }

@@ -256,62 +256,17 @@ impl ReplayScheduler {
         }
     }
 
-    /// Replays an issued-query stream, returning per-query timings.
+    /// Replays an issued-query stream under `policy`, returning each
+    /// query's timing and outcome (result + footprint + cost) in issue
+    /// order.
     ///
     /// `stream` must be sorted by `issued_at`; queries execute in issue
     /// order (FIFO), each starting at
-    /// `max(issued_at, earliest worker free time)`.
-    pub fn replay(
-        &self,
-        backend: &dyn Backend,
-        stream: &[IssuedQuery],
-    ) -> EngineResult<Vec<QueryTiming>> {
-        Ok(self
-            .replay_with_outcomes(backend, stream)?
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect())
-    }
-
-    /// Like [`replay`](Self::replay) but also returns each query's outcome
-    /// (result + footprint + cost), for optimizers that inspect results.
-    pub fn replay_with_outcomes(
-        &self,
-        backend: &dyn Backend,
-        stream: &[IssuedQuery],
-    ) -> EngineResult<Vec<(QueryTiming, QueryOutcome)>> {
-        debug_assert!(
-            stream.windows(2).all(|w| w[0].issued_at <= w[1].issued_at),
-            "issued-query stream must be sorted by issue time"
-        );
-        let telemetry = SchedulerTelemetry::new(backend.name(), self.workers);
-        let mut pool = WorkerPool::new(self.workers);
-        let mut out = Vec::with_capacity(stream.len());
-        for iq in stream {
-            // Publish virtual time so deeper layers (buffer pool) can
-            // timestamp their own telemetry at query granularity.
-            ids_obs::set_vnow(iq.issued_at);
-            let outcome = backend.execute(&iq.query)?;
-            let (slot, started_at, finished_at) = pool.assign(iq.issued_at, outcome.cost);
-            let timing = QueryTiming {
-                tag: iq.tag,
-                issued_at: iq.issued_at,
-                started_at,
-                finished_at,
-            };
-            let busy = pool.busy_at(iq.issued_at);
-            telemetry.observe(iq, &timing, &outcome, slot, busy);
-            out.push((timing, outcome));
-        }
-        Ok(out)
-    }
-
-    /// Replays a stream with graceful degradation under `policy`.
+    /// `max(issued_at, earliest worker free time)`. Beyond that:
     ///
-    /// Differences from [`replay_with_outcomes`](Self::replay_with_outcomes):
-    ///
-    /// - a query whose queueing delay plus execution would exceed the
-    ///   latency budget is truncated: its cost shrinks to fit the budget
+    /// - under a latency budget (none in [`ResiliencePolicy::rigid`]), a
+    ///   query whose queueing delay plus execution would exceed it is
+    ///   truncated: its cost shrinks to fit the budget
     ///   (down to `min_fraction` of the full scan) and its result becomes
     ///   a scaled estimate marked [`ResultQuality::Partial`];
     /// - a transient backend failure (after any retries a wrapping
@@ -338,6 +293,9 @@ impl ReplayScheduler {
         let mut pool = WorkerPool::new(self.workers);
         let mut out = Vec::with_capacity(stream.len());
         for iq in stream {
+            // Publish virtual time so deeper layers (buffer pool, fault
+            // injection) can timestamp their own telemetry at query
+            // granularity.
             ids_obs::set_vnow(iq.issued_at);
             let mut outcome = match backend.execute(&iq.query) {
                 Ok(outcome) => outcome,
@@ -636,12 +594,26 @@ mod tests {
             .collect()
     }
 
+    /// The timings of a rigid replay.
+    fn timings(
+        sched: &ReplayScheduler,
+        backend: &MemBackend,
+        stream: &[IssuedQuery],
+    ) -> Vec<QueryTiming> {
+        sched
+            .replay_resilient(backend, stream, &ResiliencePolicy::rigid())
+            .unwrap()
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect()
+    }
+
     #[test]
     fn fast_backend_keeps_up() {
         let backend = fixed_cost_backend(5, 10);
         let sched = ReplayScheduler::new(1);
         // Queries 20 ms apart, each costing 5 ms: no queueing.
-        let timings = sched.replay(&backend, &stream(&[20, 20, 20])).unwrap();
+        let timings = timings(&sched, &backend, &stream(&[20, 20, 20]));
         for t in &timings {
             assert_eq!(t.scheduling_delay(), SimDuration::ZERO);
             assert_eq!(t.latency().as_millis(), 5);
@@ -653,7 +625,7 @@ mod tests {
         let backend = fixed_cost_backend(50, 10);
         let sched = ReplayScheduler::new(1);
         // Queries 10 ms apart, each costing 50 ms: delay accumulates.
-        let timings = sched.replay(&backend, &stream(&[10, 10, 10, 10])).unwrap();
+        let timings = timings(&sched, &backend, &stream(&[10, 10, 10, 10]));
         assert_eq!(timings[0].latency().as_millis(), 50);
         assert_eq!(timings[1].scheduling_delay().as_millis(), 40);
         assert_eq!(timings[1].latency().as_millis(), 90);
@@ -665,12 +637,9 @@ mod tests {
     #[test]
     fn more_workers_absorb_bursts() {
         let backend = fixed_cost_backend(50, 10);
-        let one = ReplayScheduler::new(1)
-            .replay(&backend, &stream(&[10, 10, 10, 10]))
-            .unwrap();
-        let four = ReplayScheduler::new(4)
-            .replay(&backend, &stream(&[10, 10, 10, 10]))
-            .unwrap();
+        let stream = stream(&[10, 10, 10, 10]);
+        let one = timings(&ReplayScheduler::new(1), &backend, &stream);
+        let four = timings(&ReplayScheduler::new(4), &backend, &stream);
         let total_one: u64 = one.iter().map(|t| t.latency().as_millis()).sum();
         let total_four: u64 = four.iter().map(|t| t.latency().as_millis()).sum();
         assert!(total_four < total_one);
@@ -684,7 +653,7 @@ mod tests {
         let backend = fixed_cost_backend(1, 7);
         let sched = ReplayScheduler::new(2);
         let out = sched
-            .replay_with_outcomes(&backend, &stream(&[1, 1, 1]))
+            .replay_resilient(&backend, &stream(&[1, 1, 1]), &ResiliencePolicy::rigid())
             .unwrap();
         assert_eq!(out.len(), 3);
         for (i, (timing, outcome)) in out.iter().enumerate() {
@@ -697,7 +666,7 @@ mod tests {
     fn zero_workers_clamps_to_one() {
         let sched = ReplayScheduler::new(0);
         let backend = fixed_cost_backend(1, 1);
-        assert!(sched.replay(&backend, &stream(&[1])).is_ok());
+        assert_eq!(timings(&sched, &backend, &stream(&[1])).len(), 1);
     }
 
     #[test]
@@ -730,9 +699,7 @@ mod tests {
         let backend = fixed_cost_backend(50, 10);
         let stream = stream(&[10, 10, 10, 10]);
         for workers in [1, 2, 3] {
-            let timings = ReplayScheduler::new(workers)
-                .replay(&backend, &stream)
-                .unwrap();
+            let timings = timings(&ReplayScheduler::new(workers), &backend, &stream);
             let mut pool = WorkerPool::new(workers);
             for t in &timings {
                 let (_, started, finished) = pool.assign(t.issued_at, SimDuration::from_millis(50));

@@ -4,9 +4,9 @@ use ids_engine::{Backend, ColumnBuilder, CostParams, MemBackend, Predicate, Quer
 use ids_opt::klfilter::{replay_kl, HistogramSketch};
 use ids_opt::loading::{event_fetch, lazy_loading, timer_fetch, LoadingConfig};
 use ids_opt::skip::{replay_raw, replay_skip};
+use ids_simclock::rng::check;
 use ids_simclock::{SimDuration, SimTime};
 use ids_workload::crossfilter::QueryGroup;
-use proptest::prelude::*;
 
 fn fixed_backend(cost_ms: u64) -> MemBackend {
     let params = CostParams {
@@ -45,52 +45,84 @@ fn group_stream(intervals_ms: &[u64]) -> Vec<QueryGroup> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A monotone demand curve from `(dt ms, added tuples)` steps.
+fn demand_curve(steps: &[(u64, u64)]) -> Vec<(SimTime, u64)> {
+    let (mut t, mut cum) = (0u64, 0u64);
+    steps
+        .iter()
+        .map(|&(dt, dd)| {
+            t += dt;
+            cum += dd;
+            (SimTime::from_millis(t), cum)
+        })
+        .collect()
+}
 
-    /// Skip never executes more groups than raw, never loses the last
-    /// group, and bounds the worst executed latency by raw's worst.
-    #[test]
-    fn skip_dominates_raw(
-        intervals in prop::collection::vec(1u64..60, 1..80),
-        cost_ms in 1u64..120,
-    ) {
-        let backend = fixed_backend(cost_ms);
+/// Skip never executes more groups than raw, never loses the last
+/// group, and bounds the worst executed latency by raw's worst.
+#[test]
+fn skip_dominates_raw() {
+    check("skip_dominates_raw", 0..48, |rng| {
+        let intervals: Vec<u64> = (0..rng.uniform_usize(1, 80))
+            .map(|_| rng.uniform_u64(1, 60))
+            .collect();
+        let backend = fixed_backend(rng.uniform_u64(1, 120));
         let groups = group_stream(&intervals);
         let raw = replay_raw(&backend, &groups).expect("raw");
         let skip = replay_skip(&backend, &groups).expect("skip");
-        prop_assert!(skip.executed().len() <= raw.executed().len());
-        prop_assert_eq!(skip.timings.len(), groups.len());
+        assert!(skip.executed().len() <= raw.executed().len());
+        assert_eq!(skip.timings.len(), groups.len());
         // The stream's final group always executes under skip.
-        prop_assert!(skip.timings.last().expect("non-empty").executed);
+        assert!(skip.timings.last().expect("non-empty").executed);
         let worst = |o: &ids_opt::skip::ReplayOutcome| {
-            o.executed().iter().map(|t| t.latency().as_millis()).max().unwrap_or(0)
+            o.executed()
+                .iter()
+                .map(|t| t.latency().as_millis())
+                .max()
+                .unwrap_or(0)
         };
-        prop_assert!(worst(&skip) <= worst(&raw));
-    }
+        assert!(worst(&skip) <= worst(&raw));
+    });
+}
 
-    /// Raw latency is monotone non-decreasing when the backend is slower
-    /// than the issue rate everywhere.
-    #[test]
-    fn raw_cascade_monotone(intervals in prop::collection::vec(1u64..20, 2..60)) {
+/// Raw latency is monotone non-decreasing when the backend is slower
+/// than the issue rate everywhere.
+#[test]
+fn raw_cascade_monotone() {
+    check("raw_cascade_monotone", 0..48, |rng| {
         let backend = fixed_backend(25); // always slower than max interval
+        let intervals: Vec<u64> = (0..rng.uniform_usize(2, 60))
+            .map(|_| rng.uniform_u64(1, 20))
+            .collect();
         let groups = group_stream(&intervals);
         let raw = replay_raw(&backend, &groups).expect("raw");
-        let lats: Vec<u64> = raw.timings.iter().map(|t| t.latency().as_millis()).collect();
-        prop_assert!(lats.windows(2).all(|w| w[1] >= w[0]), "{lats:?}");
-    }
+        let lats: Vec<u64> = raw
+            .timings
+            .iter()
+            .map(|t| t.latency().as_millis())
+            .collect();
+        assert!(lats.windows(2).all(|w| w[1] >= w[0]), "{lats:?}");
+    });
+}
 
-    /// KL threshold monotonicity: a higher threshold never executes more.
-    #[test]
-    fn kl_threshold_monotone(seed in 0u64..500) {
+/// KL threshold monotonicity: a higher threshold never executes more.
+#[test]
+fn kl_threshold_monotone() {
+    check("kl_threshold_monotone", 0..48, |rng| {
         let table = TableBuilder::new("dataroad")
-            .column("x", ColumnBuilder::float((0..5_000).map(|i| (i % 100) as f64)))
-            .column("y", ColumnBuilder::float((0..5_000).map(|i| ((i % 100) as f64) / 2.0)))
+            .column(
+                "x",
+                ColumnBuilder::float((0..5_000).map(|i| (i % 100) as f64)),
+            )
+            .column(
+                "y",
+                ColumnBuilder::float((0..5_000).map(|i| ((i % 100) as f64) / 2.0)),
+            )
             .build()
             .expect("table");
         let backend = MemBackend::new();
         backend.database().register(table.clone());
-        let sketch = HistogramSketch::new(table, 800, seed);
+        let sketch = HistogramSketch::new(table, 800, rng.uniform_u64(0, 500));
         let groups: Vec<QueryGroup> = (0..20)
             .map(|i| QueryGroup {
                 at: SimTime::from_millis(20 * (i as u64 + 1)),
@@ -106,71 +138,71 @@ proptest! {
         for threshold in [0.0, 0.1, 0.3, 1.0, 5.0] {
             let out = replay_kl(&backend, &groups, &sketch, threshold).expect("kl");
             let executed = out.executed().len();
-            prop_assert!(executed <= prev_executed, "threshold {threshold}");
-            prop_assert!(executed >= 1, "first group always executes");
+            assert!(executed <= prev_executed, "threshold {threshold}");
+            assert!(executed >= 1, "first group always executes");
             prev_executed = executed;
         }
-    }
+    });
+}
 
-    /// Loading strategies always produce monotone supply and stay within
-    /// the table's capacity.
-    #[test]
-    fn loading_supply_invariants(
-        steps in prop::collection::vec((1u64..500, 1u64..40), 1..60),
-        fetch_size in 1u64..120,
-        exec_ms in 1u64..200,
-        total in 50u64..2_000,
-    ) {
-        // Build a monotone demand curve from positive increments.
-        let mut t = 0u64;
-        let mut cum = 0u64;
-        let demand: Vec<(SimTime, u64)> = steps
-            .iter()
-            .map(|&(dt, dd)| {
-                t += dt;
-                cum += dd;
-                (SimTime::from_millis(t), cum)
-            })
-            .collect();
-        let cfg = LoadingConfig {
-            fetch_size,
-            fetch_exec: SimDuration::from_millis(exec_ms),
-            total_tuples: total,
-        };
-        for outcome in [
-            lazy_loading(&demand, &cfg),
-            event_fetch(&demand, &cfg, fetch_size),
-            timer_fetch(&demand, &cfg, SimDuration::from_millis(500)),
-        ] {
-            prop_assert!(outcome
-                .supply
-                .windows(2)
-                .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-            prop_assert!(outcome.supply.iter().all(|&(_, c)| c <= total));
-            prop_assert_eq!(outcome.waits.len(), demand.len());
-            let lcv = outcome.lcv(&demand);
-            prop_assert_eq!(lcv.total, demand.len());
-            prop_assert!(lcv.violations <= lcv.total);
-        }
+/// The loading invariants for one demand curve and configuration:
+/// every strategy's supply is monotone and within the table's capacity,
+/// with one wait and one LCV verdict per demand point.
+fn loading_invariants_hold(steps: &[(u64, u64)], fetch_size: u64, exec_ms: u64, total: u64) {
+    let demand = demand_curve(steps);
+    let cfg = LoadingConfig {
+        fetch_size,
+        fetch_exec: SimDuration::from_millis(exec_ms),
+        total_tuples: total,
+    };
+    for outcome in [
+        lazy_loading(&demand, &cfg),
+        event_fetch(&demand, &cfg, fetch_size),
+        timer_fetch(&demand, &cfg, SimDuration::from_millis(500)),
+    ] {
+        assert!(outcome
+            .supply
+            .windows(2)
+            .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
+        assert!(outcome.supply.iter().all(|&(_, c)| c <= total));
+        assert_eq!(outcome.waits.len(), demand.len());
+        let lcv = outcome.lcv(&demand);
+        assert_eq!(lcv.total, demand.len());
+        assert!(lcv.violations <= lcv.total);
     }
+}
 
-    /// Faster backends never increase loading violations (event fetch).
-    #[test]
-    fn faster_fetch_never_hurts(
-        steps in prop::collection::vec((5u64..200, 1u64..30), 2..40),
-        exec_fast in 1u64..50,
-        extra in 1u64..300,
-    ) {
-        let mut t = 0u64;
-        let mut cum = 0u64;
-        let demand: Vec<(SimTime, u64)> = steps
-            .iter()
-            .map(|&(dt, dd)| {
-                t += dt;
-                cum += dd;
-                (SimTime::from_millis(t), cum)
-            })
+/// Loading strategies always produce monotone supply and stay within
+/// the table's capacity.
+#[test]
+fn loading_supply_invariants() {
+    check("loading_supply_invariants", 0..48, |rng| {
+        let steps: Vec<(u64, u64)> = (0..rng.uniform_usize(1, 60))
+            .map(|_| (rng.uniform_u64(1, 500), rng.uniform_u64(1, 40)))
             .collect();
+        let fetch_size = rng.uniform_u64(1, 120);
+        let exec_ms = rng.uniform_u64(1, 200);
+        loading_invariants_hold(&steps, fetch_size, exec_ms, rng.uniform_u64(50, 2_000));
+    });
+}
+
+/// A case of `loading_supply_invariants` once recorded as failing:
+/// demand (61 tuples) outruns the table (50), one tuple per fetch.
+#[test]
+fn loading_supply_invariants_recorded_case() {
+    loading_invariants_hold(&[(1, 8), (1, 38), (1, 15)], 1, 1, 50);
+}
+
+/// Faster backends never increase loading violations (event fetch).
+#[test]
+fn faster_fetch_never_hurts() {
+    check("faster_fetch_never_hurts", 0..48, |rng| {
+        let steps: Vec<(u64, u64)> = (0..rng.uniform_usize(2, 40))
+            .map(|_| (rng.uniform_u64(5, 200), rng.uniform_u64(1, 30)))
+            .collect();
+        let exec_fast = rng.uniform_u64(1, 50);
+        let extra = rng.uniform_u64(1, 300);
+        let demand = demand_curve(&steps);
         let mk = |exec: u64| LoadingConfig {
             fetch_size: 20,
             fetch_exec: SimDuration::from_millis(exec),
@@ -178,6 +210,6 @@ proptest! {
         };
         let fast = event_fetch(&demand, &mk(exec_fast), 20);
         let slow = event_fetch(&demand, &mk(exec_fast + extra), 20);
-        prop_assert!(fast.lcv(&demand).violations <= slow.lcv(&demand).violations);
-    }
+        assert!(fast.lcv(&demand).violations <= slow.lcv(&demand).violations);
+    });
 }

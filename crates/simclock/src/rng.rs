@@ -9,7 +9,8 @@
 //!
 //! Streams are *splittable*: [`SimRng::split`] derives an independent child
 //! generator from a label, so per-user / per-device substreams stay stable
-//! when unrelated code consumes randomness.
+//! when unrelated code consumes randomness. The workspace's property
+//! tests draw their inputs from it too, through [`check`].
 //!
 //! Every calibrated number, golden fixture and simtest repro in this
 //! repository is a function of this keystream, so it is pinned twice in
@@ -197,18 +198,23 @@ impl SimRng {
 
     /// Uniform integer in `[lo, hi)`; returns `lo` when the range is empty.
     pub fn uniform_usize(&mut self, lo: usize, hi: usize) -> usize {
+        self.uniform_u64(lo as u64, hi as u64) as usize
+    }
+
+    /// Uniform integer in `[lo, hi)`; returns `lo` when the range is empty.
+    pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
         }
         // Widening multiply with rejection: a draw is kept when the
         // product's low half is below `range << lz`, a multiple of
         // `range`, so every result is equally likely.
-        let range = (hi - lo) as u64;
+        let range = hi - lo;
         let zone = (range << range.leading_zeros()).wrapping_sub(1);
         loop {
             let m = u128::from(self.inner.next_u64()) * u128::from(range);
             if m as u64 <= zone {
-                return lo + (m >> 64) as usize;
+                return lo + (m >> 64) as u64;
             }
         }
     }
@@ -290,6 +296,25 @@ impl SimRng {
         for i in (1..items.len()).rev() {
             let j = self.uniform_usize(0, i + 1);
             items.swap(i, j);
+        }
+    }
+}
+
+/// Runs a property test: `property` once per case in `cases`, each on
+/// its own generator seeded from `(name, case)`, so a case draws the same
+/// inputs on every run and machine. A panicking case is reported with
+/// the range that reruns it alone (`case..case + 1`) before the panic
+/// resumes.
+pub fn check(name: &str, cases: std::ops::Range<u32>, mut property: impl FnMut(&mut SimRng)) {
+    for case in cases {
+        let mut rng = SimRng::seed(u64::from(case)).split(name);
+        let run = std::panic::AssertUnwindSafe(|| property(&mut rng));
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!(
+                "property `{name}` failed at case {case}; rerun it alone with cases {case}..{}",
+                case + 1
+            );
+            std::panic::resume_unwind(panic);
         }
     }
 }
@@ -502,6 +527,26 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn check_replays_a_case_alone_and_stops_at_the_first_failure() {
+        let mut draws = Vec::new();
+        check("draws", 0..3, |rng| draws.push(rng.unit().to_bits()));
+        let mut alone = Vec::new();
+        check("draws", 1..2, |rng| alone.push(rng.unit().to_bits()));
+        assert_eq!(alone, draws[1..2], "case 1 draws the same inputs alone");
+        assert_ne!(draws[0], draws[1], "cases draw different inputs");
+
+        let mut ran = 0;
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check("fails", 0..10, |_| {
+                ran += 1;
+                assert!(ran < 4, "case 3 fails");
+            })
+        }));
+        assert!(failed.is_err(), "the case's panic resumes");
+        assert_eq!(ran, 4, "no case runs after the failing one");
     }
 
     #[test]

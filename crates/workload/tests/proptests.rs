@@ -2,6 +2,7 @@
 //! well-formed sessions.
 
 use ids_devices::DeviceKind;
+use ids_simclock::rng::check;
 use ids_simclock::SimDuration;
 use ids_workload::composite::{simulate_session as composite_session, CompositeConfig};
 use ids_workload::crossfilter::{
@@ -9,86 +10,99 @@ use ids_workload::crossfilter::{
 };
 use ids_workload::datasets;
 use ids_workload::scrolling::{demand_curve, simulate_session as scroll_session};
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Scroll sessions are well-formed for arbitrary seeds: monotone
-    /// timestamps, consistent positions, bounded selections, monotone
-    /// demand curves.
-    #[test]
-    fn scroll_sessions_are_well_formed(seed in 0u64..10_000, tuples in 100usize..800) {
+/// Scroll sessions are well-formed for arbitrary seeds: monotone
+/// timestamps, consistent positions, bounded selections, monotone
+/// demand curves.
+#[test]
+fn scroll_sessions_are_well_formed() {
+    check("scroll_sessions_are_well_formed", 0..16, |rng| {
+        let seed = rng.uniform_u64(0, 10_000);
+        let tuples = rng.uniform_usize(100, 800);
         let s = scroll_session(0, seed, tuples);
         let recs = s.trace.records();
-        prop_assert!(!recs.is_empty());
-        prop_assert!(recs.windows(2).all(|w| w[0].timestamp_ms <= w[1].timestamp_ms));
+        assert!(!recs.is_empty());
+        assert!(recs
+            .windows(2)
+            .all(|w| w[0].timestamp_ms <= w[1].timestamp_ms));
         let end_px = tuples as f64 * ids_workload::scrolling::TUPLE_HEIGHT_PX;
-        prop_assert!(recs.iter().all(|r| r.scroll_top >= 0.0 && r.scroll_top <= end_px + 1e-6));
-        prop_assert!(s.selections.iter().all(|&sel| sel <= tuples as u64));
-        prop_assert!(s.backscroll_passes >= s.backscrolled_selections);
+        assert!(recs
+            .iter()
+            .all(|r| r.scroll_top >= 0.0 && r.scroll_top <= end_px + 1e-6));
+        assert!(s.selections.iter().all(|&sel| sel <= tuples as u64));
+        assert!(s.backscroll_passes >= s.backscrolled_selections);
         let demand = demand_curve(&s);
-        prop_assert!(demand.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
+        assert!(demand.windows(2).all(|w| w[0].1 <= w[1].1));
+    });
+}
 
-    /// Crossfilter sessions respect slider domains and compile to one
-    /// query group per event with n−1 queries each.
-    #[test]
-    fn crossfilter_sessions_are_well_formed(seed in 0u64..10_000) {
+/// Crossfilter sessions respect slider domains and compile to one
+/// query group per event with n−1 queries each.
+#[test]
+fn crossfilter_sessions_are_well_formed() {
+    check("crossfilter_sessions_are_well_formed", 0..16, |rng| {
+        let seed = rng.uniform_u64(0, 10_000);
         let ui = CrossfilterUi::for_road();
         for device in [DeviceKind::Mouse, DeviceKind::LeapMotion] {
             let s = xf_session(device, 0, seed, &ui);
             for r in s.trace.records() {
-                prop_assert!(r.min_val <= r.max_val);
+                assert!(r.min_val <= r.max_val);
                 let d = &ui.dims[r.slider_idx as usize];
-                prop_assert!(r.min_val >= d.min - 1e-9);
-                prop_assert!(r.max_val <= d.max + 1e-9);
+                assert!(r.min_val >= d.min - 1e-9);
+                assert!(r.max_val <= d.max + 1e-9);
             }
             let groups = compile_query_groups(&ui, &s.trace);
-            prop_assert_eq!(groups.len(), s.trace.len());
-            prop_assert!(groups.iter().all(|g| g.queries.len() == ui.dims.len() - 1));
+            assert_eq!(groups.len(), s.trace.len());
+            assert!(groups.iter().all(|g| g.queries.len() == ui.dims.len() - 1));
         }
-    }
+    });
+}
 
-    /// Composite sessions keep their invariants under arbitrary seeds:
-    /// zoom leash, positive phase times, parseable URLs.
-    #[test]
-    fn composite_sessions_are_well_formed(seed in 0u64..10_000) {
+/// Composite sessions keep their invariants under arbitrary seeds:
+/// zoom leash, positive phase times, parseable URLs.
+#[test]
+fn composite_sessions_are_well_formed() {
+    check("composite_sessions_are_well_formed", 0..16, |rng| {
+        let seed = rng.uniform_u64(0, 10_000);
         let config = CompositeConfig {
             min_duration: SimDuration::from_secs(120),
             request_model: None,
         };
         let s = composite_session(0, seed, &config);
-        prop_assert!(!s.steps.is_empty());
+        assert!(!s.steps.is_empty());
         let start_zoom = s.steps[0].state.map.zoom;
         for step in &s.steps {
-            prop_assert!((8..=15).contains(&step.state.map.zoom));
-            prop_assert!((step.state.map.zoom - start_zoom).abs() <= 3);
-            prop_assert!(step.request > SimDuration::ZERO);
-            prop_assert!(step.explore > SimDuration::ZERO);
-            prop_assert!(step.state.filter_count() <= 14);
+            assert!((8..=15).contains(&step.state.map.zoom));
+            assert!((step.state.map.zoom - start_zoom).abs() <= 3);
+            assert!(step.request > SimDuration::ZERO);
+            assert!(step.explore > SimDuration::ZERO);
+            assert!(step.state.filter_count() <= 14);
             let url = step.state.to_url();
-            prop_assert!(url.starts_with("https://"));
-            prop_assert!(!url.contains('\t'));
+            assert!(url.starts_with("https://"));
+            assert!(!url.contains('\t'));
         }
-        prop_assert!(s.steps.windows(2).all(|w| w[0].at <= w[1].at));
-    }
+        assert!(s.steps.windows(2).all(|w| w[0].at <= w[1].at));
+    });
+}
 
-    /// Dataset generators respect their declared domains at any size.
-    #[test]
-    fn datasets_respect_domains(seed in 0u64..1_000, rows in 10usize..2_000) {
+/// Dataset generators respect their declared domains at any size.
+#[test]
+fn datasets_respect_domains() {
+    check("datasets_respect_domains", 0..16, |rng| {
+        let seed = rng.uniform_u64(0, 1_000);
+        let rows = rng.uniform_usize(10, 2_000);
         let movies = datasets::movies_sized(seed, rows);
-        prop_assert_eq!(movies.rows(), rows);
+        assert_eq!(movies.rows(), rows);
         let ratings = movies.stats().column("rating").unwrap();
-        prop_assert!(ratings.min.unwrap() >= 5.0 && ratings.max.unwrap() <= 9.6);
+        assert!(ratings.min.unwrap() >= 5.0 && ratings.max.unwrap() <= 9.6);
 
         let road = datasets::road_network_sized(seed, rows);
         let x = road.stats().column("x").unwrap();
-        prop_assert!(x.min.unwrap() >= datasets::road_domain::X_MIN);
-        prop_assert!(x.max.unwrap() <= datasets::road_domain::X_MAX);
+        assert!(x.min.unwrap() >= datasets::road_domain::X_MIN);
+        assert!(x.max.unwrap() <= datasets::road_domain::X_MAX);
 
         let listings = datasets::listings(seed, rows);
         let guests = listings.stats().column("guests").unwrap();
-        prop_assert!(guests.min.unwrap() >= 1.0 && guests.max.unwrap() <= 8.0);
-    }
+        assert!(guests.min.unwrap() >= 1.0 && guests.max.unwrap() <= 8.0);
+    });
 }

@@ -4,11 +4,11 @@
 //! Two guarantees are checked here rather than in any one crate's unit
 //! tests because they span the whole pipeline:
 //!
-//! - **thread-count invariance** — `execute_batch` over a fault-injected
-//!   backend returns identical outcome vectors at 1/2/4/8 threads (the
-//!   plan decides faults from `(virtual time, query fingerprint,
-//!   attempt)`, never from scheduling order, and batch workers inherit
-//!   the driving thread's virtual clock);
+//! - **thread-count invariance** — a batch fanned out by `ordered_map`
+//!   over a fault-injected backend returns identical outcome vectors at
+//!   1/2/4/8 threads (the plan decides faults from `(virtual time, query
+//!   fingerprint, attempt)`, never from scheduling order, and fan-out
+//!   workers inherit the driving thread's virtual clock);
 //! - **bit determinism** — a seeded robustness sweep replays
 //!   byte-identically: same rendered table, same metrics snapshot, same
 //!   exported trace.
@@ -18,7 +18,7 @@
 //! `#[test]`'s own thread — so the tests need no serialisation.
 
 use ids::chaos::{ChaosBackend, FaultPlan};
-use ids::engine::parallel::execute_batch;
+use ids::engine::parallel::ordered_map;
 use ids::engine::scheduler::{IssuedQuery, ReplayScheduler, ResiliencePolicy};
 use ids::engine::{
     Backend, ColumnBuilder, Database, MemBackend, Predicate, Query, RetryPolicy, RetryingBackend,
@@ -66,7 +66,10 @@ fn batch_outcomes_identical_across_thread_counts_under_faults() {
             // thread count sees the same injection decisions.
             let chaos = ChaosBackend::new(&inner, plan.clone());
             let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
-            execute_batch(&retrying, &queries, threads)
+            ordered_map(queries.len(), threads, |i| retrying.execute(&queries[i]))
+                .expect("no task panics")
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
                 .expect("retries absorb this seed's transient failures")
         };
 

@@ -5,8 +5,8 @@ use ids::chaos::FaultPlan;
 use ids::engine::{Predicate, Query};
 use ids::experiments::fleet::{run, FleetConfig};
 use ids::serve::{simulate_service, AdmissionPolicy, Lane, OfferedQuery, ServeParams, TokenBucket};
+use ids::simclock::rng::check;
 use ids::simclock::{SimDuration, SimTime};
-use proptest::prelude::*;
 
 /// A trimmed config so the multi-run tests stay fast.
 fn small_config() -> FleetConfig {
@@ -80,17 +80,16 @@ fn count_query() -> Query {
     Query::count("t", Predicate::True)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// A token bucket never admits more than its burst plus what its
-    /// rate refills over the observed span.
-    #[test]
-    fn token_bucket_never_over_admits(
-        rate in 0.5f64..50.0,
-        burst in 1.0f64..20.0,
-        gaps_ms in prop::collection::vec(0u64..2_000, 1..200),
-    ) {
+/// A token bucket never admits more than its burst plus what its
+/// rate refills over the observed span.
+#[test]
+fn token_bucket_never_over_admits() {
+    check("token_bucket_never_over_admits", 0..48, |rng| {
+        let rate = rng.uniform(0.5, 50.0);
+        let burst = rng.uniform(1.0, 20.0);
+        let gaps_ms = (0..rng.uniform_usize(1, 200))
+            .map(|_| rng.uniform_u64(0, 2_000))
+            .collect::<Vec<_>>();
         let mut bucket = TokenBucket::new(rate, burst);
         let mut now = SimTime::ZERO;
         let mut admitted = 0usize;
@@ -102,23 +101,29 @@ proptest! {
         }
         let span_secs = now.saturating_since(SimTime::ZERO).as_secs_f64();
         let ceiling = burst + rate * span_secs;
-        prop_assert!(
+        assert!(
             (admitted as f64) <= ceiling + 1e-6,
             "admitted {} exceeds burst {} + rate {} over {}s",
-            admitted, burst, rate, span_secs
+            admitted,
+            burst,
+            rate,
+            span_secs
         );
-    }
+    });
+}
 
-    /// Conservation: every offered query is either admitted or shed —
-    /// the queue always drains, nothing is lost or double-counted.
-    #[test]
-    fn service_conserves_offered_queries(
-        gaps_ms in prop::collection::vec(0u64..500, 1..150),
-        cost_ms in 1u64..400,
-        rate in 0.5f64..100.0,
-        queue_limit in 0usize..16,
-        workers in 1usize..5,
-    ) {
+/// Conservation: every offered query is either admitted or shed —
+/// the queue always drains, nothing is lost or double-counted.
+#[test]
+fn service_conserves_offered_queries() {
+    check("service_conserves_offered_queries", 0..48, |rng| {
+        let gaps_ms = (0..rng.uniform_usize(1, 150))
+            .map(|_| rng.uniform_u64(0, 500))
+            .collect::<Vec<_>>();
+        let cost_ms = rng.uniform_u64(1, 400);
+        let rate = rng.uniform(0.5, 100.0);
+        let queue_limit = rng.uniform_usize(0, 16);
+        let workers = rng.uniform_usize(1, 5);
         let mut at = SimTime::ZERO;
         let offered: Vec<OfferedQuery> = gaps_ms
             .iter()
@@ -130,7 +135,11 @@ proptest! {
                     tenant: i % 3,
                     seq: i,
                     at,
-                    lane: if i % 4 == 3 { Lane::Prefetch } else { Lane::Interactive },
+                    lane: if i % 4 == 3 {
+                        Lane::Prefetch
+                    } else {
+                        Lane::Interactive
+                    },
                     query: count_query(),
                 }
             })
@@ -146,25 +155,19 @@ proptest! {
             AdmissionPolicy::unlimited(),
             AdmissionPolicy::interactive(rate, queue_limit),
         ] {
-            let out = simulate_service(
-                &offered,
-                &costs,
-                &policy,
-                &FaultPlan::calm(9),
-                &params,
-            );
-            prop_assert_eq!(out.offered, offered.len());
-            prop_assert_eq!(
+            let out = simulate_service(&offered, &costs, &policy, &FaultPlan::calm(9), &params);
+            assert_eq!(out.offered, offered.len());
+            assert_eq!(
                 out.admitted + out.shed.total(),
                 out.offered,
                 "admitted + shed must equal offered"
             );
             if policy.is_unlimited() {
-                prop_assert_eq!(out.shed.total(), 0);
+                assert_eq!(out.shed.total(), 0);
             }
             // The queue drained: the last admitted query finished at a
             // finite instant no earlier than serial service could allow.
-            prop_assert!(out.drained_at < SimTime::MAX);
+            assert!(out.drained_at < SimTime::MAX);
         }
-    }
+    });
 }

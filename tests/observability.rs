@@ -7,7 +7,7 @@
 //! `#[test]` runs on its own, so every test starts clean.
 
 use ids::chaos::{ChaosBackend, FaultPlan};
-use ids::engine::scheduler::{IssuedQuery, QueryTiming, ReplayScheduler};
+use ids::engine::scheduler::{IssuedQuery, QueryTiming, ReplayScheduler, ResiliencePolicy};
 use ids::engine::{
     Backend, BinSpec, BufferPool, ColumnBuilder, DiskBackend, EvictionPolicy, MemBackend, PageId,
     Predicate, Query, QueryOutcome, Table, TableBuilder,
@@ -50,7 +50,7 @@ fn run_replay() -> Vec<(QueryTiming, QueryOutcome)> {
         })
         .collect();
     ReplayScheduler::new(2)
-        .replay_with_outcomes(&backend, &stream)
+        .replay_resilient(&backend, &stream, &ResiliencePolicy::rigid())
         .unwrap()
 }
 

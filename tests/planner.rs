@@ -5,7 +5,7 @@
 //! 1023/1024/1025-row block-boundary tables.
 
 use ids::engine::{plan, sql, ColumnBuilder, Database, ResultSet, TableBuilder};
-use proptest::prelude::*;
+use ids::simclock::rng::{check, SimRng};
 
 const WORDS: [&str; 3] = ["alpha", "beta", "gamma"];
 
@@ -114,119 +114,81 @@ fn reference_histogram(raw: &Raw, keep: &[usize], lo: f64, hi: f64, bins: usize)
 /// Parses, plans and executes one SQL statement and demands exact
 /// agreement with a supplied reference result, plus plan
 /// replay-stability.
-fn check(raw: &Raw, statement: &str, reference: ResultSet) -> Result<(), TestCaseError> {
+fn assert_agrees(raw: &Raw, statement: &str, reference: ResultSet) {
     let db = Database::new();
     register(&db, raw);
-    let query = sql::parse(statement)
-        .map_err(|e| TestCaseError::fail(format!("`{statement}` failed to parse: {e}")))?;
-    let p = plan(&db, &query)
-        .map_err(|e| TestCaseError::fail(format!("`{statement}` failed to plan: {e}")))?;
+    let rows = raw.x.len();
+    let query =
+        sql::parse(statement).unwrap_or_else(|e| panic!("`{statement}` failed to parse: {e}"));
+    let p = plan(&db, &query).unwrap_or_else(|e| panic!("`{statement}` failed to plan: {e}"));
     let planned = p
         .execute(&db)
-        .map_err(|e| TestCaseError::fail(format!("`{statement}` failed to execute: {e}")))?;
-    prop_assert_eq!(
-        &planned.result,
-        &reference,
-        "planned != reference: {}",
-        statement
+        .unwrap_or_else(|e| panic!("`{statement}` failed to execute over {rows} rows: {e}"));
+    assert_eq!(
+        planned.result, reference,
+        "planned != reference over {rows} rows: {statement}"
     );
-    prop_assert_eq!(p.explain(), plan(&db, &query).unwrap().explain());
-    Ok(())
+    assert_eq!(p.explain(), plan(&db, &query).unwrap().explain());
 }
 
-/// Raw-row sample: `(nan_die, x, k, word)` — `nan_die == 0` makes the
-/// float NaN (a 1-in-5 chance), exercising NaN comparison semantics.
-type RawTuple = (usize, f64, i64, usize);
-
-type RawTupleStrategy = prop::collection::VecStrategy<(
-    std::ops::Range<usize>,
-    std::ops::Range<f64>,
-    std::ops::Range<i64>,
-    std::ops::Range<usize>,
-)>;
-
-fn raw_strategy(max_rows: usize) -> RawTupleStrategy {
-    prop::collection::vec(
-        (0usize..5, -100.0f64..100.0, 0i64..12, 0usize..WORDS.len()),
-        0..max_rows,
-    )
-}
-
-fn build_raw(rows: &[RawTuple]) -> Raw {
+/// A random table of fewer than `max_rows` rows: `x` is NaN one time in
+/// five, exercising NaN comparison semantics.
+fn raw(rng: &mut SimRng, max_rows: usize) -> Raw {
+    let rows = rng.uniform_usize(0, max_rows);
     Raw {
-        x: rows
-            .iter()
-            .map(|r| if r.0 == 0 { f64::NAN } else { r.1 })
+        x: (0..rows)
+            .map(|_| {
+                if rng.chance(0.2) {
+                    f64::NAN
+                } else {
+                    rng.uniform(-100.0, 100.0)
+                }
+            })
             .collect(),
-        k: rows.iter().map(|r| r.2).collect(),
-        s: rows.iter().map(|r| r.3).collect(),
+        k: (0..rows).map(|_| rng.uniform_u64(0, 12) as i64).collect(),
+        s: (0..rows)
+            .map(|_| rng.uniform_usize(0, WORDS.len()))
+            .collect(),
     }
 }
 
-/// Conjunct sample: `(kind, op, f1, f2, int_lit, word)`.
-type ConjTuple = (usize, usize, f64, f64, i64, usize);
-
-type ConjTupleStrategy = prop::collection::VecStrategy<(
-    std::ops::Range<usize>,
-    std::ops::Range<usize>,
-    std::ops::Range<f64>,
-    std::ops::Range<f64>,
-    std::ops::Range<i64>,
-    std::ops::Range<usize>,
-)>;
-
-fn conjunct_strategy() -> ConjTupleStrategy {
-    prop::collection::vec(
-        (
-            0usize..4,
-            0usize..OPS.len(),
-            -60.0f64..60.0,
-            -60.0f64..60.0,
-            -2i64..14,
-            0usize..WORDS.len(),
-        ),
-        0..4,
-    )
-}
-
-fn build_conjuncts(samples: &[ConjTuple]) -> Vec<Conjunct> {
-    samples
-        .iter()
-        .map(|&(kind, op, f1, f2, ki, w)| match kind {
-            0 => Conjunct::XCmp(op, f1),
-            1 => Conjunct::XBetween(f1, f2),
-            2 => Conjunct::KCmp(op, ki),
-            _ => Conjunct::SEq(w),
+/// Up to three random conjuncts.
+fn conjuncts(rng: &mut SimRng) -> Vec<Conjunct> {
+    (0..rng.uniform_usize(0, 4))
+        .map(|_| match rng.uniform_usize(0, 4) {
+            0 => Conjunct::XCmp(rng.uniform_usize(0, OPS.len()), rng.uniform(-60.0, 60.0)),
+            1 => Conjunct::XBetween(rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)),
+            2 => Conjunct::KCmp(
+                rng.uniform_usize(0, OPS.len()),
+                rng.uniform_u64(0, 16) as i64 - 2,
+            ),
+            _ => Conjunct::SEq(rng.uniform_usize(0, WORDS.len())),
         })
         .collect()
 }
 
-proptest! {
-    /// COUNT(*) with a generated WHERE: planned == row-at-a-time
-    /// reference.
-    #[test]
-    fn planned_count_matches_reference(
-        raw_rows in raw_strategy(600),
-        conj_rows in conjunct_strategy(),
-    ) {
-        let raw = build_raw(&raw_rows);
-        let conjuncts = build_conjuncts(&conj_rows);
+/// COUNT(*) with a generated WHERE: planned == row-at-a-time
+/// reference.
+#[test]
+fn planned_count_matches_reference() {
+    check("planned_count_matches_reference", 0..256, |rng| {
+        let raw = raw(rng, 600);
+        let conjuncts = conjuncts(rng);
         let statement = format!("SELECT COUNT(*) FROM t{}", where_clause(&conjuncts));
         let expected = ResultSet::Count(matching(&raw, &conjuncts).len() as u64);
-        check(&raw, &statement, expected)?;
-    }
+        assert_agrees(&raw, &statement, expected);
+    });
+}
 
-    /// Paginated SELECT * with a generated WHERE: planned row ids equal
-    /// the reference's page of matching rows, in order.
-    #[test]
-    fn planned_select_matches_reference(
-        raw_rows in raw_strategy(400),
-        conj_rows in conjunct_strategy(),
-        limit in 1usize..50,
-        offset in 0usize..60,
-    ) {
-        let raw = build_raw(&raw_rows);
-        let conjuncts = build_conjuncts(&conj_rows);
+/// Paginated SELECT * with a generated WHERE: planned row ids equal
+/// the reference's page of matching rows, in order.
+#[test]
+fn planned_select_matches_reference() {
+    check("planned_select_matches_reference", 0..256, |rng| {
+        let raw = raw(rng, 400);
+        let conjuncts = conjuncts(rng);
+        let limit = rng.uniform_usize(1, 50);
+        let offset = rng.uniform_usize(0, 60);
         let statement = format!(
             "SELECT k FROM t{} LIMIT {limit} OFFSET {offset}",
             where_clause(&conjuncts)
@@ -237,21 +199,20 @@ proptest! {
             .iter()
             .map(|&i| vec![ids::engine::Value::Int(raw.k[i])])
             .collect();
-        check(&raw, &statement, ResultSet::Rows(rows))?;
-    }
+        assert_agrees(&raw, &statement, ResultSet::Rows(rows));
+    });
+}
 
-    /// Filtered HISTOGRAM with generated bins: planned counts equal the
-    /// reference binning (ROUND semantics, NaN skipped).
-    #[test]
-    fn planned_histogram_matches_reference(
-        raw_rows in raw_strategy(1400),
-        conj_rows in conjunct_strategy(),
-        bins in 1usize..24,
-        lo in -80.0f64..0.0,
-        width in 1.0f64..160.0,
-    ) {
-        let raw = build_raw(&raw_rows);
-        let conjuncts = build_conjuncts(&conj_rows);
+/// Filtered HISTOGRAM with generated bins: planned counts equal the
+/// reference binning (ROUND semantics, NaN skipped).
+#[test]
+fn planned_histogram_matches_reference() {
+    check("planned_histogram_matches_reference", 0..256, |rng| {
+        let raw = raw(rng, 1400);
+        let conjuncts = conjuncts(rng);
+        let bins = rng.uniform_usize(1, 24);
+        let lo = rng.uniform(-80.0, 0.0);
+        let width = rng.uniform(1.0, 160.0);
         let hi = lo + width;
         let statement = format!(
             "SELECT HISTOGRAM(x, {lo}, {hi}, {bins}), COUNT(*) FROM t{} GROUP BY 1 ORDER BY 1",
@@ -261,8 +222,8 @@ proptest! {
         let expected = ResultSet::Histogram(ids::engine::Histogram::from_counts(
             reference_histogram(&raw, &keep, lo, hi, bins),
         ));
-        check(&raw, &statement, expected)?;
-    }
+        assert_agrees(&raw, &statement, expected);
+    });
 }
 
 /// Deterministic block-boundary battery: 0, 1, 1023, 1024, 1025 rows and
@@ -279,10 +240,8 @@ fn block_boundary_and_all_nan_tables() {
                 k: (0..rows).map(|i| (i % 9) as i64).collect(),
                 s: (0..rows).map(|i| i % WORDS.len()).collect(),
             };
-            let run = |statement: &str, expected: ResultSet| {
-                check(&raw, statement, expected)
-                    .unwrap_or_else(|e| panic!("rows={rows} nan={nan}: {e}"));
-            };
+            let run =
+                |statement: &str, expected: ResultSet| assert_agrees(&raw, statement, expected);
 
             let between = [Conjunct::XBetween(100.0, 500.0)];
             run(

@@ -10,12 +10,15 @@
 //!   lives with the other fixtures in `crates/bench/tests/golden/`,
 //!   regenerable via `IDS_BLESS=1`);
 //! - **zero cost when disabled** — a replay under a non-deadline policy
-//!   never touches the progressive machinery: the rigid resilient
-//!   replay is byte-identical to the plain replay, timing for timing
-//!   and outcome for outcome.
+//!   never touches the progressive machinery: the rigid replay is
+//!   byte-identical to its primitives run by hand — each query's
+//!   `Backend::execute` outcome, placed by a `WorkerPool` — timing for
+//!   timing and outcome for outcome.
 
 use ids::engine::progressive::ProgressiveExecutor;
-use ids::engine::scheduler::{IssuedQuery, ReplayScheduler, ResiliencePolicy};
+use ids::engine::scheduler::{
+    IssuedQuery, QueryTiming, ReplayScheduler, ResiliencePolicy, WorkerPool,
+};
 use ids::engine::{Backend, BinSpec, ColumnBuilder, MemBackend, Predicate, Query, TableBuilder};
 use ids::experiments::robustness::{self, ProgressiveConfig};
 use ids::simclock::SimTime;
@@ -77,10 +80,10 @@ fn deadline_mode_reaches_zero_lcv_in_the_sweep() {
 
 #[test]
 fn progressive_machinery_costs_nothing_when_disabled() {
-    // A rigid (non-deadline) resilient replay must be byte-identical to
-    // the plain replay: same virtual timings, same outcomes, proving the
-    // progressive path adds no cost — virtual or otherwise — unless a
-    // deadline policy explicitly invokes it.
+    // A rigid (non-deadline) replay must be byte-identical to its two
+    // primitives run by hand — each query's backend outcome, placed by a
+    // worker pool — proving the progressive path adds no cost, virtual
+    // or otherwise, unless a deadline policy explicitly invokes it.
     let backend = MemBackend::new();
     backend.database().register(
         TableBuilder::new("t")
@@ -100,17 +103,24 @@ fn progressive_machinery_costs_nothing_when_disabled() {
             )
         })
         .collect();
-    let sched = ReplayScheduler::new(2);
-    let plain = sched.replay_with_outcomes(&backend, &stream).unwrap();
-    let rigid = sched
+    let rigid = ReplayScheduler::new(2)
         .replay_resilient(&backend, &stream, &ResiliencePolicy::rigid())
         .unwrap();
-    assert_eq!(plain.len(), rigid.len());
-    for ((ta, oa), (tb, ob)) in plain.iter().zip(&rigid) {
-        assert_eq!(ta, tb, "timings identical");
-        assert_eq!(oa.result, ob.result, "results identical");
-        assert_eq!(oa.cost, ob.cost, "virtual costs identical");
-        assert_eq!(oa.quality, ob.quality, "qualities identical");
+    assert_eq!(rigid.len(), stream.len());
+    let mut pool = WorkerPool::new(2);
+    for (iq, (timing, outcome)) in stream.iter().zip(&rigid) {
+        let plain = backend.execute(&iq.query).unwrap();
+        let (_, started_at, finished_at) = pool.assign(iq.issued_at, plain.cost);
+        let by_hand = QueryTiming {
+            tag: iq.tag,
+            issued_at: iq.issued_at,
+            started_at,
+            finished_at,
+        };
+        assert_eq!(*timing, by_hand, "timings identical");
+        assert_eq!(outcome.result, plain.result, "results identical");
+        assert_eq!(outcome.cost, plain.cost, "virtual costs identical");
+        assert_eq!(outcome.quality, plain.quality, "qualities identical");
     }
 }
 

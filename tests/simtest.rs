@@ -13,12 +13,12 @@
 
 use std::path::PathBuf;
 
+use ids::simclock::rng::check;
 use ids::simtest::scenario::{FilterSpec, QuerySpec};
 use ids::simtest::{
     check_scenario, derive_seed, differential_check, explore, from_toml, to_toml, Scenario,
     TableSpec,
 };
-use proptest::prelude::*;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -218,52 +218,74 @@ fn time_boxed_runs_are_prefixes() {
     assert_eq!(boxed.render(), unboxed.render());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The engine agrees with the row-at-a-time reference interpreter on
-    /// random table shapes crossed with random query programs.
-    #[test]
-    fn engine_matches_reference_on_random_tables(
-        seed in 0u64..1_000_000,
-        rows in 0usize..80,
-        key_mod in 1usize..8,
-        nan_every in 0usize..4,
-        dim_rows in 0usize..30,
-    ) {
-        let table = TableSpec { rows, key_mod, nan_every, dim_rows };
+/// The engine agrees with the row-at-a-time reference interpreter on
+/// random table shapes crossed with random query programs.
+#[test]
+fn engine_matches_reference_on_random_tables() {
+    check("engine_matches_reference_on_random_tables", 0..48, |rng| {
+        let seed = rng.uniform_u64(0, 1_000_000);
+        let table = TableSpec {
+            rows: rng.uniform_usize(0, 80),
+            key_mod: rng.uniform_usize(1, 8),
+            nan_every: rng.uniform_usize(0, 4),
+            dim_rows: rng.uniform_usize(0, 30),
+        };
         let queries = Scenario::generate(derive_seed(seed, 0xD1FF)).queries;
-        if let Err(divergence) = differential_check(seed, &table, &queries) {
-            return Err(TestCaseError::fail(divergence));
-        }
-    }
+        differential_check(seed, &table, &queries).unwrap_or_else(|d| panic!("{d}"));
+    });
+}
 
-    /// Empty fact and dim tables: every query family returns its empty
-    /// shape instead of panicking (regression: the histogram type probe
-    /// used to index row 0 of an empty column).
-    #[test]
-    fn empty_tables_agree(seed in 0u64..10_000) {
-        let table = TableSpec { rows: 0, key_mod: 1, nan_every: 0, dim_rows: 0 };
+/// Empty fact and dim tables: every query family returns its empty
+/// shape instead of panicking (regression: the histogram type probe
+/// used to index row 0 of an empty column).
+#[test]
+fn empty_tables_agree() {
+    check("empty_tables_agree", 0..48, |rng| {
+        let seed = rng.uniform_u64(0, 10_000);
+        let table = TableSpec {
+            rows: 0,
+            key_mod: 1,
+            nan_every: 0,
+            dim_rows: 0,
+        };
         let queries = [
-            QuerySpec::Count { filter: FilterSpec::True },
-            QuerySpec::Select { filter: FilterSpec::True, limit: 4, offset: 0 },
-            QuerySpec::Histogram { bins: 5, lo: 0.0, hi: 50.0, filter: FilterSpec::True },
-            QuerySpec::Join { limit: 0, offset: 0 },
+            QuerySpec::Count {
+                filter: FilterSpec::True,
+            },
+            QuerySpec::Select {
+                filter: FilterSpec::True,
+                limit: 4,
+                offset: 0,
+            },
+            QuerySpec::Histogram {
+                bins: 5,
+                lo: 0.0,
+                hi: 50.0,
+                filter: FilterSpec::True,
+            },
+            QuerySpec::Join {
+                limit: 0,
+                offset: 0,
+            },
         ];
-        if let Err(divergence) = differential_check(seed, &table, &queries) {
-            return Err(TestCaseError::fail(divergence));
-        }
-    }
+        differential_check(seed, &table, &queries).unwrap_or_else(|d| panic!("{d}"));
+    });
+}
 
-    /// All-NaN measure column (the engine's stand-in for all-null): NaN
-    /// lands in no histogram bin and fails every range predicate.
-    #[test]
-    fn all_nan_columns_agree(
-        seed in 0u64..10_000,
-        rows in 1usize..60,
-        bins in 1usize..12,
-    ) {
-        let table = TableSpec { rows, key_mod: 3, nan_every: 1, dim_rows: 5 };
+/// All-NaN measure column (the engine's stand-in for all-null): NaN
+/// lands in no histogram bin and fails every range predicate.
+#[test]
+fn all_nan_columns_agree() {
+    check("all_nan_columns_agree", 0..48, |rng| {
+        let seed = rng.uniform_u64(0, 10_000);
+        let rows = rng.uniform_usize(1, 60);
+        let bins = rng.uniform_usize(1, 12);
+        let table = TableSpec {
+            rows,
+            key_mod: 3,
+            nan_every: 1,
+            dim_rows: 5,
+        };
         let queries = [
             QuerySpec::Histogram {
                 bins,
@@ -271,32 +293,41 @@ proptest! {
                 hi: 80.0,
                 filter: FilterSpec::True,
             },
-            QuerySpec::Count { filter: FilterSpec::VBetween { lo: 0.0, hi: 100.0 } },
-            QuerySpec::Count { filter: FilterSpec::NotV { lo: 0.0, hi: 100.0 } },
+            QuerySpec::Count {
+                filter: FilterSpec::VBetween { lo: 0.0, hi: 100.0 },
+            },
+            QuerySpec::Count {
+                filter: FilterSpec::NotV { lo: 0.0, hi: 100.0 },
+            },
         ];
-        if let Err(divergence) = differential_check(seed, &table, &queries) {
-            return Err(TestCaseError::fail(divergence));
-        }
-    }
+        differential_check(seed, &table, &queries).unwrap_or_else(|d| panic!("{d}"));
+    });
+}
 
-    /// Duplicate join keys (`key_mod = 1` collapses every fact key to 0)
-    /// expand to cross products, and pagination over left rows stays
-    /// consistent with the reference.
-    #[test]
-    fn duplicate_join_keys_agree(
-        seed in 0u64..10_000,
-        rows in 1usize..40,
-        dim_rows in 1usize..25,
-        limit in 0usize..12,
-        offset in 0usize..45,
-    ) {
-        let table = TableSpec { rows, key_mod: 1, nan_every: 0, dim_rows };
+/// Duplicate join keys (`key_mod = 1` collapses every fact key to 0)
+/// expand to cross products, and pagination over left rows stays
+/// consistent with the reference.
+#[test]
+fn duplicate_join_keys_agree() {
+    check("duplicate_join_keys_agree", 0..48, |rng| {
+        let seed = rng.uniform_u64(0, 10_000);
+        let rows = rng.uniform_usize(1, 40);
+        let dim_rows = rng.uniform_usize(1, 25);
+        let limit = rng.uniform_usize(0, 12);
+        let offset = rng.uniform_usize(0, 45);
+        let table = TableSpec {
+            rows,
+            key_mod: 1,
+            nan_every: 0,
+            dim_rows,
+        };
         let queries = [
             QuerySpec::Join { limit, offset },
-            QuerySpec::Join { limit: 0, offset: 0 },
+            QuerySpec::Join {
+                limit: 0,
+                offset: 0,
+            },
         ];
-        if let Err(divergence) = differential_check(seed, &table, &queries) {
-            return Err(TestCaseError::fail(divergence));
-        }
-    }
+        differential_check(seed, &table, &queries).unwrap_or_else(|d| panic!("{d}"));
+    });
 }
