@@ -198,7 +198,7 @@ fn kernel_pair(table: &Table, (bins, filter): &Statement) -> Vec<u64> {
 /// The statement as a backend runs it (`exec`, selection memo included).
 fn through_exec(table: &Table, (bins, filter): &Statement) -> (Vec<u64>, QueryFootprint) {
     let (rs, fp) = match bins {
-        Some(bins) => exec::run_histogram(table, bins, filter, 1),
+        Some(bins) => exec::run_histogram(table, bins, filter),
         None => exec::run_count(table, filter),
     }
     .expect("bench query is valid");

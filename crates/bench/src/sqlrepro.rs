@@ -4,7 +4,7 @@
 //!
 //! Every case runs at a fixed seed and size (never `IDS_SCALE`), so the
 //! whole rendering is a pure function and golden-snapshottable: the
-//! `EXPLAIN` text is byte-identical across runs and thread counts, and
+//! `EXPLAIN` text is byte-identical across runs, and
 //! `Plan::execute` runs the engine's one executor, so the virtual cost
 //! is the one every backend charges.
 
@@ -155,7 +155,7 @@ pub fn render_all() -> String {
     }
     text.push_str(
         "Plan::execute runs the same operators as exec::run_query;\n\
-         EXPLAIN text is byte-stable across runs and thread counts.\n",
+         EXPLAIN text is byte-stable across runs.\n",
     );
     text
 }

@@ -8,7 +8,7 @@
 //!
 //! - [`DeviceProfile`] — sensing rate, jitter process, and kinematic
 //!   parameters for mouse, trackpad, touch (iPad), and Leap Motion.
-//! - [`pointer`] — 2-D pointer trajectories (minimum-jerk reach + per-device
+//! - [`pointer`](mod@pointer) — 2-D pointer trajectories (minimum-jerk reach + per-device
 //!   jitter + gestural drift), reproducing the Fig 11 traces.
 //! - [`scroll`] — inertial ("momentum") scrolling physics vs. plain wheel
 //!   scrolling, reproducing the Fig 7 wheel-delta contrast.

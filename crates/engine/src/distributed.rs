@@ -8,17 +8,15 @@
 //! assignment, cell-key hashing, partition materialization, mergeable
 //! partial-aggregate merging, replica routing, and the coordination
 //! cost model. The cluster itself (hash/range partition schemes, the
-//! scatter-gather executor, replication, sharded progressive
-//! refinement) lives in `ids-shard` and is built from exactly these
-//! functions, which is what guarantees a row lands on the same shard no
-//! matter which layer asked.
+//! scatter-gather executor, replication) lives in `ids-shard` and is
+//! built from exactly these functions, which is what guarantees a row
+//! lands on the same shard no matter which layer asked.
 //!
-//! Determinism discipline (the same one `exec::run_histogram`'s chunked bin
-//! phase follows for threads): shard assignment is a pure function of `(key, shards)`,
-//! partials are merged in fixed shard order, and only *mergeable*
-//! aggregates (COUNT sums, histogram bin-wise sums) are distributable —
-//! so the merged answer is byte-identical at 1/4/16 shards and any
-//! worker-thread count.
+//! Determinism discipline: shard assignment is a pure function of
+//! `(key, shards)`, partials are merged in fixed shard order, and only
+//! *mergeable* aggregates (COUNT sums, histogram bin-wise sums) are
+//! distributable — so the merged answer is byte-identical at 1/4/16
+//! shards and any worker-thread count.
 //!
 //! Fault model: shards may be **replicated**. A query answers exactly as
 //! long as every shard has at least one surviving replica
@@ -36,41 +34,17 @@ use crate::query::Query;
 use crate::result::{Histogram, ResultSet};
 use crate::table::{Table, TableBuilder};
 
-/// Cost knobs specific to the coordination layer of a scatter-gather
-/// plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterParams {
-    /// Per-query coordination overhead per participating node, ns
-    /// (scheduling, result collection).
-    pub per_node_overhead_ns: u64,
-    /// Merging one partial group/row from one node, ns.
-    pub merge_per_group_ns: u64,
-    /// Fixed coordinator startup, ns.
-    pub coordinator_ns: u64,
-}
-
-impl ClusterParams {
-    /// A calibration that yields near-linear speedup to ~8 nodes and
-    /// diminishing returns beyond — the DICE shape.
-    pub const fn default_cluster() -> ClusterParams {
-        ClusterParams {
-            per_node_overhead_ns: 500_000, // 0.5 ms per node per query
-            merge_per_group_ns: 10_000,    // 10 µs per partial group
-            coordinator_ns: 1_000_000,     // 1 ms
-        }
-    }
-
-    /// Coordination cost of gathering `nodes` partials totalling
-    /// `merge_groups` groups: the part of a scatter-gather plan that
-    /// does *not* get faster with more shards.
-    pub fn coordination(&self, nodes: usize, merge_groups: u64) -> SimDuration {
-        SimDuration::from_micros(
-            (self.coordinator_ns
-                + self.per_node_overhead_ns * nodes as u64
-                + self.merge_per_group_ns * merge_groups)
-                / 1_000,
-        )
-    }
+/// Coordination cost of gathering `nodes` partials totalling
+/// `merge_groups` groups: the part of a scatter-gather plan that does
+/// *not* get faster with more shards. Calibrated for near-linear speedup
+/// to ~8 nodes and diminishing returns beyond — the DICE shape.
+pub fn coordination(nodes: usize, merge_groups: u64) -> SimDuration {
+    const COORDINATOR_NS: u64 = 1_000_000; // fixed coordinator startup
+    const PER_NODE_NS: u64 = 500_000; // scheduling, result collection
+    const MERGE_PER_GROUP_NS: u64 = 10_000; // one partial group from one node
+    SimDuration::from_micros(
+        (COORDINATOR_NS + PER_NODE_NS * nodes as u64 + MERGE_PER_GROUP_NS * merge_groups) / 1_000,
+    )
 }
 
 /// SplitMix64: the canonical bit-mixing finalizer behind every shard

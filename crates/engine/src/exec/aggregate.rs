@@ -6,39 +6,19 @@
 //! kernel — no `Vec<usize>` of row ids is ever materialized. Virtual
 //! costs (the [`QueryFootprint`] row counters) are byte-identical to
 //! the row-at-a-time engine; only wall-clock time changes.
-//!
-//! Tables larger than one [`PAR_CHUNK_ROWS`] chunk may bin on several
-//! threads. Chunks are a fixed multiple of the zone block size,
-//! whatever the thread count, so every chunk covers whole blocks and
-//! the per-chunk histograms and [`KernelStats`], summed in chunk order,
-//! equal the serial walk counter for counter.
 
 use std::sync::Arc;
 
-use crate::column::{Column, ZoneMap, ZONE_BLOCK_ROWS};
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
 use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
-use crate::parallel::ordered_map;
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
 use crate::result::{Histogram, ResultSet};
 use crate::table::Table;
 
-/// Rows per parallel histogram work unit. A fixed multiple of the
-/// zone-map block size, *independent of the thread count*: the chunk
-/// boundaries (and therefore each partial histogram) are the same
-/// whether 1 or 8 workers drain the queue, so the merged result is
-/// byte-identical at any parallelism.
-pub const PAR_CHUNK_ROWS: usize = 64 * ZONE_BLOCK_ROWS;
-
 /// Executes the crossfiltering histogram:
 /// `SELECT ROUND((col - min) / width), COUNT(*) FROM t WHERE f GROUP BY 1 ORDER BY 1`.
-///
-/// The filter always runs on the calling thread; a cold bin phase uses
-/// up to `threads` workers when the table is larger than
-/// [`PAR_CHUNK_ROWS`]. Result and footprint are identical at every
-/// thread count.
 ///
 /// A drag re-issues each histogram with one range nudged, so each column
 /// remembers the last histogram counted over it (`Table::memo`), keyed
@@ -52,13 +32,12 @@ pub fn run_histogram(
     table: &Table,
     bins: &BinSpec,
     filter: &Predicate,
-    threads: usize,
 ) -> EngineResult<(ResultSet, QueryFootprint)> {
     bins.validate()?;
     // Before the bin column's checks: a bad filter outranks a bad bin column.
     let (selected, mut footprint) = super::filter_rows(table, filter)?;
     let bin_idx = bins.column_in(table)?;
-    let (hist, stats) = bin_phase(table, bin_idx, bins, selected, threads)?;
+    let (hist, stats) = bin_phase(table, bin_idx, bins, selected);
 
     footprint.rows_aggregated = footprint.rows_matched;
     footprint.groups = hist.bins() as u64;
@@ -75,15 +54,14 @@ fn bin_phase(
     idx: usize,
     bins: &BinSpec,
     selected: Arc<SelectionVector>,
-    threads: usize,
-) -> EngineResult<(Histogram, KernelStats)> {
+) -> (Histogram, KernelStats) {
     let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
     let last = table.memo().hists[idx].clone();
     let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
     let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
     let hist = match last.as_deref().filter(|(k, ..)| *k == key) {
         Some((_, from, hist, stats)) if Arc::ptr_eq(from, &selected) => {
-            return Ok((hist.clone(), *stats));
+            return (hist.clone(), *stats);
         }
         // Fewer rows changed than are selected: moving is the cheaper pass.
         Some((_, from, hist, _)) if from.diff_count(&selected) < selected.count() => {
@@ -94,55 +72,10 @@ fn bin_phase(
             );
             hist
         }
-        _ if threads > 1 && table.rows() > PAR_CHUNK_ROWS => {
-            bin_chunks(col, zone, &selected, bins, threads, &mut stats)?
-        }
         _ => kernels::fused_filter_bin(col, zone, &selected, bins, &opts, &mut stats),
     };
     table.memo().hists[idx] = Some(Arc::new((key, selected, hist.clone(), stats)));
-    Ok((hist, stats))
-}
-
-/// Bins [`PAR_CHUNK_ROWS`]-row chunks of `col` on `threads` workers and
-/// sums the per-chunk histograms and block counters in chunk order.
-fn bin_chunks(
-    col: &Column,
-    zone: Option<&ZoneMap>,
-    sel: &SelectionVector,
-    bins: &BinSpec,
-    threads: usize,
-    stats: &mut KernelStats,
-) -> EngineResult<Histogram> {
-    let rows = col.len();
-    let opts = KernelOptions::default();
-    let chunks = ordered_map(rows.div_ceil(PAR_CHUNK_ROWS), threads, |c| {
-        let start = c * PAR_CHUNK_ROWS;
-        let end = (start + PAR_CHUNK_ROWS).min(rows);
-        let mut partial = Histogram::zeros(bins.bucket_count());
-        let mut chunk_stats = KernelStats::default();
-        kernels::fused_filter_bin_range(
-            col,
-            zone,
-            None,
-            sel,
-            bins,
-            &opts,
-            &mut chunk_stats,
-            start,
-            end,
-            &mut partial,
-        );
-        (partial, chunk_stats)
-    })?;
-    let mut counts = vec![0u64; bins.bucket_count()];
-    for (partial, chunk_stats) in chunks {
-        for (acc, c) in counts.iter_mut().zip(partial.counts()) {
-            *acc += c;
-        }
-        stats.blocks_pruned += chunk_stats.blocks_pruned;
-        stats.blocks_scanned += chunk_stats.blocks_scanned;
-    }
-    Ok(Histogram::from_counts(counts))
+    (hist, stats)
 }
 
 /// Executes `SELECT COUNT(*) FROM t WHERE f` — fused filter+count: the
@@ -158,7 +91,7 @@ pub fn run_count(table: &Table, filter: &Predicate) -> EngineResult<(ResultSet, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnBuilder;
+    use crate::column::{ColumnBuilder, ZONE_BLOCK_ROWS};
     use crate::error::EngineError;
     use crate::table::TableBuilder;
 
@@ -177,7 +110,7 @@ mod tests {
         let t = road();
         let bins = BinSpec::new("y", 0.0, 20.0, 20);
         let filter = Predicate::between("x", 0.0, 4.95);
-        let (rs, fp) = run_histogram(&t, &bins, &filter, 1).unwrap();
+        let (rs, fp) = run_histogram(&t, &bins, &filter).unwrap();
         let h = rs.histogram().unwrap();
         assert_eq!(h.bins(), 21);
         // 50 rows match (x 0.0..=4.9); all land in bins for y 0..=9.8.
@@ -192,7 +125,7 @@ mod tests {
         let t = road();
         // Domain covers only half of y's actual range.
         let bins = BinSpec::new("y", 0.0, 9.0, 9);
-        let (rs, _) = run_histogram(&t, &bins, &Predicate::True, 1).unwrap();
+        let (rs, _) = run_histogram(&t, &bins, &Predicate::True).unwrap();
         let h = rs.histogram().unwrap();
         assert!(h.total() < 100, "values above max must be dropped");
     }
@@ -201,7 +134,7 @@ mod tests {
     fn histogram_matches_manual_binning() {
         let t = road();
         let bins = BinSpec::new("x", 0.0, 10.0, 10);
-        let (rs, _) = run_histogram(&t, &bins, &Predicate::True, 1).unwrap();
+        let (rs, _) = run_histogram(&t, &bins, &Predicate::True).unwrap();
         let h = rs.histogram().unwrap();
         let mut manual = [0u64; 11];
         for i in 0..100 {
@@ -216,11 +149,11 @@ mod tests {
     fn invalid_bin_specs_error() {
         let t = road();
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("y", 0.0, 20.0, 0), &Predicate::True, 1),
+            run_histogram(&t, &BinSpec::new("y", 0.0, 20.0, 0), &Predicate::True),
             Err(EngineError::InvalidBinSpec(_))
         ));
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("y", 5.0, 5.0, 10), &Predicate::True, 1),
+            run_histogram(&t, &BinSpec::new("y", 5.0, 5.0, 10), &Predicate::True),
             Err(EngineError::InvalidBinSpec(_))
         ));
     }
@@ -232,7 +165,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True, 1),
+            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True),
             Err(EngineError::TypeMismatch { .. })
         ));
     }
@@ -248,9 +181,33 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True, 1),
+            run_histogram(&t, &BinSpec::new("s", 0.0, 1.0, 2), &Predicate::True),
             Err(EngineError::TypeMismatch { .. })
         ));
+    }
+
+    /// Each phase gives every block one verdict, so a dropped bin-phase
+    /// [`KernelStats`] shows. Needs all three block fates: `x` ascends to
+    /// 20,000 and wraps, the filter keeps 5,000..=16,000 and the bin
+    /// domain is 8,000..=18,000 — blocks below the domain are
+    /// zone-pruned, blocks the filter emptied are skipped, the rest are
+    /// binned.
+    #[test]
+    fn each_phase_gives_every_block_one_verdict() {
+        let rows = 30 * ZONE_BLOCK_ROWS + 321;
+        let t = TableBuilder::new("t")
+            .column(
+                "x",
+                ColumnBuilder::float((0..rows).map(|i| (i % 20_000) as f64)),
+            )
+            .build()
+            .unwrap();
+        let bins = BinSpec::new("x", 8_000.0, 18_000.0, 25);
+        let filter = Predicate::between("x", 5_000.0, 16_000.0);
+        let (_, fp) = run_histogram(&t, &bins, &filter).unwrap();
+        let blocks = rows.div_ceil(ZONE_BLOCK_ROWS) as u64;
+        assert_eq!(fp.blocks_scanned + fp.blocks_pruned, 2 * blocks);
+        assert!(fp.blocks_pruned > 0 && fp.blocks_scanned > 0);
     }
 
     #[test]
@@ -263,7 +220,7 @@ mod tests {
         // x in [0, 7.95] selects 80 rows, [0, 7.45] 75 of them, [9, 9.95] 10 others.
         let (wide, near, far) = ((0.0, 7.95), (0.0, 7.45), (9.0, 9.95));
         let run = |t: &Table, (lo, hi): (f64, f64)| {
-            let (rs, _) = run_histogram(t, &bins, &Predicate::between("x", lo, hi), 1).unwrap();
+            let (rs, _) = run_histogram(t, &bins, &Predicate::between("x", lo, hi)).unwrap();
             rs.histogram().unwrap().counts().to_vec()
         };
         run(&t, wide);
@@ -285,10 +242,10 @@ mod tests {
         // Failing statements, a count and another column's histogram leave
         // the slot as it was.
         let brush = Predicate::between("x", wide.0, wide.1);
-        assert!(run_histogram(&t, &BinSpec::new("y", 1.0, 1.0, 4), &brush, 1).is_err());
-        assert!(run_histogram(&t, &bins, &Predicate::ge("nope", 1.0), 1).is_err());
+        assert!(run_histogram(&t, &BinSpec::new("y", 1.0, 1.0, 4), &brush).is_err());
+        assert!(run_histogram(&t, &bins, &Predicate::ge("nope", 1.0)).is_err());
         run_count(&t, &Predicate::between("x", 1.0, 2.0)).unwrap();
-        run_histogram(&t, &BinSpec::new("x", 0.0, 10.0, 5), &brush, 1).unwrap();
+        run_histogram(&t, &BinSpec::new("x", 0.0, 10.0, 5), &brush).unwrap();
         assert!(Arc::ptr_eq(t.memo().hists[idx].as_ref().unwrap(), &planted));
         // 5 rows changed, 75 selected: moved from the planted counts.
         let mut want = run(&road(), near);

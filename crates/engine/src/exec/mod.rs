@@ -1,7 +1,7 @@
 //! Physical execution of logical queries over in-memory tables.
 //!
 //! Execution is backend-agnostic: each operator returns the
-//! [`ResultSet`](crate::ResultSet) *and* a [`QueryFootprint`](crate::cost::QueryFootprint)
+//! [`ResultSet`] *and* a [`QueryFootprint`]
 //! recording how much work was done (tuples scanned, matched, grouped,
 //! joined, rows emitted). Backends convert the footprint into virtual
 //! time with their [`CostModel`](crate::cost::CostModel).
@@ -12,12 +12,16 @@
 //! [`Plan`](crate::planner::Plan) — a plan today only estimates and
 //! explains; the first access path that changes execution turns
 //! `run_query` into `plan().execute()`.
+//!
+//! A query runs on the thread that calls it. Parallelism is between
+//! queries, shard fragments and sessions, through
+//! [`ordered_map`](crate::parallel::ordered_map).
 
 mod aggregate;
 mod join;
 mod scan;
 
-pub use aggregate::{run_count, run_histogram, PAR_CHUNK_ROWS};
+pub use aggregate::{run_count, run_histogram};
 pub use join::run_join;
 pub use scan::run_select;
 
@@ -75,20 +79,8 @@ pub fn filter_rows(
     Ok((selected, footprint))
 }
 
-/// Executes a logical query against the tables registered in `db`,
-/// single-threaded.
+/// Executes a logical query against the tables registered in `db`.
 pub fn run_query(db: &Database, query: &Query) -> EngineResult<(ResultSet, QueryFootprint)> {
-    run_query_with_threads(db, query, 1)
-}
-
-/// [`run_query`] with up to `threads` workers for the histogram bin
-/// phase of tables larger than [`PAR_CHUNK_ROWS`]. Results and
-/// footprints are identical at every thread count.
-pub fn run_query_with_threads(
-    db: &Database,
-    query: &Query,
-    threads: usize,
-) -> EngineResult<(ResultSet, QueryFootprint)> {
     match query {
         Query::Select(spec) => {
             let table = db.table(&spec.table)?;
@@ -105,7 +97,7 @@ pub fn run_query_with_threads(
             filter,
         } => {
             let table = db.table(table)?;
-            run_histogram(&table, bins, filter, threads)
+            run_histogram(&table, bins, filter)
         }
         Query::Count { table, filter } => {
             let table = db.table(table)?;

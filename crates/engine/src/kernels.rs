@@ -534,9 +534,8 @@ pub fn fused_filter_bin(
 /// `hist` from counting the rows `from` selects (`None`: no rows, a cold
 /// bin) to counting those `sel` selects, in one pass over both masks
 /// that bins the rows that entered and un-bins the rows that left.
-/// [`crate::exec::run_histogram`] hands cold bins' disjoint ranges to
-/// worker threads and merges the partials in deterministic order, so
-/// results are identical at any thread count. `stats` counts `sel`'s
+/// [`crate::exec::run_histogram`] walks every row; progressive execution
+/// ([`crate::progressive`]) walks one sampled block at a time. `stats` counts `sel`'s
 /// blocks by the cold rule however `hist` got there: pruned when outside
 /// the bin domain or without a selected row, scanned otherwise.
 #[allow(clippy::too_many_arguments)]

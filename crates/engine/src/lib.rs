@@ -23,8 +23,8 @@
 //!   [`ResultSet`] and the *simulated* execution cost; the
 //!   [`scheduler`] module turns a stream of issued queries into per-query
 //!   queueing timelines (the substrate for latency-constraint-violation
-//!   analysis), and [`parallel`] executes query batches on real threads
-//!   for wall-clock throughput benches.
+//!   analysis). A query runs on the thread that calls it; [`parallel`]
+//!   is the ordered fan-out other crates use to run many at once.
 //!
 //! # Example
 //!

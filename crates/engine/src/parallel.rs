@@ -3,9 +3,10 @@
 //! The virtual-time [`scheduler`](crate::scheduler) answers "what latency
 //! would the user perceive"; this module answers "how fast does the engine
 //! actually chew through a workload on real hardware". [`ordered_map`] is
-//! the only thread spawn in the workspace: every threaded path in the
-//! engine, `ids-shard` and `ids-serve` is a call to it, and a long-lived
-//! worker pool would replace its body.
+//! the only thread spawn in the workspace. The engine runs each query on
+//! the thread that calls it; the fan-outs between queries, shard
+//! fragments (`ids-shard`) and sessions (`ids-serve`) are calls to this
+//! function, and a long-lived worker pool would replace its body.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

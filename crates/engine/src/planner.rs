@@ -14,14 +14,9 @@
 //!   change the time only on clustered data, which no workload has.
 //! - **Estimated rows and blocks** surviving the filter, next to the
 //!   actual counters in [`Plan::explain_analyzed`].
-//! - **Thread eligibility**: whether the table is larger than one
-//!   [`PAR_CHUNK_ROWS`] chunk, i.e. whether
-//!   [`Plan::execute_with_threads`] can use more than one thread.
-//!   [`crate::exec::run_histogram`] works this out from the table
-//!   itself; the plan only reports it.
 //!
 //! Plan text is deterministic: [`Plan::explain`] is byte-identical
-//! across runs and thread counts.
+//! across runs.
 //!
 //! A [`PlanNode`] that makes execution differ from `exec`'s fixed
 //! strategy must arrive with a benchmark workload on each side of its
@@ -34,7 +29,7 @@ use crate::backend::Database;
 use crate::column::ZONE_BLOCK_ROWS;
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
-use crate::exec::{self, PAR_CHUNK_ROWS};
+use crate::exec;
 use crate::predicate::{CmpOp, Predicate};
 use crate::query::{page_window, Query};
 use crate::result::ResultSet;
@@ -170,26 +165,26 @@ impl Plan {
         &self.node
     }
 
-    /// Executes the plan's query single-threaded.
+    /// Executes the plan's query through [`exec::run_query`].
     pub fn execute(&self, db: &Database) -> EngineResult<PlannedExecution> {
-        self.execute_with_threads(db, 1)
+        let (result, footprint) = exec::run_query(db, &self.query)?;
+        Ok(PlannedExecution { result, footprint })
     }
 
-    /// Executes the plan's query through
-    /// [`exec::run_query_with_threads`]. Results and footprints are
-    /// identical at every thread count.
+    /// [`Plan::execute`] under its old name; a query runs on one thread.
+    /// Kept only because the frozen `benchmark/` crate calls it.
+    #[doc(hidden)]
     pub fn execute_with_threads(
         &self,
         db: &Database,
-        threads: usize,
+        _threads: usize,
     ) -> EngineResult<PlannedExecution> {
-        let (result, footprint) = exec::run_query_with_threads(db, &self.query, threads)?;
-        Ok(PlannedExecution { result, footprint })
+        self.execute(db)
     }
 
     /// Renders the plan as a stable text tree: kernel, conjunct ranking
     /// with per-conjunct selectivity estimates, and estimated block
-    /// counts. Byte-identical across runs and thread counts.
+    /// counts. Byte-identical across runs.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         match (&self.query, &self.node) {
@@ -223,15 +218,6 @@ impl Plan {
                     },
                     ZONE_BLOCK_ROWS
                 ));
-                if self.table_rows > PAR_CHUNK_ROWS as u64 {
-                    out.push_str(&format!(
-                        "  threads: parallel-eligible chunks={} (rows > {})\n",
-                        self.table_rows.div_ceil(PAR_CHUNK_ROWS as u64),
-                        PAR_CHUNK_ROWS
-                    ));
-                } else {
-                    out.push_str(&format!("  threads: serial (rows <= {})\n", PAR_CHUNK_ROWS));
-                }
             }
             (Query::Select(spec), PlanNode::Scan { pred, early_stop }) => {
                 out.push_str(&format!(
@@ -437,55 +423,6 @@ mod tests {
         let text = p.explain();
         assert!(text.contains("reordered=yes"), "{text}");
         assert!(text.contains("[1] est_sel=0.0250  x BETWEEN"), "{text}");
-    }
-
-    /// The chunked bin phase sums its workers' block counters, so this
-    /// needs all three block fates on both sides of the chunk boundary:
-    /// `x` ascends to 50,000 and wraps, the filter keeps 5,000..=40,000
-    /// and the bin domain is 10,000..=45,000 — blocks below the domain
-    /// are zone-pruned, blocks the filter emptied are skipped, the rest
-    /// are binned, and the second chunk (rows 65,536..) bins too, so
-    /// dropping either chunk's counters shows.
-    #[test]
-    fn threaded_execution_keeps_result_and_footprint() {
-        let rows = PAR_CHUNK_ROWS + 1234;
-        let b = MemBackend::new();
-        b.database().register(
-            TableBuilder::new("t")
-                .column(
-                    "x",
-                    ColumnBuilder::float((0..rows).map(|i| (i % 50_000) as f64)),
-                )
-                .build()
-                .unwrap(),
-        );
-        let database = b.database();
-        let bins = BinSpec::new("x", 10_000.0, 45_000.0, 25);
-        let filter = Predicate::between("x", 5_000.0, 40_000.0);
-        let q = Query::histogram("t", bins.clone(), filter.clone());
-        let p = plan(&database, &q).unwrap();
-        let text = p.explain();
-        assert!(
-            text.contains("threads: parallel-eligible chunks=2"),
-            "{text}"
-        );
-
-        let t = database.table("t").unwrap();
-        let (result, footprint) = exec::run_histogram(&t, &bins, &filter, 1).unwrap();
-        let blocks = rows.div_ceil(ZONE_BLOCK_ROWS) as u64;
-        // One verdict per block from the filter kernel, one from the bin
-        // phase.
-        assert_eq!(
-            footprint.blocks_scanned + footprint.blocks_pruned,
-            2 * blocks
-        );
-        assert!(footprint.blocks_pruned > 0 && footprint.blocks_scanned > 0);
-        for threads in [1, 2, 4, 8] {
-            let out = p.execute_with_threads(&database, threads).unwrap();
-            assert_eq!(out.result, result, "{threads} threads diverged");
-            assert_eq!(out.footprint, footprint, "{threads} threads footprint");
-            assert_eq!(p.explain(), text, "plan text must be thread-invariant");
-        }
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!
 //! Two error figures ride on every [`Refinement`]:
 //!
-//! * [`Refinement::intervals`] — per-bin confidence intervals at the
-//!   configured coverage, half-width `min(serfling, unseen_rows)` where
+//! * [`Refinement::intervals`] — per-bin confidence intervals at
+//!   [`CONFIDENCE`] coverage, half-width `min(serfling, unseen_rows)` where
 //!   `serfling` is a Serfling/Hoeffding-style without-replacement bound
 //!   over the sampled blocks. These are *probabilistic*: the oracle
-//!   checks they bracket the truth at the configured coverage rate.
+//!   checks they bracket the truth at that coverage rate.
 //! * [`Refinement::error_bound`] — a *deterministic* absolute bound:
 //!   with `r` of `n` rows covered, every estimated value is within
 //!   `n - r` of the truth before rounding (the estimate inflates the
@@ -46,6 +46,9 @@ const WORDS_PER_BLOCK: usize = ZONE_BLOCK_ROWS / 64;
 
 /// Default seed for the deterministic block permutation.
 const DEFAULT_SEED: u64 = 0x5EED_B10C;
+
+/// Coverage of the per-bin confidence intervals.
+pub const CONFIDENCE: f64 = 0.95;
 
 /// A closed interval `[lo, hi]` around one estimated value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,49 +114,19 @@ struct Prepared {
 pub struct ProgressiveExecutor {
     db: Database,
     model: LinearCostModel,
-    /// Sample fractions at which estimates are emitted, ascending,
-    /// ending at 1.0.
-    schedule: Vec<f64>,
     /// Seed for the deterministic block permutation.
     seed: u64,
-    /// Target coverage of the per-bin confidence intervals.
-    confidence: f64,
 }
 
 impl ProgressiveExecutor {
-    /// Creates an executor with the default doubling schedule
-    /// (1% → 2% → 4% → ... → 100%), memory-regime costs, the default
-    /// permutation seed, and 95% confidence intervals.
+    /// Creates an executor with memory-regime costs and the default
+    /// permutation seed.
     pub fn new(db: Database) -> ProgressiveExecutor {
-        let mut schedule = Vec::new();
-        let mut f = 0.01;
-        while f < 1.0 {
-            schedule.push(f);
-            f *= 2.0;
-        }
-        schedule.push(1.0);
         ProgressiveExecutor {
             db,
             model: LinearCostModel::new(CostParams::mem_default()),
-            schedule,
             seed: DEFAULT_SEED,
-            confidence: 0.95,
         }
-    }
-
-    /// Overrides the refinement schedule (fractions in `(0, 1]`,
-    /// ascending; a final `1.0` is appended if missing). Fractions are
-    /// quantized up to whole zone-map blocks, so two nearby fractions
-    /// may collapse into one step on small tables.
-    pub fn with_schedule(mut self, mut schedule: Vec<f64>) -> ProgressiveExecutor {
-        schedule.retain(|f| *f > 0.0 && *f <= 1.0);
-        schedule.sort_by(f64::total_cmp);
-        schedule.dedup();
-        if schedule.last().copied() != Some(1.0) {
-            schedule.push(1.0);
-        }
-        self.schedule = schedule;
-        self
     }
 
     /// Overrides the block-permutation seed. The seed changes which
@@ -163,14 +136,10 @@ impl ProgressiveExecutor {
         self
     }
 
-    /// Overrides the confidence-interval coverage target (clamped to
-    /// `[0.5, 0.9999]`).
-    pub fn with_confidence(mut self, confidence: f64) -> ProgressiveExecutor {
-        self.confidence = confidence.clamp(0.5, 0.9999);
-        self
-    }
-
-    /// Executes `query` progressively, returning every refinement step.
+    /// Executes `query` progressively, returning one refinement step at
+    /// each fraction of the doubling schedule 1% → 2% → 4% → … → 64% →
+    /// 100%, quantized up to whole zone-map blocks (nearby steps
+    /// collapse into one on small tables).
     ///
     /// Blocks are consumed in a seeded deterministic permutation; the
     /// step at 100% of blocks is byte-identical to the exact kernel
@@ -180,9 +149,9 @@ impl ProgressiveExecutor {
         if prep.total_blocks == 0 {
             return Ok(vec![self.empty_refinement(&prep)]);
         }
-        let mut steps: Vec<usize> = self
-            .schedule
-            .iter()
+        let mut steps: Vec<usize> = std::iter::successors(Some(0.01), |f| Some(f * 2.0))
+            .take_while(|f| *f < 1.0)
+            .chain([1.0])
             .map(|f| (((prep.total_blocks as f64) * f).ceil() as usize).clamp(1, prep.total_blocks))
             .collect();
         steps.dedup();
@@ -405,7 +374,7 @@ impl ProgressiveExecutor {
             return 0.0;
         }
         let unseen = (n - covered) as f64;
-        let delta = (1.0 - self.confidence).clamp(1e-9, 0.5);
+        let delta = 1.0 - CONFIDENCE;
         let mf = m as f64;
         let tf = total as f64;
         let serfling = tf
@@ -648,17 +617,6 @@ mod tests {
         let est = mid.estimate.scalar_count().unwrap() as f64;
         let truth = exact.scalar_count().unwrap() as f64;
         assert!((est - truth).abs() / truth < 0.1, "est {est} truth {truth}");
-    }
-
-    #[test]
-    fn custom_schedule_is_normalized() {
-        // 20 whole blocks so the requested fractions land exactly on
-        // block boundaries.
-        let db = shuffled_db(20 * ZONE_BLOCK_ROWS, 5);
-        let exec = ProgressiveExecutor::new(db).with_schedule(vec![0.5, 0.1, 0.1, 2.0, -0.3]);
-        let refinements = exec.run(&Query::count("pts", Predicate::True)).unwrap();
-        let fractions: Vec<f64> = refinements.iter().map(|r| r.fraction).collect();
-        assert_eq!(fractions, vec![0.1, 0.5, 1.0]);
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub enum SelectItem {
 
 /// An expression: scalar (projections) or boolean (`WHERE` clauses).
 /// One enum for both, as in the snippet-2 shape — the parser only
-/// produces well-formed combinations, and [`lower`] rejects the rest.
+/// produces well-formed combinations, and `lower` rejects the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A column reference.

@@ -2,12 +2,12 @@
 //!
 //! Three layers, all keyed to **virtual time** ([`ids_simclock::SimTime`]):
 //!
-//! 1. [`recorder`] — a span/event recorder with a zero-cost disabled
+//! 1. [`recorder`](mod@recorder) — a span/event recorder with a zero-cost disabled
 //!    path (one thread-local load). Spans cover query execution,
 //!    queueing, and prefetch decisions; instants mark filter drops and
 //!    throttle actions; counter samples plot buffer-pool behavior over
 //!    the run.
-//! 2. [`metrics`] — a registry of named counters, gauges, and log-linear
+//! 2. [`metrics`](mod@metrics) — a registry of named counters, gauges, and log-linear
 //!    histograms fed by hot paths, mergeable across threads and
 //!    attachable from per-instance stats holders.
 //! 3. [`export`] — Chrome/Perfetto `trace_event` JSON plus TSV/JSON
@@ -16,7 +16,7 @@
 //!    one `String`.
 //!
 //! Recorder and registry state is owned by the thread that drives a run;
-//! no thread sees another's (the contract is in [`recorder`]'s module
+//! no thread sees another's (the contract is in [`recorder`](mod@recorder)'s module
 //! docs).
 //!
 //! Telemetry is observation-only: enabling or disabling the recorder

@@ -13,7 +13,7 @@
 //!
 //! The registry — which names exist and which instances are attached —
 //! belongs to the thread that drives a run, like the recorder (see
-//! [`crate::recorder`]); a spawned thread starts with an empty one and
+//! [`crate::recorder`](mod@crate::recorder)); a spawned thread starts with an empty one and
 //! inherits nothing. The metrics themselves are atomics behind `Arc`s:
 //! a handle looked up on the driving thread may be updated from any
 //! worker and still lands in the driver's snapshot.

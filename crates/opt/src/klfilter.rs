@@ -98,7 +98,7 @@ impl HistogramSketch {
         if table.as_ref() != self.sample.name() {
             return Err(EngineError::UnknownTable(table.to_string()));
         }
-        let (ResultSet::Histogram(hist), _) = run_histogram(&self.sample, bins, filter, 1)? else {
+        let (ResultSet::Histogram(hist), _) = run_histogram(&self.sample, bins, filter)? else {
             unreachable!("run_histogram answers with a histogram");
         };
         Ok(hist)

@@ -11,8 +11,8 @@
 //! [`EngineError::ShardUnavailable`](ids_engine::EngineError) instead
 //! of extrapolating an estimate from the survivors.
 
-use ids_engine::distributed::{replica_node, surviving_replica, ClusterParams};
-use ids_engine::{CostParams, Database, EngineError, EngineResult, Query};
+use ids_engine::distributed::{replica_node, surviving_replica};
+use ids_engine::{Database, EngineError, EngineResult, Query};
 
 use crate::partition::{partition_database, PartitionScheme};
 use crate::plan::{ScatterGather, ShardOutcome};
@@ -21,8 +21,6 @@ use crate::plan::{ScatterGather, ShardOutcome};
 #[derive(Debug)]
 pub struct ShardedCluster {
     executor: ScatterGather,
-    scheme: PartitionScheme,
-    seed: u64,
     replicas: usize,
 }
 
@@ -38,8 +36,6 @@ impl ShardedCluster {
         let parts = partition_database(db, &scheme, seed, shards)?;
         Ok(ShardedCluster {
             executor: ScatterGather::over(parts),
-            scheme,
-            seed,
             replicas: 1,
         })
     }
@@ -50,18 +46,6 @@ impl ShardedCluster {
         self
     }
 
-    /// Replaces the per-node cost calibration.
-    pub fn with_costs(mut self, costs: CostParams) -> ShardedCluster {
-        self.executor = self.executor.with_costs(costs);
-        self
-    }
-
-    /// Replaces the coordination cost model.
-    pub fn with_params(mut self, params: ClusterParams) -> ShardedCluster {
-        self.executor = self.executor.with_params(params);
-        self
-    }
-
     /// Runs shards on up to `threads` worker threads (wall-clock only;
     /// results and virtual costs are thread-count invariant).
     pub fn with_threads(mut self, threads: usize) -> ShardedCluster {
@@ -69,24 +53,9 @@ impl ShardedCluster {
         self
     }
 
-    /// The partition scheme in force.
-    pub fn scheme(&self) -> &PartitionScheme {
-        &self.scheme
-    }
-
-    /// The partitioning seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.executor.shards()
-    }
-
-    /// Replicas per shard.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// Total nodes (`shards × replicas`).

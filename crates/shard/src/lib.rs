@@ -18,9 +18,6 @@
 //! - [`cluster`] — replicated routing ([`ShardedCluster`]): exact
 //!   answers while every shard keeps one surviving replica, typed
 //!   `ShardUnavailable` when one does not.
-//! - [`progressive`] — sharded online aggregation
-//!   ([`ShardedProgressive`]): per-shard block-sampled refinement with
-//!   summed error bounds, final step byte-identical to the exact plan.
 //!
 //! Determinism discipline, everywhere: shard assignment is a pure
 //! function of `(scheme, seed, value, shards)`; worker threads decide
@@ -34,9 +31,7 @@
 pub mod cluster;
 pub mod partition;
 pub mod plan;
-pub mod progressive;
 
 pub use cluster::ShardedCluster;
 pub use partition::{partition_database, partition_table, shard_assignments, PartitionScheme};
 pub use plan::{ScatterGather, ShardExecution, ShardOutcome};
-pub use progressive::ShardedProgressive;

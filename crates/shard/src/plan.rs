@@ -11,17 +11,16 @@
 //! recorded telemetry are byte-identical at any thread count.
 //!
 //! Every shard fragment runs through [`ids_engine::exec::run_query`],
-//! the engine's only executor. [`ScatterGather::explain`] renders each
-//! shard's planner estimates; they inform, they do not steer.
+//! the engine's only executor.
 //!
 //! Virtual time: each shard's compute cost is priced by the engine's
 //! [`LinearCostModel`] on that shard's real footprint; plan latency is
-//! the *slowest* shard plus the coordination term
-//! ([`ClusterParams::coordination`]) that does not parallelize. That is
-//! exactly the shape the paper's scalability guideline predicts: near
-//! linear to ~8 shards, then coordination-bound.
+//! the *slowest* shard plus the coordination term ([`coordination`])
+//! that does not parallelize. That is exactly the shape the paper's
+//! scalability guideline predicts: near linear to ~8 shards, then
+//! coordination-bound.
 
-use ids_engine::distributed::{merge_partials, require_mergeable, ClusterParams};
+use ids_engine::distributed::{coordination, merge_partials, require_mergeable};
 use ids_engine::exec::run_query;
 use ids_engine::parallel::ordered_map;
 use ids_engine::{
@@ -69,7 +68,6 @@ impl ShardOutcome {
 pub struct ScatterGather {
     shards: Vec<Database>,
     model: LinearCostModel,
-    params: ClusterParams,
     threads: usize,
 }
 
@@ -80,7 +78,6 @@ impl ScatterGather {
         ScatterGather {
             shards,
             model: LinearCostModel::new(CostParams::disk_default()),
-            params: ClusterParams::default_cluster(),
             threads: 1,
         }
     }
@@ -88,12 +85,6 @@ impl ScatterGather {
     /// Replaces the per-node cost calibration.
     pub fn with_costs(mut self, costs: CostParams) -> ScatterGather {
         self.model = LinearCostModel::new(costs);
-        self
-    }
-
-    /// Replaces the coordination cost model.
-    pub fn with_params(mut self, params: ClusterParams) -> ScatterGather {
-        self.params = params;
         self
     }
 
@@ -136,23 +127,6 @@ impl ScatterGather {
     /// it, and goes when that benchmark is next re-baselined.
     pub fn execute_planned(&self, query: &Query) -> EngineResult<ShardOutcome> {
         self.execute(query)
-    }
-
-    /// Renders every shard's plan as one stable text tree, in fixed
-    /// shard order — byte-identical across runs and thread counts.
-    pub fn explain(&self, query: &Query) -> EngineResult<String> {
-        require_mergeable(query)?;
-        let mut out = String::new();
-        for (shard, db) in self.shards.iter().enumerate() {
-            let plan = ids_engine::plan(db, query)?;
-            out.push_str(&format!("shard {shard}:\n"));
-            for line in plan.explain().lines() {
-                out.push_str("  ");
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        Ok(out)
     }
 
     /// Merges shard partials in fixed shard order, prices each shard's
@@ -208,7 +182,7 @@ impl ScatterGather {
             shard: 0,
             replicas: 0,
         })?;
-        let coordination = self.params.coordination(per_shard.len(), merge_groups);
+        let coordination = coordination(per_shard.len(), merge_groups);
         Ok(ShardOutcome {
             result: merged,
             elapsed: slowest + coordination,
@@ -296,30 +270,6 @@ mod tests {
         let slowest = out.per_shard.iter().map(|s| s.cost).max().unwrap();
         assert!(out.elapsed > slowest);
         assert!(out.elapsed < out.total_work);
-    }
-
-    #[test]
-    fn explain_is_stable_across_thread_counts() {
-        let source = db(30_000);
-        for query in [
-            hist(),
-            Query::count(
-                "t",
-                Predicate::and([
-                    Predicate::ge("k", 2.0),
-                    Predicate::between("x", 40.0, 120.0),
-                ]),
-            ),
-        ] {
-            let parts = partition_database(&source, &PartitionScheme::range("x"), 0, 4).unwrap();
-            let explain = ScatterGather::over(parts.clone()).explain(&query).unwrap();
-            for threads in [1usize, 4] {
-                let sg = ScatterGather::over(parts.clone()).with_threads(threads);
-                assert_eq!(sg.explain(&query).unwrap(), explain);
-            }
-            assert!(explain.starts_with("shard 0:\n"));
-            assert!(explain.contains("shard 3:\n"));
-        }
     }
 
     #[test]

@@ -32,15 +32,14 @@
 //!   the truth at the configured coverage, and never widens its bound;
 //! - **shard-invariance** — scatter-gather over 1/4/16 partitions merges
 //!   to the reference answer with byte-stable costs;
-//! - **planner-equivalence** — plan text is replay- and thread-stable,
-//!   and `Plan::execute_with_threads` keeps result and footprint at
-//!   every thread count;
+//! - **planner-equivalence** — plan text is replay-stable, before and
+//!   after the plan executes;
 //! - **adaptive-determinism** — the closed feedback loop (behavior model
 //!   reacting to answers, admission shedding, deadline-bounded partials)
 //!   replays byte-identically and is invariant to gather threads and
 //!   shard count, including the interface mined from its own trace.
 //!
-//! On failure, [`shrink`] minimizes the scenario while preserving the
+//! On failure, [`shrink()`] minimizes the scenario while preserving the
 //! failing oracle, and the result serializes to a self-contained TOML
 //! repro (see [`toml`]) suitable for check-in under `tests/corpus/`.
 //!

@@ -31,8 +31,8 @@
 //!   fleet-scale tail-latency aggregation;
 //! - [`shard`] — sharded scatter-gather execution for million-session
 //!   fleets: hash/range partitioning with per-shard zone maps, a
-//!   deterministic merge of mergeable partials, replicated routing with
-//!   typed shard-loss errors, and sharded progressive refinement;
+//!   deterministic merge of mergeable partials, and replicated routing
+//!   with typed shard-loss errors;
 //! - [`simtest`] — deterministic simulation testing: seeded end-to-end
 //!   scenarios, invariant and differential oracles, and automatic
 //!   scenario shrinking into checked-in repro files;

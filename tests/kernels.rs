@@ -260,7 +260,7 @@ fn histograms_match_rowwise_bucket_for_bucket_on_adversarial_tables() {
         let t = adversarial_table(rows);
         let bins = BinSpec::new("x", -30.0, 120.0, 25);
         for pred in predicate_battery() {
-            let (rs, _) = exec::run_histogram(&t, &bins, &pred, 1)
+            let (rs, _) = exec::run_histogram(&t, &bins, &pred)
                 .unwrap_or_else(|e| panic!("{rows} rows, {pred:?}: {e}"));
             let hist = rs.histogram().expect("histogram result");
             let col = t.column("x").expect("x exists");
@@ -413,7 +413,7 @@ fn empty_and_single_row_tables_bin_correctly() {
         .build()
         .expect("empty table");
     let bins = BinSpec::new("x", 0.0, 10.0, 5);
-    let (rs, fp) = exec::run_histogram(&empty, &bins, &Predicate::True, 1).expect("empty ok");
+    let (rs, fp) = exec::run_histogram(&empty, &bins, &Predicate::True).expect("empty ok");
     assert_eq!(rs.histogram().expect("histogram").total(), 0);
     assert_eq!(fp.rows_matched, 0);
 
@@ -421,7 +421,7 @@ fn empty_and_single_row_tables_bin_correctly() {
         .column("x", ColumnBuilder::float([7.0]))
         .build()
         .expect("single row");
-    let (rs, _) = exec::run_histogram(&single, &bins, &Predicate::True, 1).expect("single ok");
+    let (rs, _) = exec::run_histogram(&single, &bins, &Predicate::True).expect("single ok");
     let h = rs.histogram().expect("histogram");
     assert_eq!(h.total(), 1);
     // 7.0 over [0, 10] with 5 bins of width 2 rounds to bucket 4.
@@ -571,7 +571,7 @@ fn true_and_failing_filters_leave_the_remembered_one_alone() {
     let brush = Predicate::And(brush_conjunctions().remove(0));
     let (a, _) = exec::filter_rows(&t, &brush).expect("valid");
     exec::run_count(&t, &Predicate::True).expect("valid");
-    exec::run_histogram(&t, &BinSpec::new("x", 0.0, 9.0, 3), &Predicate::True, 1).expect("valid");
+    exec::run_histogram(&t, &BinSpec::new("x", 0.0, 9.0, 3), &Predicate::True).expect("valid");
     let unknown = Predicate::and([brush.clone(), Predicate::ge("nope", 1.0)]);
     for _ in 0..2 {
         assert!(matches!(
@@ -592,7 +592,7 @@ fn a_hit_does_not_excuse_the_rest_of_the_statement() {
     let warm = adversarial_table(1500);
     let brush = Predicate::And(brush_conjunctions().remove(1));
     let good = BinSpec::new("x", -30.0, 120.0, 25);
-    let want = exec::run_histogram(&warm, &good, &brush, 1).expect("valid");
+    let want = exec::run_histogram(&warm, &good, &brush).expect("valid");
     for (i, bad) in [
         BinSpec::new("s", 0.0, 1.0, 2),
         BinSpec::new("nope", 0.0, 1.0, 2),
@@ -602,9 +602,9 @@ fn a_hit_does_not_excuse_the_rest_of_the_statement() {
     .into_iter()
     .enumerate()
     {
-        let got = exec::run_histogram(&warm, &bad, &brush, 1).expect_err("bad bins");
+        let got = exec::run_histogram(&warm, &bad, &brush).expect_err("bad bins");
         let cold =
-            exec::run_histogram(&adversarial_table(1500), &bad, &brush, 1).expect_err("bad bins");
+            exec::run_histogram(&adversarial_table(1500), &bad, &brush).expect_err("bad bins");
         assert_eq!(format!("{got:?}"), format!("{cold:?}"));
         assert!(matches!(
             got,
@@ -613,13 +613,13 @@ fn a_hit_does_not_excuse_the_rest_of_the_statement() {
                 | EngineError::InvalidBinSpec(_)
         ));
         assert_eq!(
-            exec::run_histogram(&warm, &good, &brush, 1).expect("valid"),
+            exec::run_histogram(&warm, &good, &brush).expect("valid"),
             want
         );
         let nudged = Predicate::and([brush.clone(), Predicate::le("t", 1490.0 - i as f64)]);
         assert_eq!(
-            exec::run_histogram(&warm, &good, &nudged, 1).expect("valid"),
-            exec::run_histogram(&adversarial_table(1500), &good, &nudged, 1).expect("valid"),
+            exec::run_histogram(&warm, &good, &nudged).expect("valid"),
+            exec::run_histogram(&adversarial_table(1500), &good, &nudged).expect("valid"),
         );
     }
 }
@@ -692,8 +692,8 @@ fn a_maintained_histogram_answers_exactly_like_a_cold_table() {
                 None => 2,
             };
             for spec in drag_specs() {
-                let got = exec::run_histogram(&warm, &spec, &filter, 1).expect("valid");
-                let cold = exec::run_histogram(&adversarial_table(rows), &spec, &filter, 1);
+                let got = exec::run_histogram(&warm, &spec, &filter).expect("valid");
+                let cold = exec::run_histogram(&adversarial_table(rows), &spec, &filter);
                 assert_eq!(
                     got,
                     cold.expect("valid"),
@@ -727,8 +727,8 @@ fn another_spec_or_table_never_starts_from_a_columns_counts() {
         let warm = adversarial_table(2048);
         for filter in [&brush, &nudged] {
             for spec in [&first, &second] {
-                let got = exec::run_histogram(&warm, spec, filter, 1).expect("valid");
-                let cold = exec::run_histogram(&adversarial_table(2048), spec, filter, 1);
+                let got = exec::run_histogram(&warm, spec, filter).expect("valid");
+                let cold = exec::run_histogram(&adversarial_table(2048), spec, filter);
                 assert_eq!(got, cold.expect("valid"), "{spec:?} under {filter}");
             }
         }

@@ -279,29 +279,3 @@ fn block_boundary_and_all_nan_tables() {
         }
     }
 }
-
-/// The paper's case-study SQL executes byte-identically at 1, 2, 4, and
-/// 8 threads, with thread-invariant EXPLAIN text.
-#[test]
-fn case_study_sql_is_thread_stable() {
-    use ids::workload::datasets;
-    let db = Database::new();
-    db.register(datasets::road_network_sized(1, 50_000));
-    let q = sql::parse(
-        "SELECT HISTOGRAM(y, 56.582, 57.774, 20), COUNT(*) FROM dataroad \
-         WHERE x >= 8.146 AND x <= 11.2616367163 \
-           AND y >= 56.582 AND y <= 57.774 \
-           AND z >= -8.608 AND z <= 137.361 \
-         GROUP BY 1 ORDER BY 1",
-    )
-    .expect("case-study SQL parses");
-    let p = plan(&db, &q).expect("plans");
-    let text = p.explain();
-    let base = p.execute_with_threads(&db, 1).expect("executes");
-    for threads in [2usize, 4, 8] {
-        let out = p.execute_with_threads(&db, threads).expect("executes");
-        assert_eq!(out.result, base.result, "{threads} threads");
-        assert_eq!(out.footprint, base.footprint, "{threads} threads");
-        assert_eq!(p.explain(), text, "plan text after {threads}-thread run");
-    }
-}

@@ -467,7 +467,7 @@ fn fused_filter_bin_matches_unfused() {
                 unfused[b] += 1;
             }
         }
-        let (rs, _) = ids::engine::exec::run_histogram(&table, &spec, &pred, 1).expect("valid");
+        let (rs, _) = ids::engine::exec::run_histogram(&table, &spec, &pred).expect("valid");
         assert_eq!(rs.histogram().expect("histogram").counts(), &unfused[..]);
     });
 }
