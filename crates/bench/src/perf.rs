@@ -268,14 +268,7 @@ fn median_wall_ns(reps: usize, mut f: impl FnMut()) -> u64 {
 /// FNV-1a over the little-endian bytes of the counts — a stable,
 /// dependency-free digest for the byte-identity gate.
 pub fn fnv1a(counts: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in counts {
-        for b in c.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    ids_simclock::rng::fnv1a(counts.iter().flat_map(|c| c.to_le_bytes()))
 }
 
 /// Serializes a run in the committed `BENCH_*.json` shape (hand-rolled:

@@ -8,8 +8,7 @@
 //! thread interleaving, which is what makes same-seed runs bit-identical
 //! even under parallel execution.
 
-use ids_engine::distributed::splitmix64;
-use ids_simclock::rng::SimRng;
+use ids_simclock::rng::{label_hash, splitmix64, SimRng};
 use ids_simclock::{SimDuration, SimTime};
 
 /// What a fault window does to queries executing inside it.
@@ -29,9 +28,8 @@ pub enum FaultKind {
     /// the cache mid-session).
     BufferPressure,
     /// Cluster node (or serving worker slot) `node` is unreachable for
-    /// the duration of the window — the time-scoped sibling of the
-    /// static [`FaultPlan::lost_nodes`] set. Serving loops shrink their
-    /// worker pool while the window is open and recover when it closes:
+    /// the duration of the window. Serving loops shrink their worker
+    /// pool while the window is open and recover when it closes:
     /// degradation, not a wedge.
     NodeLoss {
         /// Index of the lost node / worker slot.
@@ -68,8 +66,6 @@ pub struct FaultPlan {
     windows: Vec<FaultWindow>,
     /// Probability that any single execution attempt fails transiently.
     failure_rate: f64,
-    /// Cluster node indices considered lost for distributed execution.
-    lost_nodes: Vec<usize>,
 }
 
 impl FaultPlan {
@@ -79,7 +75,6 @@ impl FaultPlan {
             seed,
             windows: Vec::new(),
             failure_rate: 0.0,
-            lost_nodes: Vec::new(),
         }
     }
 
@@ -139,7 +134,6 @@ impl FaultPlan {
             seed,
             windows,
             failure_rate: 0.15 * intensity,
-            lost_nodes: Vec::new(),
         }
     }
 
@@ -194,14 +188,9 @@ impl FaultPlan {
         self.failure_rate
     }
 
-    /// Cluster nodes the plan declares lost.
-    pub fn lost_nodes(&self) -> &[usize] {
-        &self.lost_nodes
-    }
-
     /// `true` when the plan injects nothing at all.
     pub fn is_calm(&self) -> bool {
-        self.windows.is_empty() && self.failure_rate == 0.0 && self.lost_nodes.is_empty()
+        self.windows.is_empty() && self.failure_rate == 0.0
     }
 
     /// Combined cost multiplier at `t`: the product of every latency
@@ -237,13 +226,11 @@ impl FaultPlan {
             .position(|w| w.kind == FaultKind::BufferPressure && w.contains(t))
     }
 
-    /// Nodes lost at instant `t`: the union of the static
-    /// [`lost_nodes`](Self::lost_nodes) set and every
-    /// [`FaultKind::NodeLoss`] window covering `t`, deduplicated and
-    /// sorted. A serving loop subtracts these from its worker capacity
-    /// while the window is open.
+    /// Nodes lost at instant `t`: every [`FaultKind::NodeLoss`] window
+    /// covering `t`, deduplicated and sorted. A serving loop subtracts
+    /// these from its worker capacity while the window is open.
     pub fn lost_nodes_at(&self, t: SimTime) -> Vec<usize> {
-        let mut lost = self.lost_nodes.clone();
+        let mut lost = Vec::new();
         for w in &self.windows {
             if let FaultKind::NodeLoss { node } = w.kind {
                 if w.contains(t) {
@@ -270,11 +257,6 @@ impl FaultPlan {
         }
         let h = splitmix64(self.seed ^ fingerprint ^ (u64::from(attempt) << 48));
         (h as f64 / u64::MAX as f64) < self.failure_rate
-    }
-
-    /// `true` when node `node` is declared lost.
-    pub fn node_lost(&self, node: usize) -> bool {
-        self.lost_nodes.contains(&node)
     }
 }
 
@@ -327,8 +309,8 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Declares a node lost only while the window is open (the static
-    /// [`lose_node`](Self::lose_node) is forever; this one recovers).
+    /// Declares a node lost while the window is open; it recovers when
+    /// the window closes.
     pub fn lose_node_during(
         mut self,
         node: usize,
@@ -343,15 +325,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Declares a cluster node lost.
-    pub fn lose_node(mut self, node: usize) -> FaultPlanBuilder {
-        if !self.plan.lost_nodes.contains(&node) {
-            self.plan.lost_nodes.push(node);
-            self.plan.lost_nodes.sort_unstable();
-        }
-        self
-    }
-
     /// Finishes the plan (windows sorted by start time).
     pub fn build(mut self) -> FaultPlan {
         self.plan.windows.sort_by_key(|w| (w.start, w.end));
@@ -363,15 +336,10 @@ impl FaultPlanBuilder {
 /// identical queries share a fingerprint; the `attempt` axis in
 /// [`FaultPlan::should_fail`] separates their retries.
 ///
-/// FNV-1a-shaped fold; the multiplier is not the FNV prime and must not
-/// be corrected — every fault decision and golden depends on it.
+/// Hashed with [`label_hash`], whose multiplier every fault decision and
+/// golden depends on.
 pub fn query_fingerprint(query: &ids_engine::Query) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in query.to_string().as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    label_hash(query.to_string().into_bytes())
 }
 
 #[cfg(test)]
@@ -393,7 +361,6 @@ mod tests {
             .latency_spike(at(10), ms(20), 4.0)
             .buffer_pressure(at(100), ms(5))
             .transient_failures(0.5)
-            .lose_node(2)
             .build();
         assert_eq!(plan.windows().len(), 3);
         assert!(plan.windows().windows(2).all(|w| w[0].start <= w[1].start));
@@ -402,8 +369,6 @@ mod tests {
         assert_eq!(plan.stall_until(at(55)), Some(at(60)));
         assert_eq!(plan.stall_until(at(65)), None);
         assert!(plan.pressure_window_at(at(102)).is_some());
-        assert!(plan.node_lost(2));
-        assert!(!plan.node_lost(0));
         assert!(!plan.is_calm());
     }
 
@@ -494,18 +459,13 @@ mod tests {
     #[test]
     fn node_loss_windows_are_scoped_in_time() {
         let plan = FaultPlan::builder(17)
-            .lose_node(9)
             .lose_node_during(3, at(100), ms(50))
             .lose_node_during(1, at(120), ms(10))
             .build();
-        // Static losses apply at all times; windowed ones only inside.
-        assert_eq!(plan.lost_nodes_at(at(0)), vec![9]);
-        assert_eq!(plan.lost_nodes_at(at(110)), vec![3, 9]);
-        assert_eq!(plan.lost_nodes_at(at(125)), vec![1, 3, 9]);
-        assert_eq!(plan.lost_nodes_at(at(150)), vec![9], "end is exclusive");
-        // Windowed loss does not mark the node statically lost.
-        assert!(!plan.node_lost(3));
-        assert!(plan.node_lost(9));
+        assert!(plan.lost_nodes_at(at(0)).is_empty());
+        assert_eq!(plan.lost_nodes_at(at(110)), vec![3]);
+        assert_eq!(plan.lost_nodes_at(at(125)), vec![1, 3]);
+        assert!(plan.lost_nodes_at(at(150)).is_empty(), "end is exclusive");
     }
 
     #[test]

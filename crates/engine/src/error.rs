@@ -55,24 +55,12 @@ pub enum EngineError {
         /// What failed ("fault injection", "connection reset", ...).
         reason: String,
     },
-    /// Every replica of one shard is lost, so a scatter-gather plan
-    /// cannot produce an exact answer. Transient: lost nodes recover at
-    /// the end of their fault window, so a retry policy may retry.
-    ShardUnavailable {
-        /// Shard whose replicas are all gone.
-        shard: usize,
-        /// Replicas the shard had.
-        replicas: usize,
-    },
 }
 
 impl EngineError {
     /// `true` for failures that a retry policy is allowed to retry.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            EngineError::TransientFailure { .. } | EngineError::ShardUnavailable { .. }
-        )
+        matches!(self, EngineError::TransientFailure { .. })
     }
 }
 
@@ -103,12 +91,6 @@ impl fmt::Display for EngineError {
             EngineError::SchedulerClosed => write!(f, "query scheduler is closed"),
             EngineError::TransientFailure { reason } => {
                 write!(f, "transient backend failure: {reason}")
-            }
-            EngineError::ShardUnavailable { shard, replicas } => {
-                write!(
-                    f,
-                    "shard {shard} unavailable: all {replicas} replica(s) lost"
-                )
             }
         }
     }

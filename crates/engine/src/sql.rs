@@ -931,6 +931,7 @@ mod tests {
     use crate::column::ColumnBuilder;
     use crate::table::TableBuilder;
     use crate::{Backend, MemBackend};
+    use ids_simclock::rng::{check, SimRng};
 
     fn backend() -> MemBackend {
         let b = MemBackend::new();
@@ -1204,20 +1205,18 @@ mod tests {
 
     // -- satellite: seeded render → reparse round-trip fuzz ------------------
 
-    struct Rng(u64);
+    /// The draws the statement generator makes.
+    trait Draw {
+        fn below(&mut self, n: u64) -> u64;
+        fn column(&mut self) -> String;
+        fn string(&mut self) -> String;
+        fn num(&mut self) -> f64;
+        fn op(&mut self) -> CmpOp;
+    }
 
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            // splitmix64: deterministic, dependency-free.
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-
+    impl Draw for SimRng {
         fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
+            self.uniform_u64(0, n)
         }
 
         fn column(&mut self) -> String {
@@ -1248,7 +1247,7 @@ mod tests {
         }
     }
 
-    fn gen_bool_expr(rng: &mut Rng, depth: usize) -> Expr {
+    fn gen_bool_expr(rng: &mut SimRng, depth: usize) -> Expr {
         let leaf = depth == 0;
         match if leaf { rng.below(4) } else { rng.below(7) } {
             0 => Expr::True,
@@ -1285,7 +1284,7 @@ mod tests {
         }
     }
 
-    fn gen_projection(rng: &mut Rng) -> Expr {
+    fn gen_projection(rng: &mut SimRng) -> Expr {
         if rng.below(2) == 0 {
             Expr::Column(rng.column())
         } else {
@@ -1303,7 +1302,7 @@ mod tests {
         }
     }
 
-    fn gen_statement(rng: &mut Rng) -> Statement {
+    fn gen_statement(rng: &mut SimRng) -> Statement {
         let filter = if rng.below(3) == 0 {
             None
         } else {
@@ -1371,13 +1370,12 @@ mod tests {
     /// Render → reparse must be the identity on every generated AST.
     #[test]
     fn round_trip_fuzz_render_reparse_identity() {
-        let mut rng = Rng(0x5EED_CAFE);
-        for case in 0..500 {
-            let stmt = gen_statement(&mut rng);
+        check("round_trip_fuzz_render_reparse_identity", 0..500, |rng| {
+            let stmt = gen_statement(rng);
             let sql = stmt.to_string();
             let reparsed = parse_statement(&sql)
-                .unwrap_or_else(|e| panic!("case {case}: render should reparse: {sql:?}: {e}"));
-            assert_eq!(reparsed, stmt, "case {case}: round-trip drift on {sql:?}");
-        }
+                .unwrap_or_else(|e| panic!("render should reparse: {sql:?}: {e}"));
+            assert_eq!(reparsed, stmt, "round-trip drift on {sql:?}");
+        });
     }
 }

@@ -102,6 +102,26 @@ impl Table {
         &self.columns[i]
     }
 
+    /// The rows at `rows` (indices into this table) as a new table of the
+    /// same name and schema. It is built through [`TableBuilder`], so its
+    /// stats, zone maps and string dictionaries are its own.
+    pub fn take(&self, rows: &[usize]) -> Table {
+        let mut builder = TableBuilder::new(self.name());
+        for (name, col) in self.column_names.iter().zip(self.columns.iter()) {
+            let taken = match col {
+                Column::Int(v) => ColumnBuilder::int(rows.iter().map(|&r| v[r])),
+                Column::Float(v) => ColumnBuilder::float(rows.iter().map(|&r| v[r])),
+                Column::Str { codes, dict } => {
+                    ColumnBuilder::str(rows.iter().map(|&r| &dict[codes[r] as usize]))
+                }
+            };
+            builder = builder.column(name.as_ref(), taken);
+        }
+        builder
+            .build()
+            .expect("a built table's columns are non-empty, distinct and equal-length")
+    }
+
     /// The value at (`row`, `column name`).
     pub fn value(&self, row: usize, column: &str) -> EngineResult<Value> {
         Ok(self.column(column)?.value(row))

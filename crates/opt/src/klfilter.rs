@@ -11,7 +11,6 @@
 //! threshold, per the graphical-perception study the paper cites) drops
 //! imperceptible changes too.
 
-use ids_engine::distributed::take_table;
 use ids_engine::exec::run_histogram;
 use ids_engine::{Backend, EngineError, EngineResult, Histogram, Query, ResultSet, Table};
 use ids_simclock::rng::SimRng;
@@ -73,8 +72,9 @@ impl HistogramSketch {
             idx.swap(i, j);
         }
         idx.truncate(k);
-        let sample = take_table(&table, &idx).expect("rows of a built table rebuild");
-        HistogramSketch { sample }
+        HistogramSketch {
+            sample: table.take(&idx),
+        }
     }
 
     /// Number of sampled rows.

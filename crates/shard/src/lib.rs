@@ -3,9 +3,9 @@
 //! The paper's scalability guideline (§3.2) says an interactive backend
 //! must hold its latency distribution as sessions and rows grow — and
 //! the only lever past a single node is horizontal partitioning. This
-//! crate is that lever, built on the engine's canonical shard-plan
-//! primitives (`ids_engine::distributed`) so a row lands on the same
-//! shard no matter which layer asked:
+//! crate is that lever, and the only place shard routing and
+//! coordination live; the engine contributes only the merge rule
+//! (`ids_engine::distributed::merge_partials`):
 //!
 //! - [`partition`] — deterministic hash-rows / hash-key / range
 //!   partitioning of columnar tables, each shard with its own rebuilt
@@ -14,10 +14,8 @@
 //!   kernels run per shard through the engine's ordered fan-out
 //!   (`ids_engine::parallel::ordered_map`), partials merge in fixed
 //!   shard order, per-shard obs spans feed the telemetry lakehouse
-//!   ("p99 by shard").
-//! - [`cluster`] — replicated routing ([`ShardedCluster`]): exact
-//!   answers while every shard keeps one surviving replica, typed
-//!   `ShardUnavailable` when one does not.
+//!   ("p99 by shard"); [`ShardedCluster`] partitions a database and
+//!   holds the executor over it.
 //!
 //! Determinism discipline, everywhere: shard assignment is a pure
 //! function of `(scheme, seed, value, shards)`; worker threads decide
@@ -28,10 +26,8 @@
 
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod partition;
 pub mod plan;
 
-pub use cluster::ShardedCluster;
 pub use partition::{partition_database, partition_table, shard_assignments, PartitionScheme};
-pub use plan::{ScatterGather, ShardExecution, ShardOutcome};
+pub use plan::{ScatterGather, ShardExecution, ShardOutcome, ShardedCluster};

@@ -9,7 +9,7 @@
 //!   experiment sweeps); exactly balanced, the default when no key
 //!   column is natural.
 //! - [`PartitionScheme::HashKey`] — SplitMix64 over the canonical
-//!   [`cell_key`] of one column; co-locates equal keys, so per-key
+//!   `cell_key` of one column; co-locates equal keys, so per-key
 //!   aggregates shard cleanly. String keys hash their *bytes* — the
 //!   dictionary code is partition-local and never leaks into routing.
 //! - [`PartitionScheme::Range`] — equal-width ranges over the column's
@@ -24,8 +24,8 @@
 
 use std::sync::Arc;
 
-use ids_engine::distributed::{cell_key, shard_of_hash, shard_of_row, take_table};
 use ids_engine::{Column, Database, EngineError, EngineResult, Table};
+use ids_simclock::rng::{fnv1a, splitmix64};
 
 /// How a table's rows are assigned to shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +61,31 @@ impl PartitionScheme {
     }
 }
 
+/// Canonical 64-bit key of one cell, identical across partitions:
+///
+/// - `Int` → the value's two's-complement bits;
+/// - `Float` → the IEEE bits with `-0.0` folded into `0.0` and every
+///   NaN folded into the canonical quiet NaN (so equal-comparing floats
+///   always co-locate);
+/// - `Str` → FNV-1a of the string bytes (dictionary codes are
+///   partition-local and must not leak into the key).
+fn cell_key(col: &Column, row: usize) -> u64 {
+    match col {
+        Column::Int(v) => v[row] as u64,
+        Column::Float(v) => {
+            let x = v[row];
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else if x == 0.0 {
+                0.0f64.to_bits()
+            } else {
+                x.to_bits()
+            }
+        }
+        Column::Str { codes, dict } => fnv1a(dict[codes[row] as usize].bytes()),
+    }
+}
+
 /// Per-shard row selections for one table: `out[s]` holds the source
 /// row indices (ascending) that land on shard `s`. Total and disjoint
 /// by construction.
@@ -75,13 +100,16 @@ pub fn shard_assignments(
     match scheme {
         PartitionScheme::HashRows => {
             for row in 0..table.rows() {
-                selections[shard_of_row(row, shards)].push(row);
+                selections[row % shards].push(row);
             }
         }
         PartitionScheme::HashKey(column) => {
             let col = table.column(column)?;
             for row in 0..table.rows() {
-                selections[shard_of_hash(seed, cell_key(col, row), shards)].push(row);
+                // One more mixing round, so weak keys (sequential
+                // integers, duplicate-heavy dimensions) still spread.
+                let hash = splitmix64(seed ^ cell_key(col, row));
+                selections[(hash % shards as u64) as usize].push(row);
             }
         }
         PartitionScheme::Range(column) => {
@@ -120,10 +148,10 @@ pub fn partition_table(
     seed: u64,
     shards: usize,
 ) -> EngineResult<Vec<Table>> {
-    shard_assignments(table, scheme, seed, shards)?
+    Ok(shard_assignments(table, scheme, seed, shards)?
         .iter()
-        .map(|rows| take_table(table, rows))
-        .collect()
+        .map(|rows| table.take(rows))
+        .collect())
 }
 
 /// Partitions every table of `db` under one scheme, returning one
@@ -177,6 +205,19 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "every row must land on a shard");
+    }
+
+    #[test]
+    fn cell_keys_are_canonical() {
+        let f = ColumnBuilder::float([0.0, -0.0, f64::NAN, 1.5]).build();
+        assert_eq!(cell_key(&f, 0), cell_key(&f, 1), "-0.0 folds into 0.0");
+        assert_eq!(cell_key(&f, 2), f64::NAN.to_bits());
+        let s = ColumnBuilder::str(["a", "b", "a"]).build();
+        assert_eq!(cell_key(&s, 0), cell_key(&s, 2));
+        assert_ne!(cell_key(&s, 0), cell_key(&s, 1));
+        // The string key survives re-encoding under a different dict.
+        let s2 = ColumnBuilder::str(["b", "a"]).build();
+        assert_eq!(cell_key(&s, 0), cell_key(&s2, 1));
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //!
 //! Virtual time: each shard's compute cost is priced by the engine's
 //! [`LinearCostModel`] on that shard's real footprint; plan latency is
-//! the *slowest* shard plus the coordination term ([`coordination`])
+//! the *slowest* shard plus the coordination term (`coordination`)
 //! that does not parallelize. That is exactly the shape the paper's
 //! scalability guideline predicts: near linear to ~8 shards, then
 //! coordination-bound.
+//!
+//! [`ShardedCluster`] is the partition step and the executor in one
+//! value: what `experiments::scalability` sweeps over node counts.
 
-use ids_engine::distributed::{coordination, merge_partials, require_mergeable};
+use ids_engine::distributed::merge_partials;
 use ids_engine::exec::run_query;
 use ids_engine::parallel::ordered_map;
 use ids_engine::{
@@ -28,6 +31,21 @@ use ids_engine::{
     QueryFootprint, ResultSet,
 };
 use ids_simclock::SimDuration;
+
+use crate::partition::{partition_database, PartitionScheme};
+
+/// Coordination cost of gathering `nodes` partials totalling
+/// `merge_groups` groups: the part of a scatter-gather plan that does
+/// *not* get faster with more shards. Calibrated for near-linear speedup
+/// to ~8 nodes and diminishing returns beyond — the DICE shape.
+fn coordination(nodes: usize, merge_groups: u64) -> SimDuration {
+    const COORDINATOR_NS: u64 = 1_000_000; // fixed coordinator startup
+    const PER_NODE_NS: u64 = 500_000; // scheduling, result collection
+    const MERGE_PER_GROUP_NS: u64 = 10_000; // one partial group from one node
+    SimDuration::from_micros(
+        (COORDINATOR_NS + PER_NODE_NS * nodes as u64 + MERGE_PER_GROUP_NS * merge_groups) / 1_000,
+    )
+}
 
 /// One shard's contribution to a scatter-gather plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,7 +130,15 @@ impl ScatterGather {
     /// its error (the lowest-numbered shard's, if several), a panicking
     /// fragment with `SchedulerClosed`.
     pub fn execute(&self, query: &Query) -> EngineResult<ShardOutcome> {
-        require_mergeable(query)?;
+        // Only COUNTs and histograms merge under a row partition;
+        // paginated selects and joins would need a shuffle, which this
+        // engine intentionally does not model.
+        if !matches!(query, Query::Count { .. } | Query::Histogram { .. }) {
+            return Err(EngineError::TypeMismatch {
+                column: query.table().to_string(),
+                expected: "a mergeable query (COUNT or histogram) for distributed execution",
+            });
+        }
         let partials = ordered_map(self.shards.len(), self.threads, |shard| {
             run_query(&self.shards[shard], query)
         })?
@@ -178,9 +204,9 @@ impl ScatterGather {
                 Some(acc) => merge_partials(acc, partial)?,
             });
         }
-        let merged = merged.ok_or(EngineError::ShardUnavailable {
-            shard: 0,
-            replicas: 0,
+        let merged = merged.ok_or_else(|| EngineError::TypeMismatch {
+            column: query.table().to_string(),
+            expected: "at least one shard for distributed execution",
         })?;
         let coordination = coordination(per_shard.len(), merge_groups);
         Ok(ShardOutcome {
@@ -192,10 +218,48 @@ impl ScatterGather {
     }
 }
 
+/// A database partitioned into shards, with the executor over them.
+#[derive(Debug)]
+pub struct ShardedCluster {
+    executor: ScatterGather,
+}
+
+impl ShardedCluster {
+    /// Partitions `db` under `scheme` into `shards` shards.
+    pub fn partition(
+        db: &Database,
+        scheme: PartitionScheme,
+        seed: u64,
+        shards: usize,
+    ) -> EngineResult<ShardedCluster> {
+        let parts = partition_database(db, &scheme, seed, shards)?;
+        Ok(ShardedCluster {
+            executor: ScatterGather::over(parts),
+        })
+    }
+
+    /// Runs shards on up to `threads` worker threads (wall-clock only;
+    /// results and virtual costs are thread-count invariant).
+    pub fn with_threads(mut self, threads: usize) -> ShardedCluster {
+        self.executor = self.executor.with_threads(threads);
+        self
+    }
+
+    /// The scatter-gather executor (and through it the shard
+    /// databases).
+    pub fn executor(&self) -> &ScatterGather {
+        &self.executor
+    }
+
+    /// Executes `query` on every shard.
+    pub fn execute(&self, query: &Query) -> EngineResult<ShardOutcome> {
+        self.executor.execute(query)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{partition_database, PartitionScheme};
     use ids_engine::{BinSpec, ColumnBuilder, Predicate, TableBuilder};
 
     fn db(rows: usize) -> Database {
@@ -280,6 +344,15 @@ mod tests {
         let select = Query::select("t", vec![], Predicate::True, Some(5), 0);
         assert!(matches!(
             sg.execute(&select),
+            Err(EngineError::TypeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn zero_shards_is_a_typed_error() {
+        let count = Query::count("t", Predicate::True);
+        assert!(matches!(
+            ScatterGather::over(vec![]).execute(&count),
             Err(EngineError::TypeMismatch { .. })
         ));
     }

@@ -10,7 +10,9 @@
 //! Streams are *splittable*: [`SimRng::split`] derives an independent child
 //! generator from a label, so per-user / per-device substreams stay stable
 //! when unrelated code consumes randomness. The workspace's property
-//! tests draw their inputs from it too, through [`check`].
+//! tests draw their inputs from it too, through [`check`]. The
+//! workspace's one copy of each hash lives here as well: [`splitmix64`],
+//! [`fnv1a`] and [`label_hash`].
 //!
 //! Every calibrated number, golden fixture and simtest repro in this
 //! repository is a function of this keystream, so it is pinned twice in
@@ -168,18 +170,11 @@ impl SimRng {
     /// hash of the label, so splitting is order-independent with respect to
     /// other labels but deterministic per `(seed, label)` pair.
     pub fn split(&self, label: &str) -> SimRng {
-        // FNV-1a-shaped fold; the multiplier is not the FNV prime and
-        // must not be corrected (every split stream and golden depends on
-        // it). Mixed with fresh output from a clone so the parent stream
+        // Mixed with fresh output from a clone so the parent stream
         // itself is not consumed.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
         let mut probe = self.inner.clone();
         let base = probe.next_u64();
-        SimRng::seed(base ^ h.rotate_left(17))
+        SimRng::seed(base ^ label_hash(label.bytes()).rotate_left(17))
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -317,6 +312,37 @@ pub fn check(name: &str, cases: std::ops::Range<u32>, mut property: impl FnMut(&
             std::panic::resume_unwind(panic);
         }
     }
+}
+
+/// SplitMix64's finalizer: a bijective bit mix, behind hash-key shard
+/// routing (`ids-shard`), fault decisions (`ids-chaos`) and scenario
+/// seed derivation (`ids-simtest`).
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a: string shard keys, result checksums and run digests.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    fnv_fold(bytes, 0x0000_0100_0000_01b3)
+}
+
+/// The FNV-1a-shaped fold behind [`SimRng::split`] and query
+/// fingerprints. Its multiplier is not the FNV prime and must not be
+/// corrected: every split stream, fault decision and golden depends on
+/// it.
+pub fn label_hash(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    fnv_fold(bytes, 0x1000_0000_01b3)
+}
+
+fn fnv_fold(bytes: impl IntoIterator<Item = u8>, multiplier: u64) -> u64 {
+    bytes.into_iter().fold(FNV_OFFSET_BASIS, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(multiplier)
+    })
 }
 
 #[cfg(test)]
@@ -547,6 +573,14 @@ mod tests {
         }));
         assert!(failed.is_err(), "the case's panic resumes");
         assert_eq!(ran, 4, "no case runs after the failing one");
+    }
+
+    /// The published FNV-1a 64 test vectors.
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -26,11 +26,13 @@ use ids_engine::{
     Backend, CostParams, Database, DiskBackend, EngineResult, EvictionPolicy, MemBackend,
     Predicate, Query, QueryOutcome, ResultQuality, RetryPolicy, RetryingBackend,
 };
+use ids_serve::closedloop::quality_token;
 use ids_serve::{
     drive_session, measure_costs, simulate_service, synthesize_fleet, AdmissionPolicy,
     ArrivalProcess, ClosedLoopParams, FleetOutcome, FleetSpec, ServeParams,
 };
 use ids_shard::{partition_table, PartitionScheme, ScatterGather};
+use ids_simclock::rng::fnv1a;
 use ids_simclock::{SimDuration, SimTime};
 use ids_workload::adaptive::{BehaviorConfig, BehaviorPolicy};
 use ids_workload::{adaptive, composite, crossfilter, datasets, mining, scrolling};
@@ -67,16 +69,6 @@ pub struct RunArtifacts {
     pub replay: Vec<ReplayRecord>,
     /// Canonical byte identity of the run.
     pub digest: String,
-}
-
-/// FNV-1a, the digest's payload hash.
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn arrival_process(shape: &ArrivalShape) -> ArrivalProcess {
@@ -236,17 +228,6 @@ pub fn resilience_policy(s: &Scenario) -> ResiliencePolicy {
     }
 }
 
-fn quality_token(q: &ResultQuality) -> String {
-    match q {
-        ResultQuality::Exact => "exact".into(),
-        ResultQuality::Partial {
-            fraction,
-            error_bound,
-        } => format!("partial:{fraction:?}:{error_bound:?}"),
-        ResultQuality::Failed => "failed".into(),
-    }
-}
-
 /// Runs one scenario end to end. Pure on the virtual clock: the same
 /// `(scenario, threads)` always produces the same artifacts, and
 /// `threads` must not change the digest at all (that is an oracle).
@@ -340,26 +321,19 @@ pub fn run_pipeline(s: &Scenario, threads: usize) -> RunArtifacts {
     // ---- Canonical digest --------------------------------------------
     let mut digest = String::new();
     digest.push_str(&format!("offered {}\n", offered.len()));
-    let mut stream_hash = 0u64;
-    for q in &offered {
-        stream_hash = fnv(
-            stream_hash,
-            format!(
-                "{}|{}|{}|{:?}|{}",
-                q.at.as_micros(),
-                q.session,
-                q.seq,
-                q.lane,
-                query_fingerprint(&q.query)
-            )
-            .as_bytes(),
-        );
-    }
+    let stream_hash = fnv1a(offered.iter().flat_map(|q| {
+        format!(
+            "{}|{}|{}|{:?}|{}",
+            q.at.as_micros(),
+            q.session,
+            q.seq,
+            q.lane,
+            query_fingerprint(&q.query)
+        )
+        .into_bytes()
+    }));
     digest.push_str(&format!("stream {stream_hash:016x}\n"));
-    let mut cost_hash = 0u64;
-    for c in &costs {
-        cost_hash = fnv(cost_hash, &c.as_micros().to_le_bytes());
-    }
+    let cost_hash = fnv1a(costs.iter().flat_map(|c| c.as_micros().to_le_bytes()));
     digest.push_str(&format!("costs {cost_hash:016x}\n"));
     for (name, o) in [("admission", &admission), ("baseline", &baseline)] {
         digest.push_str(&format!(
@@ -378,7 +352,7 @@ pub fn run_pipeline(s: &Scenario, threads: usize) -> RunArtifacts {
         ));
     }
     for r in &replay {
-        let result_hash = fnv(0, format!("{:?}", r.outcome.result).as_bytes());
+        let result_hash = fnv1a(format!("{:?}", r.outcome.result).into_bytes());
         digest.push_str(&format!(
             "replay tag={} issued={} started={} finished={} quality={} result={result_hash:016x}\n",
             r.timing.tag,

@@ -12,7 +12,7 @@
 
 use ids_devices::DeviceKind;
 use ids_engine::{BinSpec, CmpOp, JoinSpec, Predicate, Query, Value};
-use ids_simclock::rng::SimRng;
+use ids_simclock::rng::{splitmix64, SimRng};
 
 /// String vocabulary for the differential fact table's `s` column.
 pub const VOCAB: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
@@ -340,12 +340,7 @@ pub struct Scenario {
 /// splitmix64 — the standard seed spreader; used to derive per-scenario
 /// seeds from a master seed without consuming the scenario's own RNG.
 pub fn derive_seed(master: u64, index: u64) -> u64 {
-    let mut z = master
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(master.wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9)))
 }
 
 fn gen_filter(r: &mut SimRng, key_mod: usize) -> FilterSpec {

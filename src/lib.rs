@@ -30,9 +30,8 @@
 //!   token-bucket admission with priority lanes, and mergeable
 //!   fleet-scale tail-latency aggregation;
 //! - [`shard`] — sharded scatter-gather execution for million-session
-//!   fleets: hash/range partitioning with per-shard zone maps, a
-//!   deterministic merge of mergeable partials, and replicated routing
-//!   with typed shard-loss errors;
+//!   fleets: hash/range partitioning with per-shard zone maps and a
+//!   deterministic merge of mergeable partials;
 //! - [`simtest`] — deterministic simulation testing: seeded end-to-end
 //!   scenarios, invariant and differential oracles, and automatic
 //!   scenario shrinking into checked-in repro files;

@@ -21,11 +21,10 @@ use ids::chaos::{ChaosBackend, FaultPlan};
 use ids::engine::parallel::ordered_map;
 use ids::engine::scheduler::{IssuedQuery, ReplayScheduler, ResiliencePolicy};
 use ids::engine::{
-    Backend, ColumnBuilder, Database, MemBackend, Predicate, Query, RetryPolicy, RetryingBackend,
+    Backend, ColumnBuilder, MemBackend, Predicate, Query, RetryPolicy, RetryingBackend,
     TableBuilder,
 };
 use ids::experiments::robustness::{self, RobustnessConfig};
-use ids::shard::{PartitionScheme, ShardedCluster};
 use ids::simclock::{SimDuration, SimTime};
 
 fn backend(rows: usize) -> MemBackend {
@@ -116,48 +115,6 @@ fn resilient_replay_is_reproducible() {
         assert_eq!(oa.cost, ob.cost);
         assert_eq!(oa.quality, ob.quality);
     }
-}
-
-#[test]
-fn node_loss_routes_to_replicas_and_stays_exact() {
-    // The cluster layer never reads the chaos clock: no `set_vnow` here.
-    let db = Database::new();
-    db.register(
-        TableBuilder::new("t")
-            .column("x", ColumnBuilder::float((0..4_000).map(|i| i as f64)))
-            .build()
-            .unwrap(),
-    );
-    // 4 shards × 2 replicas, striped: shard s lives on nodes s and s+4.
-    let cluster = ShardedCluster::partition(&db, PartitionScheme::HashRows, 0, 4)
-        .unwrap()
-        .with_replicas(2);
-    let q = Query::count("t", Predicate::True);
-
-    let plan = FaultPlan::builder(11).lose_node(2).build();
-    assert!(plan.node_lost(2) && !plan.node_lost(0));
-    let full = cluster.execute(&q).unwrap();
-
-    // Losing one copy of shard 2 changes nothing: the surviving replica
-    // answers and the result stays exact — no extrapolated estimate.
-    let lossy = cluster.execute_excluding(&q, plan.lost_nodes()).unwrap();
-    assert_eq!(lossy.result, full.result);
-    assert_eq!(lossy.result.scalar_count(), Some(4_000));
-
-    // Losing *both* copies of a shard is a typed, transient error — the
-    // plan refuses to answer rather than extrapolating from survivors.
-    let both = FaultPlan::builder(11).lose_node(2).lose_node(6).build();
-    let err = cluster
-        .execute_excluding(&q, both.lost_nodes())
-        .unwrap_err();
-    assert_eq!(
-        err,
-        ids::engine::EngineError::ShardUnavailable {
-            shard: 2,
-            replicas: 2
-        }
-    );
-    assert!(err.is_transient(), "lost nodes recover; retries may help");
 }
 
 #[test]

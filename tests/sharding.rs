@@ -1,18 +1,13 @@
 //! Integration tests for the sharded scatter-gather layer through the
 //! `ids::` facade: every partition scheme agrees with single-node
-//! execution, outcomes are invariant across worker-thread counts,
-//! replica routing degrades to a typed error (never an estimate), and
+//! execution, outcomes are invariant across worker-thread counts, and
 //! per-shard spans flow into the telemetry lakehouse's canned queries.
 
 use ids::engine::exec::run_query;
-use ids::engine::{
-    BinSpec, ColumnBuilder, CostParams, Database, EngineError, Predicate, Query, TableBuilder,
-};
+use ids::engine::{BinSpec, ColumnBuilder, CostParams, Database, Predicate, Query, TableBuilder};
 use ids::lakehouse::{Lakehouse, TimeWindow};
 use ids::obs;
-use ids::shard::{
-    partition_database, PartitionScheme, ScatterGather, ShardOutcome, ShardedCluster,
-};
+use ids::shard::{partition_database, PartitionScheme, ScatterGather, ShardOutcome};
 
 /// A session-log-shaped dataset: a clustered virtual-time axis `t`, a
 /// uniform measure `v`, a low-cardinality key `k` with duplicates, and
@@ -144,39 +139,6 @@ fn outcome_is_invariant_across_worker_threads() {
                 assert_eq!(spans.len(), shards, "{at}");
             }
         }
-    }
-}
-
-#[test]
-fn losing_every_replica_is_a_typed_error_not_an_estimate() {
-    let db = dataset(1_000);
-    let cluster = ShardedCluster::partition(&db, PartitionScheme::hash_key("k"), 11, 4)
-        .expect("cluster")
-        .with_replicas(2);
-    let query = &mergeable_queries()[0];
-    let healthy = cluster.execute(query).expect("healthy");
-
-    // Losing one full replica stripe leaves every shard a survivor:
-    // still exact, byte-identical to the healthy run.
-    let degraded = cluster
-        .execute_excluding(query, &[0, 1, 2, 3])
-        .expect("one survivor per shard");
-    assert_eq!(degraded.result, healthy.result);
-
-    // Losing both replicas of shard 2 (nodes 2 and 6 in the striped
-    // layout) must surface the typed transient error, never a partial
-    // answer extrapolated from the survivors.
-    let lost: Vec<usize> = cluster.nodes_of_shard(2);
-    match cluster.execute_excluding(query, &lost) {
-        Err(EngineError::ShardUnavailable { shard, replicas }) => {
-            assert_eq!(shard, 2);
-            assert_eq!(replicas, 2);
-            assert!(
-                EngineError::ShardUnavailable { shard, replicas }.is_transient(),
-                "shard loss recovers with the fault window"
-            );
-        }
-        other => panic!("expected ShardUnavailable, got {other:?}"),
     }
 }
 
