@@ -21,10 +21,10 @@ use crate::plan::{query_fingerprint, FaultPlan};
 
 /// A backend decorator injecting the faults a [`FaultPlan`] prescribes.
 ///
-/// Attempt counting: the injector keeps one counter per query
-/// fingerprint, so re-executions of the same query (scheduler retries,
-/// repeated slider positions) advance through the plan's per-attempt
-/// failure decisions deterministically.
+/// Attempt counting: under a positive failure rate the injector keeps
+/// one counter per query fingerprint, so re-executions of the same query
+/// (scheduler retries, repeated slider positions) advance through the
+/// plan's per-attempt failure decisions deterministically.
 pub struct ChaosBackend<'a> {
     inner: &'a (dyn Backend + Sync),
     plan: FaultPlan,
@@ -74,8 +74,9 @@ impl<'a> ChaosBackend<'a> {
         &self.plan
     }
 
-    /// Marks an injection on the trace timeline (no-op when disabled).
-    fn record_injection(&self, what: &str, at: ids_simclock::SimTime, fingerprint: u64) {
+    /// Marks an injection on the trace timeline, naming the query by its
+    /// fingerprint (no-op, and no fingerprint, when disabled).
+    fn record_injection(&self, what: &str, at: ids_simclock::SimTime, query: &Query) {
         let rec = ids_obs::recorder();
         if !rec.is_enabled() {
             return;
@@ -86,7 +87,7 @@ impl<'a> ChaosBackend<'a> {
             what.to_string(),
             track,
             at,
-            vec![("query", ids_obs::ArgValue::U64(fingerprint))],
+            vec![("query", ids_obs::ArgValue::U64(query_fingerprint(query)))],
         );
     }
 }
@@ -102,7 +103,6 @@ impl Backend for ChaosBackend<'_> {
 
     fn execute(&self, query: &Query) -> EngineResult<QueryOutcome> {
         let now = ids_obs::vnow();
-        let fp = query_fingerprint(query);
 
         // Buffer pressure first: entering a pressure window cold-starts
         // the pool before this query's scan charges page I/O.
@@ -117,23 +117,28 @@ impl Backend for ChaosBackend<'_> {
                 triggered.push(window);
                 disk.flush_pool();
                 self.flushes.inc();
-                self.record_injection("buffer_pressure", now, fp);
+                self.record_injection("buffer_pressure", now, query);
             }
         }
 
-        let attempt = {
-            let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
-            let slot = attempts.entry(fp).or_insert(0);
-            let attempt = *slot;
-            *slot += 1;
-            attempt
-        };
-        if self.plan.should_fail(fp, attempt) {
-            self.failures.inc();
-            self.record_injection("transient_failure", now, fp);
-            return Err(EngineError::TransientFailure {
-                reason: format!("injected fault (attempt {attempt})"),
-            });
+        // Formatting a query to fingerprint it costs more than a cheap
+        // execution; a plan that never fails never reads the attempts.
+        if self.plan.failure_rate() > 0.0 {
+            let fp = query_fingerprint(query);
+            let attempt = {
+                let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
+                let slot = attempts.entry(fp).or_insert(0);
+                let attempt = *slot;
+                *slot += 1;
+                attempt
+            };
+            if self.plan.should_fail(fp, attempt) {
+                self.failures.inc();
+                self.record_injection("transient_failure", now, query);
+                return Err(EngineError::TransientFailure {
+                    reason: format!("injected fault (attempt {attempt})"),
+                });
+            }
         }
 
         let mut outcome = self.inner.execute(query)?;
@@ -141,14 +146,14 @@ impl Backend for ChaosBackend<'_> {
         if multiplier > 1.0 {
             outcome.cost = outcome.cost.mul_f64(multiplier);
             self.spikes.inc();
-            self.record_injection("latency_spike", now, fp);
+            self.record_injection("latency_spike", now, query);
         }
         if let Some(until) = self.plan.stall_until(now) {
             let extra = until.saturating_since(now);
             outcome.cost += extra;
             self.stalls.inc();
             self.stall_wait_us.add(extra.as_micros());
-            self.record_injection("stall", now, fp);
+            self.record_injection("stall", now, query);
         }
         Ok(outcome)
     }
@@ -253,14 +258,7 @@ mod tests {
 
     #[test]
     fn buffer_pressure_evicts_attached_pool_once_per_window() {
-        let db = Database::new();
-        db.register(
-            TableBuilder::new("t")
-                .column("x", ColumnBuilder::float((0..50_000).map(|i| i as f64)))
-                .build()
-                .unwrap(),
-        );
-        let disk = DiskBackend::over(db);
+        let disk = DiskBackend::over(backend(50_000).database());
         let plan = FaultPlan::builder(5)
             .buffer_pressure(SimTime::from_millis(100), SimDuration::from_millis(50))
             .build();
@@ -277,6 +275,41 @@ mod tests {
         // But only once per window: the next query re-warms.
         let rewarmed = chaos.execute(&q()).unwrap();
         assert_eq!(rewarmed.footprint.pages_cold, 0);
+    }
+
+    #[test]
+    fn injection_instants_name_the_query_fingerprint() {
+        use ids_obs::{ArgValue, TraceEvent};
+        // The mem backend records no instants of its own; the disk over
+        // the same tables is only the pressure target.
+        let inner = backend(100);
+        let disk = DiskBackend::over(inner.database());
+        let plan = FaultPlan::builder(8)
+            .latency_spike(SimTime::from_millis(100), SimDuration::from_millis(50), 2.0)
+            .stall(SimTime::from_millis(200), SimDuration::from_millis(50))
+            .buffer_pressure(SimTime::from_millis(300), SimDuration::from_millis(50))
+            .transient_failures(0.5)
+            .build();
+        let chaos = ChaosBackend::new(&inner, plan).with_pressure_target(&disk);
+        let rec = ids_obs::recorder();
+        rec.enable();
+        let mut kinds = std::collections::BTreeSet::new();
+        for window_ms in [120, 220, 320] {
+            ids_obs::set_vnow(SimTime::from_millis(window_ms));
+            for hi in 0..8 {
+                let q = Query::count("t", Predicate::between("x", 0.0, f64::from(hi)));
+                let mark = rec.event_count();
+                let _ = chaos.execute(&q);
+                for event in rec.events_since(mark) {
+                    if let TraceEvent::Instant { name, args, .. } = event {
+                        assert_eq!(args, [("query", ArgValue::U64(query_fingerprint(&q)))]);
+                        kinds.insert(name);
+                    }
+                }
+            }
+        }
+        rec.disable();
+        assert_eq!(kinds.len(), 4, "every injection kind fired: {kinds:?}");
     }
 
     #[test]

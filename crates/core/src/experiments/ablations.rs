@@ -16,9 +16,7 @@ use ids_opt::prefetch::{evaluate_tile_strategy, MarkovPrefetcher, TileStrategy};
 use ids_opt::throttle::AdaptiveThrottle;
 use ids_simclock::SimDuration;
 use ids_workload::composite::{simulate_study, CompositeConfig};
-use ids_workload::crossfilter::{
-    compile_leading_groups, simulate_session, CrossfilterUi, QueryGroup,
-};
+use ids_workload::crossfilter::{leading_groups, CrossfilterUi, QueryGroup};
 use ids_workload::datasets;
 use ids_workload::scrolling;
 
@@ -48,8 +46,7 @@ fn disk_regime(road: Rows) -> DiskBackend {
 /// The first `max_groups` query groups of one Leap Motion session.
 fn leap_groups(user: usize, max_groups: usize) -> Vec<QueryGroup> {
     let ui = CrossfilterUi::for_road();
-    let session = simulate_session(DeviceKind::LeapMotion, user, SEED, &ui);
-    compile_leading_groups(&ui, &session.trace, max_groups)
+    leading_groups(&ui, DeviceKind::LeapMotion, user, SEED, max_groups)
 }
 
 fn kl_threshold() -> Table {

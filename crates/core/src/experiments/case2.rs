@@ -17,9 +17,7 @@ use ids_opt::klfilter::{replay_kl, HistogramSketch, PERCEPTIBLE_KL};
 use ids_opt::skip::{replay_raw, replay_skip, ReplayOutcome};
 use ids_simclock::rng::SimRng;
 use ids_simclock::SimTime;
-use ids_workload::crossfilter::{
-    compile_leading_groups, simulate_session, CrossfilterUi, QueryGroup,
-};
+use ids_workload::crossfilter::{leading_groups, CrossfilterUi, QueryGroup};
 use ids_workload::datasets;
 
 use crate::report::{downsample, pct, sparkline, Table};
@@ -191,8 +189,7 @@ pub fn run(config: &Case2Config) -> Case2Report {
     let mut events_per_device = Vec::new();
     let mut qif = Vec::new();
     for device in DEVICES {
-        let session = simulate_session(device, 0, config.seed, &ui);
-        let groups = compile_leading_groups(&ui, &session.trace, config.max_groups);
+        let groups = leading_groups(&ui, device, 0, config.seed, config.max_groups);
         events_per_device.push((device, groups.len()));
 
         for (backend_name, backend) in [

@@ -33,9 +33,7 @@ use ids_metrics::lcv::{budget_violations, LcvReport, QuerySpan};
 use ids_metrics::qif::QifReport;
 use ids_opt::throttle::AdaptiveThrottle;
 use ids_simclock::{SimDuration, SimTime};
-use ids_workload::crossfilter::{
-    compile_leading_groups, simulate_session, CrossfilterUi, QueryGroup,
-};
+use ids_workload::crossfilter::{leading_groups, CrossfilterUi, QueryGroup};
 use ids_workload::datasets;
 
 use crate::report::{pct, Table};
@@ -153,8 +151,7 @@ fn spans(timings: &[(QueryTiming, QueryOutcome)]) -> Vec<QuerySpan> {
 pub fn run(config: &RobustnessConfig) -> RobustnessReport {
     let setup = ids_obs::phase("robustness.setup");
     let ui = CrossfilterUi::for_road();
-    let session = simulate_session(DeviceKind::Mouse, 0, config.seed, &ui);
-    let groups = compile_leading_groups(&ui, &session.trace, config.max_groups);
+    let groups = leading_groups(&ui, DeviceKind::Mouse, 0, config.seed, config.max_groups);
     let stream = issue_stream(&groups);
     let horizon = groups
         .last()
@@ -452,8 +449,7 @@ fn result_magnitude(r: &ids_engine::ResultSet) -> f64 {
 pub fn run_progressive(config: &ProgressiveConfig) -> ProgressiveReport {
     let setup = ids_obs::phase("progressive.setup");
     let ui = CrossfilterUi::for_road();
-    let session = simulate_session(DeviceKind::Mouse, 0, config.seed, &ui);
-    let groups = compile_leading_groups(&ui, &session.trace, config.max_groups);
+    let groups = leading_groups(&ui, DeviceKind::Mouse, 0, config.seed, config.max_groups);
     let stream = issue_stream(&groups);
 
     let db = Database::new();

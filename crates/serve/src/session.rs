@@ -14,9 +14,7 @@ use ids_engine::parallel::ordered_map;
 use ids_engine::Query;
 use ids_simclock::rng::SimRng;
 use ids_simclock::{SimDuration, SimTime};
-use ids_workload::crossfilter::{
-    compile_leading_groups, simulate_session, CrossfilterUi, QueryGroup,
-};
+use ids_workload::crossfilter::{leading_groups, CrossfilterUi};
 
 /// Priority lane of an offered query.
 ///
@@ -176,26 +174,19 @@ impl FleetSpec {
     }
 }
 
-/// Synthesizes one session's offered stream.
+/// Synthesizes one session's offered stream: its first `max_groups`
+/// query groups, each query tagged with a lane and shifted to the
+/// session's arrival instant.
 fn synthesize_session(spec: &FleetSpec, s: &SessionSpec) -> Vec<OfferedQuery> {
     let ui = CrossfilterUi::for_table(FleetSpec::tenant_table(s.tenant));
-    // `simulate_session` splits the seed by (device, user), so every
-    // session gets an independent stream regardless of synthesis order.
-    let session = simulate_session(s.device, s.id, spec.seed, &ui);
-    offer_groups(
-        spec,
-        s,
-        &compile_leading_groups(&ui, &session.trace, spec.max_groups),
-    )
-}
-
-/// Tags each query of `groups` with a lane and shifts it to the
-/// session's arrival instant.
-fn offer_groups(spec: &FleetSpec, s: &SessionSpec, groups: &[QueryGroup]) -> Vec<OfferedQuery> {
+    // The trace's RNG is split by (device, user), so every session gets
+    // an independent stream regardless of synthesis order; only the
+    // records the kept groups compile from are simulated.
+    let groups = leading_groups(&ui, s.device, s.id, spec.seed, spec.max_groups);
     let mut lane_rng = SimRng::seed(spec.seed).split(&format!("fleet/lane/{}", s.id));
     let mut out = Vec::new();
     for g in groups {
-        for q in &g.queries {
+        for query in g.queries {
             let lane = if lane_rng.chance(spec.prefetch_rate) {
                 Lane::Prefetch
             } else {
@@ -207,7 +198,7 @@ fn offer_groups(spec: &FleetSpec, s: &SessionSpec, groups: &[QueryGroup]) -> Vec
                 seq: out.len(),
                 at: s.arrive_at + g.at.saturating_since(SimTime::ZERO),
                 lane,
-                query: q.clone(),
+                query,
             });
         }
     }
@@ -279,36 +270,6 @@ mod tests {
         for threads in [2, 4, 8] {
             let multi: Vec<_> = synthesize_fleet(&s, threads).iter().map(key).collect();
             assert_eq!(one, multi, "{threads} threads");
-        }
-    }
-
-    /// Compiling only the kept record prefix offers the same stream as
-    /// compiling the whole trace and truncating.
-    #[test]
-    fn prefix_compiled_stream_equals_compile_all_then_truncate() {
-        use ids_workload::crossfilter::compile_query_groups;
-        for device in [DeviceKind::LeapMotion, DeviceKind::Mouse] {
-            let s = SessionSpec {
-                id: 3,
-                tenant: 1,
-                device,
-                arrive_at: SimTime::from_millis(250),
-            };
-            let ui = CrossfilterUi::for_table(FleetSpec::tenant_table(s.tenant));
-            let trace = simulate_session(device, s.id, spec().seed, &ui).trace;
-            let all = compile_query_groups(&ui, &trace);
-            assert_eq!(all.len(), trace.len());
-            for max_groups in [0, 1, 8, trace.len(), usize::MAX] {
-                let spec = FleetSpec {
-                    max_groups,
-                    ..spec()
-                };
-                let kept = &all[..all.len().min(max_groups)];
-                let want: Vec<_> = offer_groups(&spec, &s, kept).iter().map(key).collect();
-                let got: Vec<_> = synthesize_session(&spec, &s).iter().map(key).collect();
-                assert_eq!(want.len(), kept.len() * 2, "{device} cap {max_groups}");
-                assert_eq!(got, want, "{device} cap {max_groups}");
-            }
         }
     }
 

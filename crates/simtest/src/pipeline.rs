@@ -110,12 +110,10 @@ pub fn build_replay_env(s: &Scenario) -> (MemBackend, Vec<IssuedQuery>) {
             let table = "simtest_xf";
             db.register(datasets::road_network_named(table, s.seed, s.rows.min(600)));
             let ui = crossfilter::CrossfilterUi::for_table(table);
-            let session = crossfilter::simulate_session(s.device, 0, s.seed, &ui);
-            let groups =
-                crossfilter::compile_leading_groups(&ui, &session.trace, s.max_groups.max(1));
-            for g in &groups {
-                for q in &g.queries {
-                    stream.push(IssuedQuery::new(g.at, q.clone(), stream.len() as u64));
+            let groups = crossfilter::leading_groups(&ui, s.device, 0, s.seed, s.max_groups.max(1));
+            for g in groups {
+                for q in g.queries {
+                    stream.push(IssuedQuery::new(g.at, q, stream.len() as u64));
                 }
             }
         }

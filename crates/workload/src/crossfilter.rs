@@ -110,22 +110,9 @@ pub struct QueryGroup {
 /// mirroring the paper's SQL: each group holds `n − 1` histogram queries
 /// filtered by the conjunction of all current ranges.
 pub fn compile_query_groups(ui: &CrossfilterUi, trace: &Trace<SliderRecord>) -> Vec<QueryGroup> {
-    compile_leading_groups(ui, trace, usize::MAX)
-}
-
-/// The first `max_groups` groups of [`compile_query_groups`], compiled
-/// from only the records that produce them: group *k* depends on
-/// records `0..=k` alone, so the prefix equals compiling the whole
-/// trace and truncating — without building the queries a capped
-/// replay throws away.
-pub fn compile_leading_groups(
-    ui: &CrossfilterUi,
-    trace: &Trace<SliderRecord>,
-    max_groups: usize,
-) -> Vec<QueryGroup> {
     let mut ranges = ui.initial_ranges();
-    let mut groups = Vec::with_capacity(trace.len().min(max_groups));
-    for rec in trace.records().iter().take(max_groups) {
+    let mut groups = Vec::with_capacity(trace.len());
+    for rec in trace.records() {
         let idx = rec.slider_idx as usize;
         if idx < ranges.len() {
             ranges[idx] = (rec.min_val, rec.max_val);
@@ -159,6 +146,21 @@ pub fn compile_leading_groups(
     groups
 }
 
+/// The first `max_groups` groups of [`compile_query_groups`] over
+/// [`simulate_session`]'s trace, simulating only the records that
+/// produce them. Records are appended in time order from one sequential
+/// RNG stream and group *k* depends on records `0..=k` alone, so the
+/// result equals simulating the whole session, compiling and truncating.
+pub fn leading_groups(
+    ui: &CrossfilterUi,
+    device: DeviceKind,
+    user: usize,
+    seed: u64,
+    max_groups: usize,
+) -> Vec<QueryGroup> {
+    compile_query_groups(ui, &simulate(device, user, seed, ui, max_groups).trace)
+}
+
 /// One user's crossfiltering session on one device.
 #[derive(Debug, Clone)]
 pub struct CrossfilterSession {
@@ -184,6 +186,17 @@ pub fn simulate_session(
     seed: u64,
     ui: &CrossfilterUi,
 ) -> CrossfilterSession {
+    simulate(device, user, seed, ui, usize::MAX)
+}
+
+/// [`simulate_session`], stopped once `limit` records are drawn.
+fn simulate(
+    device: DeviceKind,
+    user: usize,
+    seed: u64,
+    ui: &CrossfilterUi,
+    limit: usize,
+) -> CrossfilterSession {
     let mut rng = SimRng::seed(seed).split(&format!("xfilter/{device}/{user}"));
     let profile = DeviceProfile::for_kind(device);
     let is_leap = device == DeviceKind::LeapMotion;
@@ -198,7 +211,7 @@ pub fn simulate_session(
     let mut now = SimTime::ZERO;
     let end = SimTime::ZERO + session_len;
 
-    while now < end {
+    while now < end && records.len() < limit {
         let slider = rng.uniform_usize(0, ui.dims.len());
         let dim = &ui.dims[slider];
         // Choose which handle to move and where.
@@ -223,6 +236,7 @@ pub fn simulate_session(
             target,
             drag_secs,
             end,
+            limit,
         );
 
         // Think pause. Leap Motion keeps emitting jitter events.
@@ -238,6 +252,7 @@ pub fn simulate_session(
                 ranges[slider],
                 pause,
                 end,
+                limit,
             );
         } else {
             now += pause;
@@ -252,19 +267,8 @@ pub fn simulate_session(
     }
 }
 
-/// Simulates the paper's 30-participant study: `users_per_device` on each
-/// of mouse, touch, Leap Motion.
-pub fn simulate_study(seed: u64, users_per_device: usize) -> Vec<CrossfilterSession> {
-    let ui = CrossfilterUi::for_road();
-    let mut out = Vec::with_capacity(users_per_device * 3);
-    for device in [DeviceKind::Mouse, DeviceKind::Touch, DeviceKind::LeapMotion] {
-        for user in 0..users_per_device {
-            out.push(simulate_session(device, user, seed, &ui));
-        }
-    }
-    out
-}
-
+/// Drag frames until the gesture completes, the session reaches `end`,
+/// or `limit` records exist.
 #[allow(clippy::too_many_arguments)]
 fn drag(
     records: &mut Vec<SliderRecord>,
@@ -278,13 +282,14 @@ fn drag(
     target: f64,
     drag_secs: f64,
     end: SimTime,
+    limit: usize,
 ) {
     let is_leap = !profile.has_friction;
     let base_frame_ms = 20.0;
     let n = (drag_secs * 1_000.0 / base_frame_ms).ceil().max(1.0) as usize;
     let start_val = if move_lo { range.0 } else { range.1 };
     for i in 1..=n {
-        if *now >= end {
+        if *now >= end || records.len() >= limit {
             return;
         }
         // Frame spacing: mouse/touch wander (dropped frames as the hand
@@ -326,12 +331,13 @@ fn hover(
     range: (f64, f64),
     pause: SimDuration,
     end: SimTime,
+    limit: usize,
 ) {
     // The hand hovers over the handle; sensor jitter keeps issuing
     // (unintended) range updates around the resting values.
     let stop = (*now + pause).min(end);
     let (lo, hi) = range;
-    while *now < stop {
+    while *now < stop && records.len() < limit {
         let dt_ms = rng.normal_clamped(22.0, 1.2, 20.0, 25.0);
         *now += SimDuration::from_millis_f64(dt_ms);
         let wiggle = dim.span() * 0.004 * profile.jitter_std / 9.0;
@@ -466,14 +472,6 @@ mod tests {
         assert!(display.contains("BETWEEN 9 AND 10"), "{display}");
         assert!(display.contains("BETWEEN 57 AND 57.5"), "{display}");
         assert_eq!(groups[1].slider, 1);
-    }
-
-    #[test]
-    fn study_covers_all_devices() {
-        let sessions = simulate_study(3, 2);
-        assert_eq!(sessions.len(), 6);
-        let devices: std::collections::HashSet<_> = sessions.iter().map(|s| s.device).collect();
-        assert_eq!(devices.len(), 3);
     }
 
     #[test]

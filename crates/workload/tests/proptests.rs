@@ -6,7 +6,7 @@ use ids_simclock::rng::check;
 use ids_simclock::SimDuration;
 use ids_workload::composite::{simulate_session as composite_session, CompositeConfig};
 use ids_workload::crossfilter::{
-    compile_query_groups, simulate_session as xf_session, CrossfilterUi,
+    compile_query_groups, leading_groups, simulate_session as xf_session, CrossfilterUi, QueryGroup,
 };
 use ids_workload::datasets;
 use ids_workload::scrolling::{demand_curve, simulate_session as scroll_session};
@@ -54,6 +54,29 @@ fn crossfilter_sessions_are_well_formed() {
             let groups = compile_query_groups(&ui, &s.trace);
             assert_eq!(groups.len(), s.trace.len());
             assert!(groups.iter().all(|g| g.queries.len() == ui.dims.len() - 1));
+        }
+    });
+}
+
+/// Simulating only the kept records is byte-identical to simulating the
+/// whole session, compiling it and truncating, at every cap.
+#[test]
+fn leading_groups_are_a_prefix() {
+    check("leading_groups_are_a_prefix", 0..8, |rng| {
+        let (seed, user) = (rng.uniform_u64(0, 10_000), rng.uniform_usize(0, 64));
+        let ui = CrossfilterUi::for_table("tenant");
+        let key = |g: &QueryGroup| {
+            let queries: Vec<_> = g.queries.iter().map(|q| q.to_string()).collect();
+            (g.at, g.slider, queries)
+        };
+        for device in DeviceKind::ALL {
+            let all = compile_query_groups(&ui, &xf_session(device, user, seed, &ui).trace);
+            let len = all.len();
+            for k in [0, 1, 8, rng.uniform_usize(0, len), len, len + 1, usize::MAX] {
+                let got = leading_groups(&ui, device, user, seed, k);
+                let same = got.iter().map(key).eq(all[..len.min(k)].iter().map(key));
+                assert!(same, "{device} k={k}");
+            }
         }
     });
 }

@@ -11,7 +11,7 @@ use ids::metrics::qif::{QifQuadrant, QifReport};
 use ids::metrics::selection::{recommend, SystemTraits};
 use ids::opt::skip::{replay_raw, replay_skip};
 use ids::simclock::SimDuration;
-use ids::workload::crossfilter::{compile_leading_groups, simulate_session, CrossfilterUi};
+use ids::workload::crossfilter::{leading_groups, CrossfilterUi};
 use ids::workload::datasets;
 
 fn main() {
@@ -31,13 +31,8 @@ fn main() {
 
     // 3. An interactive workload: one user crossfiltering with a mouse.
     let ui = CrossfilterUi::for_road();
-    let session = simulate_session(DeviceKind::Mouse, 0, 42, &ui);
-    let groups = compile_leading_groups(&ui, &session.trace, 400);
-    println!(
-        "workload: {} slider events -> {} query groups",
-        session.trace.len(),
-        groups.len()
-    );
+    let groups = leading_groups(&ui, DeviceKind::Mouse, 0, 42, 400);
+    println!("workload: {} query groups", groups.len());
 
     // 4. Replay the stream, raw and with the skip optimization.
     for (name, backend) in [

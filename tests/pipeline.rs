@@ -9,7 +9,7 @@ use ids::metrics::Metric;
 use ids::opt::klfilter::{replay_kl, HistogramSketch};
 use ids::opt::skip::{replay_raw, replay_skip};
 use ids::simclock::SimDuration;
-use ids::workload::crossfilter::{compile_leading_groups, simulate_session, CrossfilterUi};
+use ids::workload::crossfilter::{leading_groups, CrossfilterUi};
 use ids::workload::datasets;
 
 #[test]
@@ -78,8 +78,7 @@ fn shared_database_backends_agree_on_answers() {
     let mem = MemBackend::over(db);
 
     let ui = CrossfilterUi::for_road();
-    let session = simulate_session(DeviceKind::Touch, 0, 5, &ui);
-    let groups = compile_leading_groups(&ui, &session.trace, 20);
+    let groups = leading_groups(&ui, DeviceKind::Touch, 0, 5, 20);
     for g in &groups {
         for q in &g.queries {
             let a = disk.execute(q).expect("disk");
@@ -98,8 +97,7 @@ fn optimizations_never_change_executed_results() {
     db.register(road.clone());
     let mem = MemBackend::over(db);
     let ui = CrossfilterUi::for_road();
-    let session = simulate_session(DeviceKind::Mouse, 1, 9, &ui);
-    let groups = compile_leading_groups(&ui, &session.trace, 60);
+    let groups = leading_groups(&ui, DeviceKind::Mouse, 1, 9, 60);
 
     let sketch = HistogramSketch::new(road, 1_500, 9);
     let raw = replay_raw(&mem, &groups).expect("raw");
