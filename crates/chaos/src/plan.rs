@@ -8,6 +8,9 @@
 //! thread interleaving, which is what makes same-seed runs bit-identical
 //! even under parallel execution.
 
+use std::fmt;
+
+use ids_engine::Query;
 use ids_simclock::rng::{label_hash, splitmix64, SimRng};
 use ids_simclock::{SimDuration, SimTime};
 
@@ -332,14 +335,59 @@ impl FaultPlanBuilder {
     }
 }
 
-/// Fingerprint of a query's canonical rendering. Two structurally
-/// identical queries share a fingerprint; the `attempt` axis in
-/// [`FaultPlan::should_fail`] separates their retries.
+/// Fingerprint of a query: the [`label_hash`] of a frozen text, not SQL.
+/// Every fault decision is keyed by it, and through them every chaos
+/// golden, so neither the text nor the hash changes.
 ///
-/// Hashed with [`label_hash`], whose multiplier every fault decision and
-/// golden depends on.
-pub fn query_fingerprint(query: &ids_engine::Query) -> u64 {
-    label_hash(query.to_string().into_bytes())
+/// The text is lossy: queries that differ only in their projection share
+/// a fingerprint, and so do histograms with equal column, `min` and bin
+/// width. The `attempt` axis in [`FaultPlan::should_fail`] separates the
+/// retries of one query.
+pub fn query_fingerprint(query: &Query) -> u64 {
+    label_hash(FingerprintText(query).to_string().into_bytes())
+}
+
+/// The text [`query_fingerprint`] hashes. Not SQL, and frozen: it elides
+/// projections (`SELECT ...`), spells a histogram by its `min` and width,
+/// and is independent of `Query`'s `Display`, so the SQL renderer can
+/// change without re-keying a fault decision.
+struct FingerprintText<'a>(&'a Query);
+
+impl fmt::Display for FingerprintText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Query::Select(s) => {
+                write!(f, "SELECT ... FROM {} WHERE {}", s.table, s.filter)?;
+                if let Some(l) = s.limit {
+                    write!(f, " LIMIT {l}")?;
+                }
+                if s.offset > 0 {
+                    write!(f, " OFFSET {}", s.offset)?;
+                }
+                Ok(())
+            }
+            Query::Join(j) => write!(
+                f,
+                "SELECT ... FROM (SELECT .. FROM {} LIMIT {} OFFSET {}) JOIN {} ON {} = {}",
+                j.left,
+                j.limit.map_or_else(|| "ALL".into(), |l| l.to_string()),
+                j.offset,
+                j.right,
+                j.left_key,
+                j.right_key
+            ),
+            Query::Histogram { table, bins, filter } => write!(
+                f,
+                "SELECT ROUND(({} - {}) / {:.6}), COUNT(*) FROM {table} WHERE {filter} GROUP BY 1 ORDER BY 1",
+                bins.column,
+                bins.min,
+                bins.width(),
+            ),
+            Query::Count { table, filter } => {
+                write!(f, "SELECT COUNT(*) FROM {table} WHERE {filter}")
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -502,5 +550,57 @@ mod tests {
         let b = Query::count("t", Predicate::between("x", 0.0, 2.0));
         assert_eq!(query_fingerprint(&a), query_fingerprint(&a));
         assert_ne!(query_fingerprint(&a), query_fingerprint(&b));
+    }
+
+    /// One query of each shape, its text byte for byte, and one hash:
+    /// a change to any of them re-keys every fault decision.
+    #[test]
+    fn fingerprint_text_is_frozen() {
+        use ids_engine::{sql, JoinSpec, Projection};
+        let parse = |text: &str| sql::parse(text).expect("parses");
+        let histogram = parse(
+            "SELECT HISTOGRAM(y, 56.582, 57.774, 20) FROM dataroad \
+             WHERE x BETWEEN 8.146 AND 11.26 AND z >= -8.608",
+        );
+        let join = Query::Join(JoinSpec {
+            left: "imdbrating".into(),
+            right: "movie".into(),
+            left_key: "id".into(),
+            right_key: "id".into(),
+            projection: vec![Projection::column("rating"), Projection::column("title")],
+            limit: Some(100),
+            offset: 100,
+        });
+        let frozen = [
+            (
+                parse(
+                    "SELECT title, title || '(' || year || ')' FROM imdb \
+                     WHERE rating >= 7.5 LIMIT 100 OFFSET 200",
+                ),
+                "SELECT ... FROM imdb WHERE rating >= 7.5 LIMIT 100 OFFSET 200",
+            ),
+            (
+                join,
+                "SELECT ... FROM (SELECT .. FROM imdbrating LIMIT 100 OFFSET 100) \
+                 JOIN movie ON id = id",
+            ),
+            (
+                histogram.clone(),
+                "SELECT ROUND((y - 56.582) / 0.059600), COUNT(*) FROM dataroad \
+                 WHERE (x BETWEEN 8.146 AND 11.26) AND (z >= -8.608) GROUP BY 1 ORDER BY 1",
+            ),
+            (
+                parse(
+                    "SELECT COUNT(*) FROM listings \
+                     WHERE price <= 100 AND (guests >= 2 OR NOT rating BETWEEN 0 AND 3.5)",
+                ),
+                "SELECT COUNT(*) FROM listings WHERE (price <= 100) AND \
+                 ((guests >= 2) OR (NOT (rating BETWEEN 0 AND 3.5)))",
+            ),
+        ];
+        for (query, text) in &frozen {
+            assert_eq!(FingerprintText(query).to_string(), *text);
+        }
+        assert_eq!(query_fingerprint(&histogram), 0x5bbb_9894_67ad_71fd);
     }
 }

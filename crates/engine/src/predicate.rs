@@ -281,7 +281,13 @@ impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Predicate::True => write!(f, "TRUE"),
-            Predicate::Cmp { column, op, value } => write!(f, "{column} {op} {value}"),
+            Predicate::Cmp { column, op, value } => {
+                write!(f, "{column} {op} ")?;
+                match value {
+                    Value::Str(s) => crate::sql::write_quoted(f, s),
+                    number => write!(f, "{number}"),
+                }
+            }
             Predicate::Between { column, lo, hi } => {
                 write!(f, "{column} BETWEEN {lo} AND {hi}")
             }
@@ -414,7 +420,7 @@ mod tests {
     #[test]
     fn display_round_trips_visually() {
         let p = Predicate::and([Predicate::between("x", 1.0, 2.0), Predicate::eq("s", "a")]);
-        assert_eq!(p.to_string(), "(x BETWEEN 1 AND 2) AND (s = a)");
+        assert_eq!(p.to_string(), "(x BETWEEN 1 AND 2) AND (s = 'a')");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   (crossfiltering, case study 2);
 //! - **Count** — filtered cardinality (widget result counts, case study 3).
 
-use std::fmt;
 use std::sync::Arc;
 
+use crate::backend::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::predicate::Predicate;
 use crate::table::Table;
@@ -315,42 +315,32 @@ impl Query {
             Query::Join(_) => None,
         }
     }
-}
 
-impl fmt::Display for Query {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Query::Select(s) => {
-                write!(f, "SELECT ... FROM {} WHERE {}", s.table, s.filter)?;
-                if let Some(l) = s.limit {
-                    write!(f, " LIMIT {l}")?;
+    /// Checks this query against `db`'s catalog before anything
+    /// executes: rejects an unknown table ([`EngineError::UnknownTable`]),
+    /// unknown projected or filtered columns
+    /// ([`EngineError::UnknownColumn`]) and a non-numeric histogram column
+    /// ([`EngineError::TypeMismatch`]). A join is checked only for its
+    /// left table; the dialect cannot spell one.
+    pub fn validate(&self, db: &Database) -> EngineResult<()> {
+        let table = db.table(self.table())?;
+        let filter = match self {
+            Query::Select(spec) => {
+                for proj in &spec.projection {
+                    for col in proj.referenced_columns() {
+                        table.column(col)?;
+                    }
                 }
-                if s.offset > 0 {
-                    write!(f, " OFFSET {}", s.offset)?;
-                }
-                Ok(())
+                &spec.filter
             }
-            Query::Join(j) => write!(
-                f,
-                "SELECT ... FROM (SELECT .. FROM {} LIMIT {} OFFSET {}) JOIN {} ON {} = {}",
-                j.left,
-                j.limit.map_or_else(|| "ALL".into(), |l| l.to_string()),
-                j.offset,
-                j.right,
-                j.left_key,
-                j.right_key
-            ),
-            Query::Histogram { table, bins, filter } => write!(
-                f,
-                "SELECT ROUND(({} - {}) / {:.6}), COUNT(*) FROM {table} WHERE {filter} GROUP BY 1 ORDER BY 1",
-                bins.column,
-                bins.min,
-                bins.width(),
-            ),
-            Query::Count { table, filter } => {
-                write!(f, "SELECT COUNT(*) FROM {table} WHERE {filter}")
+            Query::Histogram { bins, filter, .. } => {
+                bins.column_in(&table)?;
+                filter
             }
-        }
+            Query::Count { filter, .. } => filter,
+            Query::Join(_) => return Ok(()),
+        };
+        filter.validate(&table)
     }
 }
 
@@ -449,22 +439,27 @@ mod tests {
             right: "r".into(),
             left_key: "id".into(),
             right_key: "id".into(),
-            projection: vec![],
+            projection: vec![Projection::title_with_year("title", "year")],
             limit: Some(10),
             offset: 100,
         });
         assert_eq!(j.table(), "l");
         assert!(j.filter().is_none());
+        assert_eq!(
+            j.to_string(),
+            "SELECT title || '(' || year || ')' FROM (SELECT * FROM l LIMIT 10 OFFSET 100) \
+             JOIN r ON id = id"
+        );
     }
 
     #[test]
     fn display_shapes() {
         let q = Query::select("imdb", vec![], Predicate::True, Some(100), 200);
-        assert_eq!(
-            q.to_string(),
-            "SELECT ... FROM imdb WHERE TRUE LIMIT 100 OFFSET 200"
-        );
+        assert_eq!(q.to_string(), "SELECT * FROM imdb LIMIT 100 OFFSET 200");
         let h = Query::histogram("road", BinSpec::new("y", 0.0, 20.0, 20), Predicate::True);
-        assert!(h.to_string().contains("GROUP BY 1 ORDER BY 1"));
+        assert_eq!(
+            h.to_string(),
+            "SELECT HISTOGRAM(y, 0, 20, 20), COUNT(*) FROM road GROUP BY 1 ORDER BY 1"
+        );
     }
 }

@@ -1,9 +1,9 @@
-//! SQL front-end: tokenizer, canonical AST, binder, and lowering.
+//! SQL front-end: tokenizer, parser, and the one SQL renderer.
 //!
 //! The case studies write their workloads as SQL (Sections 6–7); this
-//! module parses those statements — and the obvious variations — into a
-//! canonical [`Statement`]/[`Expr`] AST that the binder, the
-//! [`planner`](crate::planner), and execution all consume:
+//! module parses those statements — and the obvious variations —
+//! straight into the logical [`Query`] that the
+//! [`planner`](crate::planner) and the executor consume:
 //!
 //! ```sql
 //! SELECT title, rating FROM imdb LIMIT 100 OFFSET 200
@@ -18,22 +18,17 @@
 //! general scalar arithmetic. String concatenation projections
 //! (`title || '(' || year || ')'`) are supported verbatim.
 //!
-//! Three entry points, in increasing strictness:
+//! [`parse`] consults no catalog: syntax errors are
+//! [`EngineError::SqlParse`] with the byte offset of the offending token,
+//! and unknown tables and columns surface when the query executes, or
+//! before that through [`Query::validate`].
 //!
-//! * [`parse_statement`] — text → [`Statement`]. Syntax errors are
-//!   [`EngineError::SqlParse`] with the byte offset of the offending
-//!   token.
-//! * [`parse`] — text → logical [`Query`], catalog-free (unknown tables
-//!   and columns surface at execution time, as before).
-//! * [`bind`] — [`Statement`] + catalog → [`Query`], rejecting unknown
-//!   tables ([`EngineError::UnknownTable`]), unknown columns
-//!   ([`EngineError::UnknownColumn`]) and non-numeric histogram columns
-//!   ([`EngineError::TypeMismatch`]) before anything executes.
-//!
-//! The AST renders back to SQL via `Display`, and the render is
-//! guaranteed to reparse to an identical tree (see the seeded
-//! round-trip fuzz test) — which is what lets `EXPLAIN` output and
-//! shipped plan text embed statements verbatim.
+//! `Query`'s `Display`, defined here next to the parser, is the one SQL
+//! renderer. It emits the dialect [`parse`] reads, and a query the parser
+//! built renders to text that parses back to the same query (the seeded
+//! round-trip tests pin this) — which is what lets `EXPLAIN` output and
+//! shipped plan text embed statements verbatim. A join renders but does
+//! not reparse: the dialect has no join syntax.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,374 +36,118 @@ use std::sync::Arc;
 use crate::backend::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::predicate::{CmpOp, Predicate};
-use crate::query::{BinSpec, ConcatPart, Projection, Query, SelectSpec};
+use crate::query::{BinSpec, ConcatPart, Projection, Query};
 use crate::value::Value;
 
 /// Parses one SQL statement into a logical [`Query`] without consulting
 /// a catalog. Unknown tables/columns surface when the query executes.
 pub fn parse(sql: &str) -> EngineResult<Query> {
-    lower(&parse_statement(sql)?)
+    Parser::new(sql)?.parse_query()
 }
 
-/// Parses one SQL statement into the canonical [`Statement`] AST.
-pub fn parse_statement(sql: &str) -> EngineResult<Statement> {
-    Parser::new(sql)?.parse_statement()
+/// [`parse`] under the name the frozen benchmark calls.
+#[doc(hidden)]
+pub fn parse_statement(sql: &str) -> EngineResult<Query> {
+    parse(sql)
 }
 
-/// Binds a parsed [`Statement`] against a database catalog, producing a
-/// logical [`Query`]. Unlike [`parse`], this rejects unknown tables,
-/// unknown columns, and non-numeric histogram columns up front.
-pub fn bind(db: &Database, stmt: &Statement) -> EngineResult<Query> {
-    let query = lower(stmt)?;
-    let Statement::Select(sel) = stmt;
-    let table = db.table(&sel.table)?;
-    match &query {
-        Query::Select(spec) => {
-            for proj in &spec.projection {
-                for col in proj.referenced_columns() {
-                    table.column(col)?;
-                }
-            }
-            spec.filter.validate(&table)?;
-        }
-        Query::Count { filter, .. } => filter.validate(&table)?,
-        Query::Histogram { bins, filter, .. } => {
-            bins.column_in(&table)?;
-            filter.validate(&table)?;
-        }
-        // The SQL surface never lowers to a join; nothing extra to bind.
-        Query::Join(_) => {}
-    }
-    Ok(query)
+/// [`Query::validate`] followed by a copy, under the name the frozen
+/// benchmark calls.
+#[doc(hidden)]
+pub fn bind(db: &Database, query: &Query) -> EngineResult<Query> {
+    query.validate(db)?;
+    Ok(query.clone())
 }
 
 // ---------------------------------------------------------------------------
-// AST
+// Rendering
 // ---------------------------------------------------------------------------
 
-/// A parsed SQL statement. The surface is SELECT-only today; the enum
-/// exists so future statement kinds extend the AST rather than the
-/// parser's return type.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
-    /// A `SELECT ...` statement.
-    Select(SelectStatement),
-}
-
-/// The body of a `SELECT` statement, mirroring the textual clause order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectStatement {
-    /// Projection list (`*`, `COUNT(*)`, `HISTOGRAM(...)`, or expressions).
-    pub items: Vec<SelectItem>,
-    /// Table named in `FROM`.
-    pub table: String,
-    /// `WHERE` clause, if present.
-    pub filter: Option<Expr>,
-    /// `GROUP BY 1` was present (histogram statements only).
-    pub group_by_1: bool,
-    /// `ORDER BY 1` was present (histogram statements only).
-    pub order_by_1: bool,
-    /// `LIMIT n`, if present.
-    pub limit: Option<usize>,
-    /// `OFFSET n`, if present.
-    pub offset: Option<usize>,
-}
-
-/// One entry in a `SELECT` projection list.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
-    /// `*` — every column.
-    Star,
-    /// `COUNT(*)`.
-    CountStar,
-    /// `HISTOGRAM(column, min, max, bins)` — the paper's equi-width
-    /// `ROUND((col - min) / width)` binning as a named aggregate.
-    Histogram {
-        /// Column being binned.
-        column: String,
-        /// Inclusive domain minimum.
-        min: f64,
-        /// Inclusive domain maximum.
-        max: f64,
-        /// Number of equi-width bins.
-        bins: usize,
-    },
-    /// A scalar projection expression (column or `||` concatenation).
-    Expr(Expr),
-}
-
-/// An expression: scalar (projections) or boolean (`WHERE` clauses).
-/// One enum for both, as in the snippet-2 shape — the parser only
-/// produces well-formed combinations, and `lower` rejects the rest.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
-    /// A column reference.
-    Column(String),
-    /// A numeric literal.
-    Number(f64),
-    /// A string literal.
-    Str(String),
-    /// `a || 'lit' || b` concatenation (parts are columns or strings).
-    Concat(Vec<Expr>),
-    /// The literal `TRUE`.
-    True,
-    /// `column BETWEEN lo AND hi` (inclusive both ends).
-    Between {
-        /// Column tested.
-        column: String,
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
-    /// `column <op> literal` comparison.
-    Cmp {
-        /// Column on the left-hand side.
-        column: String,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Right-hand literal ([`Expr::Number`] or [`Expr::Str`]).
-        rhs: Box<Expr>,
-    },
-    /// Conjunction of two or more terms.
-    And(Vec<Expr>),
-    /// Disjunction of two or more terms.
-    Or(Vec<Expr>),
-    /// Negation of one term.
-    Not(Box<Expr>),
-}
-
-fn quote_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+/// Writes `s` as a single-quoted SQL string literal, `'` doubled.
+pub(crate) fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "'{}'", s.replace('\'', "''"))
 }
 
-impl fmt::Display for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Parenthesize a sub-term when the grammar demands an atom (or
-        // an AND-level term) but the term binds looser. This is what
-        // makes `render → reparse` the identity on parser output.
-        fn atom(f: &mut fmt::Formatter<'_>, e: &Expr) -> fmt::Result {
-            if matches!(e, Expr::And(_) | Expr::Or(_)) {
-                write!(f, "({e})")
-            } else {
-                write!(f, "{e}")
-            }
+/// `*` for the empty projection, else the comma-separated expressions.
+fn write_projection(f: &mut fmt::Formatter<'_>, projection: &[Projection]) -> fmt::Result {
+    if projection.is_empty() {
+        return write!(f, "*");
+    }
+    for (i, proj) in projection.iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
         }
-        match self {
-            Expr::Column(c) => write!(f, "{c}"),
-            Expr::Number(x) => write!(f, "{x}"),
-            Expr::Str(s) => quote_str(f, s),
-            Expr::Concat(parts) => {
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
+        match proj {
+            Projection::Column(c) => write!(f, "{c}")?,
+            Projection::Concat(parts) => {
+                for (j, part) in parts.iter().enumerate() {
+                    if j > 0 {
                         write!(f, " || ")?;
                     }
-                    write!(f, "{p}")?;
-                }
-                Ok(())
-            }
-            Expr::True => write!(f, "TRUE"),
-            Expr::Between { column, lo, hi } => {
-                write!(f, "{column} BETWEEN {lo} AND {hi}")
-            }
-            Expr::Cmp { column, op, rhs } => write!(f, "{column} {op} {rhs}"),
-            Expr::And(terms) => {
-                for (i, t) in terms.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " AND ")?;
-                    }
-                    atom(f, t)?;
-                }
-                Ok(())
-            }
-            Expr::Or(terms) => {
-                for (i, t) in terms.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " OR ")?;
-                    }
-                    if matches!(t, Expr::Or(_)) {
-                        write!(f, "({t})")?;
-                    } else {
-                        write!(f, "{t}")?;
+                    match part {
+                        ConcatPart::Column(c) => write!(f, "{c}")?,
+                        ConcatPart::Literal(s) => write_quoted(f, s)?,
                     }
                 }
-                Ok(())
-            }
-            Expr::Not(inner) => {
-                write!(f, "NOT ")?;
-                atom(f, inner)
             }
         }
     }
+    Ok(())
 }
 
-impl fmt::Display for SelectItem {
+/// ` WHERE filter`, or nothing when the filter is `TRUE`.
+fn write_where(f: &mut fmt::Formatter<'_>, filter: &Predicate) -> fmt::Result {
+    match filter {
+        Predicate::True => Ok(()),
+        filter => write!(f, " WHERE {filter}"),
+    }
+}
+
+/// ` LIMIT n` when there is a limit, ` OFFSET n` when the offset is not 0.
+fn write_page(f: &mut fmt::Formatter<'_>, limit: Option<usize>, offset: usize) -> fmt::Result {
+    if let Some(limit) = limit {
+        write!(f, " LIMIT {limit}")?;
+    }
+    if offset > 0 {
+        write!(f, " OFFSET {offset}")?;
+    }
+    Ok(())
+}
+
+impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SelectItem::Star => write!(f, "*"),
-            SelectItem::CountStar => write!(f, "COUNT(*)"),
-            SelectItem::Histogram {
-                column,
-                min,
-                max,
-                bins,
-            } => write!(f, "HISTOGRAM({column}, {min}, {max}, {bins})"),
-            SelectItem::Expr(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl fmt::Display for SelectStatement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SELECT ")?;
-        for (i, item) in self.items.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
+            Query::Select(s) => {
+                write!(f, "SELECT ")?;
+                write_projection(f, &s.projection)?;
+                write!(f, " FROM {}", s.table)?;
+                write_where(f, &s.filter)?;
+                write_page(f, s.limit, s.offset)
             }
-            write!(f, "{item}")?;
-        }
-        write!(f, " FROM {}", self.table)?;
-        if let Some(filter) = &self.filter {
-            write!(f, " WHERE {filter}")?;
-        }
-        if self.group_by_1 {
-            write!(f, " GROUP BY 1")?;
-        }
-        if self.order_by_1 {
-            write!(f, " ORDER BY 1")?;
-        }
-        if let Some(limit) = self.limit {
-            write!(f, " LIMIT {limit}")?;
-        }
-        if let Some(offset) = self.offset {
-            write!(f, " OFFSET {offset}")?;
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for Statement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Statement::Select(s) = self;
-        write!(f, "{s}")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lowering: Statement → Query
-// ---------------------------------------------------------------------------
-
-fn lower_error(msg: impl Into<String>) -> EngineError {
-    EngineError::SqlParse {
-        pos: 0,
-        msg: msg.into(),
-    }
-}
-
-fn lower_predicate(expr: &Expr) -> EngineResult<Predicate> {
-    match expr {
-        Expr::True => Ok(Predicate::True),
-        Expr::Between { column, lo, hi } => Ok(Predicate::between(column.as_str(), *lo, *hi)),
-        Expr::Cmp { column, op, rhs } => {
-            let value = match rhs.as_ref() {
-                Expr::Number(x) => Value::Float(*x),
-                Expr::Str(s) => Value::from(s.clone()),
-                other => return Err(lower_error(format!("bad comparison operand: {other}"))),
-            };
-            Ok(Predicate::Cmp {
-                column: Arc::from(column.as_str()),
-                op: *op,
-                value,
-            })
-        }
-        Expr::And(terms) => Ok(Predicate::and(
-            terms
-                .iter()
-                .map(lower_predicate)
-                .collect::<EngineResult<Vec<_>>>()?,
-        )),
-        Expr::Or(terms) => Ok(Predicate::Or(
-            terms
-                .iter()
-                .map(lower_predicate)
-                .collect::<EngineResult<Vec<_>>>()?,
-        )),
-        Expr::Not(inner) => Ok(Predicate::Not(Box::new(lower_predicate(inner)?))),
-        other => Err(lower_error(format!("not a boolean expression: {other}"))),
-    }
-}
-
-fn lower_projection(expr: &Expr) -> EngineResult<Projection> {
-    match expr {
-        Expr::Column(c) => Ok(Projection::Column(Arc::from(c.as_str()))),
-        Expr::Concat(parts) => {
-            let parts = parts
-                .iter()
-                .map(|p| match p {
-                    Expr::Column(c) => Ok(ConcatPart::Column(Arc::from(c.as_str()))),
-                    Expr::Str(s) => Ok(ConcatPart::Literal(Arc::from(s.as_str()))),
-                    other => Err(lower_error(format!("bad concat part: {other}"))),
-                })
-                .collect::<EngineResult<Vec<_>>>()?;
-            Ok(Projection::Concat(parts))
-        }
-        other => Err(lower_error(format!("not a projection: {other}"))),
-    }
-}
-
-/// Lowers a [`Statement`] to the logical [`Query`] the executor runs.
-fn lower(stmt: &Statement) -> EngineResult<Query> {
-    let Statement::Select(sel) = stmt;
-    let filter = match &sel.filter {
-        Some(expr) => lower_predicate(expr)?,
-        None => Predicate::True,
-    };
-    match sel.items.as_slice() {
-        [SelectItem::CountStar] => Ok(Query::count(sel.table.as_str(), filter)),
-        [SelectItem::Histogram {
-            column,
-            min,
-            max,
-            bins,
-        }] => Ok(Query::histogram(
-            sel.table.as_str(),
-            BinSpec::new(column.as_str(), *min, *max, *bins),
-            filter,
-        )),
-        [SelectItem::Histogram {
-            column,
-            min,
-            max,
-            bins,
-        }, SelectItem::CountStar] => Ok(Query::histogram(
-            sel.table.as_str(),
-            BinSpec::new(column.as_str(), *min, *max, *bins),
-            filter,
-        )),
-        [SelectItem::Star] => Ok(Query::Select(SelectSpec {
-            table: Arc::from(sel.table.as_str()),
-            projection: Vec::new(),
-            filter,
-            limit: sel.limit,
-            offset: sel.offset.unwrap_or(0),
-        })),
-        items => {
-            let projection = items
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Expr(e) => lower_projection(e),
-                    other => Err(lower_error(format!(
-                        "`{other}` cannot be mixed into a projection list"
-                    ))),
-                })
-                .collect::<EngineResult<Vec<_>>>()?;
-            Ok(Query::Select(SelectSpec {
-                table: Arc::from(sel.table.as_str()),
-                projection,
+            Query::Join(j) => {
+                write!(f, "SELECT ")?;
+                write_projection(f, &j.projection)?;
+                write!(f, " FROM (SELECT * FROM {}", j.left)?;
+                write_page(f, j.limit, j.offset)?;
+                write!(f, ") JOIN {} ON {} = {}", j.right, j.left_key, j.right_key)
+            }
+            Query::Histogram {
+                table,
+                bins,
                 filter,
-                limit: sel.limit,
-                offset: sel.offset.unwrap_or(0),
-            }))
+            } => {
+                write!(
+                    f,
+                    "SELECT HISTOGRAM({}, {}, {}, {}), COUNT(*) FROM {table}",
+                    bins.column, bins.min, bins.max, bins.bins
+                )?;
+                write_where(f, filter)?;
+                write!(f, " GROUP BY 1 ORDER BY 1")
+            }
+            Query::Count { table, filter } => {
+                write!(f, "SELECT COUNT(*) FROM {table}")?;
+                write_where(f, filter)
+            }
         }
     }
 }
@@ -427,7 +166,6 @@ enum Token {
     Le,     // <=
     Ge,     // >=
     Ne,     // <>
-    Star,
     Eof,
 }
 
@@ -442,14 +180,14 @@ impl fmt::Display for Token {
             Token::Le => write!(f, "`<=`"),
             Token::Ge => write!(f, "`>=`"),
             Token::Ne => write!(f, "`<>`"),
-            Token::Star => write!(f, "`*`"),
             Token::Eof => write!(f, "end of input"),
         }
     }
 }
 
-/// Tokenizes `sql` into `(token, byte offset)` pairs. The only lexical
-/// error is an unterminated string literal.
+/// Tokenizes `sql` into `(token, byte offset)` pairs. The lexical errors
+/// are an unterminated string literal and a numeric literal that is
+/// malformed or not finite.
 fn tokenize(sql: &str) -> EngineResult<Vec<(Token, usize)>> {
     let mut tokens = Vec::new();
     let chars: Vec<(usize, char)> = sql.char_indices().collect();
@@ -501,10 +239,6 @@ fn tokenize(sql: &str) -> EngineResult<Vec<(Token, usize)>> {
                 tokens.push((Token::Ne, at));
                 i += 2;
             }
-            '*' => {
-                tokens.push((Token::Star, at));
-                i += 1;
-            }
             c if c.is_ascii_digit()
                 || (c == '.' && chars.get(i + 1).is_some_and(|&(_, d)| d.is_ascii_digit())) =>
             {
@@ -523,12 +257,17 @@ fn tokenize(sql: &str) -> EngineResult<Vec<(Token, usize)>> {
                     i += 1;
                 }
                 let text: String = chars[start..i].iter().map(|&(_, c)| c).collect();
+                // An overflowing literal parses to infinity, which renders
+                // as `inf` — text the parser does not read back.
                 match text.parse::<f64>() {
-                    Ok(x) => tokens.push((Token::Number(x), at)),
-                    Err(_) => {
+                    Ok(x) if x.is_finite() => tokens.push((Token::Number(x), at)),
+                    parsed => {
                         return Err(EngineError::SqlParse {
                             pos: at,
-                            msg: format!("malformed numeric literal `{text}`"),
+                            msg: match parsed {
+                                Ok(_) => format!("numeric literal `{text}` is out of range"),
+                                Err(_) => format!("malformed numeric literal `{text}`"),
+                            },
                         })
                     }
                 }
@@ -573,12 +312,6 @@ impl Parser {
 
     fn peek(&self) -> &Token {
         self.tokens.get(self.pos).map_or(&Token::Eof, |(t, _)| t)
-    }
-
-    fn peek2(&self) -> &Token {
-        self.tokens
-            .get(self.pos + 1)
-            .map_or(&Token::Eof, |(t, _)| t)
     }
 
     /// Byte offset of the current token (end of input at EOF).
@@ -656,115 +389,95 @@ impl Parser {
     fn count_star(&mut self) -> EngineResult<()> {
         self.expect_keyword("COUNT")?;
         self.expect_symbol('(')?;
-        if !matches!(self.peek(), Token::Star) {
+        if !self.eat_symbol('*') {
             return Err(self.error("expected COUNT(*)"));
         }
-        self.pos += 1;
         self.expect_symbol(')')
     }
 
-    fn parse_statement(&mut self) -> EngineResult<Statement> {
-        self.expect_keyword("SELECT")?;
+    /// Whether the next tokens are `name(`.
+    fn peek_call(&self, name: &str) -> bool {
+        self.peek_keyword(name)
+            && matches!(self.tokens.get(self.pos + 1), Some((Token::Symbol('('), _)))
+    }
 
-        // COUNT(*) → count statement.
-        if self.peek_keyword("COUNT") && self.peek2() == &Token::Symbol('(') {
-            self.count_star()?;
-            self.expect_keyword("FROM")?;
-            let table = self.ident()?;
-            let filter = self.parse_optional_where()?;
-            self.expect_end()?;
-            return Ok(Statement::Select(SelectStatement {
-                items: vec![SelectItem::CountStar],
-                table,
-                filter,
-                group_by_1: false,
-                order_by_1: false,
-                limit: None,
-                offset: None,
-            }));
+    /// A number that must be a non-negative integer; `what` names it in
+    /// the error.
+    fn usize_literal(&mut self, what: &str) -> EngineResult<usize> {
+        let at = self.at();
+        let n = self.number()?;
+        if n < 0.0 || n.fract() != 0.0 {
+            return Err(EngineError::SqlParse {
+                pos: at,
+                msg: format!("{what} must be a non-negative integer, got {n}"),
+            });
+        }
+        Ok(n as usize)
+    }
+
+    fn parse_query(&mut self) -> EngineResult<Query> {
+        /// What the select list asks for.
+        enum Shape {
+            Count,
+            Histogram(BinSpec),
+            Select(Vec<Projection>),
         }
 
-        // HISTOGRAM(col, min, max, bins) [, COUNT(*)] → histogram statement.
-        if self.peek_keyword("HISTOGRAM") && self.peek2() == &Token::Symbol('(') {
-            self.pos += 1;
-            self.expect_symbol('(')?;
+        self.expect_keyword("SELECT")?;
+        let shape = if self.peek_call("COUNT") {
+            self.count_star()?;
+            Shape::Count
+        } else if self.peek_call("HISTOGRAM") {
+            self.pos += 2;
             let column = self.ident()?;
             self.expect_symbol(',')?;
             let min = self.number()?;
             self.expect_symbol(',')?;
             let max = self.number()?;
             self.expect_symbol(',')?;
-            let bins_at = self.at();
-            let bins_raw = self.number()?;
-            if bins_raw < 0.0 || bins_raw.fract() != 0.0 {
-                return Err(EngineError::SqlParse {
-                    pos: bins_at,
-                    msg: format!("bin count must be a non-negative integer, got {bins_raw}"),
-                });
-            }
+            let bins = self.usize_literal("the bin count")?;
             self.expect_symbol(')')?;
-            let mut items = vec![SelectItem::Histogram {
-                column,
-                min,
-                max,
-                bins: bins_raw as usize,
-            }];
+            // The per-bin count is what a histogram returns anyway.
             if self.eat_symbol(',') {
                 self.count_star()?;
-                items.push(SelectItem::CountStar);
             }
-            self.expect_keyword("FROM")?;
-            let table = self.ident()?;
-            let filter = self.parse_optional_where()?;
-            // Optional GROUP BY 1 [ORDER BY 1] — positional references
-            // to the binning expression, as the paper writes them.
-            let group_by_1 = self.parse_positional_ref("GROUP")?;
-            let order_by_1 = self.parse_positional_ref("ORDER")?;
-            self.expect_end()?;
-            return Ok(Statement::Select(SelectStatement {
-                items,
-                table,
-                filter,
-                group_by_1,
-                order_by_1,
-                limit: None,
-                offset: None,
-            }));
-        }
-
-        // Plain select with a projection list.
-        let items = self.parse_projection_list()?;
+            Shape::Histogram(BinSpec::new(column, min, max, bins))
+        } else {
+            Shape::Select(self.parse_projection_list()?)
+        };
         self.expect_keyword("FROM")?;
         let table = self.ident()?;
         let filter = self.parse_optional_where()?;
-        let mut limit = None;
-        let mut offset = None;
-        if self.eat_keyword("LIMIT") {
-            let at = self.at();
-            let n = self.number()?;
-            limit = Some(usize_literal(n, at, "LIMIT")?);
-        }
-        if self.eat_keyword("OFFSET") {
-            let at = self.at();
-            let n = self.number()?;
-            offset = Some(usize_literal(n, at, "OFFSET")?);
-        }
+        let query = match shape {
+            Shape::Count => Query::count(table, filter),
+            Shape::Histogram(bins) => {
+                // Optional GROUP BY 1 [ORDER BY 1] — positional references
+                // to the binning expression, as the paper writes them.
+                self.parse_positional_ref("GROUP")?;
+                self.parse_positional_ref("ORDER")?;
+                Query::histogram(table, bins, filter)
+            }
+            Shape::Select(projection) => {
+                let mut limit = None;
+                if self.eat_keyword("LIMIT") {
+                    limit = Some(self.usize_literal("LIMIT")?);
+                }
+                let mut offset = 0;
+                if self.eat_keyword("OFFSET") {
+                    offset = self.usize_literal("OFFSET")?;
+                }
+                Query::select(table, projection, filter, limit, offset)
+            }
+        };
         self.expect_end()?;
-        Ok(Statement::Select(SelectStatement {
-            items,
-            table,
-            filter,
-            group_by_1: false,
-            order_by_1: false,
-            limit,
-            offset,
-        }))
+        Ok(query)
     }
 
-    /// `GROUP BY 1` / `ORDER BY 1` — the paper's positional spelling.
-    fn parse_positional_ref(&mut self, kw: &str) -> EngineResult<bool> {
+    /// `GROUP BY 1` / `ORDER BY 1` — the paper's positional spelling,
+    /// accepted and dropped: a histogram is grouped and ordered by bin.
+    fn parse_positional_ref(&mut self, kw: &str) -> EngineResult<()> {
         if !self.eat_keyword(kw) {
-            return Ok(false);
+            return Ok(());
         }
         self.expect_keyword("BY")?;
         let at = self.at();
@@ -775,7 +488,7 @@ impl Parser {
                 msg: format!("only `{kw} BY 1` (the binning expression) is supported, got {n}"),
             });
         }
-        Ok(true)
+        Ok(())
     }
 
     fn expect_end(&mut self) -> EngineResult<()> {
@@ -787,14 +500,14 @@ impl Parser {
         }
     }
 
-    fn parse_projection_list(&mut self) -> EngineResult<Vec<SelectItem>> {
-        if matches!(self.peek(), Token::Star) {
-            self.pos += 1;
-            return Ok(vec![SelectItem::Star]); // `*` = all columns
+    /// The projection list; `*` (every column) is the empty list.
+    fn parse_projection_list(&mut self) -> EngineResult<Vec<Projection>> {
+        if self.eat_symbol('*') {
+            return Ok(Vec::new());
         }
         let mut list = Vec::new();
         loop {
-            list.push(SelectItem::Expr(self.parse_projection()?));
+            list.push(self.parse_projection()?);
             if !self.eat_symbol(',') {
                 break;
             }
@@ -802,14 +515,14 @@ impl Parser {
         Ok(list)
     }
 
-    /// One projection: an identifier, optionally `|| expr || ...`.
-    fn parse_projection(&mut self) -> EngineResult<Expr> {
+    /// One projection: an identifier, optionally `|| part || ...`.
+    fn parse_projection(&mut self) -> EngineResult<Projection> {
         let first_at = self.at();
         let first = self.parse_concat_part()?;
         if self.peek() != &Token::Concat {
             return match first {
-                Expr::Column(_) => Ok(first),
-                _ => Err(EngineError::SqlParse {
+                ConcatPart::Column(c) => Ok(Projection::Column(c)),
+                ConcatPart::Literal(_) => Err(EngineError::SqlParse {
                     pos: first_at,
                     msg: "a bare string literal is not a projection".into(),
                 }),
@@ -820,32 +533,33 @@ impl Parser {
             self.pos += 1;
             parts.push(self.parse_concat_part()?);
         }
-        Ok(Expr::Concat(parts))
+        Ok(Projection::Concat(parts))
     }
 
-    fn parse_concat_part(&mut self) -> EngineResult<Expr> {
+    fn parse_concat_part(&mut self) -> EngineResult<ConcatPart> {
         match self.peek().clone() {
             Token::Ident(w) => {
                 self.pos += 1;
-                Ok(Expr::Column(w))
+                Ok(ConcatPart::Column(Arc::from(w)))
             }
             Token::Str(s) => {
                 self.pos += 1;
-                Ok(Expr::Str(s))
+                Ok(ConcatPart::Literal(Arc::from(s)))
             }
             other => Err(self.error(format!("expected column or string literal, found {other}"))),
         }
     }
 
-    fn parse_optional_where(&mut self) -> EngineResult<Option<Expr>> {
+    /// `WHERE predicate`, or [`Predicate::True`] when there is none.
+    fn parse_optional_where(&mut self) -> EngineResult<Predicate> {
         if self.eat_keyword("WHERE") {
-            Ok(Some(self.parse_or()?))
+            self.parse_or()
         } else {
-            Ok(None)
+            Ok(Predicate::True)
         }
     }
 
-    fn parse_or(&mut self) -> EngineResult<Expr> {
+    fn parse_or(&mut self) -> EngineResult<Predicate> {
         let mut terms = vec![self.parse_and()?];
         while self.eat_keyword("OR") {
             terms.push(self.parse_and()?);
@@ -853,25 +567,23 @@ impl Parser {
         Ok(if terms.len() == 1 {
             terms.pop().expect("one term")
         } else {
-            Expr::Or(terms)
+            Predicate::Or(terms)
         })
     }
 
-    fn parse_and(&mut self) -> EngineResult<Expr> {
+    /// `atom AND atom ...`, conjoined through [`Predicate::and`]: nested
+    /// conjunctions flatten and `TRUE` terms drop out.
+    fn parse_and(&mut self) -> EngineResult<Predicate> {
         let mut terms = vec![self.parse_atom()?];
         while self.eat_keyword("AND") {
             terms.push(self.parse_atom()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one term")
-        } else {
-            Expr::And(terms)
-        })
+        Ok(Predicate::and(terms))
     }
 
-    fn parse_atom(&mut self) -> EngineResult<Expr> {
+    fn parse_atom(&mut self) -> EngineResult<Predicate> {
         if self.eat_keyword("NOT") {
-            return Ok(Expr::Not(Box::new(self.parse_atom()?)));
+            return Ok(Predicate::Not(Box::new(self.parse_atom()?)));
         }
         if self.eat_symbol('(') {
             let inner = self.parse_or()?;
@@ -879,14 +591,14 @@ impl Parser {
             return Ok(inner);
         }
         if self.eat_keyword("TRUE") {
-            return Ok(Expr::True);
+            return Ok(Predicate::True);
         }
         let column = self.ident()?;
         if self.eat_keyword("BETWEEN") {
             let lo = self.number()?;
             self.expect_keyword("AND")?;
             let hi = self.number()?;
-            return Ok(Expr::Between { column, lo, hi });
+            return Ok(Predicate::between(column, lo, hi));
         }
         let op = match self.peek() {
             Token::Symbol('=') => CmpOp::Eq,
@@ -900,29 +612,19 @@ impl Parser {
             }
         };
         self.pos += 1;
-        let rhs = match self.peek().clone() {
+        let value = match self.peek().clone() {
             Token::Str(s) => {
                 self.pos += 1;
-                Expr::Str(s)
+                Value::from(s)
             }
-            _ => Expr::Number(self.number()?),
+            _ => Value::Float(self.number()?),
         };
-        Ok(Expr::Cmp {
-            column,
+        Ok(Predicate::Cmp {
+            column: Arc::from(column),
             op,
-            rhs: Box::new(rhs),
+            value,
         })
     }
-}
-
-fn usize_literal(n: f64, at: usize, clause: &str) -> EngineResult<usize> {
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(EngineError::SqlParse {
-            pos: at,
-            msg: format!("{clause} takes a non-negative integer, got {n}"),
-        });
-    }
-    Ok(n as usize)
 }
 
 #[cfg(test)]
@@ -1037,11 +739,8 @@ mod tests {
 
     #[test]
     fn round_trips_display_of_count() {
-        // parse → display → contains the same pieces.
-        let q = parse("SELECT COUNT(*) FROM imdb WHERE rating BETWEEN 2 AND 4").unwrap();
-        let shown = q.to_string();
-        assert!(shown.contains("COUNT(*)"));
-        assert!(shown.contains("BETWEEN 2 AND 4"));
+        let sql = "SELECT COUNT(*) FROM imdb WHERE rating BETWEEN 2 AND 4";
+        assert_eq!(parse(sql).unwrap().to_string(), sql);
     }
 
     // -- satellite: typed parse errors with positions -----------------------
@@ -1141,6 +840,18 @@ mod tests {
                 pos: 29,
                 msg_contains: "non-negative integer",
             },
+            // Literals that overflow to infinity, which would render as
+            // `inf` and not reparse.
+            Case {
+                sql: "SELECT COUNT(*) FROM imdb WHERE rating < 1e999",
+                pos: 41,
+                msg_contains: "out of range",
+            },
+            Case {
+                sql: "SELECT HISTOGRAM(rating, -1e999, 10, 4) FROM imdb",
+                pos: 26,
+                msg_contains: "out of range",
+            },
             // Positional group/order refs other than 1.
             Case {
                 sql: "SELECT HISTOGRAM(rating, 0, 10, 4) FROM imdb GROUP BY 2",
@@ -1169,213 +880,226 @@ mod tests {
     }
 
     #[test]
-    fn binder_rejects_unknown_tables_and_columns() {
+    fn validate_rejects_unknown_tables_and_columns() {
         let b = backend();
         let db = b.database();
-        let stmt = parse_statement("SELECT COUNT(*) FROM nope").unwrap();
+        let validate = |sql: &str| parse(sql).unwrap().validate(&db);
         assert_eq!(
-            bind(&db, &stmt).unwrap_err(),
+            validate("SELECT COUNT(*) FROM nope").unwrap_err(),
             EngineError::UnknownTable("nope".into())
         );
-        let stmt = parse_statement("SELECT COUNT(*) FROM imdb WHERE missing > 1").unwrap();
         assert!(matches!(
-            bind(&db, &stmt),
+            validate("SELECT COUNT(*) FROM imdb WHERE missing > 1"),
             Err(EngineError::UnknownColumn { column, .. }) if column == "missing"
         ));
-        let stmt = parse_statement("SELECT title, missing FROM imdb").unwrap();
         assert!(matches!(
-            bind(&db, &stmt),
+            validate("SELECT title, missing FROM imdb"),
             Err(EngineError::UnknownColumn { column, .. }) if column == "missing"
         ));
-        let stmt = parse_statement("SELECT HISTOGRAM(title, 0, 10, 4) FROM imdb").unwrap();
         assert!(matches!(
-            bind(&db, &stmt),
+            validate("SELECT HISTOGRAM(title, 0, 10, 4) FROM imdb"),
             Err(EngineError::TypeMismatch { .. })
         ));
-        // A well-formed statement binds to the same query `parse` gives.
-        let sql = "SELECT HISTOGRAM(rating, 0, 10, 4), COUNT(*) FROM imdb WHERE year >= 2005";
-        let stmt = parse_statement(sql).unwrap();
-        // Query carries no PartialEq (predicates hold f64), so compare
-        // the rendered logical queries.
-        assert_eq!(
-            bind(&db, &stmt).unwrap().to_string(),
-            parse(sql).unwrap().to_string()
-        );
+        assert!(validate(
+            "SELECT HISTOGRAM(rating, 0, 10, 4), COUNT(*) FROM imdb WHERE year >= 2005"
+        )
+        .is_ok());
     }
 
-    // -- satellite: seeded render → reparse round-trip fuzz ------------------
+    // -- seeded render → reparse round trips ---------------------------------
 
-    /// The draws the statement generator makes.
+    /// The draws the generators below make.
     trait Draw {
-        fn below(&mut self, n: u64) -> u64;
-        fn column(&mut self) -> String;
-        fn string(&mut self) -> String;
-        fn num(&mut self) -> f64;
-        fn op(&mut self) -> CmpOp;
+        fn below(&mut self, n: usize) -> usize;
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T;
     }
 
     impl Draw for SimRng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.uniform_u64(0, n)
+        fn below(&mut self, n: usize) -> usize {
+            self.uniform_usize(0, n)
         }
 
-        fn column(&mut self) -> String {
-            const COLS: [&str; 5] = ["x", "y", "rating", "year_built", "w_2"];
-            COLS[self.below(COLS.len() as u64) as usize].to_string()
-        }
-
-        fn string(&mut self) -> String {
-            const STRS: [&str; 5] = ["alpha", "it's", "", "(", "two words"];
-            STRS[self.below(STRS.len() as u64) as usize].to_string()
-        }
-
-        fn num(&mut self) -> f64 {
-            const NUMS: [f64; 7] = [-137.361, -8.608, 0.0, 0.5, 8.146, 56.582, 1000.0];
-            NUMS[self.below(NUMS.len() as u64) as usize]
-        }
-
-        fn op(&mut self) -> CmpOp {
-            const OPS: [CmpOp; 6] = [
-                CmpOp::Eq,
-                CmpOp::Ne,
-                CmpOp::Lt,
-                CmpOp::Le,
-                CmpOp::Gt,
-                CmpOp::Ge,
-            ];
-            OPS[self.below(OPS.len() as u64) as usize]
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())]
         }
     }
 
-    fn gen_bool_expr(rng: &mut SimRng, depth: usize) -> Expr {
+    const COLUMNS: &[&str] = &["x", "y", "rating", "year_built", "w_2", "FROM", "LIMIT"];
+    const STRINGS: &[&str] = &["alpha", "it's", "", "(", "two words", "''"];
+    const NUMBERS: &[f64] = &[
+        -137.361, -8.608, -0.0, 0.0, 0.5, 8.146, 56.582, 1000.0, 1e20,
+    ];
+    const OPS: &[CmpOp] = &[
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// A filter in the form the parser builds: conjunctions through
+    /// `Predicate::and`, disjunctions of two or more terms.
+    fn gen_predicate(rng: &mut SimRng, depth: usize) -> Predicate {
         let leaf = depth == 0;
+        let terms = |rng: &mut SimRng| -> Vec<Predicate> {
+            (0..2 + rng.below(2))
+                .map(|_| gen_predicate(rng, depth - 1))
+                .collect()
+        };
         match if leaf { rng.below(4) } else { rng.below(7) } {
-            0 => Expr::True,
-            1 => Expr::Between {
-                column: rng.column(),
-                lo: rng.num(),
-                hi: rng.num(),
-            },
-            2 => Expr::Cmp {
-                column: rng.column(),
-                op: rng.op(),
-                rhs: Box::new(Expr::Number(rng.num())),
-            },
-            3 => Expr::Cmp {
-                column: rng.column(),
-                op: if rng.below(2) == 0 {
-                    CmpOp::Eq
-                } else {
-                    CmpOp::Ne
+            0 => Predicate::True,
+            1 => Predicate::between(rng.pick(COLUMNS), rng.pick(NUMBERS), rng.pick(NUMBERS)),
+            2 | 3 => Predicate::Cmp {
+                column: rng.pick(COLUMNS).into(),
+                op: rng.pick(OPS),
+                value: match rng.below(2) {
+                    0 => Value::Float(rng.pick(NUMBERS)),
+                    _ => Value::from(rng.pick(STRINGS)),
                 },
-                rhs: Box::new(Expr::Str(rng.string())),
             },
-            4 => Expr::And(
-                (0..2 + rng.below(2))
-                    .map(|_| gen_bool_expr(rng, depth - 1))
-                    .collect(),
-            ),
-            5 => Expr::Or(
-                (0..2 + rng.below(2))
-                    .map(|_| gen_bool_expr(rng, depth - 1))
-                    .collect(),
-            ),
-            _ => Expr::Not(Box::new(gen_bool_expr(rng, depth - 1))),
+            4 => Predicate::and(terms(rng)),
+            5 => Predicate::Or(terms(rng)),
+            _ => Predicate::Not(Box::new(gen_predicate(rng, depth - 1))),
         }
     }
 
-    fn gen_projection(rng: &mut SimRng) -> Expr {
+    fn gen_projection(rng: &mut SimRng) -> Projection {
         if rng.below(2) == 0 {
-            Expr::Column(rng.column())
-        } else {
-            Expr::Concat(
-                (0..2 + rng.below(3))
-                    .map(|_| {
-                        if rng.below(2) == 0 {
-                            Expr::Column(rng.column())
-                        } else {
-                            Expr::Str(rng.string())
-                        }
-                    })
-                    .collect(),
-            )
+            return Projection::column(rng.pick(COLUMNS));
+        }
+        let part = |rng: &mut SimRng| match rng.below(2) {
+            0 => ConcatPart::Column(rng.pick(COLUMNS).into()),
+            _ => ConcatPart::Literal(rng.pick(STRINGS).into()),
+        };
+        Projection::Concat((0..2 + rng.below(3)).map(|_| part(rng)).collect())
+    }
+
+    /// A query in the form the parser builds.
+    fn gen_query(rng: &mut SimRng) -> Query {
+        let filter = match rng.below(3) {
+            0 => Predicate::True,
+            _ => gen_predicate(rng, 3),
+        };
+        let table = rng.pick(&["imdb", "dataroad", "listings"]);
+        match rng.below(4) {
+            0 => Query::count(table, filter),
+            1 => {
+                let (min, max) = (rng.pick(NUMBERS), rng.pick(NUMBERS));
+                let bins = BinSpec::new(rng.pick(COLUMNS), min, max, 1 + rng.below(40));
+                Query::histogram(table, bins, filter)
+            }
+            shape => {
+                let projection = match shape {
+                    2 => Vec::new(),
+                    _ => (0..1 + rng.below(3)).map(|_| gen_projection(rng)).collect(),
+                };
+                let limit = (rng.below(2) == 0).then(|| rng.below(500));
+                let offset = if rng.below(2) == 0 { rng.below(500) } else { 0 };
+                Query::select(table, projection, filter, limit, offset)
+            }
         }
     }
 
-    fn gen_statement(rng: &mut SimRng) -> Statement {
-        let filter = if rng.below(3) == 0 {
-            None
-        } else {
-            Some(gen_bool_expr(rng, 3))
-        };
-        let table = ["imdb", "dataroad", "listings"][rng.below(3) as usize].to_string();
-        let stmt = match rng.below(4) {
-            0 => SelectStatement {
-                items: vec![SelectItem::CountStar],
-                table,
-                filter,
-                group_by_1: false,
-                order_by_1: false,
-                limit: None,
-                offset: None,
-            },
-            1 => {
-                let mut items = vec![SelectItem::Histogram {
-                    column: rng.column(),
-                    min: rng.num(),
-                    max: rng.num(),
-                    bins: 1 + rng.below(40) as usize,
-                }];
-                if rng.below(2) == 0 {
-                    items.push(SelectItem::CountStar);
-                }
-                let group_by_1 = rng.below(2) == 0;
-                SelectStatement {
-                    items,
-                    table,
-                    filter,
-                    group_by_1,
-                    // `ORDER BY 1` only renders after `GROUP BY 1` in
-                    // the paper's queries, but the grammar allows both
-                    // independently.
-                    order_by_1: rng.below(2) == 0,
-                    limit: None,
-                    offset: None,
-                }
-            }
-            2 => SelectStatement {
-                items: vec![SelectItem::Star],
-                table,
-                filter,
-                group_by_1: false,
-                order_by_1: false,
-                limit: (rng.below(2) == 0).then(|| rng.below(500) as usize),
-                offset: (rng.below(2) == 0).then(|| rng.below(500) as usize),
-            },
-            _ => SelectStatement {
-                items: (0..1 + rng.below(3))
-                    .map(|_| SelectItem::Expr(gen_projection(rng)))
-                    .collect(),
-                table,
-                filter,
-                group_by_1: false,
-                order_by_1: false,
-                limit: (rng.below(2) == 0).then(|| rng.below(500) as usize),
-                offset: (rng.below(2) == 0).then(|| rng.below(500) as usize),
-            },
-        };
-        Statement::Select(stmt)
+    /// `query` renders to SQL that parses back to the same query.
+    fn assert_round_trips(query: &Query) {
+        let sql = query.to_string();
+        let reparsed =
+            parse(&sql).unwrap_or_else(|e| panic!("render should reparse: {sql:?}: {e}"));
+        assert_eq!(
+            format!("{reparsed:?}"),
+            format!("{query:?}"),
+            "round-trip drift on {sql:?}"
+        );
     }
 
-    /// Render → reparse must be the identity on every generated AST.
+    /// Render → reparse is the identity on every query in parser form.
     #[test]
     fn round_trip_fuzz_render_reparse_identity() {
         check("round_trip_fuzz_render_reparse_identity", 0..500, |rng| {
-            let stmt = gen_statement(rng);
-            let sql = stmt.to_string();
-            let reparsed = parse_statement(&sql)
-                .unwrap_or_else(|e| panic!("render should reparse: {sql:?}: {e}"));
-            assert_eq!(reparsed, stmt, "round-trip drift on {sql:?}");
+            assert_round_trips(&gen_query(rng));
         });
+    }
+
+    /// The tokens hostile input is drawn from, one class per entry:
+    /// keywords (each also an identifier wherever one is expected),
+    /// identifiers, numbers, strings, symbols, stray non-ASCII.
+    const HOSTILE_WORDS: [&[&str]; 7] = [
+        &[
+            "SELECT", "select", "FROM", "WHERE", "AND", "OR", "NOT", "TRUE", "BETWEEN",
+        ],
+        &[
+            "COUNT",
+            "HISTOGRAM",
+            "GROUP",
+            "ORDER",
+            "BY",
+            "LIMIT",
+            "OFFSET",
+        ],
+        &["x", "rating", "_a1", "ünï"],
+        HOSTILE_NUMBERS,
+        &["'a'", "'it''s'", "''", "'", "'two words'"],
+        &[
+            "(", ")", ",", ";", "*", "=", "<", ">", "<=", ">=", "<>", "||", "|", "!", ".",
+        ],
+        &["é", "→", "\u{3000}", "🦀"],
+    ];
+
+    /// Numeric literals, well-formed or not.
+    const HOSTILE_NUMBERS: &[&str] = &[
+        "0", "1", "-", "-0", ".5", "2.5", "-3", "1e20", "1e999", "1e", "1.2.3",
+    ];
+
+    /// Hostile input: drawn tokens — half the time a rendered query with
+    /// some numeric literals swapped and a few tokens inserted, replaced
+    /// or deleted — joined into one statement. `parse` returns a query or
+    /// `SqlParse`, never panics, and every query it returns round-trips.
+    #[test]
+    fn hostile_statements_parse_or_fail_typed_and_round_trip() {
+        const CASES: u32 = 2_000;
+        let mut parsed = 0;
+        check(
+            "hostile_statements_parse_or_fail_typed_and_round_trip",
+            0..CASES,
+            |rng| {
+                let word = |rng: &mut SimRng| {
+                    let class = rng.pick(&HOSTILE_WORDS);
+                    rng.pick(class)
+                };
+                let base = (rng.below(2) == 0).then(|| gen_query(rng).to_string());
+                let mut tokens: Vec<&str> = match &base {
+                    Some(sql) => sql.split(' ').collect(),
+                    None => (0..rng.below(16)).map(|_| word(rng)).collect(),
+                };
+                // Swapping literals keeps most statements well-formed.
+                for token in &mut tokens {
+                    if token.parse::<f64>().is_ok() && rng.below(2) == 0 {
+                        *token = rng.pick(HOSTILE_NUMBERS);
+                    }
+                }
+                for _ in 0..rng.below(4) {
+                    let at = rng.below(tokens.len() + 1);
+                    match rng.below(3) {
+                        0 => tokens.insert(at, word(rng)),
+                        1 if at < tokens.len() => tokens[at] = word(rng),
+                        _ if at < tokens.len() => {
+                            tokens.remove(at);
+                        }
+                        _ => tokens.push(word(rng)),
+                    }
+                }
+                let sql = tokens.join(if rng.below(8) == 0 { "" } else { " " });
+                match parse(&sql) {
+                    Ok(query) => {
+                        parsed += 1;
+                        assert_round_trips(&query);
+                    }
+                    Err(EngineError::SqlParse { .. }) => {}
+                    Err(other) => panic!("{sql:?} failed untyped: {other:?}"),
+                }
+            },
+        );
+        assert!(parsed >= CASES / 20, "only {parsed} of {CASES} parsed");
     }
 }

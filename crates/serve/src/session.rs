@@ -250,15 +250,15 @@ mod tests {
     }
 
     /// Identity key for comparing offered queries (`Query` itself is
-    /// not `PartialEq`; its chaos fingerprint stands in for it).
-    fn key(q: &OfferedQuery) -> (u64, usize, usize, usize, Lane, u64) {
+    /// not `PartialEq`; its exact SQL stands in for it).
+    fn key(q: &OfferedQuery) -> (u64, usize, usize, usize, Lane, String) {
         (
             q.at.as_micros(),
             q.session,
             q.tenant,
             q.seq,
             q.lane,
-            ids_chaos::query_fingerprint(&q.query),
+            q.query.to_string(),
         )
     }
 

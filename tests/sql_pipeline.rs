@@ -111,12 +111,12 @@ fn absurd_bin_count_is_rejected_not_allocated() {
     let db = mem.database();
     db.register(datasets::road_network_sized(1, 100));
 
-    let stmt = sql::parse_statement(
+    let query = sql::parse(
         "SELECT HISTOGRAM(y, 0, 100, 1000000000000000), COUNT(*) FROM dataroad \
          GROUP BY 1 ORDER BY 1",
     )
     .expect("parses");
-    let query = sql::bind(&db, &stmt).expect("binds");
+    query.validate(&db).expect("validates");
     assert!(matches!(
         exec::run_query(&db, &query),
         Err(EngineError::InvalidBinSpec(_))
@@ -137,7 +137,8 @@ fn limit_near_usize_max_saturates() {
     let mem = MemBackend::new();
     let db = mem.database();
     db.register(datasets::road_network_sized(1, 100));
-    let query = sql::bind(&db, &sql::parse_statement(&sql_text).expect("parses")).expect("binds");
+    let query = sql::parse(&sql_text).expect("parses");
+    query.validate(&db).expect("validates");
     let (result, _) = exec::run_query(&db, &query).expect("scan runs");
     assert_eq!(result.rows().expect("rows").len(), 95);
 
