@@ -133,10 +133,12 @@ pub fn run_all(quick: bool, rows: usize, reps: usize) -> Vec<BenchReport> {
         event(brush_2d((0.30, 0.80), (20.0, 95.0))),
     ]
     .concat();
-    // The histogram memo on purpose: a drag of eight brushes whose `t`
-    // edge moves 1 % per step, each issued as its two histograms through
-    // `exec` — every filter a miss, every histogram moving its column's
-    // counts by the rows one step changed.
+    // Both memos on purpose: a drag of eight brushes whose `t` edge moves
+    // 1 % per step, each issued as its two histograms through `exec`.
+    // Each step's filter moves the previous one's `t` range, so the
+    // filter walk starts from the remembered selection and reads `t`
+    // alone, and every histogram moves its column's counts by the rows
+    // one step changed.
     let drag: Vec<Statement> = (0..8)
         .flat_map(|step| event(brush_2d((0.25, 0.50 + 0.01 * step as f64), (10.0, 90.0))))
         .collect();

@@ -225,12 +225,16 @@ pub fn select_vector_with(
     stats: &mut KernelStats,
 ) -> EngineResult<SelectionVector> {
     pred.validate(table)?;
-    eval_pred(table, pred, opts, stats)
+    eval_pred(table, pred, None, opts, stats)
 }
 
-fn eval_pred(
+/// Evaluates `pred`, validated, over every row. `from` starts a
+/// conjunction of leaves at the selection of the filter before it, which
+/// differs in the one range [`Predicate::moved_range`] returns.
+pub(crate) fn eval_pred(
     table: &Table,
     pred: &Predicate,
+    from: Option<(&SelectionVector, (usize, f64, f64))>,
     opts: &KernelOptions,
     stats: &mut KernelStats,
 ) -> EngineResult<SelectionVector> {
@@ -239,13 +243,13 @@ fn eval_pred(
         Predicate::Or(ps) => {
             let mut acc = SelectionVector::none(rows);
             for p in ps {
-                let child = eval_pred(table, p, opts, stats)?;
+                let child = eval_pred(table, p, None, opts, stats)?;
                 acc.union(&child);
             }
             acc
         }
         Predicate::Not(p) => {
-            let mut inner = eval_pred(table, p, opts, stats)?;
+            let mut inner = eval_pred(table, p, None, opts, stats)?;
             inner.negate();
             inner
         }
@@ -254,9 +258,9 @@ fn eval_pred(
         _ => {
             let (mut leaves, mut nested) = (Vec::new(), Vec::new());
             resolve(table, pred, opts, &mut leaves, &mut nested)?;
-            let mut acc = eval_leaves(rows, &leaves, stats);
+            let mut acc = eval_leaves(rows, &leaves, from, stats);
             for p in nested {
-                acc.intersect(&eval_pred(table, p, opts, stats)?);
+                acc.intersect(&eval_pred(table, p, None, opts, stats)?);
             }
             acc
         }
@@ -325,6 +329,19 @@ impl Test {
             Test::Cmp(CmpOp::Ge, v) => and_mask(data, live, |x| to_f64(x) >= v),
         }
     }
+
+    /// One row's test: the comparison [`Test::scan`] makes.
+    fn holds(self, x: f64) -> bool {
+        match self {
+            Test::Range(lo, hi) => x >= lo && x <= hi,
+            Test::Cmp(CmpOp::Eq, v) => x == v,
+            Test::Cmp(CmpOp::Ne, v) => x != v,
+            Test::Cmp(CmpOp::Lt, v) => x < v,
+            Test::Cmp(CmpOp::Le, v) => x <= v,
+            Test::Cmp(CmpOp::Gt, v) => x > v,
+            Test::Cmp(CmpOp::Ge, v) => x >= v,
+        }
+    }
 }
 
 /// One conjunct resolved against its column, once per query, with
@@ -339,6 +356,51 @@ enum Leaf<'a> {
     Int(&'a [i64], Option<&'a ZoneMap>, Test),
     /// String vs string: dictionary codes and a verdict per dictionary entry.
     Dict(&'a [u32], Vec<bool>),
+}
+
+impl<'a> Leaf<'a> {
+    /// The leaf's verdict on block `b` without reading it: `Some(v)`
+    /// when every row tests `v`.
+    fn verdict(&self, b: usize) -> Option<bool> {
+        match self {
+            Leaf::Const(v) => Some(*v),
+            Leaf::Float(_, zone, test) | Leaf::Int(_, zone, test) => test.verdict(*zone, b),
+            Leaf::Dict(..) => None,
+        }
+    }
+
+    /// ANDs the leaf over rows `start..end` into their `live` words and
+    /// returns whether any row is still live.
+    fn scan(&self, start: usize, end: usize, live: &mut [u64]) -> bool {
+        match self {
+            // Never read: its verdict decides every block.
+            Leaf::Const(v) => *v,
+            Leaf::Float(data, _, test) => test.scan(&data[start..end], live, |x| x),
+            Leaf::Int(data, _, test) => test.scan(&data[start..end], live, |x| x as f64),
+            Leaf::Dict(codes, verdicts) => {
+                and_mask(&codes[start..end], live, |c| verdicts[c as usize])
+            }
+        }
+    }
+
+    /// Whether `row` passes, by the comparison [`Leaf::scan`] makes.
+    fn holds(&self, row: usize) -> bool {
+        match self {
+            Leaf::Const(v) => *v,
+            Leaf::Float(data, _, test) => test.holds(data[row]),
+            Leaf::Int(data, _, test) => test.holds(data[row] as f64),
+            Leaf::Dict(codes, verdicts) => verdicts[codes[row] as usize],
+        }
+    }
+
+    /// A numeric leaf's column and zone map under another test.
+    fn retest(&self, test: Test) -> Option<Leaf<'a>> {
+        match *self {
+            Leaf::Float(data, zone, _) => Some(Leaf::Float(data, zone, test)),
+            Leaf::Int(data, zone, _) => Some(Leaf::Int(data, zone, test)),
+            Leaf::Const(_) | Leaf::Dict(..) => None,
+        }
+    }
 }
 
 /// Splits the conjunction `pred` into its resolved `leaves` and the
@@ -399,76 +461,108 @@ fn resolve<'a>(
 }
 
 /// Decides every row against every leaf, one [`ZONE_BLOCK_ROWS`]-row
-/// block at a time: the block's 16 mask words start all-ones on the
-/// stack and each leaf ANDs its verdict in while they are hot, so one
-/// mask is written however many conjuncts there are. A block that ends
-/// empty is neither written nor counted — the mask is allocated zeroed,
-/// so a well-pruned filter never touches most of it.
-fn eval_leaves(len: usize, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> SelectionVector {
+/// block at a time: first every leaf's zone verdict on the block, then
+/// the reads the verdicts leave. A block some leaf rules out stays zero
+/// — the mask is allocated zeroed, so a well-pruned filter never touches
+/// most of it — and a block every leaf decides all-true is filled. The
+/// rest start all-ones in 16 mask words on the stack and each undecided
+/// leaf ANDs its rows in while they are hot.
+///
+/// `from` (a numeric range leaf) replaces reads where it reads less: a
+/// block the moved leaf decides as before keeps its remembered words,
+/// and one that leaves two or more leaves undecided reads the moved
+/// column once — only a row between the old and new lower bounds, or
+/// the upper ones, can change, and each is decided again against every
+/// leaf. Every other block is read cold.
+fn eval_leaves(
+    len: usize,
+    leaves: &[Leaf<'_>],
+    from: Option<(&SelectionVector, (usize, f64, f64))>,
+    stats: &mut KernelStats,
+) -> SelectionVector {
     if leaves.is_empty() {
         // `TRUE`: every row, and its count is known without a popcount pass.
         return SelectionVector::all(len);
     }
+    // The remembered words, the moved leaf's position and old test, and
+    // the spans a changed row lies in.
+    let moved = from.and_then(|(selected, (at, was_lo, was_hi))| {
+        let leaf = &leaves[at];
+        let (Leaf::Float(.., Test::Range(lo, hi)) | Leaf::Int(.., Test::Range(lo, hi))) = leaf
+        else {
+            return None;
+        };
+        let spans: Vec<Leaf<'_>> = [(was_lo, *lo), (was_hi, *hi)]
+            .into_iter()
+            .filter(|(old, new)| old != new)
+            .filter_map(|(a, b)| leaf.retest(Test::Range(a.min(b), a.max(b))))
+            .collect();
+        let old = leaf.retest(Test::Range(was_lo, was_hi))?;
+        Some((selected.words(), at, old, spans))
+    });
     let mut words = vec![0u64; SelectionVector::word_count(len)];
+    let mut verdicts = vec![None; leaves.len()];
     let mut count = 0;
     for (b, out) in words.chunks_mut(BLOCK_WORDS).enumerate() {
         let start = b * ZONE_BLOCK_ROWS;
         let end = (start + ZONE_BLOCK_ROWS).min(len);
+        // The counting rule: every (leaf, block) pair bumps exactly one
+        // counter — `blocks_pruned` when the zone map decided the block,
+        // `blocks_scanned` when it could not — whether or not the data is
+        // then read. That keeps both counters, and every cost priced from
+        // them, independent of conjunct order and of the path below.
+        for (leaf, v) in leaves.iter().zip(&mut verdicts) {
+            *v = leaf.verdict(b);
+            if !matches!(leaf, Leaf::Const(_)) {
+                stats.blocks_pruned += u64::from(v.is_some());
+                stats.blocks_scanned += u64::from(v.is_none());
+            }
+        }
+        if verdicts.contains(&Some(false)) {
+            continue;
+        }
+        let undecided = verdicts.iter().filter(|v| v.is_none()).count();
         let live = &mut [u64::MAX; BLOCK_WORDS][..out.len()];
         if end == len {
             live[out.len() - 1] = SelectionVector::tail_mask(len);
         }
-        // Whether any row of the block can still match.
-        let mut alive = true;
-        for leaf in leaves {
-            match leaf {
-                Leaf::Const(verdict) => alive &= verdict,
-                Leaf::Float(data, zone, test) => {
-                    if must_read(test.verdict(*zone, b), &mut alive, stats) {
-                        alive = test.scan(&data[start..end], live, |x| x);
-                    }
-                }
-                Leaf::Int(data, zone, test) => {
-                    if must_read(test.verdict(*zone, b), &mut alive, stats) {
-                        alive = test.scan(&data[start..end], live, |x| x as f64);
-                    }
-                }
-                Leaf::Dict(codes, verdicts) => {
-                    if must_read(None, &mut alive, stats) {
-                        alive = and_mask(&codes[start..end], live, |c| verdicts[c as usize]);
-                    }
-                }
+        let alive = match &moved {
+            _ if undecided == 0 => true,
+            Some((was, at, old, _))
+                if verdicts[*at].is_some() && old.verdict(b) == verdicts[*at] =>
+            {
+                live.copy_from_slice(&was[b * BLOCK_WORDS..][..live.len()]);
+                true
             }
-        }
+            Some((was, _, _, spans)) if undecided > 1 => {
+                live.copy_from_slice(&was[b * BLOCK_WORDS..][..live.len()]);
+                for span in spans.iter().filter(|span| span.verdict(b) != Some(false)) {
+                    let changed = &mut [u64::MAX; BLOCK_WORDS][..live.len()];
+                    span.scan(start, end, changed);
+                    for (i, (w, &c)) in live.iter_mut().zip(changed.iter()).enumerate() {
+                        for j in (BitIter { word: c }) {
+                            let row = start + 64 * i + j;
+                            match leaves.iter().all(|leaf| leaf.holds(row)) {
+                                true => *w |= 1 << j,
+                                false => *w &= !(1 << j),
+                            }
+                        }
+                    }
+                }
+                true
+            }
+            _ => leaves
+                .iter()
+                .zip(&verdicts)
+                .filter(|(_, v)| v.is_none())
+                .all(|(leaf, _)| leaf.scan(start, end, live)),
+        };
         if alive {
             out.copy_from_slice(live);
             count += live.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         }
     }
     SelectionVector { len, words, count }
-}
-
-/// Counts one (leaf, block) zone verdict, applies it when it decides
-/// the block, and returns whether the block's data must still be read.
-///
-/// The counting rule: every (leaf, block) pair bumps exactly one counter
-/// — `blocks_pruned` when the zone map decided the block,
-/// `blocks_scanned` when it could not — **whether or not the data is
-/// then read**. A block an earlier leaf already emptied skips the read,
-/// not the count, which is what keeps both counters (and every cost
-/// derived from them) independent of conjunct order.
-fn must_read(verdict: Option<bool>, alive: &mut bool, stats: &mut KernelStats) -> bool {
-    match verdict {
-        Some(all_rows) => {
-            stats.blocks_pruned += 1;
-            *alive &= all_rows;
-            false
-        }
-        None => {
-            stats.blocks_scanned += 1;
-            *alive
-        }
-    }
 }
 
 /// ANDs `test` over one block's `data` into `live`, its

@@ -238,6 +238,36 @@ impl Predicate {
         }
     }
 
+    /// Whether `other` is this conjunction with one range moved: both are
+    /// `And`s of single leaves, conjunct for conjunct the
+    /// [`same_filter`](Predicate::same_filter) but for one `Between` on the
+    /// same column. Returns that conjunct's position and its bounds in
+    /// `self`, the start of [`crate::exec::filter_rows`]'s moved walk. All
+    /// four bounds must be non-NaN: the walk's candidate span runs between
+    /// them through `f64::min`/`max`, which skip a NaN.
+    pub(crate) fn moved_range(&self, other: &Predicate) -> Option<(usize, f64, f64)> {
+        let (Predicate::And(a), Predicate::And(b)) = (self, other) else {
+            return None;
+        };
+        let leaf = |p: &Predicate| matches!(p, Predicate::Cmp { .. } | Predicate::Between { .. });
+        if a.len() != b.len() || !a.iter().chain(b).all(leaf) {
+            return None;
+        }
+        let mut moved = a.iter().zip(b).enumerate();
+        let (at, pair) = moved.find(|(_, (x, y))| !x.same_filter(y))?;
+        fn range(p: &Predicate) -> Option<(&str, f64, f64)> {
+            match p {
+                Predicate::Between { column, lo, hi } if !lo.is_nan() && !hi.is_nan() => {
+                    Some((column, *lo, *hi))
+                }
+                _ => None,
+            }
+        }
+        let ((column, lo, hi), (to, ..)) = (range(pair.0)?, range(pair.1)?);
+        let alone = moved.all(|(_, (x, y))| x.same_filter(y));
+        (column == to && alone).then_some((at, lo, hi))
+    }
+
     /// Validates that all referenced columns exist in `table`.
     pub fn validate(&self, table: &Table) -> EngineResult<()> {
         match self {

@@ -18,7 +18,8 @@
 //! general scalar arithmetic. String concatenation projections
 //! (`title || '(' || year || ')'`) are supported verbatim.
 //!
-//! [`parse`] consults no catalog: syntax errors are
+//! [`parse`] consults no catalog: syntax errors, a filter nested deeper
+//! than the parser's fixed bound among them, are
 //! [`EngineError::SqlParse`] with the byte offset of the offending token,
 //! and unknown tables and columns surface when the query executes, or
 //! before that through [`Query::validate`].
@@ -295,10 +296,21 @@ fn tokenize(sql: &str) -> EngineResult<Vec<(Token, usize)>> {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// The deepest filter a statement may build, in nodes from the root to a
+/// leaf. The bound is on the [`Predicate`] built, not the parentheses
+/// read: the renderer parenthesises every `AND`/`OR` term and every
+/// `NOT`, so the text a filter renders to nests deeper than the text it
+/// was parsed from, and anything this bound admits renders to text that
+/// parses back. Filters this deep execute, render and drop on a 2 MiB
+/// thread.
+const MAX_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<(Token, usize)>,
     pos: usize,
     eof_pos: usize,
+    /// `NOT`s and `(`s open at the current token.
+    nesting: usize,
 }
 
 impl Parser {
@@ -307,6 +319,7 @@ impl Parser {
             tokens: tokenize(sql)?,
             pos: 0,
             eof_pos: sql.len(),
+            nesting: 0,
         })
     }
 
@@ -561,32 +574,38 @@ impl Parser {
 
     fn parse_or(&mut self) -> EngineResult<Predicate> {
         let mut terms = vec![self.parse_and()?];
+        let at = self.at();
         while self.eat_keyword("OR") {
             terms.push(self.parse_and()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one term")
-        } else {
-            Predicate::Or(terms)
-        })
+        if terms.len() == 1 {
+            return Ok(terms.pop().expect("one term"));
+        }
+        self.within_depth(at, Predicate::Or(terms))
     }
 
     /// `atom AND atom ...`, conjoined through [`Predicate::and`]: nested
     /// conjunctions flatten and `TRUE` terms drop out.
     fn parse_and(&mut self) -> EngineResult<Predicate> {
         let mut terms = vec![self.parse_atom()?];
+        let at = self.at();
         while self.eat_keyword("AND") {
             terms.push(self.parse_atom()?);
         }
-        Ok(Predicate::and(terms))
+        if terms.len() == 1 {
+            return Ok(terms.pop().expect("one term"));
+        }
+        self.within_depth(at, Predicate::and(terms))
     }
 
     fn parse_atom(&mut self) -> EngineResult<Predicate> {
+        let at = self.at();
         if self.eat_keyword("NOT") {
-            return Ok(Predicate::Not(Box::new(self.parse_atom()?)));
+            let inner = self.nested(at, Self::parse_atom)?;
+            return self.within_depth(at, Predicate::Not(Box::new(inner)));
         }
         if self.eat_symbol('(') {
-            let inner = self.parse_or()?;
+            let inner = self.nested(at, Self::parse_or)?;
             self.expect_symbol(')')?;
             return Ok(inner);
         }
@@ -624,6 +643,48 @@ impl Parser {
             op,
             value,
         })
+    }
+
+    /// Parses what the `NOT` or `(` at byte `at` opens. Rendered text
+    /// opens two (`NOT (`) per level of the filter, so twice
+    /// [`MAX_DEPTH`] lets everything the bound admits reparse, and bounds
+    /// the recursion on redundant parentheses.
+    fn nested(
+        &mut self,
+        at: usize,
+        parse: fn(&mut Parser) -> EngineResult<Predicate>,
+    ) -> EngineResult<Predicate> {
+        if self.nesting == 2 * MAX_DEPTH {
+            return Err(EngineError::SqlParse {
+                pos: at,
+                msg: format!("nested deeper than {} levels", 2 * MAX_DEPTH),
+            });
+        }
+        self.nesting += 1;
+        let inner = parse(self);
+        self.nesting -= 1;
+        inner
+    }
+
+    /// `filter`, built at the token at byte `at`, unless it is deeper
+    /// than [`MAX_DEPTH`].
+    fn within_depth(&self, at: usize, filter: Predicate) -> EngineResult<Predicate> {
+        fn depth(p: &Predicate) -> usize {
+            match p {
+                Predicate::And(ps) | Predicate::Or(ps) => {
+                    1 + ps.iter().map(depth).max().unwrap_or(0)
+                }
+                Predicate::Not(p) => 1 + depth(p),
+                _ => 1,
+            }
+        }
+        if depth(&filter) > MAX_DEPTH {
+            return Err(EngineError::SqlParse {
+                pos: at,
+                msg: format!("filter deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        Ok(filter)
     }
 }
 
@@ -741,6 +802,52 @@ mod tests {
     fn round_trips_display_of_count() {
         let sql = "SELECT COUNT(*) FROM imdb WHERE rating BETWEEN 2 AND 4";
         assert_eq!(parse(sql).unwrap().to_string(), sql);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error_not_a_stack_overflow() {
+        let head = "SELECT COUNT(*) FROM imdb WHERE ";
+        for open in ["(", "NOT "] {
+            let sql = format!("{head}{}rating = 1", open.repeat(100_000));
+            match parse(&sql) {
+                Err(EngineError::SqlParse { pos, .. }) => {
+                    assert_eq!(pos, head.len() + 2 * MAX_DEPTH * open.len(), "{open:?}");
+                }
+                other => panic!("{open:?} x 100,000: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_filter_at_the_depth_bound_runs_renders_and_reparses() {
+        // Levels alternate so that none flattens; the `NOT` chain renders
+        // the deepest text (`NOT (` per level).
+        let shapes: [fn(usize, Predicate) -> Predicate; 2] = [
+            |level, p| match level % 3 {
+                0 => Predicate::And(vec![Predicate::ge("year", 2001.0), p]),
+                1 => Predicate::Not(Box::new(p)),
+                _ => Predicate::Or(vec![p, Predicate::le("rating", 0.5)]),
+            },
+            |_, p| Predicate::Not(Box::new(p)),
+        ];
+        let b = backend();
+        for shape in shapes {
+            let mut filter = Predicate::between("rating", 1.0, 9.0);
+            for level in 1..MAX_DEPTH {
+                filter = shape(level, filter);
+            }
+            let q = Query::count("imdb", filter.clone());
+            q.validate(&b.database()).unwrap();
+            b.execute(&q).unwrap();
+            let sql = q.to_string();
+            assert_eq!(format!("{:?}", parse(&sql).unwrap()), format!("{q:?}"));
+            // One level more is refused.
+            let deeper = Query::count("imdb", shape(MAX_DEPTH, filter)).to_string();
+            match parse(&deeper) {
+                Err(EngineError::SqlParse { msg, .. }) => assert!(msg.contains("deeper"), "{msg}"),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     // -- satellite: typed parse errors with positions -----------------------

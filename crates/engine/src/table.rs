@@ -32,8 +32,12 @@ pub struct Table {
 
 /// What a table remembers between statements: the last filter it
 /// answered (`exec::filter_rows`) and, per column, the last histogram
-/// counted over it (`exec::run_histogram`). Entries sit behind `Arc`s,
-/// so a lookup clones a pointer and a store allocates once.
+/// counted over it (`exec::run_histogram`). The filter entry answers a
+/// repeat, and starts the walk of a filter that moves one of its ranges.
+/// Racing workers each move a consistent (filter, selection) pair, so
+/// the answer is the cold walk's whoever wins, and nothing records which
+/// path ran. Entries sit behind `Arc`s, so a lookup clones a pointer and
+/// a store allocates once.
 #[derive(Debug)]
 pub(crate) struct Memo {
     pub(crate) filter: Option<Arc<FilterMemo>>,
