@@ -10,10 +10,11 @@ use ids_devices::DeviceKind;
 use ids_engine::{
     Backend, CostParams, Database, DiskBackend, EvictionPolicy, Predicate, Query, Table as Rows,
 };
-use ids_opt::klfilter::{replay_kl, HistogramSketch};
+use ids_opt::klfilter::HistogramSketch;
 use ids_opt::loading::{event_fetch, LoadingConfig};
 use ids_opt::prefetch::{evaluate_tile_strategy, MarkovPrefetcher, TileStrategy};
 use ids_opt::throttle::AdaptiveThrottle;
+use ids_opt::{group_cost, replay, Policy, ReplayOutcome};
 use ids_simclock::SimDuration;
 use ids_workload::composite::{simulate_study, CompositeConfig};
 use ids_workload::crossfilter::{leading_groups, CrossfilterUi, QueryGroup};
@@ -43,6 +44,11 @@ fn disk_regime(road: Rows) -> DiskBackend {
     disk
 }
 
+/// Replays `groups` on `disk` under `policy`.
+fn replay_on(disk: &DiskBackend, groups: &[QueryGroup], policy: Policy<'_>) -> ReplayOutcome {
+    replay(disk.name(), groups, policy, group_cost(disk)).expect("replay")
+}
+
 /// The first `max_groups` query groups of one Leap Motion session.
 fn leap_groups(user: usize, max_groups: usize) -> Vec<QueryGroup> {
     let ui = CrossfilterUi::for_road();
@@ -56,11 +62,12 @@ fn kl_threshold() -> Table {
     let sketch = HistogramSketch::new(road, 1_000, SEED);
     let mut t = Table::new(["threshold", "executed", "skipped", "violations", "lcv"]);
     for threshold in [0.0, 0.05, 0.1, 0.2, 0.5, 1.0] {
-        let out = replay_kl(&disk, &groups, &sketch, threshold).expect("replay");
+        let sketch = &sketch;
+        let out = replay_on(&disk, &groups, Policy::Kl { sketch, threshold });
         let violations = out.lcv().violations;
         t.row([
             format!("{threshold:.2}"),
-            out.executed().len().to_string(),
+            out.executed.len().to_string(),
             out.skipped().to_string(),
             violations.to_string(),
             // Of issued groups, as in Fig 15.
@@ -136,19 +143,12 @@ fn qif_throttle() -> Table {
     let disk = disk_regime(road());
     let groups = leap_groups(1, 800);
     let mut throttle = AdaptiveThrottle::new(SimDuration::from_millis(5));
-    throttle.filter_stream(&groups, |g| {
-        g.queries
-            .iter()
-            .map(|q| disk.execute(q).expect("query").cost)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    });
-    let (admitted, dropped) = throttle.counts();
+    let out = replay_on(&disk, &groups, Policy::Throttle(&mut throttle));
     let mut t = Table::new(["issued", "admitted", "dropped", "service estimate (ms)"]);
     t.row([
         groups.len().to_string(),
-        admitted.to_string(),
-        dropped.to_string(),
+        out.executed.len().to_string(),
+        out.skipped().to_string(),
         format!("{:.1}", throttle.estimate().as_millis_f64()),
     ]);
     t

@@ -13,17 +13,28 @@ use ids_engine::{
     Backend, Database, DiskBackend, EngineResult, MemBackend, Predicate, Query, QueryOutcome,
 };
 use ids_metrics::qif::QifReport;
-use ids_opt::klfilter::{replay_kl, HistogramSketch, PERCEPTIBLE_KL};
-use ids_opt::skip::{replay_raw, replay_skip, ReplayOutcome};
+use ids_opt::klfilter::{HistogramSketch, PERCEPTIBLE_KL};
+use ids_opt::{group_cost, replay, Policy, ReplayOutcome};
 use ids_simclock::rng::SimRng;
 use ids_simclock::SimTime;
-use ids_workload::crossfilter::{leading_groups, CrossfilterUi, QueryGroup};
+use ids_workload::crossfilter::{leading_groups, CrossfilterUi};
 use ids_workload::datasets;
 
 use crate::report::{downsample, pct, sparkline, Table};
 
 /// The optimization strategies compared (Fig 13/15 legend).
 pub const OPTS: [&str; 4] = ["raw", "kl>0", "kl>0.2", "skip"];
+
+/// The replay policy behind each of [`OPTS`], in the same order.
+fn policies(sketch: &HistogramSketch) -> [(&'static str, Policy<'_>); 4] {
+    let kl = |threshold| Policy::Kl { sketch, threshold };
+    [
+        ("raw", Policy::Raw),
+        ("kl>0", kl(0.0)),
+        ("kl>0.2", kl(PERCEPTIBLE_KL)),
+        ("skip", Policy::Skip),
+    ]
+}
 
 /// The devices compared.
 pub const DEVICES: [DeviceKind; 3] = [DeviceKind::Mouse, DeviceKind::Touch, DeviceKind::LeapMotion];
@@ -196,13 +207,14 @@ pub fn run(config: &Case2Config) -> Case2Report {
             ("disk", &disk_memo as &dyn Backend),
             ("mem", &mem_memo as &dyn Backend),
         ] {
-            for opt in OPTS {
-                let outcome = replay_condition(backend, &groups, &sketch, opt);
+            for (opt, policy) in policies(&sketch) {
+                let outcome = replay(backend.name(), &groups, policy, group_cost(backend))
+                    .expect("replay over registered tables cannot fail");
                 // Fig 14 uses the executed-query stream per device × opt
                 // (identical across backends; record once, from disk).
                 if backend_name == "disk" && opt != "skip" {
                     let stamps: Vec<SimTime> =
-                        outcome.executed().iter().map(|t| t.issued_at).collect();
+                        outcome.executed.iter().map(|t| t.issued_at).collect();
                     qif.push((device, opt, QifReport::from_timestamps(&stamps)));
                 }
                 conditions.push(summarize(backend_name, opt, device, &outcome));
@@ -219,22 +231,6 @@ pub fn run(config: &Case2Config) -> Case2Report {
     }
 }
 
-fn replay_condition(
-    backend: &dyn Backend,
-    groups: &[QueryGroup],
-    sketch: &HistogramSketch,
-    opt: &str,
-) -> ReplayOutcome {
-    match opt {
-        "raw" => replay_raw(backend, groups),
-        "kl>0" => replay_kl(backend, groups, sketch, 0.0),
-        "kl>0.2" => replay_kl(backend, groups, sketch, PERCEPTIBLE_KL),
-        "skip" => replay_skip(backend, groups),
-        other => panic!("unknown optimization `{other}`"),
-    }
-    .expect("replay over registered tables cannot fail")
-}
-
 fn summarize(
     backend: &'static str,
     opt: &'static str,
@@ -246,14 +242,14 @@ fn summarize(
         .into_iter()
         .map(|(t, l)| (t.as_millis() as f64, l.as_millis_f64()))
         .collect();
-    let total = outcome.timings.len().max(1);
+    let total = outcome.issued.max(1);
     let lcv_fraction = outcome.lcv().violations as f64 / total as f64;
     ConditionResult {
         backend,
         opt,
         device,
         latency_series,
-        executed: outcome.executed().len(),
+        executed: outcome.executed.len(),
         skipped: outcome.skipped(),
         lcv_fraction,
     }

@@ -11,12 +11,13 @@
 //! - **retries** ([`ids_engine::RetryingBackend`]) absorb transient
 //!   failures before the scheduler sees them;
 //! - **graceful degradation**
-//!   ([`ids_engine::scheduler::ReplayScheduler::replay_resilient`])
+//!   ([`ids_engine::scheduler::replay_resilient`])
 //!   truncates over-budget queries into partial estimates instead of
 //!   letting the Fig 2 latency cascade run unbounded;
 //! - **adaptive throttling** ([`ids_opt::throttle::AdaptiveThrottle`]
-//!   with stall reaction) sheds issue pressure while the backend is
-//!   wedged, shifting the admitted QIF down.
+//!   with stall reaction, over [`ids_opt::replay()`]) sheds issue
+//!   pressure while the backend is wedged, shifting the admitted QIF
+//!   down.
 //!
 //! The storm generator derives window *positions* from the seed alone
 //! and scales only widths, factors, and failure rates with intensity, so
@@ -25,13 +26,14 @@
 
 use ids_chaos::{ChaosBackend, FaultPlan};
 use ids_devices::DeviceKind;
-use ids_engine::scheduler::{IssuedQuery, QueryTiming, ReplayScheduler, ResiliencePolicy};
+use ids_engine::scheduler::{replay_resilient, IssuedQuery, QueryTiming, ResiliencePolicy};
 use ids_engine::{
     Backend, Database, MemBackend, QueryOutcome, ResultQuality, RetryPolicy, RetryingBackend,
 };
 use ids_metrics::lcv::{budget_violations, LcvReport, QuerySpan};
 use ids_metrics::qif::QifReport;
 use ids_opt::throttle::AdaptiveThrottle;
+use ids_opt::{replay, Policy};
 use ids_simclock::{SimDuration, SimTime};
 use ids_workload::crossfilter::{leading_groups, CrossfilterUi, QueryGroup};
 use ids_workload::datasets;
@@ -182,38 +184,28 @@ pub fn run(config: &RobustnessConfig) -> RobustnessReport {
     drop(setup);
 
     let _p = ids_obs::phase("robustness.sweep");
-    let sched = ReplayScheduler::new(config.workers);
     let mut points = Vec::new();
     for &intensity in &config.intensities {
         let plan = FaultPlan::storm(config.seed, intensity, horizon);
         let fault_windows = plan.windows().len();
 
-        // Rigid: full answers, latency cascades, failures become
-        // placeholders after retries. Fresh injector per condition so
-        // attempt counters — and therefore injection decisions — are
-        // identical across conditions.
-        let rigid = {
+        // A fresh injector per condition, so attempt counters — and
+        // therefore injection decisions — are identical across
+        // conditions.
+        let resilient = |policy: ResiliencePolicy| {
             let chaos = ChaosBackend::new(&mem, plan.clone());
             let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
-            sched
-                .replay_resilient(&retrying, &stream, &ResiliencePolicy::rigid())
+            replay_resilient(&retrying, &stream, config.workers, &policy)
                 .expect("replay over registered tables cannot fail")
         };
+        // Rigid: full answers, latency cascades, failures become
+        // placeholders after retries.
+        let rigid = resilient(ResiliencePolicy::rigid());
         let rigid_lcv = budget_violations(&spans(&rigid), config.latency_budget);
 
         // Degraded: same storm, but over-budget queries truncate to
         // partial estimates.
-        let degraded = {
-            let chaos = ChaosBackend::new(&mem, plan.clone());
-            let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
-            sched
-                .replay_resilient(
-                    &retrying,
-                    &stream,
-                    &ResiliencePolicy::degrade_after(config.latency_budget),
-                )
-                .expect("replay over registered tables cannot fail")
-        };
+        let degraded = resilient(ResiliencePolicy::degrade_after(config.latency_budget));
         let degraded_lcv = budget_violations(&spans(&degraded), config.latency_budget);
         let partial = degraded
             .iter()
@@ -232,19 +224,24 @@ pub fn run(config: &RobustnessConfig) -> RobustnessReport {
             let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
             let mut throttle =
                 AdaptiveThrottle::new(baseline_estimate).with_stall_reaction(3.0, 2.0);
-            let admitted = throttle.filter_stream(&groups, |g| {
-                ids_obs::set_vnow(g.at);
-                g.queries
-                    .iter()
-                    .map(|q| match retrying.execute(q) {
-                        Ok(outcome) => outcome.cost,
-                        // Retry-exhausted probe: the frontend waits out
-                        // the budget before giving up.
-                        Err(_) => config.latency_budget,
-                    })
-                    .fold(SimDuration::ZERO, |acc, c| acc + c)
-            });
-            let stamps: Vec<SimTime> = admitted.iter().map(|g| g.at).collect();
+            // A probe costs its members' sum; a retry-exhausted member
+            // charges the budget the frontend waits out before giving up.
+            let probe = |g: &QueryGroup| {
+                let cost = |q| {
+                    retrying
+                        .execute(q)
+                        .map_or(config.latency_budget, |o| o.cost)
+                };
+                Ok(g.queries.iter().map(cost).sum())
+            };
+            let admitted = replay(
+                retrying.name(),
+                &groups,
+                Policy::Throttle(&mut throttle),
+                probe,
+            )
+            .expect("a probe cannot fail");
+            let stamps: Vec<SimTime> = admitted.executed.iter().map(|t| t.issued_at).collect();
             (
                 QifReport::from_timestamps(&stamps).queries_per_second(),
                 throttle.stall_reactions(),
@@ -458,24 +455,21 @@ pub fn run_progressive(config: &ProgressiveConfig) -> ProgressiveReport {
         db,
         ids_engine::CostParams::mem_default().scaled(config.cost_scale()),
     );
-    let sched = ReplayScheduler::new(config.workers);
+    let resilient = |policy: ResiliencePolicy| {
+        replay_resilient(&mem, &stream, config.workers, &policy)
+            .expect("replay over registered tables cannot fail")
+    };
     // The untruncated replay: exact answers every deadline estimate is
     // measured against.
-    let exact = sched
-        .replay_resilient(&mem, &stream, &ResiliencePolicy::rigid())
-        .expect("replay over registered tables cannot fail");
+    let exact = resilient(ResiliencePolicy::rigid());
     drop(setup);
 
     let _p = ids_obs::phase("progressive.sweep");
     let mut points = Vec::new();
     for &budget_ms in &config.budgets_ms {
         let budget = SimDuration::from_millis(budget_ms);
-        let degrade = sched
-            .replay_resilient(&mem, &stream, &ResiliencePolicy::degrade_after(budget))
-            .expect("replay over registered tables cannot fail");
-        let deadline = sched
-            .replay_resilient(&mem, &stream, &ResiliencePolicy::deadline(budget))
-            .expect("replay over registered tables cannot fail");
+        let degrade = resilient(ResiliencePolicy::degrade_after(budget));
+        let deadline = resilient(ResiliencePolicy::deadline(budget));
 
         let degrade_partial = degrade
             .iter()

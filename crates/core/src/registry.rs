@@ -120,7 +120,7 @@ pub const ARTIFACTS: &[Artifact] = &[
         kind: ArtifactKind::Figure,
         number: "13",
         title: "Latency per backend/opt/device",
-        modules: "ids_opt::{skip,klfilter}, ids_core::experiments::case2",
+        modules: "ids_opt::{replay,klfilter}, ids_core::experiments::case2",
         regenerate: "repro --figure 13",
     },
     Artifact {

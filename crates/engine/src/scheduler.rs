@@ -70,7 +70,7 @@ impl QueryTiming {
     }
 }
 
-/// Degraded-mode policy for [`ReplayScheduler::replay_resilient`]:
+/// Degraded-mode policy for [`replay_resilient`]:
 /// instead of letting latency cascade unboundedly (or aborting the whole
 /// replay on a transient failure), queries that would blow their budget
 /// return progressive-style partial estimates, and terminally failed
@@ -94,7 +94,7 @@ pub struct ResiliencePolicy {
 }
 
 /// What an over-budget query returns under
-/// [`ReplayScheduler::replay_resilient`].
+/// [`replay_resilient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResilienceMode {
     /// Simulate a truncated scan: scale the exact answer down to the
@@ -148,10 +148,10 @@ impl ResiliencePolicy {
 /// The scheduler's queueing core: `workers` equivalent execution slots
 /// plus the FIFO backlog in front of them, advanced in virtual time.
 ///
-/// [`ReplayScheduler`] drives this for single-session replays; the
-/// multi-tenant serving layer (`ids-serve`) drives it directly so its
-/// admission controller sees the very same queueing semantics the replay
-/// experiments measure. Queries must be offered in nondecreasing
+/// [`replay_resilient`] drives this for single-session replays; the
+/// multi-tenant serving layer (`ids-serve`) and case study 2's replay
+/// (`ids-opt`) drive it directly, so every virtual-clock queue shares
+/// one set of queueing semantics. Queries must be offered in nondecreasing
 /// `ready_at` order.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
@@ -213,11 +213,6 @@ impl WorkerPool {
         ready_at.max(earliest)
     }
 
-    /// Number of slots still executing at `now`.
-    pub fn busy_at(&self, now: SimTime) -> usize {
-        self.free.iter().filter(|&&t| t > now).count()
-    }
-
     /// Queue backlog at `now`: assigned queries that have not yet started
     /// executing. This is the depth an admission controller bounds.
     pub fn backlog_at(&mut self, now: SimTime) -> usize {
@@ -230,151 +225,132 @@ impl WorkerPool {
         }
         self.pending_starts.len()
     }
-
-    /// The instant the last assigned query finishes (drain time), or
-    /// [`SimTime::ZERO`] for an untouched pool.
-    pub fn drained_at(&self) -> SimTime {
-        self.free.iter().copied().max().unwrap_or(SimTime::ZERO)
-    }
 }
 
-/// A FIFO queue in front of `workers` equivalent execution slots.
+/// Replays an issued-query stream under `policy` through a FIFO queue
+/// in front of `workers` equivalent execution slots (clamped to at least
+/// one), returning each query's timing and outcome (result + footprint
+/// + cost) in issue order.
 ///
 /// The paper's setup forks one OS process per concurrent query with
 /// independent database connections; `workers` models that connection
 /// pool size.
-#[derive(Debug, Clone)]
-pub struct ReplayScheduler {
+///
+/// `stream` must be sorted by `issued_at`; queries execute in issue
+/// order (FIFO), each starting at
+/// `max(issued_at, earliest worker free time)`. Beyond that:
+///
+/// - under a latency budget (none in [`ResiliencePolicy::rigid`]), a
+///   query whose queueing delay plus execution would exceed it is
+///   truncated: its cost shrinks to fit the budget
+///   (down to `min_fraction` of the full scan) and its result becomes
+///   a scaled estimate marked [`ResultQuality::Partial`];
+/// - a transient backend failure (after any retries a wrapping
+///   [`crate::backend::RetryingBackend`] already performed) yields an
+///   empty placeholder marked [`ResultQuality::Failed`] and charges
+///   `failure_penalty`, instead of aborting the whole replay.
+///
+/// Non-transient errors (unknown tables, type mismatches) still
+/// propagate — those are bugs, not adversity.
+pub fn replay_resilient(
+    backend: &dyn Backend,
+    stream: &[IssuedQuery],
     workers: usize,
-}
-
-impl ReplayScheduler {
-    /// Creates a scheduler with the given number of parallel slots.
-    pub fn new(workers: usize) -> ReplayScheduler {
-        ReplayScheduler {
-            workers: workers.max(1),
-        }
-    }
-
-    /// Replays an issued-query stream under `policy`, returning each
-    /// query's timing and outcome (result + footprint + cost) in issue
-    /// order.
-    ///
-    /// `stream` must be sorted by `issued_at`; queries execute in issue
-    /// order (FIFO), each starting at
-    /// `max(issued_at, earliest worker free time)`. Beyond that:
-    ///
-    /// - under a latency budget (none in [`ResiliencePolicy::rigid`]), a
-    ///   query whose queueing delay plus execution would exceed it is
-    ///   truncated: its cost shrinks to fit the budget
-    ///   (down to `min_fraction` of the full scan) and its result becomes
-    ///   a scaled estimate marked [`ResultQuality::Partial`];
-    /// - a transient backend failure (after any retries a wrapping
-    ///   [`crate::backend::RetryingBackend`] already performed) yields an
-    ///   empty placeholder marked [`ResultQuality::Failed`] and charges
-    ///   `failure_penalty`, instead of aborting the whole replay.
-    ///
-    /// Non-transient errors (unknown tables, type mismatches) still
-    /// propagate — those are bugs, not adversity.
-    pub fn replay_resilient(
-        &self,
-        backend: &dyn Backend,
-        stream: &[IssuedQuery],
-        policy: &ResiliencePolicy,
-    ) -> EngineResult<Vec<(QueryTiming, QueryOutcome)>> {
-        debug_assert!(
-            stream.windows(2).all(|w| w[0].issued_at <= w[1].issued_at),
-            "issued-query stream must be sorted by issue time"
-        );
-        let telemetry = SchedulerTelemetry::new(backend.name(), self.workers);
-        let reg = ids_obs::metrics();
-        let degraded_ctr = reg.counter("sched.degraded");
-        let failed_ctr = reg.counter("sched.failed");
-        let mut pool = WorkerPool::new(self.workers);
-        let mut out = Vec::with_capacity(stream.len());
-        for iq in stream {
-            // Publish virtual time so deeper layers (buffer pool, fault
-            // injection) can timestamp their own telemetry at query
-            // granularity.
-            ids_obs::set_vnow(iq.issued_at);
-            let mut outcome = match backend.execute(&iq.query) {
-                Ok(outcome) => outcome,
-                Err(err) if err.is_transient() => {
-                    failed_ctr.inc();
-                    record_resilience_instant(backend.name(), "fail", iq, 0.0);
-                    QueryOutcome {
-                        result: placeholder_result(&iq.query),
-                        footprint: QueryFootprint::default(),
-                        cost: policy.failure_penalty,
-                        quality: ResultQuality::Failed,
-                    }
+    policy: &ResiliencePolicy,
+) -> EngineResult<Vec<(QueryTiming, QueryOutcome)>> {
+    debug_assert!(
+        stream.windows(2).all(|w| w[0].issued_at <= w[1].issued_at),
+        "issued-query stream must be sorted by issue time"
+    );
+    let name = backend.name();
+    let mut pool = WorkerPool::new(workers);
+    let telemetry = SchedulerTelemetry::new(name, pool.workers());
+    let reg = ids_obs::metrics();
+    let degraded_ctr = reg.counter("sched.degraded");
+    let failed_ctr = reg.counter("sched.failed");
+    let mut out = Vec::with_capacity(stream.len());
+    for iq in stream {
+        // Publish virtual time so deeper layers (buffer pool, fault
+        // injection) can timestamp their own telemetry at query
+        // granularity.
+        ids_obs::set_vnow(iq.issued_at);
+        let mut outcome = match backend.execute(&iq.query) {
+            Ok(outcome) => outcome,
+            Err(err) if err.is_transient() => {
+                failed_ctr.inc();
+                record_resilience(name, "fail", iq, 0.0, None);
+                QueryOutcome {
+                    result: placeholder_result(&iq.query),
+                    footprint: QueryFootprint::default(),
+                    cost: policy.failure_penalty,
+                    quality: ResultQuality::Failed,
                 }
-                Err(err) => return Err(err),
-            };
-            let wait = pool.next_start(iq.issued_at).saturating_since(iq.issued_at);
-            if let (Some(budget), ResultQuality::Exact) = (policy.latency_budget, outcome.quality) {
-                if wait + outcome.cost > budget && !outcome.cost.is_zero() {
-                    let allowed = budget.saturating_sub(wait);
-                    // Deadline mode spends the remaining budget on real
-                    // block-sampled refinement; shapes progressive
-                    // execution rejects (selects, joins) fall back to
-                    // the simulated truncation below.
-                    let refined = if policy.mode == ResilienceMode::Deadline {
-                        ProgressiveExecutor::new(backend.database())
-                            .run_bounded(&iq.query, outcome.cost, allowed)
-                            .ok()
-                    } else {
-                        None
-                    };
-                    match refined {
-                        Some(r) if r.fraction < 1.0 => {
+            }
+            Err(err) => return Err(err),
+        };
+        let wait = pool.next_start(iq.issued_at).saturating_since(iq.issued_at);
+        if let (Some(budget), ResultQuality::Exact) = (policy.latency_budget, outcome.quality) {
+            if wait + outcome.cost > budget && !outcome.cost.is_zero() {
+                let allowed = budget.saturating_sub(wait);
+                // Deadline mode spends the remaining budget on real
+                // block-sampled refinement; shapes progressive
+                // execution rejects (selects, joins) fall back to
+                // the simulated truncation below.
+                let refined = if policy.mode == ResilienceMode::Deadline {
+                    ProgressiveExecutor::new(backend.database())
+                        .run_bounded(&iq.query, outcome.cost, allowed)
+                        .ok()
+                } else {
+                    None
+                };
+                match refined {
+                    Some(r) if r.fraction < 1.0 => {
+                        degraded_ctr.inc();
+                        record_resilience(name, "deadline", iq, r.fraction, Some(r.error_bound));
+                        outcome.cost = r.elapsed;
+                        outcome.result = r.estimate;
+                        outcome.quality = ResultQuality::Partial {
+                            fraction: r.fraction,
+                            error_bound: r.error_bound,
+                        };
+                    }
+                    // An empty table refines to the exact answer in
+                    // one step: nothing to degrade.
+                    Some(_) => {}
+                    None => {
+                        let fraction = (allowed.as_secs_f64() / outcome.cost.as_secs_f64())
+                            .clamp(policy.min_fraction.clamp(f64::MIN_POSITIVE, 1.0), 1.0);
+                        if fraction < 1.0 {
                             degraded_ctr.inc();
-                            record_deadline_instant(backend.name(), iq, r.fraction, r.error_bound);
-                            outcome.cost = r.elapsed;
-                            outcome.result = r.estimate;
+                            record_resilience(name, "degrade", iq, fraction, None);
+                            outcome.cost = outcome.cost.mul_f64(fraction);
+                            outcome.result = degrade_result(outcome.result, fraction);
                             outcome.quality = ResultQuality::Partial {
-                                fraction: r.fraction,
-                                error_bound: r.error_bound,
+                                fraction,
+                                // The degrade round trip only rounds:
+                                // scaling down truncates at most one
+                                // row's worth per value, scaling back
+                                // up multiplies that by 1/fraction
+                                // and rounds once more.
+                                error_bound: 0.5 / fraction + 1.0,
                             };
-                        }
-                        // An empty table refines to the exact answer in
-                        // one step: nothing to degrade.
-                        Some(_) => {}
-                        None => {
-                            let fraction = (allowed.as_secs_f64() / outcome.cost.as_secs_f64())
-                                .clamp(policy.min_fraction.clamp(f64::MIN_POSITIVE, 1.0), 1.0);
-                            if fraction < 1.0 {
-                                degraded_ctr.inc();
-                                record_resilience_instant(backend.name(), "degrade", iq, fraction);
-                                outcome.cost = outcome.cost.mul_f64(fraction);
-                                outcome.result = degrade_result(outcome.result, fraction);
-                                outcome.quality = ResultQuality::Partial {
-                                    fraction,
-                                    // The degrade round trip only rounds:
-                                    // scaling down truncates at most one
-                                    // row's worth per value, scaling back
-                                    // up multiplies that by 1/fraction
-                                    // and rounds once more.
-                                    error_bound: 0.5 / fraction + 1.0,
-                                };
-                            }
                         }
                     }
                 }
             }
-            let (slot, started_at, finished_at) = pool.assign(iq.issued_at, outcome.cost);
-            let timing = QueryTiming {
-                tag: iq.tag,
-                issued_at: iq.issued_at,
-                started_at,
-                finished_at,
-            };
-            let busy = pool.busy_at(iq.issued_at);
-            telemetry.observe(iq, &timing, &outcome, slot, busy);
-            out.push((timing, outcome));
         }
-        Ok(out)
+        let (slot, started_at, finished_at) = pool.assign(iq.issued_at, outcome.cost);
+        let timing = QueryTiming {
+            tag: iq.tag,
+            issued_at: iq.issued_at,
+            started_at,
+            finished_at,
+        };
+        let queued = pool.backlog_at(iq.issued_at);
+        telemetry.observe(iq, &timing, &outcome, slot, queued);
+        out.push((timing, outcome));
     }
+    Ok(out)
 }
 
 /// Empty placeholder answer matching the query's result shape.
@@ -388,48 +364,29 @@ fn placeholder_result(query: &Query) -> ResultSet {
     }
 }
 
-/// Marks a degradation decision on the trace timeline; no-op when the
-/// recorder is off.
-fn record_resilience_instant(backend_name: &str, what: &str, iq: &IssuedQuery, fraction: f64) {
+/// Marks a resilience decision on the trace timeline: `fail`,
+/// `degrade` (simulated truncation), or `deadline` (budget spent on
+/// refinement, carrying the reported error bound alongside the covered
+/// fraction, so lakehouse queries can tell the two cut-offs apart).
+/// No-op when the recorder is off.
+fn record_resilience(
+    backend_name: &str,
+    what: &'static str,
+    iq: &IssuedQuery,
+    fraction: f64,
+    error_bound: Option<f64>,
+) {
     let rec = ids_obs::recorder();
     if !rec.is_enabled() {
         return;
     }
     let track = rec.track(&format!("{backend_name}/resilience"));
-    rec.record_instant(
-        "resilience",
-        what.to_string(),
-        track,
-        iq.issued_at,
-        vec![
-            ("tag", ids_obs::ArgValue::U64(iq.tag)),
-            ("fraction", ids_obs::ArgValue::F64(fraction)),
-        ],
-    );
-}
-
-/// Marks a deadline-mode refinement on the trace timeline, carrying the
-/// reported error bound alongside the covered fraction; no-op when the
-/// recorder is off. A separate event name from plain degradation so
-/// lakehouse queries can tell "simulated truncation" from "budget spent
-/// on refinement".
-fn record_deadline_instant(backend_name: &str, iq: &IssuedQuery, fraction: f64, error_bound: f64) {
-    let rec = ids_obs::recorder();
-    if !rec.is_enabled() {
-        return;
-    }
-    let track = rec.track(&format!("{backend_name}/resilience"));
-    rec.record_instant(
-        "resilience",
-        "deadline".to_string(),
-        track,
-        iq.issued_at,
-        vec![
-            ("tag", ids_obs::ArgValue::U64(iq.tag)),
-            ("fraction", ids_obs::ArgValue::F64(fraction)),
-            ("error_bound", ids_obs::ArgValue::F64(error_bound)),
-        ],
-    );
+    let mut args = vec![
+        ("tag", ids_obs::ArgValue::U64(iq.tag)),
+        ("fraction", ids_obs::ArgValue::F64(fraction)),
+    ];
+    args.extend(error_bound.map(|b| ("error_bound", ids_obs::ArgValue::F64(b))));
+    rec.record_instant("resilience", what, track, iq.issued_at, args);
 }
 
 /// Always-on metric handles plus (when the recorder is enabled) trace
@@ -486,7 +443,7 @@ impl SchedulerTelemetry {
         timing: &QueryTiming,
         outcome: &QueryOutcome,
         slot: usize,
-        busy_workers: usize,
+        queue_depth: usize,
     ) {
         self.queries.inc();
         self.rows_scanned.add(outcome.footprint.rows_scanned);
@@ -497,7 +454,7 @@ impl SchedulerTelemetry {
         self.wait_us.record(timing.scheduling_delay().as_micros());
         self.exec_us.record(timing.execution().as_micros());
         self.latency_us.record(timing.latency().as_micros());
-        self.queue_depth.set(busy_workers as i64);
+        self.queue_depth.set(queue_depth as i64);
 
         let rec = ids_obs::recorder();
         if !rec.is_enabled() {
@@ -541,7 +498,7 @@ impl SchedulerTelemetry {
                 vec![("tag", ids_obs::ArgValue::U64(timing.tag))],
             );
         }
-        rec.record_counter("sched.queue_depth", timing.issued_at, busy_workers as f64);
+        rec.record_counter("sched.queue_depth", timing.issued_at, queue_depth as f64);
     }
 }
 
@@ -594,14 +551,9 @@ mod tests {
             .collect()
     }
 
-    /// The timings of a rigid replay.
-    fn timings(
-        sched: &ReplayScheduler,
-        backend: &MemBackend,
-        stream: &[IssuedQuery],
-    ) -> Vec<QueryTiming> {
-        sched
-            .replay_resilient(backend, stream, &ResiliencePolicy::rigid())
+    /// The timings of a rigid replay on `workers` slots.
+    fn timings(workers: usize, backend: &MemBackend, stream: &[IssuedQuery]) -> Vec<QueryTiming> {
+        replay_resilient(backend, stream, workers, &ResiliencePolicy::rigid())
             .unwrap()
             .into_iter()
             .map(|(t, _)| t)
@@ -611,9 +563,8 @@ mod tests {
     #[test]
     fn fast_backend_keeps_up() {
         let backend = fixed_cost_backend(5, 10);
-        let sched = ReplayScheduler::new(1);
         // Queries 20 ms apart, each costing 5 ms: no queueing.
-        let timings = timings(&sched, &backend, &stream(&[20, 20, 20]));
+        let timings = timings(1, &backend, &stream(&[20, 20, 20]));
         for t in &timings {
             assert_eq!(t.scheduling_delay(), SimDuration::ZERO);
             assert_eq!(t.latency().as_millis(), 5);
@@ -623,9 +574,8 @@ mod tests {
     #[test]
     fn slow_backend_cascades_delay() {
         let backend = fixed_cost_backend(50, 10);
-        let sched = ReplayScheduler::new(1);
         // Queries 10 ms apart, each costing 50 ms: delay accumulates.
-        let timings = timings(&sched, &backend, &stream(&[10, 10, 10, 10]));
+        let timings = timings(1, &backend, &stream(&[10, 10, 10, 10]));
         assert_eq!(timings[0].latency().as_millis(), 50);
         assert_eq!(timings[1].scheduling_delay().as_millis(), 40);
         assert_eq!(timings[1].latency().as_millis(), 90);
@@ -634,12 +584,37 @@ mod tests {
         assert!(timings.windows(2).all(|w| w[0].latency() <= w[1].latency()));
     }
 
+    /// `sched.queue_depth` samples the backlog behind the workers: on
+    /// the Fig 2 cascade it grows by one per query.
+    #[test]
+    fn queue_depth_samples_the_backlog() {
+        let backend = fixed_cost_backend(50, 10);
+        ids_obs::enable();
+        timings(1, &backend, &stream(&[10, 10, 10, 10]));
+        let samples: Vec<_> = ids_obs::recorder()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                ids_obs::TraceEvent::Counter { name, value, .. } => Some((name, value)),
+                _ => None,
+            })
+            .collect();
+        let peak = ids_obs::metrics()
+            .gauge("sched.queue_depth")
+            .high_watermark();
+        ids_obs::disable();
+        ids_obs::reset_all();
+        let depths = [0.0, 1.0, 2.0, 3.0].map(|d| ("sched.queue_depth", d));
+        assert_eq!(samples, depths);
+        assert_eq!(peak, 3);
+    }
+
     #[test]
     fn more_workers_absorb_bursts() {
         let backend = fixed_cost_backend(50, 10);
         let stream = stream(&[10, 10, 10, 10]);
-        let one = timings(&ReplayScheduler::new(1), &backend, &stream);
-        let four = timings(&ReplayScheduler::new(4), &backend, &stream);
+        let one = timings(1, &backend, &stream);
+        let four = timings(4, &backend, &stream);
         let total_one: u64 = one.iter().map(|t| t.latency().as_millis()).sum();
         let total_four: u64 = four.iter().map(|t| t.latency().as_millis()).sum();
         assert!(total_four < total_one);
@@ -651,10 +626,8 @@ mod tests {
     #[test]
     fn outcomes_are_returned_in_issue_order() {
         let backend = fixed_cost_backend(1, 7);
-        let sched = ReplayScheduler::new(2);
-        let out = sched
-            .replay_resilient(&backend, &stream(&[1, 1, 1]), &ResiliencePolicy::rigid())
-            .unwrap();
+        let out =
+            replay_resilient(&backend, &stream(&[1, 1, 1]), 2, &ResiliencePolicy::rigid()).unwrap();
         assert_eq!(out.len(), 3);
         for (i, (timing, outcome)) in out.iter().enumerate() {
             assert_eq!(timing.tag, i as u64);
@@ -664,9 +637,8 @@ mod tests {
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let sched = ReplayScheduler::new(0);
         let backend = fixed_cost_backend(1, 1);
-        assert_eq!(timings(&sched, &backend, &stream(&[1])).len(), 1);
+        assert_eq!(timings(0, &backend, &stream(&[1])).len(), 1);
     }
 
     #[test]
@@ -688,10 +660,9 @@ mod tests {
         // At t=20 both later queries are still queued; at t=60 one
         // started, one remains; by t=100 the queue is empty.
         assert_eq!(pool.backlog_at(at(20)), 2);
-        assert_eq!(pool.busy_at(at(20)), 1);
         assert_eq!(pool.backlog_at(at(60)), 1);
         assert_eq!(pool.backlog_at(at(100)), 0);
-        assert_eq!(pool.drained_at(), at(150));
+        assert_eq!(pool.next_start(at(0)), at(150));
     }
 
     #[test]
@@ -699,7 +670,7 @@ mod tests {
         let backend = fixed_cost_backend(50, 10);
         let stream = stream(&[10, 10, 10, 10]);
         for workers in [1, 2, 3] {
-            let timings = timings(&ReplayScheduler::new(workers), &backend, &stream);
+            let timings = timings(workers, &backend, &stream);
             let mut pool = WorkerPool::new(workers);
             for t in &timings {
                 let (_, started, finished) = pool.assign(t.issued_at, SimDuration::from_millis(50));

@@ -6,18 +6,16 @@
 //! database, its result histogram is *approximated* from a fixed row
 //! sample ([`HistogramSketch`], the paper cites hash/sampling/wavelet
 //! sketches); if the Kullback–Leibler divergence from the previously
-//! displayed result is at or below a threshold, the query is dropped.
+//! displayed result is at or below a threshold, the query is dropped
+//! ([`Policy::Kl`](crate::Policy::Kl) over [`replay`](crate::replay())).
 //! `KL > 0` drops exact repeats; `KL > 0.2` (a human-perception-scale
 //! threshold, per the graphical-perception study the paper cites) drops
 //! imperceptible changes too.
 
 use ids_engine::exec::run_histogram;
-use ids_engine::{Backend, EngineError, EngineResult, Histogram, Query, ResultSet, Table};
+use ids_engine::{EngineError, EngineResult, Histogram, Query, ResultSet, Table};
 use ids_simclock::rng::SimRng;
-use ids_simclock::SimTime;
 use ids_workload::crossfilter::QueryGroup;
-
-use crate::skip::{GroupTiming, ReplayOutcome};
 
 /// The KL threshold the paper uses for perceptible change.
 pub const PERCEPTIBLE_KL: f64 = 0.2;
@@ -35,7 +33,7 @@ pub fn kl_divergence(p: &Histogram, q: &Histogram) -> f64 {
     kl_of_dists(&p.to_distribution(), &q.to_distribution())
 }
 
-fn kl_of_dists(p: &[f64], q: &[f64]) -> f64 {
+pub(crate) fn kl_of_dists(p: &[f64], q: &[f64]) -> f64 {
     const EPS: f64 = 1e-9;
     let norm = |d: &[f64]| {
         let total: f64 = d.iter().map(|x| x + EPS).sum();
@@ -115,88 +113,12 @@ impl HistogramSketch {
     }
 }
 
-/// Replays a query-group stream with the KL policy: a group executes only
-/// when its sketched signature diverges from the last *executed* group's
-/// by more than `threshold`. Executed groups queue FIFO as in the raw
-/// executor; the sketch evaluation itself is charged zero virtual time
-/// (it touches thousands of rows, not hundreds of thousands).
-pub fn replay_kl(
-    backend: &dyn Backend,
-    groups: &[QueryGroup],
-    sketch: &HistogramSketch,
-    threshold: f64,
-) -> EngineResult<ReplayOutcome> {
-    let mut timings: Vec<GroupTiming> = groups
-        .iter()
-        .enumerate()
-        .map(|(index, g)| GroupTiming {
-            index,
-            issued_at: g.at,
-            started_at: g.at,
-            finished_at: g.at,
-            executed: false,
-        })
-        .collect();
-
-    let reg = ids_obs::metrics();
-    let executed_ctr = reg.counter("opt.kl.executed");
-    let dropped_ctr = reg.counter("opt.kl.dropped");
-    let rec = ids_obs::recorder();
-    let track = crate::skip::exec_track(backend, "kl");
-
-    let mut busy_until = SimTime::ZERO;
-    let mut last_sig: Option<Vec<f64>> = None;
-    for (i, g) in groups.iter().enumerate() {
-        let sig = sketch.group_signature(g)?;
-        let divergence = match &last_sig {
-            Some(prev) if prev.len() == sig.len() => kl_of_dists(&sig, prev),
-            Some(_) => f64::INFINITY, // dimension set changed: execute
-            None => f64::INFINITY,    // first group always executes
-        };
-        if divergence <= threshold {
-            dropped_ctr.inc();
-            if rec.is_enabled() {
-                let track = rec.track("opt/kl");
-                rec.record_instant(
-                    "opt",
-                    "kl.drop",
-                    track,
-                    g.at,
-                    vec![
-                        ("group", ids_obs::ArgValue::U64(i as u64)),
-                        ("divergence", ids_obs::ArgValue::F64(divergence)),
-                        ("threshold", ids_obs::ArgValue::F64(threshold)),
-                    ],
-                );
-            }
-            continue;
-        }
-        executed_ctr.inc();
-        ids_obs::set_vnow(g.at);
-        let mut cost = ids_simclock::SimDuration::ZERO;
-        for q in &g.queries {
-            cost = cost.max(backend.execute(q)?.cost);
-        }
-        let started_at = g.at.max(busy_until);
-        let finished_at = started_at + cost;
-        busy_until = finished_at;
-        timings[i] = GroupTiming {
-            index: i,
-            issued_at: g.at,
-            started_at,
-            finished_at,
-            executed: true,
-        };
-        crate::skip::record_group_span(track, &timings[i], g.queries.len());
-        last_sig = Some(sig);
-    }
-    Ok(ReplayOutcome { timings })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ids_engine::{BinSpec, ColumnBuilder, MemBackend, Predicate, TableBuilder};
+    use crate::{group_cost, replay, Policy, ReplayOutcome};
+    use ids_engine::{Backend, BinSpec, ColumnBuilder, MemBackend, Predicate, TableBuilder};
+    use ids_simclock::SimTime;
 
     fn table(n: usize) -> Table {
         // y is correlated with x (y = x/2), so restricting x genuinely
@@ -315,6 +237,16 @@ mod tests {
         assert!(sketch.approx(&other).is_err());
     }
 
+    fn replay_kl(
+        backend: &MemBackend,
+        groups: &[QueryGroup],
+        sketch: &HistogramSketch,
+        threshold: f64,
+    ) -> ReplayOutcome {
+        let policy = Policy::Kl { sketch, threshold };
+        replay(backend.name(), groups, policy, group_cost(backend)).unwrap()
+    }
+
     #[test]
     fn kl_replay_skips_near_identical_groups() {
         let t = table(20_000);
@@ -325,14 +257,14 @@ mod tests {
         let groups: Vec<QueryGroup> = (0..20)
             .map(|i| group(20 * (i as u64 + 1), 10.0, 60.0 + i as f64 * 0.01))
             .collect();
-        let strict = replay_kl(&backend, &groups, &sketch, PERCEPTIBLE_KL).unwrap();
+        let strict = replay_kl(&backend, &groups, &sketch, PERCEPTIBLE_KL);
         assert!(
             strict.skipped() >= 18,
             "KL>0.2 should drop nudges, skipped {}",
             strict.skipped()
         );
         // First group always executes.
-        assert!(strict.timings[0].executed);
+        assert_eq!(strict.executed[0].tag, 0);
     }
 
     #[test]
@@ -348,7 +280,7 @@ mod tests {
             group(60, 0.0, 20.0),
             group(80, 0.0, 8.0),
         ];
-        let out = replay_kl(&backend, &groups, &sketch, PERCEPTIBLE_KL).unwrap();
+        let out = replay_kl(&backend, &groups, &sketch, PERCEPTIBLE_KL);
         assert_eq!(out.skipped(), 0, "perceptible changes must all execute");
     }
 
@@ -363,9 +295,9 @@ mod tests {
             group(40, 10.0, 60.0), // exact repeat
             group(60, 10.0, 30.0),
         ];
-        let out = replay_kl(&backend, &groups, &sketch, 0.0).unwrap();
+        let out = replay_kl(&backend, &groups, &sketch, 0.0);
         assert_eq!(out.skipped(), 1);
-        assert!(!out.timings[1].executed);
+        assert!(out.executed.iter().all(|t| t.tag != 1));
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //!   lazy loading, per-event prefetch ("event fetch"), and periodic
 //!   prefetch ("timer fetch"), evaluated against a user's demand curve
 //!   (Fig 10 / Table 8).
-//! - [`skip`] — the Skip optimization (Algorithm 1): when a new query
-//!   group arrives before the previous finished, abandon the stale ones —
-//!   the user has already moved on.
-//! - [`klfilter`] — the KL optimization (Algorithm 2): estimate each
-//!   query's result histogram from a row sample and drop queries whose
-//!   result barely differs from the last one shown.
+//! - [`replay`](mod@replay) — the one replay loop case study 2's
+//!   conditions share: a [`Policy`] — raw, Skip (Algorithm 1), KL
+//!   filtering or adaptive throttling — decides which query groups reach
+//!   a one-slot FIFO server.
+//! - [`klfilter`] — the sketch behind the KL optimization (Algorithm 2):
+//!   estimate each query's result histogram from a row sample, so groups
+//!   whose result barely differs from the last one shown can be dropped.
 //! - [`prefetch`] — Markov-chain action prefetching for composite
 //!   interfaces, with the zoom-hotspot budget split of Section 8.
 //! - [`throttle`] — adaptive closed-loop QIF throttling (the Fig 3
@@ -25,5 +26,9 @@
 pub mod klfilter;
 pub mod loading;
 pub mod prefetch;
-pub mod skip;
+pub mod replay;
+#[cfg(test)]
+mod skip;
 pub mod throttle;
+
+pub use replay::{group_cost, replay, Policy, ReplayOutcome};

@@ -1,239 +1,13 @@
-//! The Skip optimization (Algorithm 1) and the raw baseline executor.
-//!
-//! In crossfiltering no dependency exists between adjacent queries: each
-//! slider position is its own range query, and the user does not examine
-//! ranges serially. When a new query group arrives while the database is
-//! still busy, the stale pending groups can be *skipped* — the user has
-//! already moved past them. This module replays a query-group stream
-//! against a backend both ways:
-//!
-//! - [`replay_raw`] — every group executes, FIFO (the paper's "raw");
-//! - [`replay_skip`] — when the backend frees up, only the *latest*
-//!   issued group executes; intervening groups are dropped.
-//!
-//! Queries within a group run concurrently on separate connections (the
-//! paper forks one process per coordinated view), so a group's execution
-//! time is the maximum of its members' costs.
+//! Unit tests of [`replay`](crate::replay()) under the raw and Skip
+//! policies.
 
-use ids_engine::{Backend, EngineResult};
-use ids_simclock::{SimDuration, SimTime};
-use ids_workload::crossfilter::QueryGroup;
-
-use ids_metrics::lcv::{cascade_violations, LcvReport, QuerySpan};
-
-/// Timing of one query group through the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupTiming {
-    /// Index in the input stream.
-    pub index: usize,
-    /// Frontend issue time.
-    pub issued_at: SimTime,
-    /// Execution start (== issue for idle backend; later when queued).
-    pub started_at: SimTime,
-    /// Execution end.
-    pub finished_at: SimTime,
-    /// `false` when the skip policy dropped this group.
-    pub executed: bool,
-}
-
-impl GroupTiming {
-    /// Perceived latency from issue to completion (only meaningful for
-    /// executed groups).
-    pub fn latency(&self) -> SimDuration {
-        self.finished_at.saturating_since(self.issued_at)
-    }
-
-    /// Pure execution time (excludes queueing).
-    pub fn execution(&self) -> SimDuration {
-        self.finished_at.saturating_since(self.started_at)
-    }
-}
-
-/// Result of a replay: timings plus aggregate statistics.
-#[derive(Debug, Clone)]
-pub struct ReplayOutcome {
-    /// Per-group timings, in stream order (skipped groups included with
-    /// `executed == false`).
-    pub timings: Vec<GroupTiming>,
-}
-
-impl ReplayOutcome {
-    /// Timings of executed groups only.
-    pub fn executed(&self) -> Vec<&GroupTiming> {
-        self.timings.iter().filter(|t| t.executed).collect()
-    }
-
-    /// Number of skipped groups.
-    pub fn skipped(&self) -> usize {
-        self.timings.iter().filter(|t| !t.executed).count()
-    }
-
-    /// `(time, latency)` series for the Fig 13 plots (executed only).
-    pub fn latency_series(&self) -> Vec<(SimTime, SimDuration)> {
-        self.executed()
-            .iter()
-            .map(|t| (t.issued_at, t.latency()))
-            .collect()
-    }
-
-    /// Cascade-form LCV over the *executed* groups (Fig 15): a violation
-    /// when the next executed group was issued before this one finished.
-    pub fn lcv(&self) -> LcvReport {
-        let spans: Vec<QuerySpan> = self
-            .executed()
-            .iter()
-            .map(|t| QuerySpan {
-                issued_at: t.issued_at,
-                finished_at: t.finished_at,
-            })
-            .collect();
-        cascade_violations(&spans)
-    }
-}
-
-/// Executes a group: members run concurrently, so the group's cost is the
-/// max member cost.
-fn group_cost(backend: &dyn Backend, group: &QueryGroup) -> EngineResult<SimDuration> {
-    let mut max = SimDuration::ZERO;
-    for q in &group.queries {
-        let outcome = backend.execute(q)?;
-        max = max.max(outcome.cost);
-    }
-    Ok(max)
-}
-
-/// Records one executed group as a trace span on the given track; no-op
-/// while the recorder is disabled.
-pub(crate) fn record_group_span(
-    track: Option<ids_obs::TrackId>,
-    timing: &GroupTiming,
-    queries: usize,
-) {
-    let Some(track) = track else { return };
-    ids_obs::recorder().record_span(
-        "exec",
-        "group",
-        track,
-        timing.started_at,
-        timing.execution(),
-        vec![
-            ("group", ids_obs::ArgValue::U64(timing.index as u64)),
-            ("queries", ids_obs::ArgValue::U64(queries as u64)),
-            (
-                "wait_ms",
-                ids_obs::ArgValue::F64(
-                    timing
-                        .started_at
-                        .saturating_since(timing.issued_at)
-                        .as_millis_f64(),
-                ),
-            ),
-        ],
-    );
-}
-
-/// Interns the execution track for a replay policy over a backend, or
-/// `None` when the recorder is off.
-pub(crate) fn exec_track(backend: &dyn Backend, policy: &str) -> Option<ids_obs::TrackId> {
-    let rec = ids_obs::recorder();
-    rec.is_enabled()
-        .then(|| rec.track(&format!("{}/{policy}", backend.name())))
-}
-
-/// FIFO baseline: every group executes in order; each waits for the
-/// previous to finish.
-pub fn replay_raw(backend: &dyn Backend, groups: &[QueryGroup]) -> EngineResult<ReplayOutcome> {
-    let track = exec_track(backend, "raw");
-    let mut busy_until = SimTime::ZERO;
-    let mut timings = Vec::with_capacity(groups.len());
-    for (index, g) in groups.iter().enumerate() {
-        ids_obs::set_vnow(g.at);
-        let cost = group_cost(backend, g)?;
-        let started_at = g.at.max(busy_until);
-        let finished_at = started_at + cost;
-        busy_until = finished_at;
-        let timing = GroupTiming {
-            index,
-            issued_at: g.at,
-            started_at,
-            finished_at,
-            executed: true,
-        };
-        record_group_span(track, &timing, g.queries.len());
-        timings.push(timing);
-    }
-    Ok(ReplayOutcome { timings })
-}
-
-/// Skip policy: when the backend becomes free, all but the most recent
-/// pending group are dropped (Algorithm 1's busy-wait loop only ever
-/// picks up the latest timestamped group).
-pub fn replay_skip(backend: &dyn Backend, groups: &[QueryGroup]) -> EngineResult<ReplayOutcome> {
-    let mut timings: Vec<GroupTiming> = groups
-        .iter()
-        .enumerate()
-        .map(|(index, g)| GroupTiming {
-            index,
-            issued_at: g.at,
-            started_at: g.at,
-            finished_at: g.at,
-            executed: false,
-        })
-        .collect();
-
-    let reg = ids_obs::metrics();
-    let executed_ctr = reg.counter("opt.skip.executed");
-    let dropped_ctr = reg.counter("opt.skip.dropped");
-    let rec = ids_obs::recorder();
-    let track = exec_track(backend, "skip");
-
-    let mut busy_until = SimTime::ZERO;
-    let mut i = 0usize;
-    while i < groups.len() {
-        // The backend frees at `busy_until`; among the groups issued by
-        // then (from i onward), only the latest executes.
-        let mut latest = i;
-        while latest + 1 < groups.len() && groups[latest + 1].at <= busy_until {
-            latest += 1;
-        }
-        if latest > i {
-            dropped_ctr.add((latest - i) as u64);
-            if rec.is_enabled() {
-                let track = rec.track("opt/skip");
-                rec.record_instant(
-                    "opt",
-                    "skip.drop",
-                    track,
-                    groups[latest].at,
-                    vec![
-                        ("stale_groups", ids_obs::ArgValue::U64((latest - i) as u64)),
-                        ("first", ids_obs::ArgValue::U64(i as u64)),
-                    ],
-                );
-            }
-        }
-        executed_ctr.inc();
-        let g = &groups[latest];
-        ids_obs::set_vnow(g.at);
-        let cost = group_cost(backend, g)?;
-        let started_at = g.at.max(busy_until);
-        let finished_at = started_at + cost;
-        timings[latest].started_at = started_at;
-        timings[latest].finished_at = finished_at;
-        timings[latest].executed = true;
-        record_group_span(track, &timings[latest], g.queries.len());
-        busy_until = finished_at;
-        i = latest + 1;
-    }
-    Ok(ReplayOutcome { timings })
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::replay::{group_cost, replay, Policy, ReplayOutcome};
     use ids_engine::{
         Backend, ColumnBuilder, CostParams, MemBackend, Predicate, Query, TableBuilder,
     };
+    use ids_simclock::SimTime;
+    use ids_workload::crossfilter::QueryGroup;
 
     fn fixed_backend(cost_ms: u64) -> MemBackend {
         let params = CostParams {
@@ -267,15 +41,19 @@ mod tests {
             .collect()
     }
 
+    fn run(b: &MemBackend, groups: &[QueryGroup], policy: Policy<'_>) -> ReplayOutcome {
+        replay(b.name(), groups, policy, group_cost(b)).unwrap()
+    }
+
     #[test]
     fn raw_executes_everything_fifo() {
         let b = fixed_backend(50);
-        let out = replay_raw(&b, &groups(10, 5)).unwrap();
+        let out = run(&b, &groups(10, 5), Policy::Raw);
         assert_eq!(out.skipped(), 0);
-        assert_eq!(out.executed().len(), 5);
+        assert_eq!(out.executed.len(), 5);
         // Latency cascades: each later group waits longer.
         let lats: Vec<u64> = out
-            .timings
+            .executed
             .iter()
             .map(|t| t.latency().as_millis())
             .collect();
@@ -287,10 +65,10 @@ mod tests {
     #[test]
     fn skip_drops_stale_groups_and_bounds_latency() {
         let b = fixed_backend(50);
-        let out = replay_skip(&b, &groups(10, 20)).unwrap();
+        let out = run(&b, &groups(10, 20), Policy::Skip);
         assert!(out.skipped() > 0, "a slow backend must skip");
         // Executed groups have bounded latency (~ one execution).
-        for t in out.executed() {
+        for t in &out.executed {
             assert!(
                 t.latency().as_millis() <= 60,
                 "latency {} ms",
@@ -298,13 +76,13 @@ mod tests {
             );
         }
         // Everything issued is accounted for.
-        assert_eq!(out.timings.len(), 20);
+        assert_eq!(out.issued, 20);
     }
 
     #[test]
     fn skip_on_fast_backend_executes_everything() {
         let b = fixed_backend(2);
-        let out = replay_skip(&b, &groups(10, 10)).unwrap();
+        let out = run(&b, &groups(10, 10), Policy::Skip);
         assert_eq!(out.skipped(), 0);
     }
 
@@ -312,8 +90,8 @@ mod tests {
     fn skip_reduces_lcv_fraction() {
         let b = fixed_backend(80);
         let gs = groups(20, 30);
-        let raw = replay_raw(&b, &gs).unwrap();
-        let skip = replay_skip(&b, &gs).unwrap();
+        let raw = run(&b, &gs, Policy::Raw);
+        let skip = run(&b, &gs, Policy::Skip);
         assert!(
             skip.lcv().fraction() <= raw.lcv().fraction(),
             "skip {:.2} vs raw {:.2}",
@@ -339,24 +117,24 @@ mod tests {
                 Query::count("t", Predicate::True),
             ],
         }];
-        let out = replay_raw(&b, &g).unwrap();
-        assert_eq!(out.timings[0].latency().as_millis(), 40);
+        let out = run(&b, &g, Policy::Raw);
+        assert_eq!(out.executed[0].latency().as_millis(), 40);
     }
 
     #[test]
     fn latency_series_covers_executed_groups() {
         let b = fixed_backend(50);
-        let out = replay_skip(&b, &groups(10, 12)).unwrap();
+        let out = run(&b, &groups(10, 12), Policy::Skip);
         let series = out.latency_series();
-        assert_eq!(series.len(), out.executed().len());
+        assert_eq!(series.len(), out.executed.len());
         assert!(series.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
     fn empty_stream() {
         let b = fixed_backend(10);
-        let out = replay_raw(&b, &[]).unwrap();
-        assert!(out.timings.is_empty());
+        let out = run(&b, &[], Policy::Raw);
+        assert!(out.executed.is_empty());
         assert_eq!(out.lcv().total, 0);
     }
 }

@@ -11,23 +11,25 @@
 //! The throttle *drops* intermediate groups (the slider's newest position
 //! supersedes older ones), so the surviving stream keeps the latest
 //! state, like the skip optimization but applied before the backend.
+//! [`Policy::Throttle`](crate::Policy::Throttle) runs it over
+//! [`replay`](crate::replay()): a group is admitted only when the server
+//! is free, so an admitted group never waits.
 
+use ids_engine::scheduler::QueryTiming;
 use ids_simclock::{SimDuration, SimTime};
-use ids_workload::crossfilter::QueryGroup;
 
-/// A closed-loop throttle: it observes each executed group's service
-/// time (exponential moving average) and only admits a group when the
-/// backend is predicted free.
+/// EMA smoothing factor of the service-time estimate.
+const ALPHA: f64 = 0.3;
+
+/// A closed-loop throttle: it observes each admitted group's service
+/// time (exponential moving average) and reacts to stalls by holding
+/// admission past the stalled group's finish.
 #[derive(Debug, Clone)]
 pub struct AdaptiveThrottle {
-    /// EMA smoothing factor in `(0, 1]`; higher = more reactive.
-    alpha: f64,
     /// Current service-time estimate.
     estimate: SimDuration,
-    /// Predicted time the backend frees up.
-    busy_until: SimTime,
-    admitted: usize,
-    dropped: usize,
+    /// No group is admitted before this instant (the last stall's hold).
+    pub(crate) hold_until: SimTime,
     /// A service time this many times over the running estimate counts
     /// as a stall; `0` disables stall reaction.
     stall_factor: f64,
@@ -41,11 +43,8 @@ impl AdaptiveThrottle {
     /// Creates a throttle with an initial service-time guess.
     pub fn new(initial_estimate: SimDuration) -> AdaptiveThrottle {
         AdaptiveThrottle {
-            alpha: 0.3,
             estimate: initial_estimate,
-            busy_until: SimTime::ZERO,
-            admitted: 0,
-            dropped: 0,
+            hold_until: SimTime::ZERO,
             stall_factor: 0.0,
             stall_hold: 0.0,
             stall_reactions: 0,
@@ -68,113 +67,54 @@ impl AdaptiveThrottle {
         self.estimate
     }
 
-    /// `(admitted, dropped)` counts so far.
-    pub fn counts(&self) -> (usize, usize) {
-        (self.admitted, self.dropped)
-    }
-
     /// Number of stall reactions triggered so far.
     pub fn stall_reactions(&self) -> usize {
         self.stall_reactions
     }
 
-    /// Decides whether a group issued at `at` should reach the backend.
-    pub fn admit(&mut self, at: SimTime) -> bool {
-        if at >= self.busy_until {
-            self.admitted += 1;
-            // Reserve the predicted service window.
-            self.busy_until = at + self.estimate;
-            true
-        } else {
-            self.dropped += 1;
-            false
-        }
-    }
-
-    /// Feeds back an observed service time for an admitted group.
-    pub fn observe(&mut self, service: SimDuration) {
-        let est = self.estimate.as_secs_f64();
-        let obs = service.as_secs_f64();
-        self.estimate = SimDuration::from_secs_f64(est + self.alpha * (obs - est));
-    }
-
-    /// Filters a whole stream, using `service_of` to learn each admitted
-    /// group's cost (e.g. a backend probe).
-    pub fn filter_stream<F>(&mut self, groups: &[QueryGroup], mut service_of: F) -> Vec<QueryGroup>
-    where
-        F: FnMut(&QueryGroup) -> SimDuration,
-    {
-        let reg = ids_obs::metrics();
-        let admitted_ctr = reg.counter("opt.throttle.adaptive.admitted");
-        let dropped_ctr = reg.counter("opt.throttle.adaptive.dropped");
-        let stall_ctr = reg.counter("opt.throttle.stall_reactions");
+    /// Feeds back an admitted group's timing: its service time moves the
+    /// estimate, and a stall holds admission beyond the group's finish.
+    pub(crate) fn observe(&mut self, timing: &QueryTiming) {
+        let service = timing.execution();
+        let prior = self.estimate.as_secs_f64();
+        self.estimate = SimDuration::from_secs_f64(prior + ALPHA * (service.as_secs_f64() - prior));
         let rec = ids_obs::recorder();
-        let mut out = Vec::new();
-        for g in groups {
-            if self.admit(g.at) {
-                admitted_ctr.inc();
-                let service = service_of(g);
-                let prior = self.estimate;
-                // Correct the reservation with the real cost.
-                self.busy_until = g.at + service;
-                self.observe(service);
-                if self.stall_factor > 0.0
-                    && service.as_secs_f64() > prior.as_secs_f64() * self.stall_factor
-                {
-                    // The backend is stalling, not just loaded: back off
-                    // beyond the observed service before the next probe.
-                    self.busy_until += service.mul_f64(self.stall_hold);
-                    self.stall_reactions += 1;
-                    stall_ctr.inc();
-                    if rec.is_enabled() {
-                        let track = rec.track("opt/throttle");
-                        rec.record_instant(
-                            "opt",
-                            "throttle.stall_reaction",
-                            track,
-                            g.at,
-                            vec![(
-                                "service_ms",
-                                ids_obs::ArgValue::F64(service.as_millis_f64()),
-                            )],
-                        );
-                    }
-                }
-                if rec.is_enabled() {
-                    rec.record_counter(
-                        "opt.throttle.estimate_ms",
-                        g.at,
-                        self.estimate.as_millis_f64(),
-                    );
-                }
-                out.push(g.clone());
-            } else {
-                dropped_ctr.inc();
-                if rec.is_enabled() {
-                    let track = rec.track("opt/throttle");
-                    rec.record_instant(
-                        "opt",
-                        "throttle.drop",
-                        track,
-                        g.at,
-                        vec![(
-                            "busy_for_ms",
-                            ids_obs::ArgValue::F64(
-                                self.busy_until.saturating_since(g.at).as_millis_f64(),
-                            ),
-                        )],
-                    );
-                }
+        if self.stall_factor > 0.0 && service.as_secs_f64() > prior * self.stall_factor {
+            // The backend is stalling, not just loaded: back off beyond
+            // the observed service before the next probe.
+            self.hold_until = timing.finished_at + service.mul_f64(self.stall_hold);
+            self.stall_reactions += 1;
+            ids_obs::metrics()
+                .counter("opt.throttle.stall_reactions")
+                .inc();
+            if rec.is_enabled() {
+                let track = rec.track("opt/throttle");
+                rec.record_instant(
+                    "opt",
+                    "throttle.stall_reaction",
+                    track,
+                    timing.issued_at,
+                    vec![(
+                        "service_ms",
+                        ids_obs::ArgValue::F64(service.as_millis_f64()),
+                    )],
+                );
             }
         }
-        out
+        rec.record_counter(
+            "opt.throttle.estimate_ms",
+            timing.issued_at,
+            self.estimate.as_millis_f64(),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{replay, Policy, ReplayOutcome};
     use ids_engine::{Predicate, Query};
+    use ids_workload::crossfilter::QueryGroup;
 
     fn groups(interval_ms: u64, n: usize) -> Vec<QueryGroup> {
         (0..n)
@@ -186,16 +126,24 @@ mod tests {
             .collect()
     }
 
+    /// Replays `input` through `throttle`, each admitted group costing
+    /// `service` of it.
+    fn admit(
+        throttle: &mut AdaptiveThrottle,
+        input: &[QueryGroup],
+        service: impl Fn(&QueryGroup) -> SimDuration,
+    ) -> ReplayOutcome {
+        replay("t", input, Policy::Throttle(throttle), |g| Ok(service(g))).unwrap()
+    }
+
     #[test]
     fn adaptive_throttle_converges_to_backend_capacity() {
         // Backend takes a constant 80 ms; stream arrives at 20 ms.
         let input = groups(20, 200);
         let mut throttle = AdaptiveThrottle::new(SimDuration::from_millis(5));
-        let out = throttle.filter_stream(&input, |_| SimDuration::from_millis(80));
+        let out = admit(&mut throttle, &input, |_| SimDuration::from_millis(80));
         // Admitted rate ≈ one per 80 ms = one per 4 input groups.
-        let (admitted, dropped) = throttle.counts();
-        assert_eq!(admitted, out.len());
-        assert!(admitted + dropped == input.len());
+        let admitted = out.executed.len();
         assert!(
             (40..=60).contains(&admitted),
             "admitted {admitted} of 200 (expected ~50)"
@@ -209,8 +157,8 @@ mod tests {
     fn adaptive_throttle_admits_everything_when_fast() {
         let input = groups(50, 40);
         let mut throttle = AdaptiveThrottle::new(SimDuration::from_millis(5));
-        let out = throttle.filter_stream(&input, |_| SimDuration::from_millis(2));
-        assert_eq!(out.len(), input.len());
+        let out = admit(&mut throttle, &input, |_| SimDuration::from_millis(2));
+        assert_eq!(out.skipped(), 0);
     }
 
     #[test]
@@ -226,10 +174,10 @@ mod tests {
             }
         };
         let mut plain = AdaptiveThrottle::new(SimDuration::from_millis(10));
-        let kept_plain = plain.filter_stream(&input, service).len();
+        let kept_plain = admit(&mut plain, &input, service).executed.len();
         let mut reactive =
             AdaptiveThrottle::new(SimDuration::from_millis(10)).with_stall_reaction(3.0, 2.0);
-        let kept_reactive = reactive.filter_stream(&input, service).len();
+        let kept_reactive = admit(&mut reactive, &input, service).executed.len();
         assert!(reactive.stall_reactions() > 0, "the burst must be noticed");
         assert!(
             kept_reactive < kept_plain,
@@ -242,10 +190,10 @@ mod tests {
     fn admitted_stream_respects_backend_freeness() {
         let input = groups(10, 100);
         let mut throttle = AdaptiveThrottle::new(SimDuration::from_millis(30));
-        let out = throttle.filter_stream(&input, |_| SimDuration::from_millis(30));
-        for w in out.windows(2) {
+        let out = admit(&mut throttle, &input, |_| SimDuration::from_millis(30));
+        for w in out.executed.windows(2) {
             assert!(
-                w[1].at.saturating_since(w[0].at) >= SimDuration::from_millis(30),
+                w[1].issued_at.saturating_since(w[0].issued_at) >= SimDuration::from_millis(30),
                 "admitted groups overlap the busy window"
             );
         }

@@ -1,9 +1,10 @@
 //! Property tests for the behavior-driven optimizations.
 
 use ids_engine::{Backend, ColumnBuilder, CostParams, MemBackend, Predicate, Query, TableBuilder};
-use ids_opt::klfilter::{replay_kl, HistogramSketch};
+use ids_opt::klfilter::HistogramSketch;
 use ids_opt::loading::{event_fetch, lazy_loading, timer_fetch, LoadingConfig};
-use ids_opt::skip::{replay_raw, replay_skip};
+use ids_opt::throttle::AdaptiveThrottle;
+use ids_opt::{group_cost, replay, Policy, ReplayOutcome};
 use ids_simclock::rng::check;
 use ids_simclock::{SimDuration, SimTime};
 use ids_workload::crossfilter::QueryGroup;
@@ -45,6 +46,11 @@ fn group_stream(intervals_ms: &[u64]) -> Vec<QueryGroup> {
         .collect()
 }
 
+/// Replays `groups` on `backend` under `policy`.
+fn run(backend: &MemBackend, groups: &[QueryGroup], policy: Policy<'_>) -> ReplayOutcome {
+    replay("t", groups, policy, group_cost(backend)).expect("replay")
+}
+
 /// A monotone demand curve from `(dt ms, added tuples)` steps.
 fn demand_curve(steps: &[(u64, u64)]) -> Vec<(SimTime, u64)> {
     let (mut t, mut cum) = (0u64, 0u64);
@@ -59,23 +65,42 @@ fn demand_curve(steps: &[(u64, u64)]) -> Vec<(SimTime, u64)> {
 }
 
 /// Skip never executes more groups than raw, never loses the last
-/// group, and bounds the worst executed latency by raw's worst.
+/// group, and bounds the worst executed latency by raw's worst. Read
+/// off the outcome alone, it is Algorithm 1: a group that is not last
+/// executes iff its successor was issued after the previous executed
+/// group finished. The throttle's admitted groups never wait.
+///
+/// Intervals start at 0 ms and costs are whole milliseconds, so some
+/// successor is issued exactly when the server frees: the tie the rule
+/// decides with `≤`.
 #[test]
 fn skip_dominates_raw() {
     check("skip_dominates_raw", 0..48, |rng| {
         let intervals: Vec<u64> = (0..rng.uniform_usize(1, 80))
-            .map(|_| rng.uniform_u64(1, 60))
+            .map(|_| rng.uniform_u64(0, 60))
             .collect();
         let backend = fixed_backend(rng.uniform_u64(1, 120));
         let groups = group_stream(&intervals);
-        let raw = replay_raw(&backend, &groups).expect("raw");
-        let skip = replay_skip(&backend, &groups).expect("skip");
-        assert!(skip.executed().len() <= raw.executed().len());
-        assert_eq!(skip.timings.len(), groups.len());
+        let raw = run(&backend, &groups, Policy::Raw);
+        let skip = run(&backend, &groups, Policy::Skip);
+        assert!(skip.executed.len() <= raw.executed.len());
+        assert_eq!(skip.issued, groups.len());
         // The stream's final group always executes under skip.
-        assert!(skip.timings.last().expect("non-empty").executed);
-        let worst = |o: &ids_opt::skip::ReplayOutcome| {
-            o.executed()
+        let last = skip.executed.last().expect("non-empty").tag;
+        assert_eq!(last, groups.len() as u64 - 1);
+        let mut prev_finish = SimTime::ZERO;
+        let mut executed = skip.executed.iter().peekable();
+        for (i, next) in groups.iter().skip(1).enumerate() {
+            let ran = executed.next_if(|t| t.tag == i as u64);
+            assert_eq!(ran.is_some(), next.at > prev_finish, "group {i}");
+            prev_finish = ran.map_or(prev_finish, |t| t.finished_at);
+        }
+        let mut throttle = AdaptiveThrottle::new(SimDuration::from_millis(1))
+            .with_stall_reaction(3.0, rng.uniform_u64(0, 3) as f64);
+        let throttled = run(&backend, &groups, Policy::Throttle(&mut throttle)).executed;
+        assert!(throttled.iter().all(|t| t.started_at == t.issued_at));
+        let worst = |o: &ReplayOutcome| {
+            o.executed
                 .iter()
                 .map(|t| t.latency().as_millis())
                 .max()
@@ -95,9 +120,9 @@ fn raw_cascade_monotone() {
             .map(|_| rng.uniform_u64(1, 20))
             .collect();
         let groups = group_stream(&intervals);
-        let raw = replay_raw(&backend, &groups).expect("raw");
+        let raw = run(&backend, &groups, Policy::Raw);
         let lats: Vec<u64> = raw
-            .timings
+            .executed
             .iter()
             .map(|t| t.latency().as_millis())
             .collect();
@@ -136,8 +161,10 @@ fn kl_threshold_monotone() {
             .collect();
         let mut prev_executed = usize::MAX;
         for threshold in [0.0, 0.1, 0.3, 1.0, 5.0] {
-            let out = replay_kl(&backend, &groups, &sketch, threshold).expect("kl");
-            let executed = out.executed().len();
+            let sketch = &sketch;
+            let executed = run(&backend, &groups, Policy::Kl { sketch, threshold })
+                .executed
+                .len();
             assert!(executed <= prev_executed, "threshold {threshold}");
             assert!(executed >= 1, "first group always executes");
             prev_executed = executed;

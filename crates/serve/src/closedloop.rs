@@ -14,7 +14,7 @@
 //! deterministic backend, so a `(policy, backend, params)` triple fully
 //! determines the action stream, the telemetry, and the trace bytes.
 
-use ids_engine::scheduler::{IssuedQuery, QueryTiming, ReplayScheduler, ResiliencePolicy};
+use ids_engine::scheduler::{replay_resilient, IssuedQuery, QueryTiming, ResiliencePolicy};
 use ids_engine::{Backend, Histogram, QueryOutcome, ResultQuality};
 use ids_simclock::SimDuration;
 use ids_workload::adaptive::{AdaptiveAction, BehaviorPolicy, Feedback};
@@ -163,7 +163,6 @@ pub fn drive_session(
     let ui = policy.ui().clone();
     let mut session = policy.session();
     let mut controller = AdmissionController::new(params.admission);
-    let scheduler = ReplayScheduler::new(params.workers);
 
     let mut actions = Vec::new();
     let mut trace = Trace::new();
@@ -205,8 +204,7 @@ pub fn drive_session(
             // Everything shed: the user watched a spinner time out.
             Feedback::failed(params.resilience.failure_penalty + params.extra_latency)
         } else {
-            let executed = scheduler
-                .replay_resilient(backend, &admitted, &params.resilience)
+            let executed = replay_resilient(backend, &admitted, params.workers, &params.resilience)
                 .expect("closed-loop queries execute against registered tables");
             let mut finish = action.at;
             let mut worst = ResultQuality::Exact;

@@ -21,7 +21,7 @@
 //! order, two digests will differ.
 
 use ids_chaos::{query_fingerprint, ChaosBackend, FaultPlan};
-use ids_engine::scheduler::{IssuedQuery, QueryTiming, ReplayScheduler, ResiliencePolicy};
+use ids_engine::scheduler::{replay_resilient, IssuedQuery, QueryTiming, ResiliencePolicy};
 use ids_engine::{
     Backend, CostParams, Database, DiskBackend, EngineResult, EvictionPolicy, MemBackend,
     Predicate, Query, QueryOutcome, ResultQuality, RetryPolicy, RetryingBackend,
@@ -302,10 +302,8 @@ pub fn run_pipeline(s: &Scenario, threads: usize) -> RunArtifacts {
     };
     let chaos = ChaosBackend::new(&mem, replay_plan);
     let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
-    let scheduler = ReplayScheduler::new(s.workers.max(1));
     let policy = resilience_policy(s);
-    let replay: Vec<ReplayRecord> = scheduler
-        .replay_resilient(&retrying, &stream, &policy)
+    let replay: Vec<ReplayRecord> = replay_resilient(&retrying, &stream, s.workers, &policy)
         .expect("replay streams only hit transient errors")
         .into_iter()
         .zip(&stream)

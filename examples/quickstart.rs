@@ -9,7 +9,7 @@ use ids::devices::DeviceKind;
 use ids::engine::{Backend, DiskBackend, MemBackend, Predicate, Query};
 use ids::metrics::qif::{QifQuadrant, QifReport};
 use ids::metrics::selection::{recommend, SystemTraits};
-use ids::opt::skip::{replay_raw, replay_skip};
+use ids::opt::{group_cost, replay, Policy, ReplayOutcome};
 use ids::simclock::SimDuration;
 use ids::workload::crossfilter::{leading_groups, CrossfilterUi};
 use ids::workload::datasets;
@@ -39,12 +39,10 @@ fn main() {
         ("disk", &disk as &dyn Backend),
         ("mem", &mem as &dyn Backend),
     ] {
-        let raw = replay_raw(backend, &groups).expect("replay");
-        let skip = replay_skip(backend, &groups).expect("replay");
+        let [raw, skip] = [Policy::Raw, Policy::Skip]
+            .map(|p| replay(name, &groups, p, group_cost(backend)).expect("replay"));
         // Violations are reported over all *issued* queries, as in Fig 15.
-        let frac = |out: &ids::opt::skip::ReplayOutcome| {
-            out.lcv().violations as f64 / out.timings.len().max(1) as f64
-        };
+        let frac = |out: &ReplayOutcome| out.lcv().violations as f64 / out.issued.max(1) as f64;
         println!(
             "{name}: raw LCV {:.1}% | skip LCV {:.1}% (skipped {} stale groups)",
             frac(&raw) * 100.0,
@@ -56,10 +54,11 @@ fn main() {
     // 5. Frontend metrics: QIF and the Fig 3 quadrant.
     let stamps: Vec<_> = groups.iter().map(|g| g.at).collect();
     let qif = QifReport::from_timestamps(&stamps);
+    let probe = &groups[..50.min(groups.len())];
     let mean_service = SimDuration::from_millis(
-        replay_raw(&mem, &groups[..50.min(groups.len())])
+        replay("mem", probe, Policy::Raw, group_cost(&mem))
             .expect("probe")
-            .timings
+            .executed
             .iter()
             .map(|t| t.execution().as_millis())
             .sum::<u64>()

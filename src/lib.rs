@@ -71,3 +71,8 @@ pub use ids_simclock as simclock;
 pub use ids_simtest as simtest;
 pub use ids_study as study;
 pub use ids_workload as workload;
+
+/// The README's code blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

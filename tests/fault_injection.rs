@@ -19,7 +19,7 @@
 
 use ids::chaos::{ChaosBackend, FaultPlan};
 use ids::engine::parallel::ordered_map;
-use ids::engine::scheduler::{IssuedQuery, ReplayScheduler, ResiliencePolicy};
+use ids::engine::scheduler::{replay_resilient, IssuedQuery, ResiliencePolicy};
 use ids::engine::{
     Backend, ColumnBuilder, MemBackend, Predicate, Query, RetryPolicy, RetryingBackend,
     TableBuilder,
@@ -96,15 +96,12 @@ fn resilient_replay_is_reproducible() {
         .map(|(i, q)| IssuedQuery::new(SimTime::from_millis(20 * i as u64), q, i as u64))
         .collect();
     let plan = FaultPlan::storm(23, 0.8, SimDuration::from_millis(20 * 60));
-    let sched = ReplayScheduler::new(2);
     let policy = ResiliencePolicy::degrade_after(SimDuration::from_millis(40));
 
     let run = || {
         let chaos = ChaosBackend::new(&inner, plan.clone());
         let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
-        sched
-            .replay_resilient(&retrying, &stream, &policy)
-            .expect("resilient replay absorbs storms")
+        replay_resilient(&retrying, &stream, 2, &policy).expect("resilient replay absorbs storms")
     };
     let a = run();
     let b = run();

@@ -7,7 +7,7 @@
 //! `#[test]` runs on its own, so every test starts clean.
 
 use ids::chaos::{ChaosBackend, FaultPlan};
-use ids::engine::scheduler::{IssuedQuery, QueryTiming, ReplayScheduler, ResiliencePolicy};
+use ids::engine::scheduler::{replay_resilient, IssuedQuery, QueryTiming, ResiliencePolicy};
 use ids::engine::{
     Backend, BinSpec, BufferPool, ColumnBuilder, DiskBackend, EvictionPolicy, MemBackend, PageId,
     Predicate, Query, QueryOutcome, Table, TableBuilder,
@@ -49,9 +49,7 @@ fn run_replay() -> Vec<(QueryTiming, QueryOutcome)> {
             IssuedQuery::new(SimTime::from_millis(5 * (i as u64 + 1)), q, i as u64)
         })
         .collect();
-    ReplayScheduler::new(2)
-        .replay_resilient(&backend, &stream, &ResiliencePolicy::rigid())
-        .unwrap()
+    replay_resilient(&backend, &stream, 2, &ResiliencePolicy::rigid()).unwrap()
 }
 
 fn export_trace() -> String {

@@ -6,8 +6,8 @@ use ids::devices::DeviceKind;
 use ids::engine::{Backend, Database, DiskBackend, MemBackend, Predicate, Query};
 use ids::experiments::{case1, case2, case3};
 use ids::metrics::Metric;
-use ids::opt::klfilter::{replay_kl, HistogramSketch};
-use ids::opt::skip::{replay_raw, replay_skip};
+use ids::opt::klfilter::HistogramSketch;
+use ids::opt::{group_cost, replay, Policy};
 use ids::simclock::SimDuration;
 use ids::workload::crossfilter::{leading_groups, CrossfilterUi};
 use ids::workload::datasets;
@@ -100,15 +100,18 @@ fn optimizations_never_change_executed_results() {
     let groups = leading_groups(&ui, DeviceKind::Mouse, 1, 9, 60);
 
     let sketch = HistogramSketch::new(road, 1_500, 9);
-    let raw = replay_raw(&mem, &groups).expect("raw");
-    let kl = replay_kl(&mem, &groups, &sketch, 0.2).expect("kl");
-    let skip = replay_skip(&mem, &groups).expect("skip");
+    let kl_policy = Policy::Kl {
+        sketch: &sketch,
+        threshold: 0.2,
+    };
+    let [raw, kl, skip] = [Policy::Raw, kl_policy, Policy::Skip]
+        .map(|p| replay("mem", &groups, p, group_cost(&mem)).expect("replay"));
 
     // Executed sets are subsets of the issued stream.
-    assert!(kl.executed().len() <= raw.executed().len());
-    assert!(skip.executed().len() <= raw.executed().len());
+    assert!(kl.executed.len() <= raw.executed.len());
+    assert!(skip.executed.len() <= raw.executed.len());
     // Every executed group's timing is within the raw stream's bounds.
-    for t in kl.executed() {
+    for t in &kl.executed {
         assert!(t.finished_at >= t.started_at);
         assert!(t.started_at >= t.issued_at);
     }

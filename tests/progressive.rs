@@ -17,7 +17,7 @@
 
 use ids::engine::progressive::ProgressiveExecutor;
 use ids::engine::scheduler::{
-    IssuedQuery, QueryTiming, ReplayScheduler, ResiliencePolicy, WorkerPool,
+    replay_resilient, IssuedQuery, QueryTiming, ResiliencePolicy, WorkerPool,
 };
 use ids::engine::{Backend, BinSpec, ColumnBuilder, MemBackend, Predicate, Query, TableBuilder};
 use ids::experiments::robustness::{self, ProgressiveConfig};
@@ -103,9 +103,7 @@ fn progressive_machinery_costs_nothing_when_disabled() {
             )
         })
         .collect();
-    let rigid = ReplayScheduler::new(2)
-        .replay_resilient(&backend, &stream, &ResiliencePolicy::rigid())
-        .unwrap();
+    let rigid = replay_resilient(&backend, &stream, 2, &ResiliencePolicy::rigid()).unwrap();
     assert_eq!(rigid.len(), stream.len());
     let mut pool = WorkerPool::new(2);
     for (iq, (timing, outcome)) in stream.iter().zip(&rigid) {

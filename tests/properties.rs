@@ -508,20 +508,19 @@ fn deadline_mode_lcv_is_zero_when_budget_covers_cost() {
                     )
                 })
                 .collect();
-            let sched = ids::engine::scheduler::ReplayScheduler::new(1);
-            let timings: Vec<QuerySpan> = sched
-                .replay_resilient(
-                    &backend,
-                    &stream,
-                    &ids::engine::scheduler::ResiliencePolicy::deadline(budget),
-                )
-                .expect("replay succeeds")
-                .iter()
-                .map(|(t, _)| QuerySpan {
-                    issued_at: t.issued_at,
-                    finished_at: t.finished_at,
-                })
-                .collect();
+            let timings: Vec<QuerySpan> = ids::engine::scheduler::replay_resilient(
+                &backend,
+                &stream,
+                1,
+                &ids::engine::scheduler::ResiliencePolicy::deadline(budget),
+            )
+            .expect("replay succeeds")
+            .iter()
+            .map(|(t, _)| QuerySpan {
+                issued_at: t.issued_at,
+                finished_at: t.finished_at,
+            })
+            .collect();
             assert_eq!(budget_violations(&timings, budget).violations, 0);
         },
     );
