@@ -1,6 +1,7 @@
 //! Execution backends: one logical query layer, two latency regimes.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use ids_simclock::SimDuration;
@@ -57,19 +58,15 @@ impl Database {
 
     /// Fetches a table by name (cheap clone of column handles).
     pub fn table(&self, name: &str) -> EngineResult<Table> {
-        self.read()
-            .tables
-            .get(name)
-            .map(|(_, t)| t.clone())
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+        self.table_with_id(name).map(|(_, t)| t)
     }
 
-    /// The numeric id assigned to a table.
-    pub fn table_id(&self, name: &str) -> EngineResult<u32> {
+    /// A table and the numeric id assigned to it, in one lookup.
+    pub fn table_with_id(&self, name: &str) -> EngineResult<(u32, Table)> {
         self.read()
             .tables
             .get(name)
-            .map(|(id, _)| *id)
+            .cloned()
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
@@ -278,13 +275,12 @@ impl DiskBackend {
         self.pool.reset();
     }
 
-    /// Charges page touches for scanning `rows` leading rows (or the whole
-    /// table for a filtered scan) and returns `(hits, misses)`.
-    fn charge_scan(&self, table: &Table, rows: usize) -> EngineResult<(u64, u64)> {
-        let id = self.db.table_id(table.name())?;
+    /// Charges page touches for scanning `rows` of the table registered
+    /// as `id` and returns `(hits, misses)`.
+    fn charge_scan(&self, id: u32, table: &Table, rows: Range<usize>) -> (u64, u64) {
         let pager = Pager::new(table.rows(), table.row_disk_width());
-        let pages = pager.pages_for_range(0, rows);
-        Ok(self.pool.touch_range(id, pages))
+        self.pool
+            .touch_range(id, pager.pages_for_range(rows.start, rows.end))
     }
 }
 
@@ -301,43 +297,31 @@ impl Backend for DiskBackend {
         let (result, mut footprint) = run_query(&self.db, query)?;
 
         // Charge page I/O for every base-table scan the query performed.
-        let (mut hits, mut misses) = (0u64, 0u64);
-        match query {
+        let (hits, misses) = match query {
             Query::Select(spec) => {
-                let table = self.db.table(&spec.table)?;
+                let (id, table) = self.db.table_with_id(&spec.table)?;
                 // Early-terminating scans touch only the leading pages.
                 let rows = match &spec.filter {
                     Predicate::True => footprint.rows_scanned as usize,
                     _ => table.rows(),
                 };
-                let (h, m) = self.charge_scan(&table, rows)?;
-                hits += h;
-                misses += m;
+                self.charge_scan(id, &table, 0..rows)
             }
             Query::Join(spec) => {
-                let left = self.db.table(&spec.left)?;
-                let right = self.db.table(&spec.right)?;
+                let (left_id, left) = self.db.table_with_id(&spec.left)?;
+                let (right_id, right) = self.db.table_with_id(&spec.right)?;
                 // The paginated left side touches its slice's pages; the
                 // probe side is a full scan.
                 let page = page_window(spec.limit, spec.offset, left.rows());
-                let id = self.db.table_id(left.name())?;
-                let pager = Pager::new(left.rows(), left.row_disk_width());
-                let (h, m) = self
-                    .pool
-                    .touch_range(id, pager.pages_for_range(page.start, page.end));
-                hits += h;
-                misses += m;
-                let (h, m) = self.charge_scan(&right, right.rows())?;
-                hits += h;
-                misses += m;
+                let (lh, lm) = self.charge_scan(left_id, &left, page);
+                let (rh, rm) = self.charge_scan(right_id, &right, 0..right.rows());
+                (lh + rh, lm + rm)
             }
             Query::Histogram { table, .. } | Query::Count { table, .. } => {
-                let table = self.db.table(table)?;
-                let (h, m) = self.charge_scan(&table, table.rows())?;
-                hits += h;
-                misses += m;
+                let (id, table) = self.db.table_with_id(table)?;
+                self.charge_scan(id, &table, 0..table.rows())
             }
-        }
+        };
         footprint.pages_hot = hits;
         footprint.pages_cold = misses;
 
@@ -501,7 +485,7 @@ mod tests {
     fn database_registry() {
         let db = Database::new();
         let id = db.register(road(10));
-        assert_eq!(db.table_id("road").unwrap(), id);
+        assert_eq!(db.table_with_id("road").unwrap().0, id);
         assert_eq!(db.table("road").unwrap().rows(), 10);
         assert!(db.table("nope").is_err());
         // Re-registering keeps the id.

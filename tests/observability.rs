@@ -191,6 +191,43 @@ fn buffer_pools_feed_the_registry_and_keep_their_own_stats() {
 }
 
 #[test]
+fn resetting_a_buffer_pool_keeps_the_registry_totals() {
+    let pool = BufferPool::new(2, EvictionPolicy::Lru);
+    for n in [0, 1, 0, 2, 3] {
+        pool.touch(PageId {
+            table: 0,
+            page_no: n,
+        });
+    }
+    let counts = |snap: &obs::MetricsSnapshot| {
+        ["hits", "misses", "evictions"].map(|c| {
+            let name = format!("engine.buffer.{c}");
+            snap.counters
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |&(_, v)| v)
+        })
+    };
+    let before = counts(&obs::metrics().snapshot());
+    assert_eq!(before, [1, 4, 2]);
+
+    // A reset (a chaos buffer-pressure flush) empties the pool and its
+    // own stats, but the registry totals keep its earlier traffic.
+    pool.reset();
+    assert_eq!(pool.stats(), Default::default());
+    assert_eq!(counts(&obs::metrics().snapshot()), before);
+
+    // Traffic after the reset adds to the totals, and the drop-fold
+    // does not count the pre-reset traffic twice.
+    pool.touch(PageId {
+        table: 0,
+        page_no: 0,
+    });
+    drop(pool);
+    assert_eq!(counts(&obs::metrics().snapshot()), [1, 5, 2]);
+}
+
+#[test]
 fn histograms_bucket_merge_and_quantile_through_facade() {
     let h = obs::Histogram::new();
     let g = obs::Histogram::new();
