@@ -14,8 +14,10 @@
 //! `run_query` into `plan().execute()`.
 //!
 //! A query runs on the thread that calls it. Parallelism is between
-//! queries, shard fragments and sessions, through
-//! [`ordered_map`](crate::parallel::ordered_map).
+//! queries and sessions, through
+//! [`ordered_map`](crate::parallel::ordered_map), and between shard
+//! fragments, on the scatter-gather executor's helper threads
+//! (`ids-shard`).
 
 mod aggregate;
 mod join;

@@ -1,12 +1,15 @@
-//! Wall-clock parallelism: the one ordered fan-out.
+//! Wall-clock parallelism: the one-shot ordered fan-out.
 //!
 //! The virtual-time [`scheduler`](crate::scheduler) answers "what latency
 //! would the user perceive"; this module answers "how fast does the engine
-//! actually chew through a workload on real hardware". [`ordered_map`] is
-//! the only thread spawn in the workspace. The engine runs each query on
-//! the thread that calls it; the fan-outs between queries, shard
-//! fragments (`ids-shard`) and sessions (`ids-serve`) are calls to this
-//! function, and a long-lived worker pool would replace its body.
+//! actually chew through a workload on real hardware". The engine runs
+//! each query on the thread that calls it. [`ordered_map`] is the batch
+//! fan-out between queries and sessions (`ids-serve`'s fleet synthesis):
+//! it spawns its workers per call, so its tasks may borrow the caller's
+//! data. Per-statement fan-out, where a spawn would cost more than the
+//! work, runs on threads that outlive the call instead — `ids-shard`'s
+//! scatter-gather executor keeps its own — and those can run only
+//! `'static` tasks, which is why this body is not a pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -17,11 +17,12 @@
 //! Nothing is shared between threads: a spawned thread starts with a
 //! disabled recorder, `vnow` 0 and no events, and what it records stays
 //! on it. To capture telemetry from a run, enable, drive and read back
-//! on one thread. The single inheritance is the clock:
-//! `engine::parallel::ordered_map` — the only thread spawn in the
-//! workspace — publishes the spawner's `vnow` on each worker before it
-//! runs a task, because fault injection keys its windows on it; workers
-//! inherit nothing else.
+//! on one thread. The single inheritance is the clock: the two places
+//! that run work on other threads — `engine::parallel::ordered_map`'s
+//! per-call workers and `ids-shard`'s scatter-gather helper threads —
+//! publish the caller's `vnow` on the worker before it runs a task,
+//! because fault injection keys its windows on it; workers inherit
+//! nothing else.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;

@@ -11,11 +11,11 @@
 //!   partitioning of columnar tables, each shard with its own rebuilt
 //!   stats and zone maps ([`PartitionScheme`], [`partition_database`]).
 //! - [`plan`] — the scatter-gather executor ([`ScatterGather`]): fused
-//!   kernels run per shard through the engine's ordered fan-out
-//!   (`ids_engine::parallel::ordered_map`), partials merge in fixed
-//!   shard order, per-shard obs spans feed the telemetry lakehouse
-//!   ("p99 by shard"); [`ShardedCluster`] partitions a database and
-//!   holds the executor over it.
+//!   kernels run per shard on the calling thread and on helper threads
+//!   the executor keeps for its lifetime (a statement spawns nothing),
+//!   partials merge in fixed shard order, per-shard obs spans feed the
+//!   telemetry lakehouse ("p99 by shard"); [`ShardedCluster`] partitions
+//!   a database and holds the executor over it.
 //!
 //! Determinism discipline, everywhere: shard assignment is a pure
 //! function of `(scheme, seed, value, shards)`; worker threads decide

@@ -13,9 +13,9 @@
 //!   aggregates shard cleanly. String keys hash their *bytes* — the
 //!   dictionary code is partition-local and never leaks into routing.
 //! - [`PartitionScheme::Range`] — equal-width ranges over the column's
-//!   build-time min/max stats; preserves clustering, so per-shard zone
-//!   maps stay tight on range predicates. NaN rows and degenerate
-//!   domains route to shard 0 deterministically.
+//!   finite min/max; preserves clustering, so per-shard zone maps stay
+//!   tight on range predicates. NaN rows, `-inf` and degenerate domains
+//!   route to shard 0, `+inf` to the last shard.
 //!
 //! Every scheme is **total** (each row lands on exactly one shard) and
 //! the shards are **disjoint** — the property tests in
@@ -120,13 +120,24 @@ pub fn shard_assignments(
                     expected: "a numeric column for range partitioning",
                 });
             }
-            let stats = table.stats().column(column);
-            let (min, max) = stats.and_then(|s| s.min.zip(s.max)).unwrap_or((0.0, 0.0));
+            // Bounds over the finite values only: one ±inf would make
+            // the width infinite or NaN and collapse every row onto
+            // shard 0.
+            let (min, max) = (0..table.rows())
+                .filter_map(|row| col.f64_at(row))
+                .filter(|x| x.is_finite())
+                .fold(None, |bounds, x| match bounds {
+                    None => Some((x, x)),
+                    Some((lo, hi)) => Some((x.min(lo), x.max(hi))),
+                })
+                .unwrap_or((0.0, 0.0));
             let width = (max - min) / shards as f64;
             for row in 0..table.rows() {
                 let shard = match col.f64_at(row) {
                     // NaN (the engine's null) and degenerate domains
                     // route to shard 0 — deterministic, never dropped.
+                    // `as` saturates, so -inf lands on shard 0 and +inf
+                    // on the last.
                     Some(x) if !x.is_nan() && width > 0.0 => {
                         (((x - min) / width) as usize).min(shards - 1)
                     }
@@ -279,6 +290,30 @@ mod tests {
         let sel = shard_assignments(&t, &PartitionScheme::range("v"), 0, 2).unwrap();
         assert_total_and_disjoint(&sel, 5);
         assert!(sel[0].contains(&0) && sel[0].contains(&2), "NaN → shard 0");
+    }
+
+    #[test]
+    fn range_bounds_ignore_infinities() {
+        let t = TableBuilder::new("inf")
+            .column(
+                "v",
+                ColumnBuilder::float(
+                    (0..1_000)
+                        .map(f64::from)
+                        .chain([f64::INFINITY, f64::NEG_INFINITY]),
+                ),
+            )
+            .build()
+            .unwrap();
+        let sel = shard_assignments(&t, &PartitionScheme::range("v"), 0, 4).unwrap();
+        assert_total_and_disjoint(&sel, 1_002);
+        let finite: Vec<usize> = sel
+            .iter()
+            .map(|rows| rows.iter().filter(|&&r| r < 1_000).count())
+            .collect();
+        assert_eq!(finite, [250, 250, 250, 250]);
+        assert!(sel[0].contains(&1_001), "-inf → shard 0");
+        assert!(sel[3].contains(&1_000), "+inf → the last shard");
     }
 
     #[test]

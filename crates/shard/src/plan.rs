@@ -3,11 +3,11 @@
 //!
 //! The executor scatters one mergeable query (COUNT or histogram — the
 //! shapes the engine's fused filter+bin / filter+probe kernels serve)
-//! to every shard, runs the shard fragments through the engine's one
-//! ordered fan-out ([`ordered_map`]), and gathers the partials **in
-//! fixed shard order**. Worker threads only decide *when* a shard
-//! runs, never *what* it contributes or *where* its partial sits in
-//! the merge, so the merged result, the virtual costs, and the
+//! to every shard, runs the shard fragments on the calling thread and
+//! on the executor's long-lived helper threads, and gathers the
+//! partials **in fixed shard order**. Threads only decide *when* a
+//! shard runs, never *what* it contributes or *where* its partial sits
+//! in the merge, so the merged result, the virtual costs, and the
 //! recorded telemetry are byte-identical at any thread count.
 //!
 //! Every shard fragment runs through [`ids_engine::exec::run_query`],
@@ -23,14 +23,17 @@
 //! [`ShardedCluster`] is the partition step and the executor in one
 //! value: what `experiments::scalability` sweeps over node counts.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+
 use ids_engine::distributed::merge_partials;
 use ids_engine::exec::run_query;
-use ids_engine::parallel::ordered_map;
 use ids_engine::{
     CostModel, CostParams, Database, EngineError, EngineResult, LinearCostModel, Query,
     QueryFootprint, ResultSet,
 };
-use ids_simclock::SimDuration;
+use ids_simclock::{SimDuration, SimTime};
 
 use crate::partition::{partition_database, PartitionScheme};
 
@@ -81,12 +84,79 @@ impl ShardOutcome {
     }
 }
 
+type Partial = EngineResult<(ResultSet, QueryFootprint)>;
+
+/// One statement's scatter, owned by every thread that drains it, so a
+/// helper that wakes after the statement returned touches only the `Arc`.
+struct Scatter {
+    shards: Arc<[Database]>,
+    query: Query,
+    /// The caller's virtual clock: fault injection keys its windows on it.
+    vnow: SimTime,
+    /// Next shard to claim; partials are published through `slots`.
+    next: AtomicUsize,
+    slots: Mutex<Vec<Option<Partial>>>,
+    all_filled: Condvar,
+}
+
+impl Scatter {
+    /// Publishes the caller's clock (a no-op on the caller) and runs
+    /// shards off the cursor until it runs out. A panicking fragment
+    /// fills its slot with `SchedulerClosed`: the thread survives.
+    fn drain(&self) {
+        ids_obs::set_vnow(self.vnow);
+        loop {
+            let shard = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(db) = self.shards.get(shard) else {
+                return;
+            };
+            let partial = catch_unwind(AssertUnwindSafe(|| run_query(db, &self.query)))
+                .unwrap_or(Err(EngineError::SchedulerClosed));
+            let mut slots = self.slots.lock().expect("no fragment runs under it");
+            slots[shard] = Some(partial);
+            if slots.iter().all(Option::is_some) {
+                self.all_filled.notify_one();
+            }
+        }
+    }
+}
+
+/// Helper threads that live as long as their executor, each blocked on
+/// its own channel; dropping them closes each channel and joins.
+#[derive(Debug, Default)]
+struct Helpers(Vec<(mpsc::Sender<Arc<Scatter>>, std::thread::JoinHandle<()>)>);
+
+impl Helpers {
+    /// Starts up to `n` helpers; one that fails to spawn is left out,
+    /// and the caller drains its shards instead.
+    fn start(n: usize) -> Helpers {
+        let spawn = |i| {
+            let (tx, rx) = mpsc::channel::<Arc<Scatter>>();
+            std::thread::Builder::new()
+                .name(format!("scatter-gather-{i}"))
+                .spawn(move || rx.iter().for_each(|scatter| scatter.drain()))
+                .ok()
+                .map(|thread| (tx, thread))
+        };
+        Helpers((0..n).filter_map(spawn).collect())
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        for (tasks, thread) in self.0.drain(..) {
+            drop(tasks);
+            let _ = thread.join(); // a helper catches every fragment panic
+        }
+    }
+}
+
 /// Scatter-gather executor over pre-partitioned shard databases.
 #[derive(Debug)]
 pub struct ScatterGather {
-    shards: Vec<Database>,
+    shards: Arc<[Database]>,
     model: LinearCostModel,
-    threads: usize,
+    helpers: Helpers,
 }
 
 impl ScatterGather {
@@ -94,9 +164,9 @@ impl ScatterGather {
     /// and the default coordination model.
     pub fn over(shards: Vec<Database>) -> ScatterGather {
         ScatterGather {
-            shards,
+            shards: shards.into(),
             model: LinearCostModel::new(CostParams::disk_default()),
-            threads: 1,
+            helpers: Helpers::default(),
         }
     }
 
@@ -106,11 +176,11 @@ impl ScatterGather {
         self
     }
 
-    /// Runs shards on up to `threads` OS worker threads. Purely a
-    /// wall-clock knob: results, virtual costs, and telemetry do not
-    /// depend on it.
+    /// Runs shards on the caller plus up to `threads - 1` helper threads
+    /// kept until the executor drops. Wall-clock only: results, virtual
+    /// costs, and telemetry do not depend on it.
     pub fn with_threads(mut self, threads: usize) -> ScatterGather {
-        self.threads = threads.max(1);
+        self.helpers = Helpers::start(threads.min(self.shards.len()).saturating_sub(1));
         self
     }
 
@@ -129,6 +199,9 @@ impl ScatterGather {
     /// error before any shard runs; a failing shard fails the plan with
     /// its error (the lowest-numbered shard's, if several), a panicking
     /// fragment with `SchedulerClosed`.
+    ///
+    /// Spawns nothing: the caller drains shards beside the helpers and
+    /// never waits for a helper that woke too late to claim one.
     pub fn execute(&self, query: &Query) -> EngineResult<ShardOutcome> {
         // Only COUNTs and histograms merge under a row partition;
         // paginated selects and joins would need a shuffle, which this
@@ -139,11 +212,28 @@ impl ScatterGather {
                 expected: "a mergeable query (COUNT or histogram) for distributed execution",
             });
         }
-        let partials = ordered_map(self.shards.len(), self.threads, |shard| {
-            run_query(&self.shards[shard], query)
-        })?
-        .into_iter()
-        .collect::<EngineResult<Vec<_>>>()?;
+        let scatter = Arc::new(Scatter {
+            shards: Arc::clone(&self.shards),
+            query: query.clone(),
+            vnow: ids_obs::vnow(),
+            next: AtomicUsize::new(0),
+            slots: Mutex::new((0..self.shards.len()).map(|_| None).collect()),
+            all_filled: Condvar::new(),
+        });
+        for (tasks, _) in &self.helpers.0 {
+            // A helper that has exited leaves its shards to the caller.
+            let _ = tasks.send(Arc::clone(&scatter));
+        }
+        scatter.drain();
+        let slots = scatter.slots.lock().expect("no fragment runs under it");
+        let mut slots = scatter
+            .all_filled
+            .wait_while(slots, |slots| slots.iter().any(Option::is_none))
+            .expect("no fragment runs under it");
+        let partials = slots
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect::<EngineResult<_>>()?;
         self.gather(query, partials)
     }
 

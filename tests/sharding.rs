@@ -4,7 +4,9 @@
 //! per-shard spans flow into the telemetry lakehouse's canned queries.
 
 use ids::engine::exec::run_query;
-use ids::engine::{BinSpec, ColumnBuilder, CostParams, Database, Predicate, Query, TableBuilder};
+use ids::engine::{
+    BinSpec, ColumnBuilder, CostParams, Database, EngineResult, Predicate, Query, TableBuilder,
+};
 use ids::lakehouse::{Lakehouse, TimeWindow};
 use ids::obs;
 use ids::shard::{partition_database, PartitionScheme, ScatterGather, ShardOutcome};
@@ -80,12 +82,12 @@ fn every_scheme_matches_single_node_execution() {
 }
 
 /// Executes `query` and returns the outcome with the `shard` spans it recorded.
-fn traced(sg: &ScatterGather, query: &Query) -> (ShardOutcome, Vec<obs::TraceEvent>) {
+fn traced(sg: &ScatterGather, query: &Query) -> EngineResult<(ShardOutcome, Vec<obs::TraceEvent>)> {
     let mark = obs::recorder().event_count();
-    let out = sg.execute(query).expect("scatter-gather");
+    let out = sg.execute(query)?;
     let mut spans = obs::recorder().events_since(mark);
     spans.retain(|e| matches!(e, obs::TraceEvent::Span { cat, .. } if *cat == "shard"));
-    (out, spans)
+    Ok((out, spans))
 }
 
 #[test]
@@ -98,7 +100,9 @@ fn outcome_is_invariant_across_worker_threads() {
     // remembered, and each step moves the counts the step before left.
     // Warm must equal cold — a fresh partitioning per statement, one
     // thread — in merged result, cost, per-shard telemetry and `shard`
-    // spans.
+    // spans. Between the drags, two statements fail — one in every
+    // fragment, one before any shard runs — with the typed error they
+    // fail with at one thread, and leave the executor serving the rest.
     let drags: [fn(f64) -> Predicate; 2] = [
         |d| Predicate::between("t", 100.0, 900.0 + d),
         |d| {
@@ -108,16 +112,26 @@ fn outcome_is_invariant_across_worker_threads() {
             ])
         },
     ];
-    let statements: Vec<Query> = drags
-        .iter()
-        .flat_map(|drag| [0.0, 10.0, 20.0].map(drag))
-        .flat_map(|f| {
+    let steps = |drag: &fn(f64) -> Predicate| {
+        [0.0, 10.0, 20.0].map(drag).into_iter().flat_map(|f| {
             [
                 BinSpec::new("v", 0.0, 101.0, 16),
                 BinSpec::new("t", 0.0, 3_000.0, 12),
             ]
             .map(|bins| Query::histogram("sessions", bins, f.clone()))
         })
+    };
+    let failing = [
+        Query::histogram(
+            "sessions",
+            BinSpec::new("nope", 0.0, 1.0, 4),
+            Predicate::True,
+        ),
+        Query::select("sessions", vec![], Predicate::True, Some(5), 0),
+    ];
+    let statements: Vec<Query> = steps(&drags[0])
+        .chain(failing)
+        .chain(steps(&drags[1]))
         .collect();
     let scheme = PartitionScheme::range("t");
     for shards in [1usize, 4, 16] {
@@ -126,16 +140,25 @@ fn outcome_is_invariant_across_worker_threads() {
             .iter()
             .map(|q| traced(&ScatterGather::over(fresh()).with_threads(1), q))
             .collect();
+        assert_eq!(cold.iter().filter(|c| c.is_err()).count(), 2);
         for threads in [1usize, 2, 4, 8] {
             let sg = ScatterGather::over(fresh()).with_threads(threads);
-            for (query, (want, want_spans)) in statements.iter().zip(&cold) {
-                let (out, spans) = traced(&sg, query);
+            for (query, want) in statements.iter().zip(&cold) {
+                let got = traced(&sg, query);
                 let at = format!("{query} on {shards} shards at {threads} threads");
+                let (Ok((out, spans)), Ok((want, want_spans))) = (&got, want) else {
+                    assert_eq!(
+                        got.err(),
+                        want.as_ref().err().cloned(),
+                        "error drifted: {at}"
+                    );
+                    continue;
+                };
                 assert_eq!(out.result, want.result, "result drifted: {at}");
                 assert_eq!(out.elapsed, want.elapsed, "cost drifted: {at}");
                 assert_eq!(out.total_work, want.total_work, "{at}");
                 assert_eq!(out.per_shard, want.per_shard, "telemetry drifted: {at}");
-                assert_eq!(&spans, want_spans, "spans drifted: {at}");
+                assert_eq!(spans, want_spans, "spans drifted: {at}");
                 assert_eq!(spans.len(), shards, "{at}");
             }
         }
