@@ -1,7 +1,15 @@
 //! Filtered, projected, paginated scans.
+//!
+//! A page resolves its columns once: before any row is built, every
+//! projection — `*` as every column in schema order — becomes the
+//! [`Column`]s it reads, in projection order, so an unknown column fails
+//! even an empty page. Each cell is then read by position, not looked up
+//! by name.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
+use crate::column::Column;
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
 use crate::predicate::Predicate;
@@ -45,61 +53,79 @@ pub fn run_select(table: &Table, spec: &SelectSpec) -> EngineResult<(ResultSet, 
     Ok((ResultSet::Rows(rows), footprint))
 }
 
-/// Materializes projected rows for the given row indices.
-fn project_rows(
-    table: &Table,
-    rows: &[usize],
-    projection: &[Projection],
-) -> EngineResult<Vec<Row>> {
-    // Empty projection means "all columns".
-    if projection.is_empty() {
-        let width = table.width();
-        return Ok(rows
-            .iter()
-            .map(|&r| (0..width).map(|c| table.column_at(c).value(r)).collect())
-            .collect());
-    }
-    // Validate column references once, not per row.
-    for p in projection {
-        for c in p.referenced_columns() {
-            table.column(c)?;
-        }
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for &r in rows {
-        let mut row = Vec::with_capacity(projection.len());
-        for p in projection {
-            row.push(eval_projection(table, r, p)?);
-        }
-        out.push(row);
-    }
-    Ok(out)
+/// A projection resolved against a table.
+enum Resolved<'a> {
+    /// The column's value, typed as stored.
+    Column(&'a Column),
+    /// The parts' text, concatenated.
+    Concat(Vec<Part<'a>>),
 }
 
-fn eval_projection(table: &Table, row: usize, p: &Projection) -> EngineResult<Value> {
-    match p {
-        Projection::Column(c) => table.value(row, c),
-        Projection::Concat(parts) => {
+/// A resolved [`ConcatPart`].
+enum Part<'a> {
+    Column(&'a Column),
+    Literal(&'a str),
+}
+
+/// Materializes projected rows for the given row indices, resolving the
+/// projection once (see the module doc).
+fn project_rows<'a>(
+    table: &'a Table,
+    rows: &[usize],
+    projection: &'a [Projection],
+) -> EngineResult<Vec<Row>> {
+    let resolved: Vec<Resolved<'a>> = if projection.is_empty() {
+        (0..table.width())
+            .map(|c| Resolved::Column(table.column_at(c)))
+            .collect()
+    } else {
+        let resolve = |p: &'a Projection| -> EngineResult<Resolved<'a>> {
+            Ok(match p {
+                Projection::Column(c) => Resolved::Column(table.column(c)?),
+                Projection::Concat(parts) => Resolved::Concat(
+                    parts
+                        .iter()
+                        .map(|part| match part {
+                            ConcatPart::Column(c) => table.column(c).map(Part::Column),
+                            ConcatPart::Literal(l) => Ok(Part::Literal(l)),
+                        })
+                        .collect::<EngineResult<_>>()?,
+                ),
+            })
+        };
+        projection
+            .iter()
+            .map(resolve)
+            .collect::<EngineResult<_>>()?
+    };
+    let value = |p: &Resolved, row: usize| match p {
+        Resolved::Column(c) => c.value(row),
+        Resolved::Concat(parts) => {
             let mut s = String::new();
             for part in parts {
                 match part {
-                    ConcatPart::Column(c) => {
-                        let v = table.value(row, c)?;
-                        s.push_str(&v.to_string());
+                    Part::Column(c) => {
+                        write!(s, "{}", c.value(row)).expect("a String takes any write")
                     }
-                    ConcatPart::Literal(l) => s.push_str(l),
+                    Part::Literal(l) => s.push_str(l),
                 }
             }
-            Ok(Value::Str(Arc::from(s)))
+            Value::Str(Arc::from(s))
         }
-    }
+    };
+    Ok(rows
+        .iter()
+        .map(|&r| resolved.iter().map(|p| value(p, r)).collect())
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::ColumnBuilder;
+    use crate::error::EngineError;
     use crate::table::TableBuilder;
+    use ids_simclock::rng::{check, SimRng};
 
     fn movies() -> Table {
         TableBuilder::new("imdb")
@@ -209,5 +235,119 @@ mod tests {
         assert_eq!(seen.len(), 10);
         let expected: Vec<String> = (0..10).map(|i| format!("m{i}({})", 2000 + i)).collect();
         assert_eq!(seen, expected);
+    }
+
+    /// The page `spec` asks for, built the long way: the filter's rows
+    /// one at a time, every projected column checked in projection order
+    /// before any row, and every cell looked up by name.
+    fn reference(t: &Table, spec: &SelectSpec) -> EngineResult<Vec<Row>> {
+        let projection = match spec.projection.as_slice() {
+            [] => t.column_names().map(Projection::column).collect(),
+            list => list.to_vec(),
+        };
+        for c in projection.iter().flat_map(Projection::referenced_columns) {
+            t.column(c)?;
+        }
+        let matched = spec.filter.select(t)?;
+        let page = matched.into_iter().skip(spec.offset);
+        page.take(spec.limit.unwrap_or(usize::MAX))
+            .map(|r| {
+                let cell = |p: &Projection| match p {
+                    Projection::Column(c) => t.value(r, c),
+                    Projection::Concat(parts) => Ok(Value::from(
+                        parts
+                            .iter()
+                            .map(|part| match part {
+                                ConcatPart::Column(c) => Ok(t.value(r, c)?.to_string()),
+                                ConcatPart::Literal(l) => Ok(l.to_string()),
+                            })
+                            .collect::<EngineResult<String>>()?,
+                    )),
+                };
+                projection.iter().map(cell).collect()
+            })
+            .collect()
+    }
+
+    /// A random page of `movies()`: `*` or 1–4 projections (columns,
+    /// repeats allowed, and concatenations with literals), a quarter of
+    /// the time with an unknown `nope` (and maybe a later unknown) at a
+    /// random position, under `TRUE` or a filter, and any `LIMIT`/`OFFSET`
+    /// up to past the end.
+    fn gen_spec(rng: &mut SimRng) -> SelectSpec {
+        const NAMES: &[&str] = &["id", "title", "year", "rating"];
+        const LITERALS: &[&str] = &["(", ")", "", " – ", "ü"];
+        let below = |rng: &mut SimRng, n: usize| rng.uniform_usize(0, n);
+        let pick = |rng: &mut SimRng, from: &[&'static str]| from[below(rng, from.len())];
+        let part = |rng: &mut SimRng| match below(rng, 2) {
+            0 => ConcatPart::Column(pick(rng, NAMES).into()),
+            _ => ConcatPart::Literal(pick(rng, LITERALS).into()),
+        };
+        let mut projection: Vec<Projection> = match below(rng, 4) {
+            0 => Vec::new(),
+            _ => (0..1 + below(rng, 4))
+                .map(|_| match below(rng, 3) {
+                    0 => Projection::Concat((0..2 + below(rng, 3)).map(|_| part(rng)).collect()),
+                    _ => Projection::column(pick(rng, NAMES)),
+                })
+                .collect(),
+        };
+        if below(rng, 4) == 0 {
+            let nope = match below(rng, 2) {
+                0 => Projection::column("nope"),
+                _ => Projection::title_with_year("title", "nope"),
+            };
+            projection.insert(below(rng, projection.len() + 1), nope);
+            if below(rng, 2) == 0 {
+                projection.push(Projection::column("later"));
+            }
+        }
+        let filter = match below(rng, 3) {
+            0 => Predicate::True,
+            1 => Predicate::between("rating", below(rng, 10) as f64, 7.5),
+            _ => Predicate::eq("title", pick(rng, &["m3", "m9", "none"])),
+        };
+        SelectSpec {
+            table: "imdb".into(),
+            projection,
+            filter,
+            limit: (below(rng, 3) > 0).then(|| below(rng, 14)),
+            offset: below(rng, 14),
+        }
+    }
+
+    /// A page built from resolved columns equals the cell-by-cell
+    /// reference, values typed alike; an unknown column anywhere fails
+    /// with the first unknown name, even on an empty page.
+    #[test]
+    fn resolved_page_equals_cell_by_cell_evaluation() {
+        let t = movies();
+        let mut unknown_on_empty_page = 0;
+        check(
+            "resolved_page_equals_cell_by_cell_evaluation",
+            0..500,
+            |rng| {
+                let spec = gen_spec(rng);
+                let got = run_select(&t, &spec).map(|(rs, _)| rs.rows().unwrap().to_vec());
+                let expected = reference(&t, &spec);
+                assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{spec:?}");
+                if spec
+                    .projection
+                    .iter()
+                    .any(|p| p.referenced_columns().contains(&"nope"))
+                {
+                    let nope = EngineError::UnknownColumn {
+                        table: "imdb".into(),
+                        column: "nope".into(),
+                    };
+                    assert_eq!(got.unwrap_err(), nope, "{spec:?}");
+                    let matched = spec.filter.select(&t).unwrap().len();
+                    if spec.limit == Some(0) || spec.offset >= matched {
+                        unknown_on_empty_page += 1;
+                    }
+                }
+            },
+        );
+        assert!(unknown_on_empty_page >= 10, "{unknown_on_empty_page}");
     }
 }

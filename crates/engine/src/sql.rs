@@ -157,11 +157,13 @@ impl fmt::Display for Query {
 // Tokenizer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+/// A token, borrowing its text from the statement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
     Number(f64),
-    Str(String),
+    /// The text between the quotes, `''` escapes still doubled.
+    Str(&'a str),
     Symbol(char),
     Concat, // ||
     Le,     // <=
@@ -170,12 +172,12 @@ enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(w) => write!(f, "`{w}`"),
             Token::Number(x) => write!(f, "number {x}"),
-            Token::Str(s) => write!(f, "string '{s}'"),
+            Token::Str(s) => write!(f, "string '{}'", unquote(s)),
             Token::Symbol(c) => write!(f, "`{c}`"),
             Token::Concat => write!(f, "`||`"),
             Token::Le => write!(f, "`<=`"),
@@ -186,82 +188,73 @@ impl fmt::Display for Token {
     }
 }
 
+/// A string literal's contents with its `''` escapes undone — the one
+/// place parsing copies text other than a name.
+fn unquote(raw: &str) -> Arc<str> {
+    if raw.contains('\'') {
+        Arc::from(raw.replace("''", "'"))
+    } else {
+        Arc::from(raw)
+    }
+}
+
 /// Tokenizes `sql` into `(token, byte offset)` pairs. The lexical errors
 /// are an unterminated string literal and a numeric literal that is
 /// malformed or not finite.
-fn tokenize(sql: &str) -> EngineResult<Vec<(Token, usize)>> {
-    let mut tokens = Vec::new();
-    let chars: Vec<(usize, char)> = sql.char_indices().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let (at, c) = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
+///
+/// Whitespace is [`char::is_whitespace`]; an identifier starts with an
+/// alphabetic character or `_` and continues with alphanumerics and `_`;
+/// every other character outside the grammar is a [`Token::Symbol`].
+/// Every slice taken falls on a char boundary.
+fn tokenize(sql: &str) -> EngineResult<Vec<(Token<'_>, usize)>> {
+    // A token and the space after it take two bytes or more.
+    let mut tokens = Vec::with_capacity(sql.len() / 2 + 1);
+    let bytes = sql.as_bytes();
+    let mut at = 0;
+    while let Some(c) = sql[at..].chars().next() {
+        // Only ever compared with ASCII, which no byte inside a
+        // multi-byte character equals.
+        let next = bytes.get(at + 1).copied();
+        let (token, end) = match c {
+            c if c.is_whitespace() => {
+                at += c.len_utf8();
+                continue;
+            }
             '\'' => {
                 // String literal with '' escaping.
-                let mut s = String::new();
-                let mut closed = false;
-                i += 1;
-                while i < chars.len() {
-                    if chars[i].1 == '\'' {
-                        if chars.get(i + 1).map(|&(_, c)| c) == Some('\'') {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
-                        closed = true;
+                let mut end = at + 1;
+                loop {
+                    let Some(quote) = sql[end..].find('\'').map(|k| end + k) else {
+                        return Err(EngineError::SqlParse {
+                            pos: at,
+                            msg: "unterminated string literal".into(),
+                        });
+                    };
+                    if bytes.get(quote + 1) != Some(&b'\'') {
+                        break (Token::Str(&sql[at + 1..quote]), quote + 1);
+                    }
+                    end = quote + 2;
+                }
+            }
+            '|' if next == Some(b'|') => (Token::Concat, at + 2),
+            '<' if next == Some(b'=') => (Token::Le, at + 2),
+            '>' if next == Some(b'=') => (Token::Ge, at + 2),
+            '<' if next == Some(b'>') => (Token::Ne, at + 2),
+            c if c.is_ascii_digit() || (c == '.' && next.is_some_and(|d| d.is_ascii_digit())) => {
+                let mut end = at + 1;
+                while let Some(&b) = bytes.get(end) {
+                    let exponent_sign =
+                        (b == b'+' || b == b'-') && matches!(bytes[end - 1], b'e' | b'E');
+                    if !(b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E') || exponent_sign) {
                         break;
                     }
-                    s.push(chars[i].1);
-                    i += 1;
+                    end += 1;
                 }
-                if !closed {
-                    return Err(EngineError::SqlParse {
-                        pos: at,
-                        msg: "unterminated string literal".into(),
-                    });
-                }
-                i += 1; // closing quote
-                tokens.push((Token::Str(s), at));
-            }
-            '|' if chars.get(i + 1).map(|&(_, c)| c) == Some('|') => {
-                tokens.push((Token::Concat, at));
-                i += 2;
-            }
-            '<' if chars.get(i + 1).map(|&(_, c)| c) == Some('=') => {
-                tokens.push((Token::Le, at));
-                i += 2;
-            }
-            '>' if chars.get(i + 1).map(|&(_, c)| c) == Some('=') => {
-                tokens.push((Token::Ge, at));
-                i += 2;
-            }
-            '<' if chars.get(i + 1).map(|&(_, c)| c) == Some('>') => {
-                tokens.push((Token::Ne, at));
-                i += 2;
-            }
-            c if c.is_ascii_digit()
-                || (c == '.' && chars.get(i + 1).is_some_and(|&(_, d)| d.is_ascii_digit())) =>
-            {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].1.is_ascii_digit()
-                        || chars[i].1 == '.'
-                        || chars[i].1 == 'e'
-                        || chars[i].1 == 'E'
-                        || ((chars[i].1 == '+' || chars[i].1 == '-')
-                            && matches!(
-                                chars.get(i.wrapping_sub(1)).map(|&(_, c)| c),
-                                Some('e' | 'E')
-                            )))
-                {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().map(|&(_, c)| c).collect();
+                let text = &sql[at..end];
                 // An overflowing literal parses to infinity, which renders
                 // as `inf` — text the parser does not read back.
                 match text.parse::<f64>() {
-                    Ok(x) if x.is_finite() => tokens.push((Token::Number(x), at)),
+                    Ok(x) if x.is_finite() => (Token::Number(x), end),
                     parsed => {
                         return Err(EngineError::SqlParse {
                             pos: at,
@@ -274,20 +267,15 @@ fn tokenize(sql: &str) -> EngineResult<Vec<(Token, usize)>> {
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].1.is_alphanumeric() || chars[i].1 == '_') {
-                    i += 1;
-                }
-                tokens.push((
-                    Token::Ident(chars[start..i].iter().map(|&(_, c)| c).collect()),
-                    at,
-                ));
+                let end = sql[at..]
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .map_or(sql.len(), |k| at + k);
+                (Token::Ident(&sql[at..end]), end)
             }
-            other => {
-                tokens.push((Token::Symbol(other), at));
-                i += 1;
-            }
-        }
+            other => (Token::Symbol(other), at + other.len_utf8()),
+        };
+        tokens.push((token, at));
+        at = end;
     }
     Ok(tokens)
 }
@@ -305,16 +293,16 @@ fn tokenize(sql: &str) -> EngineResult<Vec<(Token, usize)>> {
 /// thread.
 const MAX_DEPTH: usize = 128;
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Token<'a>, usize)>,
     pos: usize,
     eof_pos: usize,
     /// `NOT`s and `(`s open at the current token.
     nesting: usize,
 }
 
-impl Parser {
-    fn new(sql: &str) -> EngineResult<Parser> {
+impl<'a> Parser<'a> {
+    fn new(sql: &'a str) -> EngineResult<Parser<'a>> {
         Ok(Parser {
             tokens: tokenize(sql)?,
             pos: 0,
@@ -323,8 +311,8 @@ impl Parser {
         })
     }
 
-    fn peek(&self) -> &Token {
-        self.tokens.get(self.pos).map_or(&Token::Eof, |(t, _)| t)
+    fn peek(&self) -> Token<'a> {
+        self.tokens.get(self.pos).map_or(Token::Eof, |&(t, _)| t)
     }
 
     /// Byte offset of the current token (end of input at EOF).
@@ -362,7 +350,7 @@ impl Parser {
     }
 
     fn eat_symbol(&mut self, c: char) -> bool {
-        if self.peek() == &Token::Symbol(c) {
+        if self.peek() == Token::Symbol(c) {
             self.pos += 1;
             return true;
         }
@@ -377,8 +365,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> EngineResult<String> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> EngineResult<&'a str> {
+        match self.peek() {
             Token::Ident(w) => {
                 self.pos += 1;
                 Ok(w)
@@ -390,7 +378,7 @@ impl Parser {
     fn number(&mut self) -> EngineResult<f64> {
         // Allow unary minus.
         let neg = self.eat_symbol('-');
-        match self.peek().clone() {
+        match self.peek() {
             Token::Number(x) => {
                 self.pos += 1;
                 Ok(if neg { -x } else { x })
@@ -506,7 +494,7 @@ impl Parser {
 
     fn expect_end(&mut self) -> EngineResult<()> {
         self.eat_symbol(';');
-        if self.peek() == &Token::Eof {
+        if self.peek() == Token::Eof {
             Ok(())
         } else {
             Err(self.error(format!("unexpected trailing input: {}", self.peek())))
@@ -532,7 +520,7 @@ impl Parser {
     fn parse_projection(&mut self) -> EngineResult<Projection> {
         let first_at = self.at();
         let first = self.parse_concat_part()?;
-        if self.peek() != &Token::Concat {
+        if self.peek() != Token::Concat {
             return match first {
                 ConcatPart::Column(c) => Ok(Projection::Column(c)),
                 ConcatPart::Literal(_) => Err(EngineError::SqlParse {
@@ -542,7 +530,7 @@ impl Parser {
             };
         }
         let mut parts = vec![first];
-        while self.peek() == &Token::Concat {
+        while self.peek() == Token::Concat {
             self.pos += 1;
             parts.push(self.parse_concat_part()?);
         }
@@ -550,14 +538,14 @@ impl Parser {
     }
 
     fn parse_concat_part(&mut self) -> EngineResult<ConcatPart> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::Ident(w) => {
                 self.pos += 1;
                 Ok(ConcatPart::Column(Arc::from(w)))
             }
             Token::Str(s) => {
                 self.pos += 1;
-                Ok(ConcatPart::Literal(Arc::from(s)))
+                Ok(ConcatPart::Literal(unquote(s)))
             }
             other => Err(self.error(format!("expected column or string literal, found {other}"))),
         }
@@ -631,10 +619,10 @@ impl Parser {
             }
         };
         self.pos += 1;
-        let value = match self.peek().clone() {
+        let value = match self.peek() {
             Token::Str(s) => {
                 self.pos += 1;
-                Value::from(s)
+                Value::Str(unquote(s))
             }
             _ => Value::Float(self.number()?),
         };
@@ -652,7 +640,7 @@ impl Parser {
     fn nested(
         &mut self,
         at: usize,
-        parse: fn(&mut Parser) -> EngineResult<Predicate>,
+        parse: fn(&mut Parser<'a>) -> EngineResult<Predicate>,
     ) -> EngineResult<Predicate> {
         if self.nesting == 2 * MAX_DEPTH {
             return Err(EngineError::SqlParse {
@@ -791,6 +779,13 @@ mod tests {
     #[test]
     fn keywords_are_case_insensitive() {
         assert!(parse("select count(*) from imdb where rating between 0 and 1").is_ok());
+        // U+3000 is whitespace and `ö`, `ß` are letters, as `char` has them.
+        let wide = "select\u{3000}count(*)\u{3000}from\u{3000}imdb\u{3000}where\u{3000}größe\u{3000}between\u{3000}0\u{3000}and\u{3000}1";
+        assert_eq!(
+            format!("{:?}", parse(wide).unwrap()),
+            format!("{:?}", parse(&wide.replace('\u{3000}', " ")).unwrap())
+        );
+        assert!(parse(wide).unwrap().to_string().contains("größe BETWEEN"));
     }
 
     #[test]
@@ -964,6 +959,39 @@ mod tests {
                 sql: "SELECT HISTOGRAM(rating, 0, 10, 4) FROM imdb GROUP BY 2",
                 pos: 54,
                 msg_contains: "GROUP BY 1",
+            },
+            // Positions are byte offsets, not char indices (`ö`, `ß` and
+            // `ü` take two bytes, `→` three), and a character outside the
+            // grammar is a symbol wherever it stands.
+            Case {
+                sql: "SELECT größe→ FROM imdb",
+                pos: 14,
+                msg_contains: "expected `FROM`, found `→`",
+            },
+            Case {
+                sql: "SELECT COUNT(*) FROM imdb WHERE größe < 1→",
+                pos: 43,
+                msg_contains: "trailing input: `→`",
+            },
+            Case {
+                sql: "SELECT COUNT(*) FROM imdb WHERE größe = 'ü→'→",
+                pos: 49,
+                msg_contains: "trailing input: `→`",
+            },
+            Case {
+                sql: "SELECT COUNT(*) FROM 'it''s→'",
+                pos: 21,
+                msg_contains: "found string 'it's→'",
+            },
+            Case {
+                sql: "SELECT COUNT(*) FROM imdb WHERE größe = 'ü→",
+                pos: 42,
+                msg_contains: "unterminated string literal",
+            },
+            Case {
+                sql: "SELECT COUNT(*) FROM imdb WHERE größe <→ 1",
+                pos: 41,
+                msg_contains: "expected number, found `→`",
             },
         ];
         for case in cases {
