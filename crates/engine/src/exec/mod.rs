@@ -47,9 +47,10 @@ use crate::Database;
 /// `WHERE` clause, so the table remembers the last filter it answered
 /// (`Table::memo`) and a repeat gets that very answer back. A drag
 /// re-issues that filter with one range moved
-/// (`Predicate::moved_range`), and the walk starts from the
-/// remembered selection, reading only the moved column where that reads
-/// less. The counters are stored with the selection and both walks
+/// (`Predicate::moved_range`): the moved walk starts from the
+/// remembered selection and decides again only the rows the column's
+/// value order places between an old and a new bound, reading no
+/// column. The counters are stored with the selection and both walks
 /// count every block verdict the cold walk counts: no footprint, and no
 /// virtual cost priced from one, can tell a remembered or moved answer
 /// from a cold one, and nothing records which it was. `TRUE` (already
@@ -120,6 +121,7 @@ mod tests {
     use crate::column::ColumnBuilder;
     use crate::table::TableBuilder;
     use ids_simclock::rng::{check, SimRng};
+    use std::panic::AssertUnwindSafe;
 
     fn pick<T: Copy>(rng: &mut SimRng, from: &[T]) -> T {
         from[rng.uniform_usize(0, from.len())]
@@ -153,6 +155,33 @@ mod tests {
         }
     }
 
+    /// Builds every column's value order now, as if moved walks over it
+    /// had streamed past the build's cost.
+    fn build_orders(table: &Table) {
+        for i in 0..table.width() {
+            table.value_order_at(i, usize::MAX);
+        }
+    }
+
+    /// `filter`'s answer through the memo against the cold walk's: the
+    /// rows and every footprint field the filter determines.
+    fn check_against_cold(table: &Table, filter: &Predicate) -> Result<(), String> {
+        let (got, fp) = filter_rows(table, filter).map_err(|e| e.to_string())?;
+        let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
+        let cold = kernels::select_vector_with(table, filter, &opts, &mut stats);
+        let cold = cold.map_err(|e| e.to_string())?;
+        let counters = (fp.rows_matched, fp.blocks_pruned, fp.blocks_scanned);
+        let want = (
+            cold.count() as u64,
+            stats.blocks_pruned,
+            stats.blocks_scanned,
+        );
+        match *got == cold && counters == want {
+            true => Ok(()),
+            false => Err(format!("{filter}: {counters:?} against {want:?}")),
+        }
+    }
+
     #[test]
     fn a_moved_filter_answers_exactly_like_a_cold_walk() {
         check("exec/moved-walk", 0..300, |rng| {
@@ -172,6 +201,9 @@ mod tests {
                 .column("s", ColumnBuilder::str(s))
                 .build()
                 .expect("static schema");
+            if rng.chance(0.5) {
+                build_orders(&table);
+            }
             // Ranges on two `Float` columns and an `Int` one (and, rarely,
             // on a string column, which never moves), plus other leaves.
             let mut conjuncts: Vec<Predicate> = ["x", "n", "y"]
@@ -217,6 +249,175 @@ mod tests {
                     "{rows} rows, step {step}: {filter}"
                 );
             }
+        });
+    }
+
+    /// Run edges and ties: tables one row either side of a run and two
+    /// runs and a row; `-0.0`, `0.0` and NaN data; `Int`s around ±2⁵³,
+    /// where neighbours convert to one `f64`; bounds on data values at
+    /// the run edges. The order is a permutation of each run,
+    /// non-decreasing in IEEE order with NaN last, and every moved walk
+    /// answers like the cold one.
+    #[test]
+    fn a_moved_walk_is_exact_at_run_edges_and_ties() {
+        check("exec/moved-walk-edges", 0..8, |rng| {
+            let rows = pick(rng, &[65_535, 65_536, 65_537, 131_073]);
+            let x: Vec<f64> = (0..rows)
+                .map(|_| match rng.uniform_usize(0, 32) {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => 0.0,
+                    _ => rng.uniform_usize(0, 8001) as f64 / 4.0 - 1000.0,
+                })
+                .collect();
+            let y: Vec<f64> = (0..rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            const BIG: i64 = 1 << 53;
+            let n: Vec<i64> = (0..rows)
+                .map(|_| match rng.uniform_usize(0, 4) {
+                    0 => pick(rng, &[BIG, -BIG]) + rng.uniform_usize(0, 9) as i64 - 4,
+                    _ => rng.uniform_usize(0, 2_000_001) as i64 - 1_000_000,
+                })
+                .collect();
+            let table = TableBuilder::new("t")
+                .column("x", ColumnBuilder::float(x))
+                .column("n", ColumnBuilder::int(n))
+                .column("y", ColumnBuilder::float(y))
+                .build()
+                .expect("static schema");
+            build_orders(&table);
+            for i in 0..table.width() {
+                let (col, order) = (table.column_at(i), table.value_order_at(i, 0));
+                let order = order.expect("numeric columns have an order");
+                assert_eq!(order.0.len(), rows);
+                for (r, run) in order.0.chunks(kernels::RUN_ROWS).enumerate() {
+                    let mut seen = vec![false; run.len()];
+                    for &o in run {
+                        assert!(!std::mem::replace(&mut seen[usize::from(o)], true));
+                    }
+                    let value = |o: &u16| col.f64_at(r * kernels::RUN_ROWS + usize::from(*o));
+                    let values: Vec<f64> = run.iter().filter_map(value).collect();
+                    let numbers = values.iter().take_while(|v| !v.is_nan()).count();
+                    assert!(values[numbers..].iter().all(|v| v.is_nan()), "NaN last");
+                    assert!(
+                        values[..numbers].windows(2).all(|w| w[0] <= w[1]),
+                        "run {r}"
+                    );
+                }
+            }
+            // Bounds: data values at the run edges and the table's ends,
+            // ties of ±2⁵³, signed zeros, infinities, or the grid.
+            let edges = [
+                0,
+                65_534,
+                65_535,
+                65_536,
+                65_537,
+                131_071,
+                131_072,
+                rows - 1,
+            ];
+            let bound = |rng: &mut SimRng, col: usize| match rng.uniform_usize(0, 6) {
+                0 => {
+                    let row = pick(rng, &edges).min(rows - 1);
+                    let v = table.column_at(col).f64_at(row).expect("numeric");
+                    if v.is_nan() {
+                        0.0
+                    } else {
+                        v
+                    }
+                }
+                1 => (pick(rng, &[BIG, -BIG]) + rng.uniform_usize(0, 5) as i64 - 2) as f64,
+                2 => pick(rng, &[0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY]),
+                _ => rng.uniform_usize(0, 8001) as f64 / 4.0 - 1000.0,
+            };
+            let mut conjuncts: Vec<Predicate> = ["x", "n", "y"]
+                .into_iter()
+                .map(|c| Predicate::between(c, -1000.0, 1000.0))
+                .collect();
+            for step in 0..12 {
+                let at = rng.uniform_usize(0, 2);
+                if let Predicate::Between { lo, hi, .. } = &mut conjuncts[at] {
+                    match rng.uniform_usize(0, 4) {
+                        0 => *lo = bound(rng, at),
+                        1 => *hi = bound(rng, at),
+                        _ => *hi += pick(rng, &[-0.25, 0.25, -1.0, 1.0]),
+                    }
+                }
+                let filter = Predicate::And(conjuncts.clone());
+                let checked = check_against_cold(&table, &filter);
+                checked.unwrap_or_else(|e| panic!("{rows} rows, step {step}: {e}"));
+            }
+        });
+    }
+
+    /// The memo's race rule: two threads, in lock step, drive clones of
+    /// one table from before any zone map or value order exists. Both
+    /// walk one drag — each filter repeats the last, moves one range on
+    /// any column, or moves two — the second thread level with the first
+    /// or a step or two behind, so each walk may start from the selection
+    /// the other thread stored. Every answer and footprint equals the
+    /// cold walk's.
+    #[test]
+    fn racing_threads_on_one_table_answer_like_a_cold_walk() {
+        check("exec/moved-walk-race", 0..16, |rng| {
+            let rows = pick(rng, &[1025, 3000, 5000]);
+            let grid = |rng: &mut SimRng| rng.uniform_usize(0, 41) as f64 - 20.0;
+            let (x, y): (Vec<f64>, Vec<f64>) = (0..rows).map(|_| (grid(rng), grid(rng))).unzip();
+            let n = (0..rows).map(|_| rng.uniform_usize(0, 41) as i64 - 20);
+            let table = TableBuilder::new("t")
+                .column("x", ColumnBuilder::float(x))
+                .column("y", ColumnBuilder::float(y))
+                .column("n", ColumnBuilder::int(n))
+                .build()
+                .expect("static schema");
+            // Ranges inside the data's span, so zone maps leave every
+            // block undecided and the walks stream enough to build orders.
+            let mut conjuncts: Vec<Predicate> = ["x", "n", "y"]
+                .into_iter()
+                .map(|c| Predicate::between(c, -10.0 - grid(rng) / 4.0, 10.0 + grid(rng) / 4.0))
+                .collect();
+            let drag: Vec<Predicate> = (0..64)
+                .map(|_| {
+                    for _ in 0..pick(rng, &[0, 1, 1, 1, 2]) {
+                        let at = rng.uniform_usize(0, 3);
+                        if let Predicate::Between { lo, hi, .. } = &mut conjuncts[at] {
+                            let end = if rng.chance(0.5) { lo } else { hi };
+                            *end += pick(rng, &[-1.0, 1.0]);
+                        }
+                    }
+                    Predicate::And(conjuncts.clone())
+                })
+                .collect();
+            let (lag, barrier) = (rng.uniform_usize(0, 3), std::sync::Barrier::new(2));
+            let failures: Vec<String> = std::thread::scope(|s| {
+                let threads = [0, lag].map(|lag| {
+                    let (table, barrier, drag) = (table.clone(), &barrier, &drag);
+                    s.spawn(move || {
+                        let mut failures = Vec::new();
+                        for step in 0..drag.len() {
+                            let filter = &drag[step.saturating_sub(lag)];
+                            barrier.wait();
+                            // A panic is a failure too, not a partner left
+                            // waiting at the barrier.
+                            let checked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                check_against_cold(&table, filter)
+                            }));
+                            match checked {
+                                Ok(Ok(())) => {}
+                                Ok(Err(e)) => failures.push(format!("lag {lag}, step {step}: {e}")),
+                                Err(_) => {
+                                    failures.push(format!("lag {lag}, step {step}: panicked"))
+                                }
+                            }
+                        }
+                        failures
+                    })
+                });
+                threads
+                    .map(|t| t.join().expect("caught panics are failures"))
+                    .concat()
+            });
+            assert!(failures.is_empty(), "{rows} rows: {failures:#?}");
         });
     }
 }

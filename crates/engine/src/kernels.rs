@@ -15,7 +15,10 @@
 //!   decide whole blocks — all-false or all-true — without touching data;
 //! - **fused kernels** consume the selection vector directly
 //!   (filter+bin+count for histograms, filter+count for counts) without
-//!   ever materializing a row-id vector.
+//!   ever materializing a row-id vector;
+//! - **the moved walk** answers a filter one range from the last from its
+//!   selection, deciding again only the rows a per-column `ValueOrder`
+//!   finds between an old and a new bound: no column is streamed.
 //!
 //! Kernels change *how* results are computed, never *what* they are: every
 //! kernel is differential-tested against the row-at-a-time interpreter
@@ -258,7 +261,8 @@ pub(crate) fn eval_pred(
         _ => {
             let (mut leaves, mut nested) = (Vec::new(), Vec::new());
             resolve(table, pred, opts, &mut leaves, &mut nested)?;
-            let mut acc = eval_leaves(rows, &leaves, from, stats);
+            let moved = from.and_then(|from| eval_moved(table, pred, &leaves, from, stats));
+            let mut acc = moved.unwrap_or_else(|| eval_leaves(rows, &leaves, stats));
             for p in nested {
                 acc.intersect(&eval_pred(table, p, None, opts, stats)?);
             }
@@ -392,15 +396,6 @@ impl<'a> Leaf<'a> {
             Leaf::Dict(codes, verdicts) => verdicts[codes[row] as usize],
         }
     }
-
-    /// A numeric leaf's column and zone map under another test.
-    fn retest(&self, test: Test) -> Option<Leaf<'a>> {
-        match *self {
-            Leaf::Float(data, zone, _) => Some(Leaf::Float(data, zone, test)),
-            Leaf::Int(data, zone, _) => Some(Leaf::Int(data, zone, test)),
-            Leaf::Const(_) | Leaf::Dict(..) => None,
-        }
-    }
 }
 
 /// Splits the conjunction `pred` into its resolved `leaves` and the
@@ -467,102 +462,170 @@ fn resolve<'a>(
 /// most of it — and a block every leaf decides all-true is filled. The
 /// rest start all-ones in 16 mask words on the stack and each undecided
 /// leaf ANDs its rows in while they are hot.
-///
-/// `from` (a numeric range leaf) replaces reads where it reads less: a
-/// block the moved leaf decides as before keeps its remembered words,
-/// and one that leaves two or more leaves undecided reads the moved
-/// column once — only a row between the old and new lower bounds, or
-/// the upper ones, can change, and each is decided again against every
-/// leaf. Every other block is read cold.
-fn eval_leaves(
-    len: usize,
-    leaves: &[Leaf<'_>],
-    from: Option<(&SelectionVector, (usize, f64, f64))>,
-    stats: &mut KernelStats,
-) -> SelectionVector {
+fn eval_leaves(len: usize, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> SelectionVector {
     if leaves.is_empty() {
         // `TRUE`: every row, and its count is known without a popcount pass.
         return SelectionVector::all(len);
     }
-    // The remembered words, the moved leaf's position and old test, and
-    // the spans a changed row lies in.
-    let moved = from.and_then(|(selected, (at, was_lo, was_hi))| {
-        let leaf = &leaves[at];
-        let (Leaf::Float(.., Test::Range(lo, hi)) | Leaf::Int(.., Test::Range(lo, hi))) = leaf
-        else {
-            return None;
-        };
-        let spans: Vec<Leaf<'_>> = [(was_lo, *lo), (was_hi, *hi)]
-            .into_iter()
-            .filter(|(old, new)| old != new)
-            .filter_map(|(a, b)| leaf.retest(Test::Range(a.min(b), a.max(b))))
-            .collect();
-        let old = leaf.retest(Test::Range(was_lo, was_hi))?;
-        Some((selected.words(), at, old, spans))
-    });
     let mut words = vec![0u64; SelectionVector::word_count(len)];
     let mut verdicts = vec![None; leaves.len()];
     let mut count = 0;
     for (b, out) in words.chunks_mut(BLOCK_WORDS).enumerate() {
         let start = b * ZONE_BLOCK_ROWS;
         let end = (start + ZONE_BLOCK_ROWS).min(len);
-        // The counting rule: every (leaf, block) pair bumps exactly one
-        // counter — `blocks_pruned` when the zone map decided the block,
-        // `blocks_scanned` when it could not — whether or not the data is
-        // then read. That keeps both counters, and every cost priced from
-        // them, independent of conjunct order and of the path below.
-        for (leaf, v) in leaves.iter().zip(&mut verdicts) {
-            *v = leaf.verdict(b);
-            if !matches!(leaf, Leaf::Const(_)) {
-                stats.blocks_pruned += u64::from(v.is_some());
-                stats.blocks_scanned += u64::from(v.is_none());
-            }
-        }
+        count_verdicts(leaves, b, &mut verdicts, stats);
         if verdicts.contains(&Some(false)) {
             continue;
         }
-        let undecided = verdicts.iter().filter(|v| v.is_none()).count();
         let live = &mut [u64::MAX; BLOCK_WORDS][..out.len()];
         if end == len {
             live[out.len() - 1] = SelectionVector::tail_mask(len);
         }
-        let alive = match &moved {
-            _ if undecided == 0 => true,
-            Some((was, at, old, _))
-                if verdicts[*at].is_some() && old.verdict(b) == verdicts[*at] =>
-            {
-                live.copy_from_slice(&was[b * BLOCK_WORDS..][..live.len()]);
-                true
-            }
-            Some((was, _, _, spans)) if undecided > 1 => {
-                live.copy_from_slice(&was[b * BLOCK_WORDS..][..live.len()]);
-                for span in spans.iter().filter(|span| span.verdict(b) != Some(false)) {
-                    let changed = &mut [u64::MAX; BLOCK_WORDS][..live.len()];
-                    span.scan(start, end, changed);
-                    for (i, (w, &c)) in live.iter_mut().zip(changed.iter()).enumerate() {
-                        for j in (BitIter { word: c }) {
-                            let row = start + 64 * i + j;
-                            match leaves.iter().all(|leaf| leaf.holds(row)) {
-                                true => *w |= 1 << j,
-                                false => *w &= !(1 << j),
-                            }
-                        }
-                    }
-                }
-                true
-            }
-            _ => leaves
-                .iter()
-                .zip(&verdicts)
-                .filter(|(_, v)| v.is_none())
-                .all(|(leaf, _)| leaf.scan(start, end, live)),
-        };
-        if alive {
+        let mut undecided = leaves.iter().zip(&verdicts).filter(|(_, v)| v.is_none());
+        if undecided.all(|(leaf, _)| leaf.scan(start, end, live)) {
             out.copy_from_slice(live);
             count += live.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         }
     }
     SelectionVector { len, words, count }
+}
+
+/// Every leaf's zone verdict on block `b`, into `verdicts`, counted: each
+/// (leaf, block) bumps `blocks_pruned` when the zone map decided it and
+/// `blocks_scanned` when not, read or not. That keeps both counters, and
+/// every cost priced from them, independent of conjunct order and of
+/// which walk ran.
+fn count_verdicts(
+    leaves: &[Leaf<'_>],
+    b: usize,
+    verdicts: &mut [Option<bool>],
+    stats: &mut KernelStats,
+) {
+    for (leaf, v) in leaves.iter().zip(verdicts) {
+        *v = leaf.verdict(b);
+        if !matches!(leaf, Leaf::Const(_)) {
+            stats.blocks_pruned += u64::from(v.is_some());
+            stats.blocks_scanned += u64::from(v.is_none());
+        }
+    }
+}
+
+/// What re-deciding a candidate costs per leaf, in streamed leaf-rows:
+/// it tests every leaf at a random row. Measured on the road table, where
+/// a moved walk matched the cold walk at ≈ 40k candidates
+/// (docs/PERFORMANCE.md, "A drag reads only the rows it moves").
+const RANDOM_READ_ROWS: usize = 10;
+
+/// The moved walk: `pred` (an `AND` of single leaves) from the rows `was`
+/// selected when leaf `at` was `was_lo..=was_hi` ([`Predicate::moved_range`]).
+/// Only a row whose moved value lies between an old and a new bound, ends
+/// included, can change: the column's [`ValueOrder`] finds those candidates,
+/// and each is decided again. Verdicts are counted as [`eval_leaves`] counts
+/// them. `None` walks cold: no order, or candidates costing more than it.
+fn eval_moved(
+    table: &Table,
+    pred: &Predicate,
+    leaves: &[Leaf<'_>],
+    (was, (at, was_lo, was_hi)): (&SelectionVector, (usize, f64, f64)),
+    stats: &mut KernelStats,
+) -> Option<SelectionVector> {
+    let (
+        Predicate::And(ps),
+        Leaf::Float(.., Test::Range(lo, hi)) | Leaf::Int(.., Test::Range(lo, hi)),
+    ) = (pred, leaves.get(at)?)
+    else {
+        return None;
+    };
+    let Predicate::Between { column, .. } = ps.get(at)? else {
+        return None;
+    };
+    let (len, mut counted) = (table.rows(), KernelStats::default());
+    let mut verdicts = vec![None; leaves.len()];
+    for b in 0..len.div_ceil(ZONE_BLOCK_ROWS) {
+        count_verdicts(leaves, b, &mut verdicts, &mut counted);
+    }
+    // The cold walk's reads: every undecided (leaf, block).
+    let streamed = counted.blocks_scanned as usize * ZONE_BLOCK_ROWS;
+    let idx = table.column_index(column).ok()?;
+    let (col, order) = (table.column_at(idx), table.value_order_at(idx, streamed)?);
+    let value = |row: usize| col.f64_at(row).unwrap_or(f64::NAN);
+    let mut spans = Vec::new();
+    for (old, new) in [(was_lo, *lo), (was_hi, *hi)] {
+        let (a, b) = (old.min(new), old.max(new));
+        if a == b {
+            continue;
+        }
+        for (base, run) in (0..).step_by(RUN_ROWS).zip(order.0.chunks(RUN_ROWS)) {
+            // A NaN fails both tests, so it sorts last for both searches.
+            let start = run.partition_point(|&o| value(base + usize::from(o)) < a);
+            let end = run.partition_point(|&o| value(base + usize::from(o)) <= b);
+            spans.push((base, &run[start..end]));
+        }
+    }
+    let candidates: usize = spans.iter().map(|(_, span)| span.len()).sum();
+    if candidates * leaves.len() * RANDOM_READ_ROWS > streamed {
+        return None;
+    }
+    stats.blocks_pruned += counted.blocks_pruned;
+    stats.blocks_scanned += counted.blocks_scanned;
+    let (mut words, mut count) = (was.words().to_vec(), was.count());
+    for row in spans
+        .iter()
+        .flat_map(|&(base, span)| span.iter().map(move |&o| base + usize::from(o)))
+    {
+        let (word, bit) = (&mut words[row / 64], 1u64 << (row % 64));
+        let now = leaves.iter().all(|leaf| leaf.holds(row));
+        if now != (*word & bit != 0) {
+            *word ^= bit;
+            count = if now { count + 1 } else { count - 1 };
+        }
+    }
+    Some(SelectionVector { len, words, count })
+}
+
+/// Rows per run of a [`ValueOrder`]: an offset into a run fits a `u16`.
+pub(crate) const RUN_ROWS: usize = 1 << 16;
+
+/// A numeric column's rows in the order the kernels compare them: per
+/// run of [`RUN_ROWS`] rows, its `u16` offsets sorted by value as `f64`,
+/// IEEE order with `-0.0` and `0.0` tied and every NaN last — 2 B a row.
+/// Derived state like a zone map, built only for a column moved walks
+/// need ([`Table::value_order_at`]).
+#[derive(Debug)]
+pub(crate) struct ValueOrder(pub(crate) Box<[u16]>);
+
+impl ValueOrder {
+    /// What building one row's place costs, in streamed leaf-rows: the
+    /// cold reads a column's moved walks make before its order is built.
+    /// Measured with [`RANDOM_READ_ROWS`] (docs/PERFORMANCE.md).
+    pub(crate) const BUILD_ROWS: usize = 48;
+
+    /// Sorts every run of `col`; `None` for a string column.
+    pub(crate) fn build(col: &Column) -> Option<ValueOrder> {
+        if matches!(col, Column::Str { .. }) {
+            return None;
+        }
+        let mut order = Vec::with_capacity(col.len());
+        for base in (0..col.len()).step_by(RUN_ROWS) {
+            let rows = base..col.len().min(base + RUN_ROWS);
+            let key = |row| order_key(col.f64_at(row).unwrap_or(f64::NAN));
+            let mut keyed: Vec<(u64, u16)> = rows.map(|r| (key(r), (r - base) as u16)).collect();
+            keyed.sort_unstable();
+            order.extend(keyed.into_iter().map(|(_, offset)| offset));
+        }
+        Some(ValueOrder(order.into()))
+    }
+}
+
+/// `x`'s place in [`ValueOrder`] as a `u64`: IEEE order, with `-0.0` and
+/// `0.0` one key and every NaN last.
+fn order_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits(); // `-0.0 + 0.0` is `0.0`
+    match (x.is_nan(), bits >> 63) {
+        (true, _) => u64::MAX,
+        (_, 1) => !bits,
+        _ => bits | 1 << 63,
+    }
 }
 
 /// ANDs `test` over one block's `data` into `live`, its

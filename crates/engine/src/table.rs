@@ -1,12 +1,14 @@
-//! Tables: named collections of equal-length columns.
+//! Tables: named collections of equal-length columns, with what clones
+//! share: lazily derived zone maps and value orders, and the memo.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::column::{Column, ColumnBuilder, ZoneMap};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
-use crate::kernels::{KernelStats, SelectionVector};
+use crate::kernels::{KernelStats, SelectionVector, ValueOrder};
 use crate::predicate::Predicate;
 use crate::result::Histogram;
 use crate::stats::TableStats;
@@ -25,6 +27,9 @@ pub struct Table {
     // column). Shared across clones, so the first query to touch a
     // column pays the build and every later query reuses it.
     zones: Arc<[OnceLock<Option<ZoneMap>>]>,
+    // Per-column value orders, each with the leaf-rows its column's moved
+    // walks read cold before it was built; shared like `zones`.
+    orders: Arc<[(OnceLock<Option<ValueOrder>>, AtomicUsize)]>,
     // What the table remembers of the statements it answered, shared
     // across clones like `zones`.
     memo: Arc<Mutex<Memo>>,
@@ -150,6 +155,25 @@ impl Table {
         Ok(self.zone_map_at(self.column_index(name)?))
     }
 
+    /// The value order of column `i`, for a moved walk that would read
+    /// `streamed` leaf-rows cold: built once the column's moved walks have
+    /// read as many as the build costs ([`ValueOrder::BUILD_ROWS`] a row),
+    /// so a table nobody drags pays nothing. `None` until then and for
+    /// string columns.
+    pub(crate) fn value_order_at(&self, i: usize, streamed: usize) -> Option<&ValueOrder> {
+        let (order, cold) = &self.orders[i];
+        // A tally that publishes nothing: racing walks only move the build.
+        if order.get().is_none() {
+            let cold = cold.fetch_add(streamed, Ordering::Relaxed);
+            if cold.saturating_add(streamed) < self.rows * ValueOrder::BUILD_ROWS {
+                return None;
+            }
+        }
+        order
+            .get_or_init(|| ValueOrder::build(&self.columns[i]))
+            .as_ref()
+    }
+
     /// The statement memo, for [`crate::exec`] to clone an entry out of
     /// or store one into — never held across an evaluation or a bin
     /// pass. Every entry is a pure function of (table, its key), so a
@@ -238,11 +262,10 @@ impl TableBuilder {
             cols.push(builder.build());
         }
         let stats = TableStats::compute(&names, &cols);
-        let zones: Vec<OnceLock<Option<ZoneMap>>> =
-            (0..cols.len()).map(|_| OnceLock::new()).collect();
+        let width = cols.len();
         let memo = Memo {
             filter: None,
-            hists: vec![None; cols.len()],
+            hists: vec![None; width],
         };
         Ok(Table {
             name: Arc::from(self.name.as_str()),
@@ -251,7 +274,10 @@ impl TableBuilder {
             index: Arc::new(index),
             rows,
             stats: Arc::new(stats),
-            zones: zones.into(),
+            zones: (0..width).map(|_| OnceLock::new()).collect(),
+            orders: (0..width)
+                .map(|_| (OnceLock::new(), AtomicUsize::new(0)))
+                .collect(),
             memo: Arc::new(Mutex::new(memo)),
         })
     }
