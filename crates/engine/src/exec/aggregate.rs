@@ -3,9 +3,11 @@
 //! Both operators run on the vectorized kernel layer: the filter is
 //! evaluated column-at-a-time into a [`kernels::SelectionVector`], and
 //! the histogram bins selected rows with the fused filter+bin+count
-//! kernel — no `Vec<usize>` of row ids is ever materialized. Virtual
-//! costs (the [`QueryFootprint`] row counters) are byte-identical to
-//! the row-at-a-time engine; only wall-clock time changes.
+//! kernel — no `Vec<usize>` of row ids is ever materialized. A column
+//! binned often by one spec keeps one bucket code per row for it, so
+//! its bins read a byte a row instead of dividing. Virtual costs (the
+//! [`QueryFootprint`] row counters) are byte-identical to the
+//! row-at-a-time engine; only wall-clock time changes.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
 use crate::result::{Histogram, ResultSet};
-use crate::table::Table;
+use crate::table::{CodesMemo, SpecKey, Table};
 
 /// Executes the crossfiltering histogram:
 /// `SELECT ROUND((col - min) / width), COUNT(*) FROM t WHERE f GROUP BY 1 ORDER BY 1`.
@@ -25,9 +27,10 @@ use crate::table::Table;
 /// by its spec's bits. Under the same selection (a repeated filter) that
 /// histogram is the answer; under a selection fewer rows away from it
 /// than it selects, its counts move by the rows that entered and left;
-/// otherwise the bin is cold. Counts are integers, so every path gives
-/// the same answer, and the stored block counters are the cold walk's
-/// over the same selection: nothing records which path ran.
+/// otherwise the bin is cold. Either bin reads the column's bucket codes
+/// once it has them. Counts are integers, so every path gives the same
+/// answer, and the stored block counters are the cold walk's over the
+/// same selection: nothing records which path ran.
 pub fn run_histogram(
     table: &Table,
     bins: &BinSpec,
@@ -48,7 +51,11 @@ pub fn run_histogram(
 }
 
 /// The bin phase over the column at `idx`, by the rule [`run_histogram`]
-/// states; remembers what it counted.
+/// states; remembers what it counted. A column binned by one spec gets
+/// its bucket codes once its division bins have walked as many selected
+/// rows as the table has, which costs more than building them
+/// (docs/PERFORMANCE.md, "A bin reads a byte"); from then on a bin reads
+/// a byte a row. A spec change starts the tally over.
 fn bin_phase(
     table: &Table,
     idx: usize,
@@ -56,26 +63,42 @@ fn bin_phase(
     selected: Arc<SelectionVector>,
 ) -> (Histogram, KernelStats) {
     let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
-    let last = table.memo().hists[idx].clone();
-    let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
-    let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
-    let hist = match last.as_deref().filter(|(k, ..)| *k == key) {
+    let memo = table.memo();
+    let (last, coded) = (memo.hists[idx].clone(), memo.codes[idx].clone());
+    drop(memo);
+    let (from, walked) = match last.as_deref().filter(|(k, ..)| *k == key) {
         Some((_, from, hist, stats)) if Arc::ptr_eq(from, &selected) => {
             return (hist.clone(), *stats);
         }
         // Fewer rows changed than are selected: moving is the cheaper pass.
-        Some((_, from, hist, _)) if from.diff_count(&selected) < selected.count() => {
-            let mut hist = hist.clone();
-            let (from, rows) = (Some(&**from), col.len());
-            kernels::fused_filter_bin_range(
-                col, zone, from, &selected, bins, &opts, &mut stats, 0, rows, &mut hist,
-            );
-            hist
-        }
-        _ => kernels::fused_filter_bin(col, zone, &selected, bins, &opts, &mut stats),
+        Some((_, from, hist, _)) => match from.diff_count(&selected) {
+            moved if moved < selected.count() => (Some((&**from, hist)), moved),
+            _ => (None, selected.count()),
+        },
+        None => (None, selected.count()),
     };
-    table.memo().hists[idx] = Some(Arc::new((key, selected, hist.clone(), stats)));
+    let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
+    // Built with the lock released: racing builders store equal codes.
+    let (before, built) = tally(coded, key);
+    let due = before.saturating_add(walked) >= table.rows();
+    let codes = built.or_else(|| due.then(|| kernels::bucket_codes(col, bins)).flatten());
+    let (opts, mut stats, rows) = (KernelOptions::default(), KernelStats::default(), col.len());
+    let mut hist = from.map_or_else(|| Histogram::zeros(bins.bucket_count()), |(_, h)| h.clone());
+    let (from, coded) = (from.map(|(from, _)| from), codes.as_deref());
+    kernels::fused_filter_bin_range(
+        col, zone, from, coded, &selected, bins, &opts, &mut stats, 0, rows, &mut hist,
+    );
+    let mut memo = table.memo();
+    memo.hists[idx] = Some(Arc::new((key, selected, hist.clone(), stats)));
+    let (before, built) = tally(memo.codes[idx].take(), key);
+    memo.codes[idx] = Some((key, before.saturating_add(walked), built.or(codes)));
     (hist, stats)
+}
+
+/// The tally and codes a column's slot holds for `key`; none for another.
+fn tally(slot: Option<CodesMemo>, key: SpecKey) -> (usize, Option<Arc<[u8]>>) {
+    slot.filter(|(k, ..)| *k == key)
+        .map_or((0, None), |(_, n, c)| (n, c))
 }
 
 /// Executes `SELECT COUNT(*) FROM t WHERE f` — fused filter+count: the
@@ -93,7 +116,9 @@ mod tests {
     use super::*;
     use crate::column::{ColumnBuilder, ZONE_BLOCK_ROWS};
     use crate::error::EngineError;
+    use crate::exec::tests::check_against_division;
     use crate::table::TableBuilder;
+    use ids_simclock::rng::SimRng;
 
     fn road() -> Table {
         // x in [0, 10), y = x * 2, z constant.
@@ -253,6 +278,171 @@ mod tests {
         assert_eq!(run(&t, near), want);
         // 85 rows changed, 10 selected: cold again.
         assert_eq!(run(&t, far), run(&road(), far));
+    }
+
+    /// Makes the next bin of `bins` on `table` build its codes, as if its
+    /// division bins had walked past the build's cost.
+    fn force_codes(table: &Table, bins: &BinSpec) {
+        let idx = table.column_index(&bins.column).unwrap();
+        let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
+        table.memo().codes[idx] = Some((key, usize::MAX, None));
+    }
+
+    /// Whether `table` holds `bins`' codes.
+    fn coded(table: &Table, bins: &BinSpec) -> bool {
+        let idx = table.column_index(&bins.column).unwrap();
+        let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
+        matches!(&table.memo().codes[idx], Some((k, _, Some(_))) if *k == key)
+    }
+
+    /// `x`'s place in IEEE order, so that one ulp is one step.
+    fn ordered(x: f64) -> i64 {
+        let bits = x.to_bits() as i64;
+        if bits < 0 {
+            bits ^ i64::MAX
+        } else {
+            bits
+        }
+    }
+
+    /// The `f64` at place `k` ([`ordered`]'s inverse).
+    fn unordered(k: i64) -> f64 {
+        f64::from_bits(ordered(f64::from_bits(k as u64)) as u64)
+    }
+
+    /// Every bucket edge of `bins` ± 2 ulp: per bucket `b` some value
+    /// reaches, the least `x` that `bin_with_width` bins at or past `b`,
+    /// found by bisecting IEEE order between the domain's ends.
+    fn edges(bins: &BinSpec) -> Vec<f64> {
+        let reaches = |k: i64, b: usize| bins.bin_of(unordered(k)).is_some_and(|i| i >= b);
+        let (lo, hi) = (ordered(bins.min), ordered(bins.max));
+        let mut out = Vec::new();
+        for b in (1..=bins.bins).filter(|&b| reaches(hi, b)) {
+            let (mut below, mut at) = (i128::from(lo), i128::from(hi));
+            while at - below > 1 {
+                let mid = (below + at) / 2;
+                match reaches(mid as i64, b) {
+                    true => at = mid,
+                    false => below = mid,
+                }
+            }
+            out.extend((-2..=2).map(|d| unordered(at as i64 + d)));
+        }
+        out
+    }
+
+    /// A `Float` column `x` and an `Int` column `n` holding what binning
+    /// must get right under `specs`: `x` every edge ± 2 ulp, the domains'
+    /// ends, ±0.0, NaN, ±inf and ±1e308; `n` the integers either side of
+    /// every edge and ±2⁵³ ± 2. Shuffled, then a last block of NaN and
+    /// `i64::MAX`, outside every domain, which the bin's zone check skips.
+    /// `f` is the row number, for filters.
+    fn hard_table(rng: &mut SimRng, specs: &[BinSpec]) -> Table {
+        const BIG: i64 = 1 << 53;
+        let ends = specs.iter().flat_map(|b| [b.min, b.max]);
+        let mut x: Vec<f64> = specs.iter().flat_map(edges).chain(ends).collect();
+        x.extend([
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e308,
+            -1e308,
+        ]);
+        let near = |e: f64| (-2..=2).map(move |d| (e.floor() as i64).saturating_add(d));
+        let mut n: Vec<i64> = x.iter().flat_map(|&e| near(e)).collect();
+        n.extend(
+            [BIG, -BIG]
+                .into_iter()
+                .flat_map(|e| (-2..=2).map(move |d| e + d)),
+        );
+        rng.shuffle(&mut x);
+        rng.shuffle(&mut n);
+        let rows = x.len().max(n.len()).next_multiple_of(ZONE_BLOCK_ROWS) + ZONE_BLOCK_ROWS;
+        x.resize(rows, f64::NAN);
+        n.resize(rows, i64::MAX);
+        TableBuilder::new("t")
+            .column("x", ColumnBuilder::float(x))
+            .column("n", ColumnBuilder::int(n))
+            .column("f", ColumnBuilder::float((0..rows).map(|r| r as f64)))
+            .build()
+            .unwrap()
+    }
+
+    /// Filters on the row number that start cold, move a bound by a few
+    /// rows (a moved bin), jump to the table's end (cold), move again and
+    /// select everything.
+    fn drag(rng: &mut SimRng, rows: usize) -> Vec<Predicate> {
+        let (a, b) = (
+            rng.uniform_usize(0, rows / 4),
+            rng.uniform_usize(rows / 2, rows),
+        );
+        let (a, b, end) = (a as f64, b as f64, rows as f64);
+        let f = |lo, hi| Predicate::between("f", lo, hi);
+        let moves = [
+            f(a, b + 7.0),
+            f(a - 3.0, b + 7.0),
+            f(b, end),
+            f(b - 2.0, end),
+        ];
+        [f(a, b)]
+            .into_iter()
+            .chain(moves)
+            .chain([Predicate::True])
+            .collect()
+    }
+
+    /// A bin that reads codes counts exactly like the division, cold and
+    /// moved, blocks counted alike, on the values where binning is hard:
+    /// `Float` and `Int` columns, 1 to 1,000 bins, huge and infinite
+    /// domains. A spec with more than 254 bins never builds codes.
+    #[test]
+    fn a_coded_bin_counts_exactly_like_the_division() {
+        let mut rng = SimRng::seed(41);
+        let big = (1i64 << 53) as f64;
+        let mut specs: Vec<BinSpec> = [1, 2, 20, 253, 254, 255, 1000]
+            .into_iter()
+            .flat_map(|b| {
+                [
+                    BinSpec::new("x", -3.25, 1000.5, b),
+                    BinSpec::new("n", -big, big, b),
+                ]
+            })
+            .collect();
+        specs.push(BinSpec::new("x", 0.0, 1e308, 20));
+        specs.push(BinSpec::new("x", f64::NEG_INFINITY, 100.0, 20));
+        specs.push(BinSpec::new("n", -7.5, 1000.0, 254));
+        for bins in &specs {
+            let table = hard_table(&mut rng, std::slice::from_ref(bins));
+            force_codes(&table, bins);
+            for filter in drag(&mut rng, table.rows()) {
+                check_against_division(&table, bins, &filter).unwrap();
+            }
+            assert_eq!(coded(&table, bins), bins.bins <= 254, "{bins:?}");
+        }
+    }
+
+    /// One column binned under two specs in turn whose `max` differs in
+    /// its last bit: neither is ever answered with the other's codes.
+    #[test]
+    fn codes_never_answer_a_spec_one_ulp_away() {
+        let mut rng = SimRng::seed(42);
+        let a = BinSpec::new("x", -3.25, 1000.5, 20);
+        let b = BinSpec::new("x", -3.25, unordered(ordered(1000.5) + 1), 20);
+        let table = hard_table(&mut rng, &[a.clone(), b.clone()]);
+        for (bins, other) in [(&a, &b), (&b, &a)] {
+            force_codes(&table, bins);
+            // Everything first: the row at `b.max` is in bucket 20 under
+            // `b` and in none under `a`.
+            let drag = [Predicate::True]
+                .into_iter()
+                .chain(drag(&mut rng, table.rows()));
+            for filter in drag {
+                check_against_division(&table, bins, &filter).unwrap();
+                check_against_division(&table, other, &filter).unwrap();
+            }
+        }
     }
 
     #[test]

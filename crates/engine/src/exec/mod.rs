@@ -119,6 +119,7 @@ pub fn run_query(db: &Database, query: &Query) -> EngineResult<(ResultSet, Query
 mod tests {
     use super::*;
     use crate::column::ColumnBuilder;
+    use crate::query::BinSpec;
     use crate::table::TableBuilder;
     use ids_simclock::rng::{check, SimRng};
     use std::panic::AssertUnwindSafe;
@@ -350,6 +351,43 @@ mod tests {
         });
     }
 
+    /// Two threads, in lock step, drive clones of `table` through `steps`
+    /// statements: each step runs `check` on statement `step`, the second
+    /// thread level with the first or (by `rng`) a step or two behind.
+    /// Returns every failure, a panic included, so that no thread is left
+    /// waiting at the barrier.
+    fn lock_step(
+        rng: &mut SimRng,
+        table: &Table,
+        steps: usize,
+        check: impl Fn(&Table, usize) -> Result<(), String> + Sync,
+    ) -> Vec<String> {
+        let (lag, barrier) = (rng.uniform_usize(0, 3), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            let threads = [0, lag].map(|lag| {
+                let (table, barrier, check) = (table.clone(), &barrier, &check);
+                s.spawn(move || {
+                    let mut failures = Vec::new();
+                    for step in 0..steps {
+                        barrier.wait();
+                        let at = step.saturating_sub(lag);
+                        let checked =
+                            std::panic::catch_unwind(AssertUnwindSafe(|| check(&table, at)));
+                        match checked {
+                            Ok(Ok(())) => {}
+                            Ok(Err(e)) => failures.push(format!("lag {lag}, step {step}: {e}")),
+                            Err(_) => failures.push(format!("lag {lag}, step {step}: panicked")),
+                        }
+                    }
+                    failures
+                })
+            });
+            threads
+                .map(|t| t.join().expect("caught panics are failures"))
+                .concat()
+        })
+    }
+
     /// The memo's race rule: two threads, in lock step, drive clones of
     /// one table from before any zone map or value order exists. Both
     /// walk one drag — each filter repeats the last, moves one range on
@@ -388,36 +426,105 @@ mod tests {
                     Predicate::And(conjuncts.clone())
                 })
                 .collect();
-            let (lag, barrier) = (rng.uniform_usize(0, 3), std::sync::Barrier::new(2));
-            let failures: Vec<String> = std::thread::scope(|s| {
-                let threads = [0, lag].map(|lag| {
-                    let (table, barrier, drag) = (table.clone(), &barrier, &drag);
-                    s.spawn(move || {
-                        let mut failures = Vec::new();
-                        for step in 0..drag.len() {
-                            let filter = &drag[step.saturating_sub(lag)];
-                            barrier.wait();
-                            // A panic is a failure too, not a partner left
-                            // waiting at the barrier.
-                            let checked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                check_against_cold(&table, filter)
-                            }));
-                            match checked {
-                                Ok(Ok(())) => {}
-                                Ok(Err(e)) => failures.push(format!("lag {lag}, step {step}: {e}")),
-                                Err(_) => {
-                                    failures.push(format!("lag {lag}, step {step}: panicked"))
-                                }
-                            }
-                        }
-                        failures
-                    })
-                });
-                threads
-                    .map(|t| t.join().expect("caught panics are failures"))
-                    .concat()
+            let failures = lock_step(rng, &table, drag.len(), |table, step| {
+                check_against_cold(table, &drag[step])
             });
             assert!(failures.is_empty(), "{rows} rows: {failures:#?}");
+        });
+    }
+
+    /// The histogram's answer through the memo, bucket codes and all,
+    /// against the division path's (the cold walk, then the public kernel,
+    /// which divides): the counts, the rows matched and the statement's
+    /// block counters, which sum the filter's and the bin's.
+    pub(super) fn check_against_division(
+        table: &Table,
+        bins: &BinSpec,
+        filter: &Predicate,
+    ) -> Result<(), String> {
+        let (got, fp) = run_histogram(table, bins, filter).map_err(|e| e.to_string())?;
+        let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
+        let cold = kernels::select_vector_with(table, filter, &opts, &mut stats);
+        let cold = cold.map_err(|e| e.to_string())?;
+        let idx = table
+            .column_index(&bins.column)
+            .map_err(|e| e.to_string())?;
+        let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
+        let want = kernels::fused_filter_bin(col, zone, &cold, bins, &opts, &mut stats);
+        let got = (
+            got.histogram().map(|h| h.counts().to_vec()),
+            fp.rows_matched,
+        );
+        let got = (got, fp.blocks_pruned, fp.blocks_scanned);
+        let want = (Some(want.counts().to_vec()), cold.count() as u64);
+        let want = (want, stats.blocks_pruned, stats.blocks_scanned);
+        match got == want {
+            true => Ok(()),
+            false => Err(format!("{bins:?} under {filter}: {got:?} against {want:?}")),
+        }
+    }
+
+    /// The race rule with bucket codes: two threads in lock step bin one
+    /// drag on clones of a fresh table, so each column's codes are built
+    /// while the other thread bins it. Each statement bins `x` or `n` by
+    /// that column's one spec, both under each filter of a drag that
+    /// repeats, moves a bound by a row or two, or jumps. Every answer and
+    /// footprint equals the division path's, and both columns end coded.
+    #[test]
+    fn racing_threads_bin_like_the_division_path() {
+        check("exec/coded-bin-race", 0..16, |rng| {
+            let rows = pick(rng, &[1025, 3000, 5000]);
+            let grid = |rng: &mut SimRng| rng.uniform_usize(0, 41) as f64 - 20.0;
+            let x: Vec<f64> = (0..rows)
+                .map(|_| {
+                    if rng.chance(0.05) {
+                        f64::NAN
+                    } else {
+                        grid(rng)
+                    }
+                })
+                .collect();
+            let n = (0..rows).map(|_| rng.uniform_usize(0, 41) as i64 - 20);
+            let table = TableBuilder::new("t")
+                .column("x", ColumnBuilder::float(x))
+                .column("n", ColumnBuilder::int(n))
+                .column("f", ColumnBuilder::float((0..rows).map(|r| r as f64)))
+                .build()
+                .expect("static schema");
+            let specs = [
+                BinSpec::new("x", -15.0, 15.0, 30),
+                BinSpec::new("n", -20.0, 20.0, 8),
+            ];
+            let (mut lo, mut hi) = (0.0, rows as f64 / 2.0);
+            let drag: Vec<(&BinSpec, Predicate)> = (0..32)
+                .flat_map(|_| {
+                    match rng.uniform_usize(0, 8) {
+                        0..=3 => {
+                            lo = rng.uniform_usize(0, rows / 2) as f64;
+                            hi = lo + rng.uniform_usize(rows / 4, rows / 2) as f64;
+                        }
+                        4 => {}
+                        _ => {
+                            let end = if rng.chance(0.5) { &mut lo } else { &mut hi };
+                            *end += pick(rng, &[-2.0, -1.0, 1.0]);
+                        }
+                    }
+                    let filter = Predicate::and([
+                        Predicate::between("f", lo, hi),
+                        Predicate::between("n", -18.0, 15.0),
+                    ]);
+                    specs.each_ref().map(|bins| (bins, filter.clone()))
+                })
+                .collect();
+            let failures = lock_step(rng, &table, drag.len(), |table, step| {
+                check_against_division(table, drag[step].0, &drag[step].1)
+            });
+            assert!(failures.is_empty(), "{rows} rows: {failures:#?}");
+            for bins in &specs {
+                let idx = table.column_index(&bins.column).expect("binned");
+                let codes = table.memo().codes[idx].clone();
+                assert!(matches!(codes, Some((.., Some(_)))), "{bins:?}: {codes:?}");
+            }
         });
     }
 }

@@ -15,7 +15,9 @@
 //!   decide whole blocks — all-false or all-true — without touching data;
 //! - **fused kernels** consume the selection vector directly
 //!   (filter+bin+count for histograms, filter+count for counts) without
-//!   ever materializing a row-id vector;
+//!   ever materializing a row-id vector; a histogrammed column's bucket
+//!   codes (`bucket_codes`, one byte a row under the spec it is binned
+//!   by) let the bin read each row's bucket instead of dividing for it;
 //! - **the moved walk** answers a filter one range from the last from its
 //!   selection, deciding again only the rows a per-column `ValueOrder`
 //!   finds between an old and a new bound: no column is streamed.
@@ -683,8 +685,25 @@ pub fn fused_filter_bin(
     stats: &mut KernelStats,
 ) -> Histogram {
     let (mut hist, n) = (Histogram::zeros(bins.bucket_count()), col.len());
-    fused_filter_bin_range(col, zone, None, sel, bins, opts, stats, 0, n, &mut hist);
+    fused_filter_bin_range(
+        col, zone, None, None, sel, bins, opts, stats, 0, n, &mut hist,
+    );
     hist
+}
+
+/// One `u8` per row of `col`: the bucket [`BinSpec::bin_with_width`]
+/// gives it under `bins`, `u8::MAX` for none — the division's answer,
+/// precomputed. `None` for a string column and for a spec with more than
+/// 254 bins, whose last bucket would be the no-bucket code.
+pub(crate) fn bucket_codes(col: &Column, bins: &BinSpec) -> Option<Arc<[u8]>> {
+    let width = bins.width();
+    let code = |x: f64| bins.bin_with_width(x, width).map_or(u8::MAX, |b| b as u8);
+    match col {
+        _ if bins.bins >= usize::from(u8::MAX) => None,
+        Column::Float(v) => Some(v.iter().map(|&x| code(x)).collect()),
+        Column::Int(v) => Some(v.iter().map(|&x| code(x as f64)).collect()),
+        Column::Str { .. } => None,
+    }
 }
 
 /// The fused filter+bin+count block walker over rows `start..end`: moves
@@ -694,12 +713,16 @@ pub fn fused_filter_bin(
 /// [`crate::exec::run_histogram`] walks every row; progressive execution
 /// ([`crate::progressive`]) walks one sampled block at a time. `stats` counts `sel`'s
 /// blocks by the cold rule however `hist` got there: pruned when outside
-/// the bin domain or without a selected row, scanned otherwise.
+/// the bin domain or without a selected row, scanned otherwise. With
+/// `codes` (`col`'s bucket codes under `bins`, which only
+/// [`crate::exec::run_histogram`] keeps) a row's bucket is read, not
+/// divided for; blocks are skipped and counted alike.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_filter_bin_range(
     col: &Column,
     zone: Option<&ZoneMap>,
     from: Option<&SelectionVector>,
+    codes: Option<&[u8]>,
     sel: &SelectionVector,
     bins: &BinSpec,
     opts: &KernelOptions,
@@ -731,6 +754,13 @@ pub fn fused_filter_bin_range(
         let old = from.map(|f| &f.words()[span]);
         // From nothing, a skipped block has nothing to un-bin either.
         if out_of_domain || (skip && old.is_none()) {
+            continue;
+        }
+        if let Some(codes) = codes {
+            // `u8::MAX`, no bucket, is past the last count.
+            bin_block(&codes[row..block_end], words, old, counts, |c| {
+                Some(usize::from(c))
+            });
             continue;
         }
         match col {
@@ -954,7 +984,7 @@ mod tests {
             let mut moved = fused_filter_bin(col, None, &other, &bins, &opts, &mut stats);
             let (from, mut s) = (Some(&other), KernelStats::default());
             fused_filter_bin_range(
-                col, None, from, &sel, &bins, &opts, &mut s, 0, n, &mut moved,
+                col, None, from, None, &sel, &bins, &opts, &mut s, 0, n, &mut moved,
             );
             assert_eq!(moved, unfused, "n={n}");
         }

@@ -288,6 +288,7 @@ impl ProgressiveExecutor {
                         prep.table.column_at(*idx),
                         prep.table.zone_map_at(*idx),
                         None,
+                        None,
                         &prep.selected,
                         bins,
                         &opts,

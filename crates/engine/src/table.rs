@@ -1,5 +1,6 @@
 //! Tables: named collections of equal-length columns, with what clones
-//! share: lazily derived zone maps and value orders, and the memo.
+//! share: lazily derived zone maps and value orders, and the memo, which
+//! also holds each histogrammed column's bucket codes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,31 +38,34 @@ pub struct Table {
 
 /// What a table remembers between statements: the last filter it
 /// answered (`exec::filter_rows`) and, per column, the last histogram
-/// counted over it (`exec::run_histogram`). The filter entry answers a
-/// repeat, and starts the walk of a filter that moves one of its ranges.
-/// Racing workers each move a consistent (filter, selection) pair, so
-/// the answer is the cold walk's whoever wins, and nothing records which
-/// path ran. Entries sit behind `Arc`s, so a lookup clones a pointer and
-/// a store allocates once.
+/// counted over it and the bucket codes of the spec it is binned by
+/// (`exec::run_histogram`). The filter entry answers a repeat, and starts
+/// the walk of a filter that moves one of its ranges. Racing workers each
+/// move a consistent (filter, selection) pair, so the answer is the cold
+/// walk's whoever wins, and nothing records which path ran. Entries sit
+/// behind `Arc`s, so a lookup clones a pointer and a store allocates once.
 #[derive(Debug)]
 pub(crate) struct Memo {
     pub(crate) filter: Option<Arc<FilterMemo>>,
-    /// Indexed by column position.
+    /// Indexed by column position, like `codes`.
     pub(crate) hists: Vec<Option<Arc<HistMemo>>>,
+    pub(crate) codes: Vec<Option<CodesMemo>>,
 }
 
 /// A filter, the rows it selects, and the footprint of selecting them.
 pub(crate) type FilterMemo = (Predicate, Arc<SelectionVector>, QueryFootprint);
 
-/// A histogram as counted: its spec's key (`min` and `max` by bit
-/// pattern, `bins`), the rows it counted, its counts, and the bin
-/// phase's block counters.
-pub(crate) type HistMemo = (
-    (u64, u64, usize),
-    Arc<SelectionVector>,
-    Histogram,
-    KernelStats,
-);
+/// A bin spec's key: `min` and `max` by bit pattern, and `bins`.
+pub(crate) type SpecKey = (u64, u64, usize);
+
+/// A histogram as counted: its spec's key, the rows it counted, its
+/// counts, and the bin phase's block counters.
+pub(crate) type HistMemo = (SpecKey, Arc<SelectionVector>, Histogram, KernelStats);
+
+/// A column's one coded spec: its key, the selected rows its division
+/// bins have walked, and its [`crate::kernels::bucket_codes`] once those
+/// passed the build's cost — a pure function of (column, key).
+pub(crate) type CodesMemo = (SpecKey, usize, Option<Arc<[u8]>>);
 
 impl Table {
     /// The table name.
@@ -266,6 +270,7 @@ impl TableBuilder {
         let memo = Memo {
             filter: None,
             hists: vec![None; width],
+            codes: vec![None; width],
         };
         Ok(Table {
             name: Arc::from(self.name.as_str()),
