@@ -116,7 +116,7 @@ mod tests {
     use super::*;
     use crate::column::{ColumnBuilder, ZONE_BLOCK_ROWS};
     use crate::error::EngineError;
-    use crate::exec::tests::check_against_division;
+    use crate::exec::tests::{check_against_division, fresh};
     use crate::table::TableBuilder;
     use ids_simclock::rng::SimRng;
 
@@ -415,9 +415,10 @@ mod tests {
         specs.push(BinSpec::new("n", -7.5, 1000.0, 254));
         for bins in &specs {
             let table = hard_table(&mut rng, std::slice::from_ref(bins));
+            let fresh = fresh(&table);
             force_codes(&table, bins);
             for filter in drag(&mut rng, table.rows()) {
-                check_against_division(&table, bins, &filter).unwrap();
+                check_against_division(&table, &fresh, bins, &filter).unwrap();
             }
             assert_eq!(coded(&table, bins), bins.bins <= 254, "{bins:?}");
         }
@@ -431,6 +432,7 @@ mod tests {
         let a = BinSpec::new("x", -3.25, 1000.5, 20);
         let b = BinSpec::new("x", -3.25, unordered(ordered(1000.5) + 1), 20);
         let table = hard_table(&mut rng, &[a.clone(), b.clone()]);
+        let fresh = fresh(&table);
         for (bins, other) in [(&a, &b), (&b, &a)] {
             force_codes(&table, bins);
             // Everything first: the row at `b.max` is in bucket 20 under
@@ -439,8 +441,8 @@ mod tests {
                 .into_iter()
                 .chain(drag(&mut rng, table.rows()));
             for filter in drag {
-                check_against_division(&table, bins, &filter).unwrap();
-                check_against_division(&table, other, &filter).unwrap();
+                check_against_division(&table, &fresh, bins, &filter).unwrap();
+                check_against_division(&table, &fresh, other, &filter).unwrap();
             }
         }
     }

@@ -164,12 +164,20 @@ mod tests {
         }
     }
 
-    /// `filter`'s answer through the memo against the cold walk's: the
-    /// rows and every footprint field the filter determines.
-    fn check_against_cold(table: &Table, filter: &Predicate) -> Result<(), String> {
+    /// A copy of `table` with none of its derived state: no value order
+    /// (only a moved walk through [`filter_rows`] builds one), so its cold
+    /// walk scans every leaf, and no memo.
+    pub(super) fn fresh(table: &Table) -> Table {
+        table.take(&(0..table.rows()).collect::<Vec<_>>())
+    }
+
+    /// `filter`'s answer through `table`'s memo against the scan of its
+    /// `fresh` copy: the rows and every footprint field the filter
+    /// determines.
+    fn check_against_cold(table: &Table, fresh: &Table, filter: &Predicate) -> Result<(), String> {
         let (got, fp) = filter_rows(table, filter).map_err(|e| e.to_string())?;
         let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
-        let cold = kernels::select_vector_with(table, filter, &opts, &mut stats);
+        let cold = kernels::select_vector_with(fresh, filter, &opts, &mut stats);
         let cold = cold.map_err(|e| e.to_string())?;
         let counters = (fp.rows_matched, fp.blocks_pruned, fp.blocks_scanned);
         let want = (
@@ -202,6 +210,7 @@ mod tests {
                 .column("s", ColumnBuilder::str(s))
                 .build()
                 .expect("static schema");
+            let fresh = fresh(&table);
             if rng.chance(0.5) {
                 build_orders(&table);
             }
@@ -235,20 +244,8 @@ mod tests {
                     }
                 }
                 let filter = Predicate::And(conjuncts.clone());
-                let (got, fp) = filter_rows(&table, &filter).expect("valid");
-                let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
-                let cold = kernels::select_vector_with(&table, &filter, &opts, &mut stats);
-                let cold = cold.expect("valid");
-                assert_eq!(*got, cold, "{rows} rows, step {step}: {filter}");
-                assert_eq!(
-                    (fp.rows_matched, fp.blocks_pruned, fp.blocks_scanned),
-                    (
-                        cold.count() as u64,
-                        stats.blocks_pruned,
-                        stats.blocks_scanned
-                    ),
-                    "{rows} rows, step {step}: {filter}"
-                );
+                let checked = check_against_cold(&table, &fresh, &filter);
+                checked.unwrap_or_else(|e| panic!("{rows} rows, step {step}: {e}"));
             }
         });
     }
@@ -285,6 +282,7 @@ mod tests {
                 .column("y", ColumnBuilder::float(y))
                 .build()
                 .expect("static schema");
+            let fresh = fresh(&table);
             build_orders(&table);
             for i in 0..table.width() {
                 let (col, order) = (table.column_at(i), table.value_order_at(i, 0));
@@ -345,7 +343,113 @@ mod tests {
                     }
                 }
                 let filter = Predicate::And(conjuncts.clone());
-                let checked = check_against_cold(&table, &filter);
+                let checked = check_against_cold(&table, &fresh, &filter);
+                checked.unwrap_or_else(|e| panic!("{rows} rows, step {step}: {e}"));
+            }
+        });
+    }
+
+    /// The cold walk with every value order built answers exactly like
+    /// the scan of a copy with none: rows, rows matched and both block
+    /// counters, with zone pruning on and off, through
+    /// `select_vector_with` and through the memo. Tables sit at and
+    /// around the run edges or are small; the data holds NaN, ±0.0, ±inf,
+    /// ties and `Int`s at ±2⁵³; bounds are NaN, inverted, infinite, signed
+    /// zeros, data values or the grid, mostly narrow, so most ranges are
+    /// read from their orders; beside them sit a `Cmp`, a string `=`, a
+    /// range on the string column and a nested `Or`.
+    #[test]
+    fn an_ordered_cold_walk_answers_exactly_like_a_scan() {
+        check("exec/ordered-cold-walk", 0..20, |rng| {
+            let rows = match rng.chance(0.25) {
+                true => pick(rng, &[65_535, 65_536, 65_537, 131_073]),
+                false => pick(rng, &[1, 63, 64, 1023, 1025, 3000]),
+            };
+            const BIG: i64 = 1 << 53;
+            let grid = |rng: &mut SimRng| rng.uniform_usize(0, 161) as f64 / 4.0 - 20.0;
+            let mut x: Vec<f64> = (0..rows)
+                .map(|_| match rng.uniform_usize(0, 24) {
+                    0 => f64::NAN,
+                    1 => pick(rng, &[0.0, -0.0]),
+                    2 => pick(rng, &[f64::INFINITY, f64::NEG_INFINITY]),
+                    _ => grid(rng),
+                })
+                .collect();
+            if rng.chance(0.3) {
+                x.sort_by(f64::total_cmp);
+            }
+            let n: Vec<i64> = (0..rows)
+                .map(|_| match rng.uniform_usize(0, 4) {
+                    0 => pick(rng, &[BIG, -BIG]) + rng.uniform_usize(0, 9) as i64 - 4,
+                    _ => rng.uniform_usize(0, 81) as i64 - 40,
+                })
+                .collect();
+            let y = (0..rows).map(|_| grid(rng));
+            let s = (0..rows).map(|i| ["a", "b", "c"][(i * 7 + rows) % 3]);
+            let table = TableBuilder::new("t")
+                .column("x", ColumnBuilder::float(x))
+                .column("n", ColumnBuilder::int(n))
+                .column("y", ColumnBuilder::float(y))
+                .column("s", ColumnBuilder::str(s))
+                .build()
+                .expect("static schema");
+            let fresh = fresh(&table);
+            build_orders(&table);
+            let bound = |rng: &mut SimRng, col: usize| match rng.uniform_usize(0, 16) {
+                0 => f64::NAN,
+                1 => pick(rng, &[f64::INFINITY, f64::NEG_INFINITY]),
+                2 => pick(rng, &[0.0, -0.0]),
+                3 => (pick(rng, &[BIG, -BIG]) + rng.uniform_usize(0, 5) as i64 - 2) as f64,
+                4..=7 => {
+                    let row = rng.uniform_usize(0, rows);
+                    table.column_at(col).f64_at(row).expect("numeric")
+                }
+                _ => grid(rng),
+            };
+            let range = |rng: &mut SimRng, col: usize, name: &str| {
+                let lo = bound(rng, col);
+                let hi = match rng.uniform_usize(0, 6) {
+                    0 => bound(rng, col),
+                    1 => lo - 1.0, // inverted
+                    2 => lo + 30.0,
+                    _ => lo + pick(rng, &[0.0, 0.25, 1.0, 4.0]),
+                };
+                Predicate::between(name, lo, hi)
+            };
+            for step in 0..10 {
+                let mut conjuncts = Vec::new();
+                for (col, name) in [(0, "x"), (1, "n"), (2, "y")] {
+                    if rng.chance(0.8) {
+                        conjuncts.push(range(rng, col, name));
+                    }
+                }
+                if rng.chance(0.3) {
+                    conjuncts.push(Predicate::ge("y", grid(rng)));
+                }
+                if rng.chance(0.3) {
+                    conjuncts.push(Predicate::eq("s", "b"));
+                }
+                if rng.chance(0.2) {
+                    conjuncts.push(Predicate::between("s", -1.0, 1.0));
+                }
+                if rng.chance(0.3) {
+                    let or = [range(rng, 0, "x"), Predicate::eq("s", "a")];
+                    conjuncts.push(Predicate::Or(or.into()));
+                }
+                rng.shuffle(&mut conjuncts);
+                let filter = Predicate::And(conjuncts);
+                for zone_prune in [true, false] {
+                    let opts = KernelOptions { zone_prune };
+                    let walk = |t: &Table| {
+                        let mut stats = KernelStats::default();
+                        let sel = kernels::select_vector_with(t, &filter, &opts, &mut stats);
+                        let sel = sel.expect("valid");
+                        (sel.count(), stats, sel)
+                    };
+                    let (got, want) = (walk(&table), walk(&fresh));
+                    assert!(got == want, "{rows} rows, step {step}, {opts:?}: {filter}");
+                }
+                let checked = check_against_cold(&table, &fresh, &filter);
                 checked.unwrap_or_else(|e| panic!("{rows} rows, step {step}: {e}"));
             }
         });
@@ -408,6 +512,7 @@ mod tests {
                 .column("n", ColumnBuilder::int(n))
                 .build()
                 .expect("static schema");
+            let fresh = fresh(&table);
             // Ranges inside the data's span, so zone maps leave every
             // block undecided and the walks stream enough to build orders.
             let mut conjuncts: Vec<Predicate> = ["x", "n", "y"]
@@ -427,29 +532,31 @@ mod tests {
                 })
                 .collect();
             let failures = lock_step(rng, &table, drag.len(), |table, step| {
-                check_against_cold(table, &drag[step])
+                check_against_cold(table, &fresh, &drag[step])
             });
             assert!(failures.is_empty(), "{rows} rows: {failures:#?}");
         });
     }
 
-    /// The histogram's answer through the memo, bucket codes and all,
-    /// against the division path's (the cold walk, then the public kernel,
-    /// which divides): the counts, the rows matched and the statement's
-    /// block counters, which sum the filter's and the bin's.
+    /// The histogram's answer through `table`'s memo, bucket codes and
+    /// all, against the division path's on its `fresh` copy (the scan,
+    /// then the public kernel, which divides): the counts, the rows
+    /// matched and the statement's block counters, which sum the filter's
+    /// and the bin's.
     pub(super) fn check_against_division(
         table: &Table,
+        fresh: &Table,
         bins: &BinSpec,
         filter: &Predicate,
     ) -> Result<(), String> {
         let (got, fp) = run_histogram(table, bins, filter).map_err(|e| e.to_string())?;
         let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
-        let cold = kernels::select_vector_with(table, filter, &opts, &mut stats);
+        let cold = kernels::select_vector_with(fresh, filter, &opts, &mut stats);
         let cold = cold.map_err(|e| e.to_string())?;
-        let idx = table
+        let idx = fresh
             .column_index(&bins.column)
             .map_err(|e| e.to_string())?;
-        let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
+        let (col, zone) = (fresh.column_at(idx), fresh.zone_map_at(idx));
         let want = kernels::fused_filter_bin(col, zone, &cold, bins, &opts, &mut stats);
         let got = (
             got.histogram().map(|h| h.counts().to_vec()),
@@ -491,6 +598,7 @@ mod tests {
                 .column("f", ColumnBuilder::float((0..rows).map(|r| r as f64)))
                 .build()
                 .expect("static schema");
+            let fresh = fresh(&table);
             let specs = [
                 BinSpec::new("x", -15.0, 15.0, 30),
                 BinSpec::new("n", -20.0, 20.0, 8),
@@ -517,7 +625,7 @@ mod tests {
                 })
                 .collect();
             let failures = lock_step(rng, &table, drag.len(), |table, step| {
-                check_against_division(table, drag[step].0, &drag[step].1)
+                check_against_division(table, &fresh, drag[step].0, &drag[step].1)
             });
             assert!(failures.is_empty(), "{rows} rows: {failures:#?}");
             for bins in &specs {

@@ -20,7 +20,10 @@
 //!   by) let the bin read each row's bucket instead of dividing for it;
 //! - **the moved walk** answers a filter one range from the last from its
 //!   selection, deciding again only the rows a per-column `ValueOrder`
-//!   finds between an old and a new bound: no column is streamed.
+//!   finds between an old and a new bound: no column is streamed;
+//! - **the ordered cold walk**: a cold conjunction sets a narrow range's
+//!   rows from its column's order, once a drag has built it, and scans
+//!   only the other leaves, from those rows, in the blocks they leave.
 //!
 //! Kernels change *how* results are computed, never *what* they are: every
 //! kernel is differential-tested against the row-at-a-time interpreter
@@ -263,8 +266,8 @@ pub(crate) fn eval_pred(
         _ => {
             let (mut leaves, mut nested) = (Vec::new(), Vec::new());
             resolve(table, pred, opts, &mut leaves, &mut nested)?;
-            let moved = from.and_then(|from| eval_moved(table, pred, &leaves, from, stats));
-            let mut acc = moved.unwrap_or_else(|| eval_leaves(rows, &leaves, stats));
+            let moved = from.and_then(|from| eval_moved(table, &leaves, from, stats));
+            let mut acc = moved.unwrap_or_else(|| eval_leaves(table, &leaves, stats));
             for p in nested {
                 acc.intersect(&eval_pred(table, p, None, opts, stats)?);
             }
@@ -356,10 +359,10 @@ enum Leaf<'a> {
     /// One verdict for every row: a NaN literal or a cross-type compare
     /// (false, except `<>`), a numeric range over strings (false).
     Const(bool),
-    /// Numeric vs numeric compares as `f64`: the column's values, its
-    /// zone map (when pruning) and the test.
-    Float(&'a [f64], Option<&'a ZoneMap>, Test),
-    Int(&'a [i64], Option<&'a ZoneMap>, Test),
+    /// Numeric vs numeric compares as `f64`: the column's position and
+    /// values, its zone map (when pruning) and the test.
+    Float(usize, &'a [f64], Option<&'a ZoneMap>, Test),
+    Int(usize, &'a [i64], Option<&'a ZoneMap>, Test),
     /// String vs string: dictionary codes and a verdict per dictionary entry.
     Dict(&'a [u32], Vec<bool>),
 }
@@ -370,7 +373,7 @@ impl<'a> Leaf<'a> {
     fn verdict(&self, b: usize) -> Option<bool> {
         match self {
             Leaf::Const(v) => Some(*v),
-            Leaf::Float(_, zone, test) | Leaf::Int(_, zone, test) => test.verdict(*zone, b),
+            Leaf::Float(_, _, zone, test) | Leaf::Int(_, _, zone, test) => test.verdict(*zone, b),
             Leaf::Dict(..) => None,
         }
     }
@@ -381,8 +384,8 @@ impl<'a> Leaf<'a> {
         match self {
             // Never read: its verdict decides every block.
             Leaf::Const(v) => *v,
-            Leaf::Float(data, _, test) => test.scan(&data[start..end], live, |x| x),
-            Leaf::Int(data, _, test) => test.scan(&data[start..end], live, |x| x as f64),
+            Leaf::Float(_, data, _, test) => test.scan(&data[start..end], live, |x| x),
+            Leaf::Int(_, data, _, test) => test.scan(&data[start..end], live, |x| x as f64),
             Leaf::Dict(codes, verdicts) => {
                 and_mask(&codes[start..end], live, |c| verdicts[c as usize])
             }
@@ -393,10 +396,43 @@ impl<'a> Leaf<'a> {
     fn holds(&self, row: usize) -> bool {
         match self {
             Leaf::Const(v) => *v,
-            Leaf::Float(data, _, test) => test.holds(data[row]),
-            Leaf::Int(data, _, test) => test.holds(data[row] as f64),
+            Leaf::Float(_, data, _, test) => test.holds(data[row]),
+            Leaf::Int(_, data, _, test) => test.holds(data[row] as f64),
             Leaf::Dict(codes, verdicts) => verdicts[codes[row] as usize],
         }
+    }
+
+    /// A numeric range with no NaN bound: its column's position and
+    /// bounds, which a [`ValueOrder`] can answer.
+    fn range(&self) -> Option<(usize, f64, f64)> {
+        match *self {
+            Leaf::Float(idx, .., Test::Range(lo, hi)) | Leaf::Int(idx, .., Test::Range(lo, hi))
+                if !lo.is_nan() && !hi.is_nan() =>
+            {
+                Some((idx, lo, hi))
+            }
+            _ => None,
+        }
+    }
+
+    /// A range's rows, set in a zeroed mask from its column's order, when
+    /// a moved walk has built that order (this never builds one) and the
+    /// rows cost no more to set than the leaf's undecided blocks to scan.
+    fn rows_from_order(&self, table: &Table) -> Option<Vec<u64>> {
+        let (idx, lo, hi) = self.range()?;
+        let order = table.built_order_at(idx)?;
+        let spans: Vec<_> = order.spans(table.column_at(idx), lo, hi).collect();
+        let rows: usize = spans.iter().map(|(_, span)| span.len()).sum();
+        let blocks = table.rows().div_ceil(ZONE_BLOCK_ROWS);
+        let scanned = (0..blocks).filter(|&b| self.verdict(b).is_none()).count();
+        (rows * SET_ROWS <= scanned * ZONE_BLOCK_ROWS).then_some(())?;
+        let mut mask = vec![0u64; SelectionVector::word_count(table.rows())];
+        for (base, span) in spans {
+            for row in span.iter().map(|&o| base + usize::from(o)) {
+                mask[row / 64] |= 1 << (row % 64);
+            }
+        }
+        Some(mask)
     }
 }
 
@@ -414,8 +450,8 @@ fn resolve<'a>(
     let numeric = |idx: usize, test: Test| {
         let zone = opts.zone_prune.then(|| table.zone_map_at(idx)).flatten();
         match table.column_at(idx) {
-            Column::Float(v) => Leaf::Float(v, zone, test),
-            Column::Int(v) => Leaf::Int(v, zone, test),
+            Column::Float(v) => Leaf::Float(idx, v, zone, test),
+            Column::Int(v) => Leaf::Int(idx, v, zone, test),
             // String columns never match a numeric range.
             Column::Str { .. } => Leaf::Const(false),
         }
@@ -462,35 +498,55 @@ fn resolve<'a>(
 /// the reads the verdicts leave. A block some leaf rules out stays zero
 /// — the mask is allocated zeroed, so a well-pruned filter never touches
 /// most of it — and a block every leaf decides all-true is filled. The
-/// rest start all-ones in 16 mask words on the stack and each undecided
-/// leaf ANDs its rows in while they are hot.
-fn eval_leaves(len: usize, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> SelectionVector {
+/// rest start all-ones in 16 mask words on the stack, or from the rows
+/// the narrow ranges' value orders gave ([`Leaf::rows_from_order`]), and
+/// each undecided leaf the orders did not answer ANDs its rows in while
+/// they are hot.
+fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> SelectionVector {
+    let len = table.rows();
     if leaves.is_empty() {
         // `TRUE`: every row, and its count is known without a popcount pass.
         return SelectionVector::all(len);
     }
-    let mut words = vec![0u64; SelectionVector::word_count(len)];
+    // The ranges their orders answer, ANDed: the seed every block starts from.
+    let rows: Vec<_> = leaves.iter().map(|l| l.rows_from_order(table)).collect();
+    let ordered: Vec<bool> = rows.iter().map(Option::is_some).collect();
+    let seed = rows.into_iter().flatten().reduce(|mut seed, rows| {
+        seed.iter_mut().zip(rows).for_each(|(w, r)| *w &= r);
+        seed
+    });
+    let seeded = seed.is_some();
+    let mut words = seed.unwrap_or_else(|| vec![0u64; SelectionVector::word_count(len)]);
     let mut verdicts = vec![None; leaves.len()];
     let mut count = 0;
     for (b, out) in words.chunks_mut(BLOCK_WORDS).enumerate() {
         let start = b * ZONE_BLOCK_ROWS;
         let end = (start + ZONE_BLOCK_ROWS).min(len);
         count_verdicts(leaves, b, &mut verdicts, stats);
-        if verdicts.contains(&Some(false)) {
-            continue;
-        }
         let live = &mut [u64::MAX; BLOCK_WORDS][..out.len()];
-        if end == len {
+        if seeded {
+            live.copy_from_slice(out);
+            out.fill(0);
+        } else if end == len {
             live[out.len() - 1] = SelectionVector::tail_mask(len);
         }
-        let mut undecided = leaves.iter().zip(&verdicts).filter(|(_, v)| v.is_none());
-        if undecided.all(|(leaf, _)| leaf.scan(start, end, live)) {
+        if verdicts.contains(&Some(false)) || live.iter().all(|&w| w == 0) {
+            continue;
+        }
+        let mut undecided = (leaves.iter().zip(&verdicts).zip(&ordered))
+            .filter(|((_, v), ordered)| v.is_none() && !**ordered);
+        if undecided.all(|((leaf, _), _)| leaf.scan(start, end, live)) {
             out.copy_from_slice(live);
             count += live.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         }
     }
     SelectionVector { len, words, count }
 }
+
+/// What setting one row's bit from a [`ValueOrder`] costs, in streamed
+/// leaf-rows. Measured on the road table (docs/PERFORMANCE.md, "A cold
+/// range reads only its rows").
+const SET_ROWS: usize = 2;
 
 /// Every leaf's zone verdict on block `b`, into `verdicts`, counted: each
 /// (leaf, block) bumps `blocks_pruned` when the zone map decided it and
@@ -518,7 +574,7 @@ fn count_verdicts(
 /// (docs/PERFORMANCE.md, "A drag reads only the rows it moves").
 const RANDOM_READ_ROWS: usize = 10;
 
-/// The moved walk: `pred` (an `AND` of single leaves) from the rows `was`
+/// The moved walk: `leaves` (an `AND` of single leaves) from the rows `was`
 /// selected when leaf `at` was `was_lo..=was_hi` ([`Predicate::moved_range`]).
 /// Only a row whose moved value lies between an old and a new bound, ends
 /// included, can change: the column's [`ValueOrder`] finds those candidates,
@@ -526,21 +582,11 @@ const RANDOM_READ_ROWS: usize = 10;
 /// them. `None` walks cold: no order, or candidates costing more than it.
 fn eval_moved(
     table: &Table,
-    pred: &Predicate,
     leaves: &[Leaf<'_>],
     (was, (at, was_lo, was_hi)): (&SelectionVector, (usize, f64, f64)),
     stats: &mut KernelStats,
 ) -> Option<SelectionVector> {
-    let (
-        Predicate::And(ps),
-        Leaf::Float(.., Test::Range(lo, hi)) | Leaf::Int(.., Test::Range(lo, hi)),
-    ) = (pred, leaves.get(at)?)
-    else {
-        return None;
-    };
-    let Predicate::Between { column, .. } = ps.get(at)? else {
-        return None;
-    };
+    let (idx, lo, hi) = leaves.get(at)?.range()?;
     let (len, mut counted) = (table.rows(), KernelStats::default());
     let mut verdicts = vec![None; leaves.len()];
     for b in 0..len.div_ceil(ZONE_BLOCK_ROWS) {
@@ -548,20 +594,11 @@ fn eval_moved(
     }
     // The cold walk's reads: every undecided (leaf, block).
     let streamed = counted.blocks_scanned as usize * ZONE_BLOCK_ROWS;
-    let idx = table.column_index(column).ok()?;
     let (col, order) = (table.column_at(idx), table.value_order_at(idx, streamed)?);
-    let value = |row: usize| col.f64_at(row).unwrap_or(f64::NAN);
     let mut spans = Vec::new();
-    for (old, new) in [(was_lo, *lo), (was_hi, *hi)] {
-        let (a, b) = (old.min(new), old.max(new));
-        if a == b {
-            continue;
-        }
-        for (base, run) in (0..).step_by(RUN_ROWS).zip(order.0.chunks(RUN_ROWS)) {
-            // A NaN fails both tests, so it sorts last for both searches.
-            let start = run.partition_point(|&o| value(base + usize::from(o)) < a);
-            let end = run.partition_point(|&o| value(base + usize::from(o)) <= b);
-            spans.push((base, &run[start..end]));
+    for (old, new) in [(was_lo, lo), (was_hi, hi)] {
+        if old != new {
+            spans.extend(order.spans(col, old.min(new), old.max(new)));
         }
     }
     let candidates: usize = spans.iter().map(|(_, span)| span.len()).sum();
@@ -592,7 +629,8 @@ pub(crate) const RUN_ROWS: usize = 1 << 16;
 /// run of [`RUN_ROWS`] rows, its `u16` offsets sorted by value as `f64`,
 /// IEEE order with `-0.0` and `0.0` tied and every NaN last — 2 B a row.
 /// Derived state like a zone map, built only for a column moved walks
-/// need ([`Table::value_order_at`]).
+/// need ([`Table::value_order_at`]), and read by the cold walk too once
+/// built.
 #[derive(Debug)]
 pub(crate) struct ValueOrder(pub(crate) Box<[u16]>);
 
@@ -617,7 +655,24 @@ impl ValueOrder {
         }
         Some(ValueOrder(order.into()))
     }
+
+    /// Per run, its first row and the offsets of its rows whose value in
+    /// `col` lies in `lo..=hi` (neither NaN; empty when `lo > hi`): two
+    /// binary searches a run.
+    fn spans<'o>(&'o self, col: &'o Column, lo: f64, hi: f64) -> impl Iterator<Item = Span<'o>> {
+        let value = move |row: usize| col.f64_at(row).unwrap_or(f64::NAN);
+        let runs = (0..).step_by(RUN_ROWS).zip(self.0.chunks(RUN_ROWS));
+        runs.map(move |(base, run)| {
+            // A NaN fails both tests, so it sorts last for both searches.
+            let start = run.partition_point(|&o| value(base + usize::from(o)) < lo);
+            let end = run.partition_point(|&o| value(base + usize::from(o)) <= hi);
+            (base, &run[start..end.max(start)])
+        })
+    }
 }
+
+/// A run's first row and some of its offsets in a [`ValueOrder`].
+type Span<'o> = (usize, &'o [u16]);
 
 /// `x`'s place in [`ValueOrder`] as a `u64`: IEEE order, with `-0.0` and
 /// `0.0` one key and every NaN last.
@@ -988,6 +1043,43 @@ mod tests {
             );
             assert_eq!(moved, unfused, "n={n}");
         }
+    }
+
+    /// Which ranges the cold walk reads from their orders: none before
+    /// any is built; after, a range whose rows cost less to set than its
+    /// undecided blocks cost to scan, and never a NaN bound, a `Cmp` or a
+    /// string leaf. An ordered leaf's mask holds exactly its rows.
+    #[test]
+    fn a_range_reads_its_order_only_when_its_rows_cost_less_than_its_scan() {
+        let t = table(5000);
+        let p = Predicate::and([
+            Predicate::between("x", 10.0, 30.0), // 21 rows, 1 undecided block
+            Predicate::between("x", 0.0, 4000.0),
+            Predicate::between("k", 1.0, 1.0), // 715 rows, 5 blocks
+            Predicate::between("k", 0.0, 5.0), // 4,286 rows, 5 blocks
+            Predicate::between("x", f64::NAN, 30.0),
+            Predicate::le("x", 30.0),
+            Predicate::eq("s", "a"),
+        ]);
+        let (mut leaves, mut nested) = (Vec::new(), Vec::new());
+        resolve(&t, &p, &KernelOptions::default(), &mut leaves, &mut nested).unwrap();
+        let ordered = |t: &Table| -> Vec<bool> {
+            let rows = leaves.iter().map(|leaf| leaf.rows_from_order(t));
+            rows.map(|rows| rows.is_some()).collect()
+        };
+        assert_eq!(ordered(&t), [false; 7]);
+        for i in 0..t.width() {
+            t.value_order_at(i, usize::MAX);
+        }
+        assert_eq!(ordered(&t), [true, false, true, false, false, false, false]);
+        let rows = |leaf: &Leaf<'_>| SelectionVector {
+            words: leaf.rows_from_order(&t).expect("ordered"),
+            len: t.rows(),
+            count: 0,
+        };
+        assert_eq!(rows(&leaves[0]).to_row_ids(), (10..=30).collect::<Vec<_>>());
+        let sevens: Vec<usize> = (0..5000).filter(|r| r % 7 == 1).collect();
+        assert_eq!(rows(&leaves[2]).to_row_ids(), sevens);
     }
 
     #[test]

@@ -178,6 +178,11 @@ impl Table {
             .as_ref()
     }
 
+    /// The value order of column `i` if moved walks have built it.
+    pub(crate) fn built_order_at(&self, i: usize) -> Option<&ValueOrder> {
+        self.orders[i].0.get()?.as_ref()
+    }
+
     /// The statement memo, for [`crate::exec`] to clone an entry out of
     /// or store one into — never held across an evaluation or a bin
     /// pass. Every entry is a pure function of (table, its key), so a
