@@ -9,9 +9,9 @@
 //! This module is the only place a query is executed: every backend,
 //! the shard layer, and [`Plan::execute`](crate::planner::Plan::execute)
 //! dispatch to the same four operator bodies. [`run_query`] builds no
-//! [`Plan`](crate::planner::Plan) — a plan today only estimates and
-//! explains; the first access path that changes execution turns
-//! `run_query` into `plan().execute()`.
+//! [`Plan`](crate::planner::Plan) — a plan today only explains; the
+//! first access path that changes execution turns `run_query` into
+//! `plan().execute()`.
 //!
 //! A query runs on the thread that calls it. Parallelism is between
 //! queries and sessions, through

@@ -68,7 +68,6 @@ mod query;
 mod result;
 pub mod scheduler;
 pub mod sql;
-mod stats;
 mod table;
 mod value;
 
@@ -82,10 +81,9 @@ pub use cost::{CostModel, CostParams, LinearCostModel, QueryFootprint};
 pub use error::{EngineError, EngineResult};
 pub use kernels::{KernelOptions, KernelStats, SelectionVector};
 pub use page::{PageId, Pager, PAGE_SIZE};
-pub use planner::{plan, Plan, PlanNode, PlannedExecution};
+pub use planner::{plan, Plan, PlannedExecution};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{BinSpec, JoinSpec, Projection, Query, SelectSpec};
 pub use result::{Histogram, ResultSet, Row};
-pub use stats::{ColumnStats, TableStats};
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, Value};

@@ -12,7 +12,6 @@ use crate::error::{EngineError, EngineResult};
 use crate::kernels::{KernelStats, SelectionVector, ValueOrder};
 use crate::predicate::Predicate;
 use crate::result::Histogram;
-use crate::stats::TableStats;
 use crate::value::{DataType, Value};
 
 /// An immutable table: a schema plus columnar data, cheap to clone.
@@ -23,7 +22,6 @@ pub struct Table {
     columns: Arc<[Column]>,
     index: Arc<HashMap<Arc<str>, usize>>,
     rows: usize,
-    stats: Arc<TableStats>,
     // Lazily built per-column zone maps (`None` once built for a string
     // column). Shared across clones, so the first query to touch a
     // column pays the build and every later query reuses it.
@@ -117,7 +115,7 @@ impl Table {
 
     /// The rows at `rows` (indices into this table) as a new table of the
     /// same name and schema. It is built through [`TableBuilder`], so its
-    /// stats, zone maps and string dictionaries are its own.
+    /// zone maps and string dictionaries are its own.
     pub fn take(&self, rows: &[usize]) -> Table {
         let mut builder = TableBuilder::new(self.name());
         for (name, col) in self.column_names.iter().zip(self.columns.iter()) {
@@ -138,11 +136,6 @@ impl Table {
     /// The value at (`row`, `column name`).
     pub fn value(&self, row: usize, column: &str) -> EngineResult<Value> {
         Ok(self.column(column)?.value(row))
-    }
-
-    /// Per-column min/max/distinct statistics, computed once at build time.
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
     }
 
     /// The zone map of the column at position `i`, built lazily on first
@@ -270,7 +263,6 @@ impl TableBuilder {
             names.push(shared);
             cols.push(builder.build());
         }
-        let stats = TableStats::compute(&names, &cols);
         let width = cols.len();
         let memo = Memo {
             filter: None,
@@ -283,7 +275,6 @@ impl TableBuilder {
             columns: cols.into(),
             index: Arc::new(index),
             rows,
-            stats: Arc::new(stats),
             zones: (0..width).map(|_| OnceLock::new()).collect(),
             orders: (0..width)
                 .map(|_| (OnceLock::new(), AtomicUsize::new(0)))

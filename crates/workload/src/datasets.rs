@@ -302,6 +302,18 @@ mod tests {
     use super::*;
     use ids_engine::Predicate;
 
+    /// A numeric column's smallest and largest value.
+    fn min_max(t: &Table, name: &str) -> (f64, f64) {
+        let col = t.column(name).unwrap();
+        let values: Vec<f64> = match (col.as_float(), col.as_int()) {
+            (Some(v), _) => v.to_vec(),
+            (_, Some(v)) => v.iter().map(|&i| i as f64).collect(),
+            _ => panic!("{name} is not numeric"),
+        };
+        let fold = |(lo, hi): (f64, f64), &x: &f64| (lo.min(x), hi.max(x));
+        values.iter().fold((f64::INFINITY, f64::NEG_INFINITY), fold)
+    }
+
     #[test]
     fn movies_shape_and_determinism() {
         let a = movies_sized(7, 500);
@@ -345,16 +357,15 @@ mod tests {
     fn road_network_respects_paper_domains() {
         let t = road_network_sized(5, 20_000);
         assert_eq!(t.rows(), 20_000);
-        let stats = t.stats();
-        let x = stats.column("x").unwrap();
-        assert!(x.min.unwrap() >= road_domain::X_MIN);
-        assert!(x.max.unwrap() <= road_domain::X_MAX);
-        let y = stats.column("y").unwrap();
-        assert!(y.min.unwrap() >= road_domain::Y_MIN);
-        assert!(y.max.unwrap() <= road_domain::Y_MAX);
-        let z = stats.column("z").unwrap();
-        assert!(z.min.unwrap() >= road_domain::Z_MIN);
-        assert!(z.max.unwrap() <= road_domain::Z_MAX);
+        let (x_min, x_max) = min_max(&t, "x");
+        assert!(x_min >= road_domain::X_MIN);
+        assert!(x_max <= road_domain::X_MAX);
+        let (y_min, y_max) = min_max(&t, "y");
+        assert!(y_min >= road_domain::Y_MIN);
+        assert!(y_max <= road_domain::Y_MAX);
+        let (z_min, z_max) = min_max(&t, "z");
+        assert!(z_min >= road_domain::Z_MIN);
+        assert!(z_max <= road_domain::Z_MAX);
     }
 
     #[test]
@@ -379,11 +390,11 @@ mod tests {
     fn listings_schema_and_domains() {
         let t = listings(9, 5_000);
         assert_eq!(t.rows(), 5_000);
-        let price = t.stats().column("price").unwrap();
-        assert!(price.min.unwrap() >= 10.0);
-        assert!(price.max.unwrap() <= 2_000.0);
-        let guests = t.stats().column("guests").unwrap();
-        assert!(guests.min.unwrap() >= 1.0 && guests.max.unwrap() <= 8.0);
+        let (price_min, price_max) = min_max(&t, "price");
+        assert!(price_min >= 10.0);
+        assert!(price_max <= 2_000.0);
+        let (guests_min, guests_max) = min_max(&t, "guests");
+        assert!(guests_min >= 1.0 && guests_max <= 8.0);
         // Room types dictionary-encode to exactly the three variants.
         let (_, dict) = t.column("room_type").unwrap().as_str_parts().unwrap();
         assert!(dict.len() <= 3);

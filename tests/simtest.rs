@@ -68,60 +68,6 @@ fn corpus_replays_clean() {
     }
 }
 
-/// The two planner corpus scenarios still hold what they are named
-/// for: `planner-predicate-reorder` actually ranks a conjunction out of
-/// source order, and `planner-fused-vs-unfused` has histograms on both
-/// sides of one zone block of estimated survivors. (Oracle 13 pins
-/// their thread identity; this pins their *coverage*.)
-#[test]
-fn planner_corpus_scenarios_cover_their_plan_shapes() {
-    use ids::engine::planner::PlanNode;
-    use ids::engine::{Backend, ZONE_BLOCK_ROWS};
-    use ids::simtest::reference::{diff_backend, raw_tables};
-
-    let load = |name: &str| {
-        let body = std::fs::read_to_string(corpus_dir().join(name)).expect("corpus file");
-        from_toml(&body).unwrap_or_else(|e| panic!("{name}: parse error: {e}"))
-    };
-    let plan_of = |s: &Scenario, i: usize| {
-        let backend = diff_backend(&raw_tables(s.seed, &s.table));
-        ids::engine::plan(&backend.database(), &s.queries[i].query()).expect("plans")
-    };
-
-    let reorder = load("planner-predicate-reorder.toml");
-    match plan_of(&reorder, 0).node() {
-        PlanNode::Count { pred } => {
-            assert!(pred.reordered, "query 0 must rank out of source order");
-            assert_eq!(
-                pred.conjuncts[0].0, 1,
-                "selective k-conjunct (source index 1) must rank first, got {:?}",
-                pred.conjuncts
-            );
-        }
-        other => panic!("expected a count plan, got {other:?}"),
-    }
-    match plan_of(&reorder, 2).node() {
-        PlanNode::Count { pred } => {
-            assert!(!pred.reordered, "query 2 is already best-ordered");
-        }
-        other => panic!("expected a count plan, got {other:?}"),
-    }
-
-    let fused = load("planner-fused-vs-unfused.toml");
-    for (i, needle) in [(0, true), (1, false)] {
-        match plan_of(&fused, i).node() {
-            PlanNode::Histogram { est_rows, .. } => {
-                assert_eq!(
-                    *est_rows < ZONE_BLOCK_ROWS as u64,
-                    needle,
-                    "query {i} estimates {est_rows} rows"
-                );
-            }
-            other => panic!("expected a histogram plan, got {other:?}"),
-        }
-    }
-}
-
 /// The three adaptive corpus scenarios exercise the closed-loop
 /// transitions they are named for: the zoom loop actually zooms and
 /// runs to its action bound, the chaos scenario actually abandons, and
