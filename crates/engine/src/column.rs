@@ -38,7 +38,7 @@ pub struct Zone {
 ///
 /// Built lazily, once per column, by [`crate::Table::zone_map_at`];
 /// string columns have no zone map.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ZoneMap {
     blocks: Vec<Zone>,
 }

@@ -17,20 +17,19 @@ use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
 use crate::result::{Histogram, ResultSet};
-use crate::table::{CodesMemo, SpecKey, Table};
+use crate::table::Table;
 
 /// Executes the crossfiltering histogram:
 /// `SELECT ROUND((col - min) / width), COUNT(*) FROM t WHERE f GROUP BY 1 ORDER BY 1`.
 ///
-/// A drag re-issues each histogram with one range nudged, so each column
-/// remembers the last histogram counted over it (`Table::memo`), keyed
-/// by its spec's bits. Under the same selection (a repeated filter) that
+/// A drag re-issues each histogram with one range nudged, so the table
+/// remembers the last histogram counted over each column under its spec
+/// (`Table::bin_at`). Under the same selection (a repeated filter) that
 /// histogram is the answer; under a selection fewer rows away from it
 /// than it selects, its counts move by the rows that entered and left;
-/// otherwise the bin is cold. Either bin reads the column's bucket codes
-/// once it has them. Counts are integers, so every path gives the same
-/// answer, and the stored block counters are the cold walk's over the
-/// same selection: nothing records which path ran.
+/// otherwise the bin is cold. Either bin reads the spec's bucket codes
+/// once its division bins have paid for them. Counts are integers and
+/// the stored block counters are the cold walk's: no path shows.
 pub fn run_histogram(
     table: &Table,
     bins: &BinSpec,
@@ -51,54 +50,36 @@ pub fn run_histogram(
 }
 
 /// The bin phase over the column at `idx`, by the rule [`run_histogram`]
-/// states; remembers what it counted. A column binned by one spec gets
-/// its bucket codes once its division bins have walked as many selected
-/// rows as the table has, which costs more than building them
-/// (docs/PERFORMANCE.md, "A bin reads a byte"); from then on a bin reads
-/// a byte a row. A spec change starts the tally over.
+/// states; remembers what it counted under the column's spec.
 fn bin_phase(
     table: &Table,
     idx: usize,
     bins: &BinSpec,
     selected: Arc<SelectionVector>,
 ) -> (Histogram, KernelStats) {
-    let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
-    let memo = table.memo();
-    let (last, coded) = (memo.hists[idx].clone(), memo.codes[idx].clone());
-    drop(memo);
-    let (from, walked) = match last.as_deref().filter(|(k, ..)| *k == key) {
-        Some((_, from, hist, stats)) if Arc::ptr_eq(from, &selected) => {
+    let bin = table.bin_at(idx, bins);
+    let last = bin.last().clone();
+    let (from, walked) = match last.as_deref() {
+        Some((from, hist, stats)) if Arc::ptr_eq(from, &selected) => {
             return (hist.clone(), *stats);
         }
         // Fewer rows changed than are selected: moving is the cheaper pass.
-        Some((_, from, hist, _)) => match from.diff_count(&selected) {
+        Some((from, hist, _)) => match from.diff_count(&selected) {
             moved if moved < selected.count() => (Some((&**from, hist)), moved),
             _ => (None, selected.count()),
         },
         None => (None, selected.count()),
     };
     let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
-    // Built with the lock released: racing builders store equal codes.
-    let (before, built) = tally(coded, key);
-    let due = before.saturating_add(walked) >= table.rows();
-    let codes = built.or_else(|| due.then(|| kernels::bucket_codes(col, bins)).flatten());
+    let codes = bin.codes(col, bins, walked);
     let (opts, mut stats, rows) = (KernelOptions::default(), KernelStats::default(), col.len());
     let mut hist = from.map_or_else(|| Histogram::zeros(bins.bucket_count()), |(_, h)| h.clone());
-    let (from, coded) = (from.map(|(from, _)| from), codes.as_deref());
+    let from = from.map(|(from, _)| from);
     kernels::fused_filter_bin_range(
-        col, zone, from, coded, &selected, bins, &opts, &mut stats, 0, rows, &mut hist,
+        col, zone, from, codes, &selected, bins, &opts, &mut stats, 0, rows, &mut hist,
     );
-    let mut memo = table.memo();
-    memo.hists[idx] = Some(Arc::new((key, selected, hist.clone(), stats)));
-    let (before, built) = tally(memo.codes[idx].take(), key);
-    memo.codes[idx] = Some((key, before.saturating_add(walked), built.or(codes)));
+    *bin.last() = Some(Arc::new((selected, hist.clone(), stats)));
     (hist, stats)
-}
-
-/// The tally and codes a column's slot holds for `key`; none for another.
-fn tally(slot: Option<CodesMemo>, key: SpecKey) -> (usize, Option<Arc<[u8]>>) {
-    slot.filter(|(k, ..)| *k == key)
-        .map_or((0, None), |(_, n, c)| (n, c))
 }
 
 /// Executes `SELECT COUNT(*) FROM t WHERE f` — fused filter+count: the
@@ -251,17 +232,13 @@ mod tests {
         run(&t, wide);
         let idx = t.column_index("y").unwrap();
         let planted = {
-            let mut memo = t.memo();
-            let (key, sel, hist, stats) = &**memo.hists[idx].as_ref().unwrap();
+            let bin = t.bin_at(idx, &bins);
+            let last = bin.last().clone().unwrap();
+            let (sel, hist, stats) = &*last;
             let mut counts = hist.counts().to_vec();
             counts[0] += 1000;
-            let entry = Arc::new((
-                *key,
-                Arc::clone(sel),
-                Histogram::from_counts(counts),
-                *stats,
-            ));
-            memo.hists[idx] = Some(Arc::clone(&entry));
+            let entry = Arc::new((Arc::clone(sel), Histogram::from_counts(counts), *stats));
+            *bin.last() = Some(Arc::clone(&entry));
             entry
         };
         // Failing statements, a count and another column's histogram leave
@@ -271,7 +248,8 @@ mod tests {
         assert!(run_histogram(&t, &bins, &Predicate::ge("nope", 1.0)).is_err());
         run_count(&t, &Predicate::between("x", 1.0, 2.0)).unwrap();
         run_histogram(&t, &BinSpec::new("x", 0.0, 10.0, 5), &brush).unwrap();
-        assert!(Arc::ptr_eq(t.memo().hists[idx].as_ref().unwrap(), &planted));
+        let last = t.bin_at(idx, &bins).last().clone();
+        assert!(Arc::ptr_eq(&last.unwrap(), &planted));
         // 5 rows changed, 75 selected: moved from the planted counts.
         let mut want = run(&road(), near);
         want[0] += 1000;
@@ -280,19 +258,20 @@ mod tests {
         assert_eq!(run(&t, far), run(&road(), far));
     }
 
-    /// Makes the next bin of `bins` on `table` build its codes, as if its
-    /// division bins had walked past the build's cost.
+    /// Builds `bins`' codes on `table` now, as if its division bins had
+    /// walked past the build's cost.
     fn force_codes(table: &Table, bins: &BinSpec) {
         let idx = table.column_index(&bins.column).unwrap();
-        let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
-        table.memo().codes[idx] = Some((key, usize::MAX, None));
+        let bin = table.bin_at(idx, bins);
+        bin.codes(table.column_at(idx), bins, usize::MAX);
     }
 
-    /// Whether `table` holds `bins`' codes.
+    /// Whether `table` holds `bins`' codes: a bin that spends nothing
+    /// builds nothing.
     fn coded(table: &Table, bins: &BinSpec) -> bool {
         let idx = table.column_index(&bins.column).unwrap();
-        let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
-        matches!(&table.memo().codes[idx], Some((k, _, Some(_))) if *k == key)
+        let bin = table.bin_at(idx, bins);
+        bin.codes(table.column_at(idx), bins, 0).is_some()
     }
 
     /// `x`'s place in IEEE order, so that one ulp is one step.

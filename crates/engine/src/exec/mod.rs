@@ -11,7 +11,8 @@
 //! dispatch to the same four operator bodies. [`run_query`] builds no
 //! [`Plan`](crate::planner::Plan) — a plan today only explains; the
 //! first access path that changes execution turns `run_query` into
-//! `plan().execute()`.
+//! `plan().execute()`. What a statement reuses from earlier ones is its
+//! table's derived state, which one rule builds (`table::Priced`).
 //!
 //! A query runs on the thread that calls it. Parallelism is between
 //! queries and sessions, through
@@ -43,23 +44,20 @@ use crate::Database;
 /// determines (`rows_scanned`, `rows_matched`, `predicate_evals`, its
 /// share of `blocks_pruned` / `blocks_scanned`).
 ///
-/// A crossfilter event re-queries every other histogram under one
-/// `WHERE` clause, so the table remembers the last filter it answered
-/// (`Table::memo`) and a repeat gets that very answer back. A drag
-/// re-issues that filter with one range moved
-/// (`Predicate::moved_range`): the moved walk starts from the
-/// remembered selection and decides again only the rows the column's
-/// value order places between an old and a new bound, reading no
-/// column. The counters are stored with the selection and both walks
-/// count every block verdict the cold walk counts: no footprint, and no
-/// virtual cost priced from one, can tell a remembered or moved answer
-/// from a cold one, and nothing records which it was. `TRUE` (already
-/// O(words) to answer) and errors are never remembered.
+/// The table remembers the last filter it answered, so a repeat (a
+/// crossfilter event re-queries every histogram under one `WHERE`) gets
+/// that very answer back. A drag moves one range
+/// (`Predicate::moved_range`): the moved walk starts from the remembered
+/// selection and decides again only the rows the column's value order
+/// places between an old and a new bound. Both walks count every block
+/// verdict the cold walk counts, so no footprint or virtual cost tells
+/// which answered. `TRUE` (O(words) to answer) and errors are never
+/// remembered.
 pub fn filter_rows(
     table: &Table,
     filter: &Predicate,
 ) -> EngineResult<(Arc<SelectionVector>, QueryFootprint)> {
-    let last = table.memo().filter.clone();
+    let last = table.last_filter().clone();
     let mut from = None;
     if let Some((key, selected, footprint)) = last.as_deref() {
         if key.same_filter(filter) {
@@ -82,8 +80,7 @@ pub fn filter_rows(
         ..QueryFootprint::default()
     };
     if !matches!(filter, Predicate::True) {
-        let entry = (filter.clone(), Arc::clone(&selected), footprint);
-        table.memo().filter = Some(Arc::new(entry));
+        *table.last_filter() = Some(Arc::new((filter.clone(), Arc::clone(&selected), footprint)));
     }
     Ok((selected, footprint))
 }
@@ -630,8 +627,11 @@ mod tests {
             assert!(failures.is_empty(), "{rows} rows: {failures:#?}");
             for bins in &specs {
                 let idx = table.column_index(&bins.column).expect("binned");
-                let codes = table.memo().codes[idx].clone();
-                assert!(matches!(codes, Some((.., Some(_)))), "{bins:?}: {codes:?}");
+                let bin = table.bin_at(idx, bins);
+                assert!(
+                    bin.codes(table.column_at(idx), bins, 0).is_some(),
+                    "{bins:?}"
+                );
             }
         });
     }

@@ -17,7 +17,9 @@
 //!   (filter+bin+count for histograms, filter+count for counts) without
 //!   ever materializing a row-id vector; a histogrammed column's bucket
 //!   codes (`bucket_codes`, one byte a row under the spec it is binned
-//!   by) let the bin read each row's bucket instead of dividing for it;
+//!   by) let the bin read each row's bucket instead of dividing for it.
+//!   A table keeps all of its derived state, zone maps and orders and
+//!   codes, and builds each by one rule (`table::Priced`);
 //! - **the moved walk** answers a filter one range from the last from its
 //!   selection, deciding again only the rows a per-column `ValueOrder`
 //!   finds between an old and a new bound: no column is streamed;
@@ -416,11 +418,12 @@ impl<'a> Leaf<'a> {
     }
 
     /// A range's rows, set in a zeroed mask from its column's order, when
-    /// a moved walk has built that order (this never builds one) and the
-    /// rows cost no more to set than the leaf's undecided blocks to scan.
+    /// moved walks have paid for that order (this adds no reads to its
+    /// tally) and the rows cost no more to set than the leaf's undecided
+    /// blocks to scan.
     fn rows_from_order(&self, table: &Table) -> Option<Vec<u64>> {
         let (idx, lo, hi) = self.range()?;
-        let order = table.built_order_at(idx)?;
+        let order = table.value_order_at(idx, 0)?;
         let spans: Vec<_> = order.spans(table.column_at(idx), lo, hi).collect();
         let rows: usize = spans.iter().map(|(_, span)| span.len()).sum();
         let blocks = table.rows().div_ceil(ZONE_BLOCK_ROWS);
@@ -628,10 +631,9 @@ pub(crate) const RUN_ROWS: usize = 1 << 16;
 /// A numeric column's rows in the order the kernels compare them: per
 /// run of [`RUN_ROWS`] rows, its `u16` offsets sorted by value as `f64`,
 /// IEEE order with `-0.0` and `0.0` tied and every NaN last — 2 B a row.
-/// Derived state like a zone map, built only for a column moved walks
-/// need ([`Table::value_order_at`]), and read by the cold walk too once
-/// built.
-#[derive(Debug)]
+/// The table keeps it and builds it by its one rule, once moved walks
+/// have paid its price ([`Table::value_order_at`]); the cold walk reads it too.
+#[derive(Debug, Default)]
 pub(crate) struct ValueOrder(pub(crate) Box<[u16]>);
 
 impl ValueOrder {
@@ -748,9 +750,10 @@ pub fn fused_filter_bin(
 
 /// One `u8` per row of `col`: the bucket [`BinSpec::bin_with_width`]
 /// gives it under `bins`, `u8::MAX` for none — the division's answer,
-/// precomputed. `None` for a string column and for a spec with more than
-/// 254 bins, whose last bucket would be the no-bucket code.
-pub(crate) fn bucket_codes(col: &Column, bins: &BinSpec) -> Option<Arc<[u8]>> {
+/// precomputed, and kept by the table under the column's spec
+/// (`table::Bin::codes`). `None` for a string column and for a spec with
+/// more than 254 bins, whose last bucket would be the no-bucket code.
+pub(crate) fn bucket_codes(col: &Column, bins: &BinSpec) -> Option<Box<[u8]>> {
     let width = bins.width();
     let code = |x: f64| bins.bin_with_width(x, width).map_or(u8::MAX, |b| b as u8);
     match col {

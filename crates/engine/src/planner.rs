@@ -251,9 +251,9 @@ mod tests {
             exec::run_query(&database, &drag).unwrap();
         }
         let x = t.column_index("x").unwrap();
-        assert!(t.built_order_at(x).is_some());
-        assert!(t.memo().filter.is_some());
-        assert!(matches!(&t.memo().codes[x], Some((_, _, Some(_)))));
+        assert!(t.value_order_at(x, 0).is_some());
+        assert!(t.last_filter().is_some());
+        assert!(t.bin_at(x, &bins).codes(t.column_at(x), &bins, 0).is_some());
 
         let again = plan(&database, &q).unwrap();
         assert_eq!(again.explain(), text);

@@ -1,16 +1,18 @@
-//! Tables: named collections of equal-length columns, with what clones
-//! share: lazily derived zone maps and value orders, and the memo, which
-//! also holds each histogrammed column's bucket codes.
+//! Tables: named collections of equal-length columns, and what a table
+//! derives from them. One owner holds all of it, shared across clones,
+//! and one rule ([`Priced`]) builds each structure in it: once the reads
+//! statements made without it reach its price.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::column::{Column, ColumnBuilder, ZoneMap};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
-use crate::kernels::{KernelStats, SelectionVector, ValueOrder};
+use crate::kernels::{self, KernelStats, SelectionVector, ValueOrder};
 use crate::predicate::Predicate;
+use crate::query::BinSpec;
 use crate::result::Histogram;
 use crate::value::{DataType, Value};
 
@@ -22,48 +24,83 @@ pub struct Table {
     columns: Arc<[Column]>,
     index: Arc<HashMap<Arc<str>, usize>>,
     rows: usize,
-    // Lazily built per-column zone maps (`None` once built for a string
-    // column). Shared across clones, so the first query to touch a
-    // column pays the build and every later query reuses it.
-    zones: Arc<[OnceLock<Option<ZoneMap>>]>,
-    // Per-column value orders, each with the leaf-rows its column's moved
-    // walks read cold before it was built; shared like `zones`.
-    orders: Arc<[(OnceLock<Option<ValueOrder>>, AtomicUsize)]>,
-    // What the table remembers of the statements it answered, shared
-    // across clones like `zones`.
-    memo: Arc<Mutex<Memo>>,
+    derived: Arc<Derived>,
 }
 
-/// What a table remembers between statements: the last filter it
-/// answered (`exec::filter_rows`) and, per column, the last histogram
-/// counted over it and the bucket codes of the spec it is binned by
-/// (`exec::run_histogram`). The filter entry answers a repeat, and starts
-/// the walk of a filter that moves one of its ranges. Racing workers each
-/// move a consistent (filter, selection) pair, so the answer is the cold
-/// walk's whoever wins, and nothing records which path ran. Entries sit
-/// behind `Arc`s, so a lookup clones a pointer and a store allocates once.
+/// What a table derives, shared across clones: the last filter it
+/// answered (`exec::filter_rows`) and a slot per column. Each entry is a
+/// pure function of (table, its key): races move only when one is built.
 #[derive(Debug)]
-pub(crate) struct Memo {
-    pub(crate) filter: Option<Arc<FilterMemo>>,
-    /// Indexed by column position, like `codes`.
-    pub(crate) hists: Vec<Option<Arc<HistMemo>>>,
-    pub(crate) codes: Vec<Option<CodesMemo>>,
+struct Derived {
+    filter: Mutex<Option<Arc<FilterMemo>>>,
+    columns: Box<[Slot]>,
 }
+
+/// A column's zone map, value order, and state under its last bin spec.
+#[derive(Debug, Default)]
+struct Slot {
+    zones: Priced<ZoneMap>,
+    order: Priced<ValueOrder>,
+    bin: Mutex<Option<(SpecKey, Arc<Bin>)>>,
+}
+
+/// A bin spec's key: `min` and `max` by bit pattern, and `bins`.
+type SpecKey = (u64, u64, usize);
 
 /// A filter, the rows it selects, and the footprint of selecting them.
 pub(crate) type FilterMemo = (Predicate, Arc<SelectionVector>, QueryFootprint);
 
-/// A bin spec's key: `min` and `max` by bit pattern, and `bins`.
-pub(crate) type SpecKey = (u64, u64, usize);
+/// A histogram as counted: the rows it counted, its counts, and the bin
+/// phase's block counters.
+pub(crate) type HistMemo = (Arc<SelectionVector>, Histogram, KernelStats);
 
-/// A histogram as counted: its spec's key, the rows it counted, its
-/// counts, and the bin phase's block counters.
-pub(crate) type HistMemo = (SpecKey, Arc<SelectionVector>, Histogram, KernelStats);
+/// The one build rule: the reads statements made without a structure,
+/// and the structure, built once they reach the price its caller states
+/// (`Some(None)` for a column or spec that has none). The tally
+/// saturates and publishes nothing: racing reads only move the build.
+#[derive(Debug, Default)]
+pub(crate) struct Priced<T>(AtomicUsize, OnceLock<Option<T>>);
 
-/// A column's one coded spec: its key, the selected rows its division
-/// bins have walked, and its [`crate::kernels::bucket_codes`] once those
-/// passed the build's cost — a pure function of (column, key).
-pub(crate) type CodesMemo = (SpecKey, usize, Option<Arc<[u8]>>);
+impl<T> Priced<T> {
+    /// Adds `n` reads to the tally; the structure once it reaches `price`.
+    pub(crate) fn get(&self, n: usize, price: usize, f: impl FnOnce() -> Option<T>) -> Option<&T> {
+        let add = |tally: usize| Some(tally.saturating_add(n));
+        let paid = |tally: usize| tally.saturating_add(n) >= price;
+        if self.1.get().is_some() || self.0.fetch_update(Relaxed, Relaxed, add).is_ok_and(paid) {
+            return self.1.get_or_init(f).as_ref();
+        }
+        None
+    }
+}
+
+/// A column's state under the one spec it is binned by: the last
+/// histogram counted under it (`exec::run_histogram`) and its bucket
+/// codes. A spec change replaces both, so the codes' tally starts over.
+#[derive(Debug, Default)]
+pub(crate) struct Bin {
+    codes: Priced<Box<[u8]>>,
+    last: Mutex<Option<Arc<HistMemo>>>,
+}
+
+impl Bin {
+    /// The spec's bucket codes ([`kernels::bucket_codes`]) for a bin that
+    /// divides for `walked` selected rows without them; they cost one such
+    /// row per table row (docs/PERFORMANCE.md, "A bin reads a byte").
+    pub(crate) fn codes(&self, col: &Column, bins: &BinSpec, walked: usize) -> Option<&[u8]> {
+        let build = || kernels::bucket_codes(col, bins);
+        self.codes.get(walked, col.len(), build).map(|c| &**c)
+    }
+
+    /// The last histogram counted under the spec, to read or replace.
+    pub(crate) fn last(&self) -> MutexGuard<'_, Option<Arc<HistMemo>>> {
+        lock(&self.last)
+    }
+}
+
+/// A poisoned lock still guards a usable entry, and the last writer wins.
+fn lock<T>(entry: &Mutex<T>) -> MutexGuard<'_, T> {
+    entry.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 impl Table {
     /// The table name.
@@ -138,50 +175,36 @@ impl Table {
         Ok(self.column(column)?.value(row))
     }
 
-    /// The zone map of the column at position `i`, built lazily on first
-    /// use and cached for the table's lifetime (clones share the cache).
+    /// The zone map of the column at position `i`, built on first use (it
+    /// costs nothing) and kept for the table's lifetime (clones share it).
     /// `None` for string columns, which have no numeric block bounds.
     pub fn zone_map_at(&self, i: usize) -> Option<&ZoneMap> {
-        self.zones[i]
-            .get_or_init(|| ZoneMap::build(&self.columns[i]))
-            .as_ref()
-    }
-
-    /// The zone map of a column by name (see [`Table::zone_map_at`]).
-    pub fn zone_map(&self, name: &str) -> EngineResult<Option<&ZoneMap>> {
-        Ok(self.zone_map_at(self.column_index(name)?))
+        let build = || ZoneMap::build(&self.columns[i]);
+        self.derived.columns[i].zones.get(0, 0, build)
     }
 
     /// The value order of column `i`, for a moved walk that would read
-    /// `streamed` leaf-rows cold: built once the column's moved walks have
-    /// read as many as the build costs ([`ValueOrder::BUILD_ROWS`] a row),
-    /// so a table nobody drags pays nothing. `None` until then and for
-    /// string columns.
+    /// `streamed` leaf-rows cold; it costs [`ValueOrder::BUILD_ROWS`] such
+    /// reads a row. `None` until then and for string columns.
     pub(crate) fn value_order_at(&self, i: usize, streamed: usize) -> Option<&ValueOrder> {
-        let (order, cold) = &self.orders[i];
-        // A tally that publishes nothing: racing walks only move the build.
-        if order.get().is_none() {
-            let cold = cold.fetch_add(streamed, Ordering::Relaxed);
-            if cold.saturating_add(streamed) < self.rows * ValueOrder::BUILD_ROWS {
-                return None;
-            }
+        let build = || ValueOrder::build(&self.columns[i]);
+        let price = self.rows * ValueOrder::BUILD_ROWS;
+        self.derived.columns[i].order.get(streamed, price, build)
+    }
+
+    /// The last filter the table answered, to read or replace.
+    pub(crate) fn last_filter(&self) -> MutexGuard<'_, Option<Arc<FilterMemo>>> {
+        lock(&self.derived.filter)
+    }
+
+    /// Column `i`'s state under `bins`: its last spec's, bit for bit the
+    /// same, or a new one that replaces it.
+    pub(crate) fn bin_at(&self, i: usize, bins: &BinSpec) -> Arc<Bin> {
+        let key = (bins.min.to_bits(), bins.max.to_bits(), bins.bins);
+        match &mut *lock(&self.derived.columns[i].bin) {
+            Some((k, bin)) if *k == key => Arc::clone(bin),
+            slot => Arc::clone(&slot.insert((key, Arc::default())).1),
         }
-        order
-            .get_or_init(|| ValueOrder::build(&self.columns[i]))
-            .as_ref()
-    }
-
-    /// The value order of column `i` if moved walks have built it.
-    pub(crate) fn built_order_at(&self, i: usize) -> Option<&ValueOrder> {
-        self.orders[i].0.get()?.as_ref()
-    }
-
-    /// The statement memo, for [`crate::exec`] to clone an entry out of
-    /// or store one into — never held across an evaluation or a bin
-    /// pass. Every entry is a pure function of (table, its key), so a
-    /// poisoned lock still guards usable ones and the last writer may win.
-    pub(crate) fn memo(&self) -> MutexGuard<'_, Memo> {
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Estimated width of one row on disk, in bytes (used by the pager).
@@ -263,11 +286,9 @@ impl TableBuilder {
             names.push(shared);
             cols.push(builder.build());
         }
-        let width = cols.len();
-        let memo = Memo {
-            filter: None,
-            hists: vec![None; width],
-            codes: vec![None; width],
+        let derived = Derived {
+            filter: Mutex::default(),
+            columns: cols.iter().map(|_| Slot::default()).collect(),
         };
         Ok(Table {
             name: Arc::from(self.name.as_str()),
@@ -275,11 +296,7 @@ impl TableBuilder {
             columns: cols.into(),
             index: Arc::new(index),
             rows,
-            zones: (0..width).map(|_| OnceLock::new()).collect(),
-            orders: (0..width)
-                .map(|_| (OnceLock::new(), AtomicUsize::new(0)))
-                .collect(),
-            memo: Arc::new(Mutex::new(memo)),
+            derived: Arc::new(derived),
         })
     }
 }
@@ -350,18 +367,71 @@ mod tests {
         assert_eq!(t.row_disk_width(), 48);
     }
 
+    /// The one build rule, structure by structure: absent one read below
+    /// its price and built at it, in one allocation every clone sees, and
+    /// never for a string column or a spec of more than 254 bins. Moved
+    /// walks and division bins spend what they read, and a spec one ulp
+    /// away restarts the codes' tally and drops the last histogram.
     #[test]
-    fn zone_maps_built_lazily_and_shared_across_clones() {
-        let t = sample();
-        let z = t.zone_map("a").unwrap().expect("int column has a zone map");
-        let b = z.block(0).unwrap();
-        assert_eq!((b.min, b.max), (1.0, 3.0));
-        assert!(t.zone_map("c").unwrap().is_none(), "strings have none");
-        // A clone sees the same cached map (same allocation).
-        let clone = t.clone();
-        let z2 = clone.zone_map("a").unwrap().unwrap();
-        assert!(std::ptr::eq(z, z2));
-        assert!(t.zone_map("zzz").is_err());
+    fn each_structure_is_built_once_its_reads_reach_its_price() {
+        const ROWS: usize = 1024;
+        let t = TableBuilder::new("n")
+            .column("i", ColumnBuilder::int((0..ROWS).map(|r| r as i64)))
+            .column("f", ColumnBuilder::float((0..ROWS).map(|r| r as f64)))
+            .column("s", ColumnBuilder::str((0..ROWS).map(|_| "s")))
+            .build()
+            .unwrap();
+        let spec = |max: f64, bins| BinSpec::new("f", 0.0, max, bins);
+        type Spend<'a> = &'a dyn Fn(&Table, usize, usize) -> Option<*const ()>;
+        let codes = |bins: BinSpec| {
+            move |t: &Table, i, n| {
+                let bin = t.bin_at(i, &bins);
+                bin.codes(t.column_at(i), &bins, n)
+                    .map(|c| c.as_ptr().cast())
+            }
+        };
+        let zone = |t: &Table, i, _| t.zone_map_at(i).map(|z| std::ptr::from_ref(z).cast());
+        let order = |t: &Table, i, n| t.value_order_at(i, n).map(|o| std::ptr::from_ref(o).cast());
+        let structures: [(Spend, usize, [bool; 3]); 4] = [
+            (&zone, 0, [true, true, false]),
+            (&order, ROWS * ValueOrder::BUILD_ROWS, [true, true, false]),
+            (&codes(spec(1024.0, 20)), ROWS, [true, true, false]),
+            (&codes(spec(1024.0, 255)), ROWS, [false; 3]),
+        ];
+        for (k, (spend, price, builds)) in structures.into_iter().enumerate() {
+            let t = t.take(&(0..ROWS).collect::<Vec<_>>());
+            assert!(t.derived.columns.iter().all(|s| s.zones.1.get().is_none()));
+            for (i, builds) in builds.into_iter().enumerate() {
+                assert!(price == 0 || spend(&t, i, price - 1).is_none(), "{k}, {i}");
+                let built = spend(&t.clone(), i, price.min(1));
+                assert_eq!(built.is_some(), builds, "{k}, column {i}");
+                assert_eq!(spend(&t, i, 0), built, "{k}, column {i}: one allocation");
+            }
+        }
+        let block = t.zone_map_at(0).unwrap().block(0).unwrap();
+        assert_eq!((block.min, block.max), (0.0, 1023.0));
+
+        // Each move streams `f`'s one undecided block: the 48th builds its order.
+        for k in 0..=ValueOrder::BUILD_ROWS {
+            assert!(t.value_order_at(1, 0).is_none(), "after {k} statements");
+            let moved = Predicate::And(vec![Predicate::between("f", 10.0, 900.0 + k as f64)]);
+            crate::exec::filter_rows(&t, &moved).unwrap();
+        }
+        assert!(t.value_order_at(1, 0).is_some());
+        // Cold bins of 600, 423 and 1 selected rows: the third builds the codes.
+        let (bins, col) = (spec(1024.0, 20), t.column_at(1));
+        for (lo, hi) in [(0.0, 599.0), (600.0, 1022.0), (1023.0, 1023.0)] {
+            assert!(t.bin_at(1, &bins).codes(col, &bins, 0).is_none(), "{lo}");
+            crate::exec::run_histogram(&t, &bins, &Predicate::between("f", lo, hi)).unwrap();
+        }
+        let bin = t.bin_at(1, &bins);
+        assert!(bin.codes(col, &bins, 0).is_some() && bin.last().is_some());
+        // One ulp away, and back: a new state each time, kept while the spec is.
+        for spec in [spec(1024f64.next_up(), 20), bins] {
+            let bin = t.bin_at(1, &spec);
+            assert!(bin.last().is_none() && bin.codes(col, &spec, ROWS - 1).is_none());
+            assert!(Arc::ptr_eq(&bin, &t.bin_at(1, &spec)), "{spec:?}");
+        }
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! Nothing is shared between threads: a spawned thread starts with a
 //! disabled recorder, `vnow` 0 and no events, and what it records stays
 //! on it. To capture telemetry from a run, enable, drive and read back
-//! on one thread. The single inheritance is the clock: the two places
-//! that run work on other threads — `engine::parallel::ordered_map`'s
-//! per-call workers and `ids-shard`'s scatter-gather helper threads —
-//! publish the caller's `vnow` on the worker before it runs a task,
-//! because fault injection keys its windows on it; workers inherit
-//! nothing else.
+//! on one thread. The single inheritance is the clock:
+//! `engine::parallel::ordered_map`'s per-call workers publish the
+//! caller's `vnow` before they run a task, because fault injection keys
+//! its windows on it. `ids-shard`'s scatter-gather helper threads
+//! inherit nothing: a shard fragment reads no obs state, and `gather`
+//! stamps shard spans on the caller.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;

@@ -33,7 +33,7 @@ use ids_engine::{
     CostModel, CostParams, Database, EngineError, EngineResult, LinearCostModel, Query,
     QueryFootprint, ResultSet,
 };
-use ids_simclock::{SimDuration, SimTime};
+use ids_simclock::SimDuration;
 
 use crate::partition::{partition_database, PartitionScheme};
 
@@ -91,8 +91,6 @@ type Partial = EngineResult<(ResultSet, QueryFootprint)>;
 struct Scatter {
     shards: Arc<[Database]>,
     query: Query,
-    /// The caller's virtual clock: fault injection keys its windows on it.
-    vnow: SimTime,
     /// Next shard to claim; partials are published through `slots`.
     next: AtomicUsize,
     slots: Mutex<Vec<Option<Partial>>>,
@@ -100,11 +98,11 @@ struct Scatter {
 }
 
 impl Scatter {
-    /// Publishes the caller's clock (a no-op on the caller) and runs
-    /// shards off the cursor until it runs out. A panicking fragment
-    /// fills its slot with `SchedulerClosed`: the thread survives.
+    /// Runs shards off the cursor until it runs out. A fragment reads no
+    /// obs state, the clock included (`gather` stamps shard spans on the
+    /// caller). A panicking fragment fills its slot with
+    /// `SchedulerClosed`: the thread survives.
     fn drain(&self) {
-        ids_obs::set_vnow(self.vnow);
         loop {
             let shard = self.next.fetch_add(1, Ordering::Relaxed);
             let Some(db) = self.shards.get(shard) else {
@@ -215,7 +213,6 @@ impl ScatterGather {
         let scatter = Arc::new(Scatter {
             shards: Arc::clone(&self.shards),
             query: query.clone(),
-            vnow: ids_obs::vnow(),
             next: AtomicUsize::new(0),
             slots: Mutex::new((0..self.shards.len()).map(|_| None).collect()),
             all_filled: Condvar::new(),
