@@ -9,15 +9,13 @@
 //! perf --quick           # small rows, deterministic fields only (the perf
 //!                        # golden: must equal BENCH_perf_quick.json)
 //! perf --out FILE        # write the report somewhere else
-//! IDS_PERF_ROWS=1000000  # override the table size
-//! IDS_PERF_REPS=9        # override median-of-k repetitions
 //! ```
 //!
 //! The `--quick` report intentionally omits every wall-clock field so it
 //! is byte-identical on every run: same seed, same rows, same checksums,
 //! same virtual costs, same pruning counters — always.
 
-use ids_bench::perf::{default_reps, default_rows, env_usize, render_json, run_all};
+use ids_bench::perf::{default_reps, default_rows, render_json, run_all};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,19 +23,10 @@ fn main() {
     let out = take_value_flag(&mut args, "--out").unwrap_or_else(|| "BENCH_perf.json".to_string());
     if !args.is_empty() {
         eprintln!("usage: perf [--quick] [--out FILE]");
-        eprintln!(
-            "env:   IDS_PERF_ROWS=N   table size (default {})",
-            default_rows(quick)
-        );
-        eprintln!(
-            "       IDS_PERF_REPS=K   median-of-K reps (default {})",
-            default_reps(quick)
-        );
         std::process::exit(2);
     }
 
-    let rows = env_usize("IDS_PERF_ROWS", default_rows(quick));
-    let reps = env_usize("IDS_PERF_REPS", default_reps(quick)).max(1);
+    let (rows, reps) = (default_rows(quick), default_reps(quick));
 
     let reports = run_all(quick, rows, reps);
     let json = render_json(quick, rows, reps, &reports);

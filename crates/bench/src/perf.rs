@@ -340,14 +340,6 @@ pub fn default_reps(quick: bool) -> usize {
     }
 }
 
-/// Reads a usize from the environment, falling back to `default`.
-pub fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -147,3 +147,16 @@ fn golden_perf_quick_report() {
     let json = render_json(true, rows, reps, &run_all(true, rows, reps));
     check_golden("../../../../BENCH_perf_quick.json", &json);
 }
+
+/// The committed full `perf` report is one the binary can still
+/// produce: its header (mode, seed, rows, reps) is the full mode's.
+/// Only the header is read, no wall-clock field.
+#[test]
+fn committed_full_perf_report_has_the_full_mode_header() {
+    use ids_bench::perf::{default_reps, default_rows, render_json};
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
+    let committed = std::fs::read_to_string(path).expect("BENCH_perf.json is committed");
+    let full = render_json(false, default_rows(false), default_reps(false), &[]);
+    let header = |report: &str| report.split("\"benches\"").next().map(str::to_owned);
+    assert_eq!(header(&committed), header(&full));
+}

@@ -314,13 +314,13 @@ mod tests {
 
     #[test]
     fn retrying_backend_rides_through_injected_failures() {
-        use ids_engine::{ResultQuality, RetryPolicy, RetryingBackend};
+        use ids_engine::{ResultQuality, RetryingBackend};
         let inner = backend(100);
         let chaos = ChaosBackend::new(
             &inner,
             FaultPlan::builder(6).transient_failures(0.4).build(),
         );
-        let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+        let retrying = RetryingBackend::new(&chaos);
         ids_obs::set_vnow(SimTime::ZERO);
         let mut successes = 0;
         for _ in 0..50 {

@@ -16,7 +16,7 @@ use ids_opt::prefetch::{evaluate_tile_strategy, MarkovPrefetcher, TileStrategy};
 use ids_opt::throttle::AdaptiveThrottle;
 use ids_opt::{group_cost, replay, Policy, ReplayOutcome};
 use ids_simclock::SimDuration;
-use ids_workload::composite::{simulate_study, CompositeConfig};
+use ids_workload::composite::simulate_study;
 use ids_workload::crossfilter::{leading_groups, CrossfilterUi, QueryGroup};
 use ids_workload::datasets;
 use ids_workload::scrolling;
@@ -119,14 +119,7 @@ fn pool_policy() -> Table {
 }
 
 fn markov_depth() -> Table {
-    let sessions = simulate_study(
-        83,
-        8,
-        &CompositeConfig {
-            min_duration: SimDuration::from_secs(600),
-            request_model: None,
-        },
-    );
+    let sessions = simulate_study(83, 8, SimDuration::from_secs(600));
     let mut model = MarkovPrefetcher::new();
     model.train_sessions(&sessions);
     let hit_rate =

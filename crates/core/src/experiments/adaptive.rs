@@ -101,7 +101,7 @@ fn policies(config: &AdaptiveConfig) -> Vec<(&'static str, ClosedLoopParams)> {
         ..base.clone()
     };
     let deadline = ClosedLoopParams {
-        resilience: ResiliencePolicy::degrade_after(config.latency_budget),
+        resilience: ResiliencePolicy::DegradeAfter(config.latency_budget),
         ..base.clone()
     };
     let congested = ClosedLoopParams {
@@ -206,7 +206,6 @@ pub fn run(config: &AdaptiveConfig) -> AdaptiveReport {
     let behavior = BehaviorConfig {
         max_actions: config.max_actions,
         abandon_after: config.abandon_after,
-        ..BehaviorConfig::default()
     };
     let families: [(&'static str, BehaviorPolicy); 2] = [
         (

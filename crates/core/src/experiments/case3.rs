@@ -9,8 +9,8 @@ use ids_metrics::stats::Cdf;
 use ids_opt::prefetch::{evaluate_tile_strategy, zoom_budget, MarkovPrefetcher, TileStrategy};
 use ids_simclock::SimDuration;
 use ids_workload::composite::{
-    drag_deltas, filter_counts, phase_times, simulate_study, widget_percentages, CompositeConfig,
-    CompositeSession, Widget,
+    drag_deltas, filter_counts, phase_times, simulate_study, widget_percentages, CompositeSession,
+    Widget,
 };
 
 use crate::report::{pct, Table};
@@ -88,14 +88,7 @@ pub struct Case3Report {
 pub fn run(config: &Case3Config) -> Case3Report {
     let sessions = {
         let _p = ids_obs::phase("case3.simulate");
-        simulate_study(
-            config.seed,
-            config.users,
-            &CompositeConfig {
-                min_duration: config.min_session,
-                request_model: None,
-            },
-        )
+        simulate_study(config.seed, config.users, config.min_session)
     };
     let _p = ids_obs::phase("case3.analyze");
 

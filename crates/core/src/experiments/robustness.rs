@@ -27,9 +27,7 @@
 use ids_chaos::{ChaosBackend, FaultPlan};
 use ids_devices::DeviceKind;
 use ids_engine::scheduler::{replay_resilient, IssuedQuery, QueryTiming, ResiliencePolicy};
-use ids_engine::{
-    Backend, Database, MemBackend, QueryOutcome, ResultQuality, RetryPolicy, RetryingBackend,
-};
+use ids_engine::{Backend, Database, MemBackend, QueryOutcome, ResultQuality, RetryingBackend};
 use ids_metrics::lcv::{budget_violations, LcvReport, QuerySpan};
 use ids_metrics::qif::QifReport;
 use ids_opt::throttle::AdaptiveThrottle;
@@ -194,18 +192,18 @@ pub fn run(config: &RobustnessConfig) -> RobustnessReport {
         // conditions.
         let resilient = |policy: ResiliencePolicy| {
             let chaos = ChaosBackend::new(&mem, plan.clone());
-            let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+            let retrying = RetryingBackend::new(&chaos);
             replay_resilient(&retrying, &stream, config.workers, &policy)
                 .expect("replay over registered tables cannot fail")
         };
         // Rigid: full answers, latency cascades, failures become
         // placeholders after retries.
-        let rigid = resilient(ResiliencePolicy::rigid());
+        let rigid = resilient(ResiliencePolicy::Rigid);
         let rigid_lcv = budget_violations(&spans(&rigid), config.latency_budget);
 
         // Degraded: same storm, but over-budget queries truncate to
         // partial estimates.
-        let degraded = resilient(ResiliencePolicy::degrade_after(config.latency_budget));
+        let degraded = resilient(ResiliencePolicy::DegradeAfter(config.latency_budget));
         let degraded_lcv = budget_violations(&spans(&degraded), config.latency_budget);
         let partial = degraded
             .iter()
@@ -221,7 +219,7 @@ pub fn run(config: &RobustnessConfig) -> RobustnessReport {
         // the admitted QIF down as intensity grows.
         let (admitted_qps, stall_reactions) = {
             let chaos = ChaosBackend::new(&mem, plan.clone());
-            let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+            let retrying = RetryingBackend::new(&chaos);
             let mut throttle =
                 AdaptiveThrottle::new(baseline_estimate).with_stall_reaction(3.0, 2.0);
             // A probe costs its members' sum; a retry-exhausted member
@@ -362,10 +360,10 @@ pub struct ProgressivePoint {
     /// Per-query latency budget, ms.
     pub budget_ms: u64,
     /// LCV when over-budget queries simulate a truncated scan
-    /// ([`ResiliencePolicy::degrade_after`]).
+    /// ([`ResiliencePolicy::DegradeAfter`]).
     pub degrade_lcv: LcvReport,
     /// LCV when over-budget queries spend the remaining budget on real
-    /// block-sampled refinement ([`ResiliencePolicy::deadline`]).
+    /// block-sampled refinement ([`ResiliencePolicy::Deadline`]).
     pub deadline_lcv: LcvReport,
     /// Partial answers in the degrade run.
     pub degrade_partial: usize,
@@ -461,15 +459,15 @@ pub fn run_progressive(config: &ProgressiveConfig) -> ProgressiveReport {
     };
     // The untruncated replay: exact answers every deadline estimate is
     // measured against.
-    let exact = resilient(ResiliencePolicy::rigid());
+    let exact = resilient(ResiliencePolicy::Rigid);
     drop(setup);
 
     let _p = ids_obs::phase("progressive.sweep");
     let mut points = Vec::new();
     for &budget_ms in &config.budgets_ms {
         let budget = SimDuration::from_millis(budget_ms);
-        let degrade = resilient(ResiliencePolicy::degrade_after(budget));
-        let deadline = resilient(ResiliencePolicy::deadline(budget));
+        let degrade = resilient(ResiliencePolicy::DegradeAfter(budget));
+        let deadline = resilient(ResiliencePolicy::Deadline(budget));
 
         let degrade_partial = degrade
             .iter()

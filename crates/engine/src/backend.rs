@@ -362,70 +362,37 @@ impl Backend for DiskBackend {
     }
 }
 
-/// Exponential backoff schedule for retrying transient failures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total execution attempts (1 = no retries).
-    pub max_attempts: u32,
-    /// Virtual-time wait before the first retry.
-    pub base_backoff: SimDuration,
-    /// Multiplier applied to the backoff after each failed retry.
-    pub factor: f64,
-}
-
-impl RetryPolicy {
-    /// No retries: the first failure is final.
-    pub const fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: SimDuration::ZERO,
-            factor: 1.0,
-        }
-    }
-
-    /// A sensible interactive default: 3 attempts, 5 ms doubling backoff
-    /// (bounded by the ~100 ms interactivity budget the paper uses).
-    pub const fn interactive() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: SimDuration::from_millis(5),
-            factor: 2.0,
-        }
-    }
-
-    /// Backoff charged before retry number `retry` (1-based; zero for
-    /// the first attempt).
-    pub fn backoff_before(&self, retry: u32) -> SimDuration {
-        if retry == 0 {
-            return SimDuration::ZERO;
-        }
-        self.base_backoff
-            .mul_f64(self.factor.powi(retry as i32 - 1))
-    }
-}
-
 /// A backend decorator that retries transient failures of its inner
-/// backend under a [`RetryPolicy`], charging each retry's backoff into
-/// the final outcome's virtual cost.
+/// backend, charging each retry's backoff into the final outcome's
+/// virtual cost.
+///
+/// The schedule is fixed: 3 attempts, waiting 5 ms before the first
+/// retry and twice that before the second, so an exhausted query has
+/// waited 15 ms, well inside the ~100 ms interactivity budget the paper
+/// uses.
 ///
 /// Deterministic: the retry schedule depends only on the inner backend's
-/// (deterministic) failure decisions and the policy, never on wall time.
+/// (deterministic) failure decisions, never on wall time.
 pub struct RetryingBackend<'a> {
     inner: &'a (dyn Backend + Sync),
-    policy: RetryPolicy,
     name: String,
     retries: Arc<ids_obs::Counter>,
     exhausted: Arc<ids_obs::Counter>,
 }
 
 impl<'a> RetryingBackend<'a> {
-    /// Wraps `inner` with the given retry policy.
-    pub fn new(inner: &'a (dyn Backend + Sync), policy: RetryPolicy) -> RetryingBackend<'a> {
+    /// Total execution attempts, the first included.
+    const RETRY_ATTEMPTS: u32 = 3;
+    /// Virtual-time wait before the first retry; each later retry waits
+    /// twice as long as the one before.
+    const FIRST_BACKOFF: SimDuration = SimDuration::from_millis(5);
+
+    /// Wraps `inner`.
+    pub fn new(inner: &'a (dyn Backend + Sync)) -> RetryingBackend<'a> {
         let reg = ids_obs::metrics();
         RetryingBackend {
             name: format!("retry({})", inner.name()),
             inner,
-            policy,
             retries: reg.counter("engine.retry.attempts"),
             exhausted: reg.counter("engine.retry.exhausted"),
         }
@@ -443,16 +410,17 @@ impl Backend for RetryingBackend<'_> {
 
     fn execute(&self, query: &Query) -> EngineResult<QueryOutcome> {
         let mut waited = SimDuration::ZERO;
-        let attempts = self.policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            waited += self.policy.backoff_before(attempt);
+        let mut backoff = Self::FIRST_BACKOFF;
+        for attempt in 1..=Self::RETRY_ATTEMPTS {
             match self.inner.execute(query) {
                 Ok(mut outcome) => {
                     outcome.cost += waited;
                     return Ok(outcome);
                 }
-                Err(err) if err.is_transient() && attempt + 1 < attempts => {
+                Err(err) if err.is_transient() && attempt < Self::RETRY_ATTEMPTS => {
                     self.retries.inc();
+                    waited += backoff;
+                    backoff += backoff;
                 }
                 Err(err) => {
                     if err.is_transient() {

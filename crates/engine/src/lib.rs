@@ -72,8 +72,7 @@ mod table;
 mod value;
 
 pub use backend::{
-    Backend, Database, DiskBackend, MemBackend, QueryOutcome, ResultQuality, RetryPolicy,
-    RetryingBackend,
+    Backend, Database, DiskBackend, MemBackend, QueryOutcome, ResultQuality, RetryingBackend,
 };
 pub use buffer::{BufferPool, BufferPoolStats, EvictionPolicy};
 pub use column::{Column, ColumnBuilder, Zone, ZoneMap, ZONE_BLOCK_ROWS};

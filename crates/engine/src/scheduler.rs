@@ -7,6 +7,16 @@
 //! the queueing time behind Q1–Q3. The scheduler computes, for every query
 //! in a trace, when it started (queue head reached + worker free) and when
 //! it finished, in *virtual* time.
+//!
+//! A replay runs under a [`ResiliencePolicy`]: [`Rigid`] answers in full
+//! however late, [`DegradeAfter`] cuts an over-budget query to a partial
+//! estimate and [`Deadline`] refines one progressively up to its budget.
+//! The cut is one rule, [`over_budget_fraction`], which the serving
+//! layer's deadline routing applies as well.
+//!
+//! [`Rigid`]: ResiliencePolicy::Rigid
+//! [`DegradeAfter`]: ResiliencePolicy::DegradeAfter
+//! [`Deadline`]: ResiliencePolicy::Deadline
 
 use ids_simclock::{SimDuration, SimTime};
 
@@ -75,74 +85,68 @@ impl QueryTiming {
 /// replay on a transient failure), queries that would blow their budget
 /// return progressive-style partial estimates, and terminally failed
 /// queries return an empty placeholder so the session continues.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResiliencePolicy {
-    /// Per-query latency budget (issue → finish). When queueing plus
-    /// execution would exceed it, execution is truncated and the result
-    /// extrapolated from the fraction of data actually read. `None`
-    /// disables degradation.
-    pub latency_budget: Option<SimDuration>,
-    /// Floor on the truncation fraction: even a hopelessly late query
-    /// reads at least this share of its data, so estimates never come
-    /// from nothing.
-    pub min_fraction: f64,
-    /// Virtual cost charged for a query whose backend failed terminally
-    /// (models the timeout the frontend waits before giving up).
-    pub failure_penalty: SimDuration,
-    /// How an over-budget query is answered (see [`ResilienceMode`]).
-    pub mode: ResilienceMode,
-}
-
-/// What an over-budget query returns under
-/// [`replay_resilient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResilienceMode {
-    /// Simulate a truncated scan: scale the exact answer down to the
-    /// fraction a cut-off would have seen and extrapolate back up
+pub enum ResiliencePolicy {
+    /// No degradation: full answers at whatever latency it takes.
+    /// Terminal failures still produce placeholders rather than abort,
+    /// charged 100 ms each.
+    Rigid,
+    /// Past the budget (issue → finish), simulate a truncated scan: the
+    /// cost is cut by [`over_budget_fraction`] and the exact answer is
+    /// scaled down to that fraction and extrapolated back up
     /// ([`degrade_result`]).
-    Degrade,
-    /// Actually spend the remaining budget: run block-sampled
-    /// progressive refinement ([`ProgressiveExecutor::run_bounded`])
-    /// and return the best-so-far estimate with its confidence-backed
-    /// error bound. Query shapes progressive execution cannot handle
-    /// (selects, joins) fall back to [`ResilienceMode::Degrade`].
-    Deadline,
+    DegradeAfter(SimDuration),
+    /// Spend the budget instead of violating it: an over-budget query
+    /// runs block-sampled progressive refinement
+    /// ([`ProgressiveExecutor::run_bounded`]) and returns the best-so-far
+    /// estimate with its confidence-backed error bound. Query shapes
+    /// progressive execution cannot handle (selects, joins) fall back to
+    /// [`DegradeAfter`](Self::DegradeAfter)'s cut.
+    Deadline(SimDuration),
 }
 
 impl ResiliencePolicy {
-    /// No degradation: full answers at whatever latency it takes.
-    /// Terminal failures still produce placeholders rather than abort.
-    pub const fn rigid() -> ResiliencePolicy {
-        ResiliencePolicy {
-            latency_budget: None,
-            min_fraction: 1.0,
-            failure_penalty: SimDuration::from_millis(100),
-            mode: ResilienceMode::Degrade,
+    /// The per-query latency budget (issue → finish); `None` under
+    /// [`Rigid`](Self::Rigid).
+    const fn budget(&self) -> Option<SimDuration> {
+        match *self {
+            ResiliencePolicy::Rigid => None,
+            ResiliencePolicy::DegradeAfter(budget) | ResiliencePolicy::Deadline(budget) => {
+                Some(budget)
+            }
         }
     }
 
-    /// Degrade to partial results past `budget`, reading no less than 10%
-    /// of the data.
-    pub const fn degrade_after(budget: SimDuration) -> ResiliencePolicy {
-        ResiliencePolicy {
-            latency_budget: Some(budget),
-            min_fraction: 0.1,
-            failure_penalty: budget,
-            mode: ResilienceMode::Degrade,
-        }
+    /// Virtual cost charged for a query whose backend failed terminally
+    /// (the timeout the frontend waits before giving up): the budget, or
+    /// 100 ms under [`Rigid`](Self::Rigid).
+    pub fn failure_charge(&self) -> SimDuration {
+        self.budget().unwrap_or(SimDuration::from_millis(100))
     }
+}
 
-    /// Spend the budget instead of violating it: over-budget queries are
-    /// re-run as deadline-bounded progressive refinements, returning the
-    /// best-so-far answer with a sound error bound.
-    pub const fn deadline(budget: SimDuration) -> ResiliencePolicy {
-        ResiliencePolicy {
-            latency_budget: Some(budget),
-            min_fraction: 0.1,
-            failure_penalty: budget,
-            mode: ResilienceMode::Deadline,
-        }
+/// Floor on the fraction an over-budget query keeps: even a hopelessly
+/// late query reads at least this share of its data, so estimates never
+/// come from nothing.
+const MIN_FRACTION: f64 = 0.1;
+
+/// The over-budget cut: the fraction of its cost (and data) a query that
+/// waited `wait` and costs `cost` keeps under `budget`, or `None` when
+/// it fits (`wait + cost <= budget`) or costs nothing. The fraction fills
+/// what the wait left of the budget, and is never below 10 %.
+/// [`replay_resilient`] and the serving layer's deadline routing both
+/// cut by this rule.
+pub fn over_budget_fraction(
+    wait: SimDuration,
+    cost: SimDuration,
+    budget: SimDuration,
+) -> Option<f64> {
+    if cost.is_zero() || wait + cost <= budget {
+        return None;
     }
+    let allowed = budget.saturating_sub(wait);
+    let fraction = (allowed.as_secs_f64() / cost.as_secs_f64()).clamp(MIN_FRACTION, 1.0);
+    (fraction < 1.0).then_some(fraction)
 }
 
 /// The scheduler's queueing core: `workers` equivalent execution slots
@@ -240,15 +244,16 @@ impl WorkerPool {
 /// order (FIFO), each starting at
 /// `max(issued_at, earliest worker free time)`. Beyond that:
 ///
-/// - under a latency budget (none in [`ResiliencePolicy::rigid`]), a
+/// - under a latency budget (none in [`ResiliencePolicy::Rigid`]), a
 ///   query whose queueing delay plus execution would exceed it is
-///   truncated: its cost shrinks to fit the budget
-///   (down to `min_fraction` of the full scan) and its result becomes
-///   a scaled estimate marked [`ResultQuality::Partial`];
+///   cut by [`over_budget_fraction`] (or refined to the budget under
+///   [`ResiliencePolicy::Deadline`]), and its result becomes an
+///   estimate marked [`ResultQuality::Partial`];
 /// - a transient backend failure (after any retries a wrapping
 ///   [`crate::backend::RetryingBackend`] already performed) yields an
 ///   empty placeholder marked [`ResultQuality::Failed`] and charges
-///   `failure_penalty`, instead of aborting the whole replay.
+///   [`ResiliencePolicy::failure_charge`], instead of aborting the
+///   whole replay.
 ///
 /// Non-transient errors (unknown tables, type mismatches) still
 /// propagate — those are bugs, not adversity.
@@ -282,60 +287,56 @@ pub fn replay_resilient(
                 QueryOutcome {
                     result: placeholder_result(&iq.query),
                     footprint: QueryFootprint::default(),
-                    cost: policy.failure_penalty,
+                    cost: policy.failure_charge(),
                     quality: ResultQuality::Failed,
                 }
             }
             Err(err) => return Err(err),
         };
         let wait = pool.next_start(iq.issued_at).saturating_since(iq.issued_at);
-        if let (Some(budget), ResultQuality::Exact) = (policy.latency_budget, outcome.quality) {
-            if wait + outcome.cost > budget && !outcome.cost.is_zero() {
-                let allowed = budget.saturating_sub(wait);
-                // Deadline mode spends the remaining budget on real
-                // block-sampled refinement; shapes progressive
-                // execution rejects (selects, joins) fall back to
-                // the simulated truncation below.
-                let refined = if policy.mode == ResilienceMode::Deadline {
-                    ProgressiveExecutor::new(backend.database())
-                        .run_bounded(&iq.query, outcome.cost, allowed)
-                        .ok()
-                } else {
-                    None
-                };
-                match refined {
-                    Some(r) if r.fraction < 1.0 => {
-                        degraded_ctr.inc();
-                        record_resilience(name, "deadline", iq, r.fraction, Some(r.error_bound));
-                        outcome.cost = r.elapsed;
-                        outcome.result = r.estimate;
-                        outcome.quality = ResultQuality::Partial {
-                            fraction: r.fraction,
-                            error_bound: r.error_bound,
-                        };
-                    }
-                    // An empty table refines to the exact answer in
-                    // one step: nothing to degrade.
-                    Some(_) => {}
-                    None => {
-                        let fraction = (allowed.as_secs_f64() / outcome.cost.as_secs_f64())
-                            .clamp(policy.min_fraction.clamp(f64::MIN_POSITIVE, 1.0), 1.0);
-                        if fraction < 1.0 {
-                            degraded_ctr.inc();
-                            record_resilience(name, "degrade", iq, fraction, None);
-                            outcome.cost = outcome.cost.mul_f64(fraction);
-                            outcome.result = degrade_result(outcome.result, fraction);
-                            outcome.quality = ResultQuality::Partial {
-                                fraction,
-                                // The degrade round trip only rounds:
-                                // scaling down truncates at most one
-                                // row's worth per value, scaling back
-                                // up multiplies that by 1/fraction
-                                // and rounds once more.
-                                error_bound: 0.5 / fraction + 1.0,
-                            };
-                        }
-                    }
+        let cut = match (policy.budget(), outcome.quality) {
+            (Some(budget), ResultQuality::Exact) => {
+                over_budget_fraction(wait, outcome.cost, budget)
+            }
+            _ => None,
+        };
+        if let Some(fraction) = cut {
+            // Deadline spends the remaining budget on real block-sampled
+            // refinement; shapes progressive execution rejects (selects,
+            // joins) fall back to the simulated truncation below.
+            let refined = match *policy {
+                ResiliencePolicy::Deadline(budget) => ProgressiveExecutor::new(backend.database())
+                    .run_bounded(&iq.query, outcome.cost, budget.saturating_sub(wait))
+                    .ok(),
+                ResiliencePolicy::Rigid | ResiliencePolicy::DegradeAfter(_) => None,
+            };
+            match refined {
+                Some(r) if r.fraction < 1.0 => {
+                    degraded_ctr.inc();
+                    record_resilience(name, "deadline", iq, r.fraction, Some(r.error_bound));
+                    outcome.cost = r.elapsed;
+                    outcome.result = r.estimate;
+                    outcome.quality = ResultQuality::Partial {
+                        fraction: r.fraction,
+                        error_bound: r.error_bound,
+                    };
+                }
+                // An empty table refines to the exact answer in one
+                // step: nothing to degrade.
+                Some(_) => {}
+                None => {
+                    degraded_ctr.inc();
+                    record_resilience(name, "degrade", iq, fraction, None);
+                    outcome.cost = outcome.cost.mul_f64(fraction);
+                    outcome.result = degrade_result(outcome.result, fraction);
+                    outcome.quality = ResultQuality::Partial {
+                        fraction,
+                        // The degrade round trip only rounds: scaling
+                        // down truncates at most one row's worth per
+                        // value, scaling back up multiplies that by
+                        // 1/fraction and rounds once more.
+                        error_bound: 0.5 / fraction + 1.0,
+                    };
                 }
             }
         }
@@ -505,11 +506,13 @@ impl SchedulerTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Backend, MemBackend};
+    use crate::backend::{Backend, MemBackend, RetryingBackend};
     use crate::column::ColumnBuilder;
     use crate::cost::CostParams;
+    use crate::error::EngineError;
     use crate::predicate::Predicate;
     use crate::table::TableBuilder;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A backend whose every query costs exactly `cost_ms` of virtual time.
     fn fixed_cost_backend(cost_ms: u64, rows: usize) -> MemBackend {
@@ -553,11 +556,66 @@ mod tests {
 
     /// The timings of a rigid replay on `workers` slots.
     fn timings(workers: usize, backend: &MemBackend, stream: &[IssuedQuery]) -> Vec<QueryTiming> {
-        replay_resilient(backend, stream, workers, &ResiliencePolicy::rigid())
+        replay_resilient(backend, stream, workers, &ResiliencePolicy::Rigid)
             .unwrap()
             .into_iter()
             .map(|(t, _)| t)
             .collect()
+    }
+
+    /// A fixed-cost backend whose first `.1` attempts fail transiently.
+    struct FailsFirst(MemBackend, u32, AtomicU32);
+
+    impl Backend for FailsFirst {
+        fn name(&self) -> &str {
+            "fails-first"
+        }
+        fn database(&self) -> crate::backend::Database {
+            self.0.database()
+        }
+        fn execute(&self, query: &Query) -> EngineResult<QueryOutcome> {
+            match self.2.fetch_add(1, Ordering::Relaxed) < self.1 {
+                true => Err(EngineError::TransientFailure { reason: "".into() }),
+                false => self.0.execute(query),
+            }
+        }
+    }
+
+    /// The retry schedule (3 attempts, 5 ms then 10 ms of backoff
+    /// charged into the cost) and what a terminally failed query
+    /// charges under each policy: 100 ms when rigid, else the budget.
+    #[test]
+    fn retries_charge_their_backoff_and_failures_charge_the_policy() {
+        let ms = SimDuration::from_millis;
+        let fails_first = |fails| FailsFirst(fixed_cost_backend(7, 1), fails, AtomicU32::new(0));
+        let reg = ids_obs::metrics();
+        let counted =
+            || ["attempts", "exhausted"].map(|c| reg.counter(&format!("engine.retry.{c}")).get());
+        // (failed attempts, attempts made, cost or else the transient
+        // error, retries and exhaustions counted)
+        for (fails, attempts, cost, retries) in [
+            (0, 1, Some(ms(7)), [0, 0]),
+            (1, 2, Some(ms(7 + 5)), [1, 0]),
+            (2, 3, Some(ms(7 + 15)), [2, 0]),
+            (3, 3, None, [2, 1]),
+        ] {
+            let (backend, before) = (fails_first(fails), counted());
+            let got = RetryingBackend::new(&backend).execute(&Query::count("t", Predicate::True));
+            let got = got.map(|o| o.cost).map_err(|e| e.is_transient());
+            assert_eq!((got, backend.2.into_inner()), (cost.ok_or(true), attempts));
+            assert_eq!([0, 1].map(|i| counted()[i] - before[i]), retries);
+        }
+        for (policy, charge) in [
+            (ResiliencePolicy::Rigid, ms(100)),
+            (ResiliencePolicy::DegradeAfter(ms(40)), ms(40)),
+            (ResiliencePolicy::Deadline(ms(40)), ms(40)),
+        ] {
+            let backend = fails_first(u32::MAX);
+            let out = replay_resilient(&RetryingBackend::new(&backend), &stream(&[1]), 1, &policy);
+            let (timing, outcome) = &out.unwrap()[0];
+            let got = (outcome.quality, outcome.cost, timing.latency());
+            assert_eq!(got, (ResultQuality::Failed, charge, charge), "{policy:?}");
+        }
     }
 
     #[test]
@@ -627,7 +685,7 @@ mod tests {
     fn outcomes_are_returned_in_issue_order() {
         let backend = fixed_cost_backend(1, 7);
         let out =
-            replay_resilient(&backend, &stream(&[1, 1, 1]), 2, &ResiliencePolicy::rigid()).unwrap();
+            replay_resilient(&backend, &stream(&[1, 1, 1]), 2, &ResiliencePolicy::Rigid).unwrap();
         assert_eq!(out.len(), 3);
         for (i, (timing, outcome)) in out.iter().enumerate() {
             assert_eq!(timing.tag, i as u64);

@@ -341,17 +341,10 @@ mod lru {
 mod tests {
     use super::*;
     use ids_simclock::SimDuration;
-    use ids_workload::composite::{simulate_study, CompositeConfig};
+    use ids_workload::composite::simulate_study;
 
     fn sessions() -> Vec<CompositeSession> {
-        simulate_study(
-            31,
-            6,
-            &CompositeConfig {
-                min_duration: SimDuration::from_secs(900),
-                request_model: None,
-            },
-        )
+        simulate_study(31, 6, SimDuration::from_secs(900))
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! next, exactly the coupling the paper's guidelines say open-loop
 //! traces cannot exhibit.
 //!
+//! A closed-loop session runs alone: it bills tenant 0, session 0, and
+//! an action whose every query was shed reads as a failure charged at
+//! the resilience policy's [`failure_charge`](ResiliencePolicy::failure_charge).
+//!
 //! Determinism: everything here is virtual-time arithmetic over a
 //! deterministic backend, so a `(policy, backend, params)` triple fully
 //! determines the action stream, the telemetry, and the trace bytes.
@@ -32,10 +36,6 @@ pub struct ClosedLoopParams {
     pub admission: AdmissionPolicy,
     /// Degrade/deadline policy (feeds `Partial` answers back).
     pub resilience: ResiliencePolicy,
-    /// Tenant the session bills to.
-    pub tenant: usize,
-    /// Session index (used as the admission session id).
-    pub session: usize,
     /// Extra service delay injected into every group's observed
     /// latency — the experiment knob for abandon-rate monotonicity.
     pub extra_latency: SimDuration,
@@ -46,9 +46,7 @@ impl Default for ClosedLoopParams {
         ClosedLoopParams {
             workers: 2,
             admission: AdmissionPolicy::unlimited(),
-            resilience: ResiliencePolicy::rigid(),
-            tenant: 0,
-            session: 0,
+            resilience: ResiliencePolicy::Rigid,
             extra_latency: SimDuration::ZERO,
         }
     }
@@ -179,8 +177,8 @@ pub fn drive_session(
         let mut admitted_dims: Vec<usize> = Vec::new();
         for (j, query) in group.queries.iter().enumerate() {
             let offered = OfferedQuery {
-                session: params.session,
-                tenant: params.tenant,
+                session: 0,
+                tenant: 0,
                 seq,
                 at: action.at,
                 lane: Lane::Interactive,
@@ -202,7 +200,7 @@ pub fn drive_session(
 
         feedback = if admitted.is_empty() {
             // Everything shed: the user watched a spinner time out.
-            Feedback::failed(params.resilience.failure_penalty + params.extra_latency)
+            Feedback::failed(params.resilience.failure_charge() + params.extra_latency)
         } else {
             let executed = replay_resilient(backend, &admitted, params.workers, &params.resilience)
                 .expect("closed-loop queries execute against registered tables");
@@ -315,7 +313,7 @@ mod tests {
         let b = backend();
         let p = policy(13);
         let strict = ClosedLoopParams {
-            resilience: ResiliencePolicy::degrade_after(SimDuration::from_micros(40)),
+            resilience: ResiliencePolicy::DegradeAfter(SimDuration::from_micros(40)),
             ..ClosedLoopParams::default()
         };
         let out = drive_session(&b, &p, &strict);
@@ -359,7 +357,7 @@ mod tests {
             &b,
             &p,
             &ClosedLoopParams {
-                resilience: ResiliencePolicy::degrade_after(SimDuration::from_micros(25)),
+                resilience: ResiliencePolicy::DegradeAfter(SimDuration::from_micros(25)),
                 extra_latency: SimDuration::from_secs(2),
                 ..ClosedLoopParams::default()
             },

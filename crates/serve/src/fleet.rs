@@ -25,8 +25,8 @@
 use std::collections::HashMap;
 
 use ids_chaos::{ChaosBackend, FaultKind, FaultPlan};
-use ids_engine::scheduler::WorkerPool;
-use ids_engine::{Backend, DiskBackend, RetryPolicy, RetryingBackend};
+use ids_engine::scheduler::{over_budget_fraction, WorkerPool};
+use ids_engine::{Backend, DiskBackend, RetryingBackend};
 use ids_metrics::lcv::{budget_violations, LcvReport, QuerySpan};
 use ids_metrics::qif::QifReport;
 use ids_obs::Histogram;
@@ -42,11 +42,10 @@ pub struct ServeParams {
     pub workers: usize,
     /// Per-query latency budget (drives the fleet LCV).
     pub latency_budget: SimDuration,
-    /// Route over-budget interactive queries to deadline mode: instead
-    /// of letting an admitted query blow the budget, its execution is
-    /// clamped to the remaining budget (down to 10% of the full cost)
-    /// the way the engine's deadline-bounded progressive refinement
-    /// would answer it — best-so-far within the budget.
+    /// Cut over-budget interactive queries by the engine's
+    /// [`over_budget_fraction`] (to what the wait left of the budget, down
+    /// to its floor): the cut `ResiliencePolicy::DegradeAfter` applies,
+    /// not the progressive refinement `ResiliencePolicy::Deadline` runs.
     pub deadline: bool,
     /// Shard groups the worker pool is split into. Tenants map to
     /// groups (`tenant % shards`), each group owning
@@ -144,7 +143,7 @@ pub fn measure_costs(
     if let Some(d) = disk {
         chaos = chaos.with_pressure_target(d);
     }
-    let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+    let retrying = RetryingBackend::new(&chaos);
     let exhausted = ids_obs::metrics().counter("serve.retries_exhausted");
     offered
         .iter()
@@ -263,19 +262,14 @@ pub fn simulate_service(
             SimDuration::from_secs_f64(cost.as_secs_f64() * wpg as f64 / available as f64)
         };
         // Deadline routing: an interactive query that would blow the
-        // budget (queueing included) is clamped to the remaining budget
-        // instead — the queueing image of the engine's deadline-bounded
-        // progressive refinement, with the same 10%-of-the-scan floor.
-        if params.deadline && q.lane == Lane::Interactive && !effective.is_zero() {
+        // budget (queueing included) is cut by the engine's over-budget
+        // rule, the one `ResiliencePolicy::DegradeAfter` applies.
+        if params.deadline && q.lane == Lane::Interactive {
             let wait = pool.next_start(ready).saturating_since(ready);
-            if wait + effective > params.latency_budget {
-                let allowed = params.latency_budget.saturating_sub(wait);
-                let clamped = allowed.max(effective.mul_f64(0.1));
-                if clamped < effective {
-                    effective = clamped;
-                    deadline_ctr.inc();
-                    deadline_routed += 1;
-                }
+            if let Some(fraction) = over_budget_fraction(wait, effective, params.latency_budget) {
+                effective = effective.mul_f64(fraction);
+                deadline_ctr.inc();
+                deadline_routed += 1;
             }
         }
         let (_slot, _started, finished) = pool.assign(ready, effective);
@@ -355,7 +349,7 @@ pub fn simulate_service(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ids_engine::{Predicate, Query};
+    use ids_engine::{Predicate, Query, ResultQuality};
 
     fn offered_stream(n: usize, gap_ms: u64) -> Vec<OfferedQuery> {
         (0..n)
@@ -502,6 +496,75 @@ mod tests {
         );
         assert_eq!(dl.deadline_routed, 0);
         assert_eq!(dl, base);
+    }
+
+    /// A backend that charges its i-th query `.0[i]`.
+    struct Priced(Vec<SimDuration>, std::sync::atomic::AtomicUsize);
+
+    impl Backend for Priced {
+        fn name(&self) -> &str {
+            "priced"
+        }
+        fn database(&self) -> ids_engine::Database {
+            ids_engine::Database::new()
+        }
+        fn execute(&self, _: &Query) -> ids_engine::EngineResult<ids_engine::QueryOutcome> {
+            let cost = self.0[self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed)];
+            let (result, quality) = (ids_engine::ResultSet::Count(0), ResultQuality::Exact);
+            let footprint = Default::default();
+            Ok(ids_engine::QueryOutcome {
+                result,
+                footprint,
+                cost,
+                quality,
+            })
+        }
+    }
+
+    /// Deadline routing charges what `ResiliencePolicy::DegradeAfter`
+    /// does: every query is offered at once on one worker, so each waits
+    /// out the charges before it, and replay and fleet finish each
+    /// prefix of the stream at the same instant.
+    #[test]
+    fn deadline_routing_cuts_like_the_scheduler() {
+        use ids_engine::scheduler::{replay_resilient, IssuedQuery, ResiliencePolicy};
+        let (ms, us) = (SimDuration::from_millis, SimDuration::from_micros);
+        let params = ServeParams {
+            workers: 1,
+            latency_budget: ms(10),
+            ..params().with_deadline()
+        };
+        for (costs, charges) in [
+            // wait + cost == budget: no cut.
+            (vec![ms(10)], vec![ms(10)]),
+            (vec![ms(4), ms(6)], vec![ms(4), ms(6)]),
+            // Over budget: the cost fills what the wait left.
+            (vec![ms(12)], vec![ms(10)]),
+            (vec![ms(4), ms(10)], vec![ms(4), ms(6)]),
+            // wait >= budget: the 10 % floor.
+            (vec![ms(10), ms(30)], vec![ms(10), ms(3)]),
+            (vec![ms(12), ms(30)], vec![ms(10), ms(3)]),
+            (vec![ms(10), us(1)], vec![ms(10), us(0)]),
+            // A zero-cost query is never cut.
+            (vec![ms(12), us(0)], vec![ms(10), us(0)]),
+        ] {
+            let offered = offered_stream(costs.len(), 0);
+            let stream: Vec<IssuedQuery> = offered
+                .iter()
+                .map(|q| IssuedQuery::new(q.at, q.query.clone(), 0))
+                .collect();
+            let policy = ResiliencePolicy::DegradeAfter(params.latency_budget);
+            let backend = Priced(costs.clone(), Default::default());
+            let replayed = replay_resilient(&backend, &stream, 1, &policy).unwrap();
+            for (n, (timing, outcome)) in replayed.iter().enumerate() {
+                let (plan, unlimited) = (FaultPlan::calm(1), AdmissionPolicy::unlimited());
+                let served =
+                    simulate_service(&offered[..=n], &costs[..=n], &unlimited, &plan, &params);
+                assert_eq!(outcome.cost, charges[n], "{costs:?}");
+                assert_eq!(served.drained_at, timing.finished_at, "{costs:?}");
+                assert!(charges[n] <= costs[n]);
+            }
+        }
     }
 
     #[test]

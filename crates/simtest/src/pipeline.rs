@@ -24,7 +24,7 @@ use ids_chaos::{query_fingerprint, ChaosBackend, FaultPlan};
 use ids_engine::scheduler::{replay_resilient, IssuedQuery, QueryTiming, ResiliencePolicy};
 use ids_engine::{
     Backend, CostParams, Database, DiskBackend, EngineResult, EvictionPolicy, MemBackend,
-    Predicate, Query, QueryOutcome, ResultQuality, RetryPolicy, RetryingBackend,
+    Predicate, Query, QueryOutcome, ResultQuality, RetryingBackend,
 };
 use ids_serve::closedloop::quality_token;
 use ids_serve::{
@@ -138,11 +138,7 @@ pub fn build_replay_env(s: &Scenario) -> (MemBackend, Vec<IssuedQuery>) {
         }
         SessionShape::Composite => {
             db.register(datasets::listings(s.seed, s.rows.min(500)));
-            let config = composite::CompositeConfig {
-                min_duration: SimDuration::from_secs(90),
-                request_model: None,
-            };
-            let session = composite::simulate_session(0, s.seed, &config);
+            let session = composite::simulate_session(0, s.seed, SimDuration::from_secs(90));
             for step in &session.steps {
                 let (sw_lat, sw_lng, ne_lat, ne_lng) = step.state.map.bounds();
                 let q = Query::count(
@@ -197,7 +193,6 @@ pub fn behavior_config(s: &Scenario) -> BehaviorConfig {
     BehaviorConfig {
         max_actions: s.adaptive_steps.max(1),
         abandon_after: SimDuration::from_millis(s.abandon_ms.max(1)),
-        ..BehaviorConfig::default()
     }
 }
 
@@ -220,9 +215,9 @@ pub fn closed_loop_params(s: &Scenario) -> ClosedLoopParams {
 /// The resilience policy the replay stage schedules under.
 pub fn resilience_policy(s: &Scenario) -> ResiliencePolicy {
     if s.resilience_budget_ms == 0 {
-        ResiliencePolicy::rigid()
+        ResiliencePolicy::Rigid
     } else {
-        ResiliencePolicy::degrade_after(SimDuration::from_millis(s.resilience_budget_ms))
+        ResiliencePolicy::DegradeAfter(SimDuration::from_millis(s.resilience_budget_ms))
     }
 }
 
@@ -301,7 +296,7 @@ pub fn run_pipeline(s: &Scenario, threads: usize) -> RunArtifacts {
         FaultPlan::calm(s.seed)
     };
     let chaos = ChaosBackend::new(&mem, replay_plan);
-    let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+    let retrying = RetryingBackend::new(&chaos);
     let policy = resilience_policy(s);
     let replay: Vec<ReplayRecord> = replay_resilient(&retrying, &stream, s.workers, &policy)
         .expect("replay streams only hit transient errors")
@@ -437,7 +432,7 @@ pub fn adaptive_run(s: &Scenario, threads: usize, shards: usize) -> String {
         FaultPlan::calm(s.seed)
     };
     let chaos = ChaosBackend::new(&mem, plan);
-    let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+    let retrying = RetryingBackend::new(&chaos);
     let sharded = ShardedBackend {
         inner: &retrying,
         gather,
@@ -446,7 +441,7 @@ pub fn adaptive_run(s: &Scenario, threads: usize, shards: usize) -> String {
     let ui = crossfilter::CrossfilterUi::for_table("simtest_adaptive");
     let policy = BehaviorPolicy::adaptive(s.seed, ui).with_config(behavior_config(s));
     let mut params = closed_loop_params(s);
-    params.resilience = ResiliencePolicy::degrade_after(SimDuration::from_millis(
+    params.resilience = ResiliencePolicy::DegradeAfter(SimDuration::from_millis(
         s.resilience_budget_ms.max(s.latency_budget_ms).max(50),
     ));
     let outcome = drive_session(&sharded, &policy, &params);

@@ -199,7 +199,20 @@ pub fn compile_action(ui: &CrossfilterUi, action: &AdaptiveAction) -> QueryGroup
     }
 }
 
-/// Tuning knobs for the behavior state machine.
+/// Consecutive slow answers tolerated before abandoning.
+pub const PATIENCE: usize = 3;
+
+/// Zoom when the densest bin holds at least this fraction of the
+/// observed total.
+pub const ZOOM_SHARE: f64 = 0.35;
+
+/// Drill when the densest bin is at least this multiple of the median
+/// non-empty bin (but below [`ZOOM_SHARE`]).
+pub const DRILL_RATIO: f64 = 4.0;
+
+/// Tuning knobs for the behavior state machine. The thresholds that
+/// decide a zoom, a drill or an abandonment are properties of the user
+/// model, not knobs: [`ZOOM_SHARE`], [`DRILL_RATIO`] and [`PATIENCE`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorConfig {
     /// Session length in actions (closed-loop sessions are
@@ -208,14 +221,6 @@ pub struct BehaviorConfig {
     pub max_actions: usize,
     /// A group slower than this counts as a slow answer.
     pub abandon_after: SimDuration,
-    /// Consecutive slow answers tolerated before abandoning.
-    pub patience: usize,
-    /// Zoom when the densest bin holds at least this fraction of the
-    /// observed total.
-    pub zoom_share: f64,
-    /// Drill when the densest bin is at least this multiple of the
-    /// median non-empty bin (but below the zoom share).
-    pub drill_ratio: f64,
 }
 
 impl Default for BehaviorConfig {
@@ -223,9 +228,6 @@ impl Default for BehaviorConfig {
         BehaviorConfig {
             max_actions: 24,
             abandon_after: SimDuration::from_millis(400),
-            patience: 3,
-            zoom_share: 0.35,
-            drill_ratio: 4.0,
         }
     }
 }
@@ -303,11 +305,6 @@ impl BehaviorPolicy {
     /// The interface this policy manipulates.
     pub fn ui(&self) -> &CrossfilterUi {
         &self.ui
-    }
-
-    /// `true` for the adaptive mode (actions depend on feedback).
-    pub fn is_closed_loop(&self) -> bool {
-        self.mode == Mode::Adaptive
     }
 
     /// Starts a fresh session (sliders at full domain, step 0).
@@ -416,7 +413,7 @@ impl BehaviorSession {
             } else {
                 self.slow_streak = 0;
             }
-            if self.slow_streak >= self.config.patience {
+            if self.slow_streak >= PATIENCE {
                 self.state = BehaviorState::Abandoned;
                 self.done = true;
                 return None;
@@ -492,7 +489,7 @@ impl BehaviorSession {
         let dim = feedback.hist_dim.min(dims - 1);
 
         // Zoom-into-dense-bin: one bin dominates the view.
-        if peak as f64 >= self.config.zoom_share * total as f64 {
+        if peak as f64 >= ZOOM_SHARE * total as f64 {
             let d = &self.ui.dims[dim];
             let center = d.min + frac * d.span();
             let margin = (d.span() / counts.len().max(1) as f64) * rng.uniform(0.6, 1.4);
@@ -513,7 +510,7 @@ impl BehaviorSession {
         let mut nonzero: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
         nonzero.sort_unstable();
         let median = nonzero[nonzero.len() / 2];
-        if median > 0 && peak as f64 >= self.config.drill_ratio * median as f64 && dims > 1 {
+        if median > 0 && peak as f64 >= DRILL_RATIO * median as f64 && dims > 1 {
             let other = (dim + 1 + rng.uniform_usize(0, dims - 1)) % dims;
             let d = &self.ui.dims[other];
             let center = d.min + frac * d.span();
@@ -645,7 +642,7 @@ mod tests {
             n += 1;
         }
         assert!(session.abandoned());
-        assert_eq!(n, BehaviorConfig::default().patience);
+        assert_eq!(n, PATIENCE);
     }
 
     #[test]

@@ -164,25 +164,6 @@ pub struct CompositeSession {
     pub trace: Trace<RequestRecord>,
 }
 
-/// Session generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompositeConfig {
-    /// Minimum session length (the study asked for ≥ 20 minutes).
-    pub min_duration: SimDuration,
-    /// Mean data-request time; `None` uses the calibrated web model
-    /// (log-normal, mean ≈ 1.1 s, 80% < 1 s).
-    pub request_model: Option<SimDuration>,
-}
-
-impl Default for CompositeConfig {
-    fn default() -> Self {
-        CompositeConfig {
-            min_duration: SimDuration::from_secs(20 * 60),
-            request_model: None,
-        }
-    }
-}
-
 /// Table 9 widget weights.
 const WIDGET_WEIGHTS: [(Widget, f64); 5] = [
     (Widget::Map, 62.8),
@@ -192,8 +173,9 @@ const WIDGET_WEIGHTS: [(Widget, f64); 5] = [
     (Widget::TextBox, 3.6),
 ];
 
-/// Simulates one user's composite-interface session.
-pub fn simulate_session(user: usize, seed: u64, config: &CompositeConfig) -> CompositeSession {
+/// Simulates one user's composite-interface session, at least
+/// `min_duration` long (the study asked for ≥ 20 minutes).
+pub fn simulate_session(user: usize, seed: u64, min_duration: SimDuration) -> CompositeSession {
     let mut rng = SimRng::seed(seed).split(&format!("composite/user/{user}"));
     let start_zoom = 11 + rng.weighted_index(&[0.45, 0.45, 0.1]) as i32; // 11, 12, occasionally 13
     let mut state = QueryState {
@@ -222,18 +204,13 @@ pub fn simulate_session(user: usize, seed: u64, config: &CompositeConfig) -> Com
     let mut request_id = 0u64;
     let weights: Vec<f64> = WIDGET_WEIGHTS.iter().map(|&(_, w)| w).collect();
 
-    while now.saturating_since(SimTime::ZERO) < config.min_duration {
+    while now.saturating_since(SimTime::ZERO) < min_duration {
         let widget = WIDGET_WEIGHTS[rng.weighted_index(&weights)].0;
         apply_widget(widget, &mut state, start_zoom, &mut rng);
 
-        let request = match config.request_model {
-            Some(mean) => {
-                SimDuration::from_secs_f64(rng.log_normal(mean.as_secs_f64().max(1e-3).ln(), 0.4))
-            }
-            // Calibrated: log-normal(μ=-1.512, σ=1.8) → mean ≈ 1.1 s,
-            // P(< 1 s) ≈ 0.8 (Fig 21).
-            None => SimDuration::from_secs_f64(rng.log_normal(-1.512, 1.8).clamp(0.05, 30.0)),
-        };
+        // Data request: log-normal(μ=-1.512, σ=1.8) → mean ≈ 1.1 s,
+        // P(< 1 s) ≈ 0.8 (Fig 21).
+        let request = SimDuration::from_secs_f64(rng.log_normal(-1.512, 1.8).clamp(0.05, 30.0));
         let render = SimDuration::from_secs_f64(rng.uniform(0.08, 0.4));
         // Exploration: log-normal(μ=2.06, σ=1.3) → mean ≈ 18.3 s.
         let explore = SimDuration::from_secs_f64(rng.log_normal(2.06, 1.3).clamp(0.3, 240.0));
@@ -261,10 +238,11 @@ pub fn simulate_session(user: usize, seed: u64, config: &CompositeConfig) -> Com
     CompositeSession { user, steps, trace }
 }
 
-/// Simulates the paper's 15-participant study.
-pub fn simulate_study(seed: u64, users: usize, config: &CompositeConfig) -> Vec<CompositeSession> {
+/// Simulates the paper's 15-participant study, each session at least
+/// `min_duration` long.
+pub fn simulate_study(seed: u64, users: usize, min_duration: SimDuration) -> Vec<CompositeSession> {
     (0..users)
-        .map(|u| simulate_session(u, seed, config))
+        .map(|u| simulate_session(u, seed, min_duration))
         .collect()
 }
 
@@ -553,16 +531,13 @@ pub fn phase_times(sessions: &[CompositeSession]) -> (Vec<f64>, Vec<f64>) {
 mod tests {
     use super::*;
 
-    fn short_config() -> CompositeConfig {
-        CompositeConfig {
-            min_duration: SimDuration::from_secs(120),
-            request_model: None,
-        }
+    fn short_config() -> SimDuration {
+        SimDuration::from_secs(120)
     }
 
     #[test]
     fn session_meets_minimum_duration() {
-        let s = simulate_session(0, 42, &short_config());
+        let s = simulate_session(0, 42, short_config());
         let last = s.steps.last().unwrap();
         assert!(last.at + last.request + last.render + last.explore >= SimTime::from_secs(120));
         assert!(!s.trace.is_empty());
@@ -570,14 +545,7 @@ mod tests {
 
     #[test]
     fn widget_mix_tracks_table9() {
-        let sessions = simulate_study(
-            7,
-            8,
-            &CompositeConfig {
-                min_duration: SimDuration::from_secs(20 * 60),
-                request_model: None,
-            },
-        );
+        let sessions = simulate_study(7, 8, SimDuration::from_secs(20 * 60));
         let pct = widget_percentages(&sessions);
         let get = |w: Widget| pct.iter().find(|&&(x, _)| x == w).unwrap().1;
         let map = get(Widget::Map);
@@ -592,7 +560,7 @@ mod tests {
 
     #[test]
     fn zoom_stays_leashed_to_start() {
-        let sessions = simulate_study(9, 10, &short_config());
+        let sessions = simulate_study(9, 10, short_config());
         for s in &sessions {
             let series = zoom_series(s);
             let start = series[0].1;
@@ -605,14 +573,7 @@ mod tests {
 
     #[test]
     fn zoom_concentrates_in_11_to_14() {
-        let sessions = simulate_study(
-            11,
-            10,
-            &CompositeConfig {
-                min_duration: SimDuration::from_secs(600),
-                request_model: None,
-            },
-        );
+        let sessions = simulate_study(11, 10, SimDuration::from_secs(600));
         let mut in_band = 0usize;
         let mut total = 0usize;
         for s in &sessions {
@@ -629,14 +590,7 @@ mod tests {
 
     #[test]
     fn drag_distances_shrink_with_zoom() {
-        let sessions = simulate_study(
-            13,
-            12,
-            &CompositeConfig {
-                min_duration: SimDuration::from_secs(20 * 60),
-                request_model: None,
-            },
-        );
+        let sessions = simulate_study(13, 12, SimDuration::from_secs(20 * 60));
         let deltas = drag_deltas(&sessions);
         let spread = |zoom: i32| -> f64 {
             let d: Vec<f64> = deltas
@@ -664,14 +618,7 @@ mod tests {
 
     #[test]
     fn filter_count_cdf_shape() {
-        let sessions = simulate_study(
-            17,
-            10,
-            &CompositeConfig {
-                min_duration: SimDuration::from_secs(20 * 60),
-                request_model: None,
-            },
-        );
+        let sessions = simulate_study(17, 10, SimDuration::from_secs(20 * 60));
         let counts = filter_counts(&sessions);
         let le4 = counts.iter().filter(|&&c| c <= 4.0).count() as f64 / counts.len() as f64;
         assert!(
@@ -683,14 +630,7 @@ mod tests {
 
     #[test]
     fn phase_times_match_fig21_shape() {
-        let sessions = simulate_study(
-            19,
-            10,
-            &CompositeConfig {
-                min_duration: SimDuration::from_secs(20 * 60),
-                request_model: None,
-            },
-        );
+        let sessions = simulate_study(19, 10, SimDuration::from_secs(20 * 60));
         let (req, exp) = phase_times(&sessions);
         let req_under_1s = req.iter().filter(|&&r| r < 1.0).count() as f64 / req.len() as f64;
         assert!(
@@ -710,7 +650,7 @@ mod tests {
 
     #[test]
     fn url_serializes_the_query() {
-        let s = simulate_session(1, 3, &short_config());
+        let s = simulate_session(1, 3, short_config());
         let url = s.steps[0].state.to_url();
         for needle in ["sw_lat=", "ne_lng=", "zoom=", "page=", "guests="] {
             assert!(url.contains(needle), "missing {needle} in {url}");
@@ -720,7 +660,7 @@ mod tests {
 
     #[test]
     fn trace_request_pairs_are_consistent() {
-        let s = simulate_session(2, 5, &short_config());
+        let s = simulate_session(2, 5, short_config());
         use std::collections::HashMap;
         let mut started: HashMap<u64, u64> = HashMap::new();
         for r in s.trace.records() {
@@ -740,8 +680,8 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let a = simulate_session(4, 6, &short_config());
-        let b = simulate_session(4, 6, &short_config());
+        let a = simulate_session(4, 6, short_config());
+        let b = simulate_session(4, 6, short_config());
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.steps.len(), b.steps.len());
     }

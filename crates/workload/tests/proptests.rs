@@ -5,7 +5,7 @@ use ids_devices::DeviceKind;
 use ids_engine::Table;
 use ids_simclock::rng::check;
 use ids_simclock::SimDuration;
-use ids_workload::composite::{simulate_session as composite_session, CompositeConfig};
+use ids_workload::composite::simulate_session as composite_session;
 use ids_workload::crossfilter::{
     compile_query_groups, leading_groups, simulate_session as xf_session, CrossfilterUi, QueryGroup,
 };
@@ -88,11 +88,7 @@ fn leading_groups_are_a_prefix() {
 fn composite_sessions_are_well_formed() {
     check("composite_sessions_are_well_formed", 0..16, |rng| {
         let seed = rng.uniform_u64(0, 10_000);
-        let config = CompositeConfig {
-            min_duration: SimDuration::from_secs(120),
-            request_model: None,
-        };
-        let s = composite_session(0, seed, &config);
+        let s = composite_session(0, seed, SimDuration::from_secs(120));
         assert!(!s.steps.is_empty());
         let start_zoom = s.steps[0].state.map.zoom;
         for step in &s.steps {

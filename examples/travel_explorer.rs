@@ -12,21 +12,15 @@
 use ids::opt::prefetch::{evaluate_tile_strategy, zoom_budget, MarkovPrefetcher, TileStrategy};
 use ids::report::{pct, Table};
 use ids::simclock::SimDuration;
-use ids::workload::composite::{
-    filter_counts, phase_times, simulate_study, widget_percentages, CompositeConfig,
-};
+use ids::workload::composite::{filter_counts, phase_times, simulate_study, widget_percentages};
 
 fn main() {
     let users: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(15);
-    let config = CompositeConfig {
-        min_duration: SimDuration::from_secs(20 * 60),
-        request_model: None,
-    };
     println!("simulating {users} exploration sessions (>= 20 min each)...\n");
-    let sessions = simulate_study(7, users, &config);
+    let sessions = simulate_study(7, users, SimDuration::from_secs(20 * 60));
 
     // Widget mix (Table 9).
     let mut t = Table::new(["widget", "share"]);

@@ -21,8 +21,7 @@ use ids::chaos::{ChaosBackend, FaultPlan};
 use ids::engine::parallel::ordered_map;
 use ids::engine::scheduler::{replay_resilient, IssuedQuery, ResiliencePolicy};
 use ids::engine::{
-    Backend, ColumnBuilder, MemBackend, Predicate, Query, RetryPolicy, RetryingBackend,
-    TableBuilder,
+    Backend, ColumnBuilder, MemBackend, Predicate, Query, RetryingBackend, TableBuilder,
 };
 use ids::experiments::robustness::{self, RobustnessConfig};
 use ids::simclock::{SimDuration, SimTime};
@@ -64,7 +63,7 @@ fn batch_outcomes_identical_across_thread_counts_under_faults() {
             // Fresh injector per run: attempt counters restart, so every
             // thread count sees the same injection decisions.
             let chaos = ChaosBackend::new(&inner, plan.clone());
-            let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+            let retrying = RetryingBackend::new(&chaos);
             ordered_map(queries.len(), threads, |i| retrying.execute(&queries[i]))
                 .expect("no task panics")
                 .into_iter()
@@ -96,11 +95,11 @@ fn resilient_replay_is_reproducible() {
         .map(|(i, q)| IssuedQuery::new(SimTime::from_millis(20 * i as u64), q, i as u64))
         .collect();
     let plan = FaultPlan::storm(23, 0.8, SimDuration::from_millis(20 * 60));
-    let policy = ResiliencePolicy::degrade_after(SimDuration::from_millis(40));
+    let policy = ResiliencePolicy::DegradeAfter(SimDuration::from_millis(40));
 
     let run = || {
         let chaos = ChaosBackend::new(&inner, plan.clone());
-        let retrying = RetryingBackend::new(&chaos, RetryPolicy::interactive());
+        let retrying = RetryingBackend::new(&chaos);
         replay_resilient(&retrying, &stream, 2, &policy).expect("resilient replay absorbs storms")
     };
     let a = run();

@@ -49,7 +49,7 @@ fn run_replay() -> Vec<(QueryTiming, QueryOutcome)> {
             IssuedQuery::new(SimTime::from_millis(5 * (i as u64 + 1)), q, i as u64)
         })
         .collect();
-    replay_resilient(&backend, &stream, 2, &ResiliencePolicy::rigid()).unwrap()
+    replay_resilient(&backend, &stream, 2, &ResiliencePolicy::Rigid).unwrap()
 }
 
 fn export_trace() -> String {

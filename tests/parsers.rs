@@ -10,7 +10,7 @@ use ids::devices::DeviceKind;
 use ids::simclock::rng::{check, SimRng};
 use ids::simclock::SimDuration;
 use ids::simtest::{from_toml, to_toml};
-use ids::workload::composite::{simulate_session as composite_session, CompositeConfig};
+use ids::workload::composite::simulate_session as composite_session;
 use ids::workload::crossfilter::{simulate_session as xf_session, CrossfilterUi};
 use ids::workload::scrolling::simulate_session as scroll_session;
 use ids::workload::trace::{RequestRecord, ScrollRecord, SliderRecord, Trace, TraceRecord};
@@ -104,10 +104,6 @@ fn trace_round_trips<R: TraceRecord + Debug>(text: &str) -> bool {
 fn trace_text_parses_or_errs_and_round_trips() {
     // The head of one captured session of each record type.
     let head = |tsv: String| tsv.lines().take(12).collect::<Vec<_>>().join("\n");
-    let config = CompositeConfig {
-        min_duration: SimDuration::from_secs(30),
-        request_model: None,
-    };
     let seeds = [
         head(scroll_session(0, 7, 200).trace.to_tsv()),
         head(
@@ -115,7 +111,11 @@ fn trace_text_parses_or_errs_and_round_trips() {
                 .trace
                 .to_tsv(),
         ),
-        head(composite_session(0, 7, &config).trace.to_tsv()),
+        head(
+            composite_session(0, 7, SimDuration::from_secs(30))
+                .trace
+                .to_tsv(),
+        ),
     ];
     let mut parsed_any = 0;
     check("parsers/trace-tsv", 0..600, |rng| {

@@ -103,7 +103,7 @@ fn progressive_machinery_costs_nothing_when_disabled() {
             )
         })
         .collect();
-    let rigid = replay_resilient(&backend, &stream, 2, &ResiliencePolicy::rigid()).unwrap();
+    let rigid = replay_resilient(&backend, &stream, 2, &ResiliencePolicy::Rigid).unwrap();
     assert_eq!(rigid.len(), stream.len());
     let mut pool = WorkerPool::new(2);
     for (iq, (timing, outcome)) in stream.iter().zip(&rigid) {

@@ -512,7 +512,7 @@ fn deadline_mode_lcv_is_zero_when_budget_covers_cost() {
                 &backend,
                 &stream,
                 1,
-                &ids::engine::scheduler::ResiliencePolicy::deadline(budget),
+                &ids::engine::scheduler::ResiliencePolicy::Deadline(budget),
             )
             .expect("replay succeeds")
             .iter()

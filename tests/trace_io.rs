@@ -4,7 +4,7 @@
 
 use ids::devices::DeviceKind;
 use ids::simclock::SimDuration;
-use ids::workload::composite::{simulate_session as composite_session, CompositeConfig};
+use ids::workload::composite::simulate_session as composite_session;
 use ids::workload::crossfilter::{simulate_session as xf_session, CrossfilterUi};
 use ids::workload::scrolling::simulate_session as scroll_session;
 use ids::workload::trace::{RequestRecord, ScrollRecord, SliderRecord, Trace};
@@ -40,14 +40,7 @@ fn slider_trace_survives_disk_round_trip() {
 
 #[test]
 fn request_trace_survives_disk_round_trip_and_replays() {
-    let session = composite_session(
-        0,
-        99,
-        &CompositeConfig {
-            min_duration: SimDuration::from_secs(90),
-            request_model: None,
-        },
-    );
+    let session = composite_session(0, 99, SimDuration::from_secs(90));
     let path = tmp_path("requests.tsv");
     std::fs::write(&path, session.trace.to_tsv()).expect("write trace");
     let restored: Trace<RequestRecord> =
