@@ -220,8 +220,7 @@ pub fn run(config: &RobustnessConfig) -> RobustnessReport {
         let (admitted_qps, stall_reactions) = {
             let chaos = ChaosBackend::new(&mem, plan.clone());
             let retrying = RetryingBackend::new(&chaos);
-            let mut throttle =
-                AdaptiveThrottle::new(baseline_estimate).with_stall_reaction(3.0, 2.0);
+            let mut throttle = AdaptiveThrottle::new(baseline_estimate).with_stall_reaction();
             // A probe costs its members' sum; a retry-exhausted member
             // charges the budget the frontend waits out before giving up.
             let probe = |g: &QueryGroup| {

@@ -1,31 +1,25 @@
-//! Vectorized query kernels.
+//! Vectorized query kernels: column-at-a-time over a [`SelectionVector`]
+//! bitmask, with no row-id vector and no per-row [`Column::f64_at`] dispatch.
 //!
-//! The crossfilter hot path used to be row-at-a-time: `Predicate::select`
-//! materialized a `Vec<usize>` of row ids, then every selected row paid an
-//! `Option`-checked [`Column::f64_at`] dispatch. This module replaces that
-//! with column-at-a-time kernels over a [`SelectionVector`] bitmask:
-//!
-//! - **a one-pass conjunction kernel** resolves each `AND`ed condition
-//!   against its raw `i64`/`f64` slice (or dictionary codes) once per
-//!   query, then decides every 1024-row block against all of them while
-//!   its 16 mask words are hot, 64 rows per word; `OR`/`NOT` combine
-//!   such masks bitwise;
-//! - **zone maps** ([`crate::column::ZoneMap`], per-1024-row-block
-//!   min/max/NaN-count, built lazily per column) let range predicates
-//!   decide whole blocks — all-false or all-true — without touching data;
-//! - **fused kernels** consume the selection vector directly
-//!   (filter+bin+count for histograms, filter+count for counts) without
-//!   ever materializing a row-id vector; a histogrammed column's bucket
-//!   codes (`bucket_codes`, one byte a row under the spec it is binned
-//!   by) let the bin read each row's bucket instead of dividing for it.
-//!   A table keeps all of its derived state, zone maps and orders and
-//!   codes, and builds each by one rule (`table::Priced`);
+//! - **one verdict pass a conjunction**: each `AND`ed condition resolves
+//!   against its raw `i64`/`f64` slice (or dictionary codes) once a query,
+//!   and its zone map ([`crate::column::ZoneMap`], per-1024-row block
+//!   min/max/NaN-count) decides the blocks it can — all-false or all-true —
+//!   without touching data. Every walk reads that one table of verdicts;
+//! - **the cold walk** decides each 1024-row block against every undecided
+//!   condition while its 16 mask words are hot, 64 rows per word, starting
+//!   from each narrow range's rows in its column's `ValueOrder` once a drag
+//!   has built it; `OR`/`NOT` combine such masks bitwise;
 //! - **the moved walk** answers a filter one range from the last from its
-//!   selection, deciding again only the rows a per-column `ValueOrder`
-//!   finds between an old and a new bound: no column is streamed;
-//! - **the ordered cold walk**: a cold conjunction sets a narrow range's
-//!   rows from its column's order, once a drag has built it, and scans
-//!   only the other leaves, from those rows, in the blocks they leave.
+//!   selection, deciding again only the rows the order finds between an
+//!   old and a new bound: no column is streamed;
+//! - **one price list** (`price`) for the walks' choices (scan or order,
+//!   moved or cold, build an order or not), in one unit, from exact counts;
+//! - **fused kernels** consume the selection vector directly (filter+bin+count
+//!   for histograms, filter+count for counts); a histogrammed column's bucket
+//!   codes (`bucket_codes`, a byte a row) let the bin read each row's bucket
+//!   instead of dividing. A table keeps its derived state, zone maps, orders
+//!   and codes, and builds each by one rule (`table::Priced`).
 //!
 //! Kernels change *how* results are computed, never *what* they are: every
 //! kernel is differential-tested against the row-at-a-time interpreter
@@ -263,13 +257,14 @@ pub(crate) fn eval_pred(
             inner.negate();
             inner
         }
-        // `True`, a lone leaf and `And` are conjunctions of zero, one
-        // and many leaves: one block-at-a-time pass decides them all.
+        // `True`, a lone leaf and `And` are conjunctions of zero, one and
+        // many leaves: one verdict pass, then the moved or the cold walk.
         _ => {
             let (mut leaves, mut nested) = (Vec::new(), Vec::new());
             resolve(table, pred, opts, &mut leaves, &mut nested)?;
-            let moved = from.and_then(|from| eval_moved(table, &leaves, from, stats));
-            let mut acc = moved.unwrap_or_else(|| eval_leaves(table, &leaves, stats));
+            let verdicts = count_verdicts(rows, &leaves, stats);
+            let moved = from.and_then(|from| eval_moved(table, &leaves, &verdicts, from));
+            let mut acc = moved.unwrap_or_else(|| eval_leaves(table, &leaves, &verdicts));
             for p in nested {
                 acc.intersect(&eval_pred(table, p, None, opts, stats)?);
             }
@@ -314,11 +309,7 @@ impl Test {
                 CmpOp::Ge => (no_nan && z.min >= v, z.max < v),
             },
         };
-        match (all_false, all_true) {
-            (true, _) => Some(false),
-            (_, true) => Some(true),
-            _ => None,
-        }
+        (all_false || all_true).then_some(!all_false)
     }
 
     /// ANDs the test over one block's `data` into its `live` words and
@@ -370,16 +361,6 @@ enum Leaf<'a> {
 }
 
 impl<'a> Leaf<'a> {
-    /// The leaf's verdict on block `b` without reading it: `Some(v)`
-    /// when every row tests `v`.
-    fn verdict(&self, b: usize) -> Option<bool> {
-        match self {
-            Leaf::Const(v) => Some(*v),
-            Leaf::Float(_, _, zone, test) | Leaf::Int(_, _, zone, test) => test.verdict(*zone, b),
-            Leaf::Dict(..) => None,
-        }
-    }
-
     /// ANDs the leaf over rows `start..end` into their `live` words and
     /// returns whether any row is still live.
     fn scan(&self, start: usize, end: usize, live: &mut [u64]) -> bool {
@@ -419,16 +400,14 @@ impl<'a> Leaf<'a> {
 
     /// A range's rows, set in a zeroed mask from its column's order, when
     /// moved walks have paid for that order (this adds no reads to its
-    /// tally) and the rows cost no more to set than the leaf's undecided
-    /// blocks to scan.
-    fn rows_from_order(&self, table: &Table) -> Option<Vec<u64>> {
-        let (idx, lo, hi) = self.range()?;
+    /// tally) and setting them costs no more than scanning its `undecided`
+    /// blocks. A leaf with none is never read: no span search.
+    fn rows_from_order(&self, table: &Table, undecided: usize) -> Option<Vec<u64>> {
+        let (idx, lo, hi) = self.range().filter(|_| undecided > 0)?;
         let order = table.value_order_at(idx, 0)?;
         let spans: Vec<_> = order.spans(table.column_at(idx), lo, hi).collect();
         let rows: usize = spans.iter().map(|(_, span)| span.len()).sum();
-        let blocks = table.rows().div_ceil(ZONE_BLOCK_ROWS);
-        let scanned = (0..blocks).filter(|&b| self.verdict(b).is_none()).count();
-        (rows * SET_ROWS <= scanned * ZONE_BLOCK_ROWS).then_some(())?;
+        (price::set(rows) <= price::scan(undecided)).then_some(())?;
         let mut mask = vec![0u64; SelectionVector::word_count(table.rows())];
         for (base, span) in spans {
             for row in span.iter().map(|&o| base + usize::from(o)) {
@@ -496,48 +475,78 @@ fn resolve<'a>(
     Ok(())
 }
 
-/// Decides every row against every leaf, one [`ZONE_BLOCK_ROWS`]-row
-/// block at a time: first every leaf's zone verdict on the block, then
-/// the reads the verdicts leave. A block some leaf rules out stays zero
-/// — the mask is allocated zeroed, so a well-pruned filter never touches
-/// most of it — and a block every leaf decides all-true is filled. The
-/// rest start all-ones in 16 mask words on the stack, or from the rows
-/// the narrow ranges' value orders gave ([`Leaf::rows_from_order`]), and
-/// each undecided leaf the orders did not answer ANDs its rows in while
-/// they are hot.
-fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> SelectionVector {
+/// Every leaf's zone verdict on every block, block-major: `Some(v)` when
+/// every row of the block tests `v`, `None` when it must be read. Counted
+/// once a conjunction: each (leaf, block) bumps `blocks_pruned` or
+/// `blocks_scanned`, read or not, so both counters, and every cost priced
+/// from them, are independent of conjunct order and of the walk that ran.
+fn count_verdicts(rows: usize, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> Vec<Option<bool>> {
+    let (blocks, n) = (rows.div_ceil(ZONE_BLOCK_ROWS), leaves.len());
+    let mut verdicts = vec![None; blocks * n];
+    // Leaf by leaf, so that each leaf's kind and test are matched once.
+    for (i, leaf) in leaves.iter().enumerate() {
+        let column = verdicts.iter_mut().skip(i).step_by(n);
+        match leaf {
+            Leaf::Const(v) => column.for_each(|slot| *slot = Some(*v)),
+            Leaf::Float(.., zone, test) | Leaf::Int(.., zone, test) => {
+                for (b, slot) in column.enumerate() {
+                    *slot = test.verdict(*zone, b);
+                }
+            }
+            Leaf::Dict(..) => {}
+        }
+    }
+    // A constant is never read: its verdicts count as neither.
+    let consts = leaves.iter().filter(|l| matches!(l, Leaf::Const(_)));
+    let counted = blocks * (n - consts.count());
+    let scanned = verdicts.iter().filter(|v| v.is_none()).count();
+    stats.blocks_pruned += (counted - scanned) as u64;
+    stats.blocks_scanned += scanned as u64;
+    verdicts
+}
+
+/// Each leaf's rows from its column's order ([`Leaf::rows_from_order`]), `None` to scan it.
+fn from_orders(table: &Table, leaves: &[Leaf], verdicts: &[Option<bool>]) -> Vec<Option<Vec<u64>>> {
+    let undecided = |i| verdicts.iter().skip(i).step_by(leaves.len());
+    let undecided = |i| undecided(i).filter(|v| v.is_none()).count();
+    let rows = |(i, leaf): (usize, &Leaf)| leaf.rows_from_order(table, undecided(i));
+    leaves.iter().enumerate().map(rows).collect()
+}
+
+/// Decides every row against every leaf by its block's `verdicts`, one
+/// [`ZONE_BLOCK_ROWS`]-row block at a time. A block some leaf rules out
+/// stays zero — the mask is allocated zeroed, so a well-pruned filter never
+/// touches most of it. The rest start all-ones in 16 mask words on the
+/// stack, ANDed with the rows the narrow ranges' orders gave
+/// ([`from_orders`]), and each undecided leaf no order answered ANDs its
+/// rows in while they are hot.
+fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], verdicts: &[Option<bool>]) -> SelectionVector {
     let len = table.rows();
     if leaves.is_empty() {
         // `TRUE`: every row, and its count is known without a popcount pass.
         return SelectionVector::all(len);
     }
-    // The ranges their orders answer, ANDed: the seed every block starts from.
-    let rows: Vec<_> = leaves.iter().map(|l| l.rows_from_order(table)).collect();
-    let ordered: Vec<bool> = rows.iter().map(Option::is_some).collect();
-    let seed = rows.into_iter().flatten().reduce(|mut seed, rows| {
-        seed.iter_mut().zip(rows).for_each(|(w, r)| *w &= r);
-        seed
-    });
-    let seeded = seed.is_some();
-    let mut words = seed.unwrap_or_else(|| vec![0u64; SelectionVector::word_count(len)]);
-    let mut verdicts = vec![None; leaves.len()];
-    let mut count = 0;
-    for (b, out) in words.chunks_mut(BLOCK_WORDS).enumerate() {
-        let start = b * ZONE_BLOCK_ROWS;
-        let end = (start + ZONE_BLOCK_ROWS).min(len);
-        count_verdicts(leaves, b, &mut verdicts, stats);
-        let live = &mut [u64::MAX; BLOCK_WORDS][..out.len()];
-        if seeded {
-            live.copy_from_slice(out);
-            out.fill(0);
-        } else if end == len {
-            live[out.len() - 1] = SelectionVector::tail_mask(len);
-        }
-        if verdicts.contains(&Some(false)) || live.iter().all(|&w| w == 0) {
+    let ordered = from_orders(table, leaves, verdicts);
+    let (mut words, mut count) = (vec![0u64; SelectionVector::word_count(len)], 0);
+    let verdicts = verdicts.chunks(leaves.len());
+    for (b, (out, verdicts)) in words.chunks_mut(BLOCK_WORDS).zip(verdicts).enumerate() {
+        if verdicts.contains(&Some(false)) {
             continue;
         }
-        let mut undecided = (leaves.iter().zip(&verdicts).zip(&ordered))
-            .filter(|((_, v), ordered)| v.is_none() && !**ordered);
+        let (start, end) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(len));
+        let live = &mut [u64::MAX; BLOCK_WORDS][..out.len()];
+        if end == len {
+            live[out.len() - 1] = SelectionVector::tail_mask(len);
+        }
+        for rows in ordered.iter().flatten() {
+            let rows = &rows[b * BLOCK_WORDS..];
+            live.iter_mut().zip(rows).for_each(|(w, r)| *w &= r);
+        }
+        if live.iter().all(|&w| w == 0) {
+            continue;
+        }
+        let mut undecided = (leaves.iter().zip(verdicts).zip(&ordered))
+            .filter(|((_, v), rows)| v.is_none() && rows.is_none());
         if undecided.all(|((leaf, _), _)| leaf.scan(start, end, live)) {
             out.copy_from_slice(live);
             count += live.iter().map(|w| w.count_ones() as usize).sum::<usize>();
@@ -546,57 +555,62 @@ fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> S
     SelectionVector { len, words, count }
 }
 
-/// What setting one row's bit from a [`ValueOrder`] costs, in streamed
-/// leaf-rows. Measured on the road table (docs/PERFORMANCE.md, "A cold
-/// range reads only its rows").
-const SET_ROWS: usize = 2;
+/// The walk's price list, in one unit: the streamed leaf-row, one row of
+/// one leaf tested as the cold walk streams its column (0.66 ns on the road
+/// table: 1,275 undecided (leaf, block)s of three ranges in 867 µs). Each
+/// rule weighs exact counts the walk holds; each constant is measured.
+///
+/// - A cold range is set from its order when [`price::set`] ≤
+///   [`price::scan`] (`Leaf::rows_from_order`). `SET_ROWS` = 2: of 0–4, 6
+///   and never, 2 filtered seed 11's cold dense statements fastest (≈ 648 ms).
+/// - A moved walk walks cold when [`price::redecide`] > [`price::scan`]
+///   (`eval_moved`). `RANDOM_READ_ROWS` = 10: with the rule off, it matched
+///   the cold walk on the road table at ≈ 40,000 candidates, ≈ 20 ns each.
+/// - An order is built once moved walks have streamed [`price::build`]
+///   cold (`Table::value_order_at`). `BUILD_ROWS` = 48: the sort takes
+///   33–45 ns a row, on the road table and on a 10,000-row one.
+///
+/// The bin prices its two rules in binned rows and keeps them: counts move
+/// when fewer rows changed than are selected (`exec::aggregate::bin_phase`),
+/// and codes are built after a table's worth of divided rows
+/// (`table::Bin::codes`; a build is 4.5–5.9 ns a row, a division 11–16 ns).
+pub(crate) mod price {
+    const SET_ROWS: usize = 2;
+    const RANDOM_READ_ROWS: usize = 10;
+    const BUILD_ROWS: usize = 48;
 
-/// Every leaf's zone verdict on block `b`, into `verdicts`, counted: each
-/// (leaf, block) bumps `blocks_pruned` when the zone map decided it and
-/// `blocks_scanned` when not, read or not. That keeps both counters, and
-/// every cost priced from them, independent of conjunct order and of
-/// which walk ran.
-fn count_verdicts(
-    leaves: &[Leaf<'_>],
-    b: usize,
-    verdicts: &mut [Option<bool>],
-    stats: &mut KernelStats,
-) {
-    for (leaf, v) in leaves.iter().zip(verdicts) {
-        *v = leaf.verdict(b);
-        if !matches!(leaf, Leaf::Const(_)) {
-            stats.blocks_pruned += u64::from(v.is_some());
-            stats.blocks_scanned += u64::from(v.is_none());
-        }
+    /// Scanning `undecided` (leaf, block) pairs: every row of each.
+    pub(crate) fn scan(undecided: usize) -> usize {
+        undecided * crate::column::ZONE_BLOCK_ROWS
+    }
+    /// Setting `rows` rows from an order.
+    pub(crate) fn set(rows: usize) -> usize {
+        rows * SET_ROWS
+    }
+    /// Re-deciding `candidates` rows against each of `leaves` leaves.
+    pub(crate) fn redecide(candidates: usize, leaves: usize) -> usize {
+        candidates * leaves * RANDOM_READ_ROWS
+    }
+    /// Building an order over `rows` rows.
+    pub(crate) fn build(rows: usize) -> usize {
+        rows * BUILD_ROWS
     }
 }
-
-/// What re-deciding a candidate costs per leaf, in streamed leaf-rows:
-/// it tests every leaf at a random row. Measured on the road table, where
-/// a moved walk matched the cold walk at ≈ 40k candidates
-/// (docs/PERFORMANCE.md, "A drag reads only the rows it moves").
-const RANDOM_READ_ROWS: usize = 10;
 
 /// The moved walk: `leaves` (an `AND` of single leaves) from the rows `was`
 /// selected when leaf `at` was `was_lo..=was_hi` ([`Predicate::moved_range`]).
 /// Only a row whose moved value lies between an old and a new bound, ends
 /// included, can change: the column's [`ValueOrder`] finds those candidates,
-/// and each is decided again. Verdicts are counted as [`eval_leaves`] counts
-/// them. `None` walks cold: no order, or candidates costing more than it.
+/// and each is decided again. `None` walks cold: no order, or candidates
+/// costing more than the cold walk's reads, its undecided `verdicts`.
 fn eval_moved(
     table: &Table,
     leaves: &[Leaf<'_>],
+    verdicts: &[Option<bool>],
     (was, (at, was_lo, was_hi)): (&SelectionVector, (usize, f64, f64)),
-    stats: &mut KernelStats,
 ) -> Option<SelectionVector> {
     let (idx, lo, hi) = leaves.get(at)?.range()?;
-    let (len, mut counted) = (table.rows(), KernelStats::default());
-    let mut verdicts = vec![None; leaves.len()];
-    for b in 0..len.div_ceil(ZONE_BLOCK_ROWS) {
-        count_verdicts(leaves, b, &mut verdicts, &mut counted);
-    }
-    // The cold walk's reads: every undecided (leaf, block).
-    let streamed = counted.blocks_scanned as usize * ZONE_BLOCK_ROWS;
+    let streamed = price::scan(verdicts.iter().filter(|v| v.is_none()).count());
     let (col, order) = (table.column_at(idx), table.value_order_at(idx, streamed)?);
     let mut spans = Vec::new();
     for (old, new) in [(was_lo, lo), (was_hi, hi)] {
@@ -605,12 +619,8 @@ fn eval_moved(
         }
     }
     let candidates: usize = spans.iter().map(|(_, span)| span.len()).sum();
-    if candidates * leaves.len() * RANDOM_READ_ROWS > streamed {
-        return None;
-    }
-    stats.blocks_pruned += counted.blocks_pruned;
-    stats.blocks_scanned += counted.blocks_scanned;
-    let (mut words, mut count) = (was.words().to_vec(), was.count());
+    (price::redecide(candidates, leaves.len()) <= streamed).then_some(())?;
+    let (len, mut words, mut count) = (table.rows(), was.words().to_vec(), was.count());
     for row in spans
         .iter()
         .flat_map(|&(base, span)| span.iter().map(move |&o| base + usize::from(o)))
@@ -637,11 +647,6 @@ pub(crate) const RUN_ROWS: usize = 1 << 16;
 pub(crate) struct ValueOrder(pub(crate) Box<[u16]>);
 
 impl ValueOrder {
-    /// What building one row's place costs, in streamed leaf-rows: the
-    /// cold reads a column's moved walks make before its order is built.
-    /// Measured with [`RANDOM_READ_ROWS`] (docs/PERFORMANCE.md).
-    pub(crate) const BUILD_ROWS: usize = 48;
-
     /// Sorts every run of `col`; `None` for a string column.
     pub(crate) fn build(col: &Column) -> Option<ValueOrder> {
         if matches!(col, Column::Str { .. }) {
@@ -1048,41 +1053,114 @@ mod tests {
         }
     }
 
-    /// Which ranges the cold walk reads from their orders: none before
-    /// any is built; after, a range whose rows cost less to set than its
-    /// undecided blocks cost to scan, and never a NaN bound, a `Cmp` or a
-    /// string leaf. An ordered leaf's mask holds exactly its rows.
+    /// The price list at each rule's edge, one count either side, and the
+    /// walks that read it. The cold walk sets a range from its order only
+    /// once one is built, never for a NaN bound, a `Cmp`, a string leaf or
+    /// a leaf its zone map decides on every block, and each ordered range's
+    /// mask holds exactly its rows. A moved walk re-decides its candidates
+    /// up to the cold walk's reads and walks cold past them; either way it
+    /// answers and counts exactly as the cold walk does.
     #[test]
-    fn a_range_reads_its_order_only_when_its_rows_cost_less_than_its_scan() {
-        let t = table(5000);
-        let p = Predicate::and([
-            Predicate::between("x", 10.0, 30.0), // 21 rows, 1 undecided block
-            Predicate::between("x", 0.0, 4000.0),
-            Predicate::between("k", 1.0, 1.0), // 715 rows, 5 blocks
-            Predicate::between("k", 0.0, 5.0), // 4,286 rows, 5 blocks
-            Predicate::between("x", f64::NAN, 30.0),
-            Predicate::le("x", 30.0),
-            Predicate::eq("s", "a"),
-        ]);
-        let (mut leaves, mut nested) = (Vec::new(), Vec::new());
-        resolve(&t, &p, &KernelOptions::default(), &mut leaves, &mut nested).unwrap();
-        let ordered = |t: &Table| -> Vec<bool> {
-            let rows = leaves.iter().map(|leaf| leaf.rows_from_order(t));
-            rows.map(|rows| rows.is_some()).collect()
-        };
-        assert_eq!(ordered(&t), [false; 7]);
-        for i in 0..t.width() {
-            t.value_order_at(i, usize::MAX);
+    fn each_walk_rule_flips_at_its_price_edge() {
+        // (price, what it is weighed against, whether it is at most that):
+        // set vs scan at rows × 2 = undecided × 1,024, re-decide vs scan at
+        // candidates × leaves × 10 = streamed, the build at rows × 48.
+        let edges = [
+            (price::set(511), price::scan(1), true),
+            (price::set(512), price::scan(1), true),
+            (price::set(513), price::scan(1), false),
+            (price::redecide(511, 2), price::scan(10), true),
+            (price::redecide(512, 2), price::scan(10), true),
+            (price::redecide(513, 2), price::scan(10), false),
+            (price::build(1024), 49_151, false),
+            (price::build(1024), 49_152, true),
+        ];
+        for (i, (price, budget, within)) in edges.into_iter().enumerate() {
+            assert_eq!(price <= budget, within, "edge {i}: {price} vs {budget}");
         }
-        assert_eq!(ordered(&t), [true, false, true, false, false, false, false]);
-        let rows = |leaf: &Leaf<'_>| SelectionVector {
-            words: leaf.rows_from_order(&t).expect("ordered"),
-            len: t.rows(),
-            count: 0,
+
+        fn resolved<'a>(t: &'a Table, p: &'a Predicate) -> (Vec<Leaf<'a>>, Vec<Option<bool>>) {
+            let (mut leaves, mut nested) = (Vec::new(), Vec::new());
+            resolve(t, p, &KernelOptions::default(), &mut leaves, &mut nested).unwrap();
+            let verdicts = count_verdicts(t.rows(), &leaves, &mut KernelStats::default());
+            (leaves, verdicts)
+        }
+        let build_orders =
+            |t: &Table| (0..t.width()).for_each(|i| _ = t.value_order_at(i, usize::MAX));
+        let t = table(5000);
+        let cold = [
+            (Predicate::between("x", 10.0, 30.0), true), // 21 rows, 1 undecided block
+            (Predicate::between("x", 0.0, 4000.0), false),
+            (Predicate::between("k", 1.0, 1.0), true), // 715 rows, 5 blocks
+            (Predicate::between("k", 0.0, 5.0), false), // 4,286 rows, 5 blocks
+            (Predicate::between("x", f64::NAN, 30.0), false),
+            (Predicate::le("x", 30.0), false),
+            (Predicate::eq("s", "a"), false),
+            (Predicate::between("x", 10.0, 521.0), true), // 512 rows, 1 block
+            (Predicate::between("x", 10.0, 522.0), false), // 513 rows, 1 block
+            (Predicate::between("k", 2.0, 2.0), true),
+            (Predicate::between("x", -5.0, -1.0), false), // no rows, every block decided
+            (Predicate::between("x", -1.0, 6000.0), false), // all rows, every block decided
+        ];
+        let p = Predicate::and(cold.iter().map(|(leaf, _)| leaf.clone()));
+        let (leaves, verdicts) = resolved(&t, &p);
+        let ordered = || from_orders(&t, &leaves, &verdicts);
+        assert!(ordered().iter().all(Option::is_none));
+        build_orders(&t);
+        let ordered = ordered();
+        let got = Vec::from_iter(ordered.iter().map(Option::is_some));
+        assert_eq!(got, Vec::from_iter(cold.iter().map(|c| c.1)));
+        let rows = |i: usize| {
+            let words = ordered[i].as_ref().expect("ordered");
+            (0..t.rows())
+                .filter(|r| words[r / 64] >> (r % 64) & 1 == 1)
+                .collect::<Vec<_>>()
         };
-        assert_eq!(rows(&leaves[0]).to_row_ids(), (10..=30).collect::<Vec<_>>());
-        let sevens: Vec<usize> = (0..5000).filter(|r| r % 7 == 1).collect();
-        assert_eq!(rows(&leaves[2]).to_row_ids(), sevens);
+        assert_eq!(rows(0), Vec::from_iter(10..=30));
+        assert_eq!(rows(2), Vec::from_iter((0..5000).filter(|r| r % 7 == 1)));
+        assert_eq!(rows(7), Vec::from_iter(10..=521));
+        for (leaf, _) in &cold {
+            let rows = select_vector(&t, leaf).unwrap().to_row_ids();
+            assert_eq!(rows, leaf.select(&t).unwrap(), "{leaf}");
+        }
+
+        // `p` is a permutation of 0..5,120 whose every block spans nearly
+        // all of it, so `p` and `k` ranges leave all five blocks undecided.
+        let n = 5 * ZONE_BLOCK_ROWS;
+        let p = ColumnBuilder::float((0..n).map(|i| (i * 7 % n) as f64));
+        let t = TableBuilder::new("m")
+            .column("p", p)
+            .column("k", ColumnBuilder::int((0..n).map(|i| i as i64 % 7)))
+            .build()
+            .unwrap();
+        build_orders(&t);
+        let opts = KernelOptions::default();
+        let both = |hi: f64| {
+            let p = Predicate::between("p", 0.0, hi);
+            Predicate::And(vec![p, Predicate::between("k", 1.0, 5.0)])
+        };
+        let all = |hi: f64| Predicate::And(vec![Predicate::between("p", -1.0, hi)]);
+        let moves = [
+            // Two leaves, ten undecided (leaf, block)s: 512 candidates at most.
+            (both(2000.0), both(2510.0), true),  // 511 candidates
+            (both(2000.0), both(2511.0), true),  // 512
+            (both(2000.0), both(2512.0), false), // 513
+            (both(2511.0), both(2000.0), true),  // 512, moved down
+            // A leaf its zone map decides on every block: nothing to read
+            // cold, and no candidate either.
+            (all(6000.0), all(7000.0), true),
+        ];
+        for (k, (was, now, redecides)) in moves.iter().enumerate() {
+            let from = select_vector(&t, was).unwrap();
+            let moved = (&from, was.moved_range(now).expect("one range moved"));
+            let (leaves, verdicts) = resolved(&t, now);
+            let ran = eval_moved(&t, &leaves, &verdicts, moved).is_some();
+            assert_eq!(ran, *redecides, "move {k}");
+            let (mut walked, mut cold) = (KernelStats::default(), KernelStats::default());
+            let answer = eval_pred(&t, now, Some(moved), &opts, &mut walked).unwrap();
+            let expect = select_vector_with(&t, now, &opts, &mut cold).unwrap();
+            assert_eq!((answer, walked), (expect, cold), "move {k}");
+        }
     }
 
     #[test]

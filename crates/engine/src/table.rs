@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use crate::column::{Column, ColumnBuilder, ZoneMap};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
-use crate::kernels::{self, KernelStats, SelectionVector, ValueOrder};
+use crate::kernels::{self, price, KernelStats, SelectionVector, ValueOrder};
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
 use crate::result::Histogram;
@@ -85,7 +85,7 @@ pub(crate) struct Bin {
 impl Bin {
     /// The spec's bucket codes ([`kernels::bucket_codes`]) for a bin that
     /// divides for `walked` selected rows without them; they cost one such
-    /// row per table row (docs/PERFORMANCE.md, "A bin reads a byte").
+    /// row per table row ([`price`] says why).
     pub(crate) fn codes(&self, col: &Column, bins: &BinSpec, walked: usize) -> Option<&[u8]> {
         let build = || kernels::bucket_codes(col, bins);
         self.codes.get(walked, col.len(), build).map(|c| &**c)
@@ -184,12 +184,12 @@ impl Table {
     }
 
     /// The value order of column `i`, for a moved walk that would read
-    /// `streamed` leaf-rows cold; it costs [`ValueOrder::BUILD_ROWS`] such
-    /// reads a row. `None` until then and for string columns.
+    /// `streamed` leaf-rows cold; it costs [`price::build`] of the table's
+    /// rows. `None` until then and for string columns.
     pub(crate) fn value_order_at(&self, i: usize, streamed: usize) -> Option<&ValueOrder> {
         let build = || ValueOrder::build(&self.columns[i]);
-        let price = self.rows * ValueOrder::BUILD_ROWS;
-        self.derived.columns[i].order.get(streamed, price, build)
+        let order = &self.derived.columns[i].order;
+        order.get(streamed, price::build(self.rows), build)
     }
 
     /// The last filter the table answered, to read or replace.
@@ -394,7 +394,7 @@ mod tests {
         let order = |t: &Table, i, n| t.value_order_at(i, n).map(|o| std::ptr::from_ref(o).cast());
         let structures: [(Spend, usize, [bool; 3]); 4] = [
             (&zone, 0, [true, true, false]),
-            (&order, ROWS * ValueOrder::BUILD_ROWS, [true, true, false]),
+            (&order, price::build(ROWS), [true, true, false]),
             (&codes(spec(1024.0, 20)), ROWS, [true, true, false]),
             (&codes(spec(1024.0, 255)), ROWS, [false; 3]),
         ];
@@ -412,7 +412,7 @@ mod tests {
         assert_eq!((block.min, block.max), (0.0, 1023.0));
 
         // Each move streams `f`'s one undecided block: the 48th builds its order.
-        for k in 0..=ValueOrder::BUILD_ROWS {
+        for k in 0..=price::build(1) {
             assert!(t.value_order_at(1, 0).is_none(), "after {k} statements");
             let moved = Predicate::And(vec![Predicate::between("f", 10.0, 900.0 + k as f64)]);
             crate::exec::filter_rows(&t, &moved).unwrap();

@@ -21,6 +21,12 @@ use ids_simclock::{SimDuration, SimTime};
 /// EMA smoothing factor of the service-time estimate.
 const ALPHA: f64 = 0.3;
 
+/// A service time this many times over the running estimate is a stall.
+const STALL_FACTOR: f64 = 3.0;
+
+/// Extra back-off on a stall, as a multiple of the observed service time.
+const STALL_HOLD: f64 = 2.0;
+
 /// A closed-loop throttle: it observes each admitted group's service
 /// time (exponential moving average) and reacts to stalls by holding
 /// admission past the stalled group's finish.
@@ -30,12 +36,8 @@ pub struct AdaptiveThrottle {
     estimate: SimDuration,
     /// No group is admitted before this instant (the last stall's hold).
     pub(crate) hold_until: SimTime,
-    /// A service time this many times over the running estimate counts
-    /// as a stall; `0` disables stall reaction.
-    stall_factor: f64,
-    /// Extra back-off on a detected stall, as a multiple of the observed
-    /// service time.
-    stall_hold: f64,
+    /// Whether a stall holds admission ([`AdaptiveThrottle::with_stall_reaction`]).
+    stall_reaction: bool,
     stall_reactions: usize,
 }
 
@@ -45,20 +47,18 @@ impl AdaptiveThrottle {
         AdaptiveThrottle {
             estimate: initial_estimate,
             hold_until: SimTime::ZERO,
-            stall_factor: 0.0,
-            stall_hold: 0.0,
+            stall_reaction: false,
             stall_reactions: 0,
         }
     }
 
     /// Enables stall reaction: when an observed service time exceeds
-    /// `stall_factor ×` the running estimate (the signature of a fault
-    /// window, not ordinary load), the throttle backs off for an extra
-    /// `stall_hold ×` that service time instead of hammering a wedged
-    /// backend with queries it would only queue.
-    pub fn with_stall_reaction(mut self, stall_factor: f64, stall_hold: f64) -> AdaptiveThrottle {
-        self.stall_factor = stall_factor.max(0.0);
-        self.stall_hold = stall_hold.max(0.0);
+    /// 3× the running estimate (the signature of a fault window, not
+    /// ordinary load), the throttle backs off for an extra 2× that
+    /// service time instead of hammering a wedged backend with queries it
+    /// would only queue.
+    pub fn with_stall_reaction(mut self) -> AdaptiveThrottle {
+        self.stall_reaction = true;
         self
     }
 
@@ -79,10 +79,10 @@ impl AdaptiveThrottle {
         let prior = self.estimate.as_secs_f64();
         self.estimate = SimDuration::from_secs_f64(prior + ALPHA * (service.as_secs_f64() - prior));
         let rec = ids_obs::recorder();
-        if self.stall_factor > 0.0 && service.as_secs_f64() > prior * self.stall_factor {
+        if self.stall_reaction && service.as_secs_f64() > prior * STALL_FACTOR {
             // The backend is stalling, not just loaded: back off beyond
             // the observed service before the next probe.
-            self.hold_until = timing.finished_at + service.mul_f64(self.stall_hold);
+            self.hold_until = timing.finished_at + service.mul_f64(STALL_HOLD);
             self.stall_reactions += 1;
             ids_obs::metrics()
                 .counter("opt.throttle.stall_reactions")
@@ -176,7 +176,7 @@ mod tests {
         let mut plain = AdaptiveThrottle::new(SimDuration::from_millis(10));
         let kept_plain = admit(&mut plain, &input, service).executed.len();
         let mut reactive =
-            AdaptiveThrottle::new(SimDuration::from_millis(10)).with_stall_reaction(3.0, 2.0);
+            AdaptiveThrottle::new(SimDuration::from_millis(10)).with_stall_reaction();
         let kept_reactive = admit(&mut reactive, &input, service).executed.len();
         assert!(reactive.stall_reactions() > 0, "the burst must be noticed");
         assert!(

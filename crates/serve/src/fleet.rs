@@ -57,19 +57,6 @@ pub struct ServeParams {
 }
 
 impl ServeParams {
-    /// Enables deadline routing (builder-style).
-    pub fn with_deadline(mut self) -> ServeParams {
-        self.deadline = true;
-        self
-    }
-
-    /// Splits the worker pool into `shards` tenant-mapped groups
-    /// (builder-style).
-    pub fn with_shards(mut self, shards: usize) -> ServeParams {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Shard groups in force (at least 1).
     pub fn shard_groups(&self) -> usize {
         self.shards.max(1)
@@ -459,7 +446,10 @@ mod tests {
             &costs,
             &AdmissionPolicy::unlimited(),
             &plan,
-            &params().with_deadline(),
+            &ServeParams {
+                deadline: true,
+                ..params()
+            },
         );
         assert_eq!(base.deadline_routed, 0);
         assert!(dl.deadline_routed > 0, "overload must trigger routing");
@@ -492,7 +482,10 @@ mod tests {
             &costs,
             &AdmissionPolicy::unlimited(),
             &plan,
-            &params().with_deadline(),
+            &ServeParams {
+                deadline: true,
+                ..params()
+            },
         );
         assert_eq!(dl.deadline_routed, 0);
         assert_eq!(dl, base);
@@ -532,7 +525,8 @@ mod tests {
         let params = ServeParams {
             workers: 1,
             latency_budget: ms(10),
-            ..params().with_deadline()
+            deadline: true,
+            ..params()
         };
         for (costs, charges) in [
             // wait + cost == budget: no cut.
@@ -670,7 +664,10 @@ mod tests {
             &costs,
             &AdmissionPolicy::interactive(40.0, 4),
             &plan,
-            &params().with_shards(1),
+            &ServeParams {
+                shards: 1,
+                ..params()
+            },
         );
         assert_eq!(single, explicit);
     }
@@ -707,7 +704,10 @@ mod tests {
             &costs,
             &AdmissionPolicy::unlimited(),
             &plan,
-            &params().with_shards(2),
+            &ServeParams {
+                shards: 2,
+                ..params()
+            },
         );
         assert_eq!(sharded.admitted, shared.admitted);
         // Half the fleet (the blips) now finishes in single-digit
