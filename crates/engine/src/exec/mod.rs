@@ -354,7 +354,8 @@ mod tests {
     /// ties and `Int`s at ±2⁵³; bounds are NaN, inverted, infinite, signed
     /// zeros, data values or the grid, mostly narrow, so most ranges are
     /// read from their orders; beside them sit a `Cmp`, a string `=`, a
-    /// range on the string column and a nested `Or`.
+    /// range on the string column and a nested `Or`. Wide ranges that
+    /// leave out a few rows, or only the NaN ones, take the complement.
     #[test]
     fn an_ordered_cold_walk_answers_exactly_like_a_scan() {
         check("exec/ordered-cold-walk", 0..20, |rng| {
@@ -381,13 +382,16 @@ mod tests {
                     _ => rng.uniform_usize(0, 81) as i64 - 40,
                 })
                 .collect();
-            let y = (0..rows).map(|_| grid(rng));
+            let y = Vec::from_iter((0..rows).map(|_| grid(rng)));
             let s = (0..rows).map(|i| ["a", "b", "c"][(i * 7 + rows) % 3]);
+            let mut u = Vec::from_iter((0..rows).map(|r| r as f64));
+            rng.shuffle(&mut u);
             let table = TableBuilder::new("t")
                 .column("x", ColumnBuilder::float(x))
                 .column("n", ColumnBuilder::int(n))
                 .column("y", ColumnBuilder::float(y))
                 .column("s", ColumnBuilder::str(s))
+                .column("u", ColumnBuilder::float(u))
                 .build()
                 .expect("static schema");
             let fresh = fresh(&table);
@@ -402,6 +406,21 @@ mod tests {
                     table.column_at(col).f64_at(row).expect("numeric")
                 }
                 _ => grid(rng),
+            };
+            let checked = |filter: &Predicate, step: usize| {
+                for zone_prune in [true, false] {
+                    let opts = KernelOptions { zone_prune };
+                    let walk = |t: &Table| {
+                        let mut stats = KernelStats::default();
+                        let sel = kernels::select_vector_with(t, filter, &opts, &mut stats);
+                        let sel = sel.expect("valid");
+                        (sel.count(), stats, sel)
+                    };
+                    let (got, want) = (walk(&table), walk(&fresh));
+                    assert!(got == want, "{rows} rows, step {step}, {opts:?}: {filter}");
+                }
+                let checked = check_against_cold(&table, &fresh, filter);
+                checked.unwrap_or_else(|e| panic!("{rows} rows, step {step}: {e}"));
             };
             let range = |rng: &mut SimRng, col: usize, name: &str| {
                 let lo = bound(rng, col);
@@ -434,20 +453,27 @@ mod tests {
                     conjuncts.push(Predicate::Or(or.into()));
                 }
                 rng.shuffle(&mut conjuncts);
-                let filter = Predicate::And(conjuncts);
-                for zone_prune in [true, false] {
-                    let opts = KernelOptions { zone_prune };
-                    let walk = |t: &Table| {
-                        let mut stats = KernelStats::default();
-                        let sel = kernels::select_vector_with(t, &filter, &opts, &mut stats);
-                        let sel = sel.expect("valid");
-                        (sel.count(), stats, sel)
-                    };
-                    let (got, want) = (walk(&table), walk(&fresh));
-                    assert!(got == want, "{rows} rows, step {step}, {opts:?}: {filter}");
-                }
-                let checked = check_against_cold(&table, &fresh, &filter);
-                checked.unwrap_or_else(|e| panic!("{rows} rows, step {step}: {e}"));
+                checked(&Predicate::And(conjuncts), step);
+            }
+            // The complement: all but 0, 1 or 1,023 rows of `u`, a
+            // permutation of 0..rows, with ±0.0 and ±inf on its ends, and
+            // every number of `x`, which leaves out only its NaN rows.
+            let every = Predicate::between("x", f64::NEG_INFINITY, f64::INFINITY);
+            checked(&Predicate::And(vec![every]), 10);
+            for cut in [0, 1, 1023] {
+                let low = rng.uniform_usize(0, cut + 1);
+                let lo = match low {
+                    0 => pick(rng, &[0.0, -0.0, f64::NEG_INFINITY]),
+                    _ => low as f64,
+                };
+                let hi = match cut - low {
+                    0 => pick(rng, &[rows as f64 - 1.0, f64::INFINITY]),
+                    high => (rows - 1) as f64 - high as f64,
+                };
+                checked(
+                    &Predicate::And(vec![Predicate::between("u", lo, hi)]),
+                    11 + cut,
+                );
             }
         });
     }

@@ -8,13 +8,15 @@
 //!   without touching data. Every walk reads that one table of verdicts;
 //! - **the cold walk** decides each 1024-row block against every undecided
 //!   condition while its 16 mask words are hot, 64 rows per word, starting
-//!   from each narrow range's rows in its column's `ValueOrder` once a drag
-//!   has built it; `OR`/`NOT` combine such masks bitwise;
+//!   from each range's rows in its column's `ValueOrder` once a drag has
+//!   built it: a narrow range's rows set, a wide range's two tails cleared
+//!   (the complement); `OR`/`NOT` combine such masks bitwise;
 //! - **the moved walk** answers a filter one range from the last from its
 //!   selection, deciding again only the rows the order finds between an
 //!   old and a new bound: no column is streamed;
-//! - **one price list** (`price`) for the walks' choices (scan or order,
-//!   moved or cold, build an order or not), in one unit, from exact counts;
+//! - **one price list** (`price`) for the walks' choices (scan, set or
+//!   clear; moved or cold; build an order or not), in one unit, from exact
+//!   counts, a scan priced over the blocks the walk reads;
 //! - **fused kernels** consume the selection vector directly (filter+bin+count
 //!   for histograms, filter+count for counts); a histogrammed column's bucket
 //!   codes (`bucket_codes`, a byte a row) let the bin read each row's bucket
@@ -398,20 +400,32 @@ impl<'a> Leaf<'a> {
         }
     }
 
-    /// A range's rows, set in a zeroed mask from its column's order, when
-    /// moved walks have paid for that order (this adds no reads to its
-    /// tally) and setting them costs no more than scanning its `undecided`
-    /// blocks. A leaf with none is never read: no span search.
+    /// A range's rows from its column's order, when moved walks have paid
+    /// for that order (this adds no reads to its tally) and reading it
+    /// costs no more than scanning its `undecided` blocks
+    /// ([`price::from_order`]): its rows set in a zeroed mask, or the
+    /// rows outside it, its spans' tails, cleared from a full one. A leaf
+    /// with none is never read: no span search.
     fn rows_from_order(&self, table: &Table, undecided: usize) -> Option<Vec<u64>> {
         let (idx, lo, hi) = self.range().filter(|_| undecided > 0)?;
         let order = table.value_order_at(idx, 0)?;
         let spans: Vec<_> = order.spans(table.column_at(idx), lo, hi).collect();
-        let rows: usize = spans.iter().map(|(_, span)| span.len()).sum();
-        (price::set(rows) <= price::scan(undecided)).then_some(())?;
-        let mut mask = vec![0u64; SelectionVector::word_count(table.rows())];
-        for (base, span) in spans {
-            for row in span.iter().map(|&o| base + usize::from(o)) {
-                mask[row / 64] |= 1 << (row % 64);
+        let (len, rows) = (table.rows(), spans.iter().map(|s| s.inside.len()).sum());
+        let complement = price::from_order(rows, len, undecided)?;
+        let mut mask = match complement {
+            true => SelectionVector::all(len).words,
+            false => SelectionVector::none(len).words,
+        };
+        for s in &spans {
+            let flipped = match complement {
+                true => [s.below, s.above],
+                false => [s.inside, &[]],
+            };
+            // One loop per slice: a flattened iterator costs a branch a row.
+            for offsets in flipped {
+                for row in s.rows(offsets) {
+                    mask[row / 64] ^= 1 << (row % 64);
+                }
             }
         }
         Some(mask)
@@ -505,10 +519,15 @@ fn count_verdicts(rows: usize, leaves: &[Leaf<'_>], stats: &mut KernelStats) -> 
     verdicts
 }
 
-/// Each leaf's rows from its column's order ([`Leaf::rows_from_order`]), `None` to scan it.
+/// Each leaf's rows from its column's order ([`Leaf::rows_from_order`]),
+/// `None` to scan it. A scan is priced over the leaf's undecided blocks
+/// that the walk reads: those no leaf's verdict rules out.
 fn from_orders(table: &Table, leaves: &[Leaf], verdicts: &[Option<bool>]) -> Vec<Option<Vec<u64>>> {
-    let undecided = |i| verdicts.iter().skip(i).step_by(leaves.len());
-    let undecided = |i| undecided(i).filter(|v| v.is_none()).count();
+    let read: Vec<_> = verdicts
+        .chunks(leaves.len())
+        .filter(|block| !block.contains(&Some(false)))
+        .collect();
+    let undecided = |i: usize| read.iter().filter(|block| block[i].is_none()).count();
     let rows = |(i, leaf): (usize, &Leaf)| leaf.rows_from_order(table, undecided(i));
     leaves.iter().enumerate().map(rows).collect()
 }
@@ -517,7 +536,7 @@ fn from_orders(table: &Table, leaves: &[Leaf], verdicts: &[Option<bool>]) -> Vec
 /// [`ZONE_BLOCK_ROWS`]-row block at a time. A block some leaf rules out
 /// stays zero — the mask is allocated zeroed, so a well-pruned filter never
 /// touches most of it. The rest start all-ones in 16 mask words on the
-/// stack, ANDed with the rows the narrow ranges' orders gave
+/// stack, ANDed with the rows the ranges' orders gave
 /// ([`from_orders`]), and each undecided leaf no order answered ANDs its
 /// rows in while they are hot.
 fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], verdicts: &[Option<bool>]) -> SelectionVector {
@@ -560,9 +579,15 @@ fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], verdicts: &[Option<bool>]) ->
 /// table: 1,275 undecided (leaf, block)s of three ranges in 867 µs). Each
 /// rule weighs exact counts the walk holds; each constant is measured.
 ///
-/// - A cold range is set from its order when [`price::set`] ≤
-///   [`price::scan`] (`Leaf::rows_from_order`). `SET_ROWS` = 2: of 0–4, 6
-///   and never, 2 filtered seed 11's cold dense statements fastest (≈ 648 ms).
+/// - A cold range is read from its order when that is cheapest
+///   ([`price::from_order`], `Leaf::rows_from_order`): its rows set, at
+///   [`price::set`] of them, or the rows outside it cleared, at
+///   [`price::set`] of those (a tie sets), against [`price::scan`] of its
+///   undecided blocks that no other leaf rules out (the walk skips those).
+///   `SET_ROWS` = 2: of 0–4, 6 and never, 2 filtered seed 11's cold dense
+///   statements fastest (≈ 648 ms). Clearing a row costs what setting one
+///   does: with the complement that replay's cold filters took 356–369
+///   ms, not 539–571, and `crossfilter_dense`'s p95 fell 586 → 473 µs.
 /// - A moved walk walks cold when [`price::redecide`] > [`price::scan`]
 ///   (`eval_moved`). `RANDOM_READ_ROWS` = 10: with the rule off, it matched
 ///   the cold walk on the road table at ≈ 40,000 candidates, ≈ 20 ns each.
@@ -586,6 +611,14 @@ pub(crate) mod price {
     /// Setting `rows` rows from an order.
     pub(crate) fn set(rows: usize) -> usize {
         rows * SET_ROWS
+    }
+    /// How a range of `rows` of a `len`-row table is read from its order
+    /// rather than scanned over `undecided` blocks, whichever is cheapest:
+    /// `Some(false)` sets its rows, `Some(true)` clears the `len - rows`
+    /// others (a tie sets), `None` scans.
+    pub(crate) fn from_order(rows: usize, len: usize, undecided: usize) -> Option<bool> {
+        let (set, clear) = (set(rows), set(len - rows));
+        (set.min(clear) <= scan(undecided)).then_some(clear < set)
     }
     /// Re-deciding `candidates` rows against each of `leaves` leaves.
     pub(crate) fn redecide(candidates: usize, leaves: usize) -> usize {
@@ -618,13 +651,10 @@ fn eval_moved(
             spans.extend(order.spans(col, old.min(new), old.max(new)));
         }
     }
-    let candidates: usize = spans.iter().map(|(_, span)| span.len()).sum();
+    let candidates: usize = spans.iter().map(|s| s.inside.len()).sum();
     (price::redecide(candidates, leaves.len()) <= streamed).then_some(())?;
     let (len, mut words, mut count) = (table.rows(), was.words().to_vec(), was.count());
-    for row in spans
-        .iter()
-        .flat_map(|&(base, span)| span.iter().map(move |&o| base + usize::from(o)))
-    {
+    for row in spans.iter().flat_map(|s| s.rows(s.inside)) {
         let (word, bit) = (&mut words[row / 64], 1u64 << (row % 64));
         let now = leaves.iter().all(|leaf| leaf.holds(row));
         if now != (*word & bit != 0) {
@@ -663,9 +693,8 @@ impl ValueOrder {
         Some(ValueOrder(order.into()))
     }
 
-    /// Per run, its first row and the offsets of its rows whose value in
-    /// `col` lies in `lo..=hi` (neither NaN; empty when `lo > hi`): two
-    /// binary searches a run.
+    /// Each run cut at `lo..=hi` (neither NaN; nothing inside when
+    /// `lo > hi`): two binary searches a run.
     fn spans<'o>(&'o self, col: &'o Column, lo: f64, hi: f64) -> impl Iterator<Item = Span<'o>> {
         let value = move |row: usize| col.f64_at(row).unwrap_or(f64::NAN);
         let runs = (0..).step_by(RUN_ROWS).zip(self.0.chunks(RUN_ROWS));
@@ -673,13 +702,34 @@ impl ValueOrder {
             // A NaN fails both tests, so it sorts last for both searches.
             let start = run.partition_point(|&o| value(base + usize::from(o)) < lo);
             let end = run.partition_point(|&o| value(base + usize::from(o)) <= hi);
-            (base, &run[start..end.max(start)])
+            let (below, rest) = run.split_at(start);
+            let (inside, above) = rest.split_at(end.saturating_sub(start));
+            Span {
+                base,
+                below,
+                inside,
+                above,
+            }
         })
     }
 }
 
-/// A run's first row and some of its offsets in a [`ValueOrder`].
-type Span<'o> = (usize, &'o [u16]);
+/// A run of a [`ValueOrder`] cut at a range: its first row and its
+/// offsets below, inside and above the range, NaN rows above.
+struct Span<'o> {
+    base: usize,
+    below: &'o [u16],
+    inside: &'o [u16],
+    above: &'o [u16],
+}
+
+impl Span<'_> {
+    /// The rows at `offsets`, some of this run's.
+    fn rows<'a>(&self, offsets: &'a [u16]) -> impl Iterator<Item = usize> + 'a {
+        let base = self.base;
+        offsets.iter().map(move |&o| base + usize::from(o))
+    }
+}
 
 /// `x`'s place in [`ValueOrder`] as a `u64`: IEEE order, with `-0.0` and
 /// `0.0` one key and every NaN last.
@@ -1054,21 +1104,19 @@ mod tests {
     }
 
     /// The price list at each rule's edge, one count either side, and the
-    /// walks that read it. The cold walk sets a range from its order only
+    /// walks that read it. The cold walk reads a range from its order only
     /// once one is built, never for a NaN bound, a `Cmp`, a string leaf or
-    /// a leaf its zone map decides on every block, and each ordered range's
-    /// mask holds exactly its rows. A moved walk re-decides its candidates
-    /// up to the cold walk's reads and walks cold past them; either way it
-    /// answers and counts exactly as the cold walk does.
+    /// a leaf with no undecided block that the other leaves leave live,
+    /// and each ordered range's mask, set or cleared, holds exactly its
+    /// rows. A moved walk re-decides its candidates up to the cold walk's
+    /// reads and walks cold past them; either way it answers and counts
+    /// exactly as the cold walk does.
     #[test]
     fn each_walk_rule_flips_at_its_price_edge() {
         // (price, what it is weighed against, whether it is at most that):
-        // set vs scan at rows × 2 = undecided × 1,024, re-decide vs scan at
-        // candidates × leaves × 10 = streamed, the build at rows × 48.
+        // re-decide vs scan at candidates × leaves × 10 = streamed, the
+        // build at rows × 48.
         let edges = [
-            (price::set(511), price::scan(1), true),
-            (price::set(512), price::scan(1), true),
-            (price::set(513), price::scan(1), false),
             (price::redecide(511, 2), price::scan(10), true),
             (price::redecide(512, 2), price::scan(10), true),
             (price::redecide(513, 2), price::scan(10), false),
@@ -1077,6 +1125,23 @@ mod tests {
         ];
         for (i, (price, budget, within)) in edges.into_iter().enumerate() {
             assert_eq!(price <= budget, within, "edge {i}: {price} vs {budget}");
+        }
+        // (rows, table rows, undecided blocks, the read): set, clear or
+        // scan, at rows × 2 or (table rows − rows) × 2 = undecided × 1,024.
+        let reads = [
+            (512, 5000, 1, Some(false)),
+            (513, 5000, 1, None),
+            (4488, 5000, 1, Some(true)),  // all but 512 rows
+            (4487, 5000, 1, None),        // all but 513
+            (2560, 5120, 5, Some(false)), // set and clear tie: it sets
+            (2560, 5120, 4, None),
+        ];
+        for (rows, len, undecided, read) in reads {
+            assert_eq!(
+                price::from_order(rows, len, undecided),
+                read,
+                "{rows} of {len}"
+            );
         }
 
         fn resolved<'a>(t: &'a Table, p: &'a Predicate) -> (Vec<Leaf<'a>>, Vec<Option<bool>>) {
@@ -1092,7 +1157,7 @@ mod tests {
             (Predicate::between("x", 10.0, 30.0), true), // 21 rows, 1 undecided block
             (Predicate::between("x", 0.0, 4000.0), false),
             (Predicate::between("k", 1.0, 1.0), true), // 715 rows, 5 blocks
-            (Predicate::between("k", 0.0, 5.0), false), // 4,286 rows, 5 blocks
+            (Predicate::between("k", 0.0, 5.0), true), // all but 714 rows, 5 blocks
             (Predicate::between("x", f64::NAN, 30.0), false),
             (Predicate::le("x", 30.0), false),
             (Predicate::eq("s", "a"), false),
@@ -1101,27 +1166,42 @@ mod tests {
             (Predicate::between("k", 2.0, 2.0), true),
             (Predicate::between("x", -5.0, -1.0), false), // no rows, every block decided
             (Predicate::between("x", -1.0, 6000.0), false), // all rows, every block decided
+            (Predicate::between("x", 0.0, 4487.0), true), // all but 512 rows, 1 block
+            (Predicate::between("x", 0.0, 4486.0), false), // all but 513 rows, 1 block
         ];
-        let p = Predicate::and(cold.iter().map(|(leaf, _)| leaf.clone()));
-        let (leaves, verdicts) = resolved(&t, &p);
-        let ordered = || from_orders(&t, &leaves, &verdicts);
-        assert!(ordered().iter().all(Option::is_none));
+        // Each leaf's rows from its order, as the leaf of a conjunction of
+        // `with`, which may rule out blocks.
+        let ordered = |with: &[Predicate], leaf: &Predicate| {
+            let p = Predicate::And(with.iter().chain([leaf]).cloned().collect());
+            let (leaves, verdicts) = resolved(&t, &p);
+            from_orders(&t, &leaves, &verdicts).pop().flatten()
+        };
+        assert!(cold.iter().all(|(leaf, _)| ordered(&[], leaf).is_none()));
         build_orders(&t);
-        let ordered = ordered();
-        let got = Vec::from_iter(ordered.iter().map(Option::is_some));
+        let got = Vec::from_iter(cold.iter().map(|(leaf, _)| ordered(&[], leaf).is_some()));
         assert_eq!(got, Vec::from_iter(cold.iter().map(|c| c.1)));
+        // Every bit of the mask, the tail word's past the table included.
         let rows = |i: usize| {
-            let words = ordered[i].as_ref().expect("ordered");
-            (0..t.rows())
+            let words = ordered(&[], &cold[i].0).expect("ordered");
+            (0..words.len() * 64)
                 .filter(|r| words[r / 64] >> (r % 64) & 1 == 1)
                 .collect::<Vec<_>>()
         };
         assert_eq!(rows(0), Vec::from_iter(10..=30));
         assert_eq!(rows(2), Vec::from_iter((0..5000).filter(|r| r % 7 == 1)));
+        assert_eq!(rows(3), Vec::from_iter((0..5000).filter(|r| r % 7 != 6)));
         assert_eq!(rows(7), Vec::from_iter(10..=521));
+        assert_eq!(rows(12), Vec::from_iter(0..=4487));
         for (leaf, _) in &cold {
             let rows = select_vector(&t, leaf).unwrap().to_row_ids();
             assert_eq!(rows, leaf.select(&t).unwrap(), "{leaf}");
+        }
+        // `k = 1`'s 715 rows cost 1,430 to set: read from its order while
+        // it has two blocks no other leaf rules out, then scanned.
+        let k1 = Predicate::between("k", 1.0, 1.0);
+        for (x_hi, read) in [(2047.0, true), (1023.0, false), (-1.0, false)] {
+            let x = Predicate::between("x", 0.0, x_hi);
+            assert_eq!(ordered(&[x], &k1).is_some(), read, "x <= {x_hi}");
         }
 
         // `p` is a permutation of 0..5,120 whose every block spans nearly

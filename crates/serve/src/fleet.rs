@@ -647,29 +647,32 @@ mod tests {
 
     #[test]
     fn one_shard_group_is_one_pool() {
-        // shards == 1 must be the exact pre-shard arithmetic: a single
-        // pool of all workers. Nothing about the outcome may move.
-        let offered = offered_stream(300, 2);
-        let costs = flat_costs(300, 40);
-        let plan = FaultPlan::calm(1);
-        let single = simulate_service(
-            &offered,
-            &costs,
-            &AdmissionPolicy::interactive(40.0, 4),
-            &plan,
-            &params(),
-        );
-        let explicit = simulate_service(
-            &offered,
-            &costs,
-            &AdmissionPolicy::interactive(40.0, 4),
-            &plan,
-            &ServeParams {
-                shards: 1,
+        // Four queries on two workers, by hand: q0 (issued at 0 ms, 30 ms
+        // of work) runs 0–30, q1 (1, 20) 1–21, q2 (2, 10) waits for q1's
+        // worker, 21–31, and q3 (3, 5) for q0's, 30–35: latencies 30, 20,
+        // 29 and 32. Two shard groups give each tenant (q0 and q2, q1 and
+        // q3) a worker of its own, so q2 waits for q0 instead, 30–40.
+        let offered = offered_stream(4, 1);
+        let costs = [30, 20, 10, 5].map(SimDuration::from_millis);
+        let run = |shards, budget_ms| {
+            let latency_budget = SimDuration::from_millis(budget_ms);
+            let params = ServeParams {
+                latency_budget,
+                shards,
                 ..params()
-            },
+            };
+            let (policy, plan) = (AdmissionPolicy::unlimited(), FaultPlan::calm(1));
+            simulate_service(&offered, &costs, &policy, &plan, &params)
+        };
+        // A query violates a budget it strictly exceeds.
+        let violations = [19, 20, 28, 29, 30, 31, 32].map(|ms| run(1, ms).lcv.violations);
+        assert_eq!(violations, [4, 3, 3, 2, 1, 1, 0]);
+        let one = run(1, 100);
+        assert_eq!(
+            (one.admitted, one.drained_at),
+            (4, SimTime::from_millis(35))
         );
-        assert_eq!(single, explicit);
+        assert_eq!(run(2, 100).drained_at, SimTime::from_millis(40));
     }
 
     #[test]
