@@ -17,10 +17,11 @@ use std::collections::HashMap;
 use crate::column::{Column, ZONE_BLOCK_ROWS};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
-use crate::query::{page_window, JoinSpec, Projection};
+use crate::query::{page_window, JoinSpec};
 use crate::result::{ResultSet, Row};
 use crate::table::Table;
-use crate::value::Value;
+
+use super::scan::{project, resolve};
 
 /// Executes a paginated-subquery inner join.
 pub fn run_join(
@@ -30,6 +31,10 @@ pub fn run_join(
 ) -> EngineResult<(ResultSet, QueryFootprint)> {
     let left_key = int_key_column(left, &spec.left_key)?;
     let right_key = int_key_column(right, &spec.right_key)?;
+    // Column references resolve against the left table first, then the
+    // right (matching the unqualified names in the paper's SQL, where
+    // projected columns come from the `movie` side).
+    let resolved = resolve(&[left, right], &spec.projection)?;
 
     // Page the left side: rows offset..offset+limit.
     let page = page_window(spec.limit, spec.offset, left.rows());
@@ -83,10 +88,10 @@ pub fn run_join(
     // each left row's right matches in probe (ascending) order, exactly
     // reproducing the row-at-a-time output.
     pairs.sort_by_key(|&(l_row, _)| l_row);
-    let mut rows: Vec<Row> = Vec::with_capacity(pairs.len());
-    for (l_row, r_row) in pairs {
-        rows.push(project_joined(left, right, l_row, r_row, &spec.projection)?);
-    }
+    let rows: Vec<Row> = pairs
+        .into_iter()
+        .map(|(l_row, r_row)| project(&resolved, |t| if t == 0 { l_row } else { r_row }))
+        .collect();
 
     let footprint = QueryFootprint {
         rows_scanned: page.len() as u64 + right.rows() as u64,
@@ -111,59 +116,13 @@ fn int_key_column<'t>(table: &'t Table, key: &str) -> EngineResult<&'t [i64]> {
     }
 }
 
-/// Projects a joined row; column references resolve against the left
-/// table first, then the right (matching the unqualified names in the
-/// paper's SQL, where projected columns come from the `movie` side).
-fn project_joined(
-    left: &Table,
-    right: &Table,
-    l_row: usize,
-    r_row: usize,
-    projection: &[Projection],
-) -> EngineResult<Row> {
-    let resolve = |name: &str| -> EngineResult<Value> {
-        if left.column(name).is_ok() {
-            left.value(l_row, name)
-        } else {
-            right.value(r_row, name)
-        }
-    };
-    if projection.is_empty() {
-        let mut row: Row = Vec::with_capacity(left.width() + right.width());
-        for c in 0..left.width() {
-            row.push(left.column_at(c).value(l_row));
-        }
-        for c in 0..right.width() {
-            row.push(right.column_at(c).value(r_row));
-        }
-        return Ok(row);
-    }
-    let mut row = Vec::with_capacity(projection.len());
-    for p in projection {
-        match p {
-            Projection::Column(c) => row.push(resolve(c)?),
-            Projection::Concat(parts) => {
-                let mut s = String::new();
-                for part in parts {
-                    match part {
-                        crate::query::ConcatPart::Column(c) => {
-                            s.push_str(&resolve(c)?.to_string());
-                        }
-                        crate::query::ConcatPart::Literal(l) => s.push_str(l),
-                    }
-                }
-                row.push(Value::from(s));
-            }
-        }
-    }
-    Ok(row)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::ColumnBuilder;
+    use crate::query::Projection;
     use crate::table::TableBuilder;
+    use crate::value::Value;
 
     fn ratings() -> Table {
         TableBuilder::new("imdbrating")
@@ -375,5 +334,22 @@ mod tests {
         };
         let (rs, _) = run_join(&l, &r, &spec).unwrap();
         assert_eq!(rs.rows().unwrap()[0][0].as_str(), Some("t0:0"));
+    }
+
+    /// A projected name neither table has fails before any pair is
+    /// built, so even a join that matches nothing rejects it.
+    #[test]
+    fn unknown_projection_column_errors_without_a_match() {
+        let (l, r) = (ratings(), movie());
+        for (limit, offset) in [(Some(2), 0), (Some(5), 99)] {
+            let spec = JoinSpec {
+                projection: vec![Projection::column("title"), Projection::column("nope")],
+                ..spec(limit, offset)
+            };
+            assert!(matches!(
+                run_join(&l, &r, &spec),
+                Err(EngineError::UnknownColumn { ref column, .. }) if column == "nope"
+            ));
+        }
     }
 }

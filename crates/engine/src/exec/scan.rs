@@ -4,7 +4,7 @@
 //! projection — `*` as every column in schema order — becomes the
 //! [`Column`]s it reads, in projection order, so an unknown column fails
 //! even an empty page. Each cell is then read by position, not looked up
-//! by name.
+//! by name. A join's rows resolve the same way, against both its tables.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -48,64 +48,85 @@ pub fn run_select(table: &Table, spec: &SelectSpec) -> EngineResult<(ResultSet, 
         }
     };
 
-    let rows = project_rows(table, &selected, &spec.projection)?;
+    let resolved = resolve(&[table], &spec.projection)?;
+    let rows: Vec<Row> = selected
+        .iter()
+        .map(|&r| project(&resolved, |_| r))
+        .collect();
     footprint.rows_output = rows.len() as u64;
     Ok((ResultSet::Rows(rows), footprint))
 }
 
-/// A projection resolved against a table.
-enum Resolved<'a> {
+/// A projection resolved against the tables a query reads: each column
+/// as the position of its table in that list and the column itself.
+pub(super) enum Resolved<'a> {
     /// The column's value, typed as stored.
-    Column(&'a Column),
+    Column(usize, &'a Column),
     /// The parts' text, concatenated.
     Concat(Vec<Part<'a>>),
 }
 
 /// A resolved [`ConcatPart`].
-enum Part<'a> {
-    Column(&'a Column),
+pub(super) enum Part<'a> {
+    Column(usize, &'a Column),
     Literal(&'a str),
 }
 
-/// Materializes projected rows for the given row indices, resolving the
-/// projection once (see the module doc).
-fn project_rows<'a>(
-    table: &'a Table,
-    rows: &[usize],
+/// Resolves a projection once (see the module doc) against `tables`: a
+/// name reads the first table that has it, and `*` is every column of
+/// each table in turn. A name no table has fails with the last table's
+/// [`UnknownColumn`](crate::error::EngineError::UnknownColumn).
+pub(super) fn resolve<'a>(
+    tables: &[&'a Table],
     projection: &'a [Projection],
-) -> EngineResult<Vec<Row>> {
-    let resolved: Vec<Resolved<'a>> = if projection.is_empty() {
-        (0..table.width())
-            .map(|c| Resolved::Column(table.column_at(c)))
-            .collect()
-    } else {
-        let resolve = |p: &'a Projection| -> EngineResult<Resolved<'a>> {
+) -> EngineResult<Vec<Resolved<'a>>> {
+    if projection.is_empty() {
+        return Ok(tables
+            .iter()
+            .enumerate()
+            .flat_map(|(t, table)| {
+                (0..table.width()).map(move |c| Resolved::Column(t, table.column_at(c)))
+            })
+            .collect());
+    }
+    let last = tables.len() - 1;
+    let column =
+        |name: &str| match (0..last).find_map(|t| tables[t].column(name).ok().map(|c| (t, c))) {
+            Some(found) => Ok(found),
+            None => tables[last].column(name).map(|c| (last, c)),
+        };
+    projection
+        .iter()
+        .map(|p| {
             Ok(match p {
-                Projection::Column(c) => Resolved::Column(table.column(c)?),
+                Projection::Column(c) => {
+                    let (t, c) = column(c)?;
+                    Resolved::Column(t, c)
+                }
                 Projection::Concat(parts) => Resolved::Concat(
                     parts
                         .iter()
                         .map(|part| match part {
-                            ConcatPart::Column(c) => table.column(c).map(Part::Column),
+                            ConcatPart::Column(c) => column(c).map(|(t, c)| Part::Column(t, c)),
                             ConcatPart::Literal(l) => Ok(Part::Literal(l)),
                         })
                         .collect::<EngineResult<_>>()?,
                 ),
             })
-        };
-        projection
-            .iter()
-            .map(resolve)
-            .collect::<EngineResult<_>>()?
-    };
-    let value = |p: &Resolved, row: usize| match p {
-        Resolved::Column(c) => c.value(row),
-        Resolved::Concat(parts) => {
+        })
+        .collect()
+}
+
+/// Builds one output row, reading row `row(t)` of the `t`-th table.
+pub(super) fn project(resolved: &[Resolved], row: impl Fn(usize) -> usize) -> Row {
+    let value = |p: &Resolved| match *p {
+        Resolved::Column(t, c) => c.value(row(t)),
+        Resolved::Concat(ref parts) => {
             let mut s = String::new();
             for part in parts {
-                match part {
-                    Part::Column(c) => {
-                        write!(s, "{}", c.value(row)).expect("a String takes any write")
+                match *part {
+                    Part::Column(t, c) => {
+                        write!(s, "{}", c.value(row(t))).expect("a String takes any write")
                     }
                     Part::Literal(l) => s.push_str(l),
                 }
@@ -113,10 +134,7 @@ fn project_rows<'a>(
             Value::Str(Arc::from(s))
         }
     };
-    Ok(rows
-        .iter()
-        .map(|&r| resolved.iter().map(|p| value(p, r)).collect())
-        .collect())
+    resolved.iter().map(value).collect()
 }
 
 #[cfg(test)]

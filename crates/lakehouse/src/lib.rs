@@ -21,8 +21,8 @@
 //!
 //! All timestamps are **virtual** microseconds ([`SimTime`]), so the
 //! tables — and every query over them — are byte-deterministic across
-//! runs (the tenth simtest oracle replays a scenario twice and asserts
-//! identical table bytes).
+//! runs (the `lakehouse-determinism` simtest oracle replays a scenario
+//! twice and asserts identical table bytes).
 //!
 //! ## Ingestion
 //!

@@ -277,7 +277,8 @@ fn type_err(column: &'static str) -> impl Fn() -> LakehouseError {
 /// Row-at-a-time reference for
 /// [`TelemetryQueries::p99_by_tenant`]: evaluates the same predicate
 /// with [`Predicate::matches`] per row instead of the vectorized
-/// kernels. The tenth simtest oracle asserts both paths agree exactly.
+/// kernels. The `lakehouse-determinism` simtest oracle asserts both
+/// paths agree exactly.
 pub fn reference_p99_by_tenant(
     spans: &Table,
     window: TimeWindow,

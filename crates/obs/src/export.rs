@@ -1,5 +1,5 @@
 //! Exporters: Chrome/Perfetto `trace_event` JSON for the span recorder,
-//! and TSV/JSON serializations of a metrics snapshot.
+//! and a TSV serialization of a metrics snapshot.
 //!
 //! Exports are pure functions of recorded data, which is keyed entirely
 //! to virtual time — so two runs with the same seed produce byte-for-byte
@@ -218,49 +218,6 @@ pub fn metrics_tsv(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Serializes a metrics snapshot as JSON.
-pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{v}", escape_json(name));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v, hwm)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{}\":{{\"value\":{v},\"high_watermark\":{hwm}}}",
-            escape_json(name)
-        );
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-            escape_json(name),
-            h.count,
-            h.sum,
-            h.min,
-            h.max,
-            json_f64(h.mean),
-            h.p50,
-            h.p90,
-            h.p99
-        );
-    }
-    out.push_str("}}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,14 +392,5 @@ mod tests {
         assert!(tsv.contains("a.hits\t12\n"));
         assert!(tsv.contains("q.depth\t2\t9\n"));
         assert!(tsv.contains("lat_us\t3\t60\t10\t30\t20.000\t20\t30\t30\n"));
-    }
-
-    #[test]
-    fn json_snapshot_is_valid_and_complete() {
-        let json = metrics_json(&sample_snapshot());
-        assert_balanced_json(&json);
-        assert!(json.contains("\"a.hits\":12"));
-        assert!(json.contains("\"high_watermark\":9"));
-        assert!(json.contains("\"p99\":30"));
     }
 }

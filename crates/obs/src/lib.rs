@@ -10,7 +10,7 @@
 //! 2. [`metrics`](mod@metrics) — a registry of named counters, gauges, and log-linear
 //!    histograms fed by hot paths, mergeable across threads and
 //!    attachable from per-instance stats holders.
-//! 3. [`export`] — Chrome/Perfetto `trace_event` JSON plus TSV/JSON
+//! 3. [`export`] — Chrome/Perfetto `trace_event` JSON plus TSV
 //!    metrics snapshots, byte-identical for same-seed runs; the trace
 //!    also streams to any [`std::io::Write`] without being resident as
 //!    one `String`.
@@ -27,7 +27,7 @@ pub mod export;
 pub mod metrics;
 pub mod recorder;
 
-pub use export::{chrome_trace_json, chrome_trace_write, metrics_json, metrics_tsv};
+pub use export::{chrome_trace_json, chrome_trace_write, metrics_tsv};
 pub use metrics::{
     metrics, Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
 };

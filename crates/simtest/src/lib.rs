@@ -5,19 +5,16 @@
 //! crossfilter/scrolling/composite session trace on a device profile, a
 //! fault plan, resilience and admission policies, and a synthesis
 //! thread count — which runs through the real `engine`/`serve` pipeline
-//! on the virtual clock and is judged by a library of invariant
-//! oracles:
+//! on the virtual clock and is judged by twelve invariant oracles:
 //!
 //! - **replay-determinism** — the same seed produces a byte-identical
 //!   run digest, twice;
 //! - **thread-invariance** — the digest is identical across 1/2/4/8
-//!   synthesis threads;
-//! - **admission-conservation** — `admitted + shed == offered`;
+//!   synthesis threads, traced or not;
+//! - **admission-conservation** — `admitted + shed == offered`, with
+//!   offers in nondecreasing order;
 //! - **no-wedge** — every queue drains at a finite virtual instant,
 //!   even under node loss;
-//! - **lcv-monotonicity** — loosening the latency budget never raises
-//!   the violation count;
-//! - **qif-conservation** — QIF windowing loses no timestamps;
 //! - **differential** — `engine::exec` agrees exactly with a naive
 //!   row-at-a-time reference interpreter on scan/filter/histogram/join;
 //! - **partial-bounds** — `Partial` answers carry legal fractions and
@@ -38,6 +35,10 @@
 //!   reacting to answers, admission shedding, deadline-bounded partials)
 //!   replays byte-identically and is invariant to gather threads and
 //!   shard count, including the interface mined from its own trace.
+//!
+//! The LCV and QIF metric laws are judged by the property tests
+//! (`tests/properties.rs`), not here: they are pure functions of
+//! timestamps, and random inputs test them harder than scenarios do.
 //!
 //! On failure, [`shrink()`] minimizes the scenario while preserving the
 //! failing oracle, and the result serializes to a self-contained TOML

@@ -366,11 +366,11 @@ pub fn run_pipeline(s: &Scenario, threads: usize) -> RunArtifacts {
 
 /// A backend whose *answers* come from a scatter-gather over `shards`
 /// partitions while its *costs* (and failure/latency behavior) come from
-/// the unsharded inner backend. This is the oracle-14 instrument: the
-/// closed loop's feedback latencies stay shard-invariant by
-/// construction, so any divergence a shard count introduces must be a
-/// result divergence — and lands in the digest, where the oracle sees
-/// it.
+/// the unsharded inner backend. This is the `adaptive-determinism`
+/// oracle's instrument: the closed loop's feedback latencies stay
+/// shard-invariant by construction, so any divergence a shard count
+/// introduces must be a result divergence — and lands in the digest,
+/// where the oracle sees it.
 struct ShardedBackend<'a> {
     inner: &'a dyn Backend,
     gather: ScatterGather,
@@ -396,11 +396,12 @@ impl Backend for ShardedBackend<'_> {
     }
 }
 
-/// Drives one closed-loop adaptive session for oracle 14: answers are
-/// scatter-gathered across `shards` hash partitions with `threads`
-/// gather threads, costs and faults come from the chaos-wrapped
-/// unsharded backend, and the resilience mode always degrades (so
-/// `Partial` answers flow through the feedback loop). Returns the
+/// Drives one closed-loop adaptive session for the
+/// `adaptive-determinism` oracle: answers are scatter-gathered across
+/// `shards` hash partitions with `threads` gather threads, costs and
+/// faults come from the chaos-wrapped unsharded backend, and the
+/// resilience mode always degrades (so `Partial` answers flow through
+/// the feedback loop). Returns the
 /// canonical digest — action stream, request trace, per-query timings
 /// and qualities, plus the interface mined back out of the trace — that
 /// must be byte-identical across replays, thread counts, and shard

@@ -65,7 +65,7 @@ pub fn raw_tables(seed: u64, spec: &TableSpec) -> RawTables {
 
 /// Materializes the engine-side `fact` and `dim` tables from the raw
 /// data (identical values, columnar layout).
-pub fn build_tables(raw: &RawTables) -> (Table, Table) {
+fn build_tables(raw: &RawTables) -> (Table, Table) {
     let mut k = ColumnBuilder::int([]);
     let mut v = ColumnBuilder::float([]);
     let mut s = ColumnBuilder::str(Vec::<&str>::new());
@@ -92,17 +92,6 @@ pub fn build_tables(raw: &RawTables) -> (Table, Table) {
         .build()
         .expect("dim schema is static");
     (fact, dim)
-}
-
-/// A `MemBackend` with the differential tables registered — the engine
-/// side of the comparison.
-pub fn diff_backend(raw: &RawTables) -> MemBackend {
-    let backend = MemBackend::new();
-    let (fact, dim) = build_tables(raw);
-    let db = backend.database();
-    db.register(fact);
-    db.register(dim);
-    backend
 }
 
 /// Row-at-a-time filter evaluation on the raw fact data, mirroring
@@ -220,48 +209,98 @@ pub fn reference_execute(raw: &RawTables, spec: &QuerySpec) -> Result<ResultSet,
     }
 }
 
+/// One scenario's differential tables and reference answers, built
+/// once and read by every oracle that compares an engine path with the
+/// reference interpreter. Those oracles share one backend, so whatever
+/// state an earlier one leaves in its tables (the filter memo, value
+/// orders) must not change a later one's answer.
+pub(crate) struct Fixture<'q> {
+    /// The engine-side `fact` table, as registered in `backend`.
+    pub fact: Table,
+    /// A `MemBackend` with `fact` and `dim` registered.
+    pub backend: MemBackend,
+    /// The differential queries.
+    pub queries: &'q [QuerySpec],
+    /// Each query's reference answer, in query order.
+    pub reference: Vec<Result<ResultSet, String>>,
+}
+
+impl<'q> Fixture<'q> {
+    /// Builds the tables for `(seed, table)` and answers every query with
+    /// the reference interpreter.
+    pub fn new(seed: u64, table: &TableSpec, queries: &'q [QuerySpec]) -> Fixture<'q> {
+        let raw = raw_tables(seed, table);
+        let (fact, dim) = build_tables(&raw);
+        let backend = MemBackend::new();
+        let db = backend.database();
+        db.register(fact.clone());
+        db.register(dim);
+        let reference = queries.iter().map(|q| reference_execute(&raw, q)).collect();
+        Fixture {
+            fact,
+            backend,
+            queries,
+            reference,
+        }
+    }
+
+    /// The counts and histograms — the queries a progressive run or a
+    /// scatter-gather merges — with their index and reference answer.
+    pub fn mergeable(
+        &self,
+    ) -> impl Iterator<Item = (usize, &'q QuerySpec, &Result<ResultSet, String>)> {
+        self.queries
+            .iter()
+            .zip(&self.reference)
+            .enumerate()
+            .filter(|(_, (spec, _))| {
+                matches!(spec, QuerySpec::Count { .. } | QuerySpec::Histogram { .. })
+            })
+            .map(|(i, (spec, reference))| (i, spec, reference))
+    }
+
+    /// Runs every query through the engine and demands [`agree`]ment
+    /// with the reference. Returns the first divergence, described.
+    pub fn differential(&self) -> Result<(), String> {
+        for (i, (spec, reference)) in self.queries.iter().zip(&self.reference).enumerate() {
+            let engine = self.backend.execute(&spec.query()).map(|o| o.result);
+            agree(reference, engine.as_ref().map(Some))
+                .map_err(|e| format!("query {i} {spec:?}: engine {e}"))?;
+        }
+        Ok(())
+    }
+}
+
+/// The one agreement rule between an engine path and the reference
+/// interpreter: both answer and the answers are equal, or both reject
+/// and the engine's rejection is [`EngineError::InvalidBinSpec`], the
+/// only error the grammar reaches. `answer` is the path's final answer,
+/// `None` when it accepted the query yet gave none.
+pub(crate) fn agree(
+    reference: &Result<ResultSet, String>,
+    answer: Result<Option<&ResultSet>, &EngineError>,
+) -> Result<(), String> {
+    match (reference, answer) {
+        (Ok(r), Ok(Some(a))) if a == r => Ok(()),
+        (Ok(r), Ok(Some(a))) => Err(format!("answered {a:?} != reference {r:?}")),
+        (Ok(_), Ok(None)) => Err("accepted but gave no answer".into()),
+        (Err(_), Err(EngineError::InvalidBinSpec(_))) => Ok(()),
+        (Err(_), Err(e)) => Err(format!("rejected with unexpected {e}")),
+        (Ok(_), Err(e)) => Err(format!("rejected ({e}) but reference accepted")),
+        (Err(r), Ok(_)) => Err(format!("accepted but reference rejected ({r})")),
+    }
+}
+
 /// Runs every differential query of a scenario through both the engine
-/// and the reference interpreter and demands exact agreement (including
-/// error agreement). Returns the first divergence, described.
+/// and the reference interpreter and demands they agree: equal answers,
+/// or both reject with `InvalidBinSpec`. Returns the first divergence,
+/// described.
 pub fn differential_check(
     seed: u64,
     table: &TableSpec,
     queries: &[QuerySpec],
 ) -> Result<(), String> {
-    let raw = raw_tables(seed, table);
-    let backend = diff_backend(&raw);
-    for (i, spec) in queries.iter().enumerate() {
-        let engine = backend.execute(&spec.query()).map(|o| o.result);
-        let reference = reference_execute(&raw, spec);
-        match (&engine, &reference) {
-            (Ok(e), Ok(r)) => {
-                if e != r {
-                    return Err(format!(
-                        "query {i} {spec:?}: engine {e:?} != reference {r:?}"
-                    ));
-                }
-            }
-            (Err(e), Err(_)) => {
-                // Both reject: the grammar only reaches bin-spec errors.
-                if !matches!(e, EngineError::InvalidBinSpec(_)) {
-                    return Err(format!(
-                        "query {i} {spec:?}: engine rejected with unexpected {e}"
-                    ));
-                }
-            }
-            (Ok(e), Err(r)) => {
-                return Err(format!(
-                    "query {i} {spec:?}: engine accepted ({e:?}) but reference rejected ({r})"
-                ));
-            }
-            (Err(e), Ok(_)) => {
-                return Err(format!(
-                    "query {i} {spec:?}: engine rejected ({e}) but reference accepted"
-                ));
-            }
-        }
-    }
-    Ok(())
+    Fixture::new(seed, table, queries).differential()
 }
 
 #[cfg(test)]

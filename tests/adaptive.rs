@@ -4,8 +4,9 @@
 //!
 //! 1. **Byte-determinism** — a closed-loop session fleet is a pure
 //!    function of its scenario seed, invariant across reruns, gather
-//!    threads, and shard counts (oracle 14's property, driven here over
-//!    a seeded fleet plus the full oracle battery on mined scenarios).
+//!    threads, and shard counts (the `adaptive-determinism` oracle's
+//!    property, driven here over a seeded fleet plus the full oracle
+//!    battery on mined scenarios).
 //! 2. **Open-loop equivalence** — with feedback disabled,
 //!    `BehaviorPolicy::static_replay` reproduces the existing
 //!    crossfilter trace bit for bit, no matter how hostile the serving
@@ -57,14 +58,14 @@ fn closed_loop_fleet_is_byte_deterministic() {
 }
 
 /// Mined-interface scenarios — the full grammar, not a special case —
-/// pass the entire 14-oracle battery.
+/// pass every oracle.
 #[test]
 fn mined_scenarios_pass_every_oracle() {
     for i in 0..3u64 {
         let mut s = Scenario::generate(derive_seed(0x51ED, i));
         s.shape = SessionShape::Mined;
         let v = check_scenario(&s);
-        assert_eq!(v.reports.len(), 14, "every oracle runs on mined scenarios");
+        assert_eq!(v.reports.len(), 12, "every oracle runs on mined scenarios");
         assert!(v.all_passed(), "mined scenario {i}: {}", v.summary());
     }
 }

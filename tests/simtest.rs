@@ -72,9 +72,10 @@ fn corpus_replays_clean() {
 /// transitions they are named for: the zoom loop actually zooms and
 /// runs to its action bound, the chaos scenario actually abandons, and
 /// the mined replay actually synthesizes a multi-kind composite
-/// interface. (Oracle 14 already pins their determinism; this pins
-/// their *coverage* — a behavior-model change that stops the named
-/// transitions from firing fails here, not silently.)
+/// interface. (The `adaptive-determinism` oracle already pins their
+/// determinism; this pins their *coverage* — a behavior-model change
+/// that stops the named transitions from firing fails here, not
+/// silently.)
 #[test]
 fn adaptive_corpus_scenarios_cover_their_transitions() {
     use ids::simtest::adaptive_run;
