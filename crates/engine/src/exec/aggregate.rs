@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;
+use crate::exec::Changeset;
 use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
@@ -25,11 +26,15 @@ use crate::table::Table;
 /// A drag re-issues each histogram with one range nudged, so the table
 /// remembers the last histogram counted over each column under its spec
 /// (`Table::bin_at`). Under the same selection (a repeated filter) that
-/// histogram is the answer; under a selection fewer rows away from it
-/// than it selects, its counts move by the rows that entered and left;
-/// otherwise the bin is cold. Either bin reads the spec's bucket codes
-/// once its division bins have paid for them. Counts are integers and
-/// the stored block counters are the cold walk's: no path shows.
+/// histogram is the answer. When it counted exactly the selection the
+/// filter's moved walk started from, its counts move by the rows the walk
+/// flipped (the filter's [`Changeset`]) and no mask is
+/// read; under any other selection fewer rows away from it than it
+/// selects, by the rows that entered and left, found by reading both
+/// masks; otherwise the bin is cold. Each bin reads the spec's bucket
+/// codes once its division bins have paid for them. Counts are integers
+/// and the stored block counters are the cold walk's over the new
+/// selection: no path shows.
 pub fn run_histogram(
     table: &Table,
     bins: &BinSpec,
@@ -37,9 +42,9 @@ pub fn run_histogram(
 ) -> EngineResult<(ResultSet, QueryFootprint)> {
     bins.validate()?;
     // Before the bin column's checks: a bad filter outranks a bad bin column.
-    let (selected, mut footprint) = super::filter_rows(table, filter)?;
+    let (selected, mut footprint, changeset) = super::filter_rows(table, filter)?;
     let bin_idx = bins.column_in(table)?;
-    let (hist, stats) = bin_phase(table, bin_idx, bins, selected);
+    let (hist, stats) = bin_phase(table, bin_idx, bins, selected, changeset.as_ref());
 
     footprint.rows_aggregated = footprint.rows_matched;
     footprint.groups = hist.bins() as u64;
@@ -56,28 +61,43 @@ fn bin_phase(
     idx: usize,
     bins: &BinSpec,
     selected: Arc<SelectionVector>,
+    changeset: Option<&Changeset>,
 ) -> (Histogram, KernelStats) {
     let bin = table.bin_at(idx, bins);
     let last = bin.last().clone();
-    let (from, walked) = match last.as_deref() {
+    let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
+    let (opts, mut stats, rows) = (KernelOptions::default(), KernelStats::default(), col.len());
+    // The block walker, moving `hist` from the rows `from` selects.
+    let mut walk = |from: Option<&SelectionVector>, mut hist: Histogram, walked: usize| {
+        let codes = bin.codes(col, bins, walked);
+        kernels::fused_filter_bin_range(
+            col, zone, from, codes, &selected, bins, &opts, &mut stats, 0, rows, &mut hist,
+        );
+        hist
+    };
+    let cold = || Histogram::zeros(bins.bucket_count());
+    let hist = match last.as_deref() {
         Some((from, hist, stats)) if Arc::ptr_eq(from, &selected) => {
             return (hist.clone(), *stats);
         }
-        // Fewer rows changed than are selected: moving is the cheaper pass.
-        Some((from, hist, _)) => match from.diff_count(&selected) {
-            moved if moved < selected.count() => (Some((&**from, hist)), moved),
-            _ => (None, selected.count()),
+        Some((from, hist, _)) => match changeset.filter(|(parent, _)| Arc::ptr_eq(from, parent)) {
+            // It counted the walk's start: the rows the walk flipped are
+            // the change, and no mask is read for them.
+            Some((_, flipped)) => {
+                let (codes, mut hist) = (bin.codes(col, bins, flipped.len()), hist.clone());
+                kernels::bin_flipped(
+                    col, zone, codes, &selected, flipped, bins, &opts, &mut stats, &mut hist,
+                );
+                hist
+            }
+            // Fewer rows changed than are selected: moving is the cheaper pass.
+            None => match from.diff_count(&selected) {
+                moved if moved < selected.count() => walk(Some(from), hist.clone(), moved),
+                _ => walk(None, cold(), selected.count()),
+            },
         },
-        None => (None, selected.count()),
+        None => walk(None, cold(), selected.count()),
     };
-    let (col, zone) = (table.column_at(idx), table.zone_map_at(idx));
-    let codes = bin.codes(col, bins, walked);
-    let (opts, mut stats, rows) = (KernelOptions::default(), KernelStats::default(), col.len());
-    let mut hist = from.map_or_else(|| Histogram::zeros(bins.bucket_count()), |(_, h)| h.clone());
-    let from = from.map(|(from, _)| from);
-    kernels::fused_filter_bin_range(
-        col, zone, from, codes, &selected, bins, &opts, &mut stats, 0, rows, &mut hist,
-    );
     *bin.last() = Some(Arc::new((selected, hist.clone(), stats)));
     (hist, stats)
 }
@@ -85,7 +105,7 @@ fn bin_phase(
 /// Executes `SELECT COUNT(*) FROM t WHERE f` — fused filter+count: the
 /// answer is the selection mask's popcount.
 pub fn run_count(table: &Table, filter: &Predicate) -> EngineResult<(ResultSet, QueryFootprint)> {
-    let (_, mut footprint) = super::filter_rows(table, filter)?;
+    let (_, mut footprint, _) = super::filter_rows(table, filter)?;
     footprint.rows_aggregated = footprint.rows_matched;
     footprint.groups = 1;
     footprint.rows_output = 1;

@@ -39,38 +39,51 @@ use crate::result::ResultSet;
 use crate::table::Table;
 use crate::Database;
 
+/// What a moved walk changed: the selection it started from, and the
+/// rows whose bit it flipped, each once, in no particular order. The bin
+/// phase moves a histogram that counted exactly that selection by these
+/// rows alone.
+pub type Changeset = (Arc<SelectionVector>, Arc<[usize]>);
+
 /// The filter phase of every operator: validates `filter` and returns
 /// the rows it selects with the footprint fields the filter alone
 /// determines (`rows_scanned`, `rows_matched`, `predicate_evals`, its
-/// share of `blocks_pruned` / `blocks_scanned`).
+/// share of `blocks_pruned` / `blocks_scanned`), and the [`Changeset`]
+/// that reached them when a moved walk did.
 ///
 /// The table remembers the last filter it answered, so a repeat (a
 /// crossfilter event re-queries every histogram under one `WHERE`) gets
-/// that very answer back. A drag moves one range
+/// that very answer back, changeset included. A drag moves one range
 /// (`Predicate::moved_range`): the moved walk starts from the remembered
 /// selection and decides again only the rows the column's value order
 /// places between an old and a new bound. Both walks count every block
 /// verdict the cold walk counts, so no footprint or virtual cost tells
-/// which answered. `TRUE` (O(words) to answer) and errors are never
-/// remembered.
+/// which answered. A cold walk has no changeset, and a filter with a
+/// nested `Or`/`Not` conjunct never moves. `TRUE` (O(words) to answer)
+/// and errors are never remembered.
 pub fn filter_rows(
     table: &Table,
     filter: &Predicate,
-) -> EngineResult<(Arc<SelectionVector>, QueryFootprint)> {
+) -> EngineResult<(Arc<SelectionVector>, QueryFootprint, Option<Changeset>)> {
     let last = table.last_filter().clone();
     let mut from = None;
-    if let Some((key, selected, footprint)) = last.as_deref() {
+    if let Some((key, selected, footprint, changeset)) = last.as_deref() {
         if key.same_filter(filter) {
-            return Ok((Arc::clone(selected), *footprint));
+            return Ok((Arc::clone(selected), *footprint, changeset.clone()));
         }
-        from = key.moved_range(filter).map(|moved| (&**selected, moved));
+        from = key.moved_range(filter).map(|moved| (selected, moved));
     }
     // Evaluated with the lock released: two workers racing on one table
     // both miss, each moves (or skips) a consistent remembered pair to
     // the cold walk's answer, and the later one's stays.
     let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
     filter.validate(table)?;
-    let selected = Arc::new(kernels::eval_pred(table, filter, from, &opts, &mut stats)?);
+    let walk_from = from.map(|(selected, moved)| (&**selected, moved));
+    let (selected, flipped) = kernels::eval_pred(table, filter, walk_from, &opts, &mut stats)?;
+    let selected = Arc::new(selected);
+    let changeset = from
+        .zip(flipped)
+        .map(|((parent, _), flipped)| (Arc::clone(parent), flipped.into()));
     let footprint = QueryFootprint {
         rows_scanned: table.rows() as u64,
         rows_matched: selected.count() as u64,
@@ -80,9 +93,15 @@ pub fn filter_rows(
         ..QueryFootprint::default()
     };
     if !matches!(filter, Predicate::True) {
-        *table.last_filter() = Some(Arc::new((filter.clone(), Arc::clone(&selected), footprint)));
+        let memo = (
+            filter.clone(),
+            Arc::clone(&selected),
+            footprint,
+            changeset.clone(),
+        );
+        *table.last_filter() = Some(Arc::new(memo));
     }
-    Ok((selected, footprint))
+    Ok((selected, footprint, changeset))
 }
 
 /// Executes a logical query against the tables registered in `db`.
@@ -115,7 +134,7 @@ pub fn run_query(db: &Database, query: &Query) -> EngineResult<(ResultSet, Query
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnBuilder;
+    use crate::column::{ColumnBuilder, ZONE_BLOCK_ROWS};
     use crate::query::BinSpec;
     use crate::table::TableBuilder;
     use ids_simclock::rng::{check, SimRng};
@@ -172,7 +191,7 @@ mod tests {
     /// `fresh` copy: the rows and every footprint field the filter
     /// determines.
     fn check_against_cold(table: &Table, fresh: &Table, filter: &Predicate) -> Result<(), String> {
-        let (got, fp) = filter_rows(table, filter).map_err(|e| e.to_string())?;
+        let (got, fp, _) = filter_rows(table, filter).map_err(|e| e.to_string())?;
         let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
         let cold = kernels::select_vector_with(fresh, filter, &opts, &mut stats);
         let cold = cold.map_err(|e| e.to_string())?;
@@ -592,6 +611,112 @@ mod tests {
             true => Ok(()),
             false => Err(format!("{bins:?} under {filter}: {got:?} against {want:?}")),
         }
+    }
+
+    /// The changeset rule, on one thread: drags that bin two or three
+    /// columns in turn, a random few of them under each filter, so a
+    /// column's last histogram sometimes counted the selection the moved
+    /// walk started from (the counts move by the rows it flipped) and
+    /// sometimes another (both masks are read, or the bin is cold). The
+    /// row-number range moves across block edges, so the bin's block
+    /// counters change with the selection. Some drags carry a nested `Or`
+    /// or `Not`: the memo never moves such a filter
+    /// (`Predicate::moved_range`), and the walk started from the last
+    /// selection anyway hands out no changeset, since the nested
+    /// conjunct's intersection can undo a flip. `x` reads bucket codes,
+    /// `n` and `y` divide. Every answer and footprint equals the division
+    /// path's, and a drag without a nested conjunct moves by a changeset.
+    #[test]
+    fn a_changeset_moves_only_the_histogram_that_counted_its_start() {
+        check("exec/changeset-bin", 0..24, |rng| {
+            let rows = pick(rng, &[3000, 5000]);
+            let grid = |rng: &mut SimRng| rng.uniform_usize(0, 41) as f64 - 20.0;
+            let x = (0..rows).map(|_| match rng.chance(0.05) {
+                true => f64::NAN,
+                false => grid(rng),
+            });
+            let x: Vec<f64> = x.collect();
+            let y: Vec<f64> = (0..rows).map(|_| grid(rng)).collect();
+            let n = (0..rows).map(|_| rng.uniform_usize(0, 41) as i64 - 20);
+            let table = TableBuilder::new("t")
+                .column("x", ColumnBuilder::float(x))
+                .column("n", ColumnBuilder::int(n))
+                .column("y", ColumnBuilder::float(y))
+                .column("f", ColumnBuilder::float((0..rows).map(|r| r as f64)))
+                .build()
+                .expect("static schema");
+            let fresh = fresh(&table);
+            build_orders(&table);
+            let specs = [
+                BinSpec::new("x", -15.0, 15.0, 30),
+                BinSpec::new("n", -20.0, 20.0, 8),
+                BinSpec::new("y", -10.0, 20.0, 6),
+            ];
+            table
+                .bin_at(0, &specs[0])
+                .codes(table.column_at(0), &specs[0], usize::MAX);
+            let specs = &specs[..pick(rng, &[2, 3])];
+            let nested = match rng.uniform_usize(0, 4) {
+                0 => Some(Predicate::Or(vec![
+                    Predicate::between("y", -5.0, 5.0),
+                    Predicate::eq("n", 3i64),
+                ])),
+                1 => Some(Predicate::Not(Box::new(Predicate::between("y", -5.0, 5.0)))),
+                _ => None,
+            };
+            // Both ends near a block edge, so blocks empty and fill.
+            let edge = ZONE_BLOCK_ROWS as f64;
+            let (mut lo, mut hi) = (edge - 4.0, 2.0 * edge + 4.0);
+            let (mut flipped_bins, mut last_leaves) = (0, None);
+            for step in 0..32 {
+                match rng.uniform_usize(0, 8) {
+                    0 => {}
+                    1 => lo = edge - pick(rng, &[20.0, 8.0]),
+                    _ => {
+                        let end = if rng.chance(0.5) { &mut lo } else { &mut hi };
+                        *end += pick(rng, &[-9.0, -3.0, -1.0, 1.0, 3.0, 9.0]);
+                    }
+                }
+                let leaves = Predicate::And(vec![
+                    Predicate::between("f", lo, hi),
+                    Predicate::between("n", -18.0, 15.0),
+                ]);
+                let filter = match &nested {
+                    Some(p) => Predicate::and([leaves.clone(), p.clone()]),
+                    None => leaves.clone(),
+                };
+                let (selected, ..) = filter_rows(&table, &filter).expect("valid");
+                let moved = last_leaves.and_then(|(was, from): (Predicate, Arc<_>)| {
+                    was.moved_range(&leaves).map(|moved| (from, moved))
+                });
+                if let (Some(_), Some((from, moved))) = (&nested, moved) {
+                    let (opts, mut stats) = (KernelOptions::default(), KernelStats::default());
+                    let from = Some((&*from, moved));
+                    let walked = kernels::eval_pred(&table, &filter, from, &opts, &mut stats);
+                    let (walked, flipped) = walked.expect("valid");
+                    assert!(walked == *selected && flipped.is_none(), "step {step}");
+                }
+                last_leaves = Some((leaves, selected));
+                let mut binned = specs.to_vec();
+                rng.shuffle(&mut binned);
+                binned.truncate(rng.uniform_usize(1, specs.len() + 1));
+                for bins in &binned {
+                    let (.., changeset) = filter_rows(&table, &filter).expect("valid");
+                    let idx = table.column_index(&bins.column).expect("binned");
+                    let last = table.bin_at(idx, bins).last().clone();
+                    let counted = |(parent, _): &Changeset| {
+                        last.as_ref().is_some_and(|l| Arc::ptr_eq(&l.0, parent))
+                    };
+                    flipped_bins += usize::from(changeset.as_ref().is_some_and(counted));
+                    let checked = check_against_division(&table, &fresh, bins, &filter);
+                    checked.unwrap_or_else(|e| panic!("{rows} rows, step {step}: {e}"));
+                }
+            }
+            match nested {
+                Some(nested) => assert_eq!(flipped_bins, 0, "under {nested}"),
+                None => assert!(flipped_bins > 0, "{rows} rows: no changeset bin"),
+            }
+        });
     }
 
     /// The race rule with bucket codes: two threads in lock step bin one

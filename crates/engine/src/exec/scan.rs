@@ -39,7 +39,7 @@ pub fn run_select(table: &Table, spec: &SelectSpec) -> EngineResult<(ResultSet, 
             // bitmask, then materialize row ids only for the requested
             // page instead of for every match.
             let sel;
-            (sel, footprint) = super::filter_rows(table, filter)?;
+            (sel, footprint, _) = super::filter_rows(table, filter)?;
             let take = match spec.limit {
                 Some(l) => l.min(sel.count().saturating_sub(spec.offset)),
                 None => sel.count().saturating_sub(spec.offset),

@@ -13,7 +13,8 @@
 //!   (the complement); `OR`/`NOT` combine such masks bitwise;
 //! - **the moved walk** answers a filter one range from the last from its
 //!   selection, deciding again only the rows the order finds between an
-//!   old and a new bound: no column is streamed;
+//!   old and a new bound: no column is streamed, and the rows it flips
+//!   move a histogram of the last selection (`bin_flipped`);
 //! - **one price list** (`price`) for the walks' choices (scan, set or
 //!   clear; moved or cold; build an order or not), in one unit, from exact
 //!   counts, a scan priced over the blocks the walk reads;
@@ -231,33 +232,35 @@ pub fn select_vector_with(
     stats: &mut KernelStats,
 ) -> EngineResult<SelectionVector> {
     pred.validate(table)?;
-    eval_pred(table, pred, None, opts, stats)
+    Ok(eval_pred(table, pred, None, opts, stats)?.0)
 }
 
 /// Evaluates `pred`, validated, over every row. `from` starts a
 /// conjunction of leaves at the selection of the filter before it, which
-/// differs in the one range [`Predicate::moved_range`] returns.
+/// differs in the one range [`Predicate::moved_range`] returns. With the
+/// selection come the rows whose bit differs from `from`'s, when the
+/// moved walk answered the whole conjunction: a nested `Or`/`Not`
+/// conjunct's intersection can undo a flip, so then there are none.
 pub(crate) fn eval_pred(
     table: &Table,
     pred: &Predicate,
     from: Option<(&SelectionVector, (usize, f64, f64))>,
     opts: &KernelOptions,
     stats: &mut KernelStats,
-) -> EngineResult<SelectionVector> {
+) -> EngineResult<(SelectionVector, Option<Vec<usize>>)> {
     let rows = table.rows();
     Ok(match pred {
         Predicate::Or(ps) => {
             let mut acc = SelectionVector::none(rows);
             for p in ps {
-                let child = eval_pred(table, p, None, opts, stats)?;
-                acc.union(&child);
+                acc.union(&eval_pred(table, p, None, opts, stats)?.0);
             }
-            acc
+            (acc, None)
         }
         Predicate::Not(p) => {
-            let mut inner = eval_pred(table, p, None, opts, stats)?;
+            let mut inner = eval_pred(table, p, None, opts, stats)?.0;
             inner.negate();
-            inner
+            (inner, None)
         }
         // `True`, a lone leaf and `And` are conjunctions of zero, one and
         // many leaves: one verdict pass, then the moved or the cold walk.
@@ -266,11 +269,14 @@ pub(crate) fn eval_pred(
             resolve(table, pred, opts, &mut leaves, &mut nested)?;
             let verdicts = count_verdicts(rows, &leaves, stats);
             let moved = from.and_then(|from| eval_moved(table, &leaves, &verdicts, from));
-            let mut acc = moved.unwrap_or_else(|| eval_leaves(table, &leaves, &verdicts));
+            let (mut acc, flipped) = match moved {
+                Some((acc, flipped)) => (acc, Some(flipped).filter(|_| nested.is_empty())),
+                None => (eval_leaves(table, &leaves, &verdicts), None),
+            };
             for p in nested {
-                acc.intersect(&eval_pred(table, p, None, opts, stats)?);
+                acc.intersect(&eval_pred(table, p, None, opts, stats)?.0);
             }
-            acc
+            (acc, flipped)
         }
     })
 }
@@ -596,8 +602,10 @@ fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], verdicts: &[Option<bool>]) ->
 ///   33–45 ns a row, on the road table and on a 10,000-row one.
 ///
 /// The bin prices its two rules in binned rows and keeps them: counts move
-/// when fewer rows changed than are selected (`exec::aggregate::bin_phase`),
-/// and codes are built after a table's worth of divided rows
+/// by a changeset whenever one starts at the rows counted (its rows are
+/// some of the candidates `redecide` kept below a scan), else when fewer
+/// rows changed than are selected (`exec::aggregate::bin_phase`), and
+/// codes are built after a table's worth of divided rows
 /// (`table::Bin::codes`; a build is 4.5–5.9 ns a row, a division 11–16 ns).
 pub(crate) mod price {
     const SET_ROWS: usize = 2;
@@ -634,14 +642,15 @@ pub(crate) mod price {
 /// selected when leaf `at` was `was_lo..=was_hi` ([`Predicate::moved_range`]).
 /// Only a row whose moved value lies between an old and a new bound, ends
 /// included, can change: the column's [`ValueOrder`] finds those candidates,
-/// and each is decided again. `None` walks cold: no order, or candidates
+/// and each is decided again; the rows whose bit flips come back beside
+/// the selection, each once. `None` walks cold: no order, or candidates
 /// costing more than the cold walk's reads, its undecided `verdicts`.
 fn eval_moved(
     table: &Table,
     leaves: &[Leaf<'_>],
     verdicts: &[Option<bool>],
     (was, (at, was_lo, was_hi)): (&SelectionVector, (usize, f64, f64)),
-) -> Option<SelectionVector> {
+) -> Option<(SelectionVector, Vec<usize>)> {
     let (idx, lo, hi) = leaves.get(at)?.range()?;
     let streamed = price::scan(verdicts.iter().filter(|v| v.is_none()).count());
     let (col, order) = (table.column_at(idx), table.value_order_at(idx, streamed)?);
@@ -654,15 +663,19 @@ fn eval_moved(
     let candidates: usize = spans.iter().map(|s| s.inside.len()).sum();
     (price::redecide(candidates, leaves.len()) <= streamed).then_some(())?;
     let (len, mut words, mut count) = (table.rows(), was.words().to_vec(), was.count());
+    let mut flipped = Vec::new();
     for row in spans.iter().flat_map(|s| s.rows(s.inside)) {
         let (word, bit) = (&mut words[row / 64], 1u64 << (row % 64));
         let now = leaves.iter().all(|leaf| leaf.holds(row));
+        // A row in both bounds' spans (an inverted move) is decided alike
+        // twice, so it flips once.
         if now != (*word & bit != 0) {
             *word ^= bit;
             count = if now { count + 1 } else { count - 1 };
+            flipped.push(row);
         }
     }
-    Some(SelectionVector { len, words, count })
+    Some((SelectionVector { len, words, count }, flipped))
 }
 
 /// Rows per run of a [`ValueOrder`]: an offset into a run fits a `u16`.
@@ -851,19 +864,9 @@ pub fn fused_filter_bin_range(
     for block in start / ZONE_BLOCK_ROWS..len.div_ceil(ZONE_BLOCK_ROWS) {
         let row = block * ZONE_BLOCK_ROWS;
         let block_end = (row + ZONE_BLOCK_ROWS).min(len);
-        // Zone skip: a block entirely outside the bin domain contributes
-        // nothing to either count (NaN and out-of-domain values bin to
-        // no bucket).
-        let out_of_domain = opts.zone_prune
-            && zone
-                .and_then(|z| z.block(block))
-                .is_some_and(|z| z.max < bins.min || z.min > bins.max);
-        // Selection skip: nothing selected in this block.
         let span = row / 64..block_end.div_ceil(64);
         let words = &sel.words()[span.clone()];
-        let skip = out_of_domain || words.iter().all(|&w| w == 0);
-        stats.blocks_pruned += u64::from(skip);
-        stats.blocks_scanned += u64::from(!skip);
+        let (out_of_domain, skip) = bin_verdict(zone, words, bins, opts, block, stats);
         let old = from.map(|f| &f.words()[span]);
         // From nothing, a skipped block has nothing to un-bin either.
         if out_of_domain || (skip && old.is_none()) {
@@ -884,6 +887,66 @@ pub fn fused_filter_bin_range(
                 bins.bin_with_width(x as f64, width)
             }),
             Column::Str { .. } => {}
+        }
+    }
+}
+
+/// The cold rule's verdict on bin block `block`, whose selection `words`
+/// holds, counted into `stats`: whether it lies outside the bin domain
+/// (NaN and out-of-domain values bin to no bucket), and whether it is
+/// pruned, being outside or without a selected row.
+fn bin_verdict(
+    zone: Option<&ZoneMap>,
+    words: &[u64],
+    bins: &BinSpec,
+    opts: &KernelOptions,
+    block: usize,
+    stats: &mut KernelStats,
+) -> (bool, bool) {
+    let out_of_domain = opts.zone_prune
+        && zone
+            .and_then(|z| z.block(block))
+            .is_some_and(|z| z.max < bins.min || z.min > bins.max);
+    let skip = out_of_domain || words.iter().all(|&w| w == 0);
+    stats.blocks_pruned += u64::from(skip);
+    stats.blocks_scanned += u64::from(!skip);
+    (out_of_domain, skip)
+}
+
+/// Moves `hist` from counting a selection to counting `sel` by the rows
+/// whose bit differs between them (`flipped`, the moved walk's
+/// changeset): a row `sel` selects entered and adds one to its bucket,
+/// any other left and subtracts one. `stats` counts `sel`'s blocks by the
+/// cold rule, as [`fused_filter_bin_range`] does, never from `flipped`.
+/// With `codes` a row's bucket is read, not divided for.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bin_flipped(
+    col: &Column,
+    zone: Option<&ZoneMap>,
+    codes: Option<&[u8]>,
+    sel: &SelectionVector,
+    flipped: &[usize],
+    bins: &BinSpec,
+    opts: &KernelOptions,
+    stats: &mut KernelStats,
+    hist: &mut Histogram,
+) {
+    for (block, words) in sel.words().chunks(BLOCK_WORDS).enumerate() {
+        bin_verdict(zone, words, bins, opts, block, stats);
+    }
+    let width = bins.width();
+    let bucket = |row: usize| match (codes, col) {
+        (Some(codes), _) => Some(usize::from(codes[row])),
+        (None, Column::Float(data)) => bins.bin_with_width(data[row], width),
+        (None, Column::Int(data)) => bins.bin_with_width(data[row] as f64, width),
+        (None, Column::Str { .. }) => None,
+    };
+    let counts = hist.counts_mut();
+    for &row in flipped {
+        // `u8::MAX`, no bucket, is past the last count; a leaving row adds
+        // `u64::MAX`, which wraps to a subtraction.
+        if let Some(c) = bucket(row).and_then(|b| counts.get_mut(b)) {
+            *c = c.wrapping_add(if sel.contains(row) { 1 } else { u64::MAX });
         }
     }
 }
@@ -1237,7 +1300,9 @@ mod tests {
             let ran = eval_moved(&t, &leaves, &verdicts, moved).is_some();
             assert_eq!(ran, *redecides, "move {k}");
             let (mut walked, mut cold) = (KernelStats::default(), KernelStats::default());
-            let answer = eval_pred(&t, now, Some(moved), &opts, &mut walked).unwrap();
+            let answer = eval_pred(&t, now, Some(moved), &opts, &mut walked)
+                .unwrap()
+                .0;
             let expect = select_vector_with(&t, now, &opts, &mut cold).unwrap();
             assert_eq!((answer, walked), (expect, cold), "move {k}");
         }

@@ -214,7 +214,7 @@ impl ProgressiveExecutor {
             let idx = b.column_in(&table)?;
             binned = Some((b, idx));
         }
-        let (selected, _) = crate::exec::filter_rows(&table, filter)?;
+        let (selected, ..) = crate::exec::filter_rows(&table, filter)?;
         let n = table.rows();
         let total_blocks = n.div_ceil(ZONE_BLOCK_ROWS);
         let mut blocks: Vec<usize> = (0..total_blocks).collect();
@@ -644,6 +644,28 @@ mod tests {
             assert!(w[0] >= w[1], "widths {widths:?}");
         }
         assert_eq!(*widths.last().unwrap(), 0.0);
+    }
+
+    /// The half-width at hand-computed points. After 4 of 16 blocks the
+    /// Serfling term is 16 × 1,024 × √((1 − 3/16) × ln(2 / 0.05) / 8)
+    /// = 16,384 × √(0.374652) ≈ 10,028.451: the answer while more rows
+    /// than that are unseen, and the unseen rows (6,384) once fewer are.
+    /// Every block seen is exact.
+    #[test]
+    fn half_width_is_the_tighter_bound() {
+        let exec = ProgressiveExecutor::new(Database::new());
+        let cases = [
+            ((4, 16, 16_384, 4_096), 10_028.451_127_886),
+            ((4, 16, 16_384, 10_000), 6_384.0),
+            ((16, 16, 16_384, 16_384), 0.0),
+        ];
+        for ((m, total, n, covered), want) in cases {
+            let got = exec.half_width(m, total, n, covered);
+            assert!(
+                (got - want).abs() < 1e-6,
+                "({m}, {total}, {n}, {covered}): {got}"
+            );
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use crate::column::{Column, ColumnBuilder, ZoneMap};
 use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
+use crate::exec::Changeset;
 use crate::kernels::{self, price, KernelStats, SelectionVector, ValueOrder};
 use crate::predicate::Predicate;
 use crate::query::BinSpec;
@@ -47,8 +48,14 @@ struct Slot {
 /// A bin spec's key: `min` and `max` by bit pattern, and `bins`.
 type SpecKey = (u64, u64, usize);
 
-/// A filter, the rows it selects, and the footprint of selecting them.
-pub(crate) type FilterMemo = (Predicate, Arc<SelectionVector>, QueryFootprint);
+/// A filter, the rows it selects, the footprint of selecting them, and
+/// the moved walk's changeset that reached them, if one did.
+pub(crate) type FilterMemo = (
+    Predicate,
+    Arc<SelectionVector>,
+    QueryFootprint,
+    Option<Changeset>,
+);
 
 /// A histogram as counted: the rows it counted, its counts, and the bin
 /// phase's block counters.

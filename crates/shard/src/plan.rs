@@ -412,6 +412,33 @@ mod tests {
         );
     }
 
+    /// Shard `i`'s row of the breakdown is partition `i`'s own footprint,
+    /// as a lone run on that partition counts it: range partitions of `x`
+    /// under a filter the first shard scans and the others prune, and
+    /// key-hash partitions of unequal sizes. Neither list of footprints
+    /// reads the same reversed, so a shard labelled with another's shows.
+    #[test]
+    fn each_shard_reports_its_own_partitions_footprint() {
+        let source = db(64_000);
+        let q = Query::count("t", Predicate::between("x", 0.0, 100.0));
+        for scheme in [PartitionScheme::range("x"), PartitionScheme::hash_key("k")] {
+            let parts = partition_database(&source, &scheme, 3, 4).unwrap();
+            let own = |(i, part): (usize, &Database)| {
+                let (_, fp) = run_query(part, &q).unwrap();
+                (i, fp.rows_scanned, fp.blocks_pruned)
+            };
+            let want: Vec<_> = parts.iter().enumerate().map(own).collect();
+            let footprints = want.iter().map(|&(_, rows, pruned)| (rows, pruned));
+            assert!(footprints.clone().ne(footprints.rev()), "{scheme:?}");
+            let out = ScatterGather::over(parts).execute(&q).unwrap();
+            let got = out
+                .per_shard
+                .iter()
+                .map(|s| (s.shard, s.rows_scanned, s.blocks_pruned));
+            assert_eq!(got.collect::<Vec<_>>(), want, "{scheme:?}");
+        }
+    }
+
     #[test]
     fn latency_is_slowest_shard_plus_coordination() {
         let source = db(40_000);

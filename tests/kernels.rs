@@ -522,10 +522,10 @@ fn repeats_share_one_selection_and_near_misses_share_nothing() {
     // counters break `fb == fa` on the repeat.
     let t = adversarial_table(2500);
     let brush = Predicate::And(brush_conjunctions().remove(0));
-    let (a, fa) = exec::filter_rows(&t, &brush).expect("valid");
+    let (a, fa, _) = exec::filter_rows(&t, &brush).expect("valid");
     assert!(fa.blocks_scanned > 0 && fa.blocks_pruned > 0, "{fa:?}");
     // The same filter written again, asked of a clone of the table.
-    let (b, fb) = exec::filter_rows(&t.clone(), &brush.clone()).expect("valid");
+    let (b, fb, _) = exec::filter_rows(&t.clone(), &brush.clone()).expect("valid");
     assert!(Arc::ptr_eq(&a, &b), "a repeat re-evaluated the filter");
     assert_eq!(fb, fa);
 
@@ -547,8 +547,8 @@ fn repeats_share_one_selection_and_near_misses_share_nothing() {
         ),
     ];
     for (p, q) in near_misses {
-        let (sp, _) = exec::filter_rows(&t, &p).expect("valid");
-        let (sq, _) = exec::filter_rows(&t, &q).expect("valid");
+        let (sp, ..) = exec::filter_rows(&t, &p).expect("valid");
+        let (sq, ..) = exec::filter_rows(&t, &q).expect("valid");
         assert!(!Arc::ptr_eq(&sp, &sq), "{p:?} answered for {q:?}");
         assert_eq!(sq.to_row_ids(), q.select(&t).expect("valid"), "{q:?}");
     }
@@ -569,7 +569,7 @@ fn repeats_share_one_selection_and_near_misses_share_nothing() {
 fn true_and_failing_filters_leave_the_remembered_one_alone() {
     let t = adversarial_table(1500);
     let brush = Predicate::And(brush_conjunctions().remove(0));
-    let (a, _) = exec::filter_rows(&t, &brush).expect("valid");
+    let (a, ..) = exec::filter_rows(&t, &brush).expect("valid");
     exec::run_count(&t, &Predicate::True).expect("valid");
     exec::run_histogram(&t, &BinSpec::new("x", 0.0, 9.0, 3), &Predicate::True).expect("valid");
     let unknown = Predicate::and([brush.clone(), Predicate::ge("nope", 1.0)]);
@@ -579,7 +579,7 @@ fn true_and_failing_filters_leave_the_remembered_one_alone() {
             Err(EngineError::UnknownColumn { .. })
         ));
     }
-    let (b, _) = exec::filter_rows(&t, &brush).expect("valid");
+    let (b, ..) = exec::filter_rows(&t, &brush).expect("valid");
     assert!(Arc::ptr_eq(&a, &b), "TRUE or an error evicted the entry");
 }
 
