@@ -180,6 +180,28 @@ mod tests {
         }
     }
 
+    /// Every stored mask of every built order: `M_k`, `0 < k < BUCKETS`,
+    /// holds exactly the rows at positions `< b_k` of its run's order, is
+    /// as long as the run's words, and holds no row past the table's last.
+    fn check_masks(table: &Table) {
+        for i in 0..table.width() {
+            let Some(order) = table.value_order_at(i, 0) else {
+                continue;
+            };
+            for (r, run) in order.offsets.chunks(kernels::RUN_ROWS).enumerate() {
+                let size = run.len().div_ceil(kernels::BUCKETS);
+                for k in 1..kernels::BUCKETS {
+                    let mut want = vec![0u64; run.len().div_ceil(64)];
+                    for &o in &run[..(k * size).min(run.len())] {
+                        want[usize::from(o) / 64] |= 1 << (o % 64);
+                    }
+                    let got = order.mask(r * kernels::RUN_ROWS, k);
+                    assert!(got == want, "column {i}, run {r}, M_{k}");
+                }
+            }
+        }
+    }
+
     /// A copy of `table` with none of its derived state: no value order
     /// (only a moved walk through [`filter_rows`] builds one), so its cold
     /// walk scans every leaf, and no memo.
@@ -303,8 +325,8 @@ mod tests {
             for i in 0..table.width() {
                 let (col, order) = (table.column_at(i), table.value_order_at(i, 0));
                 let order = order.expect("numeric columns have an order");
-                assert_eq!(order.0.len(), rows);
-                for (r, run) in order.0.chunks(kernels::RUN_ROWS).enumerate() {
+                assert_eq!(order.offsets.len(), rows);
+                for (r, run) in order.offsets.chunks(kernels::RUN_ROWS).enumerate() {
                     let mut seen = vec![false; run.len()];
                     for &o in run {
                         assert!(!std::mem::replace(&mut seen[usize::from(o)], true));
@@ -319,6 +341,7 @@ mod tests {
                     );
                 }
             }
+            check_masks(&table);
             // Bounds: data values at the run edges and the table's ends,
             // ties of ±2⁵³, signed zeros, infinities, or the grid.
             let edges = [
@@ -371,10 +394,12 @@ mod tests {
     /// `select_vector_with` and through the memo. Tables sit at and
     /// around the run edges or are small; the data holds NaN, ±0.0, ±inf,
     /// ties and `Int`s at ±2⁵³; bounds are NaN, inverted, infinite, signed
-    /// zeros, data values or the grid, mostly narrow, so most ranges are
-    /// read from their orders; beside them sit a `Cmp`, a string `=`, a
-    /// range on the string column and a nested `Or`. Wide ranges that
-    /// leave out a few rows, or only the NaN ones, take the complement.
+    /// zeros, data values (some at and beside a mask boundary of a run's
+    /// order, the short last run's included) or the grid, mostly narrow,
+    /// so most ranges are read from their orders; beside them sit a `Cmp`,
+    /// a string `=`, a range on the string column and a nested `Or`. Wide
+    /// ranges that leave out a few rows, or only the NaN ones, are read
+    /// from the stored masks. Every stored mask is checked too.
     #[test]
     fn an_ordered_cold_walk_answers_exactly_like_a_scan() {
         check("exec/ordered-cold-walk", 0..20, |rng| {
@@ -415,15 +440,30 @@ mod tests {
                 .expect("static schema");
             let fresh = fresh(&table);
             build_orders(&table);
-            let bound = |rng: &mut SimRng, col: usize| match rng.uniform_usize(0, 16) {
+            check_masks(&table);
+            let value = |col: usize, row: usize| table.column_at(col).f64_at(row).expect("numeric");
+            // The value at position `b_k − 1`, `b_k` or `b_k + 1` of a run's
+            // order, the last run half the time.
+            let at_boundary = |rng: &mut SimRng, col: usize| {
+                let runs = rows.div_ceil(kernels::RUN_ROWS);
+                let any = rng.uniform_usize(0, runs);
+                let r = pick(rng, &[runs - 1, any]);
+                let order = table.value_order_at(col, 0).expect("built");
+                let run = order.offsets.chunks(kernels::RUN_ROWS).nth(r).expect("run");
+                let size = run.len().div_ceil(kernels::BUCKETS);
+                let b = (rng.uniform_usize(0, kernels::BUCKETS + 1) * size).min(run.len());
+                let p = (b + rng.uniform_usize(0, 3))
+                    .saturating_sub(1)
+                    .min(run.len() - 1);
+                value(col, r * kernels::RUN_ROWS + usize::from(run[p]))
+            };
+            let bound = |rng: &mut SimRng, col: usize| match rng.uniform_usize(0, 18) {
                 0 => f64::NAN,
                 1 => pick(rng, &[f64::INFINITY, f64::NEG_INFINITY]),
                 2 => pick(rng, &[0.0, -0.0]),
                 3 => (pick(rng, &[BIG, -BIG]) + rng.uniform_usize(0, 5) as i64 - 2) as f64,
-                4..=7 => {
-                    let row = rng.uniform_usize(0, rows);
-                    table.column_at(col).f64_at(row).expect("numeric")
-                }
+                4..=7 => value(col, rng.uniform_usize(0, rows)),
+                8..=10 => at_boundary(rng, col),
                 _ => grid(rng),
             };
             let checked = |filter: &Predicate, step: usize| {
@@ -474,9 +514,10 @@ mod tests {
                 rng.shuffle(&mut conjuncts);
                 checked(&Predicate::And(conjuncts), step);
             }
-            // The complement: all but 0, 1 or 1,023 rows of `u`, a
-            // permutation of 0..rows, with ±0.0 and ±inf on its ends, and
-            // every number of `x`, which leaves out only its NaN rows.
+            // Wide ranges, read from the masks: all but 0, 1 or 1,023 rows
+            // of `u`, a permutation of 0..rows, with ±0.0 and ±inf on its
+            // ends, and every number of `x`, which leaves out only its NaN
+            // rows.
             let every = Predicate::between("x", f64::NEG_INFINITY, f64::INFINITY);
             checked(&Predicate::And(vec![every]), 10);
             for cut in [0, 1, 1023] {

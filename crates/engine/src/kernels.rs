@@ -9,8 +9,9 @@
 //! - **the cold walk** decides each 1024-row block against every undecided
 //!   condition while its 16 mask words are hot, 64 rows per word, starting
 //!   from each range's rows in its column's `ValueOrder` once a drag has
-//!   built it: a narrow range's rows set, a wide range's two tails cleared
-//!   (the complement); `OR`/`NOT` combine such masks bitwise;
+//!   built it: per run, a narrow range's rows set, a wider one's words
+//!   written from two of the order's stored cumulative masks and only its
+//!   ends toggled; `OR`/`NOT` combine such masks bitwise;
 //! - **the moved walk** answers a filter one range from the last from its
 //!   selection, deciding again only the rows the order finds between an
 //!   old and a new bound: no column is streamed, and the rows it flips
@@ -408,31 +409,38 @@ impl<'a> Leaf<'a> {
 
     /// A range's rows from its column's order, when moved walks have paid
     /// for that order (this adds no reads to its tally) and reading it
-    /// costs no more than scanning its `undecided` blocks
-    /// ([`price::from_order`]): its rows set in a zeroed mask, or the
-    /// rows outside it, its spans' tails, cleared from a full one. A leaf
-    /// with none is never read: no span search.
+    /// costs no more than scanning its `undecided` blocks: each run read
+    /// the cheaper way ([`price::from_order`], [`Span::plan`]), its
+    /// positions toggled in a zeroed mask or its words written from two
+    /// stored masks and its ends toggled. A leaf with none is never read:
+    /// no span search.
     fn rows_from_order(&self, table: &Table, undecided: usize) -> Option<Vec<u64>> {
         let (idx, lo, hi) = self.range().filter(|_| undecided > 0)?;
         let order = table.value_order_at(idx, 0)?;
-        let spans: Vec<_> = order.spans(table.column_at(idx), lo, hi).collect();
-        let (len, rows) = (table.rows(), spans.iter().map(|s| s.inside.len()).sum());
-        let complement = price::from_order(rows, len, undecided)?;
-        let mut mask = match complement {
-            true => SelectionVector::all(len).words,
-            false => SelectionVector::none(len).words,
-        };
-        for s in &spans {
-            let flipped = match complement {
-                true => [s.below, s.above],
-                false => [s.inside, &[]],
+        let spans = order.spans(table.column_at(idx), lo, hi);
+        let runs: Vec<_> = spans.map(|s| (s.plan(), s)).collect();
+        let read: usize = runs.iter().map(|((price, _), _)| price).sum();
+        (read <= price::scan(undecided)).then_some(())?;
+        let len = table.rows();
+        let mut mask = SelectionVector::none(len).words;
+        for ((_, masks), s) in &runs {
+            let toggled = match *masks {
+                Some((qs, qe)) => {
+                    order.write(s, qs, qe, &mut mask);
+                    [s.ends(s.start, qs), s.ends(s.end, qe)]
+                }
+                None => [s.start..s.end, 0..0],
             };
-            // One loop per slice: a flattened iterator costs a branch a row.
-            for offsets in flipped {
-                for row in s.rows(offsets) {
+            // One loop per range: a flattened iterator costs a branch a row.
+            for positions in toggled {
+                for row in s.rows(positions) {
                     mask[row / 64] ^= 1 << (row % 64);
                 }
             }
+        }
+        // The full mask `M_BUCKETS` ends at the table's last row.
+        if let Some(last) = mask.last_mut() {
+            *last &= SelectionVector::tail_mask(len);
         }
         Some(mask)
     }
@@ -585,15 +593,17 @@ fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], verdicts: &[Option<bool>]) ->
 /// table: 1,275 undecided (leaf, block)s of three ranges in 867 µs). Each
 /// rule weighs exact counts the walk holds; each constant is measured.
 ///
-/// - A cold range is read from its order when that is cheapest
-///   ([`price::from_order`], `Leaf::rows_from_order`): its rows set, at
-///   [`price::set`] of them, or the rows outside it cleared, at
-///   [`price::set`] of those (a tie sets), against [`price::scan`] of its
-///   undecided blocks that no other leaf rules out (the walk skips those).
-///   `SET_ROWS` = 2: of 0–4, 6 and never, 2 filtered seed 11's cold dense
-///   statements fastest (≈ 648 ms). Clearing a row costs what setting one
-///   does: with the complement that replay's cold filters took 356–369
-///   ms, not 539–571, and `crossfilter_dense`'s p95 fell 586 → 473 µs.
+/// - A cold range is read from its order when the sum of its runs' reads
+///   costs no more than [`price::scan`] of its undecided blocks that no
+///   other leaf rules out (the walk skips those; `Leaf::rows_from_order`).
+///   Each run takes the cheaper of two reads ([`price::from_order`]): its
+///   rows set, at [`price::set`] of them, or its words written from two
+///   stored masks, at `WORD_ROWS` a word, and the rows between each end
+///   and its nearest mask boundary toggled, at [`price::set`] of those (a
+///   tie sets). `SET_ROWS` = 2: of 0–4, 6 and never, 2 filtered seed 11's cold
+///   dense statements fastest (≈ 648 ms). `WORD_ROWS` = 1: a word is two
+///   stored words ANDed and one written, and of 1, 2, 4 and 8 no price
+///   read that replay's cold filters measurably faster.
 /// - A moved walk walks cold when [`price::redecide`] > [`price::scan`]
 ///   (`eval_moved`). `RANDOM_READ_ROWS` = 10: with the rule off, it matched
 ///   the cold walk on the road table at ≈ 40,000 candidates, ≈ 20 ns each.
@@ -609,6 +619,7 @@ fn eval_leaves(table: &Table, leaves: &[Leaf<'_>], verdicts: &[Option<bool>]) ->
 /// (`table::Bin::codes`; a build is 4.5–5.9 ns a row, a division 11–16 ns).
 pub(crate) mod price {
     const SET_ROWS: usize = 2;
+    const WORD_ROWS: usize = 1;
     const RANDOM_READ_ROWS: usize = 10;
     const BUILD_ROWS: usize = 48;
 
@@ -616,17 +627,17 @@ pub(crate) mod price {
     pub(crate) fn scan(undecided: usize) -> usize {
         undecided * crate::column::ZONE_BLOCK_ROWS
     }
-    /// Setting `rows` rows from an order.
+    /// Setting (or toggling) `rows` rows from an order.
     pub(crate) fn set(rows: usize) -> usize {
         rows * SET_ROWS
     }
-    /// How a range of `rows` of a `len`-row table is read from its order
-    /// rather than scanned over `undecided` blocks, whichever is cheapest:
-    /// `Some(false)` sets its rows, `Some(true)` clears the `len - rows`
-    /// others (a tie sets), `None` scans.
-    pub(crate) fn from_order(rows: usize, len: usize, undecided: usize) -> Option<bool> {
-        let (set, clear) = (set(rows), set(len - rows));
-        (set.min(clear) <= scan(undecided)).then_some(clear < set)
+    /// A run's read of the `rows` rows a range holds in it, the cheaper of
+    /// setting them and writing its `words` words from two stored masks
+    /// plus toggling the `ends` rows between each end and its boundary:
+    /// the price, and whether the masks are read (a tie sets).
+    pub(crate) fn from_order(rows: usize, words: usize, ends: usize) -> (usize, bool) {
+        let (set, masks) = (set(rows), words * WORD_ROWS + set(ends));
+        (set.min(masks), masks < set)
     }
     /// Re-deciding `candidates` rows against each of `leaves` leaves.
     pub(crate) fn redecide(candidates: usize, leaves: usize) -> usize {
@@ -660,11 +671,11 @@ fn eval_moved(
             spans.extend(order.spans(col, old.min(new), old.max(new)));
         }
     }
-    let candidates: usize = spans.iter().map(|s| s.inside.len()).sum();
+    let candidates: usize = spans.iter().map(|s| s.end - s.start).sum();
     (price::redecide(candidates, leaves.len()) <= streamed).then_some(())?;
     let (len, mut words, mut count) = (table.rows(), was.words().to_vec(), was.count());
     let mut flipped = Vec::new();
-    for row in spans.iter().flat_map(|s| s.rows(s.inside)) {
+    for row in spans.iter().flat_map(|s| s.rows(s.start..s.end)) {
         let (word, bit) = (&mut words[row / 64], 1u64 << (row % 64));
         let now = leaves.iter().all(|leaf| leaf.holds(row));
         // A row in both bounds' spans (an inverted move) is decided alike
@@ -681,66 +692,145 @@ fn eval_moved(
 /// Rows per run of a [`ValueOrder`]: an offset into a run fits a `u16`.
 pub(crate) const RUN_ROWS: usize = 1 << 16;
 
+/// Buckets a run of a [`ValueOrder`] is cut into by its stored masks.
+pub(crate) const BUCKETS: usize = 8;
+
+/// A run's mask words, all ones: `M_BUCKETS` before the table's tail.
+static ONES: [u64; RUN_ROWS / 64] = [u64::MAX; RUN_ROWS / 64];
+/// A run's mask words, all zeros: `M_0`.
+static ZEROS: [u64; RUN_ROWS / 64] = [0; RUN_ROWS / 64];
+
 /// A numeric column's rows in the order the kernels compare them: per
 /// run of [`RUN_ROWS`] rows, its `u16` offsets sorted by value as `f64`,
 /// IEEE order with `-0.0` and `0.0` tied and every NaN last — 2 B a row.
-/// The table keeps it and builds it by its one rule, once moved walks
-/// have paid its price ([`Table::value_order_at`]); the cold walk reads it too.
+/// Beside them, per run of `n` rows, the order's range encoding: with
+/// boundaries `b_k = min(k·⌈n/BUCKETS⌉, n)`, mask `M_k` holds the rows at
+/// positions `< b_k` of the run's order, over the run's own words. `M_0`
+/// (none) and `M_BUCKETS` (every row) are not stored; the other
+/// `BUCKETS − 1` are 7/8 B a row. The table keeps it and builds it by its
+/// one rule, once moved walks have paid its price
+/// ([`Table::value_order_at`]); the cold walk reads it too.
 #[derive(Debug, Default)]
-pub(crate) struct ValueOrder(pub(crate) Box<[u16]>);
+pub(crate) struct ValueOrder {
+    pub(crate) offsets: Box<[u16]>,
+    masks: Box<[u64]>,
+}
 
 impl ValueOrder {
-    /// Sorts every run of `col`; `None` for a string column.
+    /// Sorts every run of `col` and stores its masks; `None` for a string
+    /// column.
     pub(crate) fn build(col: &Column) -> Option<ValueOrder> {
         if matches!(col, Column::Str { .. }) {
             return None;
         }
-        let mut order = Vec::with_capacity(col.len());
+        let mut offsets = Vec::with_capacity(col.len());
+        let mut masks = Vec::with_capacity((BUCKETS - 1) * col.len().div_ceil(64));
         for base in (0..col.len()).step_by(RUN_ROWS) {
             let rows = base..col.len().min(base + RUN_ROWS);
             let key = |row| order_key(col.f64_at(row).unwrap_or(f64::NAN));
             let mut keyed: Vec<(u64, u16)> = rows.map(|r| (key(r), (r - base) as u16)).collect();
             keyed.sort_unstable();
-            order.extend(keyed.into_iter().map(|(_, offset)| offset));
+            let (n, mut mask) = (keyed.len(), vec![0u64; keyed.len().div_ceil(64)]);
+            for k in 1..BUCKETS {
+                for &(_, o) in &keyed[boundary(n, k - 1)..boundary(n, k)] {
+                    mask[usize::from(o) / 64] |= 1 << (o % 64);
+                }
+                masks.extend_from_slice(&mask);
+            }
+            offsets.extend(keyed.into_iter().map(|(_, offset)| offset));
         }
-        Some(ValueOrder(order.into()))
+        let (offsets, masks) = (offsets.into(), masks.into());
+        Some(ValueOrder { offsets, masks })
+    }
+
+    /// Mask `M_k`, `k ≤ BUCKETS`, of the run that starts at row `base`,
+    /// over the run's words; `M_BUCKETS`'s bits run to the word's end.
+    pub(crate) fn mask(&self, base: usize, k: usize) -> &[u64] {
+        let words = (self.offsets.len() - base).min(RUN_ROWS).div_ceil(64);
+        match k {
+            0 => &ZEROS[..words],
+            BUCKETS => &ONES[..words],
+            k => &self.masks[(BUCKETS - 1) * base / 64 + (k - 1) * words..][..words],
+        }
+    }
+
+    /// Writes run `s`'s words in `out` as `M_qe & !M_qs`: the rows at
+    /// positions `b_qs..b_qe` of its order, for `qs ≤ qe`.
+    fn write(&self, s: &Span, qs: usize, qe: usize, out: &mut [u64]) {
+        let (low, high) = (self.mask(s.base, qs), self.mask(s.base, qe));
+        let out = &mut out[s.base / 64..][..high.len()];
+        for ((w, h), l) in out.iter_mut().zip(high).zip(low) {
+            *w = h & !l;
+        }
     }
 
     /// Each run cut at `lo..=hi` (neither NaN; nothing inside when
     /// `lo > hi`): two binary searches a run.
     fn spans<'o>(&'o self, col: &'o Column, lo: f64, hi: f64) -> impl Iterator<Item = Span<'o>> {
         let value = move |row: usize| col.f64_at(row).unwrap_or(f64::NAN);
-        let runs = (0..).step_by(RUN_ROWS).zip(self.0.chunks(RUN_ROWS));
+        let runs = (0..).step_by(RUN_ROWS).zip(self.offsets.chunks(RUN_ROWS));
         runs.map(move |(base, run)| {
             // A NaN fails both tests, so it sorts last for both searches.
             let start = run.partition_point(|&o| value(base + usize::from(o)) < lo);
             let end = run.partition_point(|&o| value(base + usize::from(o)) <= hi);
-            let (below, rest) = run.split_at(start);
-            let (inside, above) = rest.split_at(end.saturating_sub(start));
+            let end = end.max(start);
             Span {
                 base,
-                below,
-                inside,
-                above,
+                run,
+                start,
+                end,
             }
         })
     }
 }
 
-/// A run of a [`ValueOrder`] cut at a range: its first row and its
-/// offsets below, inside and above the range, NaN rows above.
+/// Boundary `b_k` of a run of `n` rows: `min(k·⌈n/BUCKETS⌉, n)`.
+fn boundary(n: usize, k: usize) -> usize {
+    (k * n.div_ceil(BUCKETS)).min(n)
+}
+
+/// A run of a [`ValueOrder`] cut at a range: its first row, its offsets
+/// in value order, and the positions `start..end` of those in the range,
+/// NaN rows after them.
 struct Span<'o> {
     base: usize,
-    below: &'o [u16],
-    inside: &'o [u16],
-    above: &'o [u16],
+    run: &'o [u16],
+    start: usize,
+    end: usize,
 }
 
 impl Span<'_> {
-    /// The rows at `offsets`, some of this run's.
-    fn rows<'a>(&self, offsets: &'a [u16]) -> impl Iterator<Item = usize> + 'a {
+    /// The rows at `positions` of this run's order.
+    fn rows(&self, positions: std::ops::Range<usize>) -> impl Iterator<Item = usize> + '_ {
         let base = self.base;
-        offsets.iter().map(move |&o| base + usize::from(o))
+        self.run[positions]
+            .iter()
+            .map(move |&o| base + usize::from(o))
+    }
+
+    /// The boundary nearest position `p`, `p ≤ n`: monotone in `p`.
+    fn nearest(&self, p: usize) -> usize {
+        let size = self.run.len().div_ceil(BUCKETS);
+        ((p + size / 2) / size).min(BUCKETS)
+    }
+
+    /// The positions between `p` and boundary `b_q`.
+    fn ends(&self, p: usize, q: usize) -> std::ops::Range<usize> {
+        let b = boundary(self.run.len(), q);
+        p.min(b)..p.max(b)
+    }
+
+    /// The run's cheaper read ([`price::from_order`]) and its price:
+    /// `Some((qs, qe))`, the boundaries nearest each end, to write its
+    /// words as `M_qe & !M_qs` and toggle `ends(start, qs)` and
+    /// `ends(end, qe)` (over GF(2), exactly `start..end`); `None` to set
+    /// `start..end`.
+    fn plan(&self) -> (usize, Option<(usize, usize)>) {
+        let (qs, qe) = (self.nearest(self.start), self.nearest(self.end));
+        let ends = self.ends(self.start, qs).len() + self.ends(self.end, qe).len();
+        let words = self.run.len().div_ceil(64);
+        let (price, masks) = price::from_order(self.end - self.start, words, ends);
+        (price, masks.then_some((qs, qe)))
     }
 }
 
@@ -1166,14 +1256,14 @@ mod tests {
         }
     }
 
-    /// The price list at each rule's edge, one count either side, and the
+    /// The price list at each rule's edge, one unit either side, and the
     /// walks that read it. The cold walk reads a range from its order only
     /// once one is built, never for a NaN bound, a `Cmp`, a string leaf or
     /// a leaf with no undecided block that the other leaves leave live,
-    /// and each ordered range's mask, set or cleared, holds exactly its
-    /// rows. A moved walk re-decides its candidates up to the cold walk's
-    /// reads and walks cold past them; either way it answers and counts
-    /// exactly as the cold walk does.
+    /// and each ordered range's mask, its runs set or written from their
+    /// masks, holds exactly its rows. A moved walk re-decides its
+    /// candidates up to the cold walk's reads and walks cold past them;
+    /// either way it answers and counts exactly as the cold walk does.
     #[test]
     fn each_walk_rule_flips_at_its_price_edge() {
         // (price, what it is weighed against, whether it is at most that):
@@ -1189,22 +1279,11 @@ mod tests {
         for (i, (price, budget, within)) in edges.into_iter().enumerate() {
             assert_eq!(price <= budget, within, "edge {i}: {price} vs {budget}");
         }
-        // (rows, table rows, undecided blocks, the read): set, clear or
-        // scan, at rows × 2 or (table rows − rows) × 2 = undecided × 1,024.
-        let reads = [
-            (512, 5000, 1, Some(false)),
-            (513, 5000, 1, None),
-            (4488, 5000, 1, Some(true)),  // all but 512 rows
-            (4487, 5000, 1, None),        // all but 513
-            (2560, 5120, 5, Some(false)), // set and clear tie: it sets
-            (2560, 5120, 4, None),
-        ];
-        for (rows, len, undecided, read) in reads {
-            assert_eq!(
-                price::from_order(rows, len, undecided),
-                read,
-                "{rows} of {len}"
-            );
+        // A run's read, set against masks: 100 rows set cost 200, and
+        // words + 50 toggled ends × 2 cost one less, the same (a tie
+        // sets), or one more.
+        for (words, read) in [(99, (199, true)), (100, (200, false)), (101, (200, false))] {
+            assert_eq!(price::from_order(100, words, 50), read, "{words} words");
         }
 
         fn resolved<'a>(t: &'a Table, p: &'a Predicate) -> (Vec<Leaf<'a>>, Vec<Option<bool>>) {
@@ -1215,22 +1294,25 @@ mod tests {
         }
         let build_orders =
             |t: &Table| (0..t.width()).for_each(|i| _ = t.value_order_at(i, usize::MAX));
+        // One 5,000-row run: 79 words, boundaries every 625 positions. An
+        // `x` range sits at positions `lo..=hi`; `k = v` at
+        // `715v..715v + 715` for `v < 2`, 714 rows each after.
         let t = table(5000);
         let cold = [
-            (Predicate::between("x", 10.0, 30.0), true), // 21 rows, 1 undecided block
-            (Predicate::between("x", 0.0, 4000.0), false),
-            (Predicate::between("k", 1.0, 1.0), true), // 715 rows, 5 blocks
-            (Predicate::between("k", 0.0, 5.0), true), // all but 714 rows, 5 blocks
+            (Predicate::between("x", 10.0, 30.0), true), // 21 rows set, 1 undecided block
+            (Predicate::between("x", 0.0, 4000.0), true), // masks: 79 + 251 ends × 2
+            (Predicate::between("k", 1.0, 1.0), true),   // masks: 79 + 270 × 2, 5 blocks
+            (Predicate::between("k", 0.0, 5.0), true),   // all but 714 rows: 79 + 89 × 2
             (Predicate::between("x", f64::NAN, 30.0), false),
             (Predicate::le("x", 30.0), false),
             (Predicate::eq("s", "a"), false),
-            (Predicate::between("x", 10.0, 521.0), true), // 512 rows, 1 block
-            (Predicate::between("x", 10.0, 522.0), false), // 513 rows, 1 block
-            (Predicate::between("k", 2.0, 2.0), true),
-            (Predicate::between("x", -5.0, -1.0), false), // no rows, every block decided
+            (Predicate::between("x", 312.0, 823.0), true), // 512 set: 1,024 (masks 1,101)
+            (Predicate::between("x", 312.0, 824.0), false), // 513 set: 1,026 (masks 1,103)
+            (Predicate::between("x", 236.0, 860.0), true), // masks: 79 + 472 × 2 = 1,023
+            (Predicate::between("x", 236.0, 861.0), false), // masks: 1,025 (set 1,252)
+            (Predicate::between("x", -5.0, -1.0), false),  // no rows, every block decided
             (Predicate::between("x", -1.0, 6000.0), false), // all rows, every block decided
-            (Predicate::between("x", 0.0, 4487.0), true), // all but 512 rows, 1 block
-            (Predicate::between("x", 0.0, 4486.0), false), // all but 513 rows, 1 block
+            (Predicate::between("x", 10.0, 6000.0), true), // `M_BUCKETS`, over the tail word
         ];
         // Each leaf's rows from its order, as the leaf of a conjunction of
         // `with`, which may rule out blocks.
@@ -1251,20 +1333,23 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(rows(0), Vec::from_iter(10..=30));
+        assert_eq!(rows(1), Vec::from_iter(0..=4000));
         assert_eq!(rows(2), Vec::from_iter((0..5000).filter(|r| r % 7 == 1)));
         assert_eq!(rows(3), Vec::from_iter((0..5000).filter(|r| r % 7 != 6)));
-        assert_eq!(rows(7), Vec::from_iter(10..=521));
-        assert_eq!(rows(12), Vec::from_iter(0..=4487));
+        assert_eq!(rows(7), Vec::from_iter(312..=823));
+        assert_eq!(rows(9), Vec::from_iter(236..=860));
+        assert_eq!(rows(13), Vec::from_iter(10..5000));
         for (leaf, _) in &cold {
             let rows = select_vector(&t, leaf).unwrap().to_row_ids();
             assert_eq!(rows, leaf.select(&t).unwrap(), "{leaf}");
         }
-        // `k = 1`'s 715 rows cost 1,430 to set: read from its order while
-        // it has two blocks no other leaf rules out, then scanned.
-        let k1 = Predicate::between("k", 1.0, 1.0);
+        // `k = 3`'s 714 rows cost 1,151 from its masks (ends 269 + 267;
+        // 1,428 to set): read from its order while it has two blocks no
+        // other leaf rules out, then scanned.
+        let k3 = Predicate::between("k", 3.0, 3.0);
         for (x_hi, read) in [(2047.0, true), (1023.0, false), (-1.0, false)] {
             let x = Predicate::between("x", 0.0, x_hi);
-            assert_eq!(ordered(&[x], &k1).is_some(), read, "x <= {x_hi}");
+            assert_eq!(ordered(&[x], &k3).is_some(), read, "x <= {x_hi}");
         }
 
         // `p` is a permutation of 0..5,120 whose every block spans nearly
